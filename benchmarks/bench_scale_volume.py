@@ -15,7 +15,7 @@ implementations):
   (shared :class:`~repro.struct.blockedlist.BlockedList` layout) vs
   the seed's flat list, under random segment writes then reads.  The
   flat list pays an O(n) memmove per write; the committed baseline
-  shows the blocked store ≥5× faster at 10^5 segments, which is what
+  shows the blocked store 3-4× faster at 10^5 segments, which is what
   makes content-checked aging runs practical beyond test scale.
 * ``batched_writes`` — the same scattered write stream submitted one
   request per call vs scatter/gather batches per

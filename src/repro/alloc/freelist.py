@@ -18,15 +18,19 @@ and the augmentation contract:
   ``memmove``, instead of the flat list's O(n), and ``first_fit``/
   ``next_fit`` (including the ``min_start``/``max_start`` banded
   queries) use the augmentation to skip whole blocks that cannot
-  satisfy a request instead of scanning run by run.
+  satisfy a request instead of scanning run by run.  Summaries are
+  lazy: carving a block's largest run only marks its entry stale, and
+  ``first_fit`` rescans a stale block the first time it looks at it.
 * **Size tier** — power-of-two buckets (bucket *b* holds runs whose
   length has ``bit_length() == b``), each an unaugmented
   :class:`BlockedList` of ``(length, start)`` pairs, so a skewed
   workload landing every run in one bucket still pays only O(load)
   per mutation.  ``best_fit`` bisects one bucket and falls through to
   the next non-empty one; ``worst_fit``/``largest`` read the tail of
-  the highest non-empty bucket; ``runs_by_size_desc`` streams buckets
-  top-down — all without maintaining one global O(n) sorted list.
+  the highest non-empty bucket; ``largest_runs`` (the run cache's
+  view) slices the tail blocks of the top buckets and
+  ``runs_by_size_desc`` streams the same walk to the bottom — all
+  without maintaining one global O(n) sorted list.
 * **Incremental accounting** — :attr:`total_free`, the run count, and
   the largest run are maintained under mutation, so reading them is
   O(1) (the largest-run probe scans at most ``capacity.bit_length()``
@@ -37,9 +41,10 @@ Complexity of the public methods, with n free runs: ``add`` /
 run boundary take the in-place :meth:`BlockedList.replace` fast path;
 only a mid-run carve pays a delete plus two inserts.  ``run_at`` /
 ``run_starting_at`` / ``best_fit`` / ``worst_fit`` / ``largest`` are
-O(log n); ``first_fit`` / ``next_fit`` are O(log n) plus one scanned
-block per directory block whose max-run augmentation passes the size
-filter.  ``total_free`` and ``__len__`` are O(1).
+O(log n); ``largest_runs(k)`` is O(log load + k); ``first_fit`` /
+``next_fit`` are O(log n) plus one scanned block per directory block
+whose max-run augmentation passes the size filter or is stale (one
+rescan, then cached).  ``total_free`` and ``__len__`` are O(1).
 
 The public API and error semantics are identical to the naive engine:
 :class:`~repro.errors.CorruptionError` on double frees or overlapping
@@ -257,6 +262,7 @@ class FreeExtentIndex:
         mins = self._addr.mins
         blocks = self._addr.blocks
         sums = self._addr.sums
+        summary = self._addr.summary
         nb = len(blocks)
         bi = bisect.bisect_right(mins, min_start) - 1
         if bi < 0:
@@ -270,7 +276,9 @@ class FreeExtentIndex:
             lo = pos if b == bi else 0
             if max_start is not None and block[lo] > max_start:
                 return None
-            if sums[b][0] < size:
+            # Fresh entries are read in place (a call per skipped block
+            # doubles a whole-directory miss); summary() heals stale ones.
+            if (sums[b] or summary(b))[0] < size:
                 continue
             for i in range(lo, len(block)):
                 s = block[i]
@@ -324,10 +332,34 @@ class FreeExtentIndex:
         length, start = buckets[b].last()
         return Extent(start, length)
 
+    def _size_blocks_desc(self) -> Iterator[list[tuple[int, int]]]:
+        """Size-tier blocks, largest pairs first; lowers ``_btop``."""
+        buckets = self._buckets
+        b = self._btop
+        while b > 0 and not buckets[b]:
+            b -= 1
+        self._btop = b
+        for b in range(b, -1, -1):
+            yield from reversed(buckets[b].blocks)
+
+    def largest_runs(self, limit: int,
+                     min_length: int = 1) -> list[tuple[int, int]]:
+        """The ``limit`` largest runs as descending ``(length, start)``
+        pairs, cut at the first one shorter than ``min_length``."""
+        out: list[tuple[int, int]] = []
+        floor = (min_length,)
+        for block in self._size_blocks_desc():
+            lo = max(len(block) - limit + len(out),
+                     bisect.bisect_left(block, floor))
+            out.extend(reversed(block[lo:]))
+            if lo:
+                break
+        return out
+
     def runs_by_size_desc(self) -> Iterator[Extent]:
         """Free runs from largest to smallest (NTFS run-cache order)."""
-        for bucket in reversed(self._buckets):
-            for length, start in bucket.iter_desc():
+        for block in self._size_blocks_desc():
+            for length, start in reversed(block):
                 yield Extent(start, length)
 
     def __iter__(self) -> Iterator[Extent]:

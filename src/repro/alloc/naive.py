@@ -187,6 +187,15 @@ class NaiveFreeExtentIndex:
         length, start = self._by_size[-1]
         return Extent(start, length)
 
+    def largest_runs(self, limit: int,
+                     min_length: int = 1) -> list[tuple[int, int]]:
+        """The ``limit`` largest runs as descending ``(length, start)``
+        pairs, cut at the first one shorter than ``min_length``."""
+        by_size = self._by_size
+        lo = max(len(by_size) - limit,
+                 bisect.bisect_left(by_size, (min_length,)))
+        return by_size[lo:][::-1]
+
     def runs_by_size_desc(self) -> Iterator[Extent]:
         """Free runs from largest to smallest (NTFS run-cache order)."""
         for length, start in reversed(self._by_size):

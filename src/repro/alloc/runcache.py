@@ -27,7 +27,7 @@ Figure 2.
 
 from __future__ import annotations
 
-from itertools import islice
+from operator import itemgetter
 
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex
@@ -68,32 +68,28 @@ class NtfsRunCache:
         Returns None when no cached run fits (the caller then fragments).
         Does not mutate the index.  Selection order per the paper's
         description: outer-band runs first (lowest offset), then the
-        largest cached run (ties to the lower offset).  One pass over
-        the cached view — this sits on the aging hot path, once per
-        allocation.
+        largest cached run (ties to the lower offset).  This sits on
+        the aging hot path, once per allocation: the cached view is one
+        slice of ``(length, start)`` pairs and the only Extent minted is
+        the one returned.
         """
         if size <= 0:
             raise ConfigError("allocation size must be positive")
-        band_limit = self.outer_band_limit
-        best_band: Extent | None = None
-        best_large: Extent | None = None
-        for run in islice(self.index.runs_by_size_desc(), self.cache_size):
-            if run.length < size:
-                # The cache is size-descending: nothing later fits.
-                break
-            if run.start < band_limit and \
-                    (best_band is None or run.start < best_band.start):
-                best_band = run
-            # best_large only matters while no band candidate exists.
-            # The cache arrives size-descending with ties on descending
-            # start, so later runs of equal length have *lower* starts
-            # and can still displace the incumbent.
-            if best_band is None and (
-                    best_large is None or
-                    (run.length, -run.start) >
-                    (best_large.length, -best_large.start)):
-                best_large = run
-        return best_band if best_band is not None else best_large
+        # Size-descending (length, start) pairs, ties on descending
+        # start, already cut at the first run too short for ``size``.
+        cached = self.index.largest_runs(self.cache_size, size)
+        if not cached:
+            return None
+        length, start = min(cached, key=itemgetter(1))
+        if start >= self.outer_band_limit:
+            # No band candidate: the head's length, and among the runs
+            # tying for it the last one (lowest start).
+            length = cached[0][0]
+            for tied, lower in cached:
+                if tied != length:
+                    break
+                start = lower
+        return Extent(start, length)
 
     def allocate(self, size: int) -> list[Extent]:
         """Allocate ``size`` bytes, fragmenting only when no run fits.
@@ -111,7 +107,7 @@ class NtfsRunCache:
         while remaining > 0:
             run = self.choose(remaining)
             if run is not None:
-                taken, _ = run.take_front(remaining)
+                taken = Extent(run.start, remaining)
                 self.index.remove(taken)
                 pieces.append(taken)
                 break
@@ -165,11 +161,10 @@ class NtfsRunCache:
         if run.start >= self.outer_band_limit and run.length < size:
             return None
         if run.start >= self.outer_band_limit and stickiness > 0.0:
-            largest = self.index.largest()
-            if largest is not None and \
-                    run.length < stickiness * largest.length:
+            # Never empty: ``run`` itself is in the index.
+            head_length = self.index.largest_runs(1)[0][0]
+            if run.length < stickiness * head_length:
                 return None
-        take = min(size, run.length)
-        taken, _ = run.take_front(take)
+        taken = Extent(run.start, min(size, run.length))
         self.index.remove(taken)
         return taken

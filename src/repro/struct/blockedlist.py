@@ -26,23 +26,32 @@ Invariants (checked by :meth:`BlockedList.check`)
   a block emptied by removal is deleted.  Blocks are never rebalanced
   by merging — adjacent small blocks are allowed, matching the
   original freelist behaviour exactly (parity tests depend on it).
-* When augmented, ``sums[i]`` equals ``augment.summarize(blocks[i])``.
+* When augmented, ``sums[i]`` is either ``None`` (stale) or equal to
+  ``augment.summarize(blocks[i])``.
 
 Augmentation contract
 ---------------------
 An augmentation maintains one summary value per block, incrementally
-where possible:
+where possible and **lazily** where not:
 
 * ``summarize(block)`` — full O(block) recompute.
 * ``add(summary, weight)`` — summary after a key of ``weight`` joins
   the block (must always succeed).
 * ``discard(summary, weight)`` — summary after a key of ``weight``
-  leaves, or ``None`` to request a ``summarize`` rescan.
+  leaves, or ``None`` when only a rescan can tell.
+
+A mutation that cannot update a summary in O(1) (``discard`` returned
+``None``, or the block split) stores ``None`` in ``sums[i]`` and moves
+on; a stale entry stays stale until :meth:`BlockedList.summary`
+rescans and caches it — so a workload that never reads summaries (the
+run-cache allocator) never pays for them.
+Pickling refreshes every entry first: the pickled bytes depend on the
+keys and weights alone, never on which summaries were read.
 
 Weights are supplied by the caller on every mutation (so the caller
 can mutate its weight source first), while rescans pull weights
-through the augmentation's own ``weight(key)`` callable — the caller
-must keep that source consistent with the list *before* mutating it.
+through the augmentation's own ``weight(key)`` callable — the source
+must agree with the list whenever a summary is read or it is pickled.
 :class:`MaxWeightAugmentation` tracks ``(max weight, count attaining
 it)``, which is what lets the free-space index's ``first_fit`` skip
 whole blocks that cannot satisfy a request.
@@ -50,7 +59,8 @@ whole blocks that cannot satisfy a request.
 Complexity of the public methods (n keys, b = #blocks ≈ n / load)
 -----------------------------------------------------------------
 ``insert`` / ``remove`` / ``replace``: O(log n + load), plus O(b) on
-the rare split or block deletion.  ``pred_le`` / ``pred_lt`` /
+the rare split or block deletion.  ``summary``: O(1), or one O(block)
+rescan when the entry is stale.  ``pred_le`` / ``pred_lt`` /
 ``succ_gt`` / ``first_ge``: O(log n).  ``first`` / ``last`` /
 ``__len__``: O(1).  Iteration: O(n); ``iter_from``: O(log n) to seek
 plus O(1) per key yielded.  Mutating the list during iteration is
@@ -77,8 +87,9 @@ class MaxWeightAugmentation:
 
     The count lets a removal decrement instead of rescanning when
     several keys tie for the maximum; only removing the last maximal
-    key forces an O(block) rescan.  Weights must be positive so the
-    empty summary ``(0, 0)`` never collides with a real one.
+    key leaves the summary stale until someone reads it.  Weights must
+    be positive so the empty summary ``(0, 0)`` never collides with a
+    real one.
     """
 
     __slots__ = ("weight",)
@@ -88,16 +99,9 @@ class MaxWeightAugmentation:
         self.weight = weight
 
     def summarize(self, block: list[Any]) -> tuple[int, int]:
-        weight = self.weight
-        mx = 0
-        cnt = 0
-        for key in block:
-            w = weight(key)
-            if w > mx:
-                mx, cnt = w, 1
-            elif w == mx:
-                cnt += 1
-        return mx, cnt
+        weights = list(map(self.weight, block))
+        mx = max(weights, default=0)
+        return mx, weights.count(mx)
 
     def add(self, summary: tuple[int, int], weight: int) -> tuple[int, int]:
         mx, cnt = summary
@@ -120,10 +124,12 @@ class MaxWeightAugmentation:
 class BlockedList:
     """Sorted collection of unique, mutually comparable keys.
 
-    ``blocks``, ``mins``, and ``sums`` are exposed read-only so
-    callers can run pruned scans over the directory (the free-space
-    index's ``first_fit`` skips blocks whose max-weight summary cannot
-    satisfy a request).  Mutate only through the methods.
+    ``blocks`` and ``mins`` are exposed read-only so callers can run
+    pruned scans over the directory (the free-space index's
+    ``first_fit`` skips blocks whose max-weight :meth:`summary` cannot
+    satisfy a request).  ``sums`` may hold stale ``None`` entries,
+    which only :meth:`summary` resolves.  Mutate only through the
+    methods.
     """
 
     __slots__ = ("load", "blocks", "mins", "sums", "augment", "_n")
@@ -135,12 +141,20 @@ class BlockedList:
         self.load = load
         self.blocks: list[list[Any]] = []
         self.mins: list[Any] = []
-        self.sums: list[tuple[int, int]] = []
+        self.sums: list[tuple[int, int] | None] = []
         self.augment = augment
         self._n = 0
 
     def __len__(self) -> int:
         return self._n
+
+    def __reduce_ex__(self, protocol: Any) -> Any:
+        """Pickle with every summary fresh: checkpoint write-back is
+        charged to the modelled clock by stored bytes, which must not
+        depend on which summaries happen to have been read."""
+        for bi in range(len(self.sums)):
+            self.summary(bi)
+        return super().__reduce_ex__(protocol)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -165,7 +179,9 @@ class BlockedList:
         if block[0] != mins[bi]:
             mins[bi] = block[0]
         if augment is not None:
-            self.sums[bi] = augment.add(self.sums[bi], cast(int, weight))
+            summary = self.sums[bi]
+            if summary is not None:
+                self.sums[bi] = augment.add(summary, cast(int, weight))
         if len(block) >= 2 * self.load:
             self._split(bi)
 
@@ -176,10 +192,9 @@ class BlockedList:
         del block[half:]
         self.blocks.insert(bi + 1, right)
         self.mins.insert(bi + 1, right[0])
-        augment = self.augment
-        if augment is not None:
-            self.sums[bi] = augment.summarize(block)
-            self.sums.insert(bi + 1, augment.summarize(right))
+        if self.augment is not None:
+            self.sums[bi] = None
+            self.sums.insert(bi + 1, None)
 
     def remove(self, key: Any, weight: int | None = None) -> bool:
         """Drop ``key``; False when it was not present."""
@@ -203,10 +218,9 @@ class BlockedList:
             mins[bi] = block[0]
         augment = self.augment
         if augment is not None:
-            summary = augment.discard(self.sums[bi], cast(int, weight))
-            if summary is None:
-                summary = augment.summarize(block)
-            self.sums[bi] = summary
+            summary = self.sums[bi]
+            if summary is not None:
+                self.sums[bi] = augment.discard(summary, cast(int, weight))
         return True
 
     def replace(self, old: Any, new: Any, *, old_weight: int | None = None,
@@ -231,15 +245,24 @@ class BlockedList:
             mins[bi] = new
         augment = self.augment
         if augment is not None:
-            summary = augment.add(self.sums[bi], cast(int, new_weight))
-            summary = augment.discard(summary, cast(int, old_weight))
-            if summary is None:
-                summary = augment.summarize(block)
-            self.sums[bi] = summary
+            summary = self.sums[bi]
+            if summary is not None:
+                summary = augment.add(summary, cast(int, new_weight))
+                self.sums[bi] = augment.discard(summary,
+                                                cast(int, old_weight))
 
     # ------------------------------------------------------------------
     # Point queries
     # ------------------------------------------------------------------
+    def summary(self, bi: int) -> tuple[int, int]:
+        """Block ``bi``'s augmentation summary, rescanned if stale."""
+        summary = self.sums[bi]
+        if summary is None:
+            summary = cast(MaxWeightAugmentation, self.augment).summarize(
+                self.blocks[bi])
+            self.sums[bi] = summary
+        return summary
+
     def __contains__(self, key: Any) -> bool:
         bi = bisect_right(self.mins, key) - 1
         if bi < 0:
@@ -351,10 +374,10 @@ class BlockedList:
                 raise CorruptionError(f"{label}: oversized block")
             if self.mins[bi] != block[0]:
                 raise CorruptionError(f"{label}: stale block minimum")
-            if self.augment is not None:
+            if self.augment is not None and self.sums[bi] is not None:
                 if self.sums[bi] != self.augment.summarize(block):
                     raise CorruptionError(
-                        f"{label}: stale summary at block {bi}"
+                        f"{label}: wrong summary at block {bi}"
                     )
             flat.extend(block)
         if flat != sorted(flat):

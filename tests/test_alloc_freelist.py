@@ -1,11 +1,15 @@
 """Tests for the coalescing free-extent index."""
 
+import random
+
 import pytest
 
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex, make_free_index
 from repro.alloc.naive import NaiveFreeExtentIndex
+from repro.alloc.runcache import NtfsRunCache
 from repro.errors import ConfigError, CorruptionError
+from repro.struct.blockedlist import MaxWeightAugmentation
 
 
 @pytest.fixture
@@ -133,6 +137,24 @@ class TestQueries:
         sizes = [r.length for r in index.runs_by_size_desc()]
         assert sizes == [800, 100]
 
+    @pytest.mark.parametrize("kind", ["tiered", "naive"])
+    def test_largest_runs(self, kind):
+        index = make_free_index(1000, kind=kind, initially_free=False)
+        for start, length in ((0, 100), (200, 100), (400, 50), (500, 100),
+                              (700, 300)):
+            index.add(Extent(start, length))
+        everything = [(300, 700), (100, 500), (100, 200), (100, 0),
+                      (50, 400)]
+        assert index.largest_runs(10) == everything
+        assert index.largest_runs(2) == everything[:2]
+        assert index.largest_runs(10, 101) == everything[:1]
+        assert index.largest_runs(10, 100) == everything[:4]
+        assert index.largest_runs(3, 100) == everything[:3]
+        assert index.largest_runs(10, 301) == []
+        assert index.largest_runs(0) == []
+        assert make_free_index(8, kind=kind,
+                               initially_free=False).largest_runs(4) == []
+
 
 class TestInvariants:
     def test_check_invariants_clean(self, index):
@@ -212,6 +234,64 @@ class TestIncrementalAccounting:
         index.add(Extent(0, 1024))
         assert index.total_free == 4096
         assert index.total_free == sum(e.length for e in index)
+
+
+class TestLazySummaries:
+    def test_first_fit_refreshes_a_stale_block(self):
+        """Carving the block's largest run leaves its max-run summary
+        stale; the next first_fit answers as the naive engine does and
+        caches the rescan."""
+        tiered = FreeExtentIndex(4096, initially_free=False)
+        naive = NaiveFreeExtentIndex(4096, initially_free=False)
+        for start, length in ((0, 64), (256, 512), (1024, 128), (2048, 96)):
+            for index in (tiered, naive):
+                index.add(Extent(start, length))
+        for index in (tiered, naive):
+            index.remove(Extent(256, 448))        # 512 -> 64: max shrinks
+        assert tiered._addr.sums == [None]
+        for size in (65, 128, 129, 97):
+            assert tiered.first_fit(size) == naive.first_fit(size)
+        assert tiered.first_fit(100) == Extent(1024, 128)
+        assert tiered._addr.sums == [(128, 1)]
+        tiered.check_invariants()
+
+    def test_run_cache_allocations_never_summarize(self, monkeypatch):
+        """Op-count regression: the run-cache allocator reads only the
+        size tier, so aging through it never rescans an address block,
+        and each ``choose`` mints the one Extent it returns."""
+        rng = random.Random(13)
+        index = FreeExtentIndex(1 << 26)
+        cache = NtfsRunCache(index)
+        live: list[Extent] = []
+
+        def churn(steps):
+            # Hover near full: free one object whenever < 4 MiB is left.
+            for _ in range(steps):
+                if index.total_free < 1 << 22:
+                    index.add(live.pop(rng.randrange(len(live))))
+                else:
+                    live.extend(cache.allocate(rng.randrange(1, 64) << 10))
+
+        churn(8000)
+        assert len(index._addr.blocks) > 1        # aged past a split
+        summarized: list[int] = []
+        minted: list[int] = []
+        summarize = MaxWeightAugmentation.summarize
+        post_init = Extent.__post_init__
+        monkeypatch.setattr(
+            MaxWeightAugmentation, "summarize",
+            lambda self, block: summarized.append(1) or summarize(self, block))
+        monkeypatch.setattr(
+            Extent, "__post_init__",
+            lambda self: minted.append(1) or post_init(self))
+        churn(2000)
+        assert summarized == []
+        for size in (4 << 10, 64 << 10, 1 << 20, 1 << 27):
+            before = len(minted)
+            run = cache.choose(size)
+            assert len(minted) - before == (0 if run is None else 1)
+        monkeypatch.undo()
+        index.check_invariants()
 
 
 class TestFactory:

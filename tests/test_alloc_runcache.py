@@ -1,9 +1,12 @@
 """Tests for the NTFS-style run cache allocator."""
 
+import random
+from itertools import islice
+
 import pytest
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import FreeExtentIndex
+from repro.alloc.freelist import FreeExtentIndex, make_free_index
 from repro.alloc.runcache import NtfsRunCache
 from repro.errors import AllocationError, ConfigError
 from repro.units import KB, MB
@@ -62,6 +65,79 @@ class TestChoose:
         index.add(Extent(60 * MB, 20 * MB))
         chosen = cache.choose(64 * KB)
         assert chosen.start in (40 * MB, 60 * MB)
+
+
+def oracle_choose(cache, size):
+    """The generator-based ``choose`` that ``largest_runs`` replaced,
+    kept verbatim as the placement oracle: one pass over the first
+    ``cache_size`` runs of ``runs_by_size_desc``."""
+    band_limit = cache.outer_band_limit
+    best_band = None
+    best_large = None
+    for run in islice(cache.index.runs_by_size_desc(), cache.cache_size):
+        if run.length < size:
+            break
+        if run.start < band_limit and \
+                (best_band is None or run.start < best_band.start):
+            best_band = run
+        if best_band is None and (
+                best_large is None or
+                (run.length, -run.start) >
+                (best_large.length, -best_large.start)):
+            best_large = run
+    return best_band if best_band is not None else best_large
+
+
+class TestChooseMatchesOracle:
+    def test_band_hit(self):
+        cache, index = make_cache()
+        index.remove(Extent(0, 100 * MB))
+        index.add(Extent(6 * MB, 1 * MB))       # band, not the lowest
+        index.add(Extent(2 * MB, 1 * MB))       # band, lowest
+        index.add(Extent(50 * MB, 40 * MB))     # larger, out of band
+        for size in (64 * KB, 1 * MB, 2 * MB, 41 * MB):
+            assert cache.choose(size) == oracle_choose(cache, size)
+        assert cache.choose(1 * MB) == Extent(2 * MB, 1 * MB)
+
+    def test_equal_lengths_at_the_cache_cut_off(self):
+        """100 equal runs outside the band, 64 visible: the visible ones
+        are the *highest* starts, and the pick is the lowest of those."""
+        cache, index = make_cache()
+        index.remove(Extent(0, 100 * MB))
+        for i in range(100):
+            index.add(Extent(20 * MB + i * 128 * KB, 64 * KB))
+        chosen = cache.choose(64 * KB)
+        assert chosen == oracle_choose(cache, 64 * KB)
+        assert chosen == Extent(20 * MB + 36 * 128 * KB, 64 * KB)
+        # One longer run ahead of them pushes one more out of view.
+        index.add(Extent(90 * MB, 96 * KB))
+        assert cache.choose(64 * KB) == oracle_choose(cache, 64 * KB) \
+            == Extent(90 * MB, 96 * KB)
+
+    def test_no_fit(self):
+        cache, index = make_cache()
+        index.remove(Extent(0, 100 * MB))
+        assert cache.choose(4 * KB) is None is oracle_choose(cache, 4 * KB)
+        index.add(Extent(1 * MB, 64 * KB))
+        index.add(Extent(40 * MB, 128 * KB))
+        assert cache.choose(256 * KB) is None is \
+            oracle_choose(cache, 256 * KB)
+
+    @pytest.mark.parametrize("kind", ["tiered", "naive"])
+    @pytest.mark.parametrize("cache_size", [1, 3, 64])
+    def test_random_aging(self, kind, cache_size):
+        rng = random.Random(cache_size)
+        index = make_free_index(16 * MB, kind=kind)
+        cache = NtfsRunCache(index, cache_size=cache_size)
+        live = []
+        for _ in range(5000):
+            if index.total_free < 1 * MB:
+                index.add(live.pop(rng.randrange(len(live))))
+                continue
+            size = rng.choice((4, 8, 8, 16, 64)) * KB
+            assert cache.choose(size) == oracle_choose(cache, size)
+            live.extend(cache.allocate(size))
+        assert len(index) > cache_size
 
 
 class TestAllocate:

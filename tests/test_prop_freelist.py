@@ -8,13 +8,18 @@ The parity suite additionally drives the tiered engine and the naive
 flat-list reference model (:class:`NaiveFreeExtentIndex`) with
 identical operation sequences and asserts byte-identical free maps and
 placement-identical policy answers — including the banded ``first_fit``
-edge cases where a free run straddles ``min_start``.
+edge cases where a free run straddles ``min_start``, and the
+``largest_runs`` slice the run cache allocates from.
 """
+
+from itertools import islice
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.alloc import freelist
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex
 from repro.alloc.naive import NaiveFreeExtentIndex
@@ -191,6 +196,51 @@ def test_tiered_matches_naive_reference(ops):
     tiered.check_invariants()
     naive.check_invariants()
     assert tiered.largest() == naive.largest()
+    assert list(tiered.runs_by_size_desc()) == list(naive.runs_by_size_desc())
+
+
+@given(
+    st.lists(st.tuples(st.booleans(),
+                       st.integers(min_value=0, max_value=CAPACITY - 1),
+                       st.integers(min_value=1, max_value=96)),
+             max_size=120),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=70),
+                       st.integers(min_value=1, max_value=128)),
+             min_size=1, max_size=6),
+    st.sampled_from([2, 3, 256]),
+)
+@settings(max_examples=150, deadline=None)
+def test_largest_runs_parity(ops, probes, load):
+    """``largest_runs(k, m)`` is the first ``k`` of ``runs_by_size_desc``
+    cut at the first run shorter than ``m`` — in both engines, probed
+    after every mutation, with size-tier blocks small enough to split."""
+    with mock.patch.object(freelist, "_LOAD", load):
+        tiered = FreeExtentIndex(CAPACITY, initially_free=False)
+    naive = NaiveFreeExtentIndex(CAPACITY, initially_free=False)
+    free = bytearray(CAPACITY)
+    for adding, start, length in ops:
+        # Clip the drawn range to a maximal all-free / all-allocated
+        # stretch so every op is legal.
+        end = min(start + length, CAPACITY)
+        want = 0 if adding else 1
+        stop = start
+        while stop < end and free[stop] == want:
+            stop += 1
+        if stop == start:
+            continue
+        ext = Extent(start, stop - start)
+        free[start:stop] = bytes([1 - want]) * (stop - start)
+        for index in (tiered, naive):
+            (index.add if adding else index.remove)(ext)
+        for limit, min_length in probes:
+            expected = [
+                (run.length, run.start)
+                for run in islice(naive.runs_by_size_desc(), limit)
+                if run.length >= min_length
+            ]
+            assert tiered.largest_runs(limit, min_length) == expected
+            assert naive.largest_runs(limit, min_length) == expected
+    tiered.check_invariants()
     assert list(tiered.runs_by_size_desc()) == list(naive.runs_by_size_desc())
 
 

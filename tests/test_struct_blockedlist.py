@@ -8,6 +8,7 @@ so these tests are the first line of defence for both.
 """
 
 import bisect
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,10 @@ class TestBasics:
             BlockedList(load=1)
 
 
+def _max_weight(bl):
+    return max(bl.summary(bi)[0] for bi in range(len(bl.blocks)))
+
+
 class TestAugmentation:
     def test_max_tracked_through_churn(self):
         weights = {}
@@ -124,18 +129,21 @@ class TestAugmentation:
         for key, w in [(0, 5), (10, 9), (20, 9), (30, 1)]:
             weights[key] = w
             bl.insert(key, weight=w)
-        assert max(s[0] for s in bl.sums) == 9
+        assert _max_weight(bl) == 9
         bl.check("aug")
         # Removing one of the tied maxima decrements the count.
         bl.remove(10, weight=9)
         del weights[10]
         bl.check("aug")
-        assert max(s[0] for s in bl.sums) == 9
-        # Removing the last maximum forces a rescan to the next max.
+        assert _max_weight(bl) == 9
+        # Removing the last maximum leaves the entry stale; the next
+        # read rescans to the next max.
         bl.remove(20, weight=9)
         del weights[20]
+        assert None in bl.sums
         bl.check("aug")
-        assert max(s[0] for s in bl.sums) == 5
+        assert _max_weight(bl) == 5
+        assert None not in bl.sums
 
     def test_replace_updates_summary(self):
         weights = {}
@@ -147,7 +155,138 @@ class TestAugmentation:
         weights[12] = 2
         bl.replace(10, 12, old_weight=7, new_weight=2)
         bl.check("aug-replace")
-        assert bl.sums[0] == (3, 1)
+        assert bl.summary(0) == (3, 1)
+
+
+class _PickledAsIs(BlockedList):
+    """Pickles without the refresh, as a writer unaware of it would."""
+
+    __slots__ = ()
+    __reduce_ex__ = object.__reduce_ex__
+
+
+class TestLazySummaries:
+    """A summary that cannot be updated in O(1) goes stale (``None``)
+    instead of being rescanned; ``summary(bi)`` refreshes on demand."""
+
+    @staticmethod
+    def _counted(weights):
+        """An augmentation whose ``summarize`` calls are counted."""
+        calls = []
+
+        class Counting(MaxWeightAugmentation):
+            def summarize(self, block):
+                calls.append(len(block))
+                return super().summarize(block)
+
+        return Counting(weights.__getitem__), calls
+
+    def test_mutations_never_rescan(self):
+        weights = {key: 1 + key % 7 for key in range(0, 400, 2)}
+        augment, calls = self._counted(weights)
+        bl = BlockedList(load=4, augment=augment)
+        for key, w in weights.items():
+            bl.insert(key, weight=w)              # splits included
+        for key in range(0, 400, 6):              # maxima included
+            bl.remove(key, weight=weights.pop(key))
+        for key in list(weights)[::5]:            # boundary moves
+            w = weights.pop(key)
+            weights[key + 1] = 1 + w % 3
+            bl.replace(key, key + 1, old_weight=w,
+                       new_weight=weights[key + 1])
+        assert calls == []
+        assert None in bl.sums
+        bl.check("lazy")                          # accepts the stale ones
+
+    def test_summary_refreshes_once(self):
+        weights = {0: 3, 10: 7, 20: 5}
+        augment, calls = self._counted(weights)
+        bl = BlockedList(load=8, augment=augment)
+        for key, w in weights.items():
+            bl.insert(key, weight=w)
+        bl.remove(10, weight=weights.pop(10))
+        assert bl.sums == [None]
+        assert bl.summary(0) == (5, 1)
+        assert bl.sums == [(5, 1)]
+        assert bl.summary(0) == (5, 1)
+        assert calls == [2]
+
+    def test_stale_entry_stays_stale_under_mutation(self):
+        weights = {0: 3, 10: 7}
+        bl = BlockedList(load=8,
+                         augment=MaxWeightAugmentation(weights.__getitem__))
+        for key, w in weights.items():
+            bl.insert(key, weight=w)
+        bl.remove(10, weight=weights.pop(10))
+        weights[20] = 9
+        bl.insert(20, weight=9)                   # would be the new max
+        weights[21] = 2
+        del weights[20]
+        bl.replace(20, 21, old_weight=9, new_weight=2)
+        assert bl.sums == [None]
+        assert bl.summary(0) == (3, 1)
+
+    def test_pickle_does_not_depend_on_which_summaries_were_read(self):
+        """Stored checkpoint bytes are charged to the modelled clock, so
+        a stale list must pickle exactly like a fully read one."""
+        def build():
+            weights = {key: 1 + key % 5 for key in range(40)}
+            bl = BlockedList(load=4,
+                             augment=MaxWeightAugmentation(weights.get))
+            for key, w in weights.items():
+                bl.insert(key, weight=w)
+            return bl
+
+        stale, read = build(), build()
+        assert None in stale.sums                 # split halves
+        for bi in range(len(read.blocks)):
+            read.summary(bi)
+        data = pickle.dumps(stale)
+        assert data == pickle.dumps(read)
+        clone = pickle.loads(data)
+        assert clone.sums == read.sums
+        assert list(clone) == list(read)
+        clone.check("pickled")
+
+    def test_stale_entries_survive_unpickling(self):
+        """A pickle that does hold ``None`` entries loads and heals."""
+        weights = {0: 3, 10: 7, 20: 5}
+        bl = _PickledAsIs(load=8, augment=MaxWeightAugmentation(weights.get))
+        for key, w in weights.items():
+            bl.insert(key, weight=w)
+        bl.remove(10, weight=weights.pop(10))
+        clone = pickle.loads(pickle.dumps(bl))
+        assert clone.sums == bl.sums == [None]
+        clone.check("stale pickle")
+        assert clone.summary(0) == (5, 1)
+
+    def test_check_catches_wrong_fresh_summary(self):
+        weights = {0: 3, 10: 7}
+        bl = BlockedList(load=8,
+                         augment=MaxWeightAugmentation(weights.__getitem__))
+        for key, w in weights.items():
+            bl.insert(key, weight=w)
+        bl.sums[0] = (7, 2)
+        with pytest.raises(CorruptionError, match="wrong summary"):
+            bl.check("corrupt")
+
+    def test_summarize_matches_the_loop_it_replaced(self):
+        def loop(weight, block):
+            mx = cnt = 0
+            for key in block:
+                w = weight(key)
+                if w > mx:
+                    mx, cnt = w, 1
+                elif w == mx:
+                    cnt += 1
+            return mx, cnt
+
+        weights = {key: 1 + (key * 7919) % 13 for key in range(64)}
+        augment = MaxWeightAugmentation(weights.__getitem__)
+        for stop in (0, 1, 2, 13, 64):
+            block = list(range(stop))
+            assert augment.summarize(block) == \
+                loop(weights.__getitem__, block)
 
 
 @st.composite
@@ -200,7 +339,8 @@ def test_blockedlist_matches_sorted_list_model(ops, load):
 ))
 @settings(max_examples=100, deadline=None)
 def test_augmented_summaries_always_fresh(pairs):
-    """Insert/remove churn with weights never leaves a stale summary."""
+    """Insert/remove churn never leaves a wrong summary: every entry is
+    stale (``None``) or exact, and reading it gives the exact one."""
     weights: dict[int, int] = {}
     bl = BlockedList(load=3, augment=MaxWeightAugmentation(weights.get))
     for key, w in pairs:
@@ -210,3 +350,5 @@ def test_augmented_summaries_always_fresh(pairs):
             weights[key] = w
             bl.insert(key, weight=w)
         bl.check("aug-model")  # check() recomputes and compares summaries
+    for bi, block in enumerate(bl.blocks):
+        assert bl.summary(bi) == bl.augment.summarize(block)
