@@ -78,10 +78,14 @@ from repro.units import DEFAULT_WRITE_REQUEST, GB, fmt_size
 #: pickled :class:`~repro.scenario.engine.ScenarioState`, samples gain
 #: ``scenario_lat``/``tenant_lat``, ``WindowStats`` gains
 #: ``lat_mean_s``/``tenant_lat``, and ``EventRequest``/``EventWindow``/
-#: ``EventScheduler`` carry tenant-tag state): older checkpoints hash
+#: ``EventScheduler`` carry tenant-tag state; ``/8``: run-granular
+#: database free space — ``GhostCleaner`` queues page runs,
+#: ``GhostRecord.pages`` became ``runs`` and ``LobTree`` keeps its page
+#: count as a plain int; ``GamAllocator`` deliberately still pickles to
+#: its old bytes, see its ``__getstate__``): older checkpoints hash
 #: differently and must be refused with a schema error, not a config
 #: mismatch.
-CHECKPOINT_SCHEMA = "run-checkpoint/7"
+CHECKPOINT_SCHEMA = "run-checkpoint/8"
 
 #: Every registered backend, derived from the registry — not a
 #: hand-maintained tuple.  Includes the ``sharded`` composite.

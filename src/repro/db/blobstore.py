@@ -22,7 +22,8 @@ from repro.alloc.extent import Extent
 from repro.db.btree import LobTree
 from repro.db.gam import GamAllocator
 from repro.db.ghost import GhostCleaner
-from repro.db.pagefile import PageFile, pages_to_extents
+from repro.db.page import Run
+from repro.db.pagefile import PageFile
 from repro.db.wal import WriteAheadLog
 from repro.errors import AllocationError, BlobNotFoundError, ConfigError
 from repro.units import PAGE_SIZE, ceil_div
@@ -52,17 +53,25 @@ class BlobStore:
     # ------------------------------------------------------------------
     # LOB-tree node page plumbing
     # ------------------------------------------------------------------
+    def _alloc(self, alloc, *npages: int):
+        """Call a GAM allocator, reclaiming ghosts when it runs dry.
+
+        Allocation pressure forces ghost cleanup, exactly as SQL
+        Server's cleanup task runs on demand when a scan finds no free
+        space.  The age-blind sweep's budget is at least four times the
+        request, so it either frees enough or empties the backlog: the
+        one retry fails only when nothing reclaimable is left.
+        """
+        try:
+            return alloc(*npages)
+        except AllocationError:
+            self.ghost.sweep(ignore_age=True,
+                             max_pages=max(8192, 4 * sum(npages)))
+            return alloc(*npages)
+
     def _alloc_node_page(self) -> int:
         # Interior/leaf nodes take mixed pages, interleaving with data.
-        try:
-            return self.gam.alloc_page()
-        except AllocationError:
-            self.ghost.sweep(ignore_age=True, max_pages=8192)
-            try:
-                return self.gam.alloc_page()
-            except AllocationError:
-                self.ghost.drain()
-                return self.gam.alloc_page()
+        return self._alloc(self.gam.alloc_page)
 
     def _free_node_page(self, page_no: int) -> None:
         if page_no >= 0:
@@ -99,25 +108,11 @@ class BlobStore:
         while cursor < total:
             chunk = min(write_request, total - cursor)
             npages = ceil_div(chunk, PAGE_SIZE)
-            try:
-                pages = self.gam.alloc_pages(npages)
-            except AllocationError:
-                # Allocation pressure forces ghost cleanup, exactly as
-                # SQL Server's cleanup task runs on demand when a scan
-                # finds no free space.
-                self.ghost.sweep(ignore_age=True,
-                                 max_pages=max(8192, 4 * npages))
-                try:
-                    pages = self.gam.alloc_pages(npages)
-                except AllocationError:
-                    self.ghost.drain()
-                    pages = self.gam.alloc_pages(npages)
             chunk_data: bytes | None = None
             if data is not None:
                 chunk_data = data[cursor: cursor + chunk]
                 chunk_data += b"\x00" * (npages * PAGE_SIZE - chunk)
-            self._write_in_logical_order(pages, chunk_data)
-            for start, count in pages_to_runs(pages):
+            for start, count in self._write_new_pages(npages, chunk_data):
                 record.tree.append_run(start, count)
             self.wal.log_operation(payload_bytes=chunk)
             cursor += chunk
@@ -130,11 +125,18 @@ class BlobStore:
         self._blobs[record.blob_id] = record
         return record.blob_id
 
-    def _write_in_logical_order(self, pages: list[int],
-                                data: bytes | None) -> None:
-        """One device request covering the pages in logical order."""
-        extents = pages_to_extents(pages, base=self.pagefile.base)
-        self.pagefile.device.write_extents(extents, data)
+    def _extents(self, runs: list[Run]) -> list[Extent]:
+        """Device byte extents of page runs, order preserved."""
+        base = self.pagefile.base
+        return [Extent(base + start * PAGE_SIZE, count * PAGE_SIZE)
+                for start, count in runs]
+
+    def _write_new_pages(self, npages: int, data: bytes | None) -> list[Run]:
+        """Allocate one write request's pages and write them as one
+        device request, in logical order; returns the runs."""
+        runs = self._alloc(self.gam.alloc_runs, npages)
+        self.pagefile.device.write_extents(self._extents(runs), data)
+        return runs
 
     def get(self, blob_id: int, offset: int = 0,
             length: int | None = None) -> bytes | None:
@@ -153,11 +155,7 @@ class BlobStore:
         last_page = (offset + length - 1) // PAGE_SIZE
         runs = record.tree.runs_in_range(first_page,
                                          last_page - first_page + 1)
-        extents = [
-            Extent(self.pagefile.base + start * PAGE_SIZE, count * PAGE_SIZE)
-            for start, count in runs
-        ]
-        raw = self.pagefile.device.read_extents(extents)
+        raw = self.pagefile.device.read_extents(self._extents(runs))
         if raw is None:
             return None
         skip = offset - first_page * PAGE_SIZE
@@ -171,11 +169,8 @@ class BlobStore:
         space is never reallocatable before the delete is durable.
         """
         record = self._blobs.pop(self._lookup(blob_id).blob_id)
-        data_runs = record.tree.destroy()  # node pages free via callback
-        pages: list[int] = []
-        for start, count in data_runs:
-            pages.extend(range(start, start + count))
-        self.wal.log_ghost(pages, token=blob_id)
+        # Node pages free via callback; the data runs ghost.
+        self.wal.log_ghost(record.tree.destroy(), token=blob_id)
 
     def size_of(self, blob_id: int) -> int:
         return self._lookup(blob_id).size
@@ -188,11 +183,7 @@ class BlobStore:
 
     def blob_extents(self, blob_id: int) -> list[Extent]:
         """Physical byte extents of the BLOB's data pages, logical order."""
-        record = self._lookup(blob_id)
-        return [
-            Extent(self.pagefile.base + start * PAGE_SIZE, count * PAGE_SIZE)
-            for start, count in record.tree.all_runs()
-        ]
+        return self._extents(self._lookup(blob_id).tree.all_runs())
 
     # ------------------------------------------------------------------
     # Range updates (the Exodus capability, paper Section 2)
@@ -228,17 +219,10 @@ class BlobStore:
         cursor = 0
         while cursor < total:
             chunk = min(write_request, total - cursor)
-            npages = ceil_div(chunk, PAGE_SIZE)
-            try:
-                pages = self.gam.alloc_pages(npages)
-            except AllocationError:
-                self.ghost.sweep(ignore_age=True, max_pages=8192)
-                pages = self.gam.alloc_pages(npages)
-            chunk_data: bytes | None = None
-            if data is not None:
-                chunk_data = data[cursor: cursor + chunk]
-            self._write_in_logical_order(pages, chunk_data)
-            for start, count in pages_to_runs(pages):
+            chunk_data = None if data is None \
+                else data[cursor: cursor + chunk]
+            for start, count in self._write_new_pages(chunk // PAGE_SIZE,
+                                                      chunk_data):
                 record.tree.insert_run(position, start, count)
                 position += count
             self.wal.log_operation(payload_bytes=chunk)
@@ -263,10 +247,7 @@ class BlobStore:
             return
         removed = record.tree.delete_range(offset // PAGE_SIZE,
                                            length // PAGE_SIZE)
-        pages: list[int] = []
-        for start, count in removed:
-            pages.extend(range(start, start + count))
-        self.wal.log_ghost(pages, token=blob_id)
+        self.wal.log_ghost(removed, token=blob_id)
         self.ghost.on_operation()
         record.size -= length
 
@@ -282,18 +263,3 @@ class BlobStore:
 
     def __len__(self) -> int:
         return len(self._blobs)
-
-
-def pages_to_runs(pages: list[int]) -> list[tuple[int, int]]:
-    """Group page numbers into (start, count) runs, order-preserving.
-
-    >>> pages_to_runs([4, 5, 6, 9])
-    [(4, 3), (9, 1)]
-    """
-    runs: list[tuple[int, int]] = []
-    for page_no in pages:
-        if runs and runs[-1][0] + runs[-1][1] == page_no:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-        else:
-            runs.append((page_no, 1))
-    return runs

@@ -8,12 +8,15 @@ object — the capability the paper's Section 2 contrasts with
 rewrite-the-tail filesystems.
 
 :class:`LobTree` is a counted B+-tree: leaves hold *runs* of physically
-consecutive pages ``(start_page, count)``, interior nodes hold children
-plus cached subtree page counts, so position lookups descend by
-subtraction rather than stored keys.  Interior nodes and leaves occupy
-real pages (allocated through a caller-supplied allocator), so the tree's
-own pages interleave with data pages on disk exactly as in SQL Server —
-one of the interleaving sources the fragmentation analyzer sees.
+consecutive pages ``(start_page, count)``, interior nodes hold children,
+and position lookups descend by subtracting subtree page counts rather
+than comparing stored keys.  Only the whole-object count is cached
+(maintained on every insert and delete, so appends and bounds checks
+are O(1)); a subtree's count is recounted from its leaves on descent.
+Interior nodes and leaves occupy real pages (allocated through a
+caller-supplied allocator), so the tree's own pages interleave with data
+pages on disk exactly as in SQL Server — one of the interleaving sources
+the fragmentation analyzer sees.
 
 Complexity notes: ``append_run``/``insert_run`` are O(log n) with node
 splits; ``delete_range`` extracts and rebuilds (O(n) in *runs*, which is
@@ -25,10 +28,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
+from repro.db.page import Run, extend_runs
 from repro.errors import ConfigError, CorruptionError
-
-#: A run of physically consecutive pages: (first page number, page count).
-Run = tuple[int, int]
 
 
 class _Node:
@@ -67,7 +68,7 @@ class LobTree:
         self._alloc_page = alloc_node_page or (lambda: -1)
         self._free_page = free_node_page or (lambda page_no: None)
         self._root = self._new_node(leaf=True)
-        self._count_cache: int | None = 0
+        self._count = 0
 
     # ------------------------------------------------------------------
     # Node lifecycle
@@ -83,9 +84,7 @@ class LobTree:
     # ------------------------------------------------------------------
     @property
     def total_pages(self) -> int:
-        if self._count_cache is None:
-            self._count_cache = self._root.total_pages()
-        return self._count_cache
+        return self._count
 
     def all_runs(self) -> list[Run]:
         """Every run in logical order."""
@@ -186,7 +185,7 @@ class LobTree:
                 f"position {position} outside object of "
                 f"{self.total_pages} pages"
             )
-        self._count_cache = None
+        self._count += count
         split = self._insert(self._root, position, (start, count))
         if split is not None:
             old_root = self._root
@@ -305,19 +304,16 @@ class LobTree:
         runs = self.all_runs()
         self._drop_all(self._root)
         self._root = _Node(leaf=True, page_no=-1)  # inert sentinel
-        self._count_cache = 0
+        self._count = 0
         return runs
 
     def _rebuild(self, runs: list[Run]) -> None:
         self._drop_all(self._root)
         self._root = self._new_node(leaf=True)
-        self._count_cache = None
+        self._count = 0
         merged: list[Run] = []
-        for run in runs:
-            if merged and merged[-1][0] + merged[-1][1] == run[0]:
-                merged[-1] = (merged[-1][0], merged[-1][1] + run[1])
-            else:
-                merged.append(run)
+        for start, count in runs:
+            extend_runs(merged, start, count)
         # Bulk load: build leaves left to right via ordinary appends.
         for start, count in merged:
             self.append_run(start, count)
@@ -334,6 +330,8 @@ class LobTree:
     def check_invariants(self) -> None:
         """Structure checks used by property tests."""
         self._check_node(self._root, is_root=True)
+        if self._count != self._root.total_pages():
+            raise CorruptionError("cached page count disagrees with leaves")
 
     def _check_node(self, node: _Node, *, is_root: bool) -> int:
         if node.leaf:

@@ -17,6 +17,7 @@ from repro.db.bufferpool import BufferPool
 from repro.db.gam import GamAllocator
 from repro.db.ghost import GhostCleaner
 from repro.db.heap import HeapTable
+from repro.db.page import Run
 from repro.db.pagefile import PageFile
 from repro.db.wal import WriteAheadLog
 from repro.disk.device import BlockDevice
@@ -90,9 +91,9 @@ class SimDatabase:
         # them only once the deleting commit is forced (Section 2's
         # deferred-free rule, enforced by construction).
         self.wal.on_publish = self.ghost.ghost_pages
-        #: Pages of rolled-back (uncommitted) deletes found by crash
+        #: Page runs of rolled-back (uncommitted) deletes found by crash
         #: recovery: still allocated, never freeable — the row survived.
-        self.rolled_back_pages: list[int] = []
+        self.rolled_back_pages: list[Run] = []
         self.pool = BufferPool(self.pagefile,
                                capacity_pages=self.config.buffer_pool_pages)
         self.blobs = BlobStore(self.gam, self.pagefile, self.wal, self.ghost,
@@ -185,7 +186,7 @@ class SimDatabase:
         :class:`~repro.db.wal.WalRecoveryReport`.
         """
         report = self.wal.recover()
-        self.rolled_back_pages.extend(report.discarded_pages())
+        self.rolled_back_pages.extend(report.discarded_runs())
         return report
 
     # ------------------------------------------------------------------

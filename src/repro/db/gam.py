@@ -9,15 +9,23 @@ page/extent granularity, with no preference for large contiguous runs**
 deferred (ghost) deallocation this is the mechanism behind SQL Server's
 near-linear fragmentation growth in Figures 2 and 5.
 
-:class:`GamAllocator` implements that discipline exactly.  It is pure
-bookkeeping — no I/O — so it can be unit- and property-tested in
-isolation; the page file charges the device.
+:class:`GamAllocator` implements that discipline exactly, on the
+structure it models: one byte per extent holding the used-page bitmask
+(the GAM/PFS byte), so "lowest fully-free extent" is a C ``memchr`` for
+a zero byte from an exact lowest-free cursor.  The few partially used
+extents sit in a small sorted list; extent and page totals are counters.
+Cursor, list and counters are pure functions of the masks — never of
+which queries ran — so equal masks pickle to equal bytes and
+:meth:`GamAllocator.check_invariants` recomputes and compares them all.
+It is pure bookkeeping — no I/O — so it can be unit- and property-tested
+in isolation; the page file charges the device.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 
+from repro.db.page import Run, extend_runs
 from repro.errors import AllocationError, ConfigError, CorruptionError
 from repro.units import PAGES_PER_EXTENT
 
@@ -27,9 +35,10 @@ _FULL_MASK = (1 << PAGES_PER_EXTENT) - 1
 class GamAllocator:
     """Page/extent allocator over ``num_extents`` 8-page extents.
 
-    Internal state per extent is a bitmask of *used* pages.  Two sorted
-    lists index the states for address-ordered scans: fully free extents
-    (GAM) and partially free extents (PFS).
+    ``_used_mask[e]`` is the bitmask of *used* pages of extent ``e``:
+    0 = fully free (GAM), ``_FULL_MASK`` = full, anything else = partly
+    free (PFS).  Everything else is derived from it and kept in step by
+    :meth:`_set_mask`.
     """
 
     def __init__(self, num_extents: int) -> None:
@@ -37,9 +46,12 @@ class GamAllocator:
             raise ConfigError("num_extents must be positive")
         self.num_extents = num_extents
         self.num_pages = num_extents * PAGES_PER_EXTENT
-        self._used_mask: list[int] = [0] * num_extents
-        self._free_extents: list[int] = list(range(num_extents))
+        self._used_mask = bytearray(num_extents)
         self._partial_extents: list[int] = []
+        #: Lowest fully-free extent; ``num_extents`` when there is none.
+        self._lowest_free = 0
+        self._free_extents = num_extents
+        self._free_pages = self.num_pages
 
     # ------------------------------------------------------------------
     # Helpers
@@ -52,37 +64,29 @@ class GamAllocator:
     def page_in_extent(page_no: int) -> int:
         return page_no % PAGES_PER_EXTENT
 
-    def _remove_from(self, lst: list[int], value: int) -> None:
-        idx = bisect.bisect_left(lst, value)
-        if idx >= len(lst) or lst[idx] != value:
-            raise CorruptionError(f"extent {value} not in expected list")
-        del lst[idx]
-
-    def _reclassify(self, extent_id: int, old_mask: int, new_mask: int) -> None:
-        """Move the extent between the free/partial/full classes."""
-        def class_of(mask: int) -> str:
-            if mask == 0:
-                return "free"
-            if mask == _FULL_MASK:
-                return "full"
-            return "partial"
-
-        old_class, new_class = class_of(old_mask), class_of(new_mask)
-        if old_class == new_class:
-            return
-        if old_class == "free":
-            self._remove_from(self._free_extents, extent_id)
-        elif old_class == "partial":
-            self._remove_from(self._partial_extents, extent_id)
-        if new_class == "free":
-            bisect.insort(self._free_extents, extent_id)
-        elif new_class == "partial":
-            bisect.insort(self._partial_extents, extent_id)
-
-    def _set_mask(self, extent_id: int, new_mask: int) -> None:
-        old = self._used_mask[extent_id]
-        self._used_mask[extent_id] = new_mask
-        self._reclassify(extent_id, old, new_mask)
+    def _set_mask(self, extent_id: int, new: int) -> None:
+        """Store a *changed* mask; at most one class transition."""
+        masks = self._used_mask
+        old = masks[extent_id]
+        masks[extent_id] = new
+        self._free_pages += old.bit_count() - new.bit_count()
+        now_partial = 0 < new < _FULL_MASK
+        if (0 < old < _FULL_MASK) != now_partial:
+            partial = self._partial_extents
+            idx = bisect_left(partial, extent_id)
+            if now_partial:
+                partial.insert(idx, extent_id)
+            else:
+                del partial[idx]
+        if old == 0:
+            self._free_extents -= 1
+            if extent_id == self._lowest_free:
+                found = masks.find(0, extent_id + 1)
+                self._lowest_free = found if found >= 0 else self.num_extents
+        elif new == 0:
+            self._free_extents += 1
+            if extent_id < self._lowest_free:
+                self._lowest_free = extent_id
 
     # ------------------------------------------------------------------
     # Allocation (address-ordered, per the GAM scan)
@@ -93,32 +97,29 @@ class GamAllocator:
         Returns the extent id, or None when no fully-free extent exists
         (the caller then falls back to page-at-a-time allocation).
         """
-        if not self._free_extents:
+        extent_id = self._lowest_free
+        if extent_id == self.num_extents:
             return None
-        extent_id = self._free_extents[0]
         self._set_mask(extent_id, _FULL_MASK)
         return extent_id
 
     def alloc_page(self) -> int:
         """Allocate the lowest-address free page (mixed-extent style)."""
-        if self._partial_extents and (
-            not self._free_extents
-            or self._partial_extents[0] < self._free_extents[0]
-        ):
+        extent_id = self._lowest_free
+        if self._partial_extents and self._partial_extents[0] < extent_id:
             extent_id = self._partial_extents[0]
-        elif self._free_extents:
-            extent_id = self._free_extents[0]
-        else:
+        elif extent_id == self.num_extents:
             raise AllocationError("database file is full")
         mask = self._used_mask[extent_id]
-        for bit in range(PAGES_PER_EXTENT):
-            if not mask & (1 << bit):
-                self._set_mask(extent_id, mask | (1 << bit))
-                return extent_id * PAGES_PER_EXTENT + bit
-        raise CorruptionError(f"extent {extent_id} misclassified as non-full")
+        if mask == _FULL_MASK:
+            raise CorruptionError(f"extent {extent_id} listed as non-full")
+        bit = ~mask & (mask + 1)  # lowest clear bit
+        self._set_mask(extent_id, mask | bit)
+        return extent_id * PAGES_PER_EXTENT + bit.bit_length() - 1
 
-    def alloc_pages(self, count: int) -> list[int]:
-        """Allocate ``count`` pages, preferring whole uniform extents.
+    def alloc_runs(self, count: int) -> list[Run]:
+        """Allocate ``count`` pages as ``(start, count)`` runs in logical
+        order, preferring whole uniform extents.
 
         SQL Server switches an allocation unit to uniform extents once it
         exceeds 8 pages; large BLOB appends therefore consume whole
@@ -126,39 +127,54 @@ class GamAllocator:
         """
         if count <= 0:
             raise ConfigError("count must be positive")
-        if count > self.free_page_count:
+        if count > self._free_pages:
             raise AllocationError(
-                f"need {count} pages, only {self.free_page_count} free"
+                f"need {count} pages, only {self._free_pages} free"
             )
-        pages: list[int] = []
+        runs: list[Run] = []
         remaining = count
         while remaining >= PAGES_PER_EXTENT:
             extent_id = self.alloc_uniform_extent()
             if extent_id is None:
                 break
-            base = extent_id * PAGES_PER_EXTENT
-            pages.extend(range(base, base + PAGES_PER_EXTENT))
+            extend_runs(runs, extent_id * PAGES_PER_EXTENT, PAGES_PER_EXTENT)
             remaining -= PAGES_PER_EXTENT
         for _ in range(remaining):
-            pages.append(self.alloc_page())
-        return pages
+            extend_runs(runs, self.alloc_page(), 1)
+        return runs
 
     # ------------------------------------------------------------------
     # Deallocation
     # ------------------------------------------------------------------
-    def free_page(self, page_no: int) -> None:
-        if not 0 <= page_no < self.num_pages:
-            raise CorruptionError(f"page {page_no} out of range")
-        extent_id = self.extent_of(page_no)
-        bit = 1 << self.page_in_extent(page_no)
-        mask = self._used_mask[extent_id]
-        if not mask & bit:
-            raise CorruptionError(f"double free of page {page_no}")
-        self._set_mask(extent_id, mask & ~bit)
+    def free_run(self, start: int, count: int) -> None:
+        """Free pages ``[start, start + count)``, one update per extent.
 
-    def free_pages(self, page_nos: list[int]) -> None:
-        for page_no in page_nos:
-            self.free_page(page_no)
+        Nothing allocates mid-run, so the end state equals freeing page
+        by page.  A run naming a free or out-of-range page is rejected
+        whole, before any page is freed.
+        """
+        end = start + count
+        if count <= 0 or start < 0 or end > self.num_pages:
+            raise CorruptionError(f"run ({start}, +{count}) out of range")
+        pieces: list[tuple[int, int]] = []
+        page = start
+        while page < end:
+            extent_id, first = divmod(page, PAGES_PER_EXTENT)
+            take = min(PAGES_PER_EXTENT - first, end - page)
+            bits = ((1 << take) - 1) << first
+            missing = bits & ~self._used_mask[extent_id]
+            if missing:
+                lowest = (missing & -missing).bit_length() - 1
+                raise CorruptionError(
+                    f"double free of page {page - first + lowest}"
+                )
+            pieces.append((extent_id, bits))
+            page += take
+        for extent_id, bits in pieces:
+            self._set_mask(extent_id, self._used_mask[extent_id] & ~bits)
+
+    def free_page(self, page_no: int) -> None:
+        self.free_run(page_no, 1)
 
     # ------------------------------------------------------------------
     # Queries
@@ -170,36 +186,61 @@ class GamAllocator:
 
     @property
     def free_page_count(self) -> int:
-        full_free = len(self._free_extents) * PAGES_PER_EXTENT
-        partial_free = sum(
-            PAGES_PER_EXTENT - self._used_mask[e].bit_count()
-            for e in self._partial_extents
-        )
-        return full_free + partial_free
+        return self._free_pages
 
     @property
     def used_page_count(self) -> int:
-        return self.num_pages - self.free_page_count
+        return self.num_pages - self._free_pages
 
     @property
     def free_extent_count(self) -> int:
-        return len(self._free_extents)
+        return self._free_extents
 
     @property
     def partial_extent_count(self) -> int:
         return len(self._partial_extents)
 
+    def _derived(self) -> tuple[int, int, list[int], int]:
+        """Cursor, free-extent count, partial list and free-page count,
+        recomputed from the masks alone."""
+        masks = self._used_mask
+        lowest = masks.find(0)
+        return (lowest if lowest >= 0 else self.num_extents,
+                masks.count(0),
+                [e for e, mask in enumerate(masks) if 0 < mask < _FULL_MASK],
+                self.num_pages - sum(map(int.bit_count, masks)))
+
     def check_invariants(self) -> None:
-        """The class lists exactly mirror the per-extent masks."""
-        free = [e for e in range(self.num_extents) if self._used_mask[e] == 0]
-        partial = [
-            e for e in range(self.num_extents)
-            if 0 < self._used_mask[e] < _FULL_MASK
-        ]
-        if free != self._free_extents:
-            raise CorruptionError("GAM free-extent list out of sync")
-        if partial != self._partial_extents:
-            raise CorruptionError("PFS partial-extent list out of sync")
-        for mask in self._used_mask:
-            if not 0 <= mask <= _FULL_MASK:
-                raise CorruptionError("extent mask out of range")
+        """Cursor, partial list and counters all follow from the masks."""
+        if len(self._used_mask) != self.num_extents:
+            raise CorruptionError("GAM bitmap has the wrong length")
+        kept = (self._lowest_free, self._free_extents,
+                self._partial_extents, self._free_pages)
+        if kept != self._derived():
+            raise CorruptionError(
+                f"GAM cursor/counters {kept} out of sync with the bitmap")
+
+    # ------------------------------------------------------------------
+    # Pickling
+    # ------------------------------------------------------------------
+    # A checkpoint charges its stored bytes to the *modelled* clock
+    # (``checkpoint_rate``), and every filesystem shard pickles a
+    # metadata database, so the bytes this class pickles to are part of
+    # committed run records: they stay the three lists of the sorted-list
+    # GAM, built here on demand.  Only the masks are read back.
+    def __getstate__(self) -> dict:
+        masks = self._used_mask
+        return {
+            "num_extents": self.num_extents,
+            "num_pages": self.num_pages,
+            "_used_mask": list(masks),
+            "_free_extents": [e for e, mask in enumerate(masks) if not mask],
+            "_partial_extents": self._partial_extents,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.num_extents = state["num_extents"]
+        self.num_pages = state["num_pages"]
+        self._used_mask = bytearray(state["_used_mask"])
+        (self._lowest_free, self._free_extents, self._partial_extents,
+         self._free_pages) = self._derived()

@@ -22,8 +22,10 @@ effects.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
 from repro.db.gam import GamAllocator
+from repro.db.page import Run
 from repro.errors import ConfigError
 
 
@@ -44,6 +46,10 @@ class GhostCleaner:
     min_age_ops:
         A page must have been ghosted at least this many operations ago
         before it may be freed (the version/scan-safety window).
+
+    Pages are queued, aged and freed as ``(start, count)`` runs — the
+    unit deletes produce and the GAM frees — but every bound above still
+    counts *pages*.
     """
 
     def __init__(self, gam: GamAllocator, *,
@@ -61,7 +67,8 @@ class GhostCleaner:
         self.max_pages_per_sweep = max_pages_per_sweep
         self.min_age_ops = min_age_ops
         self._ops = 0
-        self._queue: deque[tuple[int, int]] = deque()  # (stamp, page_no)
+        #: FIFO backlog of ``(stamp, start, count)`` page runs.
+        self._queue: deque[tuple[int, int, int]] = deque()
         self.ghosted_pages = 0
         self.cleaned_pages = 0
         self.sweeps = 0
@@ -71,15 +78,19 @@ class GhostCleaner:
         self.crash_hook = None
 
     # ------------------------------------------------------------------
-    def ghost_pages(self, page_nos: list[int]) -> None:
-        """Mark pages ghost; they stay unavailable until cleaned."""
-        if self.cleanup_interval_ops == 0:
-            self.gam.free_pages(page_nos)
-            self.cleaned_pages += len(page_nos)
-            return
+    def ghost_pages(self, runs: Iterable[Run]) -> None:
+        """Mark page runs ghost; they stay unavailable until cleaned."""
         stamp = self._ops
-        self._queue.extend((stamp, page_no) for page_no in page_nos)
-        self.ghosted_pages += len(page_nos)
+        for start, count in runs:
+            self.ghosted_pages += count
+            if self.cleanup_interval_ops == 0:
+                self._free(start, count)
+            else:
+                self._queue.append((stamp, start, count))
+
+    def _free(self, start: int, count: int) -> None:
+        self.gam.free_run(start, count)
+        self.cleaned_pages += count
 
     def on_operation(self) -> None:
         """Advance the operation clock; sweep when the interval elapses."""
@@ -91,37 +102,42 @@ class GhostCleaner:
 
     def sweep(self, *, ignore_age: bool = False,
               max_pages: int | None = None) -> int:
-        """Deallocate one batch from the backlog head; returns count."""
+        """Deallocate one batch from the backlog head; returns count.
+
+        The budget counts pages, so it may land inside the head run:
+        that run is split and its remainder keeps its stamp and place.
+        """
         if self.crash_hook is not None:
             self.crash_hook("ghost:sweep")
         budget = max_pages if max_pages is not None \
             else self.max_pages_per_sweep
+        queue = self._queue
         released = 0
-        while self._queue:
-            stamp, page_no = self._queue[0]
+        while queue and (budget is None or released < budget):
+            stamp, start, count = queue[0]
             if not ignore_age and self._ops - stamp < self.min_age_ops:
                 break
-            if budget is not None and released >= budget:
-                break
-            self._queue.popleft()
-            self.gam.free_page(page_no)
-            released += 1
-        if released:
-            self.cleaned_pages += released
+            if budget is not None and count > budget - released:
+                take = budget - released
+                queue[0] = (stamp, start + take, count - take)
+            else:
+                take = count
+                queue.popleft()
+            self._free(start, take)
+            released += take
         self.sweeps += 1
         return released
 
     def drain(self) -> None:
-        """Free everything immediately (checkpoint / allocation pressure)."""
+        """Free the whole backlog now, whatever its age (checkpoint)."""
         while self._queue:
-            _, page_no = self._queue.popleft()
-            self.gam.free_page(page_no)
-            self.cleaned_pages += 1
+            _, start, count = self._queue.popleft()
+            self._free(start, count)
 
     @property
     def pending_pages(self) -> int:
-        return len(self._queue)
+        return self.ghosted_pages - self.cleaned_pages
 
-    def queued_page_numbers(self) -> set[int]:
-        """The ghosted-not-yet-freed pages (for invariant checks)."""
-        return {page_no for _, page_no in self._queue}
+    def queued_runs(self) -> list[Run]:
+        """The ghosted-not-yet-freed runs, FIFO (for invariant checks)."""
+        return [(start, count) for _, start, count in self._queue]

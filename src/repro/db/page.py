@@ -13,7 +13,18 @@ import enum
 
 from repro.units import PAGE_SIZE, PAGES_PER_EXTENT
 
-__all__ = ["PageType", "PAGE_SIZE", "PAGES_PER_EXTENT"]
+__all__ = ["PageType", "Run", "extend_runs", "PAGE_SIZE", "PAGES_PER_EXTENT"]
+
+#: A run of physically consecutive pages: (first page number, page count).
+Run = tuple[int, int]
+
+
+def extend_runs(runs: list[Run], start: int, count: int) -> None:
+    """Append pages to ``runs``, merging into a physically adjacent tail."""
+    if runs and runs[-1][0] + runs[-1][1] == start:
+        runs[-1] = (runs[-1][0], runs[-1][1] + count)
+    else:
+        runs.append((start, count))
 
 
 class PageType(enum.Enum):

@@ -11,8 +11,8 @@ Crash semantics
 ---------------
 Deletes are the dangerous operation (the paper's Section 2 rule: freed
 space must never be reallocatable before the delete that freed it is
-durable).  A delete logs a *ghost record* — the pages it ghosts ride the
-log entry — and those pages reach the :class:`~repro.db.ghost.
+durable).  A delete logs a *ghost record* — the page runs it ghosts ride
+the log entry — and those runs reach the :class:`~repro.db.ghost.
 GhostCleaner` (becoming candidates for deallocation) only when the
 commit that logged them is **forced**.  The force is the single
 durability point, mirroring :class:`repro.fs.journal.Journal`:
@@ -29,19 +29,20 @@ durability point, mirroring :class:`repro.fs.journal.Journal`:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
+from repro.db.page import Run
 from repro.disk.device import BlockDevice
 from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)
 class GhostRecord:
-    """One logged delete: the transaction token and the pages it ghosts."""
+    """One logged delete: the transaction token and the runs it ghosts."""
 
     token: int
-    pages: tuple[int, ...]
+    runs: tuple[Run, ...]
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,11 @@ class WalRecoveryReport:
     #: Non-durable ghost records rolled back (pages stay allocated).
     discarded: tuple[GhostRecord, ...]
 
-    def replayed_pages(self) -> list[int]:
-        return [p for record in self.replayed for p in record.pages]
+    def replayed_runs(self) -> list[Run]:
+        return [run for record in self.replayed for run in record.runs]
 
-    def discarded_pages(self) -> list[int]:
-        return [p for record in self.discarded for p in record.pages]
+    def discarded_runs(self) -> list[Run]:
+        return [run for record in self.discarded for run in record.runs]
 
 
 class WriteAheadLog:
@@ -68,7 +69,7 @@ class WriteAheadLog:
 
     def __init__(self, device: BlockDevice, *, bulk_logged: bool = True,
                  charge_io: bool = True,
-                 on_publish: Callable[[list[int]], None] | None = None
+                 on_publish: Callable[[tuple[Run, ...]], None] | None = None
                  ) -> None:
         self.device = device
         self.bulk_logged = bulk_logged
@@ -116,18 +117,18 @@ class WriteAheadLog:
         self.records += 1
         self._pending_records += 1
 
-    def log_ghost(self, pages: Sequence[int], *, token: int = 0) -> None:
+    def log_ghost(self, runs: Iterable[Run], *, token: int = 0) -> None:
         """Log one delete's ghost record.
 
         Cost-identical to :meth:`log_operation` (one fixed-size record),
-        but the ghosted pages travel with the record: they reach the
+        but the ghosted runs travel with the record: they reach the
         ghost cleaner only at the commit that makes this record durable
         — never before, which is exactly the deferred-free rule.
         """
         self._append(self.RECORD_BYTES)
         self.records += 1
         self._pending_records += 1
-        self._pending_ghosts.append(GhostRecord(token, tuple(pages)))
+        self._pending_ghosts.append(GhostRecord(token, tuple(runs)))
 
     def commit(self) -> None:
         """Group-commit: force the log, then publish ghost records."""
@@ -154,7 +155,7 @@ class WriteAheadLog:
         while ghosts:
             record = ghosts[0]
             if self.on_publish is not None:
-                self.on_publish(list(record.pages))
+                self.on_publish(record.runs)
             ghosts.pop(0)
 
     def _crash(self, label: str) -> None:
@@ -170,7 +171,7 @@ class WriteAheadLog:
 
         Replayable records (force completed, cleaner hand-off lost) are
         redone; pending records (never forced) are discarded — their
-        transactions rolled back, so the pages they name stay allocated
+        transactions rolled back, so the runs they name stay allocated
         and must never be freed.  The log cursor stays where it was
         (the circular log is self-describing on a real system).
         """

@@ -17,6 +17,7 @@ sweep — then assert the paper's deferred-free rule on the WAL side:
 import pytest
 
 from crashsim import CrashClock, FaultyDevice, kill_point_matrix
+from dboracle import runs_to_pages
 
 from repro.db.database import DbConfig, SimDatabase
 from repro.db.wal import GhostRecord, WriteAheadLog
@@ -60,12 +61,13 @@ def workload(db: SimDatabase) -> None:
 def recover_and_check(db: SimDatabase) -> None:
     """The assertions every kill point must pass."""
     gam = db.gam
-    queued = db.ghost.queued_page_numbers()
+    queued = set(runs_to_pages(db.ghost.queued_runs()))
     pending = db.wal.pending_ghosts
     # At crash time an uncommitted delete's pages are neither free nor
     # visible to the cleaner.
     for record in pending:
-        for page in record.pages:
+        assert record.runs, f"delete {record.token} ghosted nothing"
+        for page in runs_to_pages(record.runs):
             assert gam.is_page_used(page), \
                 f"page {page} of uncommitted delete {record.token} " \
                 "was deallocated before its commit was durable"
@@ -78,14 +80,15 @@ def recover_and_check(db: SimDatabase) -> None:
     # back exactly the pending set.
     assert report.replayed == replayable
     assert report.discarded == pending
-    assert set(db.rolled_back_pages) == set(report.discarded_pages())
+    assert db.rolled_back_pages == report.discarded_runs()
     # Drain the cleaner completely: durable ghost records deallocate ...
     db.ghost.drain()
-    for page in report.replayed_pages():
+    assert db.ghost.pending_pages == 0
+    for page in runs_to_pages(report.replayed_runs()):
         assert not gam.is_page_used(page), \
             f"replayed ghost page {page} never deallocated"
     # ... while rolled-back deletes never do (the resurrection check).
-    for page in report.discarded_pages():
+    for page in runs_to_pages(report.discarded_runs()):
         assert gam.is_page_used(page), \
             f"rolled-back delete's page {page} was freed — recovery " \
             "resurrected an uncommitted delete"
@@ -119,26 +122,26 @@ class TestWalKillMatrix:
 class TestWalGhostSemantics:
     """Targeted checks of the WAL's ghost-record life cycle."""
 
-    def make_wal(self, **kwargs) -> tuple[WriteAheadLog, list[list[int]]]:
-        published: list[list[int]] = []
+    def make_wal(self, **kwargs) -> tuple[WriteAheadLog, list[tuple]]:
+        published: list[tuple] = []
         wal = WriteAheadLog(BlockDevice(scaled_disk(4 * MB)),
                             on_publish=published.append, **kwargs)
         return wal, published
 
     def test_pages_reach_cleaner_only_at_commit(self):
         wal, published = self.make_wal()
-        wal.log_ghost([3, 4, 5], token=7)
+        wal.log_ghost([(3, 3), (9, 1)], token=7)
         assert published == []
-        assert wal.pending_ghosts == (GhostRecord(7, (3, 4, 5)),)
+        assert wal.pending_ghosts == (GhostRecord(7, ((3, 3), (9, 1))),)
         wal.commit()
-        assert published == [[3, 4, 5]]
+        assert published == [((3, 3), (9, 1))]
         assert wal.pending_ghosts == ()
         assert wal.replayable_ghosts == ()
 
     def test_ghost_record_costs_one_log_record(self):
         wal, _ = self.make_wal()
         before = wal.logged_bytes
-        wal.log_ghost([1], token=1)
+        wal.log_ghost([(1, 1)], token=1)
         assert wal.logged_bytes - before == WriteAheadLog.RECORD_BYTES
         assert wal.records == 1
 
@@ -148,24 +151,26 @@ class TestWalGhostSemantics:
         def boom(label: str) -> None:
             raise CrashPoint(label)
 
-        wal.log_ghost([8, 9], token=2)
+        wal.log_ghost([(8, 2)], token=2)
         wal.crash_hook = boom
         with pytest.raises(CrashPoint):
             wal.commit()
         # Forced but unpublished: durable, invisible to the cleaner.
         assert published == []
-        assert wal.replayable_ghosts == (GhostRecord(2, (8, 9)),)
+        assert wal.replayable_ghosts == (GhostRecord(2, ((8, 2),)),)
         wal.crash_hook = None
         report = wal.recover()
-        assert report.replayed == (GhostRecord(2, (8, 9)),)
+        assert report.replayed == (GhostRecord(2, ((8, 2),)),)
+        assert report.replayed_runs() == [(8, 2)]
         assert report.discarded == ()
-        assert published == [[8, 9]]
+        assert published == [((8, 2),)]
 
     def test_crash_before_force_discards(self):
         wal, published = self.make_wal(charge_io=False)
-        wal.log_ghost([11], token=3)
+        wal.log_ghost([(11, 1)], token=3)
         report = wal.recover()
-        assert report.discarded == (GhostRecord(3, (11,)),)
+        assert report.discarded == (GhostRecord(3, ((11, 1),)),)
+        assert report.discarded_runs() == [(11, 1)]
         assert report.replayed == ()
         assert published == []
         # A later commit must not resurrect the rolled-back record.

@@ -6,7 +6,7 @@ from repro.alloc.extent import coalesce
 from repro.db.database import DbConfig, SimDatabase
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
-from repro.errors import BlobNotFoundError, ConfigError
+from repro.errors import AllocationError, BlobNotFoundError, ConfigError
 from repro.units import KB, MB, PAGE_SIZE
 
 
@@ -142,6 +142,40 @@ class TestAllocationPressure:
             db.delete_blob(blob_id)
         blob_id = db.put_blob(size=4 * MB)
         assert db.blobs.size_of(blob_id) == 4 * MB
+
+    def make_full_of_ghosts(self):
+        """256 MB file: ~24 K ghost pages queued, under 1 K pages free."""
+        db = make_db(capacity=256 * MB, write_request=1 * MB,
+                     ghost_cleanup_interval_ops=100_000,
+                     ghost_min_age_ops=1_000_000)
+        doomed = [db.put_blob(size=96 * MB) for _ in range(2)]
+        keeper = db.put_blob(size=64 * KB)
+        db.put_blob(size=db.free_bytes - 4 * MB)
+        for blob_id in doomed:
+            db.delete_blob(blob_id)
+        assert db.ghost.pending_pages >= 2 * 96 * MB // PAGE_SIZE
+        assert db.gam.free_page_count < 1024
+        return db, keeper
+
+    def test_insert_range_reclaims_like_put(self):
+        """One request larger than the old fixed 8192-page pressure
+        sweep: insert_range gave up with the space it needed still
+        queued as ghosts; put, given the same request, did not."""
+        db, keeper = self.make_full_of_ghosts()
+        db.blobs.insert_range(keeper, 0, size=80 * MB,
+                              write_request=80 * MB)
+        assert db.blobs.size_of(keeper) == 80 * MB + 64 * KB
+        db.check_invariants()
+
+    def test_allocation_fails_only_with_the_backlog_empty(self):
+        db, keeper = self.make_full_of_ghosts()
+        with pytest.raises(AllocationError):
+            db.blobs.insert_range(keeper, 0, size=224 * MB,
+                                  write_request=224 * MB)
+        assert db.ghost.pending_pages == 0
+        with pytest.raises(AllocationError):
+            db.put_blob(size=224 * MB)
+        db.check_invariants()
 
 
 class TestIoAccounting:

@@ -240,3 +240,45 @@ class TestStress:
             for page in range(run_start, run_start + run_count)
         ]
         assert reconstructed == model
+
+
+class TestCountCache:
+    def test_appends_do_not_recount_the_leaves(self, monkeypatch):
+        """The object's page count is kept, not re-summed per append
+        (a 10 MB BLOB is 160 appends into one leaf)."""
+        from repro.db import btree
+
+        tree, _ = make_tree(fanout=128)
+        recounts = []
+        real = btree._Node.total_pages
+        monkeypatch.setattr(
+            btree._Node, "total_pages",
+            lambda node: recounts.append(node) or real(node))
+        for i in range(100):
+            tree.append_run(i * 10, 3)
+        assert tree.total_pages == 300
+        assert recounts == []
+
+    def test_count_follows_every_mutation(self):
+        tree, _ = make_tree()
+        for i in range(20):
+            tree.append_run(i * 10, 2)
+        tree.insert_run(7, 500, 5)
+        assert tree.total_pages == 45
+        tree.delete_range(3, 11)
+        assert tree.total_pages == 34
+        tree.check_invariants()
+        tree.clear()
+        assert tree.total_pages == 0
+        tree.append_run(0, 4)
+        assert tree.destroy() == [(0, 4)]
+        assert tree.total_pages == 0
+
+    def test_check_invariants_recounts(self):
+        from repro.errors import CorruptionError
+
+        tree, _ = make_tree()
+        tree.append_run(0, 4)
+        tree._count += 1
+        with pytest.raises(CorruptionError, match="page count"):
+            tree.check_invariants()

@@ -122,16 +122,14 @@ class TestGhostCleaner:
     def test_immediate_mode(self):
         gam = GamAllocator(8)
         ghost = GhostCleaner(gam, cleanup_interval_ops=0)
-        pages = gam.alloc_pages(8)
-        ghost.ghost_pages(pages)
+        ghost.ghost_pages(gam.alloc_runs(8))
         assert gam.free_page_count == 64
 
     def test_pages_unavailable_until_aged(self):
         gam = GamAllocator(8)
         ghost = GhostCleaner(gam, cleanup_interval_ops=1,
                              max_pages_per_sweep=None, min_age_ops=4)
-        pages = gam.alloc_pages(8)
-        ghost.ghost_pages(pages)
+        ghost.ghost_pages(gam.alloc_runs(8))
         for _ in range(3):
             ghost.on_operation()
         assert gam.free_page_count == 56  # still ghost
@@ -142,8 +140,7 @@ class TestGhostCleaner:
         gam = GamAllocator(8)
         ghost = GhostCleaner(gam, cleanup_interval_ops=1,
                              max_pages_per_sweep=2, min_age_ops=0)
-        pages = gam.alloc_pages(8)
-        ghost.ghost_pages(pages)
+        ghost.ghost_pages(gam.alloc_runs(8))
         ghost.on_operation()
         assert gam.free_page_count == 56 + 2
         ghost.on_operation()
@@ -153,7 +150,7 @@ class TestGhostCleaner:
         gam = GamAllocator(8)
         ghost = GhostCleaner(gam, cleanup_interval_ops=10,
                              min_age_ops=100)
-        ghost.ghost_pages(gam.alloc_pages(20))
+        ghost.ghost_pages(gam.alloc_runs(20))
         ghost.drain()
         assert gam.free_page_count == 64
         assert ghost.pending_pages == 0
@@ -164,8 +161,8 @@ class TestGhostCleaner:
                              max_pages_per_sweep=1, min_age_ops=0)
         first = gam.alloc_page()
         second = gam.alloc_page()
-        ghost.ghost_pages([second])
-        ghost.ghost_pages([first])
+        ghost.ghost_pages([(second, 1)])
+        ghost.ghost_pages([(first, 1)])
         ghost.on_operation()
         # The first-ghosted page (second allocated) is freed first.
         assert not gam.is_page_used(second)
@@ -175,10 +172,31 @@ class TestGhostCleaner:
         gam = GamAllocator(8)
         ghost = GhostCleaner(gam, cleanup_interval_ops=1, min_age_ops=0,
                              max_pages_per_sweep=None)
-        ghost.ghost_pages(gam.alloc_pages(10))
+        ghost.ghost_pages(gam.alloc_runs(10))
         assert ghost.ghosted_pages == 10
+        assert ghost.pending_pages == 10
         ghost.on_operation()
         assert ghost.cleaned_pages == 10
+        assert ghost.pending_pages == 0
+
+    @pytest.mark.parametrize("interval", [0, 3])
+    def test_books_balance_in_both_modes(self, interval):
+        """Immediate mode used to count pages cleaned but never ghosted."""
+        gam = GamAllocator(8)
+        ghost = GhostCleaner(gam, cleanup_interval_ops=interval,
+                             min_age_ops=1, max_pages_per_sweep=4)
+        for count in (10, 3, 17):
+            ghost.ghost_pages(gam.alloc_runs(count))
+            for _ in range(4):
+                ghost.on_operation()
+                assert ghost.cleaned_pages + ghost.pending_pages \
+                    == ghost.ghosted_pages
+                assert ghost.pending_pages == sum(
+                    n for _, n in ghost.queued_runs())
+                assert gam.used_page_count == ghost.pending_pages
+        assert ghost.ghosted_pages == 30
+        if interval == 0:
+            assert ghost.cleaned_pages == 30 and ghost.sweeps == 0
 
 
 # ----------------------------------------------------------------------

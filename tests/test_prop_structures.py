@@ -3,6 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dboracle import alloc_pages
+
 from repro.alloc.buddy import BuddyAllocator
 from repro.db.btree import LobTree
 from repro.db.gam import GamAllocator
@@ -73,7 +75,7 @@ def test_gam_page_accounting(ops):
     for op, value in ops:
         if op == "pages":
             try:
-                live.extend(gam.alloc_pages(value))
+                live.extend(alloc_pages(gam, value))
             except AllocationError:
                 pass
         elif op == "extent":
@@ -92,8 +94,8 @@ def test_gam_page_accounting(ops):
 @settings(max_examples=40, deadline=None)
 def test_gam_alloc_free_is_identity(npages):
     gam = GamAllocator(32)
-    pages = gam.alloc_pages(npages)
-    gam.free_pages(pages)
+    for start, count in gam.alloc_runs(npages):
+        gam.free_run(start, count)
     gam.check_invariants()
     assert gam.free_page_count == 32 * PAGES_PER_EXTENT
 
