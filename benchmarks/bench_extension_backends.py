@@ -14,6 +14,7 @@ churn against all four backends and reports what each trades:
 
 from repro.analysis.compare import ShapeCheck, check_between, check_faster
 from repro.analysis.tables import render_table
+from repro.backends.spec import StoreSpec
 from repro.core.experiment import ExperimentRunner, ExperimentConfig
 from repro.core.workload import ConstantSize
 from repro.units import MB
@@ -28,9 +29,9 @@ def compute():
     results = {}
     for backend in ("filesystem", "database", "gfs", "lfs"):
         config = ExperimentConfig(
-            backend=backend,
+            store=StoreSpec(backend, volume_bytes=paperfig.scaled(
+                paperfig.DEFAULT_VOLUME)),
             sizes=ConstantSize(OBJECT),
-            volume_bytes=paperfig.scaled(paperfig.DEFAULT_VOLUME),
             occupancy=0.5,
             ages=AGES,
             reads_per_sample=16,

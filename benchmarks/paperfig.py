@@ -51,7 +51,7 @@ def paper_scale() -> bool:
     return "--paper-scale" in sys.argv
 
 
-def index_kind() -> str | None:
+def index_override() -> str | None:
     """The ``--index {tiered,naive}`` allocator ablation flag.
 
     Returns None (use each config's default, i.e. the tiered engine)
@@ -107,64 +107,61 @@ def run_curve(backend: str, sizes: SizeDistribution, *,
               reads_per_sample: int = 32,
               seed: int = 7,
               label: str = "",
-              **kwargs) -> RunResult:
+              write_request: int | None = None,
+              store_data: bool = False,
+              index_kind: str | None = None,
+              size_hints: bool = False,
+              fs_config=None,
+              db_config=None) -> RunResult:
     """Run one curve of one figure.
 
-    A ``--store``/``--shards`` override on the command line replays the
-    curve against that declarative spec instead of the figure's default
-    backend construction (the curve's backend fills an empty backend
-    part, so ``--store :reorder=clook`` applies one policy across a
-    multi-backend comparison).
+    The curve's store is always a :class:`StoreSpec`: the figure's
+    backend and parameters, or — under a ``--store``/``--shards``
+    override on the command line — that declarative spec, with the
+    curve's backend filling an empty backend part (so ``--store
+    :reorder=clook`` applies one policy across a multi-backend
+    comparison).  ``index_kind``/``size_hints``/``fs_config``/
+    ``db_config`` are sugar for spec options and apply to whichever
+    backend the spec ends up naming, override or not.
     """
-    kwargs.setdefault("index_kind", index_kind())
     store_text, shards = store_override()
-    if store_text is not None or shards > 0:
-        # Figure parameters arrive as parse *defaults*: explicit
-        # spec-text keys (volume=, write_request=, ...) win over them.
-        parse_defaults = {"volume_bytes": scaled(volume)}
-        if "write_request" in kwargs:
-            parse_defaults["write_request"] = kwargs.pop("write_request")
-        if kwargs.pop("store_data", False):
-            parse_defaults["store_data"] = True
-        spec = StoreSpec.parse(
-            store_text if store_text is not None else backend,
-            default_backend=backend,
-            **parse_defaults,
-        )
-        if shards > 0:
-            spec = replace(spec, shards=shards)
-        # Fold the legacy per-backend knobs the figure scripts pass
-        # into spec options so the two flag families compose.
-        kind = kwargs.pop("index_kind", None)
-        if kind is not None and spec.backend == "filesystem":
-            spec = spec.with_options(index_kind=kind)
-        if kwargs.pop("size_hints", False) and \
-                spec.backend == "filesystem":
-            spec = spec.with_options(size_hints=True)
-        kwargs.pop("fs_config", None)
-        kwargs.pop("db_config", None)
-        config = ExperimentConfig(
-            store=spec,
-            sizes=sizes,
-            occupancy=occupancy,
-            ages=ages,
-            reads_per_sample=reads_per_sample,
-            seed=seed,
-            label=label or f"{spec.backend}"
-                  f"{'x' + str(spec.shards) if spec.shards > 1 else ''}",
-            **kwargs,
-        )
-        return run_experiment(config)
+    overridden = store_text is not None or shards > 0
+    # Figure parameters arrive as parse *defaults*: explicit spec-text
+    # keys (volume=, write_request=, ...) win over them.
+    parse_defaults = {"volume_bytes": scaled(volume)}
+    if write_request is not None:
+        parse_defaults["write_request"] = write_request
+    if store_data:
+        parse_defaults["store_data"] = True
+    spec = StoreSpec.parse(
+        store_text if store_text is not None else backend,
+        default_backend=backend,
+        **parse_defaults,
+    )
+    if shards > 0:
+        spec = replace(spec, shards=shards)
+    # Backend-matched sugar; only what was given, so an option written
+    # in the --store text survives (with_options drops a None).
+    sugar = {}
+    if spec.backend == "filesystem":
+        sugar = {"index_kind": index_kind or index_override(),
+                 "size_hints": size_hints or None,
+                 "fs_config": fs_config}
+    elif spec.backend == "database":
+        sugar = {"db_config": db_config}
+    spec = spec.with_options(
+        **{key: value for key, value in sugar.items() if value is not None})
+    if overridden and not label:
+        label = f"{spec.backend}" \
+                f"{'x' + str(spec.shards) if spec.shards > 1 else ''}"
     config = ExperimentConfig(
-        backend=backend,
+        store=spec,
         sizes=sizes,
-        volume_bytes=scaled(volume),
         occupancy=occupancy,
         ages=ages,
         reads_per_sample=reads_per_sample,
         seed=seed,
         label=label,
-        **kwargs,
     )
     return run_experiment(config)
 

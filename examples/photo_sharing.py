@@ -14,6 +14,7 @@ from repro import (
     ExperimentConfig,
     KB,
     MB,
+    StoreSpec,
     run_experiment,
 )
 from repro.analysis.compare import crossover_age
@@ -26,9 +27,8 @@ AGES = (0.0, 1.0, 2.0, 3.0, 4.0)
 
 def age_backend(backend: str):
     config = ExperimentConfig(
-        backend=backend,
+        store=StoreSpec(backend, volume_bytes=VOLUME),
         sizes=ConstantSize(PHOTO_SIZE),
-        volume_bytes=VOLUME,
         occupancy=0.9,            # a well-utilized photo volume
         ages=AGES,
         reads_per_sample=48,

@@ -40,6 +40,7 @@ from repro.backends import (
     GfsChunkBackend,
     LfsBackend,
     ObjectStore,
+    StoreSpec,
 )
 from repro.core import (
     ConstantSize,
@@ -72,7 +73,7 @@ __all__ = [
     "SimFilesystem", "FsConfig",
     "SimDatabase", "DbConfig",
     "ObjectStore", "FileBackend", "BlobBackend", "GfsChunkBackend",
-    "LfsBackend", "CostModel",
+    "LfsBackend", "CostModel", "StoreSpec",
     "LargeObjectRepository", "StorageAgeTracker", "FragmentReport",
     "MarkerScanner", "fragment_report", "make_marker_content",
     "ConstantSize", "UniformSize", "WorkloadSpec",

@@ -19,18 +19,14 @@ from repro.alloc.extent import Extent
 from repro.alloc.freelist import INDEX_KINDS
 from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
-from repro.backends.registry import (
-    bool_option,
-    choice_option,
-    object_option,
-    register_backend,
-)
+from repro.backends.registry import object_option, register_backend
 from repro.backends.spec import StoreSpec
 from repro.db.database import DbConfig, SimDatabase
 from repro.disk.device import BlockDevice, IoRequest
 from repro.disk.geometry import scaled_disk
 from repro.errors import ObjectNotFoundError
 from repro.fs.filesystem import FsConfig, SimFilesystem
+from repro.specgrammar import choice, to_bool
 from repro.units import DEFAULT_WRITE_REQUEST, MB
 
 
@@ -189,8 +185,8 @@ class FileBackend:
     "filesystem",
     description="NTFS-like: file per object + metadata database",
     options={
-        "index_kind": choice_option(*INDEX_KINDS),
-        "size_hints": bool_option,
+        "index_kind": choice(*INDEX_KINDS),
+        "size_hints": to_bool,
         "fs_config": object_option(FsConfig),
     },
 )

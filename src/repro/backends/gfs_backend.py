@@ -21,14 +21,11 @@ from dataclasses import dataclass
 from repro.alloc.extent import Extent
 from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
-from repro.backends.registry import (
-    float_option,
-    register_backend,
-    size_option,
-)
+from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, IoRequest
 from repro.errors import ConfigError, ObjectNotFoundError, StorageFullError
+from repro.specgrammar import to_float, to_size
 from repro.units import DEFAULT_WRITE_REQUEST, MB
 
 
@@ -308,8 +305,8 @@ class GfsChunkBackend:
     "gfs",
     description="GFS-style fixed chunks with record append",
     options={
-        "chunk_size": size_option,
-        "gc_dead_fraction": float_option,
+        "chunk_size": to_size,
+        "gc_dead_fraction": to_float,
     },
 )
 def _gfs_from_spec(spec: StoreSpec, device: BlockDevice) -> GfsChunkBackend:

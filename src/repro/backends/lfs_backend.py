@@ -16,14 +16,11 @@ from dataclasses import dataclass, field
 from repro.alloc.extent import Extent
 from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
-from repro.backends.registry import (
-    float_option,
-    register_backend,
-    size_option,
-)
+from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, IoRequest
 from repro.errors import ConfigError, ObjectNotFoundError, StorageFullError
+from repro.specgrammar import to_float, to_size
 from repro.units import DEFAULT_WRITE_REQUEST, MB
 
 
@@ -319,8 +316,8 @@ class LfsBackend:
     "lfs",
     description="log-structured segments with a cleaner",
     options={
-        "segment_size": size_option,
-        "clean_threshold": float_option,
+        "segment_size": to_size,
+        "clean_threshold": to_float,
     },
 )
 def _lfs_from_spec(spec: StoreSpec, device: BlockDevice) -> LfsBackend:

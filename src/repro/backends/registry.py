@@ -3,11 +3,10 @@
 Each backend module registers a ``from_spec`` constructor with
 :func:`register_backend`, declaring its name, a one-line description
 (surfaced by ``python -m repro --list-backends``) and the options it
-accepts (name → converter).  Everything that used to be hand-maintained
-— the ``BACKENDS`` tuple, config validation, the ``make_store`` if/elif
-chain — now derives from the registry, so adding a backend is one file
-plus one decorator (see docs/architecture.md, "add a backend in one
-file").
+accepts (name → converter).  The ``BACKENDS`` tuple, config validation
+and store construction all derive from the registry, so adding a
+backend is one file plus one decorator (see docs/architecture.md, "add
+a backend in one file").
 
 :func:`build_store` is the single construction path:
 
@@ -26,37 +25,15 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 from repro.backends.base import ObjectStore
-from repro.backends.spec import StoreSpec, _parse_bool, _parse_bytes
+from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.errors import ConfigError
 
 # ----------------------------------------------------------------------
-# Option converters (shared vocabulary for backend declarations)
+# Option converters: backends declare theirs from the shared vocabulary
+# in :mod:`repro.specgrammar`, plus this one for programmatic specs.
 # ----------------------------------------------------------------------
-size_option = _parse_bytes
-bool_option = _parse_bool
-
-
-def float_option(value: Any) -> float:
-    return float(value)
-
-
-def int_option(value: Any) -> int:
-    return int(value)
-
-
-def choice_option(*choices: str) -> Callable[[Any], str]:
-    def convert(value: Any) -> str:
-        text = str(value)
-        if text not in choices:
-            raise ConfigError(
-                f"bad value {text!r}; choose from {choices}"
-            )
-        return text
-    return convert
-
-
 def object_option(kind: type) -> Callable[[Any], Any]:
     """An option holding a config object (programmatic specs only)."""
     def convert(value: Any) -> Any:
@@ -211,9 +188,7 @@ def resolve_spec(spec: StoreSpec) -> StoreSpec:
             )
         try:
             converted[name] = converter(value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
+        except ConfigError as exc:
             raise ConfigError(
                 f"bad value for {info.name} option {name}: {exc}"
             ) from None

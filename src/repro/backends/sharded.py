@@ -147,7 +147,7 @@ from repro.backends.registry import register_backend
 from repro.backends.spec import PLACEMENTS, QUEUE_KINDS, StoreSpec
 from repro.disk.device import BlockDevice
 from repro.disk.faults import FaultProfile
-from repro.disk.schedule import ShardScheduler
+from repro.disk.schedule import ShardScheduler, throttle_pause
 from repro.errors import (ConfigError, ObjectNotFoundError, ShardLostError,
                           ShardUnavailableError, TransientIoError)
 from repro.units import MB
@@ -683,7 +683,7 @@ class ShardedStore:
                 spent = self._rebuild_copy(key, size, src, dst)
                 copy_s += spent
                 if rate < 1.0:
-                    pause = spent * (1.0 - rate) / rate
+                    pause = throttle_pause(spent, rate)
                     self._charge_stall(dst, pause)
                     stall_s += pause
                 live.append(dst)
@@ -800,7 +800,7 @@ class ShardedStore:
             moved_bytes += size
             copy_s += spent
             if rate < 1.0:
-                pause = spent * (1.0 - rate) / rate
+                pause = throttle_pause(spent, rate)
                 self._charge_stall(dst, pause)
                 stall_s += pause
         return RebalanceReport(
@@ -933,7 +933,7 @@ class ShardedStore:
                     devs[0].charge_sequential_write(chunk)
         spent = sum(d.clock_s for d in lanes) - before
         if rate < 1.0:
-            pause = spent * (1.0 - rate) / rate
+            pause = throttle_pause(spent, rate)
             self._charge_stall(live[0], pause)
         return spent
 

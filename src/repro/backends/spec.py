@@ -1,15 +1,15 @@
 """Declarative store construction: :class:`StoreSpec`.
 
-The experiment driver used to special-case every backend (a hard-coded
-``BACKENDS`` tuple, an if/elif chain in ``make_store``, and one-off
-per-backend fields leaking into ``ExperimentConfig``).  A ``StoreSpec``
-replaces all of that with one value: backend name, volume geometry,
-typed per-backend options, a shared :class:`~repro.disk.policy.
-DevicePolicy`, and an optional shard layout.  The registry
-(:mod:`repro.backends.registry`) turns a spec into a live store;
-nothing above the backends layer needs to import a backend class.
+A ``StoreSpec`` is the one value that says what store to run (the
+experiment driver holds nothing per-backend): backend name, volume
+geometry, typed per-backend options, a shared
+:class:`~repro.disk.policy.DevicePolicy`, and an optional shard layout.
+The registry (:mod:`repro.backends.registry`) turns a spec into a live
+store; nothing above the backends layer needs to import a backend
+class.
 
-Specs have a flag-friendly text form, used by ``--store``::
+Specs have a flag-friendly text form, used by ``--store`` (the shared
+grammar rules are in :mod:`repro.specgrammar`)::
 
     lfs
     lfs:reorder=clook,batch=16
@@ -23,13 +23,13 @@ The keys ``volume``, ``write_request``, ``store_data``, ``reorder``,
 ``batch``, ``shards``, ``placement``, ``band_bytes``, ``overlap``,
 ``parallelism``, ``dispatch_overhead``, ``replicas``, ``faults``,
 ``rebuild_rate``, ``rebalance_rate``, ``checkpoint_rate``, ``queue``,
-``depth``, and ``arrival`` set spec-level fields; every other key is a backend option, validated against the
-backend's declared option set at build time.  ``faults`` takes a
-fault-profile text (see :mod:`repro.disk.faults`) and ``arrival`` an
-arrival-process text (see :mod:`repro.disk.events`); written inside a
-``--store`` spec, use colons between clause parameters —
-``faults=transient:rate=1e-4``, ``arrival=poisson:rate=2e3`` — since
-commas separate spec options.
+``depth``, and ``arrival`` set spec-level fields; every other key is a
+backend option, validated against the backend's declared option set at
+build time.  ``faults`` takes a fault-profile text (see
+:mod:`repro.disk.faults`) and ``arrival`` an arrival-process text (see
+:mod:`repro.disk.events`); written inside a ``--store`` spec, use colons
+between clause parameters — ``faults=transient:rate=1e-4``,
+``arrival=poisson:rate=2e3`` — since commas separate spec options.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from typing import Any, Mapping
 
 from repro.disk.policy import DEFAULT_POLICY, REORDER_KINDS, DevicePolicy
 from repro.errors import ConfigError
-from repro.units import DEFAULT_WRITE_REQUEST, GB, parse_size
+from repro.specgrammar import (Key, choice, convert_items, to_bool, to_float,
+                               to_int, to_size, tokenize)
+from repro.units import DEFAULT_WRITE_REQUEST, GB
 
 #: Placement policies the sharded composite understands.
 PLACEMENTS = ("hash", "round_robin", "size_banded")
@@ -50,32 +52,6 @@ PLACEMENTS = ("hash", "round_robin", "size_banded")
 #: FIFO simulator with per-request latency (see
 #: :mod:`repro.disk.events`).
 QUEUE_KINDS = ("round", "event")
-
-
-def _parse_bool(value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"bad boolean {value!r}")
-
-
-def _parse_bytes(value: Any) -> int:
-    if isinstance(value, bool):
-        raise ConfigError(f"bad size {value!r}")
-    if isinstance(value, int):
-        return value
-    return parse_size(str(value))
-
-
-def _parse_int(value: Any, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad integer for {key}: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -296,101 +272,51 @@ class StoreSpec:
         passes its own ``volume_bytes`` (e.g. the CLI's ``--volume``
         default).
         """
-        text = text.strip()
-        backend, _, tail = text.partition(":")
-        backend = backend.strip() or (default_backend or "")
+        options: dict[str, str] = {}
+        backend, raw = tokenize("store spec", text)
+        values = convert_items("store spec", raw, _KEYS, unknown=options)
+        backend = backend or (default_backend or "")
         if not backend:
             raise ConfigError(f"store spec {text!r} names no backend")
-        fields: dict[str, Any] = {"backend": backend}
-        options: dict[str, Any] = {}
-        batch_size: int | None = None
-        reorder: str | None = None
-        for item in filter(None, (p.strip() for p in tail.split(","))):
-            key, eq, value = item.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not eq or not value:
-                raise ConfigError(
-                    f"bad store option {item!r}; expected key=value"
-                )
-            if key == "volume":
-                fields["volume_bytes"] = _parse_bytes(value)
-            elif key == "write_request":
-                fields["write_request"] = _parse_bytes(value)
-            elif key == "store_data":
-                fields["store_data"] = _parse_bool(value)
-            elif key == "reorder":
-                if value not in REORDER_KINDS:
-                    raise ConfigError(
-                        f"unknown reorder {value!r}; "
-                        f"choose from {REORDER_KINDS}"
-                    )
-                reorder = value
-            elif key == "batch":
-                batch_size = _parse_int(value, key)
-            elif key == "shards":
-                fields["shards"] = _parse_int(value, key)
-            elif key == "placement":
-                fields["placement"] = value
-            elif key == "band_bytes":
-                fields["band_bytes"] = _parse_bytes(value)
-            elif key == "overlap":
-                fields["overlap"] = _parse_bool(value)
-            elif key == "parallelism":
-                fields["parallelism"] = _parse_int(value, key)
-            elif key == "dispatch_overhead":
-                try:
-                    fields["dispatch_overhead_s"] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"bad dispatch_overhead {value!r}; expected "
-                        "seconds as a float"
-                    ) from None
-            elif key == "replicas":
-                fields["replicas"] = _parse_int(value, key)
-            elif key == "faults":
-                fields["faults"] = value
-            elif key == "rebuild_rate":
-                try:
-                    fields["rebuild_rate"] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"bad rebuild_rate {value!r}; expected a float "
-                        "in (0, 1]"
-                    ) from None
-            elif key == "rebalance_rate":
-                try:
-                    fields["rebalance_rate"] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"bad rebalance_rate {value!r}; expected a float "
-                        "in (0, 1]"
-                    ) from None
-            elif key == "checkpoint_rate":
-                try:
-                    fields["checkpoint_rate"] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"bad checkpoint_rate {value!r}; expected a float "
-                        "in [0, 1]"
-                    ) from None
-            elif key == "queue":
-                fields["queue"] = value
-            elif key == "depth":
-                fields["queue_depth"] = _parse_int(value, key)
-            elif key == "arrival":
-                fields["arrival"] = value
-            else:
-                options[key] = value
-        if batch_size is not None or reorder is not None:
+        policy = {key: values.pop(key) for key in ("reorder", "batch")
+                  if key in values}
+        fields: dict[str, Any] = {_KEYS[key].field or key: value
+                                  for key, value in values.items()}
+        fields.update(backend=backend, options=options)
+        if policy:
             fields["policy"] = DevicePolicy(
-                batch_size=batch_size if batch_size is not None else 0,
-                reorder=reorder or "none",
+                batch_size=policy.get("batch", 0),
+                reorder=policy.get("reorder", "none"),
             )
-        fields["options"] = options
         for key, value in defaults.items():
             fields.setdefault(key, value)
         return cls(**fields)
+
+
+#: The spec-level keys of the text form (see :mod:`repro.specgrammar`);
+#: any other key is a backend option.  ``reorder`` and ``batch``
+#: together make the ``policy`` field.
+_KEYS = {
+    "volume": Key(to_size, field="volume_bytes"),
+    "write_request": Key(to_size),
+    "store_data": Key(to_bool),
+    "reorder": Key(choice(*REORDER_KINDS), field="policy"),
+    "batch": Key(to_int, field="policy"),
+    "shards": Key(to_int),
+    "placement": Key(str),
+    "band_bytes": Key(to_size),
+    "overlap": Key(to_bool),
+    "parallelism": Key(to_int),
+    "dispatch_overhead": Key(to_float, field="dispatch_overhead_s"),
+    "replicas": Key(to_int),
+    "faults": Key(str),
+    "rebuild_rate": Key(to_float),
+    "rebalance_rate": Key(to_float),
+    "checkpoint_rate": Key(to_float),
+    "queue": Key(str),
+    "depth": Key(to_int, field="queue_depth"),
+    "arrival": Key(str),
+}
 
 
 #: Fields a shard sub-spec resets to their declared defaults: the

@@ -149,18 +149,14 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="also write the results as JSON")
 
 
-def _store_spec_from(args: argparse.Namespace,
-                     backend: str) -> StoreSpec | None:
-    """The StoreSpec described by --store/--shards, or None.
+def _store_spec_from(args: argparse.Namespace, backend: str) -> StoreSpec:
+    """The StoreSpec described by the store flags.
 
     An explicit backend inside ``--store`` wins over the subcommand's
     backend; ``--store :key=val`` keeps it.  ``--volume``,
     ``--write-request``, and ``--size-hints`` still apply as defaults;
     spec-text keys (``volume=``, ``write_request=``) win over them.
     """
-    if (args.store is None and args.shards <= 0
-            and args.replicas <= 0 and args.faults is None):
-        return None
     spec = StoreSpec.parse(
         args.store if args.store is not None else backend,
         default_backend=backend,
@@ -180,7 +176,8 @@ def _store_spec_from(args: argparse.Namespace,
 
 def _config_from(args: argparse.Namespace,
                  backend: str) -> ExperimentConfig:
-    common = dict(
+    return ExperimentConfig(
+        store=_store_spec_from(args, backend),
         sizes=_build_sizes(args),
         scenario=(ScenarioSpec.parse(args.scenario)
                   if args.scenario else None),
@@ -190,16 +187,6 @@ def _config_from(args: argparse.Namespace,
         seed=args.seed,
         rebalance_ages=tuple(args.rebalance_ages),
         rebuild_ages=tuple(args.rebuild_ages),
-    )
-    spec = _store_spec_from(args, backend)
-    if spec is not None:
-        return ExperimentConfig(store=spec, **common)
-    return ExperimentConfig(
-        backend=backend,
-        volume_bytes=parse_size(args.volume),
-        write_request=parse_size(args.write_request),
-        size_hints=args.size_hints,
-        **common,
     )
 
 

@@ -18,12 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-
-from repro.alloc.freelist import INDEX_KINDS
 
 from repro.backends.base import ObjectStore
 from repro.backends.registry import backend_names, build_store, resolve_spec
@@ -38,7 +35,7 @@ from repro.core.workload import (
     bulk_load,
     churn_to_age,
 )
-from repro.db.database import DbConfig
+from repro.disk.schedule import throttle_pause
 from repro.errors import ConfigError
 from repro.fs.filesystem import FsConfig
 from repro.persist import (
@@ -58,7 +55,7 @@ from repro.scenario.engine import (
     scenario_to_age,
 )
 from repro.scenario.spec import ScenarioSpec
-from repro.units import DEFAULT_WRITE_REQUEST, GB, fmt_size
+from repro.units import fmt_size
 
 #: Manifest tag of experiment checkpoints (see ``_save_checkpoint``).
 #: Bumped whenever the config record or sample schema grows (``/2``:
@@ -96,43 +93,22 @@ BACKENDS = backend_names()
 class ExperimentConfig:
     """Everything needed to reproduce one curve of one figure.
 
-    Two construction paths:
-
-    * **Spec path** (preferred): pass ``store=StoreSpec(...)`` — the
-      spec names the backend, volume, device policy, per-backend
-      options, and shard layout; ``backend``/``volume_bytes``/
-      ``write_request``/``store_data`` are derived from it.
-    * **Legacy path**: pass ``backend=`` plus the historical one-off
-      fields (``index_kind``, ``fs_config``, ``db_config``,
-      ``size_hints``).  :meth:`resolved_spec` folds them into the
-      equivalent :class:`StoreSpec`, so both paths build identical
-      stores.
+    ``store`` says what to run on: the :class:`StoreSpec` names the
+    backend, volume, write-request size, device policy, per-backend
+    options (``index_kind``, ``size_hints``, ``fs_config``,
+    ``db_config``, ...) and shard layout.  The rest says what to do to
+    it.  ``backend``/``volume_bytes``/``write_request``/``store_data``
+    are read-only views of the spec.
     """
 
-    backend: str = ""
+    store: StoreSpec
     sizes: SizeDistribution | None = None
-    volume_bytes: int = 2 * GB
     occupancy: float = 0.5
-    write_request: int = DEFAULT_WRITE_REQUEST
     ages: tuple[float, ...] = (0.0, 2.0, 4.0)
     #: Whole-object reads per sampling point.
     reads_per_sample: int = 64
     seed: int = 42
-    #: Store real bytes on the device (marker analysis; test scale only).
-    store_data: bool = False
-    #: Use the size-hint interface (filesystem backend only).  Legacy;
-    #: spec path: option ``size_hints``.
-    size_hints: bool = False
-    #: Free-space engine ablation: "tiered"/"naive" overrides the
-    #: filesystem backend's index; None keeps the fs_config default.
-    #: Legacy; spec path: option ``index_kind``.
-    index_kind: str | None = None
-    fs_config: FsConfig | None = None
-    db_config: DbConfig | None = None
     label: str = ""
-    #: Declarative store description; when set, it is authoritative for
-    #: everything the legacy per-backend fields used to carry.
-    store: StoreSpec | None = None
     #: Sampled ages after which the driver rebalances a sharded store
     #: (mode="even" occupancy-levelling migration; see
     #: :meth:`repro.backends.sharded.ShardedStore.rebalance`).  Must be
@@ -162,65 +138,46 @@ class ExperimentConfig:
 
             mean = max(1, round(self.scenario.mean_object_size))
             object.__setattr__(self, "sizes", ConstantSize(mean))
-        if self.store is not None:
-            if self.backend and self.backend != self.store.backend:
-                raise ConfigError(
-                    f"backend {self.backend!r} conflicts with store spec "
-                    f"backend {self.store.backend!r}"
-                )
-            if (self.index_kind is not None or self.fs_config is not None
-                    or self.db_config is not None or self.size_hints):
-                raise ConfigError(
-                    "per-backend knobs (index_kind/fs_config/db_config/"
-                    "size_hints) go inside the StoreSpec options when "
-                    "store= is given"
-                )
-            object.__setattr__(self, "backend", self.store.backend)
-            object.__setattr__(self, "volume_bytes",
-                               self.store.volume_bytes)
-            object.__setattr__(self, "write_request",
-                               self.store.write_request)
-            object.__setattr__(self, "store_data", self.store.store_data)
-        elif self.backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
+        # Unknown backends and bad options fail here, not mid-run.
+        sharded = resolve_spec(self.store).shards > 1
         if not self.ages or list(self.ages) != sorted(self.ages):
             raise ConfigError("ages must be a non-empty ascending sequence")
-        if self.rebalance_ages:
-            missing = set(self.rebalance_ages) - set(self.ages)
+        for name, verb in (("rebalance_ages", "rebalancing"),
+                           ("rebuild_ages", "rebuild")):
+            chosen = getattr(self, name)
+            if not chosen:
+                continue
+            missing = set(chosen) - set(self.ages)
             if missing:
                 raise ConfigError(
-                    f"rebalance_ages {sorted(missing)} are not sampled "
-                    "ages; rebalancing happens after a sample"
+                    f"{name} {sorted(missing)} are not sampled "
+                    f"ages; {verb} happens after a sample"
                 )
-            resolved = self.resolved_spec()
-            if resolved.shards <= 1 and resolved.backend != "sharded":
+            if not sharded:
                 raise ConfigError(
-                    "rebalance_ages needs a sharded store (shards > 1)"
+                    f"{name} needs a sharded store (shards > 1)"
                 )
-        if self.rebuild_ages:
-            missing = set(self.rebuild_ages) - set(self.ages)
-            if missing:
-                raise ConfigError(
-                    f"rebuild_ages {sorted(missing)} are not sampled "
-                    "ages; rebuild happens after a sample"
-                )
-            resolved = self.resolved_spec()
-            if resolved.shards <= 1 and resolved.backend != "sharded":
-                raise ConfigError(
-                    "rebuild_ages needs a sharded store (shards > 1)"
-                )
-        if self.index_kind is not None and self.index_kind not in INDEX_KINDS:
-            raise ConfigError(
-                f"unknown index_kind {self.index_kind!r}; "
-                f"choose from {INDEX_KINDS}"
-            )
+
+    @property
+    def backend(self) -> str:
+        return self.store.backend
+
+    @property
+    def volume_bytes(self) -> int:
+        return self.store.volume_bytes
+
+    @property
+    def write_request(self) -> int:
+        return self.store.write_request
+
+    @property
+    def store_data(self) -> bool:
+        return self.store.store_data
 
     def display_label(self) -> str:
         if self.label:
             return self.label
-        shards = self.store.shards if self.store is not None else 1
+        shards = self.store.shards
         backend = self.backend if shards <= 1 else \
             f"{self.backend}x{shards}"
         middle = (self.scenario.text() if self.scenario is not None
@@ -228,35 +185,12 @@ class ExperimentConfig:
         return (f"{backend}/{middle}"
                 f"/{fmt_size(self.volume_bytes)}@{self.occupancy:.0%}")
 
-    def resolved_spec(self) -> StoreSpec:
-        """The :class:`StoreSpec` this configuration builds.
-
-        The spec path returns ``store`` verbatim; the legacy path folds
-        the historical one-off fields into equivalent options, so the
-        two paths are interchangeable at the registry.
-        """
-        if self.store is not None:
-            return self.store
-        options: dict = {}
-        if self.backend == "filesystem":
-            if self.fs_config is not None:
-                options["fs_config"] = self.fs_config
-            if self.index_kind is not None:
-                options["index_kind"] = self.index_kind
-            if self.size_hints:
-                options["size_hints"] = True
-        elif self.backend == "database":
-            if self.db_config is not None:
-                options["db_config"] = self.db_config
-        return StoreSpec(
-            backend=self.backend,
-            volume_bytes=self.volume_bytes,
-            write_request=self.write_request,
-            store_data=self.store_data,
-            options=options,
-        )
-
     def to_dict(self) -> dict:
+        # The fully resolved spec (converted options, desugared
+        # composite, device policy, shard layout) so a result file
+        # alone attributes any ablation; ``size_hints`` and
+        # ``index_kind`` are read off it for the same reason.
+        resolved = resolve_spec(self.store)
         return {
             "backend": self.backend,
             "sizes": str(self.sizes),
@@ -266,27 +200,23 @@ class ExperimentConfig:
             "ages": list(self.ages),
             "reads_per_sample": self.reads_per_sample,
             "seed": self.seed,
-            "size_hints": self.size_hints,
+            "size_hints": resolved.option("size_hints", False),
             "index_kind": self.effective_index_kind(),
             "rebalance_ages": list(self.rebalance_ages),
             "rebuild_ages": list(self.rebuild_ages),
             "scenario": (self.scenario.to_dict()
                          if self.scenario is not None else None),
-            # The fully resolved spec (converted options, desugared
-            # composite, device policy, shard layout) so a result file
-            # alone attributes any ablation.
-            "store": resolve_spec(self.resolved_spec()).to_dict(),
+            "store": resolved.to_dict(),
         }
 
     def effective_index_kind(self) -> str | None:
         """The free-space engine the store will actually run.
 
         None for backends that do not use the free-extent index at all,
-        so recorded run configs never misattribute an ablation.  Follows
-        the spec path too: a sharded filesystem spec reports the engine
-        its shards run.
+        so recorded run configs never misattribute an ablation.  A
+        sharded filesystem spec reports the engine its shards run.
         """
-        spec = resolve_spec(self.resolved_spec())
+        spec = resolve_spec(self.store)
         if spec.backend != "filesystem":
             return None
         kind = spec.option("index_kind")
@@ -294,25 +224,6 @@ class ExperimentConfig:
             return kind
         fs_config = spec.option("fs_config")
         return (fs_config or FsConfig()).index_kind
-
-
-def make_store(config: ExperimentConfig) -> ObjectStore:
-    """Deprecated shim: build the store a configuration describes.
-
-    New code should go through the registry::
-
-        from repro.backends import build_store
-        store = build_store(config.resolved_spec())
-
-    Kept because the seed's driver exposed it publicly; emits a
-    :class:`DeprecationWarning` and builds the identical store.
-    """
-    warnings.warn(
-        "make_store(config) is deprecated; use "
-        "repro.backends.build_store(config.resolved_spec())",
-        DeprecationWarning, stacklevel=2,
-    )
-    return build_store(config.resolved_spec())
 
 
 @dataclass
@@ -374,7 +285,7 @@ class ExperimentRunner:
             result, read_rng, last_write_mbps, done_ages = restored
             store, state = self.store, self.state
         else:
-            self.store = store = build_store(cfg.resolved_spec())
+            self.store = store = build_store(cfg.store)
             spec = WorkloadSpec(
                 sizes=cfg.sizes,
                 target_occupancy=cfg.occupancy,
@@ -513,7 +424,7 @@ class ExperimentRunner:
         ``state.pkl`` and a resumed run reproduces them exactly — the
         lag-one bytes are recomputed from the loaded manifest.
         """
-        rate = self.config.resolved_spec().checkpoint_rate
+        rate = self.config.store.checkpoint_rate
         if rate > 0.0 and self._prev_checkpoint_bytes > 0:
             _charge_background_write(self.store,
                                      self._prev_checkpoint_bytes, rate)
@@ -636,7 +547,7 @@ def _charge_background_write(store: ObjectStore | None, nbytes: int,
         return
     spent = devices[0].charge_sequential_write(nbytes)
     if rate < 1.0:
-        devices[0].stats.record_cpu(spent * (1.0 - rate) / rate)
+        devices[0].stats.record_cpu(throttle_pause(spent, rate))
 
 
 def run_experiment(config: ExperimentConfig, progress=None, *,

@@ -106,6 +106,8 @@ from dataclasses import dataclass, field
 from repro.disk.schedule import SchedulerWindow, ShardScheduler
 from repro.errors import ConfigError
 from repro.rng import substream
+from repro.specgrammar import (Key, convert_items, format_items, render,
+                               to_float, to_int, tokenize)
 
 #: Arrival processes :class:`ArrivalSpec` understands.
 ARRIVAL_MODES = ("closed", "poisson")
@@ -124,13 +126,21 @@ HIST_REL_ERROR = HIST_GROWTH ** 0.5 - 1.0
 # ----------------------------------------------------------------------
 # Arrival process
 # ----------------------------------------------------------------------
+_ARRIVAL_KEYS = {
+    "rate": Key(to_float, "{:g}".format),
+    "clients": Key(to_int),
+    "seed": Key(to_int),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class ArrivalSpec:
     """How requests arrive at the event queue.
 
     Text grammar (clause parameters split on ``:`` or ``,``, like
     :mod:`repro.disk.faults`, so the spec survives inside a
-    comma-separated ``--store`` option)::
+    comma-separated ``--store`` option; the rules shared with the other
+    specs are in :mod:`repro.specgrammar`)::
 
         closed
         poisson:rate=120
@@ -166,56 +176,14 @@ class ArrivalSpec:
 
     @classmethod
     def parse(cls, text: str) -> "ArrivalSpec":
-        parts = [p.strip() for p in text.replace(",", ":").split(":")]
-        parts = [p for p in parts if p]
-        if not parts:
-            raise ConfigError("empty arrival spec")
-        mode = parts[0]
-        fields: dict = {"mode": mode}
-        for item in parts[1:]:
-            key, eq, value = item.partition("=")
-            if not eq or not value:
-                raise ConfigError(
-                    f"bad arrival parameter {item!r}; expected key=value"
-                )
-            if key == "rate":
-                try:
-                    fields["rate"] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"bad arrival rate {value!r}"
-                    ) from None
-            elif key == "clients":
-                try:
-                    fields["clients"] = int(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"bad arrival clients {value!r}"
-                    ) from None
-            elif key == "seed":
-                try:
-                    fields["seed"] = int(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"bad arrival seed {value!r}"
-                    ) from None
-            else:
-                raise ConfigError(
-                    f"unknown arrival parameter {key!r}; "
-                    "accepted: rate, clients, seed"
-                )
-        return cls(**fields)
+        mode, raw = tokenize("arrival spec", text, ":,")
+        return cls(mode, **convert_items("arrival spec", raw, _ARRIVAL_KEYS))
 
     def text(self) -> str:
         """Round-trippable text form (``parse(text()) == self``)."""
-        if self.mode == "closed":
-            return "closed"
-        out = f"poisson:rate={self.rate:g}"
-        if self.clients:
-            out += f":clients={self.clients}"
-        if self.seed:
-            out += f":seed={self.seed}"
-        return out
+        shown = {"rate": self.rate or None, "clients": self.clients or None,
+                 "seed": self.seed or None}
+        return render(self.mode, format_items(_ARRIVAL_KEYS, shown), ":")
 
     def make_rng(self) -> Random:
         """The deterministic inter-arrival stream for this spec."""

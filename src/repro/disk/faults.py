@@ -17,6 +17,9 @@ options split on commas — and as a standalone ``--faults`` argument)::
 
     transient:rate=1e-4;slow:shard=2,factor=8;loss:shard=1,at_age=3
 
+(The rules shared with the other specs — first-``=`` split, duplicate
+keys, non-finite values — are in :mod:`repro.specgrammar`.)
+
 * ``transient`` — each submitted batch independently fails with
   probability ``rate``, raising :class:`~repro.errors.TransientIoError`
   before any time is charged or content applied (the failure happens up
@@ -48,7 +51,6 @@ optionally after applying half of the doomed write's first extent.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, replace
 
 from repro.disk.device import BlockDevice, IoRequest
@@ -56,6 +58,8 @@ from repro.disk.geometry import DiskGeometry
 from repro.errors import (ConfigError, CrashPoint, ShardLostError,
                           TransientIoError)
 from repro.rng import substream
+from repro.specgrammar import (Key, choice, convert_items, format_items,
+                               render, to_float, to_int, tokenize)
 
 __all__ = [
     "CrashClock",
@@ -70,8 +74,6 @@ FAULT_KINDS = ("transient", "slow", "loss")
 
 #: Operation scopes a ``transient`` clause may target.
 TRANSIENT_OPS = ("read", "write", "all")
-
-_PARAM_SPLIT = re.compile(r"[,:]")
 
 
 def _derive_seed(seed: int, label: str) -> int:
@@ -129,84 +131,39 @@ class FaultClause:
 
     def text(self) -> str:
         """Canonical clause text (colon separators, re-parseable)."""
-        parts = [self.kind]
-        if self.shard is not None:
-            parts.append(f"shard={self.shard}")
-        if self.kind == "transient":
-            parts.append(f"rate={self.rate!r}")
-            if self.ops != "all":
-                parts.append(f"ops={self.ops}")
-            if self.seed:
-                parts.append(f"seed={self.seed}")
-        elif self.kind == "slow":
-            parts.append(f"factor={self.factor!r}")
-        elif self.kind == "loss":
-            if self.at_age is not None:
-                parts.append(f"at_age={self.at_age!r}")
-        return ":".join(parts)
+        shown = {"shard": self.shard, "rate": self.rate,
+                 "ops": self.ops if self.ops != "all" else None,
+                 "seed": self.seed or None, "factor": self.factor,
+                 "at_age": self.at_age}
+        return render(self.kind,
+                      format_items(_CLAUSE_KEYS[self.kind], shown), ":")
+
+
+_SHARD = {"shard": Key(to_int)}
+#: Per-kind key tables, in canonical rendering order.
+_CLAUSE_KEYS = {
+    "transient": {**_SHARD, "rate": Key(to_float, repr),
+                  "ops": Key(choice(*TRANSIENT_OPS)), "seed": Key(to_int)},
+    "slow": {**_SHARD, "factor": Key(to_float, repr)},
+    "loss": {**_SHARD, "at_age": Key(to_float, repr)},
+}
+_REQUIRED = {"transient": "rate", "slow": "factor", "loss": "shard"}
 
 
 def _parse_clause(text: str) -> FaultClause:
-    tokens = [t for t in _PARAM_SPLIT.split(text.strip()) if t]
-    if not tokens:
-        raise ConfigError("empty fault clause")
-    kind = tokens[0].strip()
-    if kind not in FAULT_KINDS:
+    kind, raw = tokenize("fault clause", text, ":,")
+    table = _CLAUSE_KEYS.get(kind)
+    if table is None:
         raise ConfigError(
             f"unknown fault kind {kind!r} (expected one of {FAULT_KINDS})")
-    params: dict[str, str] = {}
-    for token in tokens[1:]:
-        key, sep, value = token.partition("=")
-        if not sep or not value:
-            raise ConfigError(f"fault parameter {token!r} is not key=value")
-        params[key.strip()] = value.strip()
-
-    def pop_int(name: str) -> int | None:
-        raw = params.pop(name, None)
-        if raw is None:
-            return None
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"fault {kind}: bad {name}={raw!r}") from exc
-
-    def pop_float(name: str) -> float | None:
-        raw = params.pop(name, None)
-        if raw is None:
-            return None
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"fault {kind}: bad {name}={raw!r}") from exc
-
-    shard = pop_int("shard")
-    if kind == "transient":
-        rate = pop_float("rate")
-        if rate is None:
-            raise ConfigError("fault transient: rate= is required")
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigError(f"fault transient: rate {rate} not in [0, 1]")
-        ops = params.pop("ops", "all")
-        if ops not in TRANSIENT_OPS:
-            raise ConfigError(
-                f"fault transient: ops {ops!r} not in {TRANSIENT_OPS}")
-        seed = pop_int("seed") or 0
-        clause = FaultClause("transient", shard=shard, rate=rate, ops=ops,
-                             seed=seed)
-    elif kind == "slow":
-        factor = pop_float("factor")
-        if factor is None:
-            raise ConfigError("fault slow: factor= is required")
-        if factor <= 0.0:
-            raise ConfigError(f"fault slow: factor {factor} must be > 0")
-        clause = FaultClause("slow", shard=shard, factor=factor)
-    else:  # loss
-        if shard is None:
-            raise ConfigError("fault loss: shard= is required")
-        clause = FaultClause("loss", shard=shard, at_age=pop_float("at_age"))
-    if params:
+    clause = FaultClause(kind, **convert_items(f"fault {kind}", raw, table))
+    if _REQUIRED[kind] not in raw:
+        raise ConfigError(f"fault {kind}: {_REQUIRED[kind]}= is required")
+    if not 0.0 <= clause.rate <= 1.0:
         raise ConfigError(
-            f"fault {kind}: unknown parameters {sorted(params)}")
+            f"fault transient: rate {clause.rate} not in [0, 1]")
+    if clause.factor <= 0.0:
+        raise ConfigError(f"fault slow: factor {clause.factor} must be > 0")
     return clause
 
 

@@ -44,6 +44,16 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigError
 
 
+def throttle_pause(spent_s: float, rate: float) -> float:
+    """Idle time that makes ``spent_s`` of work a ``rate`` duty cycle.
+
+    Background jobs (rebuild, rebalance, checkpoint write-back) running
+    at duty cycle ``rate`` in (0, 1] pause this long after each slice,
+    so the slice occupies ``rate`` of the wall time it spans.
+    """
+    return spent_s * (1.0 - rate) / rate
+
+
 def round_makespan(lane_times: Sequence[float],
                    parallelism: int = 0) -> float:
     """Wall time of one dispatch round's lanes on ``parallelism`` workers.

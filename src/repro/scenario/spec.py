@@ -36,7 +36,9 @@ knobs.  Recognized keys:
 
 Unknown presets and unknown keys are rejected with a
 :class:`~repro.errors.ConfigError` — specs must round-trip exactly
-(``ScenarioSpec.parse(s.text()) == s``).
+(``ScenarioSpec.parse(s.text()) == s``).  The grammar rules shared with
+the other specs (separators, duplicate keys, non-finite values) are in
+:mod:`repro.specgrammar`.
 """
 
 from __future__ import annotations
@@ -46,11 +48,20 @@ from typing import Any, Callable
 
 from repro.core.workload import ConstantSize, SizeDistribution, UniformSize
 from repro.errors import ConfigError
+from repro.specgrammar import (Key, convert_items, format_items, render,
+                               to_float, to_int, tokenize)
 from repro.units import KB, MB
 
 #: Parameter keys the spec grammar accepts (every preset understands
 #: all of them; presets only differ in their defaults).
-PARAM_KEYS = ("tenants", "skew", "seed", "ttl", "amplitude", "period")
+_KEYS = {
+    "tenants": Key(to_int),
+    "skew": Key(to_float, "{:g}".format),
+    "seed": Key(to_int),
+    "ttl": Key(to_int),
+    "amplitude": Key(to_float, "{:g}".format),
+    "period": Key(to_int),
+}
 
 
 @dataclass(frozen=True)
@@ -158,51 +169,29 @@ class ScenarioSpec:
     @classmethod
     def parse(cls, text: str) -> "ScenarioSpec":
         """Parse ``preset:key=val,...`` (see the module docstring)."""
-        text = text.strip()
-        name, _, tail = text.partition(":")
-        name = name.strip()
+        name, raw = tokenize("scenario", text)
         preset = SCENARIO_PRESETS.get(name)
         if preset is None:
             raise ConfigError(
                 f"unknown scenario {name!r}; "
                 f"choose from {scenario_names()}"
             )
-        raw: dict[str, str] = {}
-        for item in filter(None, (p.strip() for p in tail.split(","))):
-            key, eq, value = item.partition("=")
-            key, value = key.strip(), value.strip()
-            if not eq or not value:
-                raise ConfigError(
-                    f"bad scenario option {item!r}; expected key=value"
-                )
-            if key not in PARAM_KEYS:
-                raise ConfigError(
-                    f"unknown scenario option {key!r}; "
-                    f"choose from {PARAM_KEYS}"
-                )
-            if key in raw:
-                raise ConfigError(f"duplicate scenario option {key!r}")
-            raw[key] = value
-        tenants = _parse_int(raw.get("tenants", preset.tenants), "tenants")
+        given = convert_items("scenario", raw, _KEYS)
+        tenants = given.get("tenants", preset.tenants)
         if not 1 <= tenants <= 64:
             raise ConfigError("tenants must be in 1..64")
-        skew = _parse_float(raw.get("skew", preset.skew), "skew")
+        skew = given.get("skew", preset.skew)
         if skew < 0:
             raise ConfigError("skew must be >= 0")
-        seed = _parse_int(raw.get("seed", 0), "seed")
-        ttl = _parse_int(raw.get("ttl", preset.ttl), "ttl")
+        seed = given.get("seed", 0)
+        ttl = given.get("ttl", preset.ttl)
         if ttl < 0:
             raise ConfigError("ttl must be >= 0")
-        amplitude = _parse_float(raw.get("amplitude", preset.amplitude),
-                                 "amplitude")
-        period = _parse_int(raw.get("period", preset.period), "period")
+        amplitude = given.get("amplitude", preset.amplitude)
+        period = given.get("period", preset.period)
         # Canonical params: only the explicitly-given keys, normalized
         # through their parsed values so the text form round-trips.
-        parsed = {"tenants": tenants, "skew": skew, "seed": seed,
-                  "ttl": ttl, "amplitude": amplitude, "period": period}
-        params = tuple(sorted(
-            (key, _fmt_value(parsed[key])) for key in raw
-        ))
+        params = tuple(sorted(format_items(_KEYS, given)))
         return cls(
             name=name,
             tenants=preset.build(tenants, skew, ttl),
@@ -214,10 +203,7 @@ class ScenarioSpec:
 
     def text(self) -> str:
         """Canonical spec text; ``parse(s.text()) == s``."""
-        if not self.params:
-            return self.name
-        tail = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.name}:{tail}"
+        return render(self.name, self.params, ",")
 
     # ------------------------------------------------------------------
     # Serialization
@@ -381,30 +367,3 @@ SCENARIO_PRESETS: dict[str, _Preset] = {
 
 def scenario_names() -> tuple[str, ...]:
     return tuple(sorted(SCENARIO_PRESETS))
-
-
-# ----------------------------------------------------------------------
-# Parse helpers
-# ----------------------------------------------------------------------
-def _parse_int(value: Any, key: str) -> int:
-    if isinstance(value, int):
-        return value
-    try:
-        return int(str(value))
-    except ValueError:
-        raise ConfigError(f"bad integer for {key}: {value!r}") from None
-
-
-def _parse_float(value: Any, key: str) -> float:
-    if isinstance(value, (int, float)):
-        return float(value)
-    try:
-        return float(str(value))
-    except ValueError:
-        raise ConfigError(f"bad float for {key}: {value!r}") from None
-
-
-def _fmt_value(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)

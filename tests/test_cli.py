@@ -62,6 +62,22 @@ class TestRun:
         assert payload["backend"] == "database"
         assert payload["samples"]
 
+    @pytest.mark.parametrize("flags,hinted", [
+        (["--size-hints"], True),             # the plain flag, as ever
+        (["--size-hints", "--store", "filesystem"], True),  # was False
+        (["--store", "filesystem:size_hints=true"], True),  # was False
+        ([], False),
+        (["--size-hints", "--backend", "database"], False),  # no such knob
+    ])
+    def test_size_hints_recorded_as_run(self, flags, hinted, tmp_path,
+                                        capsys):
+        path = tmp_path / "out.json"
+        main(["run", "--object-size", "256K", "--volume", "64M",
+              "--ages", "0", "--reads", "2", "--json", str(path), *flags])
+        config = json.loads(path.read_text())["config"]
+        assert config["size_hints"] is hinted
+        assert config["store"]["options"].get("size_hints", False) is hinted
+
     def test_uniform_sizes(self, capsys):
         code = main([
             "run", "--backend", "filesystem", "--uniform",

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
+from repro.backends import StoreSpec, build_store
 from repro.core.experiment import (
     BACKENDS,
     ExperimentConfig,
-    make_store,
     run_experiment,
 )
 from repro.core.results import AgeSample, RunResult
@@ -53,41 +53,38 @@ class TestMeasure:
 class TestExperimentConfig:
     def test_backend_validation(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(backend="oracle", sizes=ConstantSize(1 * MB))
+            ExperimentConfig(store=StoreSpec("oracle"),
+                             sizes=ConstantSize(1 * MB))
 
     def test_ages_must_ascend(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(backend="filesystem",
+            ExperimentConfig(store=StoreSpec("filesystem"),
                              sizes=ConstantSize(1 * MB),
                              ages=(2.0, 1.0))
 
     def test_display_label(self):
-        cfg = ExperimentConfig(backend="filesystem",
-                               sizes=ConstantSize(10 * MB),
-                               volume_bytes=2 * 1024 * MB,
-                               occupancy=0.5)
+        cfg = ExperimentConfig(
+            store=StoreSpec("filesystem", volume_bytes=2 * 1024 * MB),
+            sizes=ConstantSize(10 * MB), occupancy=0.5)
         assert "filesystem" in cfg.display_label()
         assert "10M" in cfg.display_label()
 
     def test_make_store_all_backends(self):
-        # make_store is the deprecated shim; it must still build every
-        # registered backend (including the sharded composite).
+        # A config's spec builds every registered backend (including
+        # the sharded composite).
         for backend in BACKENDS:
-            cfg = ExperimentConfig(backend=backend,
-                                   sizes=ConstantSize(1 * MB),
-                                   volume_bytes=96 * MB)
-            with pytest.warns(DeprecationWarning):
-                store = make_store(cfg)
-            assert store.name
+            cfg = ExperimentConfig(
+                store=StoreSpec(backend, volume_bytes=96 * MB),
+                sizes=ConstantSize(1 * MB))
+            assert build_store(cfg.store).name
 
 
 class TestRunExperiment:
     @pytest.fixture(scope="class")
     def small_run(self):
         cfg = ExperimentConfig(
-            backend="filesystem",
+            store=StoreSpec("filesystem", volume_bytes=64 * MB),
             sizes=ConstantSize(512 * KB),
-            volume_bytes=64 * MB,
             occupancy=0.5,
             ages=(0.0, 1.0, 2.0),
             reads_per_sample=8,
@@ -116,9 +113,8 @@ class TestRunExperiment:
 
     def test_deterministic(self):
         cfg = ExperimentConfig(
-            backend="database",
+            store=StoreSpec("database", volume_bytes=32 * MB),
             sizes=ConstantSize(512 * KB),
-            volume_bytes=32 * MB,
             ages=(0.0, 1.0),
             reads_per_sample=4,
             seed=11,
@@ -133,9 +129,8 @@ class TestRunExperiment:
     def test_progress_callback(self):
         events = []
         cfg = ExperimentConfig(
-            backend="filesystem",
+            store=StoreSpec("filesystem", volume_bytes=32 * MB),
             sizes=ConstantSize(1 * MB),
-            volume_bytes=32 * MB,
             ages=(0.0,),
             reads_per_sample=2,
             seed=1,
@@ -199,42 +194,35 @@ class TestResults:
 
 
 class TestIndexKindAblation:
+    @staticmethod
+    def config(backend="filesystem", **options):
+        return ExperimentConfig(
+            store=StoreSpec(backend, volume_bytes=64 * MB, options=options),
+            sizes=ConstantSize(64 * KB))
+
     def test_make_store_honours_index_kind(self):
         from repro.alloc.freelist import FreeExtentIndex
         from repro.alloc.naive import NaiveFreeExtentIndex
-        from repro.backends import build_store
 
-        base = dict(backend="filesystem", sizes=ConstantSize(64 * KB),
-                    volume_bytes=64 * MB)
-        tiered = build_store(ExperimentConfig(**base).resolved_spec())
+        tiered = build_store(self.config().store)
         assert isinstance(tiered.fs.free_index, FreeExtentIndex)
-        naive = build_store(
-            ExperimentConfig(**base, index_kind="naive").resolved_spec())
+        naive = build_store(self.config(index_kind="naive").store)
         assert isinstance(naive.fs.free_index, NaiveFreeExtentIndex)
 
     def test_index_kind_validated(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(backend="filesystem",
-                             sizes=ConstantSize(64 * KB),
-                             index_kind="bitmap")
+            self.config(index_kind="bitmap")
 
     def test_index_kind_in_run_config(self):
         from repro.fs.filesystem import FsConfig
 
-        config = ExperimentConfig(backend="filesystem",
-                                  sizes=ConstantSize(64 * KB),
-                                  index_kind="naive")
-        assert config.to_dict()["index_kind"] == "naive"
-        assert ExperimentConfig(
-            backend="filesystem", sizes=ConstantSize(64 * KB),
-        ).to_dict()["index_kind"] == "tiered"
+        assert self.config(
+            index_kind="naive").to_dict()["index_kind"] == "naive"
+        assert self.config().to_dict()["index_kind"] == "tiered"
         # Provenance follows the engine actually instantiated: an
         # fs_config-selected engine is recorded, and backends that never
         # touch the index record None rather than a misleading default.
-        assert ExperimentConfig(
-            backend="filesystem", sizes=ConstantSize(64 * KB),
+        assert self.config(
             fs_config=FsConfig(index_kind="naive"),
         ).to_dict()["index_kind"] == "naive"
-        assert ExperimentConfig(
-            backend="database", sizes=ConstantSize(64 * KB),
-        ).to_dict()["index_kind"] is None
+        assert self.config("database").to_dict()["index_kind"] is None

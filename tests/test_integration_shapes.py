@@ -13,6 +13,7 @@ from repro.analysis.compare import (
     check_levels_off,
     check_monotonic_increase,
 )
+from repro.backends.spec import StoreSpec
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize, UniformSize
 from repro.units import KB, MB
@@ -20,11 +21,12 @@ from repro.units import KB, MB
 AGES = (0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 
 
-def run(backend, *, sizes, volume, occupancy, ages=AGES, seed=7, **kw):
+def run(backend, *, sizes, volume, occupancy, ages=AGES, seed=7,
+        **options):
     cfg = ExperimentConfig(
-        backend=backend, sizes=sizes, volume_bytes=volume,
-        occupancy=occupancy, ages=ages, reads_per_sample=8, seed=seed,
-        **kw,
+        store=StoreSpec(backend, volume_bytes=volume, options=options),
+        sizes=sizes, occupancy=occupancy, ages=ages, reads_per_sample=8,
+        seed=seed,
     )
     return run_experiment(cfg)
 

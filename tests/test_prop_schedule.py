@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 
 from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
-from repro.disk.schedule import ShardScheduler, round_makespan
+from repro.disk.schedule import (ShardScheduler, round_makespan,
+                                 throttle_pause)
 from repro.units import KB, MB
 
 lane_vectors = st.lists(
@@ -274,3 +275,14 @@ def test_event_model_percentiles_are_monotone(rounds, parallelism):
                  for q in (0, 25, 50, 75, 95, 99, 100)]
     assert quantiles == sorted(quantiles)
     assert quantiles[-1] <= event.latency.max_s
+
+
+@given(spent=st.floats(min_value=0.0, max_value=1e6),
+       rate=st.floats(min_value=1e-3, max_value=1.0))
+def test_throttle_pause_is_the_duty_cycle_stall(spent, rate):
+    """The one helper keeps the float expression (and so the bits) of
+    the four stalls it replaced, and makes work ``rate`` of its span."""
+    pause = throttle_pause(spent, rate)
+    assert pause == spent * (1.0 - rate) / rate
+    assert throttle_pause(spent, 1.0) == 0.0
+    assert math.isclose(spent, rate * (spent + pause), abs_tol=1e-9)

@@ -1,6 +1,8 @@
 """Tests for the store-spec API: DevicePolicy, StoreSpec, the backend
-registry, and the legacy ExperimentConfig/make_store deprecation shim.
+registry, and the spec-only ExperimentConfig.
 """
+
+import dataclasses
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.backends import (
     build_store,
     resolve_spec,
 )
-from repro.core.experiment import ExperimentConfig, make_store, run_experiment
+from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize
 from repro.db.database import DbConfig
 from repro.disk.device import BlockDevice, IoRequest
@@ -232,8 +234,11 @@ def _sizes():
 
 
 class TestDeprecationShim:
-    """Legacy ExperimentConfig fields + bare make_store still build
-    identical stores, with a DeprecationWarning."""
+    """The ``make_store`` shim and the legacy ``ExperimentConfig`` fields
+    are gone; the class keeps its name (and test ids) and holds their
+    contract against the one path that replaced them: everything the
+    legacy fields could say is a spec option and builds the same store,
+    and the config holds a StoreSpec and nothing per-backend."""
 
     LEGACY = [
         dict(backend="filesystem"),
@@ -248,39 +253,33 @@ class TestDeprecationShim:
     @pytest.mark.parametrize("legacy", LEGACY,
                              ids=lambda d: "-".join(map(str, d.values())))
     def test_shim_builds_identical_store(self, legacy):
-        config = ExperimentConfig(sizes=_sizes(), volume_bytes=64 * MB,
-                                  **legacy)
-        with pytest.warns(DeprecationWarning):
-            shimmed = make_store(config)
-        direct = build_store(config.resolved_spec())
-        assert type(shimmed) is type(direct)
-        assert shimmed.name == direct.name
-
-    def test_legacy_and_spec_paths_agree(self):
-        legacy = ExperimentConfig(backend="filesystem", sizes=_sizes(),
-                                  volume_bytes=64 * MB,
-                                  index_kind="naive", size_hints=True)
-        via_spec = ExperimentConfig(
-            store=StoreSpec("filesystem", volume_bytes=64 * MB,
-                            options={"index_kind": "naive",
-                                     "size_hints": True}),
-            sizes=_sizes(), size_hints=False,
-        )
-        assert legacy.to_dict()["store"] == via_spec.to_dict()["store"]
-        assert legacy.effective_index_kind() == \
-            via_spec.effective_index_kind() == "naive"
-        a = build_store(legacy.resolved_spec())
-        b = build_store(via_spec.resolved_spec())
-        assert type(a) is type(b)
-        assert type(a.fs.free_index) is type(b.fs.free_index)
+        options = dict(legacy)
+        backend = options.pop("backend")
+        config = ExperimentConfig(
+            store=StoreSpec(backend, volume_bytes=64 * MB, options=options),
+            sizes=_sizes())
+        assert config.to_dict()["store"]["options"].keys() == options.keys()
+        store = build_store(config.store)
+        assert type(store) is SIMPLE_CLASSES[backend]
+        # Config objects passed as options are the ones the store runs.
+        if "fs_config" in options:
+            assert store.fs.config is options["fs_config"]
+        if "db_config" in options:
+            assert store.db.config is options["db_config"]
+        if "index_kind" in options:
+            assert store.fs.config.index_kind == options["index_kind"]
 
     def test_spec_path_rejects_legacy_knobs(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(store=StoreSpec("filesystem"),
-                             sizes=_sizes(), index_kind="naive")
-        with pytest.raises(ConfigError):
-            ExperimentConfig(store=StoreSpec("lfs"), backend="gfs",
-                             sizes=_sizes())
+        for knob in (dict(index_kind="naive"), dict(size_hints=True),
+                     dict(fs_config=FsConfig()), dict(db_config=DbConfig()),
+                     dict(backend="filesystem"), dict(volume_bytes=MB),
+                     dict(write_request=KB), dict(store_data=True)):
+            with pytest.raises(TypeError):
+                ExperimentConfig(store=StoreSpec("filesystem"),
+                                 sizes=_sizes(), **knob)
+        with pytest.raises(TypeError):
+            ExperimentConfig(sizes=_sizes())   # store is required
+        assert len(dataclasses.fields(ExperimentConfig)) == 10
 
     def test_spec_path_derives_legacy_fields(self):
         spec = StoreSpec("lfs", volume_bytes=96 * MB,
@@ -289,6 +288,16 @@ class TestDeprecationShim:
         assert config.backend == "lfs"
         assert config.volume_bytes == 96 * MB
         assert config.write_request == 128 * KB
+        assert config.store_data is False
+
+    def test_bad_options_fail_at_construction(self):
+        with pytest.raises(ConfigError, match="does not accept option .zork."):
+            ExperimentConfig(store=StoreSpec.parse("lfs:zork=1"),
+                             sizes=_sizes())
+        with pytest.raises(ConfigError, match="size_hints"):
+            ExperimentConfig(
+                store=StoreSpec.parse("filesystem:size_hints=maybe"),
+                sizes=_sizes())
 
 
 class TestRunRecords:
@@ -302,6 +311,18 @@ class TestRunRecords:
         assert record["backend"] == "lfs"
         assert record["shards"] == 3
         assert record["policy"] == {"batch_size": 16, "reorder": "clook"}
+
+    def test_size_hints_recorded_from_the_spec(self):
+        """Regression: to_dict read a legacy field, so a spec that
+        turned size hints on recorded ``False``."""
+        for text, expected in (("filesystem:size_hints=true", True),
+                               ("filesystem:size_hints=false", False),
+                               ("filesystem", False),
+                               ("filesystem:shards=2,size_hints=on", True),
+                               ("database", False)):
+            config = ExperimentConfig(store=StoreSpec.parse(text),
+                                      sizes=_sizes())
+            assert config.to_dict()["size_hints"] is expected, text
 
     def test_effective_index_kind_through_sharded_spec(self):
         config = ExperimentConfig(

@@ -2,8 +2,10 @@
 
 These are *project* rules: they parse several files and cross-check
 them, so they run once per lint against the repo root.  PR 7's review
-caught a drifted composite-reset default by hand; RPL302/RPL303 make
-that class of drift mechanical.
+caught a drifted composite-reset default by hand; RPL303 makes that
+class of drift mechanical.  (``StoreSpec``'s parse/``to_dict`` coverage,
+once RPL302, is a table now and is held by
+``tests/test_specgrammar.py::TestStoreSpecTable``.)
 """
 
 from __future__ import annotations
@@ -82,80 +84,6 @@ def check_backends_documented(root: Path) -> Iterator[Finding]:
                         rel, deco.lineno, "RPL301",
                         f"backend `{name}` is registered but not "
                         f"mentioned in {', '.join(missing)}")
-
-
-def _parse_assigned_keys(tree: ast.Module) -> tuple[set[str], int]:
-    """Keys `StoreSpec.parse` can set: the `fields` literal + every
-    `fields["..."]` subscript store + `fields.setdefault` source."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "parse":
-            keys: set[str] = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Assign):
-                    for target in sub.targets:
-                        if isinstance(target, ast.Name) and \
-                                target.id == "fields" and \
-                                isinstance(sub.value, ast.Dict):
-                            keys.update(
-                                k.value for k in sub.value.keys
-                                if isinstance(k, ast.Constant))
-                        elif isinstance(target, ast.Subscript) and \
-                                isinstance(target.value, ast.Name) and \
-                                target.value.id == "fields" and \
-                                isinstance(target.slice, ast.Constant):
-                            keys.add(target.slice.value)
-            # `fields.setdefault(key, value)` over **defaults makes every
-            # remaining field reachable from parse's keyword defaults.
-            wildcard = any(
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "setdefault"
-                and isinstance(sub.func.value, ast.Name)
-                and sub.func.value.id == "fields"
-                for sub in ast.walk(node))
-            return keys, node.lineno if not wildcard else -node.lineno
-    return set(), 0
-
-
-@rule("RPL302", "spec-parse-coverage", project=True,
-      hint="a new StoreSpec field needs a to_dict entry and a parse "
-           "clause (and usually a docs line)")
-def check_spec_coverage(root: Path) -> Iterator[Finding]:
-    """`StoreSpec.to_dict`/`parse` must cover exactly the declared fields."""
-    tree = _parse(root, _SPEC)
-    if tree is None:
-        return
-    fields = _storespec_fields(tree)
-    if not fields:
-        yield Finding(_SPEC, 1, "RPL302", "StoreSpec not found")
-        return
-    # to_dict: the returned dict literal's keys.
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "to_dict":
-            returned: set[str] = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Return) and \
-                        isinstance(sub.value, ast.Dict):
-                    returned = {k.value for k in sub.value.keys
-                                if isinstance(k, ast.Constant)}
-            for name in sorted(set(fields) - returned):
-                yield Finding(_SPEC, fields[name], "RPL302",
-                              f"field `{name}` missing from "
-                              "StoreSpec.to_dict")
-            for name in sorted(returned - set(fields)):
-                yield Finding(_SPEC, node.lineno, "RPL302",
-                              f"StoreSpec.to_dict emits `{name}` which "
-                              "is not a field")
-    parse_keys, parse_line = _parse_assigned_keys(tree)
-    wildcard = parse_line < 0
-    for name in sorted(parse_keys - set(fields)):
-        yield Finding(_SPEC, abs(parse_line), "RPL302",
-                      f"StoreSpec.parse assigns unknown field `{name}`")
-    if not wildcard:
-        for name in sorted(set(fields) - parse_keys):
-            yield Finding(_SPEC, fields[name], "RPL302",
-                          f"field `{name}` not settable from "
-                          "StoreSpec.parse")
 
 
 @rule("RPL303", "composite-reset-fields", project=True,
