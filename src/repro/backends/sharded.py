@@ -411,6 +411,23 @@ class ShardedStore:
             if devs:
                 devs[0].stats.record_cpu(seconds)
 
+    def _throttle(self, index: int, spent: float, rate: float) -> float:
+        """Charge the duty-cycle stall ``spent`` s owes; returns the pause."""
+        if rate >= 1.0:
+            return 0.0
+        pause = throttle_pause(spent, rate)
+        self._charge_stall(index, pause)
+        return pause
+
+    @contextlib.contextmanager
+    def _background_round(self, indices: tuple[int, ...]):
+        """One background round over the given shard lanes; yields a reader
+        of the device seconds they spent (call it after the block)."""
+        lanes = [d for i in indices for d in self._lane_devices[i]]
+        before = sum(d.clock_s for d in lanes)
+        with self._dispatch(indices, background=True):
+            yield lambda: sum(d.clock_s for d in lanes) - before
+
     # ------------------------------------------------------------------
     # ObjectStore interface
     # ------------------------------------------------------------------
@@ -682,10 +699,7 @@ class ShardedStore:
                     continue
                 spent = self._rebuild_copy(key, size, src, dst)
                 copy_s += spent
-                if rate < 1.0:
-                    pause = throttle_pause(spent, rate)
-                    self._charge_stall(dst, pause)
-                    stall_s += pause
+                stall_s += self._throttle(dst, spent, rate)
                 live.append(dst)
                 copied = True
             # Re-route: promote the first live holder to primary (a
@@ -716,9 +730,7 @@ class ShardedStore:
         """One re-replication copy; returns its device seconds."""
         src = self.shards[src_index]
         dst = self.shards[dst_index]
-        lanes = self._lane_devices[src_index] + self._lane_devices[dst_index]
-        before = sum(d.clock_s for d in lanes)
-        with self._dispatch((src_index, dst_index), background=True):
+        with self._background_round((src_index, dst_index)) as spent:
             data = src.get(key)
             if dst.exists(key):
                 # Leftover from a crashed pass: replace, never adopt.
@@ -727,7 +739,7 @@ class ShardedStore:
                 dst.put(key, data=data)
             else:
                 dst.put(key, size=size)
-        return sum(d.clock_s for d in lanes) - before
+        return spent()
 
     # ------------------------------------------------------------------
     # Rebalancing / migration
@@ -799,10 +811,7 @@ class ShardedStore:
                                         on_move)
             moved_bytes += size
             copy_s += spent
-            if rate < 1.0:
-                pause = throttle_pause(spent, rate)
-                self._charge_stall(dst, pause)
-                stall_s += pause
+            stall_s += self._throttle(dst, spent, rate)
         return RebalanceReport(
             mode=mode,
             moved_objects=len(moves),
@@ -875,9 +884,7 @@ class ShardedStore:
         """
         src = self.shards[src_index]
         dst = self.shards[dst_index]
-        lanes = self._lane_devices[src_index] + self._lane_devices[dst_index]
-        before = sum(d.clock_s for d in lanes)
-        with self._dispatch((src_index, dst_index), background=True):
+        with self._background_round((src_index, dst_index)) as spent:
             data = src.get(key)
             if data is not None:
                 dst.put(key, data=data)
@@ -892,7 +899,7 @@ class ShardedStore:
             src.delete(key)
         self.migrated_objects += 1
         self.migrated_bytes += size
-        return size, sum(d.clock_s for d in lanes) - before
+        return size, spent()
 
     # ------------------------------------------------------------------
     # Charged background writes
@@ -923,19 +930,15 @@ class ShardedStore:
             return 0.0
         share = nbytes // len(live)
         remainder = nbytes - share * len(live)
-        lanes = [d for i in live for d in self._lane_devices[i]]
-        before = sum(d.clock_s for d in lanes)
-        with self._dispatch(tuple(live), background=True):
+        with self._background_round(tuple(live)) as spent:
             for slot, index in enumerate(live):
                 chunk = share + (1 if slot < remainder else 0)
                 devs = self._lane_devices[index]
                 if chunk > 0 and devs:
                     devs[0].charge_sequential_write(chunk)
-        spent = sum(d.clock_s for d in lanes) - before
-        if rate < 1.0:
-            pause = throttle_pause(spent, rate)
-            self._charge_stall(live[0], pause)
-        return spent
+        spent_s = spent()
+        self._throttle(live[0], spent_s, rate)
+        return spent_s
 
     # ------------------------------------------------------------------
     # Introspection

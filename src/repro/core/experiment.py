@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,6 +143,13 @@ class ExperimentConfig:
         sharded = resolve_spec(self.store).shards > 1
         if not self.ages or list(self.ages) != sorted(self.ages):
             raise ConfigError("ages must be a non-empty ascending sequence")
+        if not all(0.0 <= age < math.inf for age in self.ages):
+            raise ConfigError(f"ages must be finite and >= 0: {self.ages}")
+        if not 0.0 < self.occupancy < 1.0:
+            raise ConfigError(
+                f"occupancy must be in (0, 1), got {self.occupancy}")
+        if self.reads_per_sample < 1:
+            raise ConfigError("reads_per_sample must be >= 1")
         for name, verb in (("rebalance_ages", "rebalancing"),
                            ("rebuild_ages", "rebuild")):
             chosen = getattr(self, name)

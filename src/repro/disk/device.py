@@ -41,13 +41,10 @@ disk.  The store is built on the shared
 ``read`` O(log n + segments touched) — at paper scale (10^5+ segments
 during content-checked aging runs) this replaces the seed's flat list,
 whose O(n) memmove per write made content-checked runs test-scale only.
-That flat implementation is preserved as :class:`_FlatSegmentStore` for
-byte-parity property tests (``tests/test_disk_batch.py``).
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from repro.disk.geometry import DiskGeometry
@@ -158,87 +155,6 @@ class _SegmentStore:
             seg = payloads[start]
             hi = min(start + len(seg), end)
             out[start - offset: hi - offset] = seg[: hi - start]
-        return bytes(out)
-
-
-class _FlatSegmentStore:
-    """The seed's flat-list segment store, kept as the parity model.
-
-    Semantically identical to :class:`_SegmentStore` but pays an O(n)
-    list memmove per mutation; property tests drive both with the same
-    write/trim/read sequences and assert byte-identical results, and
-    ``bench_scale_volume.py --segments`` measures the gap.
-    """
-
-    def __init__(self) -> None:
-        self._starts: list[int] = []
-        self._data: list[bytes] = []
-
-    def __len__(self) -> int:
-        return len(self._starts)
-
-    def write(self, offset: int, data: bytes) -> None:
-        if not data:
-            return
-        self.trim(offset, len(data))
-        insert_at = bisect.bisect_left(self._starts, offset)
-        self._starts.insert(insert_at, offset)
-        self._data.insert(insert_at, bytes(data))
-
-    def trim(self, offset: int, length: int) -> None:
-        if length <= 0:
-            return
-        end = offset + length
-        # Carve the left neighbour if it overlaps [offset, end).
-        idx = bisect.bisect_right(self._starts, offset) - 1
-        if idx >= 0:
-            seg_start = self._starts[idx]
-            seg = self._data[idx]
-            if seg_start + len(seg) > offset:
-                keep = seg[: offset - seg_start]
-                if keep:
-                    self._data[idx] = keep
-                    idx += 1
-                else:
-                    del self._starts[idx]
-                    del self._data[idx]
-                if seg_start + len(seg) > end:
-                    # Straddles the whole range: keep the suffix too.
-                    suffix = seg[end - seg_start:]
-                    self._starts.insert(idx, end)
-                    self._data.insert(idx, suffix)
-                    return
-            else:
-                idx += 1
-        else:
-            idx = 0
-        # Remove fully/partially covered segments to the right.
-        while idx < len(self._starts) and self._starts[idx] < end:
-            seg_start = self._starts[idx]
-            seg = self._data[idx]
-            if seg_start + len(seg) <= end:
-                del self._starts[idx]
-                del self._data[idx]
-            else:
-                self._data[idx] = seg[end - seg_start:]
-                self._starts[idx] = end
-                break
-
-    def read(self, offset: int, length: int) -> bytes:
-        out = bytearray(length)
-        end = offset + length
-        idx = bisect.bisect_right(self._starts, offset) - 1
-        if idx < 0:
-            idx = 0
-        while idx < len(self._starts) and self._starts[idx] < end:
-            seg_start = self._starts[idx]
-            seg = self._data[idx]
-            seg_end = seg_start + len(seg)
-            lo = max(seg_start, offset)
-            hi = min(seg_end, end)
-            if hi > lo:
-                out[lo - offset: hi - offset] = seg[lo - seg_start: hi - seg_start]
-            idx += 1
         return bytes(out)
 
 

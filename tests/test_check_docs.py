@@ -1,0 +1,62 @@
+"""``tools/check_docs.py``: quoted bench figures are held to the JSON."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import check_docs  # noqa: E402
+
+
+@pytest.fixture
+def docs_root(tmp_path, monkeypatch):
+    """A throw-away repo root with two tiny committed baselines."""
+    bench = tmp_path / "benchmarks"
+    bench.mkdir()
+    (bench / "BENCH_scale_volume.json").write_text(json.dumps({
+        "config": {"scenarios": ["fs_churn", "tail_latency"]},
+        "speedups": {"aged_p99_inflation": 1.19, "winners": 1},
+    }))
+    (bench / "BENCH_alloc.json").write_text(json.dumps({
+        "speedups_naive_over_tiered": {"mixed_policy@100000": 320.0},
+    }))
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+
+    def problems(readme: str) -> list[str]:
+        (tmp_path / "README.md").write_text(readme)
+        return check_docs.figure_problems()
+    return problems
+
+
+def test_the_repos_own_docs_are_in_sync():
+    assert check_docs.figure_problems() == []
+
+
+def test_matching_quotes_pass(docs_root):
+    assert docs_root(
+        "Run `--scenarios fs_churn,tail_latency`; the `tail_latency` rows\n"
+        "show `aged_p99_inflation` 1.19× and `speedups.winners` = 1;\n"
+        "`mixed_policy@100000`\n  320× through the policy path.\n\n"
+        "| scenario | fields |\n| --- | --- |\n| `fs_churn` | `index` |\n\n"
+        "| `speedups` key | committed |\n| --- | --- |\n"
+        "| `aged_p99_inflation` | 1.19 |\n") == []
+
+
+@pytest.mark.parametrize("text, complaint", [
+    ("`aged_p99_inflation` 1.2×", "quoted as 1.2, committed value is 1.19"),
+    ("| `speedups` key | committed |\n| --- | --- |\n| `winners` | 2 |",
+     "`winners` quoted as 2"),
+    ("--scenarios fs_churn,segment_store", "`segment_store` is not"),
+    ("the `checkpoint_resume` rows", "`checkpoint_resume` is not"),
+    ("| scenario | fields |\n| --- | --- |\n| `batched_writes` | x |",
+     "`batched_writes` is not a committed bench scenario"),
+    ("`speedups.batched_host` moved", "`batched_host` is not"),
+    ("`segment_store_read@100000` 3.06×", "is not a committed speedups key"),
+    ("| `speedups` key | committed |\n| --- | --- |\n| `gone` | 1 |",
+     "`gone` is not a committed speedups key"),
+])
+def test_drift_is_reported(docs_root, text, complaint):
+    problems = docs_root(text)
+    assert len(problems) == 1 and complaint in problems[0], problems

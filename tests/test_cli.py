@@ -114,6 +114,17 @@ class TestRun:
                 "--volume", "48M", "--ages", "0",
             ])
 
+    def test_non_finite_age_rejected_before_the_run(self, tmp_path):
+        """``--ages nan`` used to exit 0 and write bare NaN tokens."""
+        from repro.errors import ConfigError
+        path = tmp_path / "out.json"
+        with pytest.raises(ConfigError, match="ages"):
+            main([
+                "run", "--backend", "filesystem", "--volume", "48M",
+                "--ages", "nan", "--json", str(path),
+            ])
+        assert not path.exists()
+
 
 class TestCompare:
     def test_compare_two_backends(self, tmp_path, capsys):

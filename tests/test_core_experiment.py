@@ -62,6 +62,21 @@ class TestExperimentConfig:
                              sizes=ConstantSize(1 * MB),
                              ages=(2.0, 1.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("ages", (float("nan"),)),
+        ("ages", (-1.0, 0.0)),
+        ("ages", (0.0, float("inf"))),
+        ("occupancy", 0.0),
+        ("occupancy", 1.5),
+        ("occupancy", float("nan")),
+        ("reads_per_sample", 0),
+    ])
+    def test_out_of_range_values_fail_at_construction(self, field, value):
+        """Before any store is built or loaded, not mid-run."""
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(store=StoreSpec("filesystem"),
+                             sizes=ConstantSize(1 * MB), **{field: value})
+
     def test_display_label(self):
         cfg = ExperimentConfig(
             store=StoreSpec("filesystem", volume_bytes=2 * 1024 * MB),

@@ -3,7 +3,7 @@
 Two contracts from the scatter/gather port:
 
 * The blocked :class:`_SegmentStore` is byte-identical to the seed's
-  flat-list implementation (kept as :class:`_FlatSegmentStore`) under
+  flat-list implementation (``segmentoracle.FlatSegmentStore``) under
   any write/trim/read sequence.
 * ``BlockDevice.submit`` records exactly one ``IoStats`` entry per
   batch and, with reordering off, charges exactly what per-request
@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segmentoracle import FlatSegmentStore
+
 from repro.alloc.extent import Extent
-from repro.disk.device import (
-    BlockDevice, IoRequest, _FlatSegmentStore, _SegmentStore,
-)
+from repro.disk.device import BlockDevice, IoRequest, _SegmentStore
 from repro.disk.geometry import scaled_disk
 from repro.errors import ConfigError
 from repro.units import KB, MB
@@ -52,7 +52,7 @@ def store_operations(draw):
 def test_segment_store_parity_with_flat_model(ops):
     """Blocked and flat stores are byte-identical under any sequence."""
     blocked = _SegmentStore()
-    flat = _FlatSegmentStore()
+    flat = FlatSegmentStore()
     for op, offset, arg in ops:
         if op == "write":
             blocked.write(offset, arg)

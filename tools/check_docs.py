@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fail on broken intra-repo links and stale lint-rule references.
+"""Fail on broken links, stale lint-rule references and drifted figures.
 
 Scans ``README.md``, ``docs/*.md``, ``benchmarks/README.md``,
 ``ROADMAP.md``, and ``CHANGES.md`` for inline markdown links/images
@@ -14,6 +14,20 @@ mentioned in the docs must exist in the rule registry, and every
 registered rule must appear in the ``docs/architecture.md`` catalogue
 — so the "Enforced invariants" section cannot rot.
 
+And holds what ``README.md``, ``docs/*.md`` and ``benchmarks/README.md``
+quote from the committed ``benchmarks/BENCH_scale_volume.json`` and
+``BENCH_alloc.json`` to those files:
+
+* a scenario named after ``--scenarios``, as `` `name` rows`` /
+  `` `name` scenario``, or in the first column of a table headed
+  ``scenario`` must be one the committed run recorded;
+* a key written `` `speedups.key` ``, shaped ``op@scale``, or in the
+  first column of a table headed `` `speedups` key`` must be in a
+  committed ``speedups`` map;
+* a number written right after a backticked ``speedups`` key
+  (`` `key` 5.21× ``, `` | `key` | 5.21 | ``) must equal the committed
+  value.
+
 Stdlib-only so the CI lint job needs no installs::
 
     python tools/check_docs.py
@@ -21,6 +35,7 @@ Stdlib-only so the CI lint job needs no installs::
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -94,6 +109,70 @@ def rule_code_problems() -> list[str]:
     return problems
 
 
+#: Docs whose bench quotes are held to the committed JSON (ROADMAP and
+#: CHANGES are history and may name retired scenarios).
+FIGURE_GLOBS = ("README.md", "docs/*.md", "benchmarks/*.md")
+TOKEN = r"`(?:speedups\.)?([A-Za-z0-9_@.]+)`"
+SCENARIOS_FLAG_RE = re.compile(r"--scenarios[ =]([a-z0-9_,]+)")
+SCENARIO_MENTION_RE = re.compile(r"`([a-z0-9_]+)` (?:rows|scenario)\b")
+SPEEDUPS_KEY_RE = re.compile(r"`speedups\.([A-Za-z0-9_@.]+)`"
+                             r"|`([a-z0-9_]+@[0-9]+)`")
+QUOTED_VALUE_RE = re.compile(TOKEN + r"[\s:=(|]*([0-9]+(?:\.[0-9]+)?)")
+TABLE_ROW_RE = re.compile(r"\| *(.+?) *\|")
+
+
+def committed_figures() -> tuple[set[str], dict[str, float]]:
+    """Scenario names and ``speedups`` values of the committed baselines."""
+    bench = ROOT / "benchmarks"
+    scale = json.loads((bench / "BENCH_scale_volume.json").read_text())
+    alloc = json.loads((bench / "BENCH_alloc.json").read_text())
+    speedups = {**alloc["speedups_naive_over_tiered"], **scale["speedups"]}
+    return set(scale["config"]["scenarios"]), speedups
+
+
+def table_first_cells(text: str, header: str) -> list[str]:
+    """Backticked first-column tokens of every table headed ``header``."""
+    cells: list[str] = []
+    inside = False
+    for line in text.splitlines():
+        match = TABLE_ROW_RE.match(line)
+        if not match:
+            inside = False
+        elif match.group(1) == header:
+            inside = True
+        elif inside and (token := re.fullmatch(TOKEN, match.group(1))):
+            cells.append(token.group(1))
+    return cells
+
+
+def figure_problems() -> list[str]:
+    """Quoted scenarios, ``speedups`` keys and values that drifted."""
+    scenarios, speedups = committed_figures()
+    problems: list[str] = []
+    for pattern in FIGURE_GLOBS:
+        for path in sorted(ROOT.glob(pattern)):
+            rel = path.relative_to(ROOT).as_posix()
+            text = path.read_text(encoding="utf-8")
+            named = [name for listed in SCENARIOS_FLAG_RE.findall(text)
+                     for name in listed.split(",")]
+            named += SCENARIO_MENTION_RE.findall(text)
+            named += table_first_cells(text, "scenario")
+            for name in sorted(set(named) - scenarios):
+                problems.append(
+                    f"{rel}: `{name}` is not a committed bench scenario")
+            keys = [a or b for a, b in SPEEDUPS_KEY_RE.findall(text)]
+            keys += table_first_cells(text, "`speedups` key")
+            for key in sorted(set(keys) - speedups.keys()):
+                problems.append(
+                    f"{rel}: `{key}` is not a committed speedups key")
+            for key, quoted in QUOTED_VALUE_RE.findall(text):
+                if key in speedups and float(quoted) != speedups[key]:
+                    problems.append(
+                        f"{rel}: `{key}` quoted as {quoted}, committed "
+                        f"value is {speedups[key]}")
+    return problems
+
+
 def main() -> int:
     failures = 0
     checked = 0
@@ -102,13 +181,14 @@ def main() -> int:
         for target in broken_links(path):
             failures += 1
             print(f"{path.relative_to(ROOT)}: broken link -> {target}")
-    for problem in rule_code_problems():
+    for problem in rule_code_problems() + figure_problems():
         failures += 1
         print(problem)
     if failures:
         print(f"\n{failures} problem(s) across {checked} file(s)")
         return 1
-    print(f"ok: {checked} file(s), links and rule catalogue in sync")
+    print(f"ok: {checked} file(s); links, rule catalogue and quoted "
+          "bench figures in sync")
     return 0
 
 
