@@ -9,11 +9,15 @@ new backend only has to implement these methods to join every bench.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.alloc.extent import Extent
 from repro.disk.device import BlockDevice
+from repro.disk.events import LatencyHistogram
 from repro.disk.iostats import WindowStats
 
 
@@ -151,9 +155,17 @@ class MeasurementWindows:
     CPU); without one, ``wall_time_s`` stays ``None`` and wall time
     equals the summed total.
 
+    :attr:`tagged` is the one seam a tenant op is timed through:
+    ``with windows.tagged(tenant): store.get(key)``.  On an event
+    store it *is* :meth:`EventScheduler.tagged` — per-request sojourns,
+    deferred completions included, land in the scheduler window's
+    histograms.  On any other store there is no queueing model, so the
+    block's summed device-clock delta is recorded as one sample.
+    :meth:`close` summarises both the same way.
+
     Usage::
 
-        win = MeasurementWindows.open(store, "bulk-load")
+        win = MeasurementWindows(store, "bulk-load")
         ... workload ...
         stats = win.close()       # combined WindowStats
     """
@@ -168,10 +180,25 @@ class MeasurementWindows:
             self._scheduler.start_window(name)
             if self._scheduler is not None else None
         )
+        if getattr(self._scheduler, "is_event", False):
+            self.tagged = self._scheduler.tagged
+            self._latency = self._sched_window.latency
+            self._tenant_latency = self._sched_window.tenant_latency
+        else:
+            self.tagged = self._tagged_by_clock
+            self._latency = LatencyHistogram()
+            self._tenant_latency = defaultdict(LatencyHistogram)
 
-    @classmethod
-    def open(cls, store: ObjectStore, name: str) -> "MeasurementWindows":
-        return cls(store, name)
+    def _clock_s(self) -> float:
+        return sum(dev.clock_s for dev, _ in self._pairs)
+
+    @contextmanager
+    def _tagged_by_clock(self, tag: str) -> Iterator[None]:
+        t0 = self._clock_s()
+        yield
+        delta_s = self._clock_s() - t0
+        self._latency.record(delta_s)
+        self._tenant_latency[tag].record(delta_s)
 
     def close(self) -> WindowStats:
         combined = WindowStats(name=self.name)
@@ -185,26 +212,17 @@ class MeasurementWindows:
             combined.seeks += win.seeks
             combined.requests += win.requests
         if self._sched_window is not None:
+            # An event scheduler drains here, so the histograms below
+            # include requests still in flight at close.
             self._scheduler.end_window(self._sched_window)
             # Device lanes overlap; host CPU time stays serial.
             combined.wall_time_s = (self._sched_window.wall_time_s
                                     + combined.cpu_time_s)
-            # An event scheduler's windows also carry a per-request
-            # sojourn histogram (see repro.disk.events).
-            latency = getattr(self._sched_window, "latency", None)
-            if latency is not None and latency.count:
-                combined.lat_count = latency.count
-                combined.lat_mean_s = latency.mean_s
-                combined.lat_p50_s = latency.percentile(50.0)
-                combined.lat_p95_s = latency.percentile(95.0)
-                combined.lat_p99_s = latency.percentile(99.0)
-                combined.lat_max_s = latency.max_s
-            # Tenant-tagged requests (scenario runs) additionally split
-            # the foreground histogram per tenant.
-            tenants = getattr(self._sched_window, "tenant_latency", None)
-            if tenants:
-                combined.tenant_lat = {
-                    tag: hist.summary()
-                    for tag, hist in sorted(tenants.items())
-                }
+        combined.latency = (self._latency.summary()
+                            if self._latency.count else {})
+        if self._tenant_latency:
+            combined.tenant_lat = {
+                tag: hist.summary()
+                for tag, hist in sorted(self._tenant_latency.items())
+            }
         return combined

@@ -190,14 +190,22 @@ def _config_from(args: argparse.Namespace,
     )
 
 
+def _series(run, value) -> list[tuple[float, float]]:
+    """One ``(age, value(sample))`` point per sample, keyed on the
+    sampled *target* age: the realised ``AgeSample.age`` overshoots it
+    by part of an object, differently per backend, and would leave no
+    row of a ``compare`` table with two columns."""
+    return [(age, value(sample))
+            for age, sample in zip(run.config["ages"], run.samples)]
+
+
 def _result_table(results: dict) -> str:
     frag = {
-        name: [(s.age, s.fragments_per_object) for s in run.samples]
+        name: _series(run, lambda s: s.fragments_per_object)
         for name, run in results.items()
     }
     read = {
-        f"{name} rd MB/s": [(s.age, s.read_mbps / MB)
-                            for s in run.samples]
+        f"{name} rd MB/s": _series(run, lambda s: s.read_mbps / MB)
         for name, run in results.items()
     }
     blocks = [
@@ -207,8 +215,8 @@ def _result_table(results: dict) -> str:
     # Overlap-modelled stores report wall-time throughput too (it only
     # differs when shard device lanes actually overlapped).
     wall = {
-        f"{name} rd wall MB/s": [(s.age, s.read_wall_mbps / MB)
-                                 for s in run.samples]
+        f"{name} rd wall MB/s": _series(run,
+                                        lambda s: s.read_wall_mbps / MB)
         for name, run in results.items()
         if any(abs(s.read_wall_mbps - s.read_mbps) > 1e-9
                for s in run.samples)
@@ -219,8 +227,8 @@ def _result_table(results: dict) -> str:
     # Event-queue stores (queue=event) report per-request sojourn
     # percentiles of every read sweep next to the throughput tables.
     latency = {
-        f"{name} {label}": [(s.age, getattr(s, field) * 1e3)
-                            for s in run.samples]
+        f"{name} {label}": _series(
+            run, lambda s, field=field: getattr(s, field) * 1e3)
         for name, run in results.items()
         for label, field in (("rd p50 ms", "read_lat_p50_s"),
                              ("rd p95 ms", "read_lat_p95_s"),
@@ -256,8 +264,8 @@ def _result_table(results: dict) -> str:
                 ("failovers", "failovers"), ("rebuilt", "rebuilt_objects"),
                 ("dead shards", "dead_shards"))
     degraded = {
-        f"{name} {label}": [(s.age, getattr(s, field))
-                            for s in run.samples]
+        f"{name} {label}": _series(
+            run, lambda s, field=field: getattr(s, field))
         for name, run in results.items()
         for label, field in counters
         if any(getattr(s, field) for s in run.samples)

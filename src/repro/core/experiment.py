@@ -80,10 +80,12 @@ from repro.units import fmt_size
 #: database free space — ``GhostCleaner`` queues page runs,
 #: ``GhostRecord.pages`` became ``runs`` and ``LobTree`` keeps its page
 #: count as a plain int; ``GamAllocator`` deliberately still pickles to
-#: its old bytes, see its ``__getstate__``): older checkpoints hash
-#: differently and must be refused with a schema error, not a config
-#: mismatch.
-CHECKPOINT_SCHEMA = "run-checkpoint/8"
+#: its old bytes, see its ``__getstate__``; ``/9``: one measurement
+#: surface — ``ScenarioState`` drops its two interval-histogram fields
+#: and ``WindowStats`` carries one ``latency`` dict): older checkpoints
+#: hash differently and must be refused with a schema error, not a
+#: config mismatch.
+CHECKPOINT_SCHEMA = "run-checkpoint/9"
 
 #: Every registered backend, derived from the registry — not a
 #: hand-maintained tuple.  Includes the ``sharded`` composite.
@@ -318,8 +320,7 @@ class ExperimentRunner:
                 else:
                     self.state = state = bulk_load(store, spec, rng)
                 phase.add_bytes(state.tracker.live_bytes)
-            assert phase.result is not None
-            result.bulk_load_write_mbps = phase.result.mbps
+            result.bulk_load_write_mbps = phase.mbps
             result.objects_loaded = len(state.keys)
             result.live_bytes = state.tracker.live_bytes
             last_write_mbps = result.bulk_load_write_mbps
@@ -329,7 +330,7 @@ class ExperimentRunner:
             if target_age in done_ages:
                 continue
             scenario_lat: dict = {}
-            tenant_lat: dict = {}
+            tenant_lat: dict | None = None
             if state.tracker.storage_age < target_age:
                 self._notify("churn", target_age)
                 if cfg.scenario is not None:
@@ -338,35 +339,19 @@ class ExperimentRunner:
                     before = scn.bytes_written
                     with measure(store,
                                  f"scenario-to-{target_age:g}") as phase:
-                        scenario_to_age(store, scn, target_age)
+                        scenario_to_age(store, scn, target_age,
+                                        tagged=phase.tagged)
                         phase.add_bytes(scn.bytes_written - before)
-                    assert phase.result is not None
-                    last_write_mbps = phase.result.mbps
-                    # Non-event stores: the engine timed each op itself.
-                    scenario_lat, tenant_lat = \
-                        scn.take_interval_summaries()
-                    if phase.result.tenant_lat:
-                        # Event stores: the scheduler window carries the
-                        # sojourn histograms (tagged requests), which
-                        # supersede the engine's service-time proxy.
-                        tenant_lat = phase.result.tenant_lat
-                        win = phase.result.window
-                        scenario_lat = {
-                            "count": win.lat_count,
-                            "mean_s": win.lat_mean_s,
-                            "p50_s": win.lat_p50_s,
-                            "p95_s": win.lat_p95_s,
-                            "p99_s": win.lat_p99_s,
-                            "max_s": win.lat_max_s,
-                        }
+                    last_write_mbps = phase.mbps
+                    scenario_lat = phase.latency
+                    tenant_lat = phase.tenant_lat
                 else:
                     before = state.bytes_overwritten
                     with measure(store,
                                  f"churn-to-{target_age:g}") as phase:
                         churn_to_age(store, state, target_age)
                         phase.add_bytes(state.bytes_overwritten - before)
-                    assert phase.result is not None
-                    last_write_mbps = phase.result.mbps
+                    last_write_mbps = phase.mbps
             self._notify("sample", target_age)
             result.samples.append(
                 self._sample(store, state, target_age,
@@ -504,8 +489,9 @@ class ExperimentRunner:
         read = measure_read_throughput(
             store, state, self.config.reads_per_sample, read_rng
         )
-        reads = max(1, self.config.reads_per_sample)
         stats = store.store_stats()
+        # ``{}`` unless the store queues requests (``queue=event``).
+        lat = read.latency
         return AgeSample(
             age=state.tracker.storage_age if age > 0 else age,
             fragments_per_object=report.mean,
@@ -515,7 +501,7 @@ class ExperimentRunner:
             write_mbps=write_mbps,
             occupancy=stats.occupancy,
             overwrites=state.tracker.overwrites,
-            seeks_per_read=read.seeks / reads,
+            seeks_per_read=read.seeks / self.config.reads_per_sample,
             read_wall_mbps=read.wall_mbps,
             read_device_s=read.elapsed_s,
             read_wall_s=read.wall_s,
@@ -524,11 +510,11 @@ class ExperimentRunner:
             failovers=stats.failovers,
             rebuilt_objects=stats.rebuilt_objects,
             dead_shards=len(getattr(store, "dead_shards", ())),
-            read_lat_count=read.lat_count,
-            read_lat_p50_s=read.lat_p50_s,
-            read_lat_p95_s=read.lat_p95_s,
-            read_lat_p99_s=read.lat_p99_s,
-            read_lat_max_s=read.lat_max_s,
+            read_lat_count=lat.get("count", 0),
+            read_lat_p50_s=lat.get("p50_s", 0.0),
+            read_lat_p95_s=lat.get("p95_s", 0.0),
+            read_lat_p99_s=lat.get("p99_s", 0.0),
+            read_lat_max_s=lat.get("max_s", 0.0),
             scenario_lat=dict(scenario_lat or {}),
             tenant_lat=dict(tenant_lat or {}),
         )

@@ -15,24 +15,35 @@ without inflating its byte count.
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
 from random import Random
 
 from repro.backends.base import MeasurementWindows, ObjectStore
 from repro.core.workload import WorkloadState, read_sweep
 from repro.disk.iostats import WindowStats
 from repro.errors import ConfigError
-from repro.units import MB
 
 
 @dataclass
 class PhaseResult:
-    """Logical bytes + modelled time for one measured phase."""
+    """Logical bytes + modelled time for one measured phase.
+
+    :func:`measure` yields it open: inside the block the workload
+    counts its bytes with :meth:`add_bytes` and times tenant ops
+    through :attr:`tagged`; :attr:`window` is set when the block exits
+    and every derived figure below reads it.
+    """
 
     name: str
-    logical_bytes: int
-    window: WindowStats
+    logical_bytes: int = 0
+    window: WindowStats | None = None
+    #: The phase's :attr:`MeasurementWindows.tagged`.
+    tagged: Callable[[str], contextlib.AbstractContextManager[None]] = field(
+        kw_only=True, repr=False, compare=False)
+
+    def add_bytes(self, nbytes: int) -> None:
+        self.logical_bytes += nbytes
 
     @property
     def elapsed_s(self) -> float:
@@ -61,75 +72,34 @@ class PhaseResult:
         return self.logical_bytes / self.wall_s
 
     @property
-    def mbps_mb(self) -> float:
-        """Throughput in MB/s, the paper's unit."""
-        return self.mbps / MB
-
-    @property
     def seeks(self) -> int:
         return self.window.seeks
 
-    #: Per-request latency summary (zeros when the store runs no event
-    #: scheduler; see repro.disk.events).
     @property
-    def lat_count(self) -> int:
-        return self.window.lat_count
-
-    @property
-    def lat_mean_s(self) -> float:
-        return self.window.lat_mean_s
-
-    @property
-    def lat_p50_s(self) -> float:
-        return self.window.lat_p50_s
-
-    @property
-    def lat_p95_s(self) -> float:
-        return self.window.lat_p95_s
-
-    @property
-    def lat_p99_s(self) -> float:
-        return self.window.lat_p99_s
-
-    @property
-    def lat_max_s(self) -> float:
-        return self.window.lat_max_s
+    def latency(self) -> dict[str, float]:
+        """Per-op latency summary (``{}`` when nothing was timed)."""
+        return self.window.latency
 
     @property
     def tenant_lat(self) -> dict[str, dict[str, float]] | None:
-        """Per-tenant sojourn summaries (scenario runs; else ``None``)."""
+        """Per-tenant latency summaries (tagged ops; else ``None``)."""
         return self.window.tenant_lat
 
 
-class _PhaseHandle:
-    """Mutable handle the ``measure`` context yields."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.logical_bytes = 0
-        self.result: PhaseResult | None = None
-
-    def add_bytes(self, nbytes: int) -> None:
-        self.logical_bytes += nbytes
-
-
 @contextlib.contextmanager
-def measure(store: ObjectStore, name: str) -> Iterator[_PhaseHandle]:
+def measure(store: ObjectStore, name: str) -> Iterator[PhaseResult]:
     """Measure a phase::
 
         with measure(store, "read-sweep") as phase:
             phase.add_bytes(read_sweep(store, state, 100))
-        print(phase.result.mbps_mb)
+        print(phase.mbps)            # bytes/second
     """
-    handle = _PhaseHandle(name)
-    windows = MeasurementWindows.open(store, name)
+    windows = MeasurementWindows(store, name)
+    phase = PhaseResult(name, tagged=windows.tagged)
     try:
-        yield handle
+        yield phase
     finally:
-        combined = windows.close()
-        handle.result = PhaseResult(
-            name=name, logical_bytes=handle.logical_bytes, window=combined
-        )
+        phase.window = windows.close()
 
 
 def _default_policy(store: ObjectStore) -> bool:
@@ -179,8 +149,7 @@ def measure_read_throughput(store: ObjectStore, state: WorkloadState,
     if not via_read_many:
         with measure(store, "read-sweep") as phase:
             phase.add_bytes(read_sweep(store, state, nreads, rng))
-        assert phase.result is not None
-        return phase.result
+        return phase
     if nreads <= 0:
         raise ConfigError("nreads must be positive")
     rng = rng or state.rng
@@ -189,24 +158,4 @@ def measure_read_throughput(store: ObjectStore, state: WorkloadState,
         for key in keys:
             phase.add_bytes(store.meta(key).size)
         store.read_many(keys)
-    assert phase.result is not None
-    return phase.result
-
-
-def measure_get(store: ObjectStore, key: str) -> PhaseResult:
-    """Timing of a single get (used by examples and tests)."""
-    with measure(store, f"get:{key}") as phase:
-        size = store.meta(key).size
-        store.get(key)
-        phase.add_bytes(size)
-    assert phase.result is not None
-    return phase.result
-
-
-def make_read_rng(seed: int) -> Random:
-    """Independent RNG for read sweeps so reads never perturb the
-    churn sequence (the paper interleaves them; our phases are
-    equivalent because reads do not mutate layout)."""
-    from repro.rng import substream
-
-    return substream(seed, "read-sweep")
+    return phase

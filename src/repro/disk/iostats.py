@@ -36,21 +36,14 @@ class WindowStats:
     #: runs a :class:`~repro.disk.schedule.ShardScheduler`; ``None``
     #: means no overlap model applies and wall time equals the sum.
     wall_time_s: float | None = None
-    #: Per-request sojourn-latency summary, filled by
-    #: :class:`~repro.backends.base.MeasurementWindows` when the store
-    #: runs an event scheduler (:mod:`repro.disk.events`); ``lat_count
-    #: == 0`` means no latency model applies.
-    lat_count: int = 0
-    lat_mean_s: float = 0.0
-    lat_p50_s: float = 0.0
-    lat_p95_s: float = 0.0
-    lat_p99_s: float = 0.0
-    lat_max_s: float = 0.0
-    #: Foreground sojourn summaries split by tenant tag (scenario
-    #: runs); ``None`` means nothing in the window carried a tag.  Each
-    #: entry is a :meth:`LatencyHistogram.summary` dict, and when every
-    #: foreground request was tagged the per-tenant counts sum to
-    #: ``lat_count``.
+    #: Per-op latency as a :meth:`LatencyHistogram.summary` dict, set by
+    #: :class:`~repro.backends.base.MeasurementWindows` (``{}`` when the
+    #: window timed nothing; ``None`` on a bare device window).  New
+    #: per-phase metrics belong here, beside this one.
+    latency: dict[str, float] | None = None
+    #: The same summaries split by tenant tag (scenario runs); ``None``
+    #: means nothing in the window carried a tag.  When every foreground
+    #: op was tagged the per-tenant counts sum to ``latency["count"]``.
     tenant_lat: dict[str, dict[str, float]] | None = None
 
     @property

@@ -179,10 +179,3 @@ class ShardScheduler:
             if top is win:
                 return win
         raise ValueError(f"scheduler window {win.name!r} is not open")
-
-    @property
-    def overlap_speedup(self) -> float:
-        """Summed lane time over overlapped wall time (1.0 when idle)."""
-        if self.wall_time_s <= 0.0:
-            return 1.0
-        return self.lane_time_s / self.wall_time_s

@@ -12,28 +12,23 @@ Determinism and resume
 Every random decision draws from a labelled :func:`repro.rng.substream`
 captured inside :class:`ScenarioState` (one stream per tenant plus one
 for tenant interleaving), and the whole state — tenant RNGs, key
-ownership, the TTL heap, interval histograms — pickles inside the run
-checkpoint.  A killed-and-resumed scenario run therefore replays the
-identical op stream and reproduces the uninterrupted record exactly;
-the resume suite pins this.
+ownership, the TTL heap — pickles inside the run checkpoint.  A
+killed-and-resumed scenario run therefore replays the identical op
+stream and reproduces the uninterrupted record exactly; the resume
+suite pins this.
 
 Per-tenant latency accounting
 -----------------------------
-Two paths, chosen per store:
-
-* ``queue=event`` stores: each op runs inside
-  :meth:`EventScheduler.tagged`, so sojourns land in per-tenant
-  histograms on the scheduler window and surface through
-  ``PhaseResult.tenant_lat`` (see
-  :class:`~repro.backends.base.MeasurementWindows`).
-* Every other store: the op's summed device-clock delta (a service-time
-  proxy; there is no queueing model to defer completions) is recorded
-  into the engine's own per-tenant interval histograms, drained by
-  :meth:`ScenarioState.take_interval_summaries`.
-
-Either way the global interval histogram and the per-tenant splits
-count the same ops, so tenant counts sum-reconcile with the global
-books.
+The engine holds no latency state.  Every store op — read, overwrite,
+create and the TTL delete — runs inside ``with tagged(tenant)``, a
+callable the caller hands in: the open measurement phase's
+:attr:`~repro.core.throughput.PhaseResult.tagged` in an experiment run,
+a no-op for direct callers.  What a tagged op costs (a queued sojourn
+on a ``queue=event`` store, the summed device-clock delta elsewhere) and
+where it is recorded is
+:class:`~repro.backends.base.MeasurementWindows`' business; the phase
+reports it as ``latency``/``tenant_lat``, whose tenant counts sum to
+the global count because every op goes through the one seam.
 
 Arrival-rate modulation
 -----------------------
@@ -50,12 +45,13 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
+from collections.abc import Callable
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from random import Random
 
 from repro.backends.base import ObjectStore
 from repro.core.workload import WorkloadSpec, WorkloadState
-from repro.disk.events import EventScheduler, LatencyHistogram
 from repro.errors import ConfigError
 from repro.rng import substream
 from repro.scenario.spec import ScenarioSpec, TenantProfile
@@ -137,53 +133,25 @@ class ScenarioState:
     base_rate: float = 0.0
     #: Last wave window ``set_arrival`` was issued for.
     wave_window: int = -1
-    #: Non-event-store latency path: per-op device-time deltas for the
-    #: current sample interval, global and per tenant.
-    interval_global: LatencyHistogram = field(
-        default_factory=LatencyHistogram)
-    interval_tenant: dict[str, LatencyHistogram] = field(
-        default_factory=dict)
 
     @property
     def bytes_written(self) -> int:
         """Logical bytes written so far (overwrites + creates)."""
         return sum(t.bytes_written for t in self.tenants)
 
-    def take_interval_summaries(
-        self,
-    ) -> tuple[dict[str, float], dict[str, dict[str, float]]]:
-        """Drain the interval histograms: (global summary, per-tenant).
-
-        Used on the non-event path where the engine times ops itself;
-        returns empty summaries on the event path (the scheduler window
-        carries the histograms there).
-        """
-        if not self.interval_global.count:
-            out: tuple[dict[str, float], dict[str, dict[str, float]]] = (
-                {}, {})
-        else:
-            out = (
-                self.interval_global.summary(),
-                {name: hist.summary()
-                 for name, hist in sorted(self.interval_tenant.items())},
-            )
-        self.interval_global = LatencyHistogram()
-        self.interval_tenant = {}
-        return out
-
 
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-def _event_scheduler(store: ObjectStore) -> EventScheduler | None:
-    sched = getattr(store, "scheduler", None)
-    if getattr(sched, "is_event", False):
-        return sched
-    return None
+#: How an op is timed and attributed: ``with tagged(tenant_name): op``.
+Tagged = Callable[[str], AbstractContextManager[None]]
+
+_UNTIMED = nullcontext()
 
 
-def _device_clock(store: ObjectStore) -> float:
-    return sum(dev.clock_s for dev in store.devices())
+def _untagged(tenant: str) -> AbstractContextManager[None]:
+    """The ``tagged`` of a direct caller that measures nothing."""
+    return _UNTIMED
 
 
 def _wave_factor(spec: ScenarioSpec, op: int, phase: float = 0.0) -> float:
@@ -219,8 +187,9 @@ def _maybe_update_arrival(store: ObjectStore, state: ScenarioState) -> None:
     spec = state.spec
     if spec.wave_amplitude <= 0.0 or spec.wave_period_ops <= 0:
         return
-    sched = _event_scheduler(store)
-    if sched is None or sched.arrival.mode != "poisson":
+    sched = getattr(store, "scheduler", None)
+    if (not getattr(sched, "is_event", False)
+            or sched.arrival.mode != "poisson"):
         return
     if state.base_rate <= 0.0:
         state.base_rate = sched.arrival.rate
@@ -239,17 +208,6 @@ def _maybe_update_arrival(store: ObjectStore, state: ScenarioState) -> None:
     )
 
 
-def _record_op(state: ScenarioState, tenant: TenantState,
-               delta_s: float) -> None:
-    """Non-event path: record one op's device-time delta."""
-    state.interval_global.record(delta_s)
-    name = tenant.profile.name
-    hist = state.interval_tenant.get(name)
-    if hist is None:
-        hist = state.interval_tenant[name] = LatencyHistogram()
-    hist.record(delta_s)
-
-
 def _remove_key(state: ScenarioState, tenant: TenantState,
                 key: str) -> None:
     tenant.keys.remove(key)
@@ -258,7 +216,7 @@ def _remove_key(state: ScenarioState, tenant: TenantState,
 
 
 def _expire_due(store: ObjectStore, state: ScenarioState,
-                sched: EventScheduler | None) -> None:
+                tagged: Tagged) -> None:
     """Delete objects whose TTL has passed (respecting the floor)."""
     heap = state.ttl_heap
     while heap and heap[0][0] <= state.op_index:
@@ -269,13 +227,8 @@ def _expire_due(store: ObjectStore, state: ScenarioState,
         if len(tenant.keys) <= tenant.ttl_floor:
             continue  # keep a working set; drop the expiry
         size = store.meta(key).size
-        if sched is not None:
-            with sched.tagged(tenant.profile.name):
-                store.delete(key)
-        else:
-            t0 = _device_clock(store)
+        with tagged(tenant.profile.name):
             store.delete(key)
-            _record_op(state, tenant, _device_clock(store) - t0)
         state.workload.tracker.on_delete(size)
         _remove_key(state, tenant, key)
         tenant.expired += 1
@@ -358,12 +311,13 @@ def scenario_bulk_load(store: ObjectStore, spec: WorkloadSpec,
     return state
 
 
-def scenario_step(store: ObjectStore, state: ScenarioState) -> str:
+def scenario_step(store: ObjectStore, state: ScenarioState,
+                  tagged: Tagged = _untagged) -> str:
     """One scenario op; returns the op kind (``read``/``overwrite``/
     ``create``).  Due TTL expiries are drained first and charged to the
-    owning tenant."""
-    sched = _event_scheduler(store)
-    _expire_due(store, state, sched)
+    owning tenant.  Every store op runs inside ``tagged(tenant)`` (see
+    the module docstring)."""
+    _expire_due(store, state, tagged)
     tidx = _choose_tenant(state)
     tenant = state.tenants[tidx]
     prof = tenant.profile
@@ -389,26 +343,16 @@ def scenario_step(store: ObjectStore, state: ScenarioState) -> str:
     if kind == "read":
         key = tenant.pick_key()
         size = store.meta(key).size
-        if sched is not None:
-            with sched.tagged(prof.name):
-                store.get(key)
-        else:
-            t0 = _device_clock(store)
+        with tagged(prof.name):
             store.get(key)
-            _record_op(state, tenant, _device_clock(store) - t0)
         tenant.reads += 1
         tenant.bytes_read += size
     elif kind == "overwrite":
         key = tenant.pick_key()
         old_size = store.meta(key).size
         new_size = prof.sizes.draw(tenant.rng)
-        if sched is not None:
-            with sched.tagged(prof.name):
-                store.overwrite(key, size=new_size)
-        else:
-            t0 = _device_clock(store)
+        with tagged(prof.name):
             store.overwrite(key, size=new_size)
-            _record_op(state, tenant, _device_clock(store) - t0)
         workload.tracker.on_overwrite(old_size, new_size)
         workload.bytes_overwritten += new_size
         tenant.overwrites += 1
@@ -417,13 +361,8 @@ def scenario_step(store: ObjectStore, state: ScenarioState) -> str:
         size = prof.sizes.draw(tenant.rng)
         key = f"{prof.name}-object-{workload.next_object_id}"
         workload.next_object_id += 1
-        if sched is not None:
-            with sched.tagged(prof.name):
-                store.put(key, size=size)
-        else:
-            t0 = _device_clock(store)
+        with tagged(prof.name):
             store.put(key, size=size)
-            _record_op(state, tenant, _device_clock(store) - t0)
         workload.tracker.on_put(size)
         workload.keys.append(key)
         tenant.keys.append(key)
@@ -440,17 +379,19 @@ def scenario_step(store: ObjectStore, state: ScenarioState) -> str:
 
 
 def scenario_to_age(store: ObjectStore, state: ScenarioState,
-                    target_age: float, *, on_step=None) -> int:
+                    target_age: float, *, on_step=None,
+                    tagged: Tagged = _untagged) -> int:
     """Run scenario ops until storage age reaches ``target_age``.
 
     Mirrors ``churn_to_age``: returns the op count, calling ``on_step``
     with the 1-based op index after each op (checkpoint cadence, fault
-    injection, test kill points).
+    injection, test kill points).  ``tagged`` is passed to every
+    :func:`scenario_step`.
     """
     steps = 0
     tracker = state.workload.tracker
     while tracker.storage_age < target_age:
-        scenario_step(store, state)
+        scenario_step(store, state, tagged)
         steps += 1
         if on_step is not None:
             on_step(steps)

@@ -189,6 +189,8 @@ class ScenarioSpec:
             raise ConfigError("ttl must be >= 0")
         amplitude = given.get("amplitude", preset.amplitude)
         period = given.get("period", preset.period)
+        if period < 0:
+            raise ConfigError("period must be >= 0")
         # Canonical params: only the explicitly-given keys, normalized
         # through their parsed values so the text form round-trips.
         params = tuple(sorted(format_items(_KEYS, given)))

@@ -140,3 +140,18 @@ class TestCompare:
         assert "filesystem" in out and "database" in out
         payload = json.loads(path.read_text())
         assert set(payload) == {"filesystem", "database"}
+
+    def test_uniform_compare_rows_have_both_backends(self, capsys):
+        # Realised storage ages overshoot the target differently per
+        # backend once object sizes vary; tables key on the target age.
+        code = main([
+            "compare", "--object-size", "512K", "--uniform",
+            "--volume", "64M", "--ages", "0,1,2", "--reads", "4",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        table = out.split("Fragments per object")[1].split("\n\n")[0]
+        rows = [line.split() for line in table.splitlines()[4:]]
+        assert [row[0] for row in rows] == ["0", "1", "2"]
+        # age + one value per backend: no blank cell in any row.
+        assert all(len(row) == 3 for row in rows)

@@ -23,10 +23,9 @@ class TestMeasure:
         with measure(file_store, "load") as phase:
             file_store.put("a", size=1 * MB)
             phase.add_bytes(1 * MB)
-        result = phase.result
-        assert result.logical_bytes == 1 * MB
-        assert result.elapsed_s > 0
-        assert result.mbps == pytest.approx(1 * MB / result.elapsed_s)
+        assert phase.logical_bytes == 1 * MB
+        assert phase.elapsed_s > 0
+        assert phase.mbps == pytest.approx(1 * MB / phase.elapsed_s)
 
     def test_windows_cover_all_devices(self, file_store):
         # Metadata I/O happens on the meta-db devices; the window must
@@ -34,7 +33,7 @@ class TestMeasure:
         with measure(file_store, "load") as phase:
             file_store.put("a", size=64 * KB)
             phase.add_bytes(64 * KB)
-        meta_io = phase.result.window.total_time_s
+        meta_io = phase.window.total_time_s
         data_only = file_store.device.stats.busy_time_s
         assert meta_io > 0
         assert meta_io >= data_only * 0.99  # includes the object device

@@ -4,6 +4,8 @@ import pytest
 
 from repro.analysis.compare import check_levels_off
 from repro.backends.base import MeasurementWindows
+from repro.backends.registry import build_store
+from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import make_disk
 from repro.disk.iostats import IoStats
@@ -56,13 +58,56 @@ class TestSingleZoneDisk:
 
 class TestMeasurementWindows:
     def test_aggregates_across_devices(self, file_store):
-        windows = MeasurementWindows.open(file_store, "w")
+        windows = MeasurementWindows(file_store, "w")
         file_store.put("a", size=256 * KB)
         combined = windows.close()
         # Object-device writes plus metadata-db writes both counted.
         assert combined.write_bytes >= 256 * KB
         assert combined.total_time_s > 0
         assert combined.name == "w"
+
+    def test_tagged_records_the_summed_device_clock_delta(self, file_store):
+        def clock():
+            return sum(dev.clock_s for dev in file_store.devices())
+
+        windows = MeasurementWindows(file_store, "w")
+        deltas = {}
+        for tenant, size in (("a", 256 * KB), ("b", 1 * MB)):
+            t0 = clock()
+            with windows.tagged(tenant):
+                # Object device and metadata devices both advance.
+                file_store.put(tenant, size=size)
+            deltas[tenant] = clock() - t0
+        file_store.get("a")     # outside any block: not a sample
+        combined = windows.close()
+        assert combined.latency["count"] == 2
+        assert combined.latency["max_s"] == max(deltas.values())
+        # One sample per block, so each tenant's summary is exact.
+        assert {t: s["count"] for t, s in combined.tenant_lat.items()} \
+            == {"a": 1, "b": 1}
+        for tenant, delta in deltas.items():
+            assert combined.tenant_lat[tenant]["max_s"] == delta
+            assert combined.tenant_lat[tenant]["p50_s"] == delta
+
+    def test_untagged_window_reports_no_latency(self, file_store):
+        windows = MeasurementWindows(file_store, "w")
+        file_store.put("a", size=256 * KB)
+        combined = windows.close()
+        assert combined.latency == {}
+        assert combined.tenant_lat is None
+
+    def test_event_store_tagged_is_the_schedulers_own(self):
+        store = build_store(StoreSpec.parse(
+            "lfs:shards=2,overlap=true,queue=event,volume=32M"))
+        windows = MeasurementWindows(store, "w")
+        assert windows.tagged == store.scheduler.tagged
+        with windows.tagged("a"):
+            store.put("k", size=256 * KB)
+        combined = windows.close()
+        # Sojourns come from the scheduler window, summarised the same
+        # way as the device-clock samples above.
+        assert combined.latency["count"] \
+            == combined.tenant_lat["a"]["count"] > 0
 
 
 class TestShapeCheckEdges:

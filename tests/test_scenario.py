@@ -6,9 +6,11 @@ Three layers, mirroring the module split:
   canonical text round-trips exactly, unknown presets/keys and
   out-of-range values are rejected with :class:`ConfigError`.
 * The engine itself — bulk load partitions keys across tenants, TTL
-  churn expires objects without collapsing populations, and the
-  non-event latency path's per-tenant histograms sum-reconcile with
-  the global interval histogram.
+  churn expires objects without collapsing populations, and on an
+  unsharded, a ``queue=round`` and a ``queue=event`` store alike the
+  per-tenant latency counts of a measured phase sum to its global
+  count, which equals ops + expiries (every op goes through the one
+  ``tagged`` seam).
 * Experiment integration — a scenario run over a ``queue=event`` store
   surfaces per-tenant sojourn summaries on every aged sample, and the
   tenant counts sum to the sample's global count (the reconciliation
@@ -22,6 +24,7 @@ import pytest
 from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
 from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.core.throughput import measure
 from repro.core.workload import ConstantSize, WorkloadSpec
 from repro.errors import ConfigError
 from repro.scenario.engine import (
@@ -95,6 +98,7 @@ class TestSpecGrammar:
         "cdn_churn:tenants=65",           # above range
         "cdn_churn:skew=-1",              # negative skew
         "cdn_churn:ttl=-5",               # negative ttl
+        "cdn_churn:amplitude=0,period=-5",  # negative wave period
         "cdn_churn:amplitude=1.0",        # wave must stay < 1
     ])
     def test_rejected_specs(self, bad):
@@ -137,8 +141,9 @@ class TestSpecGrammar:
 # Engine (direct, non-event store)
 # ----------------------------------------------------------------------
 def _fresh_state(scenario_text: str, *, occupancy: float = 0.4,
-                 volume: int = 48 * MB, seed: int = 11):
-    store = build_store(StoreSpec("filesystem", volume_bytes=volume))
+                 volume: int = 48 * MB, seed: int = 11,
+                 store_text: str = "filesystem"):
+    store = build_store(StoreSpec.parse(store_text, volume_bytes=volume))
     scn = ScenarioSpec.parse(scenario_text)
     wspec = WorkloadSpec(
         sizes=ConstantSize(max(1, round(scn.mean_object_size))),
@@ -160,20 +165,32 @@ class TestEngine:
         assert state.workload.tracker.live_bytes > 0
         assert state.live_cap > state.workload.tracker.live_bytes
 
-    def test_nonevent_interval_histograms_sum_reconcile(self):
-        store, state = _fresh_state("cdn_churn:tenants=3,seed=5")
-        for _ in range(300):
-            scenario_step(store, state)
-        glob, per_tenant = state.take_interval_summaries()
-        assert sum(t.ops for t in state.tenants) == 300
-        # Expiry deletes are timed too, so the histogram can hold more
-        # than 300 records — but tenant splits always sum to the global.
-        assert glob["count"] >= 300
-        assert sum(s["count"] for s in per_tenant.values()) \
-            == glob["count"]
-        assert glob["p99_s"] >= glob["p50_s"] >= 0.0
-        # Draining resets: a second take reports an empty interval.
-        assert state.take_interval_summaries() == ({}, {})
+    @pytest.mark.parametrize("store_text", [
+        "filesystem",
+        "filesystem:shards=2,overlap=true,queue=round",
+        "filesystem:shards=2,overlap=true,queue=event",
+    ])
+    def test_tenant_counts_reconcile_on_every_store_kind(self, store_text):
+        store, state = _fresh_state("log_ingest:tenants=3,seed=5",
+                                    store_text=store_text)
+        with measure(store, "churn") as phase:
+            steps = scenario_to_age(store, state, 1.0, tagged=phase.tagged)
+        assert sum(t.ops for t in state.tenants) == steps
+        expired = sum(t.expired for t in state.tenants)
+        assert expired > 0
+        # Expiry deletes are timed too: one sample per op and per
+        # expiry (on these stores every op is one request on one
+        # shard), and the tenant splits always sum to the global.
+        assert phase.latency["count"] == steps + expired
+        assert sum(s["count"] for s in phase.tenant_lat.values()) \
+            == phase.latency["count"]
+        assert phase.latency["p99_s"] >= phase.latency["p50_s"] >= 0.0
+        # The engine keeps no latency state: an unmeasured call works
+        # and a second phase starts from empty books.
+        scenario_step(store, state)
+        with measure(store, "idle") as idle:
+            pass
+        assert idle.latency == {} and idle.tenant_lat is None
 
     def test_ttl_churn_expires_without_collapsing(self):
         store, state = _fresh_state("log_ingest:tenants=2,ttl=60,seed=5")

@@ -1,10 +1,12 @@
 """Checkpoint/resume of scenario runs: killed and resumed == uninterrupted.
 
 The scenario engine's whole mutable state — tenant RNGs, key ownership,
-the TTL heap, interval histograms, the arrival-wave cursor — pickles
-inside the run checkpoint (schema ``run-checkpoint/7``).  The
-acceptance bar mirrors ``test_checkpoint_resume``: a scenario run
-killed right after a mid-run checkpoint and resumed must reproduce the
+the TTL heap, the arrival-wave cursor — pickles inside the run
+checkpoint.  Latency histograms do not: they belong to the measurement
+window of the churn phase, which has closed (and been summarised into
+the sample) before any checkpoint is taken.  The acceptance bar
+mirrors ``test_checkpoint_resume``: a scenario run killed right after a
+mid-run checkpoint and resumed must reproduce the
 uninterrupted run record *exactly*, including every per-tenant latency
 summary, on both the event-queue and plain stores.
 """
@@ -92,4 +94,21 @@ class TestScenarioResumeIdentity:
         other = config_for("event", "cdn_churn:tenants=3,seed=6")
         with pytest.raises(ConfigError, match="different configuration"):
             ExperimentRunner(other, checkpoint_dir=tmp_path,
+                             resume=True).run()
+
+    def test_resume_refuses_an_older_schema(self, tmp_path, monkeypatch):
+        """``run-checkpoint/8`` pickled a ``ScenarioState`` with two
+        histogram fields this tree no longer has: refused by schema tag,
+        before the config hash is even compared."""
+        from repro.core import experiment
+
+        config = config_for("plain", "log_ingest:tenants=2,seed=5")
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "CHECKPOINT_SCHEMA",
+                          "run-checkpoint/8")
+            run_interrupted(config, tmp_path, 0.0)
+        assert experiment.CHECKPOINT_SCHEMA == "run-checkpoint/9"
+        with pytest.raises(ConfigError,
+                           match="has schema 'run-checkpoint/8'"):
+            ExperimentRunner(config, checkpoint_dir=tmp_path,
                              resume=True).run()

@@ -15,11 +15,7 @@ import pytest
 
 from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
-from repro.core.throughput import (
-    make_read_rng,
-    measure,
-    measure_read_throughput,
-)
+from repro.core.throughput import measure, measure_read_throughput
 from repro.core.workload import (
     ConstantSize,
     WorkloadSpec,
@@ -50,7 +46,7 @@ def legacy_measurement(store, state, rng):
     """The pre-policy implementation, verbatim."""
     with measure(store, "read-sweep") as phase:
         phase.add_bytes(read_sweep(store, state, NREADS, rng))
-    return phase.result
+    return phase
 
 
 class TestPolicyNoneParity:
@@ -61,9 +57,10 @@ class TestPolicyNoneParity:
         spec = StoreSpec(backend, volume_bytes=64 * MB)
         store, state = aged_store(spec)
         store2, state2 = aged_store(spec)
-        legacy = legacy_measurement(store, state, make_read_rng(5))
+        legacy = legacy_measurement(store, state,
+                                    substream(5, "read-sweep"))
         new = measure_read_throughput(store2, state2, NREADS,
-                                      make_read_rng(5))
+                                      substream(5, "read-sweep"))
         assert new.logical_bytes == legacy.logical_bytes
         assert new.window.read_time_s == pytest.approx(
             legacy.window.read_time_s, rel=1e-12)
@@ -79,10 +76,10 @@ class TestPolicyNoneParity:
         spec = StoreSpec("lfs", volume_bytes=64 * MB)
         store, state = aged_store(spec)
         per_object = measure_read_throughput(store, state, NREADS,
-                                             make_read_rng(9),
+                                             substream(9, "read-sweep"),
                                              via_read_many=False)
         batched = measure_read_throughput(store, state, NREADS,
-                                          make_read_rng(9),
+                                          substream(9, "read-sweep"),
                                           via_read_many=True)
         # Same rng -> same key population -> same logical bytes.
         assert batched.logical_bytes == per_object.logical_bytes
@@ -97,9 +94,9 @@ class TestPolicyRouting:
         store_a, state_a = aged_store(plain)
         store_b, state_b = aged_store(clook)
         base = measure_read_throughput(store_a, state_a, NREADS,
-                                       make_read_rng(5))
+                                       substream(5, "read-sweep"))
         elevator = measure_read_throughput(store_b, state_b, NREADS,
-                                           make_read_rng(5))
+                                           substream(5, "read-sweep"))
         # The elevator only helps if the sweep went through read_many:
         # batched submission collapses per-object requests and C-LOOK
         # cuts seeks on the scattered aged population.
@@ -112,7 +109,7 @@ class TestPolicyRouting:
                          overlap=True)
         store, state = aged_store(spec)
         result = measure_read_throughput(store, state, NREADS,
-                                         make_read_rng(5))
+                                         substream(5, "read-sweep"))
         # Sharded fan-out overlaps: wall strictly below the summed
         # model, never below the slowest lane (makespan envelope).
         assert result.wall_s < result.elapsed_s
@@ -122,5 +119,6 @@ class TestPolicyRouting:
         spec = StoreSpec("lfs", volume_bytes=64 * MB)
         store, state = aged_store(spec)
         with pytest.raises(ConfigError):
-            measure_read_throughput(store, state, 0, make_read_rng(5),
+            measure_read_throughput(store, state, 0,
+                                    substream(5, "read-sweep"),
                                     via_read_many=True)
