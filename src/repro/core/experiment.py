@@ -82,10 +82,12 @@ from repro.units import fmt_size
 #: count as a plain int; ``GamAllocator`` deliberately still pickles to
 #: its old bytes, see its ``__getstate__``; ``/9``: one measurement
 #: surface — ``ScenarioState`` drops its two interval-histogram fields
-#: and ``WindowStats`` carries one ``latency`` dict): older checkpoints
+#: and ``WindowStats`` carries one ``latency`` dict; ``/10``:
+#: ``TenantState.keys`` and the scenario's ``WorkloadState.keys`` are
+#: :class:`~repro.struct.KeyList`): older checkpoints
 #: hash differently and must be refused with a schema error, not a
 #: config mismatch.
-CHECKPOINT_SCHEMA = "run-checkpoint/9"
+CHECKPOINT_SCHEMA = "run-checkpoint/10"
 
 #: Every registered backend, derived from the registry — not a
 #: hand-maintained tuple.  Includes the ``sharded`` composite.

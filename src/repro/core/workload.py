@@ -19,6 +19,7 @@ from repro.backends.base import ObjectStore
 from repro.core.fragmentation import make_marker_content
 from repro.core.storage_age import StorageAgeTracker
 from repro.errors import ConfigError
+from repro.struct import KeyList
 from repro.units import DEFAULT_WRITE_REQUEST, KB, MB, fmt_size
 
 
@@ -118,7 +119,7 @@ class WorkloadState:
     spec: WorkloadSpec
     rng: Random
     tracker: StorageAgeTracker = field(default_factory=StorageAgeTracker)
-    keys: list[str] = field(default_factory=list)
+    keys: list[str] | KeyList[str] = field(default_factory=list)
     next_object_id: int = 1
     versions: dict[str, int] = field(default_factory=dict)
     #: Logical bytes written by churn (new object versions).

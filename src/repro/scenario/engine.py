@@ -52,9 +52,10 @@ from random import Random
 
 from repro.backends.base import ObjectStore
 from repro.core.workload import WorkloadSpec, WorkloadState
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CorruptionError
 from repro.rng import substream
 from repro.scenario.spec import ScenarioSpec, TenantProfile
+from repro.struct import KeyList
 
 #: Safety valve for :func:`scenario_to_age`: if this many ops cannot
 #: advance the storage age to the target, the spec/volume combination
@@ -73,7 +74,8 @@ class TenantState:
 
     profile: TenantProfile
     rng: Random
-    keys: list[str] = field(default_factory=list)
+    #: Live keys in creation order (a Zipf rank indexes into it).
+    keys: KeyList[str] = field(default_factory=KeyList)
     #: Population at bulk-load end (TTL floor anchor).
     bulk_count: int = 0
     #: Zipf prefix sums by rank; grown lazily, never rebuilt (the
@@ -139,6 +141,25 @@ class ScenarioState:
         """Logical bytes written so far (overwrites + creates)."""
         return sum(t.bytes_written for t in self.tenants)
 
+    def check_invariants(self, store: ObjectStore) -> None:
+        """Audit the engine's books against each other and ``store``."""
+        keys, tenants = self.workload.keys, self.tenants
+        for seq in (keys, *(t.keys for t in tenants)):
+            seq.check()
+        # Tenant sequences partition ``keys``, each in the same order.
+        owner = {k: t for t in tenants for k in t.keys}
+        if len(owner) != len(keys) or any(
+                [k for k in keys if owner.get(k) is t] != list(t.keys)
+                for t in tenants):
+            raise CorruptionError("tenant keys do not partition the key list")
+        if sum(t.ops for t in tenants) != self.op_index:
+            raise CorruptionError("tenant op counts do not sum to op_index")
+        live = sum(store.meta(k).size for k in keys)
+        if live != self.workload.tracker.live_bytes:
+            raise CorruptionError(f"tracker.live_bytes != {live} bytes stored")
+        if not all(0 <= e[2] < len(tenants) for e in self.ttl_heap):
+            raise CorruptionError("TTL heap names a tenant out of range")
+
 
 # ----------------------------------------------------------------------
 # Internals
@@ -154,13 +175,6 @@ def _untagged(tenant: str) -> AbstractContextManager[None]:
     return _UNTIMED
 
 
-def _wave_factor(spec: ScenarioSpec, op: int, phase: float = 0.0) -> float:
-    if spec.wave_amplitude <= 0.0 or spec.wave_period_ops <= 0:
-        return 1.0
-    angle = 2.0 * math.pi * op / spec.wave_period_ops + phase
-    return 1.0 + spec.wave_amplitude * math.sin(angle)
-
-
 def _choose_tenant(state: ScenarioState) -> int:
     """Weighted draw over tenants, wave-modulated with per-tenant
     phase offsets so bursts rotate across the tenant set."""
@@ -168,11 +182,14 @@ def _choose_tenant(state: ScenarioState) -> int:
     if len(tenants) == 1:
         return 0
     n = len(tenants)
-    weights = [
-        t.profile.weight * _wave_factor(state.spec, state.op_index,
-                                        2.0 * math.pi * i / n)
-        for i, t in enumerate(tenants)
-    ]
+    weights = [t.profile.weight for t in tenants]
+    spec = state.spec
+    # ScenarioSpec validates that an amplitude comes with a period.
+    if spec.wave_amplitude > 0.0:
+        tau, amp = 2.0 * math.pi, spec.wave_amplitude
+        base = tau * state.op_index / spec.wave_period_ops
+        weights = [w * (1.0 + amp * math.sin(base + tau * i / n))
+                   for i, w in enumerate(weights)]
     x = state.pick_rng.random() * sum(weights)
     acc = 0.0
     for i, w in enumerate(weights):
@@ -185,7 +202,7 @@ def _choose_tenant(state: ScenarioState) -> int:
 def _maybe_update_arrival(store: ObjectStore, state: ScenarioState) -> None:
     """Re-anchor the open-loop Poisson rate to the diurnal wave."""
     spec = state.spec
-    if spec.wave_amplitude <= 0.0 or spec.wave_period_ops <= 0:
+    if spec.wave_amplitude <= 0.0:
         return
     sched = getattr(store, "scheduler", None)
     if (not getattr(sched, "is_event", False)
@@ -197,7 +214,8 @@ def _maybe_update_arrival(store: ObjectStore, state: ScenarioState) -> None:
     if window == state.wave_window:
         return
     state.wave_window = window
-    rate = state.base_rate * _wave_factor(spec, state.op_index)
+    angle = 2.0 * math.pi * state.op_index / spec.wave_period_ops
+    rate = state.base_rate * (1.0 + spec.wave_amplitude * math.sin(angle))
     # A fresh seed per window keeps the inter-arrival stream from
     # replaying identically after every re-anchor.
     seed = sched.arrival.seed * 1000 + (window % 1000)
@@ -206,13 +224,6 @@ def _maybe_update_arrival(store: ObjectStore, state: ScenarioState) -> None:
         + (f":clients={sched.arrival.clients}"
            if sched.arrival.clients else "")
     )
-
-
-def _remove_key(state: ScenarioState, tenant: TenantState,
-                key: str) -> None:
-    tenant.keys.remove(key)
-    state.workload.keys.remove(key)
-    state.workload.versions.pop(key, None)
 
 
 def _expire_due(store: ObjectStore, state: ScenarioState,
@@ -230,7 +241,9 @@ def _expire_due(store: ObjectStore, state: ScenarioState,
         with tagged(tenant.profile.name):
             store.delete(key)
         state.workload.tracker.on_delete(size)
-        _remove_key(state, tenant, key)
+        tenant.keys.remove(key)
+        state.workload.keys.remove(key)
+        state.workload.versions.pop(key, None)
         tenant.expired += 1
 
 
@@ -247,7 +260,8 @@ def scenario_bulk_load(store: ObjectStore, spec: WorkloadSpec,
     churn starts immediately instead of after one full lifetime.
     """
     workload = WorkloadState(
-        spec=spec, rng=substream(seed, f"scenario:{scn.seed}:workload"))
+        spec=spec, rng=substream(seed, f"scenario:{scn.seed}:workload"),
+        keys=KeyList())
     tenants = [
         TenantState(
             profile=t,

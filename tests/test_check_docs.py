@@ -22,6 +22,15 @@ def docs_root(tmp_path, monkeypatch):
     (bench / "BENCH_alloc.json").write_text(json.dumps({
         "speedups_naive_over_tiered": {"mixed_policy@100000": 320.0},
     }))
+    for pr, medians in ((13, {"db_large_churn": 250.129,
+                              "fs_small_churn": 5971.88}),
+                        (14, {"db_large_churn": 726.819}),
+                        (16, {"db_large_churn": 13288.4})):
+        (bench / f"BENCH_e2e_pr{pr}.json").write_text(json.dumps({
+            "workloads": {
+                name: {"end_to_end": {"sim_ops_per_host_s": {"value": v}}}
+                for name, v in medians.items()},
+        }))
     monkeypatch.setattr(check_docs, "ROOT", tmp_path)
 
     def problems(readme: str) -> list[str]:
@@ -41,7 +50,16 @@ def test_matching_quotes_pass(docs_root):
         "`mixed_policy@100000`\n  320× through the policy path.\n\n"
         "| scenario | fields |\n| --- | --- |\n| `fs_churn` | `index` |\n\n"
         "| `speedups` key | committed |\n| --- | --- |\n"
-        "| `aged_p99_inflation` | 1.19 |\n") == []
+        "| `aged_p99_inflation` | 1.19 |\n\n"
+        "| file | what moved |\n| --- | --- |\n"
+        "| `BENCH_e2e_pr14.json` | `db_large_churn` 250 → 727"
+        " `sim_ops_per_host_s`, `setup_s` 1.02 → 0.50 |\n"
+        "| `BENCH_e2e_pr14.json` | `db_large_churn` 250.1 → 726.82"
+        " `sim_ops_per_host_s` |\n"
+        "| `BENCH_e2e_pr14.json` → `BENCH_e2e_pr16.json` |"
+        " `db_large_churn` 727 → 13288 `sim_ops_per_host_s` |\n"
+        "Prose is not held: `BENCH_e2e_pr14.json` moved `db_large_churn`"
+        " 1 → 2 `sim_ops_per_host_s`.\n") == []
 
 
 @pytest.mark.parametrize("text, complaint", [
@@ -56,6 +74,18 @@ def test_matching_quotes_pass(docs_root):
     ("`segment_store_read@100000` 3.06×", "is not a committed speedups key"),
     ("| `speedups` key | committed |\n| --- | --- |\n| `gone` | 1 |",
      "`gone` is not a committed speedups key"),
+    ("| `BENCH_e2e_pr14.json` | `db_large_churn` 250 → 728"
+     " `sim_ops_per_host_s` |",
+     "quoted as 728, BENCH_e2e_pr14.json has 727"),
+    ("| `BENCH_e2e_pr14.json` | `db_large_churn` 250.2 → 726.8"
+     " `sim_ops_per_host_s` |",
+     "quoted as 250.2, BENCH_e2e_pr13.json has 250.1"),
+    ("| `BENCH_e2e_pr16.json` | `db_large_churn` 727 → 13288"
+     " `sim_ops_per_host_s` |",
+     "`db_large_churn` 727: no committed median in BENCH_e2e_pr15.json"),
+    ("| `BENCH_e2e_pr14.json` | `fs_small_churn` 5972 → 5943"
+     " `sim_ops_per_host_s` |",
+     "`fs_small_churn` 5943: no committed median in BENCH_e2e_pr14.json"),
 ])
 def test_drift_is_reported(docs_root, text, complaint):
     problems = docs_root(text)

@@ -1,5 +1,11 @@
-"""Property-based tests: buddy allocator, GAM, and LOB tree invariants."""
+"""Property-based tests: buddy allocator, GAM, LOB tree and KeyList
+invariants."""
 
+import pickle
+from random import Random
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +15,7 @@ from repro.alloc.buddy import BuddyAllocator
 from repro.db.btree import LobTree
 from repro.db.gam import GamAllocator
 from repro.errors import AllocationError
+from repro.struct import KeyList, keylist
 from repro.units import KB, MB, PAGES_PER_EXTENT
 
 
@@ -169,3 +176,101 @@ def test_lobtree_append_then_read_everything(counts):
         page += count  # physically consecutive: must merge into 1 run
     assert tree.all_runs() == [(0, len(expected))]
     assert tree.total_pages == len(expected)
+
+
+# ----------------------------------------------------------------------
+# KeyList
+# ----------------------------------------------------------------------
+KEY_DOMAIN = [f"key-{n}" for n in range(24)]
+
+
+def assert_same_sequence(seq: KeyList, model: list) -> None:
+    seq.check()
+    assert list(seq) == model
+    assert len(seq) == len(model) and bool(seq) == bool(model)
+    for key in KEY_DOMAIN:
+        assert (key in seq) == (key in model)
+    for i in range(-len(model) - 2, len(model) + 2):
+        if -len(model) <= i < len(model):
+            assert seq[i] == model[i]
+        else:
+            with pytest.raises(IndexError):
+                seq[i]
+    if model:
+        assert Random(0).choice(seq) == Random(0).choice(model)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["append", "remove"]),
+                          st.sampled_from(KEY_DOMAIN)),
+                max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_keylist_matches_list_model(ops):
+    with mock.patch.object(keylist, "BLOCK", 4):
+        seq, model = KeyList(), []
+        for op, key in ops:
+            if (op == "append") == (key in model):
+                # Appending a present key or removing an absent one is
+                # refused and leaves the sequence as it was.
+                with pytest.raises(ValueError):
+                    getattr(seq, op)(key)
+            else:
+                getattr(seq, op)(key)
+                getattr(model, op)(key)
+            assert_same_sequence(seq, model)
+
+
+def test_keylist_drops_an_emptied_interior_block():
+    with mock.patch.object(keylist, "BLOCK", 4):
+        seq, model = KeyList(KEY_DOMAIN[:12]), KEY_DOMAIN[:12]
+        for key in KEY_DOMAIN[4:8]:
+            seq.remove(key)
+            model.remove(key)
+            assert_same_sequence(seq, model)
+        seq.append(KEY_DOMAIN[20])
+        assert_same_sequence(seq, model + [KEY_DOMAIN[20]])
+
+
+@given(st.lists(st.tuples(st.sampled_from(KEY_DOMAIN), st.booleans()),
+                unique_by=lambda pair: pair[0]))
+@settings(max_examples=100, deadline=None)
+def test_keylist_pickles_as_its_sequence_alone(pairs):
+    """Two histories, one sequence, equal bytes: the dict and the block
+    layout never reach the pickle (a resumed run and an uninterrupted
+    one must write the same checkpoint)."""
+    kept = [key for key, keep in pairs if keep]
+    with mock.patch.object(keylist, "BLOCK", 4):
+        direct = KeyList(kept)
+        carved = KeyList(key for key, _ in pairs)
+        for key, keep in pairs:
+            if not keep:
+                carved.remove(key)
+        blob = pickle.dumps(direct)
+        assert pickle.dumps(carved) == blob
+        assert_same_sequence(pickle.loads(blob), kept)
+
+
+def test_keylist_remove_and_membership_scan_one_block():
+    """Comparison-count regression: a plain list compares the probe
+    with every key before the match (thousands here)."""
+    calls = [0]
+
+    class CountedKey:
+        def __init__(self, n):
+            self.n = n
+
+        def __hash__(self):
+            return hash(self.n)
+
+        def __eq__(self, other):
+            calls[0] += 1
+            return self.n == other.n
+
+    seq = KeyList(CountedKey(n) for n in range(10_000))
+    probe = CountedKey(5_400)  # equal to a stored key, not identical
+    calls[0] = 0
+    assert probe in seq
+    assert 1 <= calls[0] <= 2
+    calls[0] = 0
+    seq.remove(probe)
+    assert 1 <= calls[0] <= keylist.BLOCK + 2
+    assert probe not in seq and len(seq) == 9_999

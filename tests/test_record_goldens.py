@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.backends.spec import StoreSpec
-from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.scenario.spec import ScenarioSpec
 
 GOLDEN = json.loads(
@@ -39,7 +39,9 @@ def record_hash(entry: dict) -> str:
         reads_per_sample=run["reads_per_sample"],
         seed=run["seed"],
     )
-    record = run_experiment(config).to_dict()
+    runner = ExperimentRunner(config)
+    record = runner.run().to_dict()
+    runner.scenario_state.check_invariants(runner.store)
     blob = json.dumps(record, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -23,12 +23,17 @@ import pytest
 
 from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
-from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.core.experiment import (
+    ExperimentConfig,
+    ExperimentRunner,
+    run_experiment,
+)
 from repro.core.throughput import measure
 from repro.core.workload import ConstantSize, WorkloadSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CorruptionError, ObjectNotFoundError
 from repro.scenario.engine import (
     ScenarioState,
+    _maybe_update_arrival,
     scenario_bulk_load,
     scenario_step,
     scenario_to_age,
@@ -191,6 +196,7 @@ class TestEngine:
         with measure(store, "idle") as idle:
             pass
         assert idle.latency == {} and idle.tenant_lat is None
+        state.check_invariants(store)
 
     def test_ttl_churn_expires_without_collapsing(self):
         store, state = _fresh_state("log_ingest:tenants=2,ttl=60,seed=5")
@@ -202,9 +208,7 @@ class TestEngine:
             assert len(tenant.keys) >= tenant.ttl_floor
         # Key books stay consistent: tenant keys partition the workload
         # keys, and every live key still resolves in the store.
-        all_keys = [k for t in state.tenants for k in t.keys]
-        assert sorted(all_keys) == sorted(state.workload.keys)
-        assert all(store.exists(k) for k in state.workload.keys)
+        state.check_invariants(store)
 
     def test_scenario_to_age_reaches_target(self):
         store, state = _fresh_state("cdn_churn:tenants=2,seed=5")
@@ -213,6 +217,59 @@ class TestEngine:
                                 on_step=lambda i: seen.append(i))
         assert state.workload.tracker.storage_age >= 0.5
         assert steps == len(seen) == seen[-1]
+        state.check_invariants(store)
+
+    @pytest.mark.parametrize("corrupt,error,match", [
+        pytest.param(
+            lambda store, st: st.tenants[0].keys.remove(st.tenants[0].keys[0]),
+            CorruptionError, "partition", id="tenant-lost-a-key"),
+        pytest.param(
+            lambda store, st: (
+                st.workload.keys.remove(st.tenants[0].keys[0]),
+                st.workload.keys.append(st.tenants[0].keys[0])),
+            CorruptionError, "partition", id="key-out-of-order"),
+        pytest.param(
+            lambda store, st: setattr(st, "op_index", st.op_index + 1),
+            CorruptionError, "op_index", id="op-count"),
+        pytest.param(
+            lambda store, st: st.workload.tracker.on_put(1),
+            CorruptionError, "live_bytes", id="tracker-bytes"),
+        pytest.param(
+            lambda store, st: store.delete(st.workload.keys[-1]),
+            ObjectNotFoundError, "object", id="key-not-in-store"),
+        pytest.param(
+            lambda store, st: st.ttl_heap.append(
+                (0, 0, len(st.tenants), "x")),
+            CorruptionError, "TTL heap", id="heap-tenant-index"),
+        pytest.param(
+            lambda store, st: st.workload.keys._where.pop(
+                st.workload.keys[0]),
+            CorruptionError, "KeyList", id="keylist-dict"),
+    ])
+    def test_check_invariants_names_each_broken_book(self, corrupt, error,
+                                                     match):
+        store, state = _fresh_state("log_ingest:tenants=2,ttl=60,seed=5")
+        for _ in range(200):
+            scenario_step(store, state)
+        state.check_invariants(store)
+        corrupt(store, state)
+        with pytest.raises(error, match=match):
+            state.check_invariants(store)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP 1(f)")
+    def test_arrival_seed_stays_bounded_across_wave_windows(self):
+        """Each window's seed is derived from the previous window's, so
+        it gains three digits per window until ``str(seed)`` passes
+        CPython's 4300-digit limit (window ~1433) and the run dies."""
+        store, state = _fresh_state(
+            "cdn_churn:tenants=2,period=8",
+            store_text="lfs:shards=2,overlap=true,queue=event,"
+                       "arrival=poisson:rate=150")
+        for window in range(1500):
+            state.op_index = window  # period // 8 == 1 op per window
+            _maybe_update_arrival(store, state)
+        assert state.wave_window == 1499
+        assert store.scheduler.arrival.seed.bit_length() < 128
 
     def test_zipf_skews_toward_hot_ranks(self):
         store, state = _fresh_state("cdn_churn:tenants=1,skew=1.2,seed=5")
@@ -251,7 +308,9 @@ class TestExperimentIntegration:
     def test_tenant_counts_sum_to_global(self, store_text, scenario_text):
         spec = (StoreSpec.parse(store_text) if store_text
                 else StoreSpec("filesystem", volume_bytes=48 * MB))
-        result = run_experiment(_experiment(spec, scenario_text))
+        runner = ExperimentRunner(_experiment(spec, scenario_text))
+        result = runner.run()
+        runner.scenario_state.check_invariants(runner.store)
         aged = [s for s in result.samples if s.age > 0]
         assert aged, "no aged samples"
         for sample in aged:

@@ -21,6 +21,7 @@ from repro.core.experiment import (
 )
 from repro.errors import ConfigError
 from repro.scenario.spec import ScenarioSpec
+from repro.struct import keylist
 from repro.units import MB
 
 AGES = (0.0, 1.0, 2.0)
@@ -32,6 +33,8 @@ def config_for(store_kind: str, scenario_text: str,
         "event": StoreSpec.parse(
             "lfs:shards=2,overlap=true,queue=event,volume=48M"),
         "plain": StoreSpec("filesystem", volume_bytes=48 * MB),
+        # Room for more 64K log segments than one KeyList block holds.
+        "plain-large": StoreSpec("filesystem", volume_bytes=96 * MB),
     }
     return ExperimentConfig(
         store=specs[store_kind],
@@ -78,6 +81,23 @@ class TestScenarioResumeIdentity:
         aged = [s for s in resumed.samples if s.age > 0]
         assert aged and all(s.tenant_lat for s in aged)
 
+    def test_resume_rebuilds_a_multi_block_key_list(self, tmp_path):
+        """The kill lands after > BLOCK creates and a round of expiries,
+        so the uninterrupted run continues on blocks that have shrunk
+        while the resumed one rebuilds full blocks from the pickled
+        sequence: same keys, different layout, identical record."""
+        config = config_for("plain-large", "log_ingest:tenants=2,seed=5")
+        baseline = ExperimentRunner(config).run()
+        assert baseline.objects_loaded > keylist.BLOCK
+        run_interrupted(config, tmp_path, 1.0)
+        runner = ExperimentRunner(config, checkpoint_dir=tmp_path,
+                                  resume=True)
+        assert runner.run().to_dict() == baseline.to_dict()
+        state = runner.scenario_state
+        assert len(state.workload.keys) > keylist.BLOCK
+        assert sum(t.expired for t in state.tenants) > 0
+        state.check_invariants(runner.store)
+
     def test_completed_run_resumes_to_identical_record(self, tmp_path):
         config = config_for("event", "cdn_churn:tenants=3,seed=5")
         first = run_experiment(config, checkpoint_dir=tmp_path)
@@ -97,18 +117,19 @@ class TestScenarioResumeIdentity:
                              resume=True).run()
 
     def test_resume_refuses_an_older_schema(self, tmp_path, monkeypatch):
-        """``run-checkpoint/8`` pickled a ``ScenarioState`` with two
-        histogram fields this tree no longer has: refused by schema tag,
-        before the config hash is even compared."""
+        """``run-checkpoint/9`` pickled tenant and scenario key
+        sequences as plain lists where this tree expects a ``KeyList``:
+        refused by schema tag, before the config hash is even
+        compared."""
         from repro.core import experiment
 
         config = config_for("plain", "log_ingest:tenants=2,seed=5")
         with monkeypatch.context() as patch:
             patch.setattr(experiment, "CHECKPOINT_SCHEMA",
-                          "run-checkpoint/8")
+                          "run-checkpoint/9")
             run_interrupted(config, tmp_path, 0.0)
-        assert experiment.CHECKPOINT_SCHEMA == "run-checkpoint/9"
+        assert experiment.CHECKPOINT_SCHEMA == "run-checkpoint/10"
         with pytest.raises(ConfigError,
-                           match="has schema 'run-checkpoint/8'"):
+                           match="has schema 'run-checkpoint/9'"):
             ExperimentRunner(config, checkpoint_dir=tmp_path,
                              resume=True).run()

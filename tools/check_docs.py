@@ -26,7 +26,11 @@ quote from the committed ``benchmarks/BENCH_scale_volume.json`` and
   committed ``speedups`` map;
 * a number written right after a backticked ``speedups`` key
   (`` `key` 5.21× ``, `` | `key` | 5.21 | ``) must equal the committed
-  value.
+  value;
+* in a table row naming ``BENCH_e2e_prNN.json``, a figure written
+  `` `workload` A → B `sim_ops_per_host_s` `` must equal, to the
+  printed precision, the committed medians of ``pr(NN-1)`` and
+  ``prNN`` — or of the two files the row names, in that order.
 
 Stdlib-only so the CI lint job needs no installs::
 
@@ -119,6 +123,9 @@ SPEEDUPS_KEY_RE = re.compile(r"`speedups\.([A-Za-z0-9_@.]+)`"
                              r"|`([a-z0-9_]+@[0-9]+)`")
 QUOTED_VALUE_RE = re.compile(TOKEN + r"[\s:=(|]*([0-9]+(?:\.[0-9]+)?)")
 TABLE_ROW_RE = re.compile(r"\| *(.+?) *\|")
+E2E_FILE_RE = re.compile(r"BENCH_e2e_pr([0-9]+)\.json")
+E2E_QUOTE_RE = re.compile(r"`([a-z0-9_]+)` ([0-9.]+) → ([0-9.]+) "
+                          r"`sim_ops_per_host_s`")
 
 
 def committed_figures() -> tuple[set[str], dict[str, float]]:
@@ -143,6 +150,39 @@ def table_first_cells(text: str, header: str) -> list[str]:
         elif inside and (token := re.fullmatch(TOKEN, match.group(1))):
             cells.append(token.group(1))
     return cells
+
+
+def e2e_median(pr: int, workload: str) -> float | None:
+    """Committed ``sim_ops_per_host_s`` median, None when there is none."""
+    path = ROOT / "benchmarks" / f"BENCH_e2e_pr{pr}.json"
+    try:
+        metrics = json.loads(path.read_text())["workloads"][workload]
+        return float(metrics["end_to_end"]["sim_ops_per_host_s"]["value"])
+    except (OSError, KeyError):
+        return None
+
+
+def e2e_quote_problems(text: str) -> list[str]:
+    """Before → after whole-run figures that drifted from their files."""
+    problems: list[str] = []
+    for line in text.splitlines():
+        prs = [int(n) for n in E2E_FILE_RE.findall(line)]
+        if not line.startswith("|") or not prs:
+            continue
+        pair = (prs[0] - 1, prs[0]) if len(prs) == 1 else prs[:2]
+        for workload, *quoted in E2E_QUOTE_RE.findall(line):
+            for pr, figure in zip(pair, quoted):
+                median = e2e_median(pr, workload)
+                decimals = len(figure.partition(".")[2])
+                if median is None:
+                    problems.append(
+                        f"`{workload}` {figure}: no committed median in "
+                        f"BENCH_e2e_pr{pr}.json")
+                elif f"{median:.{decimals}f}" != figure:
+                    problems.append(
+                        f"`{workload}` quoted as {figure}, "
+                        f"BENCH_e2e_pr{pr}.json has {median:.{decimals}f}")
+    return problems
 
 
 def figure_problems() -> list[str]:
@@ -170,6 +210,8 @@ def figure_problems() -> list[str]:
                     problems.append(
                         f"{rel}: `{key}` quoted as {quoted}, committed "
                         f"value is {speedups[key]}")
+            problems += [f"{rel}: {problem}"
+                         for problem in e2e_quote_problems(text)]
     return problems
 
 
