@@ -45,9 +45,10 @@ whose O(n) memmove per write made content-checked runs test-scale only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.disk.geometry import DiskGeometry
+from repro.disk.geometry import DiskGeometry, cost_tables
 from repro.disk.iostats import IoStats
 from repro.disk.policy import DEFAULT_POLICY, DevicePolicy
 from repro.errors import ConfigError
@@ -205,6 +206,8 @@ class BlockDevice:
     def __init__(self, geometry: DiskGeometry, *, store_data: bool = False,
                  sequential_window: int = 64 * 1024,
                  policy: DevicePolicy | None = None) -> None:
+        if sequential_window < 0:
+            raise ConfigError("sequential_window must be >= 0")
         self.geometry = geometry
         self.stats = IoStats()
         self.policy = policy or DEFAULT_POLICY
@@ -217,42 +220,59 @@ class BlockDevice:
     # Service-time model
     # ------------------------------------------------------------------
     def _cost_of(self, extents: list[Extent],
-                 head: int) -> tuple[int, float, int]:
-        """(seeks, service seconds, final head) for one request.
+                 head: int) -> tuple[int, float, int, int]:
+        """(seeks, service seconds, final head, bytes) for one request.
 
-        Hot path: large requests arrive as many-extent lists, so the
-        per-extent loop accumulates into locals and binds the geometry
-        callables once, touching self only at entry.
+        The one costing kernel: a single pass validates every extent,
+        charges seek + rotation + transfer with the head chaining
+        through them, and counts the bytes.  It raises
+        :class:`ConfigError` for an extent outside the volume before the
+        caller has changed any state.  The zone table and seek constants
+        come from :func:`~repro.disk.geometry.cost_tables` — derived
+        data is not device state, because devices are pickled into
+        checkpoints whose byte count is a modelled quantity.  Only a
+        transfer that straddles a zone boundary goes back to
+        :meth:`DiskGeometry.transfer_time`; its result is added as one
+        sub-total so the float sums equal the composed model's.
         """
         geometry = self.geometry
-        transfer_time = geometry.transfer_time
-        seek_time = geometry.seek_time
-        rotational_s = geometry.avg_rotational_latency_s
+        ends, rates, settle_s, seek_span_s, rotational_s = cost_tables(geometry)
+        capacity = geometry.capacity
         window = self._sequential_window
-        seeks = 0
+        seeks = nbytes = 0
         total = geometry.per_request_overhead_s
         for ext in extents:
             start = ext.start
+            length = ext.length
+            if start < 0 or start + length > capacity:
+                raise ConfigError(
+                    f"extent {ext} outside volume of {capacity} bytes")
             gap = start - head
             if 0 <= gap <= window:
                 # Sequential continuation: pay only any skipped media time.
                 if gap:
-                    total += transfer_time(head, gap)
+                    zone = bisect_right(ends, head)
+                    if start <= ends[zone]:
+                        total += gap / rates[zone]
+                    else:
+                        total += geometry.transfer_time(head, gap)
             else:
                 seeks += 1
-                total += seek_time(head, start) + rotational_s
-            length = ext.length
-            total += transfer_time(start, length)
+                seek_s = settle_s + seek_span_s * ((abs(gap) / capacity) ** 0.5)
+                total += seek_s + rotational_s
             head = start + length
-        return seeks, total, head
+            zone = bisect_right(ends, start)
+            if head <= ends[zone]:
+                total += length / rates[zone]
+            else:
+                total += geometry.transfer_time(start, length)
+            nbytes += length
+        return seeks, total, head, nbytes
 
-    def _validate(self, extents: list[Extent]) -> None:
-        for ext in extents:
-            if ext.start < 0 or ext.end > self.geometry.capacity:
-                raise ConfigError(
-                    f"extent {ext} outside volume of "
-                    f"{self.geometry.capacity} bytes"
-                )
+    def _scaled(self, service_s: float) -> float:
+        """Seam: every modelled service time passes through here once
+        (a degraded device overrides it; see ``disk/faults.py``)."""
+        return service_s
 
     def _elevator(self, batch: list[IoRequest]) -> list[IoRequest]:
         """C-LOOK order: ascending starts from the head, wrapping once."""
@@ -285,40 +305,27 @@ class BlockDevice:
         """
         if not batch:
             return []
-        if reorder is None:
-            reorder = self.policy.reorder_flag
         if len(batch) == 1:
             # Fast path for the single-request wrappers (read_extents /
             # write_extents sit on every experiment's hot path): same
             # accounting, none of the batch bookkeeping.
             req = batch[0]
-            self._validate(req.extents)
-            seeks, service, head = self._cost_of(req.extents, self._head)
-            self._head = head
-            nbytes = 0
-            for ext in req.extents:
-                nbytes += ext.length
-            if req.is_write:
-                self.stats.record_batch(write_bytes=nbytes, write_s=service,
-                                        seeks=seeks)
-            else:
-                self.stats.record_batch(read_bytes=nbytes, read_s=service,
-                                        seeks=seeks)
+            seeks, service, self._head, nbytes = self._cost_of(
+                req.extents, self._head)
+            self.stats.record(req.is_write, nbytes, service, seeks)
             self.clock_s += service
-            return [self._apply_content(req)]
-        for req in batch:
-            self._validate(req.extents)
-        order = self._elevator(batch) if reorder else batch
+            return [None] if self._store is None else [self._apply_content(req)]
+        if reorder is None:
+            reorder = self.policy.reorder_flag
         head = self._head
         seeks = 0
         read_bytes = write_bytes = 0
         read_s = write_s = 0.0
-        for req in order:
-            req_seeks, service, head = self._cost_of(req.extents, head)
+        # Nothing is mutated until the last request is costed (and so
+        # validated): a bad extent anywhere leaves the device untouched.
+        for req in self._elevator(batch) if reorder else batch:
+            req_seeks, service, head, nbytes = self._cost_of(req.extents, head)
             seeks += req_seeks
-            nbytes = 0
-            for ext in req.extents:
-                nbytes += ext.length
             if req.is_write:
                 write_bytes += nbytes
                 write_s += service
@@ -326,9 +333,11 @@ class BlockDevice:
                 read_bytes += nbytes
                 read_s += service
         self._head = head
-        self.stats.record_batch(read_bytes=read_bytes, write_bytes=write_bytes,
-                                read_s=read_s, write_s=write_s, seeks=seeks)
+        self.stats.record(False, read_bytes, read_s, seeks)
+        self.stats.record(True, write_bytes, write_s, 0, requests=0)
         self.clock_s += read_s + write_s
+        if self._store is None:
+            return [None] * len(batch)
         # Content pass, always in submission order: reordering is a
         # timing-model choice and must never change stored bytes.
         return [self._apply_content(req) for req in batch]
@@ -415,8 +424,8 @@ class BlockDevice:
             service += geometry.transfer_time(start, span)
             remaining -= span
             start = (start + span) % geometry.capacity
-        self.stats.record(is_write=True, nbytes=nbytes, service_s=service,
-                          seeks=1)
+        service = self._scaled(service)
+        self.stats.record(True, nbytes, service, 1)
         self.clock_s += service
         return service
 
@@ -426,8 +435,8 @@ class BlockDevice:
         Safe writes and commit records force the platter; charging a
         rotation approximates the cache-flush cost of the era's drives.
         """
-        service = self.geometry.rotation_s
-        self.stats.record(is_write=True, nbytes=0, service_s=service, seeks=0)
+        service = self._scaled(self.geometry.rotation_s)
+        self.stats.record(True, 0, service, 0)
         self.clock_s += service
 
     # ------------------------------------------------------------------

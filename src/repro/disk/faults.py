@@ -286,7 +286,8 @@ class FaultyBlockDevice(BlockDevice):
     Runtime faults (``faults=``, a :class:`DeviceFaults`): transient
     errors fail a batch up front — no time charged, no content applied —
     so a retried operation pays exactly one successful service; slow
-    factors scale every modelled service time, including flush.  After
+    factors scale every modelled service time (:meth:`_scaled`: requests,
+    flush, checkpoint write-back).  After
     :meth:`mark_lost`, every timed operation raises
     :class:`~repro.errors.ShardLostError`; untimed inspection
     (``peek``/``poke``) still works, because recovery tooling may
@@ -340,11 +341,12 @@ class FaultyBlockDevice(BlockDevice):
 
     # -- cost model ----------------------------------------------------
     def _cost_of(self, extents, head):
-        seeks, total, head = super()._cost_of(extents, head)
+        seeks, total, head, nbytes = super()._cost_of(extents, head)
+        return seeks, self._scaled(total), head, nbytes
+
+    def _scaled(self, service_s: float) -> float:
         faults = self.faults
-        if faults is not None and faults.slow_factor != 1.0:
-            total *= faults.slow_factor
-        return seeks, total, head
+        return service_s if faults is None else service_s * faults.slow_factor
 
     # -- timed I/O -----------------------------------------------------
     def submit(self, batch: list[IoRequest], *,
@@ -362,12 +364,11 @@ class FaultyBlockDevice(BlockDevice):
                 + ("write" if is_write else "read") + " error")
         return super().submit(batch, reorder=reorder)
 
+    def charge_sequential_write(self, nbytes: int) -> float:
+        self._check_lost()
+        return super().charge_sequential_write(nbytes)
+
     def flush(self) -> None:
         self._check_lost()
         self._tick("flush", [])
-        faults = self.faults
-        if faults is None or faults.slow_factor == 1.0:
-            return super().flush()
-        service = self.geometry.rotation_s * faults.slow_factor
-        self.stats.record(is_write=True, nbytes=0, service_s=service, seeks=0)
-        self.clock_s += service
+        super().flush()

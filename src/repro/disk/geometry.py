@@ -14,6 +14,7 @@ band — the era's published figures.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -118,14 +119,7 @@ class DiskGeometry:
             raise ConfigError(
                 f"offset {offset} outside volume of {self.capacity} bytes"
             )
-        lo, hi = 0, len(self.zones) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.zones[mid].end <= offset:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.zones[lo]
+        return self.zones[bisect_right(cost_tables(self)[0], offset)]
 
     def rate_at(self, offset: int) -> float:
         """Media transfer rate (bytes/s) at byte ``offset``."""
@@ -163,6 +157,33 @@ class DiskGeometry:
             position += chunk
             remaining -= chunk
         return total
+
+
+#: ``(zone ends, zone rates, settle_s, full_seek_s - settle_s, average
+#: rotational latency)`` — what one device request needs of a geometry.
+CostTables = tuple[list[int], list[float], float, float, float]
+
+#: ``id(geometry) -> (geometry, tables)``.  Kept outside the instances:
+#: geometries are pickled into checkpoints whose byte count is charged
+#: to the modelled clock, so a cached field would move modelled results.
+#: The entry holds its geometry, so the id cannot be recycled while the
+#: entry exists; an unpickled geometry simply builds a fresh entry.
+_COST_TABLES: dict[int, tuple[DiskGeometry, CostTables]] = {}
+
+
+def cost_tables(geometry: DiskGeometry) -> CostTables:
+    """The zone lookup table and seek constants derived from ``geometry``.
+
+    Zone ``i`` is the one with ``bisect_right(ends, offset) == i``.
+    """
+    entry = _COST_TABLES.get(id(geometry))
+    if entry is None or entry[0] is not geometry:
+        zones = geometry.zones
+        entry = _COST_TABLES[id(geometry)] = (geometry, (
+            [zone.end for zone in zones], [zone.rate for zone in zones],
+            geometry.settle_s, geometry.full_seek_s - geometry.settle_s,
+            geometry.avg_rotational_latency_s))
+    return entry[1]
 
 
 def _standard_zones(capacity: int, outer_rate: float, inner_rate: float,

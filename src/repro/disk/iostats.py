@@ -113,40 +113,34 @@ class IoStats:
         for win in self._windows:
             win.cpu_time_s += seconds
 
-    def record(self, *, is_write: bool, nbytes: int, service_s: float,
-               seeks: int) -> None:
-        """Account one device request in the totals and all open windows."""
-        if is_write:
-            self.record_batch(write_bytes=nbytes, write_s=service_s,
-                              seeks=seeks)
-        else:
-            self.record_batch(read_bytes=nbytes, read_s=service_s,
-                              seeks=seeks)
+    def record(self, is_write: bool, nbytes: int, service_s: float,
+               seeks: int, requests: int = 1) -> None:
+        """Account one submission in the totals and all open windows.
 
-    def record_batch(self, *, read_bytes: int = 0, write_bytes: int = 0,
-                     read_s: float = 0.0, write_s: float = 0.0,
-                     seeks: int = 0) -> None:
-        """Account one scatter/gather submission as a single request.
-
-        This is the batch path's accounting entry: a batch of many
-        requests lands in the totals with identical bytes/time/seeks to
-        per-request submission but bumps ``requests`` (and every open
-        window's request count) exactly once — the host-side submission
-        count, not the extent count.
+        A submission is one request or one scatter/gather batch: it
+        bumps ``requests`` (and every open window's request count)
+        exactly once — the host-side submission count, not the extent
+        count.  A batch that mixes directions accounts its other side
+        with ``requests=0``.
         """
-        self.requests += 1
+        self.requests += requests
         self.seeks += seeks
-        self.read_bytes += read_bytes
-        self.write_bytes += write_bytes
-        self.read_time_s += read_s
-        self.write_time_s += write_s
-        for win in self._windows:
-            win.requests += 1
-            win.seeks += seeks
-            win.read_bytes += read_bytes
-            win.write_bytes += write_bytes
-            win.read_time_s += read_s
-            win.write_time_s += write_s
+        if is_write:
+            self.write_bytes += nbytes
+            self.write_time_s += service_s
+            for win in self._windows:
+                win.requests += requests
+                win.seeks += seeks
+                win.write_bytes += nbytes
+                win.write_time_s += service_s
+        else:
+            self.read_bytes += nbytes
+            self.read_time_s += service_s
+            for win in self._windows:
+                win.requests += requests
+                win.seeks += seeks
+                win.read_bytes += nbytes
+                win.read_time_s += service_s
 
     def start_window(self, name: str) -> WindowStats:
         """Open a named measurement window; windows may nest."""

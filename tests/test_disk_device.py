@@ -1,10 +1,17 @@
 """Tests for the block device: service times, head tracking, content."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from costoracle import OracleDevice, cost_of, device_totals
 
 from repro.alloc.extent import Extent
-from repro.disk.device import BlockDevice
-from repro.disk.geometry import make_disk, scaled_disk
+from repro.disk.device import BlockDevice, IoRequest
+from repro.disk.faults import DeviceFaults, FaultyBlockDevice
+from repro.disk.geometry import DiskGeometry, Zone, make_disk, scaled_disk
 from repro.errors import ConfigError
 from repro.units import KB, MB
 
@@ -197,3 +204,188 @@ class TestWindows:
             win.read_bytes / win.read_time_s
         )
         assert win.throughput() > 0
+
+
+# ----------------------------------------------------------------------
+# The costing kernel against the composed model (costoracle.py)
+# ----------------------------------------------------------------------
+@st.composite
+def zoned_geometries(draw):
+    """1-8 zones of unequal size and rate; small, so boundaries are hit."""
+    sizes = draw(st.lists(st.integers(1, 4096), min_size=1, max_size=8))
+    zones, start = [], 0
+    for size in sizes:
+        rate = draw(st.floats(1e3, 1e8, allow_nan=False))
+        zones.append(Zone(start, start + size, rate))
+        start += size
+    return DiskGeometry(capacity=start, zones=tuple(zones))
+
+
+def resolve_extent(geometry, window, head, pick):
+    """Turn drawn integers into an extent placed relative to ``head``:
+    gap 0 / inside the window / window + 1 / backwards / on a zone end /
+    anywhere, ending in-zone / on the next zone end / on capacity /
+    anywhere (straddling zero or more boundaries)."""
+    where, x, how, y = pick
+    capacity = geometry.capacity
+    ends = [zone.end for zone in geometry.zones]
+    start = (head,
+             head + 1 + x % max(window, 1),
+             head + window + 1,
+             x % max(head, 1),
+             ends[x % len(ends)],
+             x % capacity)[where]
+    if start >= capacity:
+        start = x % capacity
+    zone_end = geometry.zone_at(start).end
+    length = (1, zone_end - start, capacity - start,
+              1 + y % (capacity - start))[how]
+    return Extent(start, length)
+
+
+extent_picks = st.tuples(st.integers(0, 5), st.integers(0, 1 << 20),
+                         st.integers(0, 3), st.integers(0, 1 << 20))
+request_picks = st.tuples(st.booleans(), st.lists(extent_picks, max_size=4))
+
+
+@given(zoned_geometries(), st.sampled_from([0, 1, 64, 64 * KB]),
+       st.sampled_from([1.0, 4.0]),
+       st.lists(st.lists(request_picks, min_size=1, max_size=3), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_composed_model(geometry, window, slow, steps):
+    """``==`` on every float: per request, and on head, clock and stats
+    after every step, for a batch submitted whole, one request at a
+    time, and in elevator order."""
+    def device():
+        if slow == 1.0:
+            return BlockDevice(geometry, sequential_window=window)
+        return FaultyBlockDevice(geometry, sequential_window=window,
+                                 faults=DeviceFaults(slow_factor=slow))
+
+    modes = ("whole", "single", "reorder")
+    devs = {mode: device() for mode in modes}
+    oracles = {mode: OracleDevice(geometry, window, slow) for mode in modes}
+    for step in steps:
+        for mode in modes:
+            dev, oracle = devs[mode], oracles[mode]
+            batch, head = [], oracle.head
+            for is_write, picks in step:
+                extents = []
+                for pick in picks:
+                    extents.append(
+                        resolve_extent(geometry, window, head, pick))
+                    head = extents[-1].end
+                batch.append(IoRequest(is_write, extents))
+                assert dev._cost_of(extents, oracle.head)[:3] == cost_of(
+                    geometry, window, extents, oracle.head, slow)
+            if mode == "single":
+                for req in batch:
+                    dev.submit([req])
+                    oracle.submit([req])
+            elif mode == "reorder":
+                oracle.submit(dev._elevator(batch))
+                dev.submit(batch, reorder=True)
+            else:
+                dev.submit(batch, reorder=False)
+                oracle.submit(batch)
+            assert device_totals(dev) == oracle.totals()
+    # Submission order is free of batching except for the request count
+    # and the association of the float sums.
+    whole, single = device_totals(devs["whole"]), device_totals(devs["single"])
+    assert (whole[0], whole[2:4], whole[6]) == (single[0], single[2:4],
+                                                single[6])
+
+
+class TestKernelEdges:
+    """The named corners of the kernel, without a generator in the way."""
+
+    GEOMETRY = DiskGeometry(capacity=1000, zones=(
+        Zone(0, 100, 1e4), Zone(100, 400, 7e3), Zone(400, 1000, 3e3)))
+
+    @pytest.mark.parametrize("extents, head", [
+        ([Extent(0, 1000)], 0),                    # straddles every zone
+        ([Extent(50, 50), Extent(100, 1)], 0),     # head lands on a zone end
+        ([Extent(900, 100), Extent(0, 10)], 0),    # head lands on capacity
+        ([Extent(10, 10), Extent(95, 10)], 10),    # in-window gap straddles
+        ([Extent(20, 10)], 20),                    # gap 0
+        ([Extent(85, 5)], 20),                     # gap == window + 1
+        ([Extent(5, 5)], 20),                      # backwards
+        ([], 20),                                  # empty request
+    ])
+    @pytest.mark.parametrize("window", [0, 64])
+    def test_equals_composed_model(self, extents, head, window):
+        dev = BlockDevice(self.GEOMETRY, sequential_window=window)
+        *cost, nbytes = dev._cost_of(extents, head)
+        assert tuple(cost) == cost_of(self.GEOMETRY, window, extents, head)
+        assert nbytes == sum(e.length for e in extents)
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ConfigError):
+            BlockDevice(self.GEOMETRY, sequential_window=-1)
+
+
+# ----------------------------------------------------------------------
+# Derived tables are not device state; validation is atomic
+# ----------------------------------------------------------------------
+DEVICE_KEYS = {"geometry", "stats", "policy", "_store", "_head",
+               "_sequential_window", "clock_s"}
+
+
+def drive(dev, offsets):
+    for offset in offsets:
+        dev.write(offset, 96 * KB)
+        dev.read_extents([Extent(offset, 32 * KB),
+                          Extent(offset + 40 * KB, 8 * KB)])
+
+
+class TestPickleNeutral:
+    def test_zone_table_is_not_in_the_bytes(self):
+        warm = BlockDevice(make_disk(64 * MB))
+        cold = BlockDevice(make_disk(64 * MB))
+        fresh = pickle.dumps(warm)
+        warm.geometry.zone_at(0)  # builds the table for this geometry only
+        assert pickle.dumps(warm) == fresh == pickle.dumps(cold)
+        offsets = [48 * MB, 7 * MB, 7 * MB + 100 * KB, 8 * MB - 16 * KB]
+        drive(warm, offsets)
+        drive(cold, offsets)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        assert set(vars(warm)) == DEVICE_KEYS
+
+    def test_unpickled_device_costs_like_its_twin(self):
+        twin = BlockDevice(make_disk(64 * MB))
+        drive(twin, [48 * MB, 7 * MB])
+        copy = pickle.loads(pickle.dumps(twin))
+        assert copy.geometry is not twin.geometry
+        offsets = [8 * MB - 16 * KB, 60 * MB, 60 * MB + 128 * KB]
+        drive(twin, offsets)
+        drive(copy, offsets)
+        assert device_totals(copy) == device_totals(twin)
+        assert pickle.dumps(copy) == pickle.dumps(twin)
+
+
+class TestAtomicValidation:
+    def state(self, dev):
+        return (dev.head_position, dev.clock_s, dev.stats.snapshot(),
+                dev.peek(0, 64), dev.peek(1 * MB, 64))
+
+    def test_bad_last_extent_of_a_request(self):
+        dev = BlockDevice(scaled_disk(8 * MB), store_data=True)
+        dev.write(0, 8, data=b"original")
+        before = self.state(dev)
+        with pytest.raises(ConfigError, match="outside volume of"):
+            dev.write_extents([Extent(0, 8), Extent(8 * MB - 4, 8)],
+                              data=b"x" * 16)
+        assert self.state(dev) == before
+
+    def test_bad_last_request_of_a_batch(self):
+        dev = BlockDevice(scaled_disk(8 * MB), store_data=True)
+        dev.write(0, 8, data=b"original")
+        before = self.state(dev)
+        batch = [IoRequest.write([Extent(0, 8)], b"y" * 8),
+                 IoRequest.write([Extent(1 * MB, 8)], b"z" * 8),
+                 IoRequest.read([Extent(2 * MB, 8),
+                                 Extent(8 * MB - 4, 8)])]
+        for reorder in (False, True):
+            with pytest.raises(ConfigError, match="outside volume of"):
+                dev.submit(batch, reorder=reorder)
+            assert self.state(dev) == before

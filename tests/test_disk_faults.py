@@ -185,6 +185,15 @@ class TestSlowFactor:
         slow.flush()
         assert slow.clock_s == pytest.approx(8 * plain.clock_s)
 
+    def test_checkpoint_write_back_scales_too(self):
+        plain = BlockDevice(scaled_disk(64 * MB))
+        slow = make_faulty("slow:factor=4")
+        charged = slow.charge_sequential_write(1 * MB)
+        assert charged == 4.0 * plain.charge_sequential_write(1 * MB)
+        assert slow.clock_s == slow.stats.write_time_s == charged
+        assert slow.stats.write_bytes == 1 * MB
+        assert slow.head_position == 0
+
 
 class TestLoss:
     def test_lost_device_raises_on_timed_io(self):
@@ -199,6 +208,10 @@ class TestLoss:
             dev.write(0, 64 * KB)
         with pytest.raises(ShardLostError):
             dev.flush()
+        before = (dev.clock_s, dev.stats.snapshot())
+        with pytest.raises(ShardLostError):
+            dev.charge_sequential_write(1 * MB)
+        assert (dev.clock_s, dev.stats.snapshot()) == before
 
     def test_untimed_inspection_survives_loss(self):
         dev = make_faulty(store_data=True)

@@ -74,6 +74,19 @@ class TestZoneLookup:
         with pytest.raises(ConfigError):
             disk.zone_at(-1)
 
+    def test_zone_at_agrees_with_a_linear_scan_of_unequal_zones(self):
+        # The composed cost model in costoracle.py integrates through
+        # zone_at, so the table lookup needs a check that does not.
+        sizes = [1, 7, 4096, 2, 300, 1, 65, 9]
+        zones, start = [], 0
+        for i, size in enumerate(sizes):
+            zones.append(Zone(start, start + size, 1e6 / (i + 1)))
+            start += size
+        disk = DiskGeometry(capacity=start, zones=tuple(zones))
+        for offset in range(start):
+            assert disk.zone_at(offset) is next(
+                z for z in zones if z.start <= offset < z.end)
+
     def test_rates_monotonically_nonincreasing(self):
         disk = make_disk(64 * MB, nzones=8)
         rates = [z.rate for z in disk.zones]
