@@ -7,9 +7,10 @@ they survive a process death.  Three layers, lowest first:
   encodings of the free-extent index (both engines) and the journal's
   recoverable state, each guarded by magic, version, and CRC so a torn
   write is detected rather than mounted.
-* :mod:`repro.persist.delta` — a generic rsync-style binary delta
-  between two payloads under the same CRC framing, pinned to its exact
-  parent by length + CRC; the delta-checkpoint encoding.
+* :mod:`repro.persist.delta` — a generic content-keyed binary delta
+  (COPY of matching parent blocks, INSERT of the rest) between two
+  payloads under the same CRC framing, pinned to its exact parent by
+  length + CRC; the delta-checkpoint encoding.
 * :mod:`repro.persist.rebuild` — reconstruction of the free index from
   the file table's extent maps (the authoritative source), plus the
   run-for-run cross-check that catches a snapshot diverging from the

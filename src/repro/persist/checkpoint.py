@@ -253,7 +253,8 @@ class CheckpointManager:
         for name, blob in files.items():
             self._fault(f"write:{name}")
             stored = blob
-            entry: dict[str, Any] = {"sha256": _digest(blob),
+            content_sha256 = _digest(blob)
+            entry: dict[str, Any] = {"sha256": content_sha256,
                                      "bytes": len(blob),
                                      "encoding": "full"}
             if parent is not None and name in parent.files:
@@ -263,7 +264,7 @@ class CheckpointManager:
                     entry = {"sha256": _digest(delta),
                              "bytes": len(delta),
                              "encoding": "delta",
-                             "content_sha256": _digest(blob),
+                             "content_sha256": content_sha256,
                              "content_bytes": len(blob)}
                     used_delta = True
             (staging / name).write_bytes(stored)

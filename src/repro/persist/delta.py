@@ -1,4 +1,4 @@
-"""Binary delta between two snapshot payloads (rsync-style, CRC-framed).
+"""Binary delta between two snapshot payloads (content-keyed, CRC-framed).
 
 A delta blob encodes ``target`` against ``parent`` as a sequence of
 COPY/INSERT ops, framed exactly like the other persist codecs::
@@ -15,26 +15,62 @@ pin the blob to the exact parent it was encoded against, and
 ``result_len``/``result_crc`` verify the reconstruction — a delta can
 never silently apply to the wrong base or produce the wrong bytes.
 
-The encoder is the classic rsync scheme: the parent is hashed in
-aligned ``block``-sized windows under a weak rolling checksum; the
-target is scanned with the same checksum rolled one byte at a time, and
-every weak hit is byte-verified and then extended greedily, so
-mostly-identical inputs (checkpoint payloads between adjacent ages)
-cost one window step per matching block.  Encoding is deterministic:
-the same ``(parent, target, block)`` always produces the same bytes.
+**Match rule.**  The parent is cut into aligned ``block``-sized
+blocks.  Scanning the target left to right from the end of the last
+op, the next COPY starts at the first position whose ``block``-byte
+window equals some parent block; its source is the *lowest* aligned
+offset holding those bytes, and it extends greedily past the window
+for as long as target and parent keep agreeing.  Everything between
+two COPYs is one INSERT.  The rule is stated on content alone, so the
+encoder looks content up directly — ``{block bytes: lowest offset}`` —
+instead of rolling a checksum over every target byte; the blobs are
+the ones the rsync-style weak-then-verify cascade produced
+(``tests/deltaoracle.py`` keeps that encoder, and the tests hold this
+one to it byte for byte), because a verified weak hit tried in
+ascending offset order *is* the lowest offset with equal bytes.
+
+**Probing.**  Hashing a window per target position would still be
+Python work per byte, so positions are filtered through ``g``-byte
+*grams* (``g`` = 8 from ``block`` 15 up, the largest power of two with
+``2g - 1 <= block`` below that).  For every distinct parent block the
+grams at in-block offsets ``0..g-1`` go into a flat filter (slot
+``gram % size`` -> bitmask of offsets; a ``bytearray``, because a dict
+of that many int keys costs more resident memory than the payloads);
+the target is read once as ``g``-byte integers at positions ``0, g,
+2g, ...`` (a ``memoryview`` cast, no per-byte bytecode) and each is
+looked up in the filter.  A window starting at ``k`` contains the
+probe ``t = ceil(k / g) * g`` entirely — ``t - k <= g - 1`` and ``t +
+g <= k + 2g - 1 <= k + block`` — so a window equal to a parent block
+always shows that block's gram at offset ``t - k`` at probe ``t``: no
+match is missed.  A hit at ``t`` with offset bit ``o`` names the
+candidate start ``t - o``; consecutive probes' candidates are disjoint
+and ascending, so verifying them in that order against the block table
+finds the first match, and a filter collision only costs a lookup that
+misses.
+
+**Worst case.**  On low-entropy data every probe hits and every
+offset bit is set, and the scan degrades to one block-table lookup per
+target position — never more: each position is a candidate of exactly
+one probe and is verified at most once.
+
+Encoding is deterministic: the same ``(parent, target, block)`` always
+produces the same bytes.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Callable, Iterator
+from itertools import compress, repeat
+from operator import mod
 
 from repro.errors import ConfigError, SnapshotError
 from repro.persist.snapshot import (SNAPSHOT_VERSION, _CRC, _crc_frame,
                                     _open_frame)
 
-#: Default granularity of the parent's weak-hash windows.  Small enough
-#: that checkpoint-sized payloads (tens of KB to a few MB) still find
+#: Default size of the parent's aligned blocks.  Small enough that
+#: checkpoint-sized payloads (tens of KB to a few MB) still find
 #: matches around localized edits, large enough that the table stays
 #: cheap.  Recorded in the header for provenance; apply never needs it.
 DELTA_BLOCK = 128
@@ -48,20 +84,108 @@ _U64 = struct.Struct("<Q")
 _TAG_COPY = 0x00
 _TAG_INSERT = 0x01
 
+#: Widest gram: one native 64-bit read.
+_MAX_GRAM = 8
+#: ``memoryview.cast`` format of a gram, by log2 of its width.
+_GRAM_FORMATS = "BHIQ"
+#: Offset bitmask -> its set bits, highest first (ascending candidate
+#: start, since a candidate is ``probe - offset``).
+_OFFSETS = tuple(
+    tuple(o for o in reversed(range(_MAX_GRAM)) if mask >> o & 1)
+    for mask in range(1 << _MAX_GRAM))
+#: Filter slots per parent block: a random gram shows a given offset
+#: bit with probability <= 1/64, i.e. one wasted table lookup per ~64
+#: target bytes.
+_SLOTS_PER_BLOCK = 64
+#: Largest slice :func:`_common_prefix` compares at once.
+_PREFIX_CHUNK = 512
 
-def _weak_table(parent: bytes, block: int) -> dict[int, list[int]]:
-    """Weak checksum -> aligned parent offsets with that checksum."""
-    table: dict[int, list[int]] = {}
+
+def _block_table(parent: bytes, block: int) -> dict[bytes, int]:
+    """Content of each aligned parent block -> the lowest offset holding it."""
+    table: dict[bytes, int] = {}
     for off in range(0, len(parent) - block + 1, block):
-        a = 0
-        b = 0
-        for i in range(block):
-            x = parent[off + i]
-            a += x
-            b += (block - i) * x
-        key = (a & 0xFFFF) | ((b & 0xFFFF) << 16)
-        table.setdefault(key, []).append(off)
+        table.setdefault(parent[off: off + block], off)
     return table
+
+
+def _gram_filter(table: dict[bytes, int], fmt: str) -> bytearray:
+    """Slot ``g % len(filter)`` of gram ``g`` -> bitmask of the in-block
+    offsets (below the gram width) some parent block holds ``g`` at.
+
+    Grams are native-order integers of format ``fmt``, the values a
+    ``memoryview`` cast of the target yields.  One flat buffer rather
+    than a dict: no object per entry, and a collision only costs a
+    wasted table lookup.
+    """
+    slots = bytearray(len(table) * _SLOTS_PER_BLOCK | 1)
+    size = len(slots)
+    gram = struct.Struct("=" + fmt)
+    read = gram.unpack_from
+    bits = [(o, 1 << o) for o in range(gram.size)]
+    for content in table:
+        for o, bit in bits:
+            slots[read(content, o)[0] % size] |= bit
+    return slots
+
+
+def _common_prefix(a: bytes, i: int, b: bytes, j: int) -> int:
+    """Length of the longest common prefix of ``a[i:]`` and ``b[j:]``.
+
+    Whole chunks while they agree, then a halving descent inside the
+    first chunk that does not (a failed compare at ``step`` bounds what
+    is left below ``step``).
+    """
+    limit = min(len(a) - i, len(b) - j)
+    size = 0
+    step = _PREFIX_CHUNK
+    while step:
+        if (size + step <= limit
+                and a[i + size: i + size + step]
+                == b[j + size: j + size + step]):
+            size += step
+        else:
+            step >>= 1
+    return size
+
+
+def _scan(table: dict[bytes, int], parent: bytes, target: bytes,
+          block: int) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(target position, parent offset, length)`` of every COPY.
+
+    ``table`` is :func:`_block_table` of ``parent``; it is consulted at
+    most once per target position (see the module docstring).
+    """
+    last = len(target) - block        # last admissible window start
+    if not table or last < 0:
+        return
+    gram = min(_MAX_GRAM, 1 << (((block + 1) // 2).bit_length() - 1))
+    fmt = _GRAM_FORMATS[gram.bit_length() - 1]
+    slots = _gram_filter(table, fmt)
+    stop = len(target) - len(target) % gram
+    grams = memoryview(target)[:stop].cast(fmt)
+    mask_of: Callable[[int], int] = slots.__getitem__
+    # One byte per probe, computed without leaving C; only the non-zero
+    # ones (with their positions) reach the loop below.
+    masks = bytes(map(mask_of, map(mod, grams, repeat(len(slots)))))
+    lookup = table.get
+    pos = 0                           # end of the last COPY
+    for probe, mask in zip(compress(range(0, stop, gram), masks),
+                           filter(None, masks)):
+        if probe < pos:
+            continue                  # every candidate is inside the COPY
+        for o in _OFFSETS[mask]:
+            at = probe - o
+            if at < pos:
+                continue
+            if at > last:
+                return
+            off = lookup(target[at: at + block])
+            if off is not None:
+                length = block + _common_prefix(target, at + block,
+                                                parent, off + block)
+                yield at, off, length
+                pos = at + length
 
 
 def encode_delta(parent: bytes, target: bytes, *,
@@ -75,81 +199,32 @@ def encode_delta(parent: bytes, target: bytes, *,
         raise ConfigError(f"delta block must be in [1, 65535], got {block}")
     parent = bytes(parent)
     target = bytes(target)
-    table = _weak_table(parent, block) if len(parent) >= block else {}
-    ops = bytearray()
+    buf = bytearray(_DELTA_HEADER.size)   # packed in once nops is known
+    literals = memoryview(target)
+
+    def insert(start: int, stop: int) -> int:
+        """Append ``target[start:stop]`` as one INSERT; ops added."""
+        if start == stop:
+            return 0
+        buf.append(_TAG_INSERT)
+        buf.extend(_U64.pack(stop - start))
+        buf.extend(literals[start:stop])
+        return 1
+
     nops = 0
-    literal = bytearray()
-
-    def flush_literal() -> None:
-        nonlocal nops
-        if literal:
-            ops.append(_TAG_INSERT)
-            ops.extend(_U64.pack(len(literal)))
-            ops.extend(literal)
-            literal.clear()
-            nops += 1
-
     pos = 0
-    n = len(target)
-    a = 0
-    b = 0
-    have_weak = False
-    while pos < n:
-        if not table or n - pos < block:
-            # Tail shorter than a window (or nothing to match against):
-            # the rest is literal.
-            literal += target[pos:]
-            pos = n
-            break
-        if not have_weak:
-            a = 0
-            b = 0
-            for i in range(block):
-                x = target[pos + i]
-                a += x
-                b += (block - i) * x
-            have_weak = True
-        key = (a & 0xFFFF) | ((b & 0xFFFF) << 16)
-        match_off = -1
-        candidates = table.get(key)
-        if candidates is not None:
-            window = target[pos: pos + block]
-            for cand in candidates:
-                if parent[cand: cand + block] == window:
-                    match_off = cand
-                    break
-        if match_off < 0:
-            # Miss: emit one literal byte and roll the window forward.
-            x_out = target[pos]
-            literal.append(x_out)
-            pos += 1
-            if pos + block <= n:
-                x_in = target[pos + block - 1]
-                a = a - x_out + x_in
-                b = b - block * x_out + a
-            else:
-                have_weak = False
-            continue
-        # Verified match: extend greedily past the window.
-        length = block
-        parent_n = len(parent)
-        while (pos + length < n and match_off + length < parent_n
-               and target[pos + length] == parent[match_off + length]):
-            length += 1
-        flush_literal()
-        ops.append(_TAG_COPY)
-        ops += _COPY_OP.pack(match_off, length)
-        nops += 1
-        pos += length
-        have_weak = False
-    flush_literal()
-
-    buf = bytearray(_DELTA_HEADER.pack(
-        _DELTA_MAGIC, SNAPSHOT_VERSION, block,
+    for at, off, length in _scan(_block_table(parent, block), parent,
+                                 target, block):
+        nops += insert(pos, at) + 1
+        buf.append(_TAG_COPY)
+        buf.extend(_COPY_OP.pack(off, length))
+        pos = at + length
+    nops += insert(pos, len(target))
+    _DELTA_HEADER.pack_into(
+        buf, 0, _DELTA_MAGIC, SNAPSHOT_VERSION, block,
         len(parent), zlib.crc32(parent),
         len(target), zlib.crc32(target), nops,
-    ))
-    buf += ops
+    )
     return _crc_frame(buf)
 
 

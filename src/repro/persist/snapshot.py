@@ -56,7 +56,7 @@ _JOURNAL_HEADER = struct.Struct("<4sHxxQQQQIQQII")
 
 
 def _crc_frame(buf: bytearray) -> bytes:
-    buf += _CRC.pack(zlib.crc32(bytes(buf)))
+    buf += _CRC.pack(zlib.crc32(buf))
     return bytes(buf)
 
 

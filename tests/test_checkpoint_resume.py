@@ -271,6 +271,43 @@ class TestChargedContinuousResume:
         assert uncharged.to_dict() == base  # rate 0: observer effect off
         assert charged.to_dict() != base    # rate > 0: I/O is charged
 
+    def test_encoder_swap_leaves_the_modelled_clock_alone(
+            self, tmp_path, monkeypatch):
+        """Every stored delta's ``bytes`` is charged to the modelled
+        clock, so the encoder's output length is part of the model: the
+        shipped encoder and the one it replaced (``deltaoracle.py``)
+        must produce the same run record and the same manifests."""
+        import json
+        from dataclasses import replace as dc_replace
+
+        from deltaoracle import encode_delta as oracle_encode_delta
+        from repro.persist import checkpoint as checkpoint_module
+        from repro.persist.checkpoint import MANIFEST_NAME
+
+        # Six checkpoints: full, three deltas, full again, one delta.
+        config = dc_replace(self.config(),
+                            ages=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5))
+
+        def run(directory):
+            result = run_experiment(config, checkpoint_dir=directory,
+                                    checkpoint_keep=8,
+                                    checkpoint_full_interval=4)
+            manifests = [
+                json.loads((path / MANIFEST_NAME).read_text())["files"]
+                for _, path in CheckpointManager(directory)._published()]
+            return result.to_dict(), manifests
+
+        shipped_record, shipped_files = run(tmp_path / "shipped")
+        monkeypatch.setattr(checkpoint_module, "encode_delta",
+                            oracle_encode_delta)
+        oracle_record, oracle_files = run(tmp_path / "oracle")
+        assert shipped_record == oracle_record
+        assert shipped_files == oracle_files
+        # Non-vacuity: deltas were stored, so their bytes were charged.
+        assert len(shipped_files) == 6
+        assert any(info["encoding"] == "delta"
+                   for files in shipped_files for info in files.values())
+
 
 class TestCliFlags:
     def test_run_checkpoint_and_resume(self, tmp_path, capsys):
