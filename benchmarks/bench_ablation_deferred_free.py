@@ -21,18 +21,16 @@ from repro.db.database import DbConfig
 from repro.fs.filesystem import FsConfig
 from repro.units import MB
 
-import paperfig
-
 OBJECT = 4 * MB
 AGES = (0.0, 4.0, 8.0)
 
 
-def compute():
+def compute(run):
     results = {}
     for label, interval in (("commit each op", 1),
                             ("commit every 8", 8),
                             ("commit every 64", 64)):
-        result = paperfig.run_curve(
+        result = run(
             "filesystem", ConstantSize(OBJECT),
             volume=512 * MB, occupancy=0.9, ages=AGES,
             reads_per_sample=8,
@@ -47,7 +45,7 @@ def compute():
                                  ghost_max_pages_per_sweep=64,
                                  ghost_min_age_ops=1024)),
     ):
-        result = paperfig.run_curve(
+        result = run(
             "database", ConstantSize(OBJECT),
             volume=512 * MB, occupancy=0.9, ages=AGES,
             reads_per_sample=8,
@@ -73,37 +71,24 @@ def render(results) -> str:
     )
 
 
-def checks(results) -> list[ShapeCheck]:
-    return [
-        check_faster(
+def checks(results) -> dict[str, ShapeCheck]:
+    return {
+        "db_trickle_over_immediate": check_faster(
             "db: deferred (trickled) frees fragment worse than immediate",
             results[("database", "trickle (default)")],
             results[("database", "immediate frees")],
             min_ratio=1.15,
         ),
-        check_between(
+        "db_immediate_frags": check_between(
             "db: immediate frees eliminate fragmentation (exact-fit "
             "hole reuse)",
             results[("database", "immediate frees")], 1.0, 1.5,
         ),
-        check_faster(
+        "fs_commit64_over_commit1": check_faster(
             "fs: longer commit windows also raise fragmentation",
             results[("filesystem", "commit every 64")],
             results[("filesystem", "commit each op")],
             min_ratio=1.2,
         ),
-    ]
+    }
 
-
-def test_ablation_deferred_free(benchmark):
-    results = paperfig.bench_once(benchmark, compute)
-    print()
-    print(render(results))
-    paperfig.report_checks(checks(results))
-
-
-if __name__ == "__main__":
-    res = compute()
-    print(render(res))
-    for check in checks(res):
-        print(check)

@@ -19,8 +19,6 @@ from repro.errors import AllocationError
 from repro.rng import substream
 from repro.units import KB, MB
 
-import paperfig
-
 VOLUME = 256 * MB
 OBJECT = 1 * MB
 OCCUPANCY = 0.9
@@ -74,7 +72,7 @@ def churn_buddy(seed: int = 5):
     return 1.0, 1, waste
 
 
-def compute():
+def compute(run):
     rows = {}
     for name in policy_names():
         rows[name] = churn_policy(name)
@@ -104,34 +102,21 @@ def render(results) -> str:
     )
 
 
-def checks(results) -> list[ShapeCheck]:
-    out = []
+def checks(results) -> dict[str, ShapeCheck]:
+    out = {}
     for name in policy_names():
         mean_pieces, _, failures = results[name]
-        out.append(check_between(
+        out[f"{name}_pieces"] = check_between(
             f"{name}: constant-size churn stays near-contiguous",
             mean_pieces, 1.0, 1.6,
-        ))
-        out.append(check_between(
+        )
+        out[f"{name}_failures"] = check_between(
             f"{name}: no failed allocations", failures, 0, 0,
-        ))
+        )
     _, _, waste = results["buddy"]
-    out.append(check_between(
+    out["buddy_waste"] = check_between(
         "buddy pays internal fragmentation for predictability",
         waste, 0.05, 1.0,
-    ))
+    )
     return out
 
-
-def test_ablation_allocation_policies(benchmark):
-    results = paperfig.bench_once(benchmark, compute)
-    print()
-    print(render(results))
-    paperfig.report_checks(checks(results))
-
-
-if __name__ == "__main__":
-    res = compute()
-    print(render(res))
-    for check in checks(res):
-        print(check)

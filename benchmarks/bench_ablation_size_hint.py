@@ -17,18 +17,16 @@ from repro.core.workload import ConstantSize
 from repro.fs.filesystem import FsConfig
 from repro.units import MB
 
-import paperfig
-
 OBJECT = 2 * MB
 
 
-def run_variant(variant: str):
+def run_variant(run, variant: str):
     kwargs = {}
     if variant == "delayed":
         kwargs["fs_config"] = FsConfig(delayed_allocation=True)
     elif variant == "size hints":
         kwargs["size_hints"] = True
-    result = paperfig.run_curve(
+    result = run(
         "filesystem", ConstantSize(OBJECT),
         volume=512 * MB,
         occupancy=0.9,
@@ -39,8 +37,8 @@ def run_variant(variant: str):
     return result
 
 
-def compute():
-    return {variant: run_variant(variant)
+def compute(run):
+    return {variant: run_variant(run, variant)
             for variant in ("plain", "delayed", "size hints")}
 
 
@@ -65,39 +63,26 @@ def render(results) -> str:
     )
 
 
-def checks(results) -> list[ShapeCheck]:
+def checks(results) -> dict[str, ShapeCheck]:
     plain = results["plain"].sample_at(8.0)
     delayed = results["delayed"].sample_at(8.0)
     hinted = results["size hints"].sample_at(8.0)
-    return [
-        check_faster(
+    return {
+        "plain_over_delayed_frags": check_faster(
             "plain per-request allocation fragments most",
             plain.fragments_per_object, delayed.fragments_per_object,
         ),
-        check_faster(
+        "delayed_over_plain_read": check_faster(
             "delayed allocation also beats plain on reads",
             delayed.read_mbps, 0.95 * plain.read_mbps,
         ),
-        check_between(
+        "hinted_frags": check_between(
             "size hints keep objects near-contiguous",
             hinted.fragments_per_object, 1.0, 1.6,
         ),
-        check_faster(
+        "hinted_over_plain_read": check_faster(
             "size hints give the best aged read throughput",
             hinted.read_mbps, plain.read_mbps,
         ),
-    ]
+    }
 
-
-def test_ablation_size_hints(benchmark):
-    results = paperfig.bench_once(benchmark, compute)
-    print()
-    print(render(results))
-    paperfig.report_checks(checks(results))
-
-
-if __name__ == "__main__":
-    res = compute()
-    print(render(res))
-    for check in checks(res):
-        print(check)

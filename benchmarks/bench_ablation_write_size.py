@@ -17,8 +17,6 @@ from repro.core.workload import ConstantSize
 from repro.fs.filesystem import FsConfig
 from repro.units import KB, MB
 
-import paperfig
-
 OBJECT = 256 * KB
 REQUESTS = (16 * KB, 64 * KB, 256 * KB)
 
@@ -30,14 +28,14 @@ REQUESTS = (16 * KB, 64 * KB, 256 * KB)
 PER_REQUEST_FS = FsConfig(reconsider_interval_requests=1)
 
 
-def compute():
+def compute(run):
     results = {}
     for backend in ("database", "filesystem"):
         for request in REQUESTS:
             kwargs = {}
             if backend == "filesystem":
                 kwargs["fs_config"] = PER_REQUEST_FS
-            result = paperfig.run_curve(
+            result = run(
                 backend, ConstantSize(OBJECT),
                 volume=512 * MB,
                 occupancy=0.97,
@@ -70,45 +68,32 @@ def render(results) -> str:
     )
 
 
-def checks(results) -> list[ShapeCheck]:
-    out = []
+def checks(results) -> dict[str, ShapeCheck]:
+    out = {}
     for backend in ("database", "filesystem"):
         small = results[(backend, 16 * KB)]
         medium = results[(backend, 64 * KB)]
-        out.append(check_faster(
+        out[f"{backend}_16K_over_64K"] = check_faster(
             f"{backend}: smaller requests fragment worse (16K > 64K)",
             small, medium, min_ratio=1.3,
-        ))
+        )
     # A single whole-object request keeps a *file* near-contiguous; the
     # database still allocates in 64 KB extents internally, so its
     # floor is the extent count, not 1 (the paper's "one fragment per
     # 64KB" is an extent-granularity statement for SQL Server).
     fs_large = results[("filesystem", 256 * KB)]
     db_large = results[("database", 256 * KB)]
-    out.append(check_faster(
+    out["filesystem_64K_over_256K"] = check_faster(
         "filesystem: 64K requests fragment worse than whole-object",
         results[("filesystem", 64 * KB)], fs_large, min_ratio=1.2,
-    ))
-    out.append(check_between(
+    )
+    out["filesystem_256K_frags"] = check_between(
         "filesystem: whole-object requests stay near-contiguous",
         fs_large, 1.0, 2.5,
-    ))
-    out.append(check_between(
+    )
+    out["database_256K_frags"] = check_between(
         "database: floor stays at extent granularity (~4 per 256K)",
         db_large, 1.0, 6.0,
-    ))
+    )
     return out
 
-
-def test_ablation_write_request_size(benchmark):
-    results = paperfig.bench_once(benchmark, compute)
-    print()
-    print(render(results))
-    paperfig.report_checks(checks(results))
-
-
-if __name__ == "__main__":
-    res = compute()
-    print(render(res))
-    for check in checks(res):
-        print(check)

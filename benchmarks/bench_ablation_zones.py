@@ -19,8 +19,6 @@ from repro.disk.geometry import scaled_disk
 from repro.rng import substream
 from repro.units import GB, MB
 
-import paperfig
-
 OBJECT = 4 * MB
 NOBJECTS = 64
 VOLUME = 4 * GB
@@ -59,7 +57,7 @@ def fs_band_usage() -> float:
     return in_band / total if total else 0.0
 
 
-def compute():
+def compute(run):
     outer = read_rate_at(0)
     middle = read_rate_at(VOLUME // 2)
     inner = read_rate_at(VOLUME - NOBJECTS * OBJECT - MB)
@@ -93,30 +91,19 @@ def render(results) -> str:
     )
 
 
-def checks(results) -> list[ShapeCheck]:
-    return [
-        check_faster(
+def checks(results) -> dict[str, ShapeCheck]:
+    return {
+        "outer_over_inner": check_faster(
             "outer band reads beat inner band by >= 20% (paper's range)",
             results["outer"], results["inner"], min_ratio=1.2,
+            paper="20-40% from zone-aware placement",
         ),
-        check_faster("rates fall monotonically toward the spindle",
-                     results["middle"], results["inner"]),
-        check_between(
+        "middle_over_inner": check_faster(
+            "rates fall monotonically toward the spindle",
+            results["middle"], results["inner"]),
+        "fs_band_fraction": check_between(
             "bulk load starts from the fast edge",
             results["fs_band_fraction"], 0.2, 1.0,
         ),
-    ]
+    }
 
-
-def test_ablation_zone_placement(benchmark):
-    results = paperfig.bench_once(benchmark, compute)
-    print()
-    print(render(results))
-    paperfig.report_checks(checks(results))
-
-
-if __name__ == "__main__":
-    res = compute()
-    print(render(res))
-    for check in checks(res):
-        print(check)

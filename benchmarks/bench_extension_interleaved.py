@@ -20,14 +20,12 @@ from repro.disk.geometry import scaled_disk
 from repro.fs.filesystem import FsConfig, SimFilesystem
 from repro.units import GB, MB
 
-import paperfig
-
 OBJECT = 4 * MB
 TOTAL = 100
 STREAMS = (1, 2, 4, 8)
 
 
-def compute():
+def compute(run):
     results = {}
     for streams in STREAMS:
         fs = SimFilesystem(BlockDevice(scaled_disk(1 * GB)))
@@ -70,42 +68,30 @@ def render(results) -> str:
     )
 
 
-def checks(results) -> list[ShapeCheck]:
+def checks(results) -> dict[str, ShapeCheck]:
     max_frags = OBJECT // (64 * 1024)
-    return [
-        check_between("serial appends stay contiguous (both systems)",
-                      results[("filesystem", 1)]
-                      * results[("database", 1)], 1.0, 1.2),
-        check_faster(
+    return {
+        "serial_frags_product": check_between(
+            "serial appends stay contiguous (both systems)",
+            results[("filesystem", 1)] * results[("database", 1)], 1.0, 1.2),
+        "fs_2_over_1_streams": check_faster(
             "two interleaved streams explode filesystem fragmentation",
             results[("filesystem", 2)], results[("filesystem", 1)],
             min_ratio=8.0,
         ),
-        check_faster(
+        "db_2_over_1_streams": check_faster(
             "two interleaved streams explode database fragmentation",
             results[("database", 2)], results[("database", 1)],
             min_ratio=8.0,
         ),
-        check_between(
+        "fs_8_streams_frags": check_between(
             "interleaving approaches one fragment per write request",
             results[("filesystem", 8)], max_frags * 0.5, max_frags,
+            paper="likely to increase fragmentation (unmeasured)",
         ),
-        check_between(
+        "delayed_8_streams_frags": check_between(
             "delayed allocation neutralizes the interleaving",
             results[("fs+delayed", 8)], 1.0, 1.5,
         ),
-    ]
+    }
 
-
-def test_extension_interleaved_appends(benchmark):
-    results = paperfig.bench_once(benchmark, compute)
-    print()
-    print(render(results))
-    paperfig.report_checks(checks(results))
-
-
-if __name__ == "__main__":
-    res = compute()
-    print(render(res))
-    for check in checks(res):
-        print(check)

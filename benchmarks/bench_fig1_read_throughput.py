@@ -21,13 +21,13 @@ import paperfig
 SIZES = {"256K": 256 * KB, "512K": 512 * KB, "1M": 1 * MB}
 
 
-def compute():
+def compute(run):
     results = {}
     for label, size in SIZES.items():
         for backend in ("database", "filesystem"):
-            results[(label, backend)] = paperfig.run_curve(
+            results[(label, backend)] = run(
                 backend, ConstantSize(size),
-                volume=paperfig.THROUGHPUT_VOLUME,
+                volume="throughput",
                 occupancy=0.9,
                 ages=paperfig.SHORT_AGES,
                 reads_per_sample=48,
@@ -56,39 +56,26 @@ def render(results) -> str:
     return "\n\n".join(blocks) + "\n" + footer
 
 
-def checks(results) -> list[ShapeCheck]:
-    out = []
+def checks(results) -> dict[str, ShapeCheck]:
+    out = {}
     for label in SIZES:
         db0 = results[(label, "database")].sample_at(0.0).read_mbps
         fs0 = results[(label, "filesystem")].sample_at(0.0).read_mbps
-        out.append(check_faster(
+        out[f"clean_db_over_fs_{label}"] = check_faster(
             f"clean read, {label}: database beats filesystem", db0, fs0,
-        ))
+        )
     for label in ("512K", "1M"):
         db4 = results[(label, "database")].sample_at(4.0).read_mbps
         fs4 = results[(label, "filesystem")].sample_at(4.0).read_mbps
-        out.append(check_faster(
+        out[f"aged_fs_over_db_{label}"] = check_faster(
             f"aged read, {label}: filesystem beats database by age 4",
             fs4, db4,
-        ))
+        )
     db = results[("512K", "database")]
-    out.append(check_faster(
+    out["db_aging_512K"] = check_faster(
         "aging costs the database >=35% of its 512K read throughput",
         db.sample_at(0.0).read_mbps, db.sample_at(4.0).read_mbps,
-        min_ratio=1.35,
-    ))
+        min_ratio=1.35, paper="roughly halves (~2x)",
+    )
     return out
 
-
-def test_fig1_read_throughput(benchmark):
-    results = paperfig.bench_once(benchmark, compute)
-    print()
-    print(render(results))
-    paperfig.report_checks(checks(results))
-
-
-if __name__ == "__main__":
-    res = compute()
-    print(render(res))
-    for check in checks(res):
-        print(check)

@@ -20,17 +20,22 @@ from repro.units import KB, MB
 import paperfig
 
 
-def compute():
-    return {
-        backend: paperfig.run_curve(
-            backend, ConstantSize(256 * KB),
-            volume=512 * MB,
-            occupancy=0.97,
-            ages=paperfig.FULL_AGES,
-            reads_per_sample=16,
-        )
-        for backend in ("database", "filesystem")
-    }
+def curve(run, backend: str, **kwargs):
+    """One curve of this figure (``bench_ablation_index`` reruns the
+    filesystem one under each free-space engine)."""
+    return run(
+        backend, ConstantSize(256 * KB),
+        volume=512 * MB,
+        occupancy=0.97,
+        ages=paperfig.FULL_AGES,
+        reads_per_sample=16,
+        **kwargs,
+    )
+
+
+def compute(run):
+    return {backend: curve(run, backend)
+            for backend in ("database", "filesystem")}
 
 
 def render(results) -> str:
@@ -47,28 +52,18 @@ def render(results) -> str:
     )
 
 
-def checks(results) -> list[ShapeCheck]:
+def checks(results) -> dict[str, ShapeCheck]:
     db_final = paperfig.frag_series(results["database"])[-1][1]
     fs_final = paperfig.frag_series(results["filesystem"])[-1][1]
-    return [
-        check_between("database converges near 4 frags (1 per 64KB)",
-                      db_final, 2.5, 6.5),
-        check_between("filesystem converges near 4 frags (1 per 64KB)",
-                      fs_final, 2.0, 6.0),
-        check_between("the two systems converge to similar levels",
-                      db_final / fs_final, 0.5, 2.0),
-    ]
+    return {
+        "db_frags": check_between(
+            "database converges near 4 frags (1 per 64KB)",
+            db_final, 2.5, 6.5, paper="~4 fragments"),
+        "fs_frags": check_between(
+            "filesystem converges near 4 frags (1 per 64KB)",
+            fs_final, 2.0, 6.0, paper="~4 fragments"),
+        "db_over_fs": check_between(
+            "the two systems converge to similar levels",
+            db_final / fs_final, 0.5, 2.0),
+    }
 
-
-def test_fig3_small_object_fragmentation(benchmark):
-    results = paperfig.bench_once(benchmark, compute)
-    print()
-    print(render(results))
-    paperfig.report_checks(checks(results))
-
-
-if __name__ == "__main__":
-    res = compute()
-    print(render(res))
-    for check in checks(res):
-        print(check)

@@ -15,11 +15,11 @@ from repro.units import KB, MB
 import paperfig
 
 
-def compute():
+def compute(run):
     return {
-        backend: paperfig.run_curve(
+        backend: run(
             backend, ConstantSize(512 * KB),
-            volume=paperfig.THROUGHPUT_VOLUME,
+            volume="throughput",
             occupancy=0.9,
             ages=paperfig.SHORT_AGES,
             reads_per_sample=16,
@@ -45,40 +45,27 @@ def render(results) -> str:
     )
 
 
-def checks(results) -> list[ShapeCheck]:
+def checks(results) -> dict[str, ShapeCheck]:
     db = results["database"]
     fs = results["filesystem"]
-    return [
-        check_faster(
+    return {
+        "bulk_db_over_fs": check_faster(
             "bulk load: database writes beat filesystem (paper 1.75x)",
             db.bulk_load_write_mbps, fs.bulk_load_write_mbps,
-            min_ratio=1.3,
+            min_ratio=1.3, paper="1.75x (17.7 vs 10.1 MB/s)",
         ),
-        check_faster(
+        "db_write_aging": check_faster(
             "database write throughput degrades sharply by age 4",
             db.bulk_load_write_mbps, db.sample_at(4.0).write_mbps,
             min_ratio=1.6,
         ),
-        check_faster(
+        "fs_write_flat": check_faster(
             "filesystem writes stay roughly flat",
             fs.sample_at(4.0).write_mbps, 0.7 * fs.bulk_load_write_mbps,
         ),
-        check_faster(
+        "aged_fs_over_db": check_faster(
             "by age 4 the filesystem out-writes the database",
             fs.sample_at(4.0).write_mbps, db.sample_at(4.0).write_mbps,
         ),
-    ]
+    }
 
-
-def test_fig4_write_throughput(benchmark):
-    results = paperfig.bench_once(benchmark, compute)
-    print()
-    print(render(results))
-    paperfig.report_checks(checks(results))
-
-
-if __name__ == "__main__":
-    res = compute()
-    print(render(res))
-    for check in checks(res):
-        print(check)

@@ -20,13 +20,13 @@ DISTRIBUTIONS = {
 }
 
 
-def compute():
+def compute(run):
     results = {}
     for backend in ("database", "filesystem"):
         for dist_label, dist in DISTRIBUTIONS.items():
-            results[(backend, dist_label)] = paperfig.run_curve(
+            results[(backend, dist_label)] = run(
                 backend, dist,
-                volume=paperfig.DEFAULT_VOLUME,
+                volume="default",
                 occupancy=0.5,
                 ages=paperfig.FULL_AGES,
                 reads_per_sample=16,
@@ -52,39 +52,26 @@ def render(results) -> str:
     return "\n\n".join(blocks) + "\n" + footer
 
 
-def checks(results) -> list[ShapeCheck]:
-    out = []
+def checks(results) -> dict[str, ShapeCheck]:
+    out = {}
     for backend in ("database", "filesystem"):
         const = paperfig.frag_series(results[(backend, "Constant")])[-1][1]
         uniform = paperfig.frag_series(results[(backend, "Uniform")])[-1][1]
-        out.append(check_between(
+        out[f"{backend}_constant_over_uniform"] = check_between(
             f"{backend}: constant ~= uniform at age 10",
-            const / uniform, 0.4, 2.5,
-        ))
+            const / uniform, 0.4, 2.5, paper="no better than uniform",
+        )
     db_final = paperfig.frag_series(results[("database", "Constant")])[-1][1]
     fs_final = paperfig.frag_series(
         results[("filesystem", "Constant")]
     )[-1][1]
-    out.append(check_faster(
+    out["db_over_fs"] = check_faster(
         "database fragments rapidly, filesystem slowly",
         db_final, fs_final, min_ratio=2.0,
-    ))
-    out.append(check_between(
+    )
+    out["fs_frags"] = check_between(
         "filesystem still fragments (constant sizes are no cure)",
         fs_final, 1.15, 50.0,
-    ))
+    )
     return out
 
-
-def test_fig5_size_distributions(benchmark):
-    results = paperfig.bench_once(benchmark, compute)
-    print()
-    print(render(results))
-    paperfig.report_checks(checks(results))
-
-
-if __name__ == "__main__":
-    res = compute()
-    print(render(res))
-    for check in checks(res):
-        print(check)

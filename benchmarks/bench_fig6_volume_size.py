@@ -10,7 +10,9 @@ The paper varies volume size and occupancy with 10 MB objects:
   matters, and it is small in both cases.
 
 Scaled volumes: 1 GB and 4 GB stand in for 40 GB and 400 GB (the 10x
-pool ratio is preserved; see DESIGN.md §3).
+pool ratio is preserved; see DESIGN.md §3).  Volumes are requested by
+their ``paperfig.VOLUMES`` role, so ``--paper-scale`` maps every panel
+— the stepped-up 97.5% pair included — onto the paper's 40/400 GB.
 """
 
 from repro.analysis.compare import ShapeCheck, check_between, check_faster
@@ -20,22 +22,29 @@ from repro.units import MB
 
 import paperfig
 
+LABELS = {
+    "small": "40G-scale",
+    "large": "400G-scale",
+    "small_stepped": "40G-scale*",
+    "large_stepped": "400G-scale*",
+}
 
-def compute():
+
+def compute(run):
     results = {}
     cells = [
-        ("filesystem", paperfig.SMALL_VOLUME, 0.5),
-        ("filesystem", paperfig.LARGE_VOLUME, 0.5),
-        ("filesystem", paperfig.SMALL_VOLUME, 0.9),
-        ("filesystem", paperfig.LARGE_VOLUME, 0.9),
+        ("filesystem", "small", 0.5),
+        ("filesystem", "large", 0.5),
+        ("filesystem", "small", 0.9),
+        ("filesystem", "large", 0.9),
         # At 97.5% the 1 GB stand-in would leave a pool of just 2.5
         # objects — the degenerate small-pool regime the paper calls
         # out separately in §5.4 — so this panel steps both volumes up
         # one notch to stay in the regime the figure plots.
-        ("filesystem", paperfig.DEFAULT_VOLUME, 0.975),
-        ("filesystem", paperfig.XL_VOLUME, 0.975),
-        ("database", paperfig.SMALL_VOLUME, 0.5),
-        ("database", paperfig.LARGE_VOLUME, 0.5),
+        ("filesystem", "small_stepped", 0.975),
+        ("filesystem", "large_stepped", 0.975),
+        ("database", "small", 0.5),
+        ("database", "large", 0.5),
     ]
     for backend, volume, occupancy in cells:
         # The paper's DB panel only shows 50% full; churn its curves to
@@ -44,21 +53,12 @@ def compute():
             a for a in paperfig.FULL_AGES
             if backend == "filesystem" or a <= 5.0
         )
-        results[(backend, volume, occupancy)] = paperfig.run_curve(
+        results[(backend, volume, occupancy)] = run(
             backend, ConstantSize(10 * MB),
             volume=volume, occupancy=occupancy, ages=ages,
             reads_per_sample=8,
         )
     return results
-
-
-def _label(volume: int) -> str:
-    return {
-        paperfig.SMALL_VOLUME: "40G-scale",
-        paperfig.LARGE_VOLUME: "400G-scale",
-        paperfig.DEFAULT_VOLUME: "40G-scale*",
-        paperfig.XL_VOLUME: "400G-scale*",
-    }[volume]
 
 
 def render(results) -> str:
@@ -68,9 +68,9 @@ def render(results) -> str:
         "(50% full, fragments/object)",
         "Storage Age",
         {
-            f"50% full - {_label(vol)}": paperfig.frag_series(
+            f"50% full - {LABELS[vol]}": paperfig.frag_series(
                 results[("database", vol, 0.5)])
-            for vol in (paperfig.SMALL_VOLUME, paperfig.LARGE_VOLUME)
+            for vol in ("small", "large")
         },
     ))
     blocks.append(render_series_table(
@@ -78,9 +78,9 @@ def render(results) -> str:
         "(50% full, fragments/object)",
         "Storage Age",
         {
-            f"50% full - {_label(vol)}": paperfig.frag_series(
+            f"50% full - {LABELS[vol]}": paperfig.frag_series(
                 results[("filesystem", vol, 0.5)])
-            for vol in (paperfig.SMALL_VOLUME, paperfig.LARGE_VOLUME)
+            for vol in ("small", "large")
         },
     ))
     blocks.append(render_series_table(
@@ -88,11 +88,11 @@ def render(results) -> str:
         "(90% / 97.5% full, fragments/object)",
         "Storage Age",
         {
-            f"{occ:.1%} full - {_label(vol)}": paperfig.frag_series(
+            f"{occ:.1%} full - {LABELS[vol]}": paperfig.frag_series(
                 results[("filesystem", vol, occ)])
             for occ, vols in (
-                (0.9, (paperfig.SMALL_VOLUME, paperfig.LARGE_VOLUME)),
-                (0.975, (paperfig.DEFAULT_VOLUME, paperfig.XL_VOLUME)),
+                (0.9, ("small", "large")),
+                (0.975, ("small_stepped", "large_stepped")),
             )
             for vol in vols
         },
@@ -103,56 +103,36 @@ def render(results) -> str:
     return "\n\n".join(blocks) + "\n" + footer
 
 
-def checks(results) -> list[ShapeCheck]:
-    fs_small_50 = paperfig.frag_series(
-        results[("filesystem", paperfig.SMALL_VOLUME, 0.5)])[-1][1]
-    fs_large_50 = paperfig.frag_series(
-        results[("filesystem", paperfig.LARGE_VOLUME, 0.5)])[-1][1]
-    fs_small_90 = paperfig.frag_series(
-        results[("filesystem", paperfig.SMALL_VOLUME, 0.9)])[-1][1]
-    fs_large_90 = paperfig.frag_series(
-        results[("filesystem", paperfig.LARGE_VOLUME, 0.9)])[-1][1]
-    fs_small_97 = paperfig.frag_series(
-        results[("filesystem", paperfig.DEFAULT_VOLUME, 0.975)])[-1][1]
-    fs_large_97 = paperfig.frag_series(
-        results[("filesystem", paperfig.XL_VOLUME, 0.975)])[-1][1]
-    db_small = paperfig.frag_series(
-        results[("database", paperfig.SMALL_VOLUME, 0.5)])[-1][1]
-    db_large = paperfig.frag_series(
-        results[("database", paperfig.LARGE_VOLUME, 0.5)])[-1][1]
-    return [
-        check_faster(
+def checks(results) -> dict[str, ShapeCheck]:
+    def final(backend: str, volume: str, occupancy: float) -> float:
+        return paperfig.frag_series(
+            results[(backend, volume, occupancy)])[-1][1]
+
+    fs_small_50 = final("filesystem", "small", 0.5)
+    fs_small_90 = final("filesystem", "small", 0.9)
+    return {
+        "fs_50_small_over_large": check_faster(
             "at 50% full the small volume fragments worse (free pool)",
-            fs_small_50, fs_large_50, min_ratio=1.5,
+            fs_small_50, final("filesystem", "large", 0.5), min_ratio=1.5,
+            paper="11-12 vs 4-5 fragments (~2.5x)",
         ),
-        check_between(
+        "fs_90_small_over_large": check_between(
             "at 90% full volume size has little impact",
-            fs_small_90 / fs_large_90, 0.6, 1.8,
+            fs_small_90 / final("filesystem", "large", 0.9), 0.6, 1.8,
         ),
-        check_between(
+        "fs_975_small_over_large": check_between(
             "at 97.5% full volume size has little impact",
-            fs_small_97 / fs_large_97, 0.6, 1.8,
+            final("filesystem", "small_stepped", 0.975)
+            / final("filesystem", "large_stepped", 0.975), 0.6, 1.8,
         ),
-        check_faster(
+        "fs_small_90_over_50": check_faster(
             "occupancy dominates: 90% full beats 50% full handily",
             fs_small_90, fs_small_50,
         ),
-        check_between(
+        "db_50_small_over_large": check_between(
             "database at 50% full: volume size has modest impact",
-            db_small / db_large, 0.4, 2.5,
+            final("database", "small", 0.5)
+            / final("database", "large", 0.5), 0.4, 2.5,
         ),
-    ]
+    }
 
-
-def test_fig6_volume_size(benchmark):
-    results = paperfig.bench_once(benchmark, compute)
-    print()
-    print(render(results))
-    paperfig.report_checks(checks(results))
-
-
-if __name__ == "__main__":
-    res = compute()
-    print(render(res))
-    for check in checks(res):
-        print(check)

@@ -7,29 +7,39 @@ prints both columns side by side and sanity-checks the simulated disk's
 headline characteristics.
 """
 
+from repro.analysis.compare import ShapeCheck, check_between, check_faster
+from repro.analysis.tables import render_table
 from repro.backends.costmodel import CostModel
 from repro.disk.geometry import PAPER_DISK
-from repro.analysis.tables import render_table
 from repro.units import GB, MB
 
-import paperfig
 
-
-def build_table() -> str:
+def compute(run) -> dict:
     disk = PAPER_DISK
+    return {
+        "capacity": disk.capacity,
+        "rpm": disk.rpm,
+        "avg_seek_s": disk.avg_seek_s,
+        "per_request_overhead_s": disk.per_request_overhead_s,
+        "zone_rates": [zone.rate for zone in disk.zones],
+        "cpu_cost_model": CostModel().describe(),
+    }
+
+
+def render(disk: dict) -> str:
+    rates = disk["zone_rates"]
     rows = [
         ["Host", "Tyan S2882, 1.8 GHz Opteron 244, 2 GB RAM",
          "analytic CPU cost model (see below)"],
         ["Controller", "SuperMicro MV8 SATA",
          "per-request overhead "
-         f"{disk.per_request_overhead_s * 1e3:.1f} ms"],
+         f"{disk['per_request_overhead_s'] * 1e3:.1f} ms"],
         ["Drives", "4x Seagate ST3400832AS 400 GB 7200 rpm",
-         f"BlockDevice: {disk.capacity // GB} GB, "
-         f"{disk.rpm:.0f} rpm, {disk.avg_seek_s * 1e3:.1f} ms avg seek"],
+         f"BlockDevice: {disk['capacity'] // GB} GB, "
+         f"{disk['rpm']:.0f} rpm, {disk['avg_seek_s'] * 1e3:.1f} ms avg seek"],
         ["Media rate", "(zoned, unpublished)",
-         f"{disk.zones[0].rate / MB:.0f} -> "
-         f"{disk.zones[-1].rate / MB:.0f} MB/s over "
-         f"{len(disk.zones)} zones"],
+         f"{rates[0] / MB:.0f} -> {rates[-1] / MB:.0f} MB/s over "
+         f"{len(rates)} zones"],
         ["OS / FS", "Windows Server 2003 R2 / NTFS",
          "repro.fs.SimFilesystem (run cache, journal, safe writes)"],
         ["DBMS", "SQL Server 2005 (bulk logged)",
@@ -40,19 +50,20 @@ def build_table() -> str:
         ["Component", "Paper", "This reproduction"],
         rows,
     )
-    return table + "\n\nCPU cost model:\n" + CostModel().describe()
+    return table + "\n\nCPU cost model:\n" + disk["cpu_cost_model"]
 
 
-def test_table1_configuration(benchmark):
-    text = paperfig.bench_once(benchmark, build_table)
-    print()
-    print(text)
-    disk = PAPER_DISK
-    assert disk.capacity == 400 * GB
-    assert disk.rpm == 7200
-    # Outer zones must be faster — NTFS's banded allocation targets them.
-    assert disk.zones[0].rate > disk.zones[-1].rate
+def checks(disk: dict) -> dict[str, ShapeCheck]:
+    return {
+        "capacity_gb": check_between(
+            "the drive holds the paper's 400 GB",
+            disk["capacity"] / GB, 400, 400, paper="400 GB"),
+        "rpm": check_between(
+            "the drive spins at the paper's 7200 rpm",
+            disk["rpm"], 7200, 7200, paper="7200 rpm"),
+        # Outer zones must be faster — NTFS's banded allocation targets them.
+        "outer_over_inner": check_faster(
+            "the outer zone transfers faster than the inner",
+            disk["zone_rates"][0], disk["zone_rates"][-1]),
+    }
 
-
-if __name__ == "__main__":
-    print(build_table())

@@ -8,9 +8,12 @@ reasons:
   tiered :class:`~repro.alloc.freelist.FreeExtentIndex` with identical
   operation sequences and asserts byte-identical free maps and
   placement-identical policy answers.
-* **Ablation** — ``benchmarks/paperfig.py`` accepts ``--index naive`` so
-  figure scripts can quantify how much of end-to-end throughput the
-  allocator engine contributes (``FsConfig(index_kind="naive")``).
+* **Ablation** — ``python benchmarks/paperfig.py --only ablation_index``
+  ages Figure 3's filesystem curve under both engines
+  (``FsConfig(index_kind="naive")``), checks that no sample moved and
+  records the two host times side by side in
+  ``benchmarks/BENCH_paper.json``; ``--index naive`` reruns any other
+  figure on this engine.
 
 Do not optimise this class; its value is that it is obviously correct.
 Both classes expose the same public API and raise

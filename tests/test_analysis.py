@@ -105,3 +105,26 @@ class TestShapeChecks:
         check = check_between("level", 4.0, 3.0, 5.0)
         assert "PASS" in str(check)
         assert "level" in str(check)
+
+    def test_checks_carry_the_numbers_their_text_is_built_from(self):
+        faster = check_faster("f", 17.7, 10.1, min_ratio=1.5, paper="1.75x")
+        assert faster.value == pytest.approx(1.7525, abs=1e-4)
+        assert faster.bound == 1.5
+        assert str(faster) == \
+            "[PASS] f: ratio 1.75 (needs >= 1.50) [paper: 1.75x]"
+        between = check_between("b", 4.2, 3.0, 5.0)
+        assert (between.value, between.bound, between.paper) \
+            == (4.2, (3.0, 5.0), None)
+        linear = [(x, float(x)) for x in range(11)]
+        assert check_keeps_growing("db", linear).value \
+            == check_levels_off("fs", linear).value == 0.5
+        dip = check_monotonic_increase("m", [(0, 2.0), (1, 1.0)])
+        assert (dip.value, dip.bound) == (0.5, 0.85)
+        assert check_faster("f", 1.0, 0.0).value == float("inf")
+        assert check_levels_off("x", [(0, 1.0)]).value is None
+
+    def test_a_series_that_never_rises(self):
+        flat = [(float(x), 2.0) for x in range(5)]
+        assert check_levels_off("fs", flat).value == 0.0
+        never = check_keeps_growing("db", flat)
+        assert not never.passed and never.value == 0.0

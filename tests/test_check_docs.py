@@ -1,6 +1,8 @@
 """``tools/check_docs.py``: quoted bench figures are held to the JSON."""
 
 import json
+import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import check_docs  # noqa: E402
 
 @pytest.fixture
 def docs_root(tmp_path, monkeypatch):
-    """A throw-away repo root with two tiny committed baselines."""
+    """A throw-away repo root with tiny committed baselines."""
     bench = tmp_path / "benchmarks"
     bench.mkdir()
     (bench / "BENCH_scale_volume.json").write_text(json.dumps({
@@ -31,6 +33,10 @@ def docs_root(tmp_path, monkeypatch):
                 name: {"end_to_end": {"sim_ops_per_host_s": {"value": v}}}
                 for name, v in medians.items()},
         }))
+    (bench / "BENCH_paper.json").write_text(json.dumps({
+        "figures": {"fig1": {"checks": {
+            "db_aging_512K": {"value": 1.8749}}}},
+    }))
     monkeypatch.setattr(check_docs, "ROOT", tmp_path)
 
     def problems(readme: str) -> list[str]:
@@ -48,6 +54,8 @@ def test_matching_quotes_pass(docs_root):
         "Run `--scenarios fs_churn,tail_latency`; the `tail_latency` rows\n"
         "show `aged_p99_inflation` 1.19× and `speedups.winners` = 1;\n"
         "`mixed_policy@100000`\n  320× through the policy path.\n\n"
+        "Aging costs the database `fig1.db_aging_512K` 1.87× of its reads\n"
+        "| Figure 1 | `fig1.db_aging_512K` 1.9× | roughly halves |\n\n"
         "| scenario | fields |\n| --- | --- |\n| `fs_churn` | `index` |\n\n"
         "| `speedups` key | committed |\n| --- | --- |\n"
         "| `aged_p99_inflation` | 1.19 |\n\n"
@@ -86,7 +94,27 @@ def test_matching_quotes_pass(docs_root):
     ("| `BENCH_e2e_pr14.json` | `fs_small_churn` 5972 → 5943"
      " `sim_ops_per_host_s` |",
      "`fs_small_churn` 5943: no committed median in BENCH_e2e_pr14.json"),
+    ("| Figure 1 | `fig1.db_aging_512K` 1.88× | roughly halves |",
+     "`fig1.db_aging_512K` quoted as 1.88, BENCH_paper.json has 1.87"),
+    ("the `fig1.db_halves` check", "`fig1.db_halves` is not a committed"),
 ])
 def test_drift_is_reported(docs_root, text, complaint):
     problems = docs_root(text)
     assert len(problems) == 1 and complaint in problems[0], problems
+
+
+def test_a_readme_number_edited_away_from_the_record_is_caught(
+        tmp_path, monkeypatch):
+    """The repo's own README against the repo's own baselines, with one
+    quoted paper figure nudged."""
+    (tmp_path / "benchmarks").mkdir()
+    for baseline in (check_docs.ROOT / "benchmarks").glob("BENCH_*.json"):
+        shutil.copy(baseline, tmp_path / "benchmarks")
+    readme = (check_docs.ROOT / "README.md").read_text()
+    quote = re.search(r"`(fig2\.db_over_fs)` ([0-9.]+)", readme)
+    nudged = f"{float(quote.group(2)) + 1:.2f}"
+    (tmp_path / "README.md").write_text(readme.replace(
+        quote.group(0), f"`{quote.group(1)}` {nudged}"))
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    problems = check_docs.figure_problems()
+    assert len(problems) == 1 and f"quoted as {nudged}" in problems[0]

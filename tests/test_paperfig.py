@@ -1,34 +1,39 @@
-"""``benchmarks/paperfig.run_curve``: one spec path, override or not."""
+"""``benchmarks/paperfig.py``: one spec path, one ``main()``, one record."""
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.compare import check_between
 from repro.backends import build_store
 from repro.core.workload import ConstantSize
 from repro.db.database import DbConfig
 from repro.fs.filesystem import FsConfig
-from repro.units import KB, MB
+from repro.units import GB, KB, MB
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "benchmarks"
+sys.path.insert(0, str(BENCH))
 import paperfig  # noqa: E402
 
-
-@pytest.fixture
-def curve_config(monkeypatch):
-    """Run ``run_curve`` under the given argv; return the config it built."""
-    def build(argv, backend, **kwargs):
-        seen = []
-        monkeypatch.setattr(sys, "argv", ["bench", *argv])
-        monkeypatch.setattr(paperfig, "run_experiment", seen.append)
-        paperfig.run_curve(backend, ConstantSize(256 * KB), volume=64 * MB,
-                           **kwargs)
-        return seen[0]
-    return build
+COMMITTED = json.loads((BENCH / "BENCH_paper.json").read_text())
+#: The figures that recompute in under 2 s each.
+FAST = ("table1", "ablation_policies", "ablation_zones",
+        "extension_interleaved", "fig4")
 
 
-def test_shards_override_keeps_fs_config(curve_config):
+def curve_config(argv, backend, **kwargs):
+    """The experiment one curve becomes under the given flags."""
+    return paperfig.curve_config(
+        paperfig.parse_args(argv), backend, ConstantSize(256 * KB),
+        volume=64 * MB, **kwargs)
+
+
+def test_shards_override_keeps_fs_config():
     """Regression: ``--store``/``--shards`` popped and discarded
     ``fs_config``/``db_config``, so every curve of the write-size and
     deferred-free ablations ran the same configuration."""
@@ -41,7 +46,7 @@ def test_shards_override_keeps_fs_config(curve_config):
         "commit_interval_ops"] == 1
 
 
-def test_store_override_keeps_db_config_and_matches_backend(curve_config):
+def test_store_override_keeps_db_config_and_matches_backend():
     db_config = DbConfig(ghost_cleanup_interval_ops=0)
     config = curve_config(["--store", ":reorder=clook"], "database",
                           db_config=db_config, fs_config=FsConfig())
@@ -53,7 +58,7 @@ def test_store_override_keeps_db_config_and_matches_backend(curve_config):
     assert config.store.options == ()
 
 
-def test_no_override_builds_the_same_spec_options(curve_config):
+def test_no_override_builds_the_same_spec_options():
     config = curve_config(["--index", "naive"], "filesystem",
                           size_hints=True, write_request=16 * KB)
     assert config.store.options_dict() == {"index_kind": "naive",
@@ -64,3 +69,94 @@ def test_no_override_builds_the_same_spec_options(curve_config):
     config = curve_config(["--store", "filesystem:index_kind=naive"],
                           "filesystem")
     assert config.store.option("index_kind") == "naive"
+
+
+def test_paper_scale_maps_volume_roles_not_values():
+    """Regression: volumes were looked up by value, so 8 GB (no entry)
+    stayed 8 GB while 2 GB became 400 GB — Figure 6c's pair ran upside
+    down — and a literal 512 MB silently became 400 GB."""
+    paper = {role: paperfig.volume_bytes(role, True)
+             for role in paperfig.VOLUMES}
+    assert paper["small"] == paper["small_stepped"] == 40 * GB
+    assert {paper[role] for role in paper
+            if not role.startswith("small")} == {400 * GB}
+    for scale in (False, True):
+        assert paperfig.volume_bytes("small_stepped", scale) \
+            < paperfig.volume_bytes("large_stepped", scale)
+    assert paperfig.volume_bytes(512 * MB, True) == 512 * MB
+    assert curve_config(["--paper-scale"], "filesystem") \
+        .store.volume_bytes == 64 * MB
+
+
+@pytest.mark.parametrize("name", paperfig.FIGURES)
+def test_every_figure_has_a_committed_passing_entry(name):
+    entry = COMMITTED["figures"][name]
+    assert entry["checks"]
+    for key, check in entry["checks"].items():
+        assert check["passed"], key
+        assert isinstance(check["value"], (int, float)), key
+        assert check["bound"] is not None, key
+    assert entry["sha256"] == paperfig.modelled_sha256(entry["modelled"])
+
+
+def test_the_committed_record_is_a_full_run_without_overrides():
+    assert COMMITTED["schema"] == paperfig.SCHEMA
+    assert list(COMMITTED["figures"]) == list(paperfig.FIGURES)
+    assert COMMITTED["config"] == {"only": None, "paper_scale": False,
+                                   "index": None, "store": None, "shards": 0}
+
+
+def test_figure_modules_hold_no_driver_of_their_own():
+    modules = [path for pattern in ("fig*", "table1_config", "ablation_*",
+                                    "extension_*")
+               for path in BENCH.glob(f"bench_{pattern}.py")]
+    assert len(modules) == len(paperfig.FIGURES)
+    for path in modules:
+        text = path.read_text()
+        for driver in ("__main__", "sys.argv", "def test_"):
+            assert driver not in text, (path.name, driver)
+
+
+@pytest.mark.parametrize("name", FAST)
+def test_fast_figures_recompute_to_the_committed_hash(name, capsys):
+    entry = paperfig.run_figure(name, paperfig.parse_args([]))
+    assert entry["sha256"] == COMMITTED["figures"][name]["sha256"]
+    assert json.loads(json.dumps(entry["checks"])) \
+        == COMMITTED["figures"][name]["checks"]
+
+
+def test_modelled_part_is_independent_of_the_hash_seed(tmp_path):
+    """ROADMAP item 4's metamorphic check in miniature: no modelled
+    number of a paper figure may depend on ``PYTHONHASHSEED``."""
+    outs = [tmp_path / f"seed{seed}.json" for seed in (1, 2)]
+    procs = [subprocess.Popen(
+        [sys.executable, str(BENCH / "paperfig.py"), "--only",
+         "fig4,ablation_size_hint", "--out", str(out)],
+        env={**os.environ, "PYTHONHASHSEED": out.stem[-1],
+             "PYTHONPATH": str(ROOT / "src")},
+        stdout=subprocess.DEVNULL) for out in outs]
+    assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    first, second = (
+        {name: (entry["modelled"], entry["checks"]) for name, entry
+         in json.loads(out.read_text())["figures"].items()}
+        for out in outs)
+    assert first == second
+    assert first["fig4"][0] == COMMITTED["figures"]["fig4"]["modelled"]
+
+
+def test_a_failed_check_fails_main_unless_the_store_is_overridden(
+        monkeypatch, capsys):
+    monkeypatch.setitem(paperfig.FIGURES, "off_by_one", paperfig.Figure(
+        compute=lambda run: {"cell": 1.0},
+        render=lambda results: "a table",
+        checks=lambda results: {"cell_is_two": check_between(
+            "the cell is two", results["cell"], 2, 2)},
+    ))
+    assert paperfig.main(["--only", "off_by_one"]) == 1
+    assert "off_by_one.cell_is_two" in capsys.readouterr().out
+    assert paperfig.main(["--only", "off_by_one", "--shards", "2"]) == 0
+    assert "reported, not enforced" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        paperfig.main(["--only", "fig7"])
+    assert exit_info.value.code == 2
+    assert "no figure named fig7" in capsys.readouterr().err

@@ -30,7 +30,11 @@ quote from the committed ``benchmarks/BENCH_scale_volume.json`` and
 * in a table row naming ``BENCH_e2e_prNN.json``, a figure written
   `` `workload` A → B `sim_ops_per_host_s` `` must equal, to the
   printed precision, the committed medians of ``pr(NN-1)`` and
-  ``prNN`` — or of the two files the row names, in that order.
+  ``prNN`` — or of the two files the row names, in that order;
+* a backticked `` `figure.check-key` `` (``fig1.db_aging_512K``) must
+  name a shape check of the committed ``benchmarks/BENCH_paper.json``,
+  and a number written right after it must equal that check's measured
+  value to the printed precision.
 
 Stdlib-only so the CI lint job needs no installs::
 
@@ -137,6 +141,22 @@ def committed_figures() -> tuple[set[str], dict[str, float]]:
     return set(scale["config"]["scenarios"]), speedups
 
 
+def committed_paper_checks() -> tuple[set[str], dict[str, float]]:
+    """Figure names of the committed ``BENCH_paper.json`` and the
+    measured value of each shape check, keyed ``figure.check-key``."""
+    path = ROOT / "benchmarks" / "BENCH_paper.json"
+    figures = json.loads(path.read_text())["figures"]
+    return set(figures), {
+        f"{name}.{key}": check["value"]
+        for name, entry in figures.items()
+        for key, check in entry["checks"].items()}
+
+
+def as_printed(value: float, quoted: str) -> str:
+    """``value`` at the precision ``quoted`` was written with."""
+    return f"{value:.{len(quoted.partition('.')[2])}f}"
+
+
 def table_first_cells(text: str, header: str) -> list[str]:
     """Backticked first-column tokens of every table headed ``header``."""
     cells: list[str] = []
@@ -173,21 +193,22 @@ def e2e_quote_problems(text: str) -> list[str]:
         for workload, *quoted in E2E_QUOTE_RE.findall(line):
             for pr, figure in zip(pair, quoted):
                 median = e2e_median(pr, workload)
-                decimals = len(figure.partition(".")[2])
                 if median is None:
                     problems.append(
                         f"`{workload}` {figure}: no committed median in "
                         f"BENCH_e2e_pr{pr}.json")
-                elif f"{median:.{decimals}f}" != figure:
+                elif as_printed(median, figure) != figure:
                     problems.append(
-                        f"`{workload}` quoted as {figure}, "
-                        f"BENCH_e2e_pr{pr}.json has {median:.{decimals}f}")
+                        f"`{workload}` quoted as {figure}, BENCH_e2e_pr{pr}"
+                        f".json has {as_printed(median, figure)}")
     return problems
 
 
 def figure_problems() -> list[str]:
-    """Quoted scenarios, ``speedups`` keys and values that drifted."""
+    """Quoted scenarios, ``speedups`` keys, paper checks and values
+    that drifted."""
     scenarios, speedups = committed_figures()
+    paper_figures, paper = committed_paper_checks()
     problems: list[str] = []
     for pattern in FIGURE_GLOBS:
         for path in sorted(ROOT.glob(pattern)):
@@ -205,11 +226,20 @@ def figure_problems() -> list[str]:
             for key in sorted(set(keys) - speedups.keys()):
                 problems.append(
                     f"{rel}: `{key}` is not a committed speedups key")
+            for key in sorted(set(re.findall(TOKEN, text)) - paper.keys()):
+                figure, dot, _ = key.partition(".")
+                if dot and figure in paper_figures:
+                    problems.append(
+                        f"{rel}: `{key}` is not a committed paper check")
             for key, quoted in QUOTED_VALUE_RE.findall(text):
                 if key in speedups and float(quoted) != speedups[key]:
                     problems.append(
                         f"{rel}: `{key}` quoted as {quoted}, committed "
                         f"value is {speedups[key]}")
+                elif key in paper and as_printed(paper[key], quoted) != quoted:
+                    problems.append(
+                        f"{rel}: `{key}` quoted as {quoted}, BENCH_paper.json"
+                        f" has {as_printed(paper[key], quoted)}")
             problems += [f"{rel}: {problem}"
                          for problem in e2e_quote_problems(text)]
     return problems
