@@ -10,8 +10,9 @@ Two deferral mechanisms shape reuse in the paper's systems:
 
 This ablation varies both windows and reports aged fragmentation.  For
 the database, *fine-grained trickle cleanup* is the interleaving driver
-(DESIGN.md §5): immediate frees let each replacement reuse whole holes,
-while trickled frees splice objects across many old holes.
+(docs/benchmarks.md, "Contract, scaling and calibration"): immediate
+frees let each replacement reuse whole holes, while trickled frees
+splice objects across many old holes.
 """
 
 from repro.analysis.compare import ShapeCheck, check_between, check_faster

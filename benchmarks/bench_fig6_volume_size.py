@@ -10,9 +10,10 @@ The paper varies volume size and occupancy with 10 MB objects:
   matters, and it is small in both cases.
 
 Scaled volumes: 1 GB and 4 GB stand in for 40 GB and 400 GB (the 10x
-pool ratio is preserved; see DESIGN.md §3).  Volumes are requested by
-their ``paperfig.VOLUMES`` role, so ``--paper-scale`` maps every panel
-— the stepped-up 97.5% pair included — onto the paper's 40/400 GB.
+pool ratio is preserved; see "Contract, scaling and calibration" in
+docs/benchmarks.md).  Volumes are requested by their
+``paperfig.VOLUMES`` role, so ``--paper-scale`` maps every panel — the
+stepped-up 97.5% pair included — onto the paper's 40/400 GB.
 """
 
 from repro.analysis.compare import ShapeCheck, check_between, check_faster

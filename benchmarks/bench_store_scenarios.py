@@ -1,26 +1,32 @@
-#!/usr/bin/env python
-"""Store scaling bench: allocator churn, sharding, faults, tails, tenants.
+"""Store scenarios: allocator churn, sharding, faults, tails, tenants.
 
-Seven scenarios, one ``SCENARIOS`` table.  Each entry declares its run
-function, the constants it echoes into ``report["config"]``, its
-printed columns and its ``speedups`` extractors; ``main()`` is one
-loop over the table.  The five sharded scenarios
-share their mechanics through :class:`AgedStore`.  Modelled fields
-(device/wall seconds, seeks, percentiles) are deterministic — a full
-run reproduces the committed rows to the digit, which makes them a
-refactor oracle; ``*_seconds`` / ``*_us_per_op`` fields are host time.
+Seven figures past the paper, one :data:`FIGURES` table that
+``paperfig.FIGURES`` loads by name (``python benchmarks/paperfig.py
+--only tail_latency``; no driver here).  Each entry declares its run
+function, the constants it echoes into the record's ``params``, its
+printed columns and its claims as shape checks.  A figure states its
+own store specs and sizes, so like ``table1`` it ignores
+``--store``/``--shards``/``--index``/``--paper-scale``.  The five
+sharded scenarios share their mechanics through :class:`AgedStore`.
+Modelled cells (device/wall seconds, seeks, percentiles) are
+deterministic and hashed into ``BENCH_paper.json``, which CI and tier-1
+compare — the refactor oracle for rebalance, rebuild, failover,
+replication and elevator batches; ``*_seconds`` / ``*_us_per_op`` cells
+are host time and sit outside the hash.  A gate that means "the
+scenario could not finish" raises; a claim over finished rows is a
+check.
 
 * ``fs_churn`` — volume sizes x free-space engines: bulk load plus a
   delete/rewrite churn loop on the filesystem backend.  The naive
   flat-list engine's per-op cost grows with the free map; the tiered
-  engine stays flat.
+  engine stays flat.  Checks that the engines' modelled cells agree.
 * ``sharded_aging`` — an aged whole-population read sweep on a
   single-volume LFS vs 4 shards vs 4 shards + C-LOOK batches vs all of
   that plus ``overlap=true``; summed device time beside the overlap
   scheduler's wall time (``repro/disk/schedule.py``).
 * ``shard_skew`` — per-shard occupancy skew of a small mixed-size
   population under hash placement, an aged sweep either side of
-  ``rebalance(mode="even")``.  Raises if the migration worsens skew.
+  ``rebalance(mode="even")``.  Checks the migration does not worsen skew.
 * ``degraded_aging`` — a ``replicas=2`` store is aged, shard 1 is
   killed, and the same sweep is measured healthy, degraded (failover
   reads), while a throttled ``rebuild(rate=0.25)`` interleaves copy
@@ -30,44 +36,31 @@ refactor oracle; ``*_seconds`` / ``*_us_per_op`` fields are host time.
   percentiles through the event queue (``queue=event``;
   ``repro/disk/events``) under an open-loop Poisson rate calibrated
   once on the fresh store and then held fixed, so every slowdown
-  surfaces as queueing.  Raises if the degraded p99 undercuts the
-  healthy p99 or the scheduler's books do not balance.
+  surfaces as queueing.  Checks the degraded p99 does not undercut the
+  healthy p99; raises if the scheduler's books do not balance.
 * ``continuous_operation`` — foreground p99 under a grid of checkpoint
   cadence x rebalance duty cycle sharing the lanes with the measured
-  reads.  Raises unless every active p99 exceeds the quiescent p99 and,
-  per cadence, p99 falls as the rebalance throttle drops.
+  reads.  Checks every active p99 exceeds the quiescent p99 and, per
+  cadence, p99 falls as the rebalance throttle drops.
 * ``scenario_matrix`` — the paper's churn loop and the multi-tenant
   presets of ``repro/scenario`` against four 4-shard event-queue
   configs differing only in backend; the winner per workload has the
-  lowest final-age read p99.  Raises unless some tenant mix flips the
-  paper loop's winner and per-tenant counts reconcile.
-
-Results go to ``BENCH_scale_volume.json`` (schema
-``bench-scale-volume/10``, documented in ``benchmarks/README.md``).
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_scale_volume.py
-    PYTHONPATH=src python benchmarks/bench_scale_volume.py --quick
-    PYTHONPATH=src python benchmarks/bench_scale_volume.py \
-        --scenarios fs_churn --volumes 268435456,1073741824 --index tiered
+  lowest final-age read p99.  Checks some tenant mix flips the paper
+  loop's winner; raises unless per-tenant counts reconcile.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
-import json
+import math
 import pickle
-import platform
 import random
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 
+from repro.analysis.compare import ShapeCheck, check_between
 from repro.analysis.tables import render_table
 from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
@@ -82,8 +75,10 @@ from repro.persist import encode_free_index, encode_journal, fs_components
 from repro.scenario.spec import ScenarioSpec
 from repro.units import KB, MB
 
-DEFAULT_VOLUMES = (128 * MB, 512 * MB, 2048 * MB)
-QUICK_VOLUMES = (64 * MB,)
+from paperfig import Figure
+
+CHURN_VOLUMES = (128 * MB, 512 * MB, 2048 * MB)
+CHURN_ENGINES = ("tiered", "naive")
 #: Small files (64 KB in 16 KB requests) maximise allocator pressure per
 #: byte: every file is a fresh create/append/delete cycle.
 FILE_BYTES = 64 * KB
@@ -92,7 +87,6 @@ OCCUPANCY = 0.5
 CHURN_OPS = 400
 
 AGING_VOLUME = 512 * MB
-QUICK_AGING_VOLUME = 128 * MB
 AGING_OBJECT = 256 * KB
 AGING_SHARDS = 4
 AGING_READ_BATCH = 16
@@ -299,13 +293,12 @@ class AgedStore:
             raise AssertionError("scheduler books don't balance")
 
 
-def run_fs_churn(opts: argparse.Namespace, seed: int = 7) -> list[dict]:
+def run_fs_churn(seed: int = 7) -> list[dict]:
     return [_fs_churn_row(kind, volume, seed)
-            for volume in opts.volumes for kind in opts.kinds]
+            for volume in CHURN_VOLUMES for kind in CHURN_ENGINES]
 
 
 def _fs_churn_row(kind: str, volume: int, seed: int) -> dict:
-    print(f"    fs_churn: {kind} @ {volume // MB} MB", flush=True)
     device = BlockDevice(scaled_disk(volume))
     fs = SimFilesystem(device, FsConfig(index_kind=kind))
     rng = random.Random(seed)
@@ -348,20 +341,19 @@ def _fs_churn_row(kind: str, volume: int, seed: int) -> dict:
     }
 
 
-def run_sharded_aging(opts: argparse.Namespace, seed: int = 17) -> list[dict]:
+def run_sharded_aging(seed: int = 17) -> list[dict]:
     """Aged read time: single vs shards vs +C-LOOK vs +overlap.
 
     ``sweep_device_s`` sums device busy time across volumes (the serial
     model); ``sweep_wall_s`` is the overlap scheduler's makespan (equal
     to the sum for stores without ``overlap=true``).
     """
-    volume = opts.aging_volume
     clook = DevicePolicy(batch_size=AGING_READ_BATCH, reorder="clook")
-    sharded = partial(StoreSpec, "lfs", volume_bytes=volume,
+    sharded = partial(StoreSpec, "lfs", volume_bytes=AGING_VOLUME,
                       shards=AGING_SHARDS)
     rows = []
     for label, spec in (
-            ("single", StoreSpec("lfs", volume_bytes=volume)),
+            ("single", StoreSpec("lfs", volume_bytes=AGING_VOLUME)),
             ("sharded", sharded()),
             ("sharded_clook", sharded(policy=clook)),
             ("sharded_overlap", sharded(policy=clook, overlap=True))):
@@ -377,7 +369,7 @@ def run_sharded_aging(opts: argparse.Namespace, seed: int = 17) -> list[dict]:
             "reorder": spec.policy.reorder,
             "read_batch": spec.policy.batch_size,
             "overlap": spec.overlap,
-            "volume_bytes": volume,
+            "volume_bytes": AGING_VOLUME,
             "objects": len(aged.keys),
             "storage_age": AGING_CHURN_AGE,
             "build_seconds": round(aged.build_s, 4),
@@ -388,7 +380,7 @@ def run_sharded_aging(opts: argparse.Namespace, seed: int = 17) -> list[dict]:
     return rows
 
 
-def run_shard_skew(opts: argparse.Namespace, seed: int = 19) -> list[dict]:
+def run_shard_skew(seed: int = 19) -> list[dict]:
     """Occupancy skew under hash placement, before/after rebalancing.
 
     Hash placement spreads *many* keys evenly but a store of tens of
@@ -396,14 +388,13 @@ def run_shard_skew(opts: argparse.Namespace, seed: int = 19) -> list[dict]:
     production complaint rebalancing exists for.  All migration I/O is
     charged through the shards' normal submit paths.
     """
-    volume = opts.aging_volume
     aged = AgedStore(
-        StoreSpec("lfs", volume_bytes=volume, shards=AGING_SHARDS,
+        StoreSpec("lfs", volume_bytes=AGING_VOLUME, shards=AGING_SHARDS,
                   overlap=True,
                   policy=DevicePolicy(batch_size=AGING_READ_BATCH)), seed)
     store = aged.store
     # Few, large, mixed-size objects: 2-8 MB scaled to ~45 % occupancy.
-    aged.load((aged.rng.randrange(8, 33) * (volume // 2048)
+    aged.load((aged.rng.randrange(8, 33) * (AGING_VOLUME // 2048)
                for _ in itertools.count()), occupancy=0.45)
     aged.churn(1)
 
@@ -416,14 +407,10 @@ def run_shard_skew(opts: argparse.Namespace, seed: int = 19) -> list[dict]:
     live_after = [s.live_bytes for s in store.shard_stats()]
     skew_after = store.occupancy_skew()
     after = aged.sweep("after")
-    if skew_after > skew_before:
-        raise AssertionError(
-            f"shard_skew: rebalance worsened occupancy skew "
-            f"({skew_before:.3f} -> {skew_after:.3f})")
     return [{
         "shards": AGING_SHARDS,
         "placement": aged.spec.placement,
-        "volume_bytes": volume,
+        "volume_bytes": AGING_VOLUME,
         "objects": len(aged.keys),
         "live_bytes_per_shard_before": live_before,
         "live_bytes_per_shard_after": live_after,
@@ -439,14 +426,13 @@ def run_shard_skew(opts: argparse.Namespace, seed: int = 19) -> list[dict]:
     }]
 
 
-def _replicated_spec(volume: int, **overrides) -> StoreSpec:
+def _replicated_spec(**overrides) -> StoreSpec:
     """4 overlapped shards, ``replicas=2`` — the fault scenarios' store."""
-    return StoreSpec("lfs", volume_bytes=volume, shards=AGING_SHARDS,
+    return StoreSpec("lfs", volume_bytes=AGING_VOLUME, shards=AGING_SHARDS,
                      overlap=True, replicas=DEGRADED_REPLICAS, **overrides)
 
 
-def run_degraded_aging(opts: argparse.Namespace,
-                       seed: int = 29) -> list[dict]:
+def run_degraded_aging(seed: int = 29) -> list[dict]:
     """Aged read sweeps through shard loss and charged rebuild.
 
     * ``healthy`` — all shards up, reads served by primaries;
@@ -457,8 +443,7 @@ def run_degraded_aging(opts: argparse.Namespace,
       lanes and reported beside the read cost);
     * ``rebuilt`` — full redundancy on the surviving shards.
     """
-    volume = opts.aging_volume
-    aged = AgedStore(_replicated_spec(volume, policy=DevicePolicy(
+    aged = AgedStore(_replicated_spec(policy=DevicePolicy(
         batch_size=AGING_READ_BATCH, reorder="clook")), seed)
     store = aged.store
     aged.load()
@@ -470,7 +455,7 @@ def run_degraded_aging(opts: argparse.Namespace,
             "phase": name,
             "shards": AGING_SHARDS,
             "replicas": DEGRADED_REPLICAS,
-            "volume_bytes": volume,
+            "volume_bytes": AGING_VOLUME,
             "objects": len(aged.keys),
             "storage_age": AGING_CHURN_AGE,
             "dead_shards": len(store.dead_shards),
@@ -509,7 +494,7 @@ def run_degraded_aging(opts: argparse.Namespace,
     return rows
 
 
-def run_tail_latency(opts: argparse.Namespace, seed: int = 31) -> list[dict]:
+def run_tail_latency(seed: int = 31) -> list[dict]:
     """Sojourn-time percentiles across aging, shard loss, and rebuild.
 
     Every phase replays the same shuffled per-object sweep under the
@@ -517,8 +502,7 @@ def run_tail_latency(opts: argparse.Namespace, seed: int = 31) -> list[dict]:
     behind a slower client: service times grow, the fixed arrival
     stream piles up behind them, and the sojourn tail stretches.
     """
-    volume = opts.aging_volume
-    aged = AgedStore(_replicated_spec(volume, queue="event",
+    aged = AgedStore(_replicated_spec(queue="event",
                                       queue_depth=TAIL_DEPTH), seed)
     store, sched = aged.store, aged.sched
     aged.load()
@@ -532,7 +516,7 @@ def run_tail_latency(opts: argparse.Namespace, seed: int = 31) -> list[dict]:
             "replicas": DEGRADED_REPLICAS,
             "queue_depth": TAIL_DEPTH,
             "arrival_rate": round(aged.rate, 2),
-            "volume_bytes": volume,
+            "volume_bytes": AGING_VOLUME,
             "objects": len(aged.keys),
             "dead_shards": len(store.dead_shards),
             **measures, **extra,
@@ -567,18 +551,11 @@ def run_tail_latency(opts: argparse.Namespace, seed: int = 31) -> list[dict]:
     phase("rebuilding", measures, rebuild_slices=slices,
           rebuild_rate=DEGRADED_REBUILD_RATE)
     phase("rebuilt", aged.sweep("rebuilt", per_object=True))
-
-    p99 = {row["phase"]: row["lat_p99_ms"] for row in rows}
-    if p99["degraded"] < p99["aged"]:
-        raise AssertionError(
-            f"tail_latency: degraded p99 ({p99['degraded']} ms) "
-            f"undercuts healthy p99 ({p99['aged']} ms)")
     aged.check_books()
     return rows
 
 
-def run_continuous_operation(opts: argparse.Namespace,
-                             seed: int = 37) -> list[dict]:
+def run_continuous_operation(seed: int = 37) -> list[dict]:
     """Foreground tail latency while checkpoints and rebalances run.
 
     Every grid cell gets its own identically-built store
@@ -591,9 +568,13 @@ def run_continuous_operation(opts: argparse.Namespace,
     ``rebalance(mode="placement", rate=R)`` on the background lane,
     plus ``cadence`` charged checkpoint write-backs.  The quiescent
     cell churns identically but never rebalances or checkpoints.
+
+    A write-back's size includes ``len(pickle.dumps(store))``, so host
+    bytes reach the modelled clock (the pattern ROADMAP 1B(d) is to
+    retire): like the ``ckpt_delta_resume`` golden, this figure's hash
+    is CPython 3.11's and is compared on CI's 3.11 leg only.
     """
-    volume = opts.aging_volume
-    spec = _replicated_spec(volume, placement="round_robin",
+    spec = _replicated_spec(placement="round_robin",
                             queue="event", queue_depth=TAIL_DEPTH)
 
     def cell(phase: str, cadence: int = 0,
@@ -650,7 +631,7 @@ def run_continuous_operation(opts: argparse.Namespace,
             "replicas": DEGRADED_REPLICAS,
             "queue_depth": TAIL_DEPTH,
             "arrival_rate": round(aged.rate, 2),
-            "volume_bytes": volume,
+            "volume_bytes": AGING_VOLUME,
             "objects": len(aged.keys),
             "build_seconds": round(aged.build_s, 4),
             "closed_wall_s": round(aged.closed_wall_s, 4),
@@ -673,35 +654,16 @@ def run_continuous_operation(opts: argparse.Namespace,
     for cadence in CONTINUOUS_CADENCES:
         for rebalance_rate in CONTINUOUS_REBALANCE_RATES:
             phase = f"ckpt_x{cadence}_rb{rebalance_rate:g}"
-            print(f"    continuous_operation: {phase}", flush=True)
             row = cell(phase, cadence=cadence, rebalance_rate=rebalance_rate)
             if row["moved_objects"] == 0:
                 raise AssertionError(
                     f"continuous_operation[{phase}]: the placement "
                     "drift produced nothing for the rebalance to move")
             rows.append(row)
-
-    quiescent_p99 = rows[0]["lat_p99_ms"]
-    for row in rows[1:]:
-        if row["lat_p99_ms"] <= quiescent_p99:
-            raise AssertionError(
-                f"continuous_operation[{row['phase']}]: active p99 "
-                f"({row['lat_p99_ms']} ms) does not exceed the "
-                f"quiescent p99 ({quiescent_p99} ms)")
-    for cadence in CONTINUOUS_CADENCES:
-        series = [(row["phase"], row["lat_p99_ms"]) for row in rows[1:]
-                  if row["checkpoints"] == cadence]
-        p99s = [p99 for _, p99 in series]
-        if p99s != sorted(p99s, reverse=True) or p99s[-1] >= p99s[0]:
-            raise AssertionError(
-                "continuous_operation: p99 must fall as the rebalance "
-                f"throttle drops at cadence {cadence}, and the heaviest "
-                f"throttle must beat unthrottled: {series}")
     return rows
 
 
-def run_scenario_matrix(opts: argparse.Namespace,
-                        seed: int = 41) -> list[dict]:
+def run_scenario_matrix(seed: int = 41) -> list[dict]:
     """Workloads x store configs, winner = lowest final-age read p99.
 
     The SLA view, where the throughput-optimal store is not
@@ -711,14 +673,12 @@ def run_scenario_matrix(opts: argparse.Namespace,
     scenario sample must sum to its global interval count (the
     reconciliation invariant the scenario suite also pins).
     """
-    volume = opts.aging_volume
     rows = []
     for workload, scenario_text in SCENARIO_MATRIX_WORKLOADS:
         p99s = []
         for config, store_text in SCENARIO_MATRIX_CONFIGS:
-            print(f"    scenario_matrix: {workload} on {config}", flush=True)
             cfg = ExperimentConfig(
-                store=StoreSpec.parse(store_text, volume_bytes=volume),
+                store=StoreSpec.parse(store_text, volume_bytes=AGING_VOLUME),
                 sizes=(ConstantSize(AGING_OBJECT)
                        if scenario_text is None else None),
                 scenario=(ScenarioSpec.parse(scenario_text)
@@ -750,7 +710,7 @@ def run_scenario_matrix(opts: argparse.Namespace,
                                   else "uniform-churn"),
                 "config": config,
                 "store": store_text,
-                "volume_bytes": volume,
+                "volume_bytes": AGING_VOLUME,
                 "objects": result.objects_loaded,
                 "final_age": round(last.age, 3),
                 "read_wall_mbps": round(last.read_wall_mbps / MB, 2),
@@ -769,10 +729,6 @@ def run_scenario_matrix(opts: argparse.Namespace,
         # The first config at the unrounded minimum wins.
         first = len(rows) - len(p99s)
         rows[first + p99s.index(min(p99s))]["winner"] = True
-    if not divergent_winners(rows):
-        raise AssertionError(
-            "scenario_matrix: every workload picked the paper-loop "
-            "winner; the tenant mixes changed nothing")
     return rows
 
 
@@ -783,39 +739,124 @@ def divergent_winners(rows: list[dict]) -> int:
                if workload != "paper" and config != winners["paper"])
 
 
-def ratio(label: str, top: str, top_field: str, bottom: str,
-          bottom_field: str) -> Callable[[list[dict]], float | None]:
-    """A ``speedups`` extractor: ``top_field`` of the row whose
-    ``label`` column reads ``top`` over ``bottom_field`` of the
-    ``bottom`` one; ``None`` (no entry) for a non-positive divisor."""
-    def extract(rows: list[dict]) -> float | None:
-        by = {row[label]: row for row in rows}
-        divisor = by[bottom][bottom_field]
-        if divisor <= 0:
-            return None
-        return round(by[top][top_field] / divisor, 2)
-    return extract
+def ratio_check(name: str, top: float, bottom: float, *,
+                strict: bool = False, holds: bool = True) -> ShapeCheck:
+    """``top / bottom`` to two places — the number the docs quote —
+    held to ``>= 1`` (``> 1`` when ``strict``).  ``holds`` carries the
+    rest of a claim that spans more rows than the quoted ratio."""
+    value = round(top / bottom, 2) if bottom > 0 else math.inf
+    return ShapeCheck(
+        name=name,
+        passed=holds and (top > bottom if strict else top >= bottom),
+        detail=f"ratio {value:g} (needs {'>' if strict else '>='} 1)",
+        value=value, bound=1.0,
+    )
 
 
-def skew_reduction(rows: list[dict]) -> float:
+def cells_by(rows: list[dict], label: str, field: str) -> dict:
+    """``field`` of every row, keyed by the row's ``label`` cell."""
+    return {row[label]: row[field] for row in rows}
+
+
+def fs_churn_checks(rows: list[dict]) -> dict[str, ShapeCheck]:
+    # Rows alternate CHURN_ENGINES within each volume.
+    moved = sum(tiered[cell] != naive[cell]
+                for tiered, naive in zip(rows[::2], rows[1::2])
+                for cell in ("files", "free_runs", "modelled_device_s"))
+    return {"engine_cells_moved": check_between(
+        "naive leaves every modelled cell where tiered does", moved, 0, 0)}
+
+
+def sharded_aging_checks(rows: list[dict]) -> dict[str, ShapeCheck]:
+    device = cells_by(rows, "config", "sweep_device_s")
+    wall = cells_by(rows, "config", "sweep_wall_s")
+    return {
+        "clook_read_device_time": ratio_check(
+            "4 shards + C-LOOK batches cut the aged sweep's device time",
+            device["single"], device["sharded_clook"], strict=True),
+        "overlap_read_wall_time": ratio_check(
+            "overlap=true turns the four lanes into wall time",
+            device["single"], wall["sharded_overlap"], strict=True),
+    }
+
+
+def shard_skew_checks(rows: list[dict]) -> dict[str, ShapeCheck]:
     (row,) = rows
-    return round(
-        row["occupancy_skew_before"] / row["occupancy_skew_after"], 2)
+    return {"skew_reduction": ratio_check(
+        "rebalance(mode='even') does not worsen occupancy skew",
+        row["occupancy_skew_before"], row["occupancy_skew_after"])}
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One ``SCENARIOS`` entry; ``main()`` knows nothing else."""
+def degraded_aging_checks(rows: list[dict]) -> dict[str, ShapeCheck]:
+    wall = cells_by(rows, "phase", "sweep_wall_s")
+    return {
+        "degraded_read_wall_penalty": ratio_check(
+            "failover reads cost wall time over the healthy sweep",
+            wall["degraded"], wall["healthy"]),
+        "rebuilt_read_wall_penalty": ratio_check(
+            "three rebuilt lanes stay behind four healthy ones",
+            wall["rebuilt"], wall["healthy"]),
+    }
 
-    run: Callable[[argparse.Namespace], list[dict]]
-    #: Constants echoed into ``report["config"]``.
-    params: dict[str, object]
-    #: Printed columns, each a row key every row carries, optionally
-    #: ``key:format-spec``.
-    table: tuple[str, ...]
-    #: ``speedups`` key -> extractor over this scenario's rows.
-    speedups: dict[str, Callable[[list[dict]], float | int | None]] = field(
-        default_factory=dict)
+
+def tail_latency_checks(rows: list[dict]) -> dict[str, ShapeCheck]:
+    p99 = cells_by(rows, "phase", "lat_p99_ms")
+    return {
+        "aged_p99_inflation": ratio_check(
+            "aging stretches the read p99 under the fixed rate",
+            p99["aged"], p99["fresh"]),
+        "degraded_p99_penalty": ratio_check(
+            "degraded p99 does not undercut the healthy (aged) p99",
+            p99["degraded"], p99["aged"]),
+    }
+
+
+def continuous_operation_checks(rows: list[dict]) -> dict[str, ShapeCheck]:
+    p99 = cells_by(rows, "phase", "lat_p99_ms")
+    series = [[row["lat_p99_ms"] for row in rows
+               if row["checkpoints"] == cadence]
+              for cadence in CONTINUOUS_CADENCES]
+    return {
+        "active_p99_inflation": ratio_check(
+            "every active p99 exceeds the quiescent p99 "
+            "(quoted: unthrottled, cadence 1)",
+            p99["ckpt_x1_rb1"], p99["quiescent"], strict=True,
+            holds=all(min(s) > p99["quiescent"] for s in series)),
+        "throttle_p99_relief": ratio_check(
+            "per cadence p99 falls as the rebalance throttle drops "
+            "(quoted: rate 1 over rate 0.25, cadence 1)",
+            p99["ckpt_x1_rb1"], p99["ckpt_x1_rb0.25"], strict=True,
+            holds=all(s == sorted(s, reverse=True) and s[-1] < s[0]
+                      for s in series)),
+    }
+
+
+def scenario_matrix_checks(rows: list[dict]) -> dict[str, ShapeCheck]:
+    return {"divergent_winners": check_between(
+        "some tenant mix flips the paper loop's p99 winner",
+        divergent_winners(rows), 1, len(SCENARIO_MATRIX_WORKLOADS) - 1)}
+
+
+def figure(name: str, run: Callable[[], list[dict]], *,
+           params: dict[str, object], table: tuple[str, ...],
+           checks: Callable[[list[dict]], dict[str, ShapeCheck]]) -> Figure:
+    """One scenario as the three functions ``paperfig`` asks of a figure.
+
+    ``compute`` ignores the curve runner and returns the constants the
+    record echoes beside the rows; ``table`` lists the printed columns,
+    each a row key every row carries, optionally ``key:format-spec``.
+    """
+    columns = [column.partition(":")[::2] for column in table]
+
+    def render(results: dict) -> str:
+        return render_table(
+            name, [key for key, _ in columns],
+            [[format(row[key], spec) for key, spec in columns]
+             for row in results["rows"]])
+
+    return Figure(compute=lambda _run: {"params": params, "rows": run()},
+                  render=render,
+                  checks=lambda results: checks(results["rows"]))
 
 
 AGING_PARAMS = {
@@ -835,63 +876,47 @@ TAIL_PARAMS = {**DEGRADED_PARAMS, "tail_depth": TAIL_DEPTH}
 SWEEP_TABLE = ("sweep_reads", "sweep_device_s:.3f", "sweep_wall_s:.3f")
 LAT_TABLE = ("lat_p50_ms:.2f", "lat_p95_ms:.2f", "lat_p99_ms:.2f",
              "lat_max_ms:.2f")
-_by_config = partial(ratio, "config")
-_by_phase = partial(ratio, "phase")
 
-SCENARIOS: dict[str, Scenario] = {
-    "fs_churn": Scenario(
-        run=run_fs_churn,
+FIGURES: dict[str, Figure] = {
+    "fs_churn": figure(
+        "fs_churn", run_fs_churn,
         params={"file_bytes": FILE_BYTES, "request_bytes": REQUEST_BYTES,
                 "occupancy": OCCUPANCY, "churn_ops": CHURN_OPS},
         table=("volume_bytes:,", "index", "files", "build_seconds:.2f",
                "churn_us_per_op:.1f", "free_runs"),
+        checks=fs_churn_checks,
     ),
-    "sharded_aging": Scenario(
-        run=run_sharded_aging,
+    "sharded_aging": figure(
+        "sharded_aging", run_sharded_aging,
         params=AGING_PARAMS,
         table=("config", "shards", "reorder", "objects", *SWEEP_TABLE,
                "sweep_seeks"),
-        speedups={
-            "sharded_clook_read_device_time": _by_config(
-                "single", "sweep_device_s", "sharded_clook", "sweep_device_s"),
-            "sharded_overlap_read_wall_time": _by_config(
-                "single", "sweep_device_s", "sharded_overlap", "sweep_wall_s"),
-        },
+        checks=sharded_aging_checks,
     ),
-    "shard_skew": Scenario(
-        run=run_shard_skew,
+    "shard_skew": figure(
+        "shard_skew", run_shard_skew,
         params=AGING_PARAMS,
         table=("objects", "shards", "occupancy_skew_before:.3f",
                "occupancy_skew_after:.3f", "moved_objects", "moved_bytes:,",
                "sweep_wall_s_before:.3f", "sweep_wall_s_after:.3f"),
-        speedups={"shard_skew_reduction": skew_reduction},
+        checks=shard_skew_checks,
     ),
-    "degraded_aging": Scenario(
-        run=run_degraded_aging,
+    "degraded_aging": figure(
+        "degraded_aging", run_degraded_aging,
         params={**DEGRADED_PARAMS,
                 "degraded_rebuild_slice": DEGRADED_REBUILD_SLICE},
         table=("phase", *SWEEP_TABLE, "degraded_reads", "failovers"),
-        speedups={
-            "degraded_read_wall_penalty": _by_phase(
-                "degraded", "sweep_wall_s", "healthy", "sweep_wall_s"),
-            "rebuilt_read_wall_penalty": _by_phase(
-                "rebuilt", "sweep_wall_s", "healthy", "sweep_wall_s"),
-        },
+        checks=degraded_aging_checks,
     ),
-    "tail_latency": Scenario(
-        run=run_tail_latency,
+    "tail_latency": figure(
+        "tail_latency", run_tail_latency,
         params={**TAIL_PARAMS, "tail_utilization": TAIL_UTILIZATION,
                 "tail_rebuild_slice": TAIL_REBUILD_SLICE},
         table=("phase", *SWEEP_TABLE, *LAT_TABLE),
-        speedups={
-            "aged_p99_inflation": _by_phase(
-                "aged", "lat_p99_ms", "fresh", "lat_p99_ms"),
-            "degraded_p99_penalty": _by_phase(
-                "degraded", "lat_p99_ms", "aged", "lat_p99_ms"),
-        },
+        checks=tail_latency_checks,
     ),
-    "continuous_operation": Scenario(
-        run=run_continuous_operation,
+    "continuous_operation": figure(
+        "continuous_operation", run_continuous_operation,
         params={**TAIL_PARAMS,
                 "continuous_cadences": list(CONTINUOUS_CADENCES),
                 "continuous_rebalance_rates":
@@ -902,15 +927,10 @@ SCENARIOS: dict[str, Scenario] = {
                 "continuous_utilization": CONTINUOUS_UTILIZATION},
         table=("phase", "checkpoints", "rebalance_rate", "moved_objects",
                "rebalance_stall_s:.3f", "sweep_wall_s:.3f", *LAT_TABLE),
-        speedups={
-            "continuous_active_p99_inflation": _by_phase(
-                "ckpt_x1_rb1", "lat_p99_ms", "quiescent", "lat_p99_ms"),
-            "continuous_throttle_p99_relief": _by_phase(
-                "ckpt_x1_rb1", "lat_p99_ms", "ckpt_x1_rb0.25", "lat_p99_ms"),
-        },
+        checks=continuous_operation_checks,
     ),
-    "scenario_matrix": Scenario(
-        run=run_scenario_matrix,
+    "scenario_matrix": figure(
+        "scenario_matrix", run_scenario_matrix,
         params={"aging_object_bytes": AGING_OBJECT,
                 "scenario_matrix_configs":
                     [c for c, _ in SCENARIO_MATRIX_CONFIGS],
@@ -919,79 +939,6 @@ SCENARIOS: dict[str, Scenario] = {
                 "scenario_matrix_ages": list(SCENARIO_MATRIX_AGES)},
         table=("workload", "config", "read_wall_mbps:.2f", "read_p50_ms:.2f",
                "read_p99_ms:.2f", "winner"),
-        speedups={"scenario_matrix_divergent_winners": divergent_winners},
+        checks=scenario_matrix_checks,
     ),
 }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small volumes (CI smoke)")
-    parser.add_argument("--volumes", type=str, default=None,
-                        help="comma-separated fs_churn volume sizes in bytes")
-    parser.add_argument("--index", type=str, default="tiered,naive",
-                        help="comma-separated fs_churn engines to measure")
-    parser.add_argument("--scenarios", type=str, default=",".join(SCENARIOS),
-                        help=f"comma-separated subset of {tuple(SCENARIOS)}")
-    parser.add_argument("--aging-volume", type=int, default=None,
-                        help="volume size in bytes for the store scenarios")
-    parser.add_argument("--out", type=Path,
-                        default=Path(__file__).parent /
-                        "BENCH_scale_volume.json")
-    opts = parser.parse_args(argv)
-
-    chosen = opts.scenarios.split(",")
-    for name in chosen:
-        if name not in SCENARIOS:
-            parser.error(
-                f"unknown scenario {name!r}; choose from {tuple(SCENARIOS)}")
-    if opts.volumes:
-        opts.volumes = tuple(int(v) for v in opts.volumes.split(","))
-    else:
-        opts.volumes = QUICK_VOLUMES if opts.quick else DEFAULT_VOLUMES
-    opts.kinds = tuple(opts.index.split(","))
-    opts.aging_volume = opts.aging_volume or (
-        QUICK_AGING_VOLUME if opts.quick else AGING_VOLUME)
-
-    config: dict[str, object] = {}
-    results: list[dict] = []
-    speedups: dict[str, float | int] = {}
-    tables = []
-    for name in chosen:
-        entry = SCENARIOS[name]
-        print(f"... {name}", flush=True)
-        rows = entry.run(opts)
-        config.update(entry.params)
-        results.extend({"scenario": name, **row} for row in rows)
-        for key, extract in entry.speedups.items():
-            value = extract(rows)
-            if value is not None:
-                speedups[key] = value
-        columns = [column.partition(":")[::2] for column in entry.table]
-        tables.append(render_table(
-            name, [key for key, _ in columns],
-            [[format(row[key], spec) for key, spec in columns]
-             for row in rows]))
-    config["scenarios"] = chosen
-
-    report = {
-        "schema": "bench-scale-volume/10",
-        "generated_by": "benchmarks/bench_scale_volume.py",
-        "python": platform.python_version(),
-        "config": config,
-        "results": results,
-        "speedups": speedups,
-    }
-    opts.out.write_text(json.dumps(report, indent=2) + "\n")
-
-    print("\n" + "\n\n".join(tables))
-    if speedups:
-        print("\nspeedups: " + ", ".join(
-            f"{k}: {v}x" for k, v in speedups.items()))
-    print(f"\nwrote {opts.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,9 +2,9 @@
 
 The paper's testbed (Tyan S2882, Opteron 244, MV8 SATA controller, four
 Seagate 400 GB 7200 rpm drives, Windows 2003 / SQL Server 2005) is
-replaced by the simulated analogue documented in DESIGN.md.  This bench
-prints both columns side by side and sanity-checks the simulated disk's
-headline characteristics.
+replaced by the simulated analogue documented in docs/architecture.md
+("Layer map").  This bench prints both columns side by side and
+sanity-checks the simulated disk's headline characteristics.
 """
 
 from repro.analysis.compare import ShapeCheck, check_between, check_faster

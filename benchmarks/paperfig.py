@@ -1,28 +1,32 @@
-"""The paper benches: one table of figures, one ``main()``, one record.
+"""The modelled benches: one table of figures, one ``main()``, one record.
 
-Every entry of :data:`FIGURES` regenerates one table or figure from the
-paper's evaluation (Section 5) on scaled volumes (see DESIGN.md §3: the
-free-object-pool and request-size ratios that the paper says govern the
-curves are preserved; absolute volume sizes shrink so the whole paper
-takes about two minutes instead of the paper's week)::
+Every entry of :data:`FIGURES` regenerates one table or figure — the
+paper's evaluation (Section 5) on scaled volumes (see "Contract,
+scaling and calibration" in docs/benchmarks.md: the free-object-pool
+and request-size ratios that the paper says govern the curves are
+preserved; absolute volume sizes shrink so the whole paper takes about
+two minutes instead of the paper's week), then the seven store
+scenarios past the paper (``bench_store_scenarios.py``: sharding,
+faults, tails, tenants)::
 
-    python benchmarks/paperfig.py [--only fig1,ablation_zones] [--out PATH]
+    python benchmarks/paperfig.py [--only fig1,tail_latency] [--out PATH]
 
-prints each figure's table and its shape checks against the paper, and
-exits 1 when a check fails.  ``--out`` writes the ``bench-paper/1``
-record (``benchmarks/BENCH_paper.json`` is the committed one, from a
-run without override flags): per figure the modelled numbers the table
-was rendered from, a sha256 over them, every check as numbers, and —
-outside the hash — host seconds per curve.  ``--paper-scale`` uses the
-original 40/400 GB volumes.
+prints each figure's table and its shape checks, and exits 1 when a
+check fails.  ``--out`` writes the ``bench-paper/1`` record
+(``benchmarks/BENCH_paper.json`` is the committed one, from a run
+without override flags): per figure the modelled numbers the table was
+rendered from, a sha256 over them, every check as numbers, and —
+outside the hash — host seconds per curve and a scenario's host-time
+cells.  ``--paper-scale`` uses the original 40/400 GB volumes.
 
-A figure lives in its own ``bench_*.py`` module as three functions:
-``compute(run)`` ages its stores through ``run(backend, sizes, **kw)``
-(:func:`curve_config` bound to the parsed options, run and timed — a
-figure reads no flag; ``keep_store=True`` returns ``(result, store)``
-for a figure that reads the aged store's own counters),
-``render(results)`` returns the table block and ``checks(results)``
-the paper's claims as ``key -> ShapeCheck``.
+A figure is three functions: ``compute(run)`` ages its stores through
+``run(backend, sizes, **kw)`` (:func:`curve_config` bound to the parsed
+options, run and timed — a figure reads no flag; ``keep_store=True``
+returns ``(result, store)`` for a figure that reads the aged store's
+own counters), ``render(results)`` returns the table block and
+``checks(results)`` its claims as ``key -> ShapeCheck``.  A paper
+figure is a ``bench_*.py`` module of its own; the store scenarios share
+one, which builds the three from a row table.
 """
 
 from __future__ import annotations
@@ -80,11 +84,16 @@ class Figure:
     checks: Callable[[Any], dict[str, ShapeCheck]]
 
 
-def _figure(module: str) -> Figure:
-    """The three functions of ``module``, imported on first call — the
-    figure modules import this one for its helpers."""
+def _figure(module: str, entry: str | None = None) -> Figure:
+    """The three functions of ``module`` — or of ``entry`` in its own
+    ``FIGURES`` table — imported on first call: the figure modules
+    import this one for its helpers."""
     def late(attr: str) -> Callable[..., Any]:
-        return lambda arg: getattr(importlib.import_module(module), attr)(arg)
+        def call(arg: Any) -> Any:
+            loaded = importlib.import_module(module)
+            return getattr(loaded.FIGURES[entry] if entry else loaded,
+                           attr)(arg)
+        return call
     return Figure(late("compute"), late("render"), late("checks"))
 
 
@@ -104,6 +113,9 @@ FIGURES = {
     "ablation_index": _figure("bench_ablation_index"),
     "extension_backends": _figure("bench_extension_backends"),
     "extension_interleaved": _figure("bench_extension_interleaved"),
+    **{name: _figure("bench_store_scenarios", name) for name in (
+        "fs_churn", "sharded_aging", "shard_skew", "degraded_aging",
+        "tail_latency", "continuous_operation", "scenario_matrix")},
 }
 
 
@@ -216,22 +228,33 @@ def frag_series(result: RunResult) -> list[tuple[float, float]]:
 
 
 SERIES = ("age", "fragments_per_object", "read_mbps", "write_mbps")
+#: Row cells that time the host, not the model (the store scenarios).
+HOST_CELLS = ("_seconds", "_us_per_op")
 
 
 def modelled(results: Any) -> Any:
     """What ``compute`` returned, as JSON: per curve the sample series
     every ``render`` and ``checks`` reads, cells as they are, tuple
-    keys joined with ``/``."""
+    keys joined with ``/``, :data:`HOST_CELLS` left out."""
     if isinstance(results, RunResult):
         return {"bulk_load_write_mbps": results.bulk_load_write_mbps,
                 **{attr: [getattr(s, attr) for s in results.samples]
                    for attr in SERIES}}
     if isinstance(results, dict):
         return {key if isinstance(key, str) else "/".join(map(str, key)):
-                modelled(value) for key, value in results.items()}
+                modelled(value) for key, value in results.items()
+                if not (isinstance(key, str) and key.endswith(HOST_CELLS))}
     if isinstance(results, (list, tuple)):
         return [modelled(value) for value in results]
     return results
+
+
+def host_rows(results: Any) -> list[dict[str, float]]:
+    """The :data:`HOST_CELLS` that :func:`modelled` left out, row by row
+    (none for aging curves: their host time is the ``curves`` list)."""
+    rows = results.get("rows", ()) if isinstance(results, dict) else ()
+    return [{key: cell for key, cell in row.items()
+             if key.endswith(HOST_CELLS)} for row in rows]
 
 
 def modelled_sha256(cells: Any) -> str:
@@ -270,7 +293,7 @@ def run_figure(name: str, opts: argparse.Namespace) -> dict[str, Any]:
     checks = figure.checks(results)
     print(figure.render(results))
     print()
-    print("Shape checks against the paper:")
+    print("Shape checks:")
     for check in checks.values():
         print(f"  {check}")
     print(f"[{name}: {seconds:.1f} s host" + "".join(
@@ -281,7 +304,8 @@ def run_figure(name: str, opts: argparse.Namespace) -> dict[str, Any]:
         "sha256": modelled_sha256(cells),
         "checks": {key: check_record(check)
                    for key, check in checks.items()},
-        "host": {"seconds": seconds, "curves": curves},
+        "host": {"seconds": seconds, "curves": curves,
+                 "rows": host_rows(results)},
     }
 
 

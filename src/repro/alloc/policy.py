@@ -4,7 +4,8 @@ These are the textbook policies the paper's theory section discusses
 (first fit's near-optimal worst case, best fit, worst fit) plus next fit.
 The filesystem and database substrates use their own specialised
 allocators (:mod:`repro.alloc.runcache`, :mod:`repro.db.gam`); the plain
-policies exist for the ablation bench (A1 in DESIGN.md), which asks how
+policies exist for ablation A1 (``paperfig.py --only ablation_policies``,
+described in benchmarks/README.md), which asks how
 much of the two systems' divergence is explained by policy alone.
 """
 

@@ -1,6 +1,7 @@
 """Shape predicates: the paper's qualitative claims as checkable code.
 
-The reproduction contract (system prompt of DESIGN.md): absolute numbers
+The reproduction contract (docs/benchmarks.md, "Contract, scaling and
+calibration"): absolute numbers
 need not match the 2005 testbed, but *who wins, by roughly what factor,
 and where the curves bend* must.  Each predicate returns a
 :class:`ShapeCheck` carrying a pass flag, the measured number with the

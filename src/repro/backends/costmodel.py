@@ -15,8 +15,9 @@ paper's folklore (Section 3.1) is CPU:
 
 Defaults are order-of-magnitude figures for the paper's 1.8 GHz Opteron
 era, chosen so the *clean-system* curves reproduce Figure 1's shape
-(database ahead below ~1 MB, filesystem ahead at 10 MB).  EXPERIMENTS.md
-records the calibration.
+(database ahead below ~1 MB, filesystem ahead at 10 MB).  The checks
+that hold the calibration are named in docs/benchmarks.md,
+"Contract, scaling and calibration".
 """
 
 from __future__ import annotations

@@ -53,6 +53,7 @@ from repro.core.experiment import (
     run_experiment,
 )
 from repro.core.workload import ConstantSize, UniformSize
+from repro.errors import ReproError
 from repro.scenario.spec import ScenarioSpec, scenario_names
 from repro.units import MB, fmt_size, parse_size
 
@@ -392,5 +393,15 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def run_process() -> int:
+    """``main()`` for ``python -m repro``: a library error is one line
+    on stderr and exit status 2 (argparse's own), not a traceback."""
+    try:
+        return main()
+    except ReproError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())
+    sys.exit(run_process())

@@ -8,9 +8,10 @@ the churn interval that led here — matching how the paper pairs its
 read and write measurements (Section 5.3).
 
 The configuration defaults are scaled-down versions of the paper's
-(DESIGN.md Section 3): the free-object pool and the request-size ratios
-that drive fragmentation are preserved while volumes shrink from 400 GB
-to single-digit GB so a run takes seconds, not a week.
+(docs/benchmarks.md, "Contract, scaling and calibration"): the
+free-object pool and the request-size ratios that drive fragmentation
+are preserved while volumes shrink from 400 GB to single-digit GB so a
+run takes seconds, not a week.
 """
 
 from __future__ import annotations

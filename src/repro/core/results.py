@@ -2,8 +2,8 @@
 
 A run produces one :class:`RunResult`: the configuration echo, the
 bulk-load phase, and one :class:`AgeSample` per sampled storage age.
-Everything round-trips through plain dicts so benches can cache results
-as JSON and EXPERIMENTS.md can be regenerated from saved runs.
+Everything round-trips through plain dicts so a run can be saved as JSON
+(``repro run --json``) and its tables regenerated from the saved file.
 """
 
 from __future__ import annotations

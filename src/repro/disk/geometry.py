@@ -223,8 +223,9 @@ PAPER_DISK: DiskGeometry = make_disk(400 * GB)
 def scaled_disk(capacity: int) -> DiskGeometry:
     """A geometry with paper-like mechanics at an arbitrary capacity.
 
-    Benches default to scaled volumes (Section 3 of DESIGN.md): the free
-    pool ratio and request-size ratios that govern fragmentation are
-    preserved, only wall-clock experiment time shrinks.
+    Benches default to scaled volumes (docs/benchmarks.md, "Contract,
+    scaling and calibration"): the free pool ratio and request-size
+    ratios that govern fragmentation are preserved, only wall-clock
+    experiment time shrinks.
     """
     return make_disk(capacity)

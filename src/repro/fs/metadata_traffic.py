@@ -16,8 +16,9 @@ traffic.  We model it explicitly and deterministically: every
 through the normal allocator; nibbles are long-lived and are freed FIFO
 once more than ``max_outstanding`` exist.
 
-EXPERIMENTS.md records the sensitivity: the Figure 5 shape is stable
-across an order of magnitude in ``interval_ops``.
+docs/benchmarks.md ("Contract, scaling and calibration") names the
+checks that hold the Figure 5 shape; it was stable across an order of
+magnitude in ``interval_ops`` when the default was chosen.
 """
 
 from __future__ import annotations

@@ -1,4 +1,9 @@
-"""``benchmarks/bench_scale_volume.py``: the scenario table and AgedStore."""
+"""``benchmarks/bench_store_scenarios.py``: the figure table and AgedStore.
+
+The committed record is held to a recomputation by
+``tests/test_paperfig.py``; here the module's own pieces are held to the
+committed record, which costs no aging run.
+"""
 
 import json
 import sys
@@ -9,58 +14,77 @@ import pytest
 from repro.backends.spec import StoreSpec
 from repro.units import KB, MB
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-import bench_scale_volume as bench  # noqa: E402
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+sys.path.insert(0, str(BENCH))
+import bench_store_scenarios as bench  # noqa: E402
+import paperfig  # noqa: E402
 
+COMMITTED = json.loads((BENCH / "BENCH_paper.json").read_text())["figures"]
 LAT_FIELDS = {"lat_count", "lat_p50_ms", "lat_p95_ms", "lat_p99_ms",
               "lat_max_ms"}
 
 
-@pytest.fixture(scope="module")
-def quick_report(tmp_path_factory):
-    """One ``--quick`` run of every scenario through ``main()``."""
-    out = tmp_path_factory.mktemp("bench") / "scale.json"
-    assert bench.main(["--quick", "--out", str(out)]) == 0
-    return json.loads(out.read_text())
+def committed_results(name: str) -> dict:
+    """What ``compute`` returned for the committed run: the modelled
+    rows with their host-time cells put back."""
+    entry = COMMITTED[name]
+    rows = zip(entry["modelled"]["rows"], entry["host"]["rows"], strict=True)
+    return {**entry["modelled"],
+            "rows": [{**row, **host} for row, host in rows]}
 
 
 class TestScenarioTable:
-    def test_every_entry_produced_rows(self, quick_report):
-        seen = {row["scenario"] for row in quick_report["results"]}
-        assert seen == set(bench.SCENARIOS)
+    """The class and its six tests keep the names they had over the
+    retired ``SCENARIOS`` table: the ids are in the tier-1 floor."""
 
-    def test_rows_carry_their_entrys_columns(self, quick_report):
-        for row in quick_report["results"]:
-            entry = bench.SCENARIOS[row["scenario"]]
-            declared = {column.partition(":")[0] for column in entry.table}
-            assert declared <= row.keys(), row["scenario"]
+    def test_every_entry_produced_rows(self):
+        assert list(bench.FIGURES) == list(paperfig.FIGURES)[-7:]
+        for name in bench.FIGURES:
+            assert COMMITTED[name]["modelled"]["rows"], name
 
-    def test_speedups_are_the_declared_ones(self, quick_report):
-        declared = {key for entry in bench.SCENARIOS.values()
-                    for key in entry.speedups}
-        # At this size every extractor has a positive divisor.
-        assert set(quick_report["speedups"]) == declared
+    def test_rows_carry_their_entrys_columns(self):
+        for name, figure in bench.FIGURES.items():
+            results = committed_results(name)
+            table = figure.render(results).splitlines()
+            assert table[0] == name
+            assert len(table) == 4 + len(results["rows"])
 
-    def test_config_is_assembled_from_the_entries(self, quick_report):
-        expected = {}
-        for entry in bench.SCENARIOS.values():
-            expected.update(entry.params)
-        expected["scenarios"] = list(bench.SCENARIOS)
-        assert quick_report["config"] == json.loads(json.dumps(expected))
+    def test_speedups_are_the_declared_ones(self):
+        """Every entry's checks, recomputed from its committed rows, are
+        the committed checks — the three figures too slow for tier-1 to
+        age included."""
+        for name, figure in bench.FIGURES.items():
+            checks = {key: paperfig.check_record(check) for key, check
+                      in figure.checks(committed_results(name)).items()}
+            assert json.loads(json.dumps(checks)) \
+                == COMMITTED[name]["checks"], name
+
+    def test_config_is_assembled_from_the_entries(self):
+        figure = bench.figure(
+            "demo", lambda: [{"phase": "a", "wall_s": 1.5, "host_seconds": 9}],
+            params={"depth": 64}, table=("phase", "wall_s:.2f"),
+            checks=lambda rows: {"wall": bench.ratio_check(
+                "wall", rows[0]["wall_s"], 1.0)})
+        results = figure.compute(None)
+        assert paperfig.modelled(results) == {
+            "params": {"depth": 64}, "rows": [{"phase": "a", "wall_s": 1.5}]}
+        assert paperfig.host_rows(results) == [{"host_seconds": 9}]
+        assert figure.render(results).splitlines()[-1] == "    a    1.50"
+        assert figure.checks(results)["wall"].value == 1.5
 
     def test_retired_scenarios_and_flags_are_gone(self, capsys):
         for name in ("segment_store", "batched_writes", "checkpoint_resume"):
-            assert name not in bench.SCENARIOS
-        for flag in ("--segments", "--requests", "--batch"):
+            assert name not in paperfig.FIGURES
+        for flag in ("--segments", "--requests", "--batch", "--volumes"):
             with pytest.raises(SystemExit):
-                bench.main([flag, "8", "--scenarios", "fs_churn"])
+                paperfig.main([flag, "8", "--only", "shard_skew"])
         capsys.readouterr()
 
     def test_unknown_scenario_is_a_parser_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            bench.main(["--scenarios", "nope"])
+            paperfig.main(["--only", "shard_skew,nope"])
         assert exit_info.value.code == 2
-        assert "unknown scenario 'nope'" in capsys.readouterr().err
+        assert "no figure named nope" in capsys.readouterr().err
 
 
 def small_spec(**overrides) -> StoreSpec:

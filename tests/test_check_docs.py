@@ -17,10 +17,6 @@ def docs_root(tmp_path, monkeypatch):
     """A throw-away repo root with tiny committed baselines."""
     bench = tmp_path / "benchmarks"
     bench.mkdir()
-    (bench / "BENCH_scale_volume.json").write_text(json.dumps({
-        "config": {"scenarios": ["fs_churn", "tail_latency"]},
-        "speedups": {"aged_p99_inflation": 1.19, "winners": 1},
-    }))
     (bench / "BENCH_alloc.json").write_text(json.dumps({
         "speedups_naive_over_tiered": {"mixed_policy@100000": 320.0},
     }))
@@ -35,7 +31,11 @@ def docs_root(tmp_path, monkeypatch):
         }))
     (bench / "BENCH_paper.json").write_text(json.dumps({
         "figures": {"fig1": {"checks": {
-            "db_aging_512K": {"value": 1.8749}}}},
+                        "db_aging_512K": {"value": 1.8749}}},
+                    "tail_latency": {"checks": {
+                        "aged_p99_inflation": {"value": 1.19}}},
+                    "scenario_matrix": {"checks": {
+                        "divergent_winners": {"value": 1}}}},
     }))
     monkeypatch.setattr(check_docs, "ROOT", tmp_path)
 
@@ -51,14 +51,14 @@ def test_the_repos_own_docs_are_in_sync():
 
 def test_matching_quotes_pass(docs_root):
     assert docs_root(
-        "Run `--scenarios fs_churn,tail_latency`; the `tail_latency` rows\n"
-        "show `aged_p99_inflation` 1.19× and `speedups.winners` = 1;\n"
+        "Run `--only fs_churn,tail_latency`; the `tail_latency` rows\n"
+        "show `tail_latency.aged_p99_inflation` 1.19× and\n"
+        "`scenario_matrix.divergent_winners` = 1;\n"
         "`mixed_policy@100000`\n  320× through the policy path.\n\n"
         "Aging costs the database `fig1.db_aging_512K` 1.87× of its reads\n"
         "| Figure 1 | `fig1.db_aging_512K` 1.9× | roughly halves |\n\n"
-        "| scenario | fields |\n| --- | --- |\n| `fs_churn` | `index` |\n\n"
-        "| `speedups` key | committed |\n| --- | --- |\n"
-        "| `aged_p99_inflation` | 1.19 |\n\n"
+        "| check | committed |\n| --- | --- |\n"
+        "| `tail_latency.aged_p99_inflation` | 1.19 |\n\n"
         "| file | what moved |\n| --- | --- |\n"
         "| `BENCH_e2e_pr14.json` | `db_large_churn` 250 → 727"
         " `sim_ops_per_host_s`, `setup_s` 1.02 → 0.50 |\n"
@@ -71,17 +71,14 @@ def test_matching_quotes_pass(docs_root):
 
 
 @pytest.mark.parametrize("text, complaint", [
-    ("`aged_p99_inflation` 1.2×", "quoted as 1.2, committed value is 1.19"),
-    ("| `speedups` key | committed |\n| --- | --- |\n| `winners` | 2 |",
-     "`winners` quoted as 2"),
-    ("--scenarios fs_churn,segment_store", "`segment_store` is not"),
-    ("the `checkpoint_resume` rows", "`checkpoint_resume` is not"),
-    ("| scenario | fields |\n| --- | --- |\n| `batched_writes` | x |",
-     "`batched_writes` is not a committed bench scenario"),
-    ("`speedups.batched_host` moved", "`batched_host` is not"),
+    ("`mixed_policy@100000` 321×", "quoted as 321, committed value is 320.0"),
+    ("| check | committed |\n| --- | --- |\n"
+     "| `scenario_matrix.divergent_winners` | 2 |",
+     "`scenario_matrix.divergent_winners` quoted as 2"),
+    ("`tail_latency.aged_p99_inflation` 1.18×",
+     "quoted as 1.18, BENCH_paper.json has 1.19"),
+    ("the `tail_latency.speedup` check", "`tail_latency.speedup` is not"),
     ("`segment_store_read@100000` 3.06×", "is not a committed speedups key"),
-    ("| `speedups` key | committed |\n| --- | --- |\n| `gone` | 1 |",
-     "`gone` is not a committed speedups key"),
     ("| `BENCH_e2e_pr14.json` | `db_large_churn` 250 → 728"
      " `sim_ops_per_host_s` |",
      "quoted as 728, BENCH_e2e_pr14.json has 727"),
@@ -118,3 +115,27 @@ def test_a_readme_number_edited_away_from_the_record_is_caught(
     monkeypatch.setattr(check_docs, "ROOT", tmp_path)
     problems = check_docs.figure_problems()
     assert len(problems) == 1 and f"quoted as {nudged}" in problems[0]
+
+
+def test_a_source_file_citing_a_missing_md_is_caught(tmp_path, monkeypatch):
+    """Regression: eleven docstrings cited DESIGN.md / EXPERIMENTS.md
+    long after both files had left the repository."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "benchmarks.md").write_text("# here\n")
+    (tmp_path / "README.md").write_text("# here too\n")
+    for path, body in (
+            ("src/repro/alloc/policy.py",
+             '"""See DESIGN.md §3, docs/benchmarks.md and README.md."""\n'),
+            ("benchmarks/bench_fig9.py", "# as EXPERIMENTS.md records\n"),
+            ("benchmarks/e2e/child.py", "# NOWHERE.md is not ours to lint\n")):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(body)
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    assert check_docs.dangling_md_mentions() == [
+        "src/repro/alloc/policy.py: mentions DESIGN.md, which is not a "
+        "file in the repo",
+        "benchmarks/bench_fig9.py: mentions EXPERIMENTS.md, which is not a "
+        "file in the repo",
+    ]
+    monkeypatch.undo()
+    assert check_docs.dangling_md_mentions() == []

@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -124,6 +130,30 @@ class TestRun:
                 "--ages", "nan", "--json", str(path),
             ])
         assert not path.exists()
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("args, message", [
+        (["--store", "nosuch"], "unknown backend 'nosuch'"),
+        (["--occupancy", "1.5"], "occupancy must be in (0, 1), got 1.5"),
+        (["--volume", "1M"], "volume too small for metadata regions"),
+        # A run killed by an injected fault (writes never retry).
+        (["--store", "lfs:shards=4", "--replicas", "2",
+          "--faults", "transient:rate=1e-3", "--object-size", "256K",
+          "--volume", "128M", "--ages", "0,1,2"],
+         "injected transient write error"),
+    ])
+    def test_a_library_error_is_one_line_and_exit_2(self, args, message):
+        """Regression: every ``ReproError`` left ``python -m repro`` as
+        a 10-20 frame traceback."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", *args],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"repro: error: {message}")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestCompare:

@@ -7,7 +7,9 @@ whose target is a relative path, resolves each against the linking
 file's directory, and exits non-zero listing every target that does
 not exist.  External links (``http(s):``, ``mailto:``) and pure
 in-page anchors (``#...``) are ignored; a ``path#anchor`` target is
-checked for the path only.
+checked for the path only.  A ``NAME.md`` written anywhere in
+``src/**/*.py`` or ``benchmarks/*.py`` must exist too, as a path from
+the repo root.
 
 Also cross-checks the reprolint rule catalogue: every ``RPL###`` code
 mentioned in the docs must exist in the rule registry, and every
@@ -15,18 +17,13 @@ registered rule must appear in the ``docs/architecture.md`` catalogue
 — so the "Enforced invariants" section cannot rot.
 
 And holds what ``README.md``, ``docs/*.md`` and ``benchmarks/README.md``
-quote from the committed ``benchmarks/BENCH_scale_volume.json`` and
-``BENCH_alloc.json`` to those files:
+quote from the committed baselines under ``benchmarks/`` to those
+files:
 
-* a scenario named after ``--scenarios``, as `` `name` rows`` /
-  `` `name` scenario``, or in the first column of a table headed
-  ``scenario`` must be one the committed run recorded;
-* a key written `` `speedups.key` ``, shaped ``op@scale``, or in the
-  first column of a table headed `` `speedups` key`` must be in a
-  committed ``speedups`` map;
-* a number written right after a backticked ``speedups`` key
-  (`` `key` 5.21× ``, `` | `key` | 5.21 | ``) must equal the committed
-  value;
+* a backticked key shaped ``op@scale`` must be in ``BENCH_alloc.json``'s
+  ``speedups_naive_over_tiered`` map, and a number written right after
+  it (`` `key` 320.0× ``, `` | `key` | 320.0 | ``) must equal the
+  committed value;
 * in a table row naming ``BENCH_e2e_prNN.json``, a figure written
   `` `workload` A → B `sim_ops_per_host_s` `` must equal, to the
   printed precision, the committed medians of ``pr(NN-1)`` and
@@ -117,28 +114,41 @@ def rule_code_problems() -> list[str]:
     return problems
 
 
+#: Source files whose ``NAME.md`` mentions must name a file that exists.
+SOURCE_GLOBS = ("src/**/*.py", "benchmarks/*.py")
+MD_MENTION_RE = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def dangling_md_mentions() -> list[str]:
+    """``NAME.md`` mentions in source files that name no file."""
+    problems: list[str] = []
+    for pattern in SOURCE_GLOBS:
+        for path in sorted(ROOT.glob(pattern)):
+            mentions = set(MD_MENTION_RE.findall(
+                path.read_text(encoding="utf-8")))
+            problems += [
+                f"{path.relative_to(ROOT).as_posix()}: mentions {mention}, "
+                "which is not a file in the repo"
+                for mention in sorted(mentions)
+                if not (ROOT / mention).is_file()]
+    return problems
+
+
 #: Docs whose bench quotes are held to the committed JSON (ROADMAP and
-#: CHANGES are history and may name retired scenarios).
+#: CHANGES are history and may name retired keys).
 FIGURE_GLOBS = ("README.md", "docs/*.md", "benchmarks/*.md")
-TOKEN = r"`(?:speedups\.)?([A-Za-z0-9_@.]+)`"
-SCENARIOS_FLAG_RE = re.compile(r"--scenarios[ =]([a-z0-9_,]+)")
-SCENARIO_MENTION_RE = re.compile(r"`([a-z0-9_]+)` (?:rows|scenario)\b")
-SPEEDUPS_KEY_RE = re.compile(r"`speedups\.([A-Za-z0-9_@.]+)`"
-                             r"|`([a-z0-9_]+@[0-9]+)`")
+TOKEN = r"`([A-Za-z0-9_@.]+)`"
+ALLOC_KEY_RE = re.compile(r"`([a-z0-9_]+@[0-9]+)`")
 QUOTED_VALUE_RE = re.compile(TOKEN + r"[\s:=(|]*([0-9]+(?:\.[0-9]+)?)")
-TABLE_ROW_RE = re.compile(r"\| *(.+?) *\|")
 E2E_FILE_RE = re.compile(r"BENCH_e2e_pr([0-9]+)\.json")
 E2E_QUOTE_RE = re.compile(r"`([a-z0-9_]+)` ([0-9.]+) → ([0-9.]+) "
                           r"`sim_ops_per_host_s`")
 
 
-def committed_figures() -> tuple[set[str], dict[str, float]]:
-    """Scenario names and ``speedups`` values of the committed baselines."""
-    bench = ROOT / "benchmarks"
-    scale = json.loads((bench / "BENCH_scale_volume.json").read_text())
-    alloc = json.loads((bench / "BENCH_alloc.json").read_text())
-    speedups = {**alloc["speedups_naive_over_tiered"], **scale["speedups"]}
-    return set(scale["config"]["scenarios"]), speedups
+def committed_alloc_speedups() -> dict[str, float]:
+    """The ``op@scale`` ratios of the committed ``BENCH_alloc.json``."""
+    path = ROOT / "benchmarks" / "BENCH_alloc.json"
+    return json.loads(path.read_text())["speedups_naive_over_tiered"]
 
 
 def committed_paper_checks() -> tuple[set[str], dict[str, float]]:
@@ -155,21 +165,6 @@ def committed_paper_checks() -> tuple[set[str], dict[str, float]]:
 def as_printed(value: float, quoted: str) -> str:
     """``value`` at the precision ``quoted`` was written with."""
     return f"{value:.{len(quoted.partition('.')[2])}f}"
-
-
-def table_first_cells(text: str, header: str) -> list[str]:
-    """Backticked first-column tokens of every table headed ``header``."""
-    cells: list[str] = []
-    inside = False
-    for line in text.splitlines():
-        match = TABLE_ROW_RE.match(line)
-        if not match:
-            inside = False
-        elif match.group(1) == header:
-            inside = True
-        elif inside and (token := re.fullmatch(TOKEN, match.group(1))):
-            cells.append(token.group(1))
-    return cells
 
 
 def e2e_median(pr: int, workload: str) -> float | None:
@@ -205,25 +200,16 @@ def e2e_quote_problems(text: str) -> list[str]:
 
 
 def figure_problems() -> list[str]:
-    """Quoted scenarios, ``speedups`` keys, paper checks and values
-    that drifted."""
-    scenarios, speedups = committed_figures()
+    """Quoted ``op@scale`` keys, paper checks and values that drifted."""
+    speedups = committed_alloc_speedups()
     paper_figures, paper = committed_paper_checks()
     problems: list[str] = []
     for pattern in FIGURE_GLOBS:
         for path in sorted(ROOT.glob(pattern)):
             rel = path.relative_to(ROOT).as_posix()
             text = path.read_text(encoding="utf-8")
-            named = [name for listed in SCENARIOS_FLAG_RE.findall(text)
-                     for name in listed.split(",")]
-            named += SCENARIO_MENTION_RE.findall(text)
-            named += table_first_cells(text, "scenario")
-            for name in sorted(set(named) - scenarios):
-                problems.append(
-                    f"{rel}: `{name}` is not a committed bench scenario")
-            keys = [a or b for a, b in SPEEDUPS_KEY_RE.findall(text)]
-            keys += table_first_cells(text, "`speedups` key")
-            for key in sorted(set(keys) - speedups.keys()):
+            keys = set(ALLOC_KEY_RE.findall(text))
+            for key in sorted(keys - speedups.keys()):
                 problems.append(
                     f"{rel}: `{key}` is not a committed speedups key")
             for key in sorted(set(re.findall(TOKEN, text)) - paper.keys()):
@@ -253,7 +239,8 @@ def main() -> int:
         for target in broken_links(path):
             failures += 1
             print(f"{path.relative_to(ROOT)}: broken link -> {target}")
-    for problem in rule_code_problems() + figure_problems():
+    for problem in (dangling_md_mentions() + rule_code_problems()
+                    + figure_problems()):
         failures += 1
         print(problem)
     if failures:
