@@ -66,7 +66,7 @@ from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize
-from repro.disk.device import BlockDevice
+from repro.disk.device import BlockDevice, summed_clock_s
 from repro.disk.events import EventWindow
 from repro.disk.geometry import scaled_disk
 from repro.disk.policy import DevicePolicy
@@ -170,7 +170,7 @@ class AgedStore:
         self.last_window = None
 
     def device_s(self) -> float:
-        return sum(d.clock_s for d in self.store.devices())
+        return summed_clock_s(self.store.devices())
 
     def load(self, sizes: Iterable[int] = itertools.repeat(AGING_OBJECT),
              occupancy: float = OCCUPANCY) -> None:
@@ -243,11 +243,10 @@ class AgedStore:
         measures["sweep_wall_s"] = round(
             win.wall_time_s if win else device_s, 4)
         if isinstance(win, EventWindow):
-            lat = win.latency
-            measures["lat_count"] = lat.count
-            for q in (50, 95, 99):
-                measures[f"lat_p{q}_ms"] = round(lat.percentile(q) * 1e3, 4)
-            measures["lat_max_ms"] = round(lat.max_s * 1e3, 4)
+            lat = win.latency.summary()
+            measures["lat_count"] = lat["count"]
+            for stat in ("p50", "p95", "p99", "max"):
+                measures[f"lat_{stat}_ms"] = round(lat[f"{stat}_s"] * 1e3, 4)
         if counters:
             measures["degraded_reads"] = store.degraded_reads - deg0
             measures["failovers"] = store.failovers - fail0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.alloc.extent import Extent
-from repro.disk.device import BlockDevice
+from repro.disk.device import BlockDevice, summed_clock_s
 from repro.disk.events import LatencyHistogram
 from repro.disk.iostats import WindowStats
 
@@ -189,14 +189,12 @@ class MeasurementWindows:
             self._latency = LatencyHistogram()
             self._tenant_latency = defaultdict(LatencyHistogram)
 
-    def _clock_s(self) -> float:
-        return sum(dev.clock_s for dev, _ in self._pairs)
-
     @contextmanager
     def _tagged_by_clock(self, tag: str) -> Iterator[None]:
-        t0 = self._clock_s()
+        devices = [dev for dev, _ in self._pairs]
+        t0 = summed_clock_s(devices)
         yield
-        delta_s = self._clock_s() - t0
+        delta_s = summed_clock_s(devices) - t0
         self._latency.record(delta_s)
         self._tenant_latency[tag].record(delta_s)
 

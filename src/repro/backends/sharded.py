@@ -138,14 +138,16 @@ from __future__ import annotations
 
 import contextlib
 import zlib
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.alloc.extent import Extent
 from repro.backends.base import ObjectMeta, ObjectStore, StoreStats
 from repro.backends.registry import register_backend
 from repro.backends.spec import PLACEMENTS, QUEUE_KINDS, StoreSpec
-from repro.disk.device import BlockDevice
+from repro.disk.device import BlockDevice, summed_clock_s
+from repro.disk.events import EventScheduler
 from repro.disk.faults import FaultProfile
 from repro.disk.schedule import ShardScheduler, throttle_pause
 from repro.errors import (ConfigError, ObjectNotFoundError, ShardLostError,
@@ -154,6 +156,20 @@ from repro.units import MB
 
 #: Supported :meth:`ShardedStore.rebalance` modes.
 REBALANCE_MODES = ("even", "placement")
+
+
+def _no_replica(key: str) -> ShardUnavailableError:
+    return ShardUnavailableError(f"no surviving replica of {key!r}")
+
+
+def _duty_cycle(name: str, rate: float, *, off_ok: bool = False) -> float:
+    """``rate`` if it is a background job's duty cycle: in (0, 1], or
+    also 0 where that switches the job's charge off (``off_ok``)."""
+    above_floor = rate >= 0.0 if off_ok else rate > 0.0
+    if not (above_floor and rate <= 1.0):
+        raise ConfigError(
+            f"{name} must be in {'[' if off_ok else '('}0, 1], got {rate}")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -224,26 +240,15 @@ class ShardedStore:
             raise ConfigError(
                 f"replicas must be in [1, {len(shards)}], got {replicas}"
             )
-        if not 0.0 < rebuild_rate <= 1.0:
-            raise ConfigError(
-                f"rebuild_rate must be in (0, 1], got {rebuild_rate}"
-            )
-        if not 0.0 < rebalance_rate <= 1.0:
-            raise ConfigError(
-                f"rebalance_rate must be in (0, 1], got {rebalance_rate}"
-            )
-        if not 0.0 <= checkpoint_rate <= 1.0:
-            raise ConfigError(
-                f"checkpoint_rate must be in [0, 1], got {checkpoint_rate}"
-            )
         self.shards = list(shards)
         self.placement = placement
         self.band_bytes = band_bytes
         self.replicas = replicas
         self.fault_profile = faults
-        self.rebuild_rate = rebuild_rate
-        self.rebalance_rate = rebalance_rate
-        self.checkpoint_rate = checkpoint_rate
+        self.rebuild_rate = _duty_cycle("rebuild_rate", rebuild_rate)
+        self.rebalance_rate = _duty_cycle("rebalance_rate", rebalance_rate)
+        self.checkpoint_rate = _duty_cycle("checkpoint_rate",
+                                           checkpoint_rate, off_ok=True)
         inner = {s.name for s in self.shards}
         inner_name = inner.pop() if len(inner) == 1 else "mixed"
         self.name = f"sharded[{len(self.shards)}x{inner_name}]"
@@ -270,8 +275,6 @@ class ShardedStore:
         if not overlap:
             self.scheduler = None
         elif queue == "event":
-            from repro.disk.events import EventScheduler
-
             self.scheduler = EventScheduler(
                 len(self.shards),
                 parallelism=parallelism,
@@ -317,13 +320,12 @@ class ShardedStore:
             yield
             return
         lanes = [self._lane_devices[i] for i in indices]
-        before = [sum(d.clock_s for d in devs) for devs in lanes]
+        before = [summed_clock_s(devs) for devs in lanes]
         try:
             yield
         finally:
             sched.record_round([
-                sum(d.clock_s for d in devs) - b
-                for devs, b in zip(lanes, before)
+                summed_clock_s(devs) - b for devs, b in zip(lanes, before)
             ], indices=tuple(indices), background=background)
 
     # ------------------------------------------------------------------
@@ -357,42 +359,46 @@ class ShardedStore:
         """Every shard holding a copy of ``key``, primary first."""
         return (self.shard_for(key), *self._replica_of.get(key, ()))
 
+    def _route(self, key: str, holders: Sequence[int]) -> None:
+        """Record ``holders`` (primary first) as the copies of ``key``.
+        For a known key this is a value update, so keys() order holds."""
+        self._shard_of[key] = holders[0]
+        if len(holders) > 1:
+            self._replica_of[key] = tuple(holders[1:])
+        else:
+            self._replica_of.pop(key, None)
+
+    def _live_holders(self, key: str, *, need: bool = True) -> list[int]:
+        """Holders of ``key`` on live shards, primary first; raises when
+        none survives unless the caller handles that (``need=False``)."""
+        live = list(self.holders_of(key))
+        if self._dead_shards:
+            live = [i for i in live if i not in self._dead_shards]
+        if need and not live:
+            raise _no_replica(key)
+        return live
+
     @property
     def dead_shards(self) -> tuple[int, ...]:
         """Permanently lost shard indices, ascending."""
         return tuple(sorted(self._dead_shards))
 
+    def _live_ring(self, index: int) -> Iterator[int]:
+        """The healthy shards after ``index``, in ring order."""
+        n = len(self.shards)
+        for j in range(1, n):
+            candidate = (index + j) % n
+            if candidate not in self._dead_shards:
+                yield candidate
+
     def _place_live(self, key: str, size: int) -> int:
         """Placement-chosen shard, advanced in ring order past the dead."""
         index = self._place(key, size)
-        if not self._dead_shards:
+        if index not in self._dead_shards:
             return index
-        n = len(self.shards)
-        for j in range(n):
-            candidate = (index + j) % n
-            if candidate not in self._dead_shards:
-                return candidate
+        for candidate in self._live_ring(index):
+            return candidate
         raise ShardUnavailableError("no healthy shard to place on")
-
-    def _replica_targets(self, primary: int) -> list[int]:
-        """Next ``replicas - 1`` healthy shards after the primary.
-
-        Ring order keeps the holder set deterministic; when fewer
-        healthy shards remain, the object starts under-replicated and
-        :meth:`rebuild` cannot improve on it until shards are added.
-        """
-        targets: list[int] = []
-        if self.replicas <= 1:
-            return targets
-        n = len(self.shards)
-        for j in range(1, n):
-            candidate = (primary + j) % n
-            if candidate in self._dead_shards:
-                continue
-            targets.append(candidate)
-            if len(targets) == self.replicas - 1:
-                break
-        return targets
 
     def _charge_stall(self, index: int, seconds: float) -> None:
         """Charge host-side waiting (backoff, throttle) as modelled time.
@@ -424,9 +430,9 @@ class ShardedStore:
         """One background round over the given shard lanes; yields a reader
         of the device seconds they spent (call it after the block)."""
         lanes = [d for i in indices for d in self._lane_devices[i]]
-        before = sum(d.clock_s for d in lanes)
+        before = summed_clock_s(lanes)
         with self._dispatch(indices, background=True):
-            yield lambda: sum(d.clock_s for d in lanes) - before
+            yield lambda: summed_clock_s(lanes) - before
 
     # ------------------------------------------------------------------
     # ObjectStore interface
@@ -440,20 +446,20 @@ class ShardedStore:
         if index is not None:
             targets = [index]
         else:
-            primary = self._place_live(key, total)
-            targets = [primary, *self._replica_targets(primary)]
+            targets = [self._place_live(key, total)]
+            if self.replicas > 1:
+                # Ring order keeps the holder set deterministic; short
+                # of healthy shards the object starts under-replicated
+                # (rebuild cannot improve on it until shards are added).
+                targets += islice(self._live_ring(targets[0]),
+                                  self.replicas - 1)
         # The write fans out to every holder inside one dispatch round,
         # so replica lanes overlap under the scheduler.
         with self._dispatch(tuple(targets)):
             for i in targets:
-                if data is not None:
-                    self.shards[i].put(key, data=data)
-                else:
-                    self.shards[i].put(key, size=total)
+                self.shards[i].put(key, size=size, data=data)
         if index is None:
-            self._shard_of[key] = targets[0]
-            if len(targets) > 1:
-                self._replica_of[key] = tuple(targets[1:])
+            self._route(key, targets)
 
     def get(self, key: str, offset: int = 0,
             length: int | None = None) -> bytes | None:
@@ -486,26 +492,19 @@ class ShardedStore:
                 if index != primary:
                     self.degraded_reads += 1
                 return value
-        raise ShardUnavailableError(f"no surviving replica of {key!r}")
+        raise _no_replica(key)
 
     def overwrite(self, key: str, *, size: int | None = None,
                   data: bytes | None = None) -> None:
-        holders = self.holders_of(key)
-        live = [i for i in holders if i not in self._dead_shards]
-        if not live:
-            raise ShardUnavailableError(f"no surviving replica of {key!r}")
+        live = self._live_holders(key)
         # Dead holders are skipped, not retried: the key runs
         # under-replicated (and its dead copy stale) until rebuild().
         with self._dispatch(tuple(live)):
             for i in live:
-                if data is not None:
-                    self.shards[i].overwrite(key, data=data)
-                else:
-                    self.shards[i].overwrite(key, size=size)
+                self.shards[i].overwrite(key, size=size, data=data)
 
     def delete(self, key: str) -> None:
-        holders = self.holders_of(key)
-        live = [i for i in holders if i not in self._dead_shards]
+        live = self._live_holders(key, need=False)
         with self._dispatch(tuple(live)):
             for i in live:
                 self.shards[i].delete(key)
@@ -518,27 +517,23 @@ class ShardedStore:
         return key in self._shard_of
 
     def meta(self, key: str) -> ObjectMeta:
-        for index in self.holders_of(key):
-            if index not in self._dead_shards:
-                return self.shards[index].meta(key)
-        raise ShardUnavailableError(f"no surviving replica of {key!r}")
+        return self.shards[self._live_holders(key)[0]].meta(key)
 
     def keys(self) -> list[str]:
         return list(self._shard_of)
 
     def read_many(self, keys: list[str]) -> list[bytes | None]:
         by_shard: dict[int, list[tuple[int, str]]] = {}
-        degraded: list[int] = []
+        #: Positions served by the per-key retry/failover path below.
+        per_key: list[int] = []
         results: list[bytes | None] = [None] * len(keys)
         for pos, key in enumerate(keys):
             index = self.shard_for(key)
             if index in self._dead_shards:
-                # Failover requests are not batched: each degraded key
-                # takes the per-key retry/failover path below.
-                degraded.append(pos)
+                # Failover requests are not batched.
+                per_key.append(pos)
             else:
                 by_shard.setdefault(index, []).append((pos, key))
-        deferred: list[int] = []
         # One fan-out = one dispatch round: every touched shard serves
         # its sub-sweep on its own devices, so the lanes overlap.
         with self._dispatch(tuple(by_shard)):
@@ -551,31 +546,23 @@ class ShardedStore:
                     # The whole sub-sweep failed; re-issue its keys
                     # through the per-key path (one counted retry).
                     self.retries += 1
-                    deferred.extend(pos for pos, _ in members)
+                    per_key.extend(pos for pos, _ in members)
                     continue
                 except ShardLostError:
                     self._dead_shards.add(index)
-                    deferred.extend(pos for pos, _ in members)
+                    per_key.extend(pos for pos, _ in members)
                     continue
                 for (pos, _), value in zip(members, shard_results):
                     results[pos] = value
-        for pos in degraded:
-            results[pos] = self.get(keys[pos])
-        for pos in deferred:
+        for pos in per_key:
             results[pos] = self.get(keys[pos])
         return results
 
     def object_extents(self, key: str) -> list[Extent]:
-        for index in self.holders_of(key):
-            if index not in self._dead_shards:
-                return self.shards[index].object_extents(key)
-        raise ShardUnavailableError(f"no surviving replica of {key!r}")
+        return self.shards[self._live_holders(key)[0]].object_extents(key)
 
     def devices(self) -> list[BlockDevice]:
-        out: list[BlockDevice] = []
-        for shard in self.shards:
-            out.extend(shard.devices())
-        return out
+        return [dev for lane in self._lane_devices for dev in lane]
 
     def free_bytes(self) -> int:
         return sum(shard.free_bytes() for shard in self.shards)
@@ -640,13 +627,8 @@ class ShardedStore:
         """Keys with fewer live copies than the store can hold now."""
         healthy = len(self.shards) - len(self._dead_shards)
         want = min(self.replicas, healthy)
-        dead = self._dead_shards
-        out = []
-        for key in self._shard_of:
-            live = sum(1 for i in self.holders_of(key) if i not in dead)
-            if live < want:
-                out.append(key)
-        return out
+        return [key for key in self._shard_of
+                if len(self._live_holders(key, need=False)) < want]
 
     def rebuild(self, *, rate: float | None = None,
                 max_objects: int | None = None) -> RebuildReport:
@@ -666,12 +648,9 @@ class ShardedStore:
         rather than adopted (it may be torn), so replicas are neither
         lost nor double-counted across a crash.
         """
-        rate = self.rebuild_rate if rate is None else rate
-        if not 0.0 < rate <= 1.0:
-            raise ConfigError(f"rebuild rate must be in (0, 1], got {rate}")
-        n = len(self.shards)
-        dead = self._dead_shards
-        healthy = n - len(dead)
+        rate = _duty_cycle("rebuild rate",
+                           self.rebuild_rate if rate is None else rate)
+        healthy = len(self.shards) - len(self._dead_shards)
         want = min(self.replicas, healthy)
         examined = rebuilt = rebuilt_bytes = unreachable = 0
         copy_s = stall_s = 0.0
@@ -681,35 +660,27 @@ class ShardedStore:
                 stopped = True
                 break
             examined += 1
-            holders = self.holders_of(key)
-            live = [i for i in holders if i not in dead]
+            live = self._live_holders(key, need=False)
             if not live:
                 unreachable += 1
                 continue
-            if len(live) == len(holders) and len(live) >= want:
+            if len(live) == len(self.holders_of(key)) and len(live) >= want:
                 continue
             src = live[0]
             size = self.shards[src].meta(key).size
-            copied = False
-            for j in range(1, n):
+            held = len(live)
+            for dst in self._live_ring(src):
                 if len(live) >= want:
                     break
-                dst = (src + j) % n
-                if dst in dead or dst in live:
+                if dst in live:
                     continue
                 spent = self._rebuild_copy(key, size, src, dst)
                 copy_s += spent
                 stall_s += self._throttle(dst, spent, rate)
                 live.append(dst)
-                copied = True
-            # Re-route: promote the first live holder to primary (a
-            # value update, preserving keys() order) and drop dead ones.
-            self._shard_of[key] = live[0]
-            if len(live) > 1:
-                self._replica_of[key] = tuple(live[1:])
-            else:
-                self._replica_of.pop(key, None)
-            if copied:
+            # Promote the first live holder to primary, drop dead ones.
+            self._route(key, live)
+            if len(live) > held:
                 rebuilt += 1
                 rebuilt_bytes += size
         self.rebuilt_objects += rebuilt
@@ -728,18 +699,20 @@ class ShardedStore:
     def _rebuild_copy(self, key: str, size: int, src_index: int,
                       dst_index: int) -> float:
         """One re-replication copy; returns its device seconds."""
-        src = self.shards[src_index]
-        dst = self.shards[dst_index]
         with self._background_round((src_index, dst_index)) as spent:
-            data = src.get(key)
-            if dst.exists(key):
-                # Leftover from a crashed pass: replace, never adopt.
-                dst.delete(key)
-            if data is not None:
-                dst.put(key, data=data)
-            else:
-                dst.put(key, size=size)
+            self._copy(key, size, src_index, dst_index, replace=True)
         return spent()
+
+    def _copy(self, key: str, size: int, src_index: int, dst_index: int,
+              *, replace: bool = False) -> None:
+        """Copy ``key`` between shards, inside the caller's round.
+        ``replace`` first drops a copy already on the target (rebuild's
+        leftover from a crashed pass: replaced, never adopted)."""
+        dst = self.shards[dst_index]
+        data = self.shards[src_index].get(key)
+        if replace and dst.exists(key):
+            dst.delete(key)
+        dst.put(key, size=size if data is None else None, data=data)
 
     # ------------------------------------------------------------------
     # Rebalancing / migration
@@ -781,11 +754,8 @@ class ShardedStore:
                 f"unknown rebalance mode {mode!r}; "
                 f"choose from {REBALANCE_MODES}"
             )
-        rate = self.rebalance_rate if rate is None else rate
-        if not 0.0 < rate <= 1.0:
-            raise ConfigError(
-                f"rebalance rate must be in (0, 1], got {rate}"
-            )
+        rate = _duty_cycle("rebalance rate",
+                           self.rebalance_rate if rate is None else rate)
         if self._dead_shards:
             raise ConfigError(
                 f"cannot rebalance with dead shards {self.dead_shards}; "
@@ -807,9 +777,8 @@ class ShardedStore:
         moved_bytes = 0
         copy_s = stall_s = 0.0
         for key, src, dst in moves:
-            size, spent = self._migrate(key, sizes[key], src, dst,
-                                        on_move)
-            moved_bytes += size
+            spent = self._migrate(key, sizes[key], src, dst, on_move)
+            moved_bytes += sizes[key]
             copy_s += spent
             stall_s += self._throttle(dst, spent, rate)
         return RebalanceReport(
@@ -875,31 +844,25 @@ class ShardedStore:
         return moves
 
     def _migrate(self, key: str, size: int, src_index: int,
-                 dst_index: int, on_move) -> tuple[int, float]:
+                 dst_index: int, on_move) -> float:
         """Copy ``key`` to its new shard, re-route, then delete.
 
-        Returns ``(bytes moved, device seconds spent)``; the latter
-        feeds the duty-cycle throttle, measured the same way
-        :meth:`_rebuild_copy` measures its copies.
+        Returns the device seconds spent, which feed the duty-cycle
+        throttle, measured the same way :meth:`_rebuild_copy` measures
+        its copies.
         """
-        src = self.shards[src_index]
-        dst = self.shards[dst_index]
         with self._background_round((src_index, dst_index)) as spent:
-            data = src.get(key)
-            if data is not None:
-                dst.put(key, data=data)
-            else:
-                dst.put(key, size=size)
+            self._copy(key, size, src_index, dst_index)
             # Routing flips only once the copy is complete; a dict
             # value update keeps the key's position, preserving the
             # keys() insertion-order contract.
             self._shard_of[key] = dst_index
             if on_move is not None:
                 on_move(key, src_index, dst_index)
-            src.delete(key)
+            self.shards[src_index].delete(key)
         self.migrated_objects += 1
         self.migrated_bytes += size
-        return size, spent()
+        return spent()
 
     # ------------------------------------------------------------------
     # Charged background writes
@@ -917,19 +880,16 @@ class ShardedStore:
         of 0 (or nothing to write) charges nothing and returns 0.0;
         returns the device seconds spent otherwise.
         """
-        rate = self.checkpoint_rate if rate is None else rate
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigError(
-                f"background write rate must be in [0, 1], got {rate}"
-            )
+        rate = _duty_cycle("background write rate",
+                           self.checkpoint_rate if rate is None else rate,
+                           off_ok=True)
         if nbytes <= 0 or rate <= 0.0:
             return 0.0
         live = [i for i in range(len(self.shards))
                 if i not in self._dead_shards]
         if not live:
             return 0.0
-        share = nbytes // len(live)
-        remainder = nbytes - share * len(live)
+        share, remainder = divmod(nbytes, len(live))
         with self._background_round(tuple(live)) as spent:
             for slot, index in enumerate(live):
                 chunk = share + (1 if slot < remainder else 0)

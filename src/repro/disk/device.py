@@ -46,6 +46,7 @@ whose O(n) memmove per write made content-checked runs test-scale only.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.disk.geometry import DiskGeometry, cost_tables
@@ -467,3 +468,17 @@ class BlockDevice:
     @property
     def head_position(self) -> int:
         return self._head
+
+
+def summed_clock_s(devices: Iterable[BlockDevice]) -> float:
+    """Modelled busy seconds of ``devices`` together, summed left to right.
+
+    The one device-clock read: dispatch rounds, background-job costs and
+    measurement windows all take clock deltas through it.  The explicit
+    fold (:func:`repro.units.left_sum`, unrolled because a dispatch
+    reads it twice per lane) keeps the bits interpreter-independent.
+    """
+    total = 0.0
+    for device in devices:
+        total += device.clock_s
+    return total

@@ -14,12 +14,13 @@ Two arrival modes (:class:`ArrivalSpec`):
 
 * ``closed`` (default) — the driver's dispatch rounds *are* the
   arrivals: every lane of a round enqueues at round-local time zero
-  and the round is simulated with exactly the greedy-LPT placement of
-  :func:`~repro.disk.schedule.round_makespan` (same stable descending
-  sort, same heap operations, same float order), so the accumulated
-  wall time **equals the PR 5 makespan to the float** — the reduction
-  contract the property suite pins.  Queueing shows up only when the
-  ``parallelism`` cap makes lanes wait for a worker.
+  and the round *is* a :class:`~repro.disk.schedule.ShardScheduler`
+  round — the same :func:`~repro.disk.schedule.lpt_placement` call,
+  charged through the same ledger — whose per-lane completion times
+  are recorded as sojourns, so the accumulated wall time **equals the
+  PR 5 makespan to the float** (the reduction contract the property
+  suite pins).  Queueing shows up only when the ``parallelism`` cap
+  makes lanes wait for a worker.
 * ``poisson:rate=R`` — an open-loop Poisson arrival process
   (deterministic via :func:`repro.rng.substream`) re-times the
   driver's synchronous requests onto a global timeline: arrivals keep
@@ -108,6 +109,7 @@ from repro.errors import ConfigError
 from repro.rng import substream
 from repro.specgrammar import (Key, convert_items, format_items, render,
                                to_float, to_int, tokenize)
+from repro.units import left_sum
 
 #: Arrival processes :class:`ArrivalSpec` understands.
 ARRIVAL_MODES = ("closed", "poisson")
@@ -296,10 +298,6 @@ class EventRequest:
     #: that issued the request, not whoever is active when it drains.
     tag: str | None = None
 
-    @property
-    def sojourn_s(self) -> float:
-        return self.complete_s - self.enqueue_s
-
 
 @dataclass(slots=True)
 class EventWindow(SchedulerWindow):
@@ -321,6 +319,15 @@ class EventWindow(SchedulerWindow):
     #: scenario tests pin).
     tenant_latency: dict[str, LatencyHistogram] = field(
         default_factory=dict)
+
+
+def _tenant_hist(tenants: dict[str, LatencyHistogram],
+                 tag: str) -> LatencyHistogram:
+    """The histogram of tenant ``tag``, created on its first sample."""
+    hist = tenants.get(tag)
+    if hist is None:
+        hist = tenants[tag] = LatencyHistogram()
+    return hist
 
 
 # ----------------------------------------------------------------------
@@ -393,12 +400,20 @@ class EventScheduler(ShardScheduler):
     def record_round(self, lane_times: Sequence[float],
                      indices: Sequence[int] | None = None, *,
                      background: bool = False) -> float:
-        if indices is None:
-            indices = range(len(lane_times))
-        if self.arrival.mode == "closed":
-            return self._record_closed_round(lane_times,
-                                             background=background)
-        return self._record_open_round(lane_times, indices, background)
+        if self.arrival.mode != "closed":
+            if indices is None:
+                indices = range(len(lane_times))
+            return self._record_open_round(lane_times, indices, background)
+        # Closed mode is the round model itself: lanes enqueue at
+        # round-local zero, so a completion time is a sojourn, and the
+        # round is synchronous, so the active tag is every lane's.
+        wall, completions = self._account_round(lane_times)
+        self.submitted += len(completions)
+        self.completed += len(completions)
+        for sojourn in completions:
+            self._record_latency(sojourn, background=background,
+                                 tag=self._tag)
+        return wall
 
     def record_stall(self, seconds: float) -> None:
         # The stall/arrival timeline contract (module docstring): the
@@ -407,11 +422,9 @@ class EventScheduler(ShardScheduler):
         # arrival cursor is pulled up to the new frontier, because the
         # submitting driver was asleep: nothing it submits afterwards
         # can arrive inside the stall window.
-        if seconds <= 0.0:
-            return
-        self._advance_wall(seconds)
-        if self._arrival_cursor < self._charged:
-            self._arrival_cursor = self._charged
+        if seconds > 0.0:
+            self._charge(seconds)
+            self._arrival_cursor = max(self._arrival_cursor, self._charged)
 
     @contextmanager
     def tagged(self, tag: str) -> Iterator[None]:
@@ -442,65 +455,6 @@ class EventScheduler(ShardScheduler):
         return super().end_window(win)
 
     # ------------------------------------------------------------------
-    # Closed mode: exact reduction to the round makespan
-    # ------------------------------------------------------------------
-    def _record_closed_round(self, lane_times: Sequence[float], *,
-                             background: bool = False) -> float:
-        """Simulate one round in round-local time with LPT placement.
-
-        Replays :func:`~repro.disk.schedule.round_makespan`'s exact
-        operation order — stable descending sort, then either the
-        critical path, the left-to-right serial sum, or the greedy
-        heap — so the accumulated wall time is **bit-identical** to
-        the PR 5 model's, while each lane gains a completion timestamp
-        (its sojourn: lanes all enqueue at round-local zero).
-        """
-        busy = [t for t in lane_times if t > 0.0]
-        if not busy:
-            return 0.0
-        order = sorted(range(len(busy)), key=busy.__getitem__,
-                       reverse=True)
-        workers = self.parallelism if self.parallelism > 0 else len(busy)
-        completions = [0.0] * len(busy)
-        if workers >= len(busy):
-            for i in order:
-                completions[i] = busy[i]
-            frontier = busy[order[0]]
-        elif workers == 1:
-            running = 0.0
-            for i in order:
-                running = running + busy[i]
-                completions[i] = running
-            frontier = running
-        else:
-            loads = [0.0] * workers
-            heapq.heapify(loads)
-            for i in order:
-                load = heapq.heappop(loads) + busy[i]
-                completions[i] = load
-                heapq.heappush(loads, load)
-            frontier = max(loads)
-        wall = frontier + self.dispatch_overhead_s
-        lane_total = sum(t for t in lane_times if t > 0.0)
-        self.rounds += 1
-        self.wall_time_s += wall
-        self.lane_time_s += lane_total
-        for win in self._windows:
-            win.rounds += 1
-            win.wall_time_s += wall
-            win.lane_time_s += lane_total
-        # Keep the absolute timeline coherent for mode switches.
-        self._charged += wall
-        self.submitted += len(busy)
-        self.completed += len(busy)
-        # Closed rounds are synchronous: the active tag at record time
-        # is the tag of every lane in the round.
-        for sojourn in completions:
-            self._record_latency(sojourn, background=background,
-                                 tag=self._tag)
-        return wall
-
-    # ------------------------------------------------------------------
     # Poisson mode: open-loop arrivals on a global timeline
     # ------------------------------------------------------------------
     def _record_open_round(self, lane_times: Sequence[float],
@@ -511,15 +465,10 @@ class EventScheduler(ShardScheduler):
         if not pairs:
             return 0.0
         before = self.wall_time_s
-        lane_total = sum(t for t in lane_times if t > 0.0)
-        self.rounds += 1
-        self.lane_time_s += lane_total
-        for win in self._windows:
-            win.rounds += 1
-            win.lane_time_s += lane_total
-        if self.dispatch_overhead_s > 0.0:
-            # Host-side fan-out cost is serial wall time per round.
-            self._advance_wall(self.dispatch_overhead_s)
+        # Host-side fan-out cost is serial wall time per round; the
+        # lanes' own wall time is charged as their requests complete.
+        self._charge(self.dispatch_overhead_s,
+                     left_sum(t for _, t in pairs), 1)
         for shard, service in pairs:
             self._submit(shard, service, background=background)
         return self.wall_time_s - before
@@ -601,7 +550,7 @@ class EventScheduler(ShardScheduler):
         self._record_latency(complete_s - req.enqueue_s,
                              background=req.background, tag=req.tag)
         if complete_s > self._charged:
-            self._charge_wall(complete_s - self._charged)
+            self._charge(complete_s - self._charged)
         self._dispatch_ready()
 
     def drain(self) -> None:
@@ -626,16 +575,12 @@ class EventScheduler(ShardScheduler):
     # ------------------------------------------------------------------
     # Shared accounting
     # ------------------------------------------------------------------
-    def _charge_wall(self, seconds: float) -> None:
-        self.wall_time_s += seconds
-        for win in self._windows:
-            win.wall_time_s += seconds
-        self._charged += seconds
-
-    def _advance_wall(self, seconds: float) -> None:
-        """Charge serial wall time (stall/overhead) and move the
-        frontier with it."""
-        self._charge_wall(seconds)
+    def _charge(self, wall_s: float, lane_s: float = 0.0,
+                rounds: int = 0) -> None:
+        # Charged wall time is the timeline's frontier, in either
+        # arrival mode (so it stays coherent across mode switches).
+        super()._charge(wall_s, lane_s, rounds)
+        self._charged += wall_s
 
     def _record_latency(self, sojourn_s: float, *,
                         background: bool = False,
@@ -644,23 +589,17 @@ class EventScheduler(ShardScheduler):
         # (submitted == completed == latency.count) stay balanced;
         # windows split by lane so foreground percentiles stay pure.
         self.latency.record(sojourn_s)
-        attr = "background_latency" if background else "latency"
         if tag is not None and not background:
-            hist = self.tenant_latency.get(tag)
-            if hist is None:
-                hist = self.tenant_latency[tag] = LatencyHistogram()
-            hist.record(sojourn_s)
-        for win in self._windows:
-            lat = getattr(win, attr, None)
-            if lat is not None:
-                lat.record(sojourn_s)
-            if tag is not None and not background:
-                tenants = getattr(win, "tenant_latency", None)
-                if tenants is not None:
-                    whist = tenants.get(tag)
-                    if whist is None:
-                        whist = tenants[tag] = LatencyHistogram()
-                    whist.record(sojourn_s)
+            _tenant_hist(self.tenant_latency, tag).record(sojourn_s)
+        # start_window is the only producer of this stack's entries.
+        windows: list[EventWindow] = self._windows  # type: ignore[assignment]
+        for win in windows:
+            if background:
+                win.background_latency.record(sojourn_s)
+                continue
+            win.latency.record(sojourn_s)
+            if tag is not None:
+                _tenant_hist(win.tenant_latency, tag).record(sojourn_s)
 
     @property
     def queued(self) -> int:

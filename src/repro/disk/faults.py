@@ -50,14 +50,13 @@ optionally after applying half of the doomed write's first extent.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 
 from repro.disk.device import BlockDevice, IoRequest
 from repro.disk.geometry import DiskGeometry
 from repro.errors import (ConfigError, CrashPoint, ShardLostError,
                           TransientIoError)
-from repro.rng import substream
+from repro.rng import derive_seed, substream
 from repro.specgrammar import (Key, choice, convert_items, format_items,
                                render, to_float, to_int, tokenize)
 
@@ -74,12 +73,6 @@ FAULT_KINDS = ("transient", "slow", "loss")
 
 #: Operation scopes a ``transient`` clause may target.
 TRANSIENT_OPS = ("read", "write", "all")
-
-
-def _derive_seed(seed: int, label: str) -> int:
-    """Stable integer sub-seed (the :func:`repro.rng.substream` recipe)."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +206,7 @@ class FaultProfile:
             clause = replace(clause, shard=None)
             if clause.kind == "transient":
                 clause = replace(
-                    clause, seed=_derive_seed(clause.seed, f"shard{index}"))
+                    clause, seed=derive_seed(clause.seed, f"shard{index}"))
             kept.append(clause)
         return FaultProfile(tuple(kept))
 

@@ -17,8 +17,8 @@ overlap; the round's wall time is the makespan of scheduling the lanes
 onto ``parallelism`` workers (0 = one worker per lane):
 
 * ``parallelism >= lanes`` — critical path: ``max(lane_times)``.
-* ``parallelism == 1`` — fully serial: ``sum(lane_times)`` (exactly
-  the historical summed model).
+* ``parallelism == 1`` — fully serial: the lanes' left-to-right sum,
+  longest first (the historical summed model).
 * in between — greedy LPT (longest processing time first) assignment,
   the classic 4/3-approximation for multiprocessor scheduling.
 
@@ -28,8 +28,13 @@ makespans plus an optional fixed per-round dispatch overhead.  For any
 round, ``max(lanes) <= makespan <= sum(lanes)`` — the property suite
 holds :func:`round_makespan` to exactly that envelope.
 
-:class:`ShardScheduler` accumulates rounds and supports named
-measurement windows mirroring :class:`~repro.disk.iostats.IoStats`, so
+:func:`lpt_placement` is the one placement kernel (:func:`round_makespan`
+is its frontier; ``tests/makespanoracle.py`` keeps the two copies it
+replaced as the ``==`` reference) and :meth:`ShardScheduler._charge` the
+one ledger: this scheduler and :class:`~repro.disk.events.EventScheduler`
+place every round and account every second through them, into the
+totals and each open measurement window — a stack mirroring
+:class:`~repro.disk.iostats.IoStats`, so
 :class:`~repro.backends.base.MeasurementWindows` can report a phase's
 summed device time and overlapped wall time side by side.
 """
@@ -42,6 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.units import left_sum
 
 
 def throttle_pause(spent_s: float, rate: float) -> float:
@@ -54,30 +60,39 @@ def throttle_pause(spent_s: float, rate: float) -> float:
     return spent_s * (1.0 - rate) / rate
 
 
+def lpt_placement(lane_times: Sequence[float],
+                  parallelism: int = 0) -> tuple[list[float], float]:
+    """Place one round's lanes on ``parallelism`` workers, greedy LPT.
+
+    Lanes are served longest-first, each on the least-loaded worker;
+    ``parallelism <= 0`` means one worker per lane.  Zero/negative lane
+    times are idle lanes and are dropped.  Returns the round-local
+    completion time of every busy lane, in lane order, and the
+    frontier: when the last worker finishes (0.0 for an idle round).
+    """
+    busy = [t for t in lane_times if t > 0.0]
+    workers = parallelism if parallelism > 0 else len(busy)
+    if workers >= len(busy):
+        return busy, max(busy, default=0.0)
+    completions = [0.0] * len(busy)
+    # A min-heap of worker loads; with one worker, the serial
+    # left-to-right sum (never builtin sum(): see repro.units.left_sum).
+    loads = [0.0] * workers
+    for i in sorted(range(len(busy)), key=busy.__getitem__, reverse=True):
+        completions[i] = load = loads[0] + busy[i]
+        heapq.heapreplace(loads, load)
+    return completions, max(loads)
+
+
 def round_makespan(lane_times: Sequence[float],
                    parallelism: int = 0) -> float:
     """Wall time of one dispatch round's lanes on ``parallelism`` workers.
 
-    Greedy LPT: serve lanes longest-first, each on the least-loaded
-    worker.  ``parallelism <= 0`` means one worker per lane (pure
-    critical path).  Zero/negative lane times are idle lanes and are
-    ignored.  Guarantees ``max(lanes) <= makespan <= sum(lanes)``, with
-    equality at ``parallelism >= lanes`` and ``parallelism == 1``
-    respectively.
+    The frontier of :func:`lpt_placement`.  Guarantees ``max(lanes) <=
+    makespan <= sum(lanes)``, with equality at ``parallelism >= lanes``
+    and ``parallelism == 1`` respectively.
     """
-    lanes = sorted((t for t in lane_times if t > 0.0), reverse=True)
-    if not lanes:
-        return 0.0
-    workers = parallelism if parallelism > 0 else len(lanes)
-    if workers >= len(lanes):
-        return lanes[0]
-    if workers == 1:
-        return sum(lanes)
-    loads = [0.0] * workers
-    heapq.heapify(loads)
-    for lane in lanes:
-        heapq.heappush(loads, heapq.heappop(loads) + lane)
-    return max(loads)
+    return lpt_placement(lane_times, parallelism)[1]
 
 
 @dataclass(slots=True)
@@ -137,19 +152,17 @@ class ShardScheduler:
         the open-loop arrival process and out of the foreground
         latency windows.
         """
-        wall = round_makespan(lane_times, self.parallelism)
-        if wall <= 0.0:
-            return 0.0
-        wall += self.dispatch_overhead_s
-        lane_total = sum(t for t in lane_times if t > 0.0)
-        self.rounds += 1
-        self.wall_time_s += wall
-        self.lane_time_s += lane_total
-        for win in self._windows:
-            win.rounds += 1
-            win.wall_time_s += wall
-            win.lane_time_s += lane_total
-        return wall
+        return self._account_round(lane_times)[0]
+
+    def _account_round(self, lane_times: Sequence[float]
+                       ) -> tuple[float, list[float]]:
+        """Place one round and charge it; ``(wall, completions)``."""
+        completions, frontier = lpt_placement(lane_times, self.parallelism)
+        if not completions:  # idle: no charge, not even the overhead
+            return 0.0, completions
+        wall = frontier + self.dispatch_overhead_s
+        self._charge(wall, left_sum(t for t in lane_times if t > 0.0), 1)
+        return wall, completions
 
     def record_stall(self, seconds: float) -> None:
         """Account wall time during which no lane did device work.
@@ -159,11 +172,19 @@ class ShardScheduler:
         wall time (and flow into open windows) without touching lane
         totals or the round count: the devices really were idle.
         """
-        if seconds <= 0.0:
-            return
-        self.wall_time_s += seconds
+        if seconds > 0.0:
+            self._charge(seconds)
+
+    def _charge(self, wall_s: float, lane_s: float = 0.0,
+                rounds: int = 0) -> None:
+        """The ledger: add to the totals and to every open window."""
+        self.rounds += rounds
+        self.wall_time_s += wall_s
+        self.lane_time_s += lane_s
         for win in self._windows:
-            win.wall_time_s += seconds
+            win.rounds += rounds
+            win.wall_time_s += wall_s
+            win.lane_time_s += lane_s
 
     # ------------------------------------------------------------------
     # Measurement windows (mirrors IoStats' window stack)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["make_rng", "substream"]
+__all__ = ["make_rng", "derive_seed", "substream"]
 
 
 def make_rng(seed: int | None) -> random.Random:
@@ -23,6 +23,17 @@ def make_rng(seed: int | None) -> random.Random:
     play, never used by the benches).
     """
     return random.Random(seed)
+
+
+def derive_seed(seed: int, label: str) -> int:
+    """Stable 64-bit sub-seed for ``label`` under a root seed.
+
+    The one derivation recipe: :func:`substream` seeds its generator
+    with it, and specs that hand a seed on (a fault clause resolved per
+    shard) derive the child seed the same way.
+    """
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def substream(seed: int, label: str) -> random.Random:
@@ -35,5 +46,4 @@ def substream(seed: int, label: str) -> random.Random:
     >>> substream(7, "sizes").random() == substream(7, "sizes").random()
     True
     """
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(derive_seed(seed, label))

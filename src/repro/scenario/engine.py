@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
+from itertools import accumulate
 from random import Random
 
 from repro.backends.base import ObjectStore
@@ -190,13 +191,10 @@ def _choose_tenant(state: ScenarioState) -> int:
         base = tau * state.op_index / spec.wave_period_ops
         weights = [w * (1.0 + amp * math.sin(base + tau * i / n))
                    for i, w in enumerate(weights)]
-    x = state.pick_rng.random() * sum(weights)
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if x < acc:
-            return i
-    return n - 1
+    # Running totals are a left fold (builtin sum() is not, from 3.12).
+    cum = list(accumulate(weights))
+    x = state.pick_rng.random() * cum[-1]
+    return min(bisect_right(cum, x), n - 1)
 
 
 def _maybe_update_arrival(store: ObjectStore, state: ScenarioState) -> None:
@@ -276,13 +274,8 @@ def scenario_bulk_load(store: ObjectStore, spec: WorkloadSpec,
     stats = store.store_stats()
     replicas = max(1, int(getattr(store, "replicas", 1)))
     target_bytes = int(stats.capacity * spec.target_occupancy) // replicas
-    shares = [t.profile.share for t in tenants]
-    total_share = sum(shares)
-    cum = []
-    acc = 0.0
-    for s in shares:
-        acc += s
-        cum.append(acc)
+    cum = list(accumulate(t.profile.share for t in tenants))
+    total_share = cum[-1]
     loaded = 0
     while True:
         x = workload.rng.random() * total_share

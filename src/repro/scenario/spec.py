@@ -50,7 +50,7 @@ from repro.core.workload import ConstantSize, SizeDistribution, UniformSize
 from repro.errors import ConfigError
 from repro.specgrammar import (Key, convert_items, format_items, render,
                                to_float, to_int, tokenize)
-from repro.units import KB, MB
+from repro.units import KB, MB, left_sum
 
 #: Parameter keys the spec grammar accepts (every preset understands
 #: all of them; presets only differ in their defaults).
@@ -227,8 +227,9 @@ class ScenarioSpec:
     @property
     def mean_object_size(self) -> float:
         """Share-weighted mean object size (bulk-load planning)."""
-        total_share = sum(t.share for t in self.tenants)
-        return sum(t.sizes.mean * t.share for t in self.tenants) / total_share
+        total_share = left_sum(t.share for t in self.tenants)
+        return left_sum(t.sizes.mean * t.share
+                        for t in self.tenants) / total_share
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.errors import (
     ShardLostError,
     TransientIoError,
 )
+from repro.rng import derive_seed
 from repro.units import KB, MB
 
 FULL = "transient:rate=0.0001;slow:shard=2,factor=8;loss:shard=1,at_age=3"
@@ -89,8 +90,9 @@ class TestForShard:
         profile = FaultProfile.parse("transient:rate=0.5:seed=9")
         seeds = {profile.for_shard(i).clauses[0].seed for i in range(4)}
         assert len(seeds) == 4  # independent streams per shard
-        # ... but deterministically so.
+        # ... but deterministically so, by the one derivation recipe.
         assert profile.for_shard(2) == profile.for_shard(2)
+        assert profile.for_shard(2).clauses[0].seed == derive_seed(9, "shard2")
 
     def test_shard_scope_is_stripped(self):
         profile = FaultProfile.parse("slow:shard=2:factor=8")

@@ -23,7 +23,7 @@ import paperfig  # noqa: E402
 COMMITTED = json.loads((BENCH / "BENCH_paper.json").read_text())
 #: The figures that recompute in under 2 s each.  (Of the store
 #: scenarios ``continuous_operation`` would fit, but it charges pickled
-#: bytes to the modelled clock, so only CI's 3.11 leg compares it.)
+#: bytes to the modelled clock, so only CI's two pinned legs compare it.)
 FAST = ("table1", "ablation_policies", "ablation_zones",
         "extension_interleaved", "fig4", "sharded_aging", "shard_skew",
         "degraded_aging", "tail_latency")

@@ -25,13 +25,14 @@ Two families:
 
 import math
 
+import makespanoracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
-from repro.disk.schedule import (ShardScheduler, round_makespan,
-                                 throttle_pause)
+from repro.disk.schedule import (ShardScheduler, lpt_placement,
+                                 round_makespan, throttle_pause)
 from repro.units import KB, MB
 
 lane_vectors = st.lists(
@@ -61,8 +62,26 @@ def test_makespan_envelope(lanes, parallelism):
 @given(lanes=lane_vectors)
 @settings(max_examples=120, deadline=None)
 def test_parallelism_one_is_the_serial_model(lanes):
+    # The serial model is the left-to-right fold, longest lane first —
+    # not builtin sum(), which is compensated from CPython 3.12.
     busy = sorted((t for t in lanes if t > 0.0), reverse=True)
-    assert round_makespan(lanes, 1) == sum(busy)
+    assert round_makespan(lanes, 1) == makespanoracle.serial_sum(busy)
+
+
+@given(lanes=lane_vectors)
+@settings(max_examples=200, deadline=None)
+def test_placement_kernel_equals_both_retired_implementations(lanes):
+    """The one kernel against ``tests/makespanoracle.py`` — the PR 5
+    makespan function and the event scheduler's closed-round replay it
+    replaced — with ``==``: the frontier and every lane's completion
+    time, for every worker cap from 0 (one per lane) past the lane
+    count."""
+    for parallelism in range(len(lanes) + 3):
+        completions, frontier = lpt_placement(lanes, parallelism)
+        assert (completions, frontier) == makespanoracle.closed_round(
+            lanes, parallelism)
+        assert frontier == makespanoracle.round_makespan(lanes, parallelism)
+        assert round_makespan(lanes, parallelism) == frontier
 
 
 @given(lanes=lane_vectors, extra=st.integers(0, 8))
@@ -256,7 +275,7 @@ def test_event_model_serializes_like_parallelism_one(lanes):
     event = EventScheduler(24, parallelism=1)
     event.record_round(lanes, indices=range(len(lanes)))
     assert event.wall_time_s == round_makespan(lanes, 1)
-    assert event.wall_time_s == sum(
+    assert event.wall_time_s == makespanoracle.serial_sum(
         sorted((t for t in lanes if t > 0.0), reverse=True))
 
 

@@ -11,6 +11,7 @@ from repro.units import (
     PAGES_PER_EXTENT,
     ceil_div,
     fmt_size,
+    left_sum,
     parse_size,
     round_up,
 )
@@ -98,3 +99,12 @@ class TestIntegerHelpers:
         assert round_up(100, 64) == 128
         assert round_up(128, 64) == 128
         assert round_up(1, 4096) == 4096
+
+
+class TestLeftSum:
+    def test_is_a_plain_left_fold_on_any_interpreter(self):
+        # Not compensated (builtin sum() is, from CPython 3.12): each
+        # 1.0 is lost to rounding on its own.
+        assert left_sum([1e16, 1.0, 1.0]) == 1e16
+        assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+        assert left_sum([]) == 0.0
