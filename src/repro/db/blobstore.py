@@ -36,6 +36,14 @@ class _BlobRecord:
     tree: LobTree
 
 
+def check_write_request(write_request: int) -> None:
+    """Refuse a write request size no chunk loop can use."""
+    if write_request <= 0:
+        raise ConfigError("write_request must be positive")
+    if write_request % PAGE_SIZE != 0:
+        raise ConfigError("write_request must be a multiple of the page size")
+
+
 class BlobStore:
     """BLOB create/read/delete with per-write-request allocation."""
 
@@ -99,44 +107,51 @@ class BlobStore:
         total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
         if total <= 0:
             raise ConfigError("blob size must be positive")
-        if write_request % PAGE_SIZE != 0:
-            raise ConfigError("write_request must be a multiple of the page size")
+        check_write_request(write_request)
         record = _BlobRecord(
             blob_id=next(self._next_id), size=total, tree=self._new_tree()
         )
-        cursor = 0
-        while cursor < total:
+        self._write_chunks(record.tree, 0, total, data, write_request)
+        self._blobs[record.blob_id] = record
+        return record.blob_id
+
+    def _write_chunks(self, tree: LobTree, position: int, total: int,
+                      data: bytes | None, write_request: int) -> None:
+        """Write ``total`` bytes as new pages from logical page
+        ``position`` on, zero-padded to whole pages.  Per write request,
+        in this order: allocate, one data-device request, the tree
+        update (may allocate node pages), one log record, one tick.
+        """
+        append = position == tree.total_pages
+        alloc_runs = self.gam.alloc_runs
+        write_extents = self.pagefile.device.write_extents
+        log_operation, tick = self.wal.log_operation, self.ghost.on_operation
+        for cursor in range(0, total, write_request):
             chunk = min(write_request, total - cursor)
             npages = ceil_div(chunk, PAGE_SIZE)
-            chunk_data: bytes | None = None
-            if data is not None:
-                chunk_data = data[cursor: cursor + chunk]
-                chunk_data += b"\x00" * (npages * PAGE_SIZE - chunk)
-            for start, count in self._write_new_pages(npages, chunk_data):
-                record.tree.append_run(start, count)
-            self.wal.log_operation(payload_bytes=chunk)
-            cursor += chunk
+            chunk_data = None if data is None \
+                else data[cursor: cursor + chunk] + bytes(-chunk % PAGE_SIZE)
+            runs = self._alloc(alloc_runs, npages)
+            write_extents(self._extents(runs), chunk_data)
+            for start, count in runs:
+                if append:
+                    tree.append_run(start, count)
+                else:
+                    tree.insert_run(position, start, count)
+                    position += count
+            log_operation(payload_bytes=chunk)
             # The background cleaner runs concurrently with the insert:
             # one tick per write request lets freed pages trickle back
             # *between* a BLOB's chunks, so successive chunks can land
             # on opposite sides of the allocation frontier — the
             # per-request scatter behind "one fragment per 64 KB".
-            self.ghost.on_operation()
-        self._blobs[record.blob_id] = record
-        return record.blob_id
+            tick()
 
     def _extents(self, runs: list[Run]) -> list[Extent]:
         """Device byte extents of page runs, order preserved."""
         base = self.pagefile.base
         return [Extent(base + start * PAGE_SIZE, count * PAGE_SIZE)
                 for start, count in runs]
-
-    def _write_new_pages(self, npages: int, data: bytes | None) -> list[Run]:
-        """Allocate one write request's pages and write them as one
-        device request, in logical order; returns the runs."""
-        runs = self._alloc(self.gam.alloc_runs, npages)
-        self.pagefile.device.write_extents(self._extents(runs), data)
-        return runs
 
     def get(self, blob_id: int, offset: int = 0,
             length: int | None = None) -> bytes | None:
@@ -215,19 +230,9 @@ class BlobStore:
             )
         if not 0 <= offset <= record.size:
             raise ConfigError(f"offset {offset} outside blob")
-        position = offset // PAGE_SIZE
-        cursor = 0
-        while cursor < total:
-            chunk = min(write_request, total - cursor)
-            chunk_data = None if data is None \
-                else data[cursor: cursor + chunk]
-            for start, count in self._write_new_pages(chunk // PAGE_SIZE,
-                                                      chunk_data):
-                record.tree.insert_run(position, start, count)
-                position += count
-            self.wal.log_operation(payload_bytes=chunk)
-            self.ghost.on_operation()
-            cursor += chunk
+        check_write_request(write_request)
+        self._write_chunks(record.tree, offset // PAGE_SIZE, total, data,
+                           write_request)
         record.size += total
 
     def delete_range(self, blob_id: int, offset: int, length: int) -> None:

@@ -11,17 +11,18 @@ rewrite-the-tail filesystems.
 consecutive pages ``(start_page, count)``, interior nodes hold children,
 and position lookups descend by subtracting subtree page counts rather
 than comparing stored keys.  Only the whole-object count is cached
-(maintained on every insert and delete, so appends and bounds checks
-are O(1)); a subtree's count is recounted from its leaves on descent.
-Interior nodes and leaves occupy real pages (allocated through a
-caller-supplied allocator), so the tree's own pages interleave with data
-pages on disk exactly as in SQL Server — one of the interleaving sources
-the fragmentation analyzer sees.
+(kept on every insert and delete: bounds checks are O(1)); a subtree's
+count is recounted from its leaves on descent.  Interior nodes and
+leaves occupy real pages (allocated through a caller-supplied
+allocator), so the tree's own pages interleave with data pages on disk
+exactly as in SQL Server — an interleaving source the analyzer sees.
 
-Complexity notes: ``append_run``/``insert_run`` are O(log n) with node
-splits; ``delete_range`` extracts and rebuilds (O(n) in *runs*, which is
-the object's fragment count — tens, not thousands), trading speed we do
-not need for structural simplicity we can test exhaustively.
+Complexity notes: ``append_run`` walks the rightmost spine, O(depth)
+with node splits.  ``insert_run``/``page_at`` recount every child they
+pass, so with interior nodes they are O(n) in *runs*, as is
+``delete_range`` (extract and rebuild).  Runs are the object's fragment
+count — hundreds at most — so we trade speed we do not need for
+structural simplicity we can test exhaustively.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class LobTree:
         return out
 
     def page_at(self, position: int) -> int:
-        """Physical page holding logical page ``position`` (O(log n))."""
+        """Physical page holding logical page ``position`` (O(runs))."""
         if not 0 <= position < self.total_pages:
             raise ConfigError(f"position {position} outside object")
         node = self._root
@@ -167,8 +168,28 @@ class LobTree:
     # Mutation
     # ------------------------------------------------------------------
     def append_run(self, start: int, count: int) -> None:
-        """Add ``count`` pages at the logical end of the object."""
-        self.insert_run(self.total_pages, start, count)
+        """``insert_run(total_pages, ...)`` down the rightmost spine only:
+        the same merge, splits and node-page allocation order."""
+        if count <= 0:
+            raise ConfigError("count must be positive")
+        if start < 0:
+            raise ConfigError("start must be >= 0")
+        self._count += count
+        node, spine = self._root, []
+        while not node.leaf:
+            spine.append(node)
+            node = node.children[-1]
+        extend_runs(node.runs, start, count)
+        if len(node.runs) <= self.fanout:
+            return
+        split = self._split_leaf(node)
+        while spine:
+            node = spine.pop()
+            node.children.append(split)
+            if len(node.children) <= self.fanout:
+                return
+            split = self._split_interior(node)
+        self._grow_root(split)
 
     def insert_run(self, position: int, start: int, count: int) -> None:
         """Insert pages so they begin at logical page ``position``.
@@ -188,9 +209,12 @@ class LobTree:
         self._count += count
         split = self._insert(self._root, position, (start, count))
         if split is not None:
-            old_root = self._root
-            self._root = self._new_node(leaf=False)
-            self._root.children = [old_root, split]
+            self._grow_root(split)
+
+    def _grow_root(self, split: _Node) -> None:
+        old_root = self._root
+        self._root = self._new_node(leaf=False)
+        self._root.children = [old_root, split]
 
     def _insert(self, node: _Node, position: int, run: Run) -> _Node | None:
         """Recursive insert; returns a new right sibling when ``node`` split."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.db.blobstore import BlobStore
+from repro.db.blobstore import BlobStore, check_write_request
 from repro.db.bufferpool import BufferPool
 from repro.db.gam import GamAllocator
 from repro.db.ghost import GhostCleaner
@@ -51,8 +51,7 @@ class DbConfig:
     charge_log_io: bool = True
 
     def __post_init__(self) -> None:
-        if self.write_request % PAGE_SIZE != 0:
-            raise ConfigError("write_request must be a multiple of 8 KB pages")
+        check_write_request(self.write_request)
 
 
 class SimDatabase:

@@ -38,7 +38,7 @@ class GamAllocator:
     ``_used_mask[e]`` is the bitmask of *used* pages of extent ``e``:
     0 = fully free (GAM), ``_FULL_MASK`` = full, anything else = partly
     free (PFS).  Everything else is derived from it and kept in step by
-    :meth:`_set_mask`.
+    :meth:`_set_mask` (free → full: :meth:`alloc_uniform_extent`).
     """
 
     def __init__(self, num_extents: int) -> None:
@@ -100,7 +100,11 @@ class GamAllocator:
         extent_id = self._lowest_free
         if extent_id == self.num_extents:
             return None
-        self._set_mask(extent_id, _FULL_MASK)
+        self._used_mask[extent_id] = _FULL_MASK
+        self._free_pages -= PAGES_PER_EXTENT
+        self._free_extents -= 1
+        found = self._used_mask.find(0, extent_id + 1)
+        self._lowest_free = found if found >= 0 else self.num_extents
         return extent_id
 
     def alloc_page(self) -> int:
@@ -131,6 +135,10 @@ class GamAllocator:
             raise AllocationError(
                 f"need {count} pages, only {self._free_pages} free"
             )
+        if count == PAGES_PER_EXTENT:  # one 64 KB write request
+            extent_id = self.alloc_uniform_extent()
+            if extent_id is not None:
+                return [(extent_id * PAGES_PER_EXTENT, PAGES_PER_EXTENT)]
         runs: list[Run] = []
         remaining = count
         while remaining >= PAGES_PER_EXTENT:

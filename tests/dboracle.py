@@ -6,15 +6,25 @@ slow, obvious versions of the same rules — a plain list of masks
 searched by linear scan, a ghost backlog holding one entry per page —
 that the property tests in ``test_prop_db_runs.py`` hold the real ones
 to, operation by operation.
+
+:func:`oracle_put` is ``BlobStore.put`` as it was before the BLOB chunk
+loop became one pass per chunk: its own chunk loop, every run appended
+through the general ``LobTree.insert_run`` at the logical end, every
+whole extent taken through ``GamAllocator._set_mask``.
+``test_db_put_oracle.py`` holds the shipped ``put`` to it on twin
+databases.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
+from repro.db.blobstore import _BlobRecord
 from repro.db.gam import GamAllocator
+from repro.db.page import extend_runs
 from repro.errors import AllocationError, ConfigError, CorruptionError
-from repro.units import PAGES_PER_EXTENT
+from repro.units import PAGE_SIZE, PAGES_PER_EXTENT, ceil_div
 
 FULL = (1 << PAGES_PER_EXTENT) - 1
 
@@ -186,3 +196,75 @@ class PerPageGhostQueue:
     @property
     def pending_pages(self) -> int:
         return len(self._queue)
+
+
+# ----------------------------------------------------------------------
+# The retired BLOB chunk loop
+# ----------------------------------------------------------------------
+def retired_alloc_uniform_extent(gam: GamAllocator) -> int | None:
+    """The lowest fully-free extent, taken through the general
+    ``_set_mask`` (partial-list and counter checks included)."""
+    extent_id = gam._lowest_free
+    if extent_id == gam.num_extents:
+        return None
+    gam._set_mask(extent_id, FULL)
+    return extent_id
+
+
+def retired_alloc_runs(gam: GamAllocator, count: int) -> list[tuple[int, int]]:
+    """``GamAllocator.alloc_runs`` without the one-extent shortcut."""
+    if count <= 0:
+        raise ConfigError("count must be positive")
+    if count > gam._free_pages:
+        raise AllocationError(
+            f"need {count} pages, only {gam._free_pages} free"
+        )
+    runs: list[tuple[int, int]] = []
+    remaining = count
+    while remaining >= PAGES_PER_EXTENT:
+        extent_id = retired_alloc_uniform_extent(gam)
+        if extent_id is None:
+            break
+        extend_runs(runs, extent_id * PAGES_PER_EXTENT, PAGES_PER_EXTENT)
+        remaining -= PAGES_PER_EXTENT
+    for _ in range(remaining):
+        extend_runs(runs, gam.alloc_page(), 1)
+    return runs
+
+
+def _write_new_pages(store, npages: int, data: bytes | None):
+    """Allocate one write request's pages and write them as one
+    device request, in logical order; returns the runs."""
+    runs = store._alloc(partial(retired_alloc_runs, store.gam), npages)
+    store.pagefile.device.write_extents(store._extents(runs), data)
+    return runs
+
+
+def oracle_put(store, *, size: int | None = None, data: bytes | None = None,
+               write_request: int = 64 * 1024) -> int:
+    """The retired ``BlobStore.put`` on a live store; returns the blob id."""
+    if (size is None) == (data is None):
+        raise ConfigError("pass exactly one of size or data")
+    total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+    if total <= 0:
+        raise ConfigError("blob size must be positive")
+    if write_request % PAGE_SIZE != 0:
+        raise ConfigError("write_request must be a multiple of the page size")
+    record = _BlobRecord(
+        blob_id=next(store._next_id), size=total, tree=store._new_tree()
+    )
+    cursor = 0
+    while cursor < total:
+        chunk = min(write_request, total - cursor)
+        npages = ceil_div(chunk, PAGE_SIZE)
+        chunk_data: bytes | None = None
+        if data is not None:
+            chunk_data = data[cursor: cursor + chunk]
+            chunk_data += b"\x00" * (npages * PAGE_SIZE - chunk)
+        for start, count in _write_new_pages(store, npages, chunk_data):
+            record.tree.insert_run(record.tree.total_pages, start, count)
+        store.wal.log_operation(payload_bytes=chunk)
+        cursor += chunk
+        store.ghost.on_operation()
+    store._blobs[record.blob_id] = record
+    return record.blob_id

@@ -67,6 +67,33 @@ class TestPutGet:
         with pytest.raises(ConfigError):
             make_db(write_request=100 * KB)  # not an 8 KB multiple
 
+    @pytest.mark.parametrize("write_request", [0, -PAGE_SIZE, -64 * KB])
+    def test_write_request_must_be_positive(self, write_request):
+        """0 and negative multiples of 8 KB pass the alignment check; they
+        are refused up front rather than deep inside the GAM."""
+        with pytest.raises(ConfigError, match="write_request must be positive"):
+            make_db(write_request=write_request)
+        db = make_db()
+        blob_id = db.put_blob(size=64 * KB)
+        free = db.gam.free_page_count
+        with pytest.raises(ConfigError, match="write_request must be positive"):
+            db.blobs.put(size=64 * KB, write_request=write_request)
+        with pytest.raises(ConfigError, match="write_request must be positive"):
+            db.blobs.insert_range(blob_id, 0, size=PAGE_SIZE,
+                                  write_request=write_request)
+        assert db.gam.free_page_count == free
+        assert db.blobs.blob_ids() == [blob_id]
+        assert db.blobs.size_of(blob_id) == 64 * KB
+        assert db.put_blob(size=64 * KB) == blob_id + 1
+
+    def test_insert_range_write_request_must_be_page_aligned(self):
+        db = make_db()
+        blob_id = db.put_blob(size=64 * KB)
+        with pytest.raises(ConfigError, match="multiple of the page size"):
+            db.blobs.insert_range(blob_id, 0, size=2 * PAGE_SIZE,
+                                  write_request=PAGE_SIZE + 1)
+        assert db.blobs.size_of(blob_id) == 64 * KB
+
 
 class TestDelete:
     def test_delete_ghosts_then_frees(self):

@@ -245,19 +245,33 @@ class TestStress:
 class TestCountCache:
     def test_appends_do_not_recount_the_leaves(self, monkeypatch):
         """The object's page count is kept, not re-summed per append
-        (a 10 MB BLOB is 160 appends into one leaf)."""
+        (a 10 MB BLOB is 160 appends into one leaf), and an append walks
+        the rightmost spine, never the general insert — in a one-leaf
+        tree and in one six levels deep alike."""
         from repro.db import btree
 
-        tree, _ = make_tree(fanout=128)
         recounts = []
         real = btree._Node.total_pages
         monkeypatch.setattr(
             btree._Node, "total_pages",
             lambda node: recounts.append(node) or real(node))
-        for i in range(100):
-            tree.append_run(i * 10, 3)
-        assert tree.total_pages == 300
+        for name in ("_insert", "_leaf_insert"):
+            monkeypatch.setattr(
+                btree.LobTree, name,
+                lambda *args, name=name: pytest.fail(f"append took {name}"))
+        trees = []
+        for fanout in (128, 4):
+            tree, _ = make_tree(fanout=fanout)
+            for i in range(100):
+                tree.append_run(i * 10, 3)
+            assert tree.total_pages == 300
+            trees.append(tree)
         assert recounts == []
+        assert [tree.depth() for tree in trees] == [1, 6]
+        monkeypatch.undo()
+        for tree in trees:
+            tree.check_invariants()
+            assert tree.all_runs() == [(i * 10, 3) for i in range(100)]
 
     def test_count_follows_every_mutation(self):
         tree, _ = make_tree()

@@ -6,7 +6,7 @@ from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from dboracle import alloc_pages
@@ -176,6 +176,62 @@ def test_lobtree_append_then_read_everything(counts):
         page += count  # physically consecutive: must merge into 1 run
     assert tree.all_runs() == [(0, len(expected))]
     assert tree.total_pages == len(expected)
+
+
+def leaf_runs(node) -> list[list[tuple[int, int]]]:
+    if node.leaf:
+        return [list(node.runs)]
+    return [runs for child in node.children for runs in leaf_runs(child)]
+
+
+def allocating_tree(fanout: int) -> tuple[LobTree, list[int]]:
+    """A tree whose node pages are numbered by allocation call, so equal
+    ``node_pages()`` means the same nodes were allocated in the same
+    order."""
+    allocated: list[int] = []
+
+    def alloc() -> int:
+        allocated.append(1000 + len(allocated))
+        return allocated[-1]
+
+    return LobTree(fanout=fanout, alloc_node_page=alloc), allocated
+
+
+@given(prefix=st.lists(st.tuples(st.integers(min_value=0, max_value=10**6),
+                                 st.integers(min_value=1, max_value=6)),
+                       max_size=30),
+       appends=st.lists(st.tuples(st.one_of(st.none(),
+                                            st.integers(0, 10**6)),
+                                  st.integers(min_value=1, max_value=6)),
+                        max_size=150),
+       fanout=st.integers(min_value=4, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_spine_append_equals_the_general_insert(prefix, appends, fanout):
+    """``append_run`` against ``insert_run(total_pages, ...)`` on a twin:
+    leaves run for run, node pages, depth and allocation order all equal,
+    through leaf, interior and root splits.  Both trees first take the
+    same general inserts, so appends also meet a tree of any shape; an
+    append start of None continues the last run physically (a merge)."""
+    spine, spine_pages = allocating_tree(fanout)
+    general, general_pages = allocating_tree(fanout)
+    next_page = 0
+    for position, count in prefix:
+        for tree in (spine, general):
+            tree.insert_run(position % (tree.total_pages + 1), next_page,
+                            count)
+        next_page += count + 1
+    for start, count in appends:
+        start = next_page if start is None else start
+        spine.append_run(start, count)
+        general.insert_run(general.total_pages, start, count)
+        next_page = start + count
+        assert leaf_runs(spine._root) == leaf_runs(general._root)
+        assert spine.node_pages() == general.node_pages()
+        assert spine.depth() == general.depth()
+        assert spine.total_pages == general.total_pages
+    assert spine_pages == general_pages
+    spine.check_invariants()
+    target(float(spine.depth()))  # steer towards root splits
 
 
 # ----------------------------------------------------------------------
