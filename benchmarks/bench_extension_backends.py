@@ -31,7 +31,7 @@ def compute(run):
             keep_store=True,
         )
         # Keyed on what the aged store can report, not on the curve's
-        # name: under a --store/--shards override it is another store.
+        # name: under a --store override it is another store.
         extra = ""
         if hasattr(store, "internal_fragmentation"):
             extra = (f"internal frag {store.internal_fragmentation():.0%}, "

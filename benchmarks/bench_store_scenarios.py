@@ -6,7 +6,7 @@ Seven figures past the paper, one :data:`FIGURES` table that
 function, the constants it echoes into the record's ``params``, its
 printed columns and its claims as shape checks.  A figure states its
 own store specs and sizes, so like ``table1`` it ignores
-``--store``/``--shards``/``--index``/``--paper-scale``.  The five
+``--store``/``--index``/``--paper-scale``.  The five
 sharded scenarios share their mechanics through :class:`AgedStore`.
 Modelled cells (device/wall seconds, seeks, percentiles) are
 deterministic and hashed into ``BENCH_paper.json``, which CI and tier-1

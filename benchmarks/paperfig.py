@@ -39,7 +39,7 @@ import math
 import platform
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -135,8 +135,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                         help="replay every curve against this store spec, "
                              "e.g. lfs:reorder=clook; ':reorder=clook' keeps "
                              "each curve's own backend")
-    parser.add_argument("--shards", type=int, default=0, metavar="N",
-                        help="shard every curve's store N ways")
     opts = parser.parse_args(argv)
     unknown = set(opts.only or ()) - FIGURES.keys()
     if unknown:
@@ -145,9 +143,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def overridden(opts: argparse.Namespace) -> bool:
-    """``--store``/``--shards`` replace the paper's backend comparison:
-    its shape checks are then reported, not enforced."""
-    return opts.store is not None or opts.shards > 0
+    """``--store`` replaces the paper's backend comparison: its shape
+    checks are then reported, not enforced."""
+    return opts.store is not None
 
 
 def volume_bytes(volume: str | int, paper_scale: bool) -> int:
@@ -175,10 +173,10 @@ def curve_config(opts: argparse.Namespace, backend: str,
     """The experiment behind one curve of one figure.
 
     The curve's store is always a :class:`StoreSpec`: the figure's
-    backend and parameters, or — under a ``--store``/``--shards``
-    override — that declarative spec, with the curve's backend filling
-    an empty backend part (so ``--store :reorder=clook`` applies one
-    policy across a multi-backend comparison).  ``index_kind``/
+    backend and parameters, or — under a ``--store`` override — that
+    declarative spec, with the curve's backend filling an empty backend
+    part (so ``--store :shards=4,reorder=clook`` applies one layout
+    across a multi-backend comparison).  ``index_kind``/
     ``size_hints``/``fs_config``/``db_config`` are sugar for spec
     options and apply to whichever backend the spec ends up naming,
     override or not.
@@ -195,8 +193,6 @@ def curve_config(opts: argparse.Namespace, backend: str,
         default_backend=backend,
         **parse_defaults,
     )
-    if opts.shards > 0:
-        spec = replace(spec, shards=opts.shards)
     # Backend-matched sugar; only what was given, so an option written
     # in the --store text survives (with_options drops a None).
     sugar = {}

@@ -11,14 +11,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 
-def _fmt_cell(value: object, width: int) -> str:
-    if isinstance(value, float):
-        text = f"{value:.2f}"
-    else:
-        text = str(value)
-    return text.rjust(width)
-
-
 def render_table(title: str, headers: Sequence[str],
                  rows: Sequence[Sequence[object]], *,
                  footer: str | None = None) -> str:

@@ -2,7 +2,7 @@
 
 Each backend module registers a ``from_spec`` constructor with
 :func:`register_backend`, declaring its name, a one-line description
-(surfaced by ``python -m repro --list-backends``) and the options it
+(surfaced by ``python -m repro backends``) and the options it
 accepts (name → converter).  The ``BACKENDS`` tuple, config validation
 and store construction all derive from the registry, so adding a
 backend is one file plus one decorator (see docs/architecture.md, "add
@@ -200,23 +200,9 @@ def build_store(spec: StoreSpec) -> ObjectStore:
     spec = resolve_spec(spec)
     if spec.shards > 1:
         from repro.backends.sharded import ShardedStore
-        from repro.disk.faults import FaultProfile
 
-        profile = FaultProfile.parse(spec.faults) if spec.faults else None
-        shards = [build_store(sub) for sub in spec.shard_specs()]
-        return ShardedStore(shards, placement=spec.placement,
-                            band_bytes=spec.band_bytes,
-                            overlap=spec.overlap,
-                            parallelism=spec.parallelism,
-                            dispatch_overhead_s=spec.dispatch_overhead_s,
-                            replicas=spec.replicas,
-                            faults=profile,
-                            rebuild_rate=spec.rebuild_rate,
-                            rebalance_rate=spec.rebalance_rate,
-                            checkpoint_rate=spec.checkpoint_rate,
-                            queue=spec.queue,
-                            queue_depth=spec.queue_depth,
-                            arrival=spec.arrival)
+        return ShardedStore([build_store(sub) for sub in spec.shard_specs()],
+                            spec)
     info = backend_info(spec.backend)
     device_faults = None
     if spec.faults:

@@ -43,7 +43,7 @@ overlap (fan-out calls like :meth:`read_many` put every touched shard
 in one round; single-shard ops are one-lane rounds).  The scheduler's
 accumulated makespan is the store's overlapped wall time, reported by
 measurement windows alongside the historical summed device time — the
-concurrency model that makes ``--shards 4`` an actual speedup instead
+concurrency model that makes ``shards=4`` an actual speedup instead
 of four summed seek streams.
 
 ``queue="event"`` layers the event-driven simulator
@@ -145,14 +145,13 @@ from itertools import islice
 from repro.alloc.extent import Extent
 from repro.backends.base import ObjectMeta, ObjectStore, StoreStats
 from repro.backends.registry import register_backend
-from repro.backends.spec import PLACEMENTS, QUEUE_KINDS, StoreSpec
+from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, summed_clock_s
 from repro.disk.events import EventScheduler
 from repro.disk.faults import FaultProfile
 from repro.disk.schedule import ShardScheduler, throttle_pause
 from repro.errors import (ConfigError, ObjectNotFoundError, ShardLostError,
                           ShardUnavailableError, TransientIoError)
-from repro.units import MB
 
 #: Supported :meth:`ShardedStore.rebalance` modes.
 REBALANCE_MODES = ("even", "placement")
@@ -214,41 +213,28 @@ class ShardedStore:
     BACKOFF_BASE_S = 0.002
     BACKOFF_CAP_S = 0.016
 
-    def __init__(self, shards: Sequence[ObjectStore], *,
-                 placement: str = "hash",
-                 band_bytes: int = 1 * MB,
-                 overlap: bool = False,
-                 parallelism: int = 0,
-                 dispatch_overhead_s: float = 0.0,
-                 replicas: int = 1,
-                 faults: FaultProfile | None = None,
-                 rebuild_rate: float = 1.0,
-                 rebalance_rate: float = 1.0,
-                 checkpoint_rate: float = 0.0,
-                 queue: str = "round",
-                 queue_depth: int = 64,
-                 arrival: str = "closed") -> None:
-        if len(shards) < 2:
-            raise ConfigError("a sharded store needs at least two shards")
-        if placement not in PLACEMENTS:
+    def __init__(self, shards: Sequence[ObjectStore],
+                 spec: StoreSpec) -> None:
+        """Compose ``shards`` under the resolved ``spec`` that
+        :func:`~repro.backends.registry.build_store` built them from.
+
+        Every knob and its validation lives in the spec
+        (:class:`StoreSpec` and ``resolve_spec``); the store keeps the
+        values it reads, never the spec itself, so what a checkpoint
+        pickles is the store's own state.
+        """
+        if len(shards) != spec.shards:
             raise ConfigError(
-                f"unknown placement {placement!r}; choose from {PLACEMENTS}"
-            )
-        if band_bytes <= 0:
-            raise ConfigError("band_bytes must be positive")
-        if not 1 <= replicas <= len(shards):
-            raise ConfigError(
-                f"replicas must be in [1, {len(shards)}], got {replicas}"
-            )
+                f"spec has shards={spec.shards}, got {len(shards)} shards")
         self.shards = list(shards)
-        self.placement = placement
-        self.band_bytes = band_bytes
-        self.replicas = replicas
-        self.fault_profile = faults
-        self.rebuild_rate = _duty_cycle("rebuild_rate", rebuild_rate)
-        self.rebalance_rate = _duty_cycle("rebalance_rate", rebalance_rate)
-        self.checkpoint_rate = _duty_cycle("checkpoint_rate",
-                                           checkpoint_rate, off_ok=True)
+        self.placement = spec.placement
+        self.band_bytes = spec.band_bytes
+        self.replicas = spec.replicas
+        self.fault_profile = (FaultProfile.parse(spec.faults)
+                              if spec.faults else None)
+        self.rebuild_rate = spec.rebuild_rate
+        self.rebalance_rate = spec.rebalance_rate
+        self.checkpoint_rate = spec.checkpoint_rate
         inner = {s.name for s in self.shards}
         inner_name = inner.pop() if len(inner) == 1 else "mixed"
         self.name = f"sharded[{len(self.shards)}x{inner_name}]"
@@ -260,32 +246,23 @@ class ShardedStore:
         #: Permanently lost shard indices.
         self._dead_shards: set[int] = set()
         self._rr_next = 0
-        if queue not in QUEUE_KINDS:
-            raise ConfigError(
-                f"unknown queue model {queue!r}; choose from {QUEUE_KINDS}"
-            )
-        if queue == "event" and not overlap:
-            raise ConfigError(
-                "queue=event needs overlap=true (the event queue "
-                "simulates the overlap scheduler's per-shard lanes)"
-            )
         #: Overlap scheduler (None = historical summed-time model).
         #: ``queue=event`` swaps in the event-driven simulator, which
         #: adds per-request latency on top of the same interface.
-        if not overlap:
+        if not spec.overlap:
             self.scheduler = None
-        elif queue == "event":
+        elif spec.queue == "event":
             self.scheduler = EventScheduler(
                 len(self.shards),
-                parallelism=parallelism,
-                dispatch_overhead_s=dispatch_overhead_s,
-                depth=queue_depth,
-                arrival=arrival,
+                parallelism=spec.parallelism,
+                dispatch_overhead_s=spec.dispatch_overhead_s,
+                depth=spec.queue_depth,
+                arrival=spec.arrival,
             )
         else:
             self.scheduler = ShardScheduler(
-                parallelism=parallelism,
-                dispatch_overhead_s=dispatch_overhead_s,
+                parallelism=spec.parallelism,
+                dispatch_overhead_s=spec.dispatch_overhead_s,
             )
         #: Per-shard device lists, cached: lane time deltas are read on
         #: every dispatch round and the lists never change.

@@ -232,29 +232,13 @@ class StoreSpec:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-friendly form, recorded verbatim in run results."""
-        return {
-            "backend": self.backend,
-            "volume_bytes": self.volume_bytes,
-            "write_request": self.write_request,
-            "store_data": self.store_data,
-            "policy": self.policy.to_dict(),
-            "options": {k: _jsonable(v) for k, v in self.options},
-            "shards": self.shards,
-            "placement": self.placement,
-            "band_bytes": self.band_bytes,
-            "overlap": self.overlap,
-            "parallelism": self.parallelism,
-            "dispatch_overhead_s": self.dispatch_overhead_s,
-            "replicas": self.replicas,
-            "faults": self.faults,
-            "rebuild_rate": self.rebuild_rate,
-            "rebalance_rate": self.rebalance_rate,
-            "checkpoint_rate": self.checkpoint_rate,
-            "queue": self.queue,
-            "queue_depth": self.queue_depth,
-            "arrival": self.arrival,
-        }
+        """JSON-friendly form, recorded verbatim in run results: one key
+        per field, in declaration order."""
+        record = {f.name: getattr(self, f.name)
+                  for f in dataclass_fields(self)}
+        record["policy"] = self.policy.to_dict()
+        record["options"] = {k: _jsonable(v) for k, v in self.options}
+        return record
 
     # ------------------------------------------------------------------
     # Text form
@@ -322,11 +306,11 @@ _KEYS = {
 #: Fields a shard sub-spec resets to their declared defaults: the
 #: composite's dispatch loop owns overlap, replication, and the event
 #: queue, so sub-specs must not re-trigger them.  Resolved from the
-#: dataclass so a changed default cannot drift from this reset site.
+#: dataclass so a changed default cannot drift from this reset site,
+#: and a misspelt name is a ``KeyError`` at import.
 _COMPOSITE_RESETS = {
-    f.name: f.default for f in dataclass_fields(StoreSpec)
-    if f.name in ("overlap", "replicas", "queue", "queue_depth",
-                  "arrival")
+    name: StoreSpec.__dataclass_fields__[name].default
+    for name in ("overlap", "replicas", "queue", "queue_depth", "arrival")
 }
 
 

@@ -4,10 +4,12 @@ Examples::
 
     python -m repro run --backend database --object-size 10M \\
         --volume 2G --occupancy 0.5 --ages 0,2,4,6,8,10
-    python -m repro run --store lfs:reorder=clook,batch=16 --shards 4 \\
+    python -m repro run --store lfs:reorder=clook,batch=16,shards=4 \\
         --object-size 1M --volume 1G
     python -m repro run --store lfs:shards=4,overlap=true,batch=16 \\
         --rebalance-ages 2 --object-size 1M --volume 1G --ages 0,2,4
+    python -m repro run --store 'lfs:shards=4,replicas=2,faults=loss:shard=1:at_age=2' \\
+        --rebuild-ages 4 --object-size 1M --volume 1G --ages 0,2,4,6
     python -m repro compare --object-size 512K --volume 512M \\
         --occupancy 0.9 --ages 0,2,4 --json results.json
     python -m repro run --volume 4G --ages 0,2,4,6,8,10 \\
@@ -16,24 +18,13 @@ Examples::
         --scenario cdn_churn:tenants=8,skew=1.1,seed=7 \\
         --volume 256M --ages 0,1,2               # per-tenant p50/p95/p99
     python -m repro backends
-    python -m repro --list-backends
 
-``--store backend:key=val,...`` describes the store declaratively (see
-:class:`repro.backends.spec.StoreSpec`); spec-level keys are
-``volume``, ``write_request``, ``reorder``, ``batch``, ``shards``,
-``placement``, ``store_data``, ``replicas``, ``faults``,
-``rebuild_rate``, ``rebalance_rate``, ``checkpoint_rate``, ``queue``,
-``depth``, ``arrival`` (explicit spec
-keys win over the ``--volume``/``--write-request`` flag defaults);
-everything else is a backend option validated by the registry.
-``queue=event`` (with ``overlap=true``) runs the event-driven shard
-queue simulator, adding p50/p95/p99 read-latency tables — e.g.
-``--store 'lfs:shards=4,overlap=true,queue=event,depth=64,arrival=poisson:rate=2e3'``.  ``--shards N`` stripes the
-chosen store over N sub-volumes; ``--replicas K`` keeps K copies of
-every object on distinct shards; ``--faults SPEC`` injects device
-faults (grammar in :mod:`repro.disk.faults`), e.g.
-``--faults 'loss:shard=1:at_age=2'`` with ``--rebuild-ages 4`` to
-re-replicate after the loss.
+``--store backend:key=val,...`` is the one spelling of every store knob:
+its spec-level keys are listed in :mod:`repro.backends.spec` (explicit
+spec keys win over the ``--volume``/``--write-request`` flag defaults),
+and everything else is a backend option validated by the registry.
+``--size-hints`` sets ``size_hints=true`` only on a backend that accepts
+it, which the spec text cannot say across a mixed-backend ``compare``.
 """
 
 from __future__ import annotations
@@ -41,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from repro.analysis.tables import render_series_table, render_table
@@ -109,15 +99,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                              f"(presets: {', '.join(scenario_names())}); "
                              "replaces the uniform churn loop and the "
                              "--object-size/--uniform flags")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="stripe the store over N sub-volumes")
-    parser.add_argument("--replicas", type=int, default=0,
-                        help="keep K copies of every object on distinct "
-                             "shards (needs a sharded store)")
-    parser.add_argument("--faults", metavar="SPEC", default=None,
-                        help="device fault profile, e.g. "
-                             "'transient:rate=1e-4;loss:shard=1:at_age=2' "
-                             "(see repro.disk.faults)")
     parser.add_argument("--rebalance-ages", type=_parse_ages, default=(),
                         metavar="AGES",
                         help="rebalance a sharded store (occupancy-"
@@ -164,12 +145,6 @@ def _store_spec_from(args: argparse.Namespace, backend: str) -> StoreSpec:
         volume_bytes=parse_size(args.volume),
         write_request=parse_size(args.write_request),
     )
-    if args.shards > 0:
-        spec = replace(spec, shards=args.shards)
-    if args.replicas > 0:
-        spec = replace(spec, replicas=args.replicas)
-    if args.faults is not None:
-        spec = replace(spec, faults=args.faults)
     if args.size_hints and spec.backend == "filesystem":
         spec = spec.with_options(size_hints=True)
     return spec
@@ -335,15 +310,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_backends(_args: argparse.Namespace) -> int:
-    """List the registered storage backends."""
-    rows = [[name, desc] for name, desc in backend_descriptions().items()]
-    print(render_table("Available backends", ["name", "description"],
-                       rows))
-    return 0
-
-
-def cmd_list_backends() -> int:
-    """Registry self-check: one ``name: description`` line per backend."""
+    """List the backend registry: one ``name: description`` line each."""
     for name, desc in backend_descriptions().items():
         print(f"{name}: {desc}")
     return 0
@@ -356,9 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Aging experiments from 'Fragmentation in Large "
                     "Object Repositories' (CIDR 2007).",
     )
-    parser.add_argument("--list-backends", action="store_true",
-                        help="print the backend registry and exit")
-    sub = parser.add_subparsers(dest="command", required=False)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="age one backend")
     run_parser.add_argument("--backend", choices=BACKENDS,
@@ -384,12 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.list_backends:
-        return cmd_list_backends()
-    if args.command is None:
-        parser.error("a subcommand is required (run, compare, backends)")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

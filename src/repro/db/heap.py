@@ -111,7 +111,3 @@ class HeapTable:
 
     def __len__(self) -> int:
         return len(self._rows)
-
-    @property
-    def page_count(self) -> int:
-        return len(self._page_slots) + len(self._index_pages)

@@ -12,8 +12,8 @@ Fault spec grammar
 ------------------
 A profile is a ``;``-separated list of clauses; each clause is a fault
 kind followed by ``key=value`` parameters separated by ``:`` or ``,``
-(both accepted, so the same text works inside a ``--store`` spec — whose
-options split on commas — and as a standalone ``--faults`` argument)::
+(both accepted; inside a ``--store`` spec, whose options split on
+commas, write them with ``:``)::
 
     transient:rate=1e-4;slow:shard=2,factor=8;loss:shard=1,at_age=3
 

@@ -86,10 +86,6 @@ class FsAllocator:
         needed = self._clusters(nbytes)
         return self.runcache.allocate(needed)
 
-    def allocate_small(self, nbytes: int) -> list[Extent]:
-        """Allocation path for metadata-sized requests."""
-        return self.runcache.allocate(self._clusters(nbytes))
-
     def free(self, extents: list[Extent]) -> None:
         """Immediately return extents to the free index (journal bypass;
         normal deletes go through the journal instead)."""

@@ -67,14 +67,6 @@ class RecoveryReport:
     replayed: tuple[Extent, ...]
     discarded: tuple[Extent, ...]
 
-    @property
-    def replayed_bytes(self) -> int:
-        return sum(e.length for e in self.replayed)
-
-    @property
-    def discarded_bytes(self) -> int:
-        return sum(e.length for e in self.discarded)
-
 
 class Journal:
     """Write-ahead metadata log with deferred free reuse.

@@ -21,14 +21,22 @@ def make_sharded(n=3, *, placement="hash", store_data=False,
                    segment_size=2 * MB)
         for _ in range(n)
     ]
-    return ShardedStore(shards, placement=placement,
-                        band_bytes=band_bytes)
+    return ShardedStore(shards, StoreSpec("lfs", shards=n,
+                                          placement=placement,
+                                          band_bytes=band_bytes))
 
 
 class TestConstruction:
     def test_needs_two_shards(self):
-        with pytest.raises(ConfigError):
-            make_sharded(1)
+        # Only a spec with shards > 1 builds the composite (the sharded
+        # pseudo-backend implies two), from exactly the shards it names.
+        assert not isinstance(build_store(StoreSpec("lfs",
+                                                    volume_bytes=32 * MB)),
+                              ShardedStore)
+        assert len(build_store(
+            StoreSpec.parse("sharded:inner=lfs,volume=64M")).shards) == 2
+        with pytest.raises(ConfigError, match="shards=3, got 2 shards"):
+            ShardedStore(make_sharded(2).shards, StoreSpec("lfs", shards=3))
 
     def test_rejects_bad_placement(self):
         with pytest.raises(ConfigError):

@@ -117,6 +117,19 @@ def test_a_readme_number_edited_away_from_the_record_is_caught(
     assert len(problems) == 1 and f"quoted as {nudged}" in problems[0]
 
 
+def test_only_history_may_name_a_retired_rule(tmp_path, monkeypatch):
+    """A retired lint code in the changelog is history; anywhere else
+    in the docs it is a stale reference."""
+    catalogue = " ".join(sorted(check_docs.registered_rule_codes()))
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "architecture.md").write_text(catalogue + "\n")
+    (tmp_path / "CHANGES.md").write_text("RPL301 and RPL303 retired\n")
+    (tmp_path / "README.md").write_text("RPL303 guards the resets\n")
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    assert check_docs.rule_code_problems() == [
+        "README.md: references unknown rule RPL303"]
+
+
 def test_a_source_file_citing_a_missing_md_is_caught(tmp_path, monkeypatch):
     """Regression: eleven docstrings cited DESIGN.md / EXPERIMENTS.md
     long after both files had left the repository."""

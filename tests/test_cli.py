@@ -20,19 +20,37 @@ class TestParser:
         for name in ("filesystem", "database", "gfs", "lfs"):
             assert name in out
 
-    def test_requires_command(self):
-        # --list-backends is a valid bare invocation, so the "pick a
-        # subcommand" error now comes from main() rather than argparse.
-        with pytest.raises(SystemExit):
+    def test_requires_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main([])
+        assert exit_info.value.code == 2
+        assert "required: command" in capsys.readouterr().err
 
     def test_list_backends(self, capsys):
-        assert main(["--list-backends"]) == 0
+        """``backends`` is the one listing: a ``name: description`` line
+        per registered backend; there is no ``--list-backends``."""
+        assert main(["backends"]) == 0
         out = capsys.readouterr().out
         names = [line.split(":", 1)[0] for line in out.splitlines() if line]
         assert len(names) >= 5
         for name in ("filesystem", "database", "gfs", "lfs", "sharded"):
             assert name in names
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--list-backends"])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--shards", "4"), ("--replicas", "2"),
+        ("--faults", "loss:shard=1:at_age=2")])
+    def test_store_knob_flags_are_spelt_in_the_spec(self, flag, value,
+                                                    capsys):
+        """One spelling per knob: ``--store ':shards=4,replicas=2,...'``."""
+        for command in ("run", "compare"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, flag, value])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" \
+                in capsys.readouterr().err
 
     def test_bad_ages_rejected(self):
         with pytest.raises(SystemExit):
@@ -138,9 +156,8 @@ class TestProcessEntry:
         (["--occupancy", "1.5"], "occupancy must be in (0, 1), got 1.5"),
         (["--volume", "1M"], "volume too small for metadata regions"),
         # A run killed by an injected fault (writes never retry).
-        (["--store", "lfs:shards=4", "--replicas", "2",
-          "--faults", "transient:rate=1e-3", "--object-size", "256K",
-          "--volume", "128M", "--ages", "0,1,2"],
+        (["--store", "lfs:shards=4,replicas=2,faults=transient:rate=1e-3",
+          "--object-size", "256K", "--volume", "128M", "--ages", "0,1,2"],
          "injected transient write error"),
     ])
     def test_a_library_error_is_one_line_and_exit_2(self, args, message):

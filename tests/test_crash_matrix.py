@@ -23,6 +23,7 @@ from crashsim import CrashClock, FaultyDevice, kill_point_matrix
 from repro.alloc.freelist import INDEX_KINDS
 from repro.backends.file_backend import FileBackend
 from repro.backends.sharded import ShardedStore
+from repro.backends.spec import StoreSpec
 from repro.disk.geometry import scaled_disk
 from repro.errors import CrashPoint
 from repro.fs.filesystem import FsConfig, SimFilesystem
@@ -142,7 +143,7 @@ class TestShardedKillMatrix:
                                       write_request=64 * KB)
                 backend.fs.crash_hook = clock.hook
                 shards.append(backend)
-            return ShardedStore(shards, placement="hash")
+            return ShardedStore(shards, StoreSpec("filesystem", shards=3))
 
         def workload(store: ShardedStore) -> None:
             for i in range(9):

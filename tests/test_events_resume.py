@@ -126,9 +126,9 @@ def build_event_store(clock: CrashClock) -> ShardedStore:
                               write_request=64 * KB)
         backend.fs.crash_hook = clock.hook
         shards.append(backend)
-    return ShardedStore(shards, placement="hash", overlap=True,
-                        queue="event", queue_depth=8,
-                        arrival="poisson:rate=200:seed=3")
+    return ShardedStore(shards, StoreSpec(
+        "filesystem", shards=3, overlap=True, queue="event",
+        queue_depth=8, arrival="poisson:rate=200:seed=3"))
 
 
 def churn(store: ShardedStore) -> None:

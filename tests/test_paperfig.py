@@ -37,10 +37,10 @@ def curve_config(argv, backend, **kwargs):
 
 
 def test_shards_override_keeps_fs_config():
-    """Regression: ``--store``/``--shards`` popped and discarded
+    """Regression: a shard override popped and discarded
     ``fs_config``/``db_config``, so every curve of the write-size and
     deferred-free ablations ran the same configuration."""
-    config = curve_config(["--shards", "2"], "filesystem",
+    config = curve_config(["--store", ":shards=2"], "filesystem",
                           fs_config=FsConfig(commit_interval_ops=1))
     store = build_store(config.store)
     assert [shard.fs.config.commit_interval_ops
@@ -106,7 +106,7 @@ def test_the_committed_record_is_a_full_run_without_overrides():
     assert COMMITTED["schema"] == paperfig.SCHEMA
     assert list(COMMITTED["figures"]) == list(paperfig.FIGURES)
     assert COMMITTED["config"] == {"only": None, "paper_scale": False,
-                                   "index": None, "store": None, "shards": 0}
+                                   "index": None, "store": None}
 
 
 def test_figure_modules_hold_no_driver_of_their_own():
@@ -163,8 +163,14 @@ def test_a_failed_check_fails_main_unless_the_store_is_overridden(
     ))
     assert paperfig.main(["--only", "off_by_one"]) == 1
     assert "off_by_one.cell_is_two" in capsys.readouterr().out
-    assert paperfig.main(["--only", "off_by_one", "--shards", "2"]) == 0
+    assert paperfig.main(["--only", "off_by_one",
+                          "--store", ":shards=2"]) == 0
     assert "reported, not enforced" in capsys.readouterr().out
+    # A shard override is spelt in the spec, like every store knob.
+    with pytest.raises(SystemExit) as exit_info:
+        paperfig.main(["--only", "off_by_one", "--shards", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --shards" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exit_info:
         paperfig.main(["--only", "fig7"])
     assert exit_info.value.code == 2

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.backends.lfs_backend import LfsBackend
 from repro.backends.sharded import ShardedStore
+from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.units import KB, MB
@@ -40,7 +41,7 @@ def make_store(n=4, replicas=2):
                    segment_size=2 * MB)
         for _ in range(n)
     ]
-    return ShardedStore(shards, placement="hash", replicas=replicas)
+    return ShardedStore(shards, StoreSpec("lfs", shards=n, replicas=replicas))
 
 
 def run_script(store, script):

@@ -256,7 +256,7 @@ class TestEngine:
         with pytest.raises(error, match=match):
             state.check_invariants(store)
 
-    @pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP 1(f)")
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP 1B(g)")
     def test_arrival_seed_stays_bounded_across_wave_windows(self):
         """Each window's seed is derived from the previous window's, so
         it gains three digits per window until ``str(seed)`` passes

@@ -10,12 +10,12 @@ from crashsim import CrashClock
 
 from dataclasses import replace
 
-from repro.backends import StoreSpec
+from repro.backends import StoreSpec, resolve_spec
 from repro.backends.lfs_backend import LfsBackend
 from repro.backends.sharded import ShardedStore
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize
-from repro.disk.faults import DeviceFaults, FaultProfile, FaultyBlockDevice
+from repro.disk.faults import DeviceFaults, FaultyBlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.errors import ConfigError, CrashPoint, ShardUnavailableError
 from repro.units import KB, MB
@@ -28,12 +28,12 @@ def content_for(key: str, size: int = 32 * KB) -> bytes:
 
 def make_replicated(n=4, replicas=2, *, store_data=True, overlap=False,
                     per_shard=32 * MB, clock=None, torn=False,
-                    shard_faults=None, faults=None, rebuild_rate=1.0):
+                    shard_faults=None, rebuild_rate=1.0):
     """A ShardedStore of LfsBackends on faulty devices.
 
     ``shard_faults`` maps shard index -> DeviceFaults for that shard's
     device; ``clock`` (shared CrashClock) and ``torn`` arm the crash
-    matrix; ``faults`` is the composite-level FaultProfile.
+    matrix.
     """
     shards = []
     for i in range(n):
@@ -42,9 +42,9 @@ def make_replicated(n=4, replicas=2, *, store_data=True, overlap=False,
             clock=clock, torn=torn,
             faults=(shard_faults or {}).get(i))
         shards.append(LfsBackend(device, segment_size=2 * MB))
-    return ShardedStore(shards, placement="hash", overlap=overlap,
-                        replicas=replicas, faults=faults,
-                        rebuild_rate=rebuild_rate)
+    return ShardedStore(shards, resolve_spec(StoreSpec(
+        "lfs", shards=n, overlap=overlap, replicas=replicas,
+        rebuild_rate=rebuild_rate)))
 
 
 def load(store, count=12, size=32 * KB):

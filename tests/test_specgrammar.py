@@ -7,11 +7,13 @@ a ``text()`` to ``parse(x.text()) == x``.
 """
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import StoreSpec, resolve_spec
+from repro.backends import spec as store_spec_module
 from repro.backends.spec import _KEYS as STORE_KEYS
 from repro.disk.events import ArrivalSpec
 from repro.disk.faults import FaultClause, FaultProfile
@@ -161,6 +163,13 @@ class TestStoreSpecTable:
                 value = getattr(spec, f.name)
                 assert getattr(StoreSpec.parse("lfs", **{f.name: value}),
                                f.name) == value
+
+    def test_the_documented_key_list_is_the_table(self):
+        """``repro.cli`` points at this list instead of keeping a copy,
+        so it must name every key, in table order, and no other."""
+        doc = store_spec_module.__doc__
+        listed = doc[doc.index("The keys"):doc.index("set spec-level")]
+        assert re.findall(r"``(\w+)``", listed) == list(STORE_KEYS)
 
     def test_text_wins_over_defaults(self):
         spec = StoreSpec.parse("lfs:volume=96M,depth=8", volume_bytes=1,

@@ -21,10 +21,8 @@ invariants"):
   (``tools/reprolint/schema_manifest.json``), regenerated only via the
   ``manifest`` subcommand, fails the build when pickled state changes
   shape without a ``CHECKPOINT_SCHEMA``/``SNAPSHOT_VERSION`` bump.
-* **RPL3xx** — registry/spec consistency: ``@register_backend`` names
-  documented, ``StoreSpec`` fields covered by ``parse``/``to_dict``/
-  ``_COMPOSITE_RESETS``, ``DeviceError`` subclasses declared in the
-  one contract module.
+* **RPL3xx** — error-contract consistency: ``DeviceError`` subclasses
+  declared, with their contract, in the one contract module.
 * **RPL4xx** — performance hygiene: ``slots=True`` on hot-path
   dataclasses, no mutable default arguments.
 
