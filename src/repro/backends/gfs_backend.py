@@ -82,7 +82,7 @@ class GfsChunkBackend:
     # ------------------------------------------------------------------
     def _open_chunk(self) -> _Chunk:
         if not self._free_chunks:
-            self._collect_garbage(force=True)
+            self._collect_garbage()
         if not self._free_chunks:
             raise StorageFullError("no free chunks")
         chunk_id = self._free_chunks.pop(0)
@@ -148,7 +148,9 @@ class GfsChunkBackend:
             finally:
                 self._collecting = False
 
-    def _collect_garbage(self, *, force: bool = False) -> None:
+    def _collect_garbage(self) -> None:
+        """Forced GC when no chunk is free: collect sealed chunks, most
+        dead bytes first, until one frees up."""
         if self._collecting:
             return  # GC's own copies must not re-enter GC
         self._collecting = True
@@ -166,10 +168,9 @@ class GfsChunkBackend:
                 )
                 if not movable:
                     continue
-                if force or                         chunk.dead / self.chunk_size >= self.gc_dead_fraction:
-                    self._gc_chunk(chunk)
-                    if force and self._free_chunks:
-                        return
+                self._gc_chunk(chunk)
+                if self._free_chunks:
+                    return
         finally:
             self._collecting = False
 

@@ -10,7 +10,7 @@ a backend in one file").
 
 :func:`build_store` is the single construction path:
 
-* ``spec.shards > 1`` (or ``backend="sharded"``) builds a
+* ``spec.shards > 1`` builds a
   :class:`~repro.backends.sharded.ShardedStore` striping over per-shard
   sub-specs;
 * otherwise the named backend's factory gets a fresh
@@ -53,8 +53,6 @@ class BackendInfo:
     factory: Callable[[StoreSpec, BlockDevice], ObjectStore]
     description: str
     options: Mapping[str, Callable[[Any], Any]]
-    #: Composite backends are desugared by build_store, never called.
-    composite: bool = False
 
 
 _REGISTRY: dict[str, BackendInfo] = {}
@@ -62,8 +60,7 @@ _REGISTRY: dict[str, BackendInfo] = {}
 
 def register_backend(name: str, *, description: str = "",
                      options: Mapping[str, Callable[[Any], Any]]
-                     | None = None,
-                     composite: bool = False):
+                     | None = None):
     """Class/function decorator registering a ``from_spec`` factory.
 
     The factory is called as ``factory(spec, device)`` with the spec's
@@ -75,7 +72,7 @@ def register_backend(name: str, *, description: str = "",
         _REGISTRY[name] = BackendInfo(
             name=name, factory=factory,
             description=description or (factory.__doc__ or "").strip(),
-            options=dict(options or {}), composite=composite,
+            options=dict(options or {}),
         )
         return factory
     return deco
@@ -91,7 +88,6 @@ def _ensure_loaded() -> None:
     import repro.backends.file_backend    # noqa: F401
     import repro.backends.gfs_backend     # noqa: F401
     import repro.backends.lfs_backend     # noqa: F401
-    import repro.backends.sharded         # noqa: F401
 
 
 def backend_names() -> tuple[str, ...]:
@@ -121,22 +117,12 @@ def backend_descriptions() -> dict[str, str]:
 def resolve_spec(spec: StoreSpec) -> StoreSpec:
     """Validate and normalize a spec against the registry.
 
-    Desugars the ``sharded`` pseudo-backend onto its inner backend,
-    then validates and type-converts every option against the target
-    backend's declaration.  The result is what run records serialize:
-    fully resolved, so ablations are attributable from the JSON alone.
+    Checks the spec-level knobs against each other, then validates and
+    type-converts every option against the backend's declaration.  The
+    result is what run records serialize: fully resolved, so ablations
+    are attributable from the JSON alone.
     """
     info = backend_info(spec.backend)
-    if info.composite:
-        options = spec.options_dict()
-        inner = options.pop("inner", "filesystem")
-        inner_info = backend_info(str(inner))
-        if inner_info.composite:
-            raise ConfigError("sharded stores do not nest")
-        spec = replace(spec, backend=inner_info.name,
-                       options=tuple(sorted(options.items())),
-                       shards=spec.shards if spec.shards > 1 else 2)
-        info = inner_info
     if spec.overlap and spec.shards <= 1:
         raise ConfigError(
             "overlap=true needs shards > 1 (the overlap model schedules "

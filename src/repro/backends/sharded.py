@@ -144,7 +144,6 @@ from itertools import islice
 
 from repro.alloc.extent import Extent
 from repro.backends.base import ObjectMeta, ObjectStore, StoreStats
-from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, summed_clock_s
 from repro.disk.events import EventScheduler
@@ -884,16 +883,3 @@ class ShardedStore:
         """Per-shard :class:`StoreStats`, for balance reporting."""
         return [shard.store_stats() for shard in self.shards]
 
-
-@register_backend(
-    "sharded",
-    description="composite: stripes keys over N shards of an inner "
-                "backend (inner=<name>, default filesystem)",
-    options={"inner": str},
-    composite=True,
-)
-def _sharded_from_spec(spec: StoreSpec, device: BlockDevice) -> ObjectStore:
-    raise ConfigError(
-        "composite specs are desugared by build_store; this factory "
-        "is registered for listing and option declaration only"
-    )

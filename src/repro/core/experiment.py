@@ -16,6 +16,7 @@ run takes seconds, not a week.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -59,39 +60,34 @@ from repro.scenario.engine import (
 from repro.scenario.spec import ScenarioSpec
 from repro.units import fmt_size
 
-#: Manifest tag of experiment checkpoints (see ``_save_checkpoint``).
-#: Bumped whenever the config record or sample schema grows (``/2``:
-#: ``rebalance_ages`` and wall-time fields; ``/3``: fault-tolerance —
-#: ``rebuild_ages``, spec ``replicas``/``faults``/``rebuild_rate``, and
-#: degradation counters in samples; ``/4``: event queue — spec
-#: ``queue``/``queue_depth``/``arrival`` and read-latency percentiles
-#: in samples; ``/5``: pickle layout — ``slots=True`` on Zone,
-#: DiskGeometry, DevicePolicy, ArrivalSpec, and ShardScheduler changes
-#: their pickled state from ``__dict__`` to slot tuples; ``/6``:
-#: continuous operation — the spec gains ``rebalance_rate``/
-#: ``checkpoint_rate`` (recorded in the config dict), ShardedStore
-#: carries both as pickled attributes, and with ``checkpoint_rate > 0``
-#: each checkpoint charges its predecessor's write-back through the
-#: store's devices before pickling; ``/7``: scenario engine — the
-#: config records an optional ``scenario`` spec, the payload carries a
-#: pickled :class:`~repro.scenario.engine.ScenarioState`, samples gain
-#: ``scenario_lat``/``tenant_lat``, ``WindowStats`` gains
-#: ``lat_mean_s``/``tenant_lat``, and ``EventRequest``/``EventWindow``/
-#: ``EventScheduler`` carry tenant-tag state; ``/8``: run-granular
-#: database free space — ``GhostCleaner`` queues page runs,
-#: ``GhostRecord.pages`` became ``runs`` and ``LobTree`` keeps its page
-#: count as a plain int; ``GamAllocator`` deliberately still pickles to
-#: its old bytes, see its ``__getstate__``; ``/9``: one measurement
-#: surface — ``ScenarioState`` drops its two interval-histogram fields
-#: and ``WindowStats`` carries one ``latency`` dict; ``/10``:
-#: ``TenantState.keys`` and the scenario's ``WorkloadState.keys`` are
-#: :class:`~repro.struct.KeyList`): older checkpoints
-#: hash differently and must be refused with a schema error, not a
-#: config mismatch.
-CHECKPOINT_SCHEMA = "run-checkpoint/10"
+#: The ``repro`` package directory, whose source ``checkpoint_schema``
+#: fingerprints.
+_PACKAGE = Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def checkpoint_schema(package: Path = _PACKAGE) -> str:
+    """Manifest tag of experiment checkpoints (see ``_save_checkpoint``).
+
+    ``state.pkl`` pickles the whole simulator, and a resumed run must
+    give the uninterrupted run's record, so a checkpoint resumes only
+    under the code that wrote it: the tag is ``run-checkpoint/`` plus the
+    first 16 hex digits of a sha256 over every ``*.py`` file of the
+    package, taken in sorted relative-posix-path order, each
+    contributing ``path + b"\\0" + bytes``.  Any source edit therefore
+    refuses older checkpoints with a schema error (and cuts delta
+    chains).  Computed once per process, on first use.
+    """
+    digest = hashlib.sha256()
+    files = {path.relative_to(package).as_posix(): path
+             for path in package.rglob("*.py")}
+    for rel in sorted(files):
+        digest.update(rel.encode() + b"\0" + files[rel].read_bytes())
+    return "run-checkpoint/" + digest.hexdigest()[:16]
+
 
 #: Every registered backend, derived from the registry — not a
-#: hand-maintained tuple.  Includes the ``sharded`` composite.
+#: hand-maintained tuple.
 BACKENDS = backend_names()
 
 
@@ -199,10 +195,10 @@ class ExperimentConfig:
                 f"/{fmt_size(self.volume_bytes)}@{self.occupancy:.0%}")
 
     def to_dict(self) -> dict:
-        # The fully resolved spec (converted options, desugared
-        # composite, device policy, shard layout) so a result file
-        # alone attributes any ablation; ``size_hints`` and
-        # ``index_kind`` are read off it for the same reason.
+        # The fully resolved spec (converted options, device policy,
+        # shard layout) so a result file alone attributes any ablation;
+        # ``size_hints`` and ``index_kind`` are read off it for the same
+        # reason.
         resolved = resolve_spec(self.store)
         return {
             "backend": self.backend,
@@ -439,7 +435,7 @@ class ExperimentRunner:
                 fs.free_index)
             files[f"journal-{label}.bin"] = encode_journal(fs.journal)
         saved = manager.save(files, meta={
-            "schema": CHECKPOINT_SCHEMA,
+            "schema": checkpoint_schema(),
             "config_hash": self._config_hash(),
             "label": self.config.display_label(),
             "done_ages": list(done_ages),
@@ -452,10 +448,13 @@ class ExperimentRunner:
         ckpt = manager.load_latest()
         if ckpt is None:
             return None
-        if ckpt.meta.get("schema") != CHECKPOINT_SCHEMA:
+        schema = checkpoint_schema()
+        if ckpt.meta.get("schema") != schema:
             raise ConfigError(
                 f"checkpoint {ckpt.path} has schema "
-                f"{ckpt.meta.get('schema')!r}, expected {CHECKPOINT_SCHEMA}"
+                f"{ckpt.meta.get('schema')!r}, expected {schema!r}: it was "
+                "written by different code; refusing to resume (pass a "
+                "fresh --checkpoint-dir)"
             )
         if ckpt.meta.get("config_hash") != self._config_hash():
             raise ConfigError(

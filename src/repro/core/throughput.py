@@ -115,9 +115,7 @@ def _default_policy(store: ObjectStore) -> bool:
 
 def measure_read_throughput(store: ObjectStore, state: WorkloadState,
                             nreads: int,
-                            rng: Random | None = None, *,
-                            via_read_many: bool | None = None
-                            ) -> PhaseResult:
+                            rng: Random | None = None) -> PhaseResult:
     """Random whole-object read sweep (the Figure 1 measurement).
 
     Policy-aware: when the store's :class:`~repro.disk.policy.
@@ -128,7 +126,6 @@ def measure_read_throughput(store: ObjectStore, state: WorkloadState,
     sharding studies).  With the default policy the sweep keeps the
     historical per-object ``get`` loop — cost-identical by the
     device's batching contract, and asserted so by the parity suite.
-    ``via_read_many`` forces either path explicitly.
 
     Both paths draw the same keys from ``rng``, so the measured object
     population is identical whichever path runs.
@@ -139,14 +136,9 @@ def measure_read_throughput(store: ObjectStore, state: WorkloadState,
     read its own queued request, so the sweep produces a full sojourn
     distribution.
     """
-    if via_read_many is None:
-        scheduler = getattr(store, "scheduler", None)
-        if getattr(scheduler, "is_event", False):
-            via_read_many = False
-        else:
-            via_read_many = (scheduler is not None
-                             or not _default_policy(store))
-    if not via_read_many:
+    scheduler = getattr(store, "scheduler", None)
+    if getattr(scheduler, "is_event", False) or (
+            scheduler is None and _default_policy(store)):
         with measure(store, "read-sweep") as phase:
             phase.add_bytes(read_sweep(store, state, nreads, rng))
         return phase

@@ -265,6 +265,3 @@ class BlobStore:
             return self._blobs[blob_id]
         except KeyError:
             raise BlobNotFoundError(f"no blob {blob_id}") from None
-
-    def __len__(self) -> int:
-        return len(self._blobs)

@@ -92,6 +92,3 @@ class PageFile:
         if not page_nos:
             return
         self.device.write_extents(self.extents_for(page_nos), data)
-
-    def flush(self) -> None:
-        self.device.flush()

@@ -85,9 +85,3 @@ class FsAllocator:
         """
         needed = self._clusters(nbytes)
         return self.runcache.allocate(needed)
-
-    def free(self, extents: list[Extent]) -> None:
-        """Immediately return extents to the free index (journal bypass;
-        normal deletes go through the journal instead)."""
-        for ext in extents:
-            self.index.add(ext)

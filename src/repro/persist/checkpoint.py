@@ -22,7 +22,7 @@ verified on load.  The rules:
 
 - A file is delta-encoded only when the parent has a file of the same
   name, the delta is strictly smaller than the full copy, and the
-  parent was written under the same ``meta["schema"]`` — a schema bump
+  parent was written under the same ``meta["schema"]`` — a schema change
   always cuts the chain.
 - Every ``full_interval``-th checkpoint is forced full (chain length is
   at most ``full_interval - 1`` deltas), bounding replay depth.
@@ -54,11 +54,10 @@ from typing import Any, Callable, Mapping
 from repro.errors import ConfigError, SnapshotError
 from repro.persist.delta import apply_delta, encode_delta
 
-#: Manifest schema; bumped on incompatible layout changes.  ``2``:
-#: manifests gained ``parent_seq`` and per-file ``encoding`` (``full`` /
-#: ``delta``) with delta entries carrying ``content_sha256`` /
-#: ``content_bytes``; version-1 manifests still load (all-full, no
-#: parent).
+#: Manifest schema; bumped on incompatible layout changes, and a
+#: manifest of any other version does not load.  ``2``: manifests carry
+#: ``parent_seq`` and per-file ``encoding`` (``full`` / ``delta``) with
+#: delta entries carrying ``content_sha256`` / ``content_bytes``.
 CHECKPOINT_VERSION = 2
 
 MANIFEST_NAME = "MANIFEST.json"
@@ -126,7 +125,7 @@ class Checkpoint:
             raise SnapshotError(
                 f"checkpoint file {self.path.name}/{name} failed its digest"
             )
-        if info.get("encoding", "full") == "delta":
+        if info["encoding"] == "delta":
             if self.parent is None:
                 raise SnapshotError(
                     f"checkpoint file {self.path.name}/{name} is a delta "
@@ -345,13 +344,13 @@ class CheckpointManager:
         # surfaces as SnapshotError (which load_latest skips), never as
         # a TypeError escaping the fallback walk.
         if not isinstance(manifest, dict) or \
-                not isinstance(manifest.get("version", 0), int) or \
-                manifest.get("version", 0) > CHECKPOINT_VERSION or \
+                manifest.get("version") != CHECKPOINT_VERSION or \
                 not isinstance(manifest.get("seq", 0), int) or \
                 not isinstance(manifest.get("meta", {}), dict) or \
                 not isinstance(manifest.get("files"), dict):
             raise SnapshotError(
-                f"checkpoint {path.name} manifest is malformed or too new"
+                f"checkpoint {path.name} manifest is malformed or not "
+                f"version {CHECKPOINT_VERSION}"
             )
         seq = manifest.get("seq", 0)
         if _dir_seq(path) != seq:
@@ -377,7 +376,7 @@ class CheckpointManager:
                     f"checkpoint {path.name} manifest entry {name!r} "
                     "is malformed"
                 )
-            encoding = info.get("encoding", "full")
+            encoding = info.get("encoding")
             if encoding not in ("full", "delta") or (
                     encoding == "delta" and not (
                         parent_seq is not None

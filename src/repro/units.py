@@ -101,14 +101,6 @@ def fmt_size(nbytes: int | float) -> str:
     return f"{sign}{nbytes:.1f}B"
 
 
-def fmt_rate(bytes_per_second: float) -> str:
-    """Format a throughput in MB/s with two significant decimals.
-
-    >>> fmt_rate(17_700_000 * 1.048576 / 1.048576)  # doctest: +SKIP
-    """
-    return f"{bytes_per_second / MB:.2f} MB/s"
-
-
 def ceil_div(numerator: int, denominator: int) -> int:
     """Integer ceiling division for sizing extents/pages.
 

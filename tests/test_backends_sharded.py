@@ -28,13 +28,13 @@ def make_sharded(n=3, *, placement="hash", store_data=False,
 
 class TestConstruction:
     def test_needs_two_shards(self):
-        # Only a spec with shards > 1 builds the composite (the sharded
-        # pseudo-backend implies two), from exactly the shards it names.
+        # Only a spec with shards > 1 builds the composite, from exactly
+        # the shards it names.
         assert not isinstance(build_store(StoreSpec("lfs",
                                                     volume_bytes=32 * MB)),
                               ShardedStore)
         assert len(build_store(
-            StoreSpec.parse("sharded:inner=lfs,volume=64M")).shards) == 2
+            StoreSpec.parse("lfs:shards=2,volume=64M")).shards) == 2
         with pytest.raises(ConfigError, match="shards=3, got 2 shards"):
             ShardedStore(make_sharded(2).shards, StoreSpec("lfs", shards=3))
 

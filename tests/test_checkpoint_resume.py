@@ -10,6 +10,8 @@ to the previous valid one, and a fully torn directory falls back to a
 fresh (still identical) run.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.backends.spec import StoreSpec
@@ -164,11 +166,37 @@ class TestResumeFailureModes:
         manifest["files"]["free_index-vol0.bin"] = {
             "sha256": _hashlib.sha256(alien).hexdigest(),
             "bytes": len(alien),
+            "encoding": "full",
         }
         (ckpt.path / "MANIFEST.json").write_text(_json.dumps(manifest))
         from repro.errors import SnapshotError
         with pytest.raises(SnapshotError):
             run_experiment(config, checkpoint_dir=tmp_path, resume=True)
+
+
+class TestSourceFingerprint:
+    def test_a_field_added_anywhere_changes_the_schema(self, tmp_path):
+        """The checkpoint tag fingerprints every module of the package,
+        so a pickled field that no hand-kept list names still refuses
+        older checkpoints.  A verbatim copy elsewhere keeps the tag:
+        paths enter it relative to the package."""
+        import shutil
+
+        import repro
+        from repro.core.experiment import checkpoint_schema
+
+        copy = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert checkpoint_schema(copy) == checkpoint_schema()
+        module = copy / "fs" / "filesystem.py"
+        anchor = "        self.device = device\n"
+        source = module.read_text()
+        assert source.count(anchor) == 1
+        module.write_text(source.replace(
+            anchor, anchor + "        self.extra = 0\n"))
+        checkpoint_schema.cache_clear()
+        assert checkpoint_schema(copy) != checkpoint_schema()
 
 
 class TestCrashDuringRestore:

@@ -32,9 +32,10 @@ class TestParser:
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         names = [line.split(":", 1)[0] for line in out.splitlines() if line]
-        assert len(names) >= 5
-        for name in ("filesystem", "database", "gfs", "lfs", "sharded"):
+        assert len(names) >= 4
+        for name in ("filesystem", "database", "gfs", "lfs"):
             assert name in names
+        assert "sharded" not in names  # spelt <backend>:shards=N
         with pytest.raises(SystemExit) as exit_info:
             main(["--list-backends"])
         assert exit_info.value.code == 2

@@ -6,6 +6,7 @@ cross-check, and the CheckpointManager's atomic-publish/fallback
 behaviour.  Crash-driven coverage lives in ``test_crash_matrix.py``.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -246,14 +247,21 @@ class TestCheckpointManager:
 
     @pytest.mark.parametrize("scribble", [
         '"a string, not an object"',
-        '{"version": 1, "seq": "x", "files": {}}',
-        '{"version": 1, "seq": 2, "files": {"a.bin": "not-a-dict"}}',
-        '{"version": 1, "seq": 2, "files": {"a.bin": {"bytes": "NaN"}}}',
-        '{"version": 1, "seq": 2, "meta": [], "files": {}}',
+        '{"version": 2, "seq": "x", "files": {}}',
+        '{"version": 2, "seq": 2, "files": {"a.bin": "not-a-dict"}}',
+        '{"version": 2, "seq": 2, "files": {"a.bin": {"bytes": "NaN"}}}',
+        '{"version": 2, "seq": 2, "meta": [], "files": {}}',
+        # Pre-delta (version 1) manifests: no parent_seq, no encoding.
+        '{"version": 1, "seq": 2, "meta": {"age": 2}, "files": {}}',
+        '{"version": 2, "seq": 2, "meta": {"age": 2}, "files": {"a.bin": '
+        '{"bytes": 5, "sha256": "' + hashlib.sha256(b"newer").hexdigest()
+        + '"}}}',
     ])
     def test_misshapen_manifest_falls_back(self, tmp_path, scribble):
         """JSON that parses but has the wrong shape is torn state: the
-        walk must skip it, not crash with a TypeError."""
+        walk must skip it, not crash with a TypeError.  That includes a
+        manifest of another version and a file entry without an
+        ``encoding``, however well its digests verify."""
         manager = CheckpointManager(tmp_path)
         manager.save({"a.bin": b"good"}, meta={"age": 1})
         second = manager.save({"a.bin": b"newer"}, meta={"age": 2})
@@ -398,20 +406,24 @@ class TestDeltaChains:
         assert all(link is None for _, link in self.encodings(manager))
 
     def test_version1_manifest_still_loads(self, tmp_path):
-        """Pre-delta manifests (no parent_seq/encoding keys) are valid
-        all-full checkpoints."""
+        """Pre-delta manifests (no parent_seq/encoding keys) are torn
+        state, however well their digests verify: loading still
+        succeeds, by walking past one to the previous checkpoint."""
         import json
 
         manager = CheckpointManager(tmp_path)
-        ckpt = manager.save({"a.bin": b"legacy"}, meta={"age": 1})
+        manager.save({"a.bin": b"current"}, meta={"age": 1})
+        ckpt = manager.save({"a.bin": b"legacy"}, meta={"age": 2})
         manifest = json.loads((ckpt.path / "MANIFEST.json").read_text())
         manifest["version"] = 1
         del manifest["parent_seq"]
         for info in manifest["files"].values():
             del info["encoding"]
         (ckpt.path / "MANIFEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError):
+            manager.load(ckpt.path)
         latest = manager.load_latest()
-        assert latest is not None and latest.read("a.bin") == b"legacy"
+        assert latest is not None and latest.read("a.bin") == b"current"
 
 
 class TestFsComponents:

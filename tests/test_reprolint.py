@@ -1,15 +1,13 @@
 """The linter lints: fixture snippets per rule, suppression hygiene,
-and the schema-manifest guard.
+and the driver's path handling.
 
 Each rule gets a minimal bad example that must fire and an idiomatic
-good example that must stay quiet; the manifest tests build a scratch
-tree and prove that mutating a pickled field without bumping the guard
-fails RPL201 (and that ``manifest --write`` refuses to paper over it).
+good example that must stay quiet; the driver tests build a scratch
+tree and route a project finding through its file's suppressions.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -22,7 +20,6 @@ if str(_ROOT) not in sys.path:
 from tools.reprolint import all_rules, lint_source, run_lint  # noqa: E402
 from tools.reprolint import config  # noqa: E402
 from tools.reprolint.__main__ import main as reprolint_main  # noqa: E402
-from tools.reprolint.rules_schema import build_manifest  # noqa: E402
 
 
 def codes(findings) -> list[str]:
@@ -177,142 +174,45 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# Schema manifest (RPL2xx) on a scratch tree
+# Driver behaviour: suppression routing and path validation
 # ----------------------------------------------------------------------
-MODULE = """\
-from dataclasses import dataclass
-
-@dataclass
-class Frame:
-    offset: int = 0
-    length: int = 0
-"""
-
-
 @pytest.fixture
-def scratch(tmp_path, monkeypatch):
-    """A mini repo: one guarded module + its freshly written manifest."""
-    (tmp_path / "src/mini").mkdir(parents=True)
-    (tmp_path / "src/mini/state.py").write_text(MODULE)
-    (tmp_path / "src/mini/version.py").write_text(
-        'CHECKPOINT_SCHEMA = "run-checkpoint/1"\n')
-    (tmp_path / "tools/reprolint").mkdir(parents=True)
-    monkeypatch.setattr(config, "VERSION_TOKENS",
-                        {"CHECKPOINT_SCHEMA": "src/mini/version.py"})
-    monkeypatch.setattr(config, "MANIFEST_COVERAGE", {
-        "src/mini/state.py": {"guard": "CHECKPOINT_SCHEMA",
-                              "track": ["Frame"]},
-    })
-    manifest = build_manifest(tmp_path)
-    (tmp_path / config.MANIFEST_PATH).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True))
+def scratch(tmp_path):
+    """A mini repo holding the contract module RPL304 reads."""
+    (tmp_path / "src/repro").mkdir(parents=True)
+    (tmp_path / "src/repro/errors.py").write_text(
+        'class DeviceError(Exception):\n    """Raised by a device."""\n')
     return tmp_path
 
 
-def rpl2(root) -> list:
-    found = run_lint(["src"], root=root, scopes=config.RULE_SCOPES)
-    return [f for f in found if f.code.startswith("RPL2")]
+STRAY = (
+    "from repro.errors import DeviceError\n\n"
+    "class Stray(DeviceError):{pragma}\n"
+    '    """A device error outside the contract module."""\n'
+)
 
 
-class TestSchemaManifest:
-    def test_clean_tree_passes(self, scratch):
-        assert rpl2(scratch) == []
-
-    def test_field_added_without_bump_fails(self, scratch):
-        (scratch / "src/mini/state.py").write_text(
-            MODULE.replace("length: int = 0",
-                           "length: int = 0\n    dirty: bool = False"))
-        findings = rpl2(scratch)
-        assert codes(findings) == ["RPL201"]
-        assert "without bumping CHECKPOINT_SCHEMA" in findings[0].message
-        assert "dirty" in findings[0].message
-
-    def test_default_changed_without_bump_fails(self, scratch):
-        (scratch / "src/mini/state.py").write_text(
-            MODULE.replace("offset: int = 0", "offset: int = 1"))
-        findings = rpl2(scratch)
-        assert codes(findings) == ["RPL201"]
-        assert "without bumping" in findings[0].message
-
-    def test_slots_added_without_bump_fails(self, scratch):
-        """slots=True rewires the pickle layout with no field change."""
-        (scratch / "src/mini/state.py").write_text(
-            MODULE.replace("@dataclass", "@dataclass(slots=True)"))
-        findings = rpl2(scratch)
-        assert codes(findings) == ["RPL201"]
-        assert "without bumping CHECKPOINT_SCHEMA" in findings[0].message
-        assert "slots" in findings[0].message
-
-    def test_setstate_added_without_bump_fails(self, scratch):
-        (scratch / "src/mini/state.py").write_text(
-            MODULE + "\n    def __setstate__(self, state):\n"
-                     "        pass\n")
-        findings = rpl2(scratch)
-        assert codes(findings) == ["RPL201"]
-        assert "hooks" in findings[0].message
-
-    def test_bumped_guard_reports_stale_manifest(self, scratch):
-        (scratch / "src/mini/state.py").write_text(
-            MODULE.replace("length: int = 0",
-                           "length: int = 0\n    dirty: bool = False"))
-        (scratch / "src/mini/version.py").write_text(
-            'CHECKPOINT_SCHEMA = "run-checkpoint/2"\n')
-        findings = rpl2(scratch)
-        assert all(f.code == "RPL201" for f in findings)
-        assert any("stale" in f.message for f in findings)
-        assert not any("without bumping" in f.message for f in findings)
-
-    def test_regenerating_after_bump_passes(self, scratch):
-        (scratch / "src/mini/state.py").write_text(
-            MODULE.replace("length: int = 0",
-                           "length: int = 0\n    dirty: bool = False"))
-        (scratch / "src/mini/version.py").write_text(
-            'CHECKPOINT_SCHEMA = "run-checkpoint/2"\n')
-        assert reprolint_main(["manifest", "--write",
-                               "--root", str(scratch)]) == 0
-        assert rpl2(scratch) == []
-
-    def test_manifest_write_refuses_unbumped_change(self, scratch,
-                                                    capsys):
-        (scratch / "src/mini/state.py").write_text(
-            MODULE.replace("length: int = 0",
-                           "length: int = 0\n    dirty: bool = False"))
-        assert reprolint_main(["manifest", "--write",
-                               "--root", str(scratch)]) == 2
-        err = capsys.readouterr().err
-        assert "without a guard version bump" in err
-        assert reprolint_main(["manifest", "--write", "--allow-unbumped",
-                               "--root", str(scratch)]) == 0
-
-    def test_rpl202_flags_unlisted_dataclass(self, scratch):
-        (scratch / "src/mini/state.py").write_text(
-            MODULE + "\n@dataclass\nclass Extra:\n    x: int = 0\n")
-        findings = rpl2(scratch)
-        assert "RPL202" in codes(findings)
-
-
-# ----------------------------------------------------------------------
-# Driver behaviour: suppression routing and path validation
-# ----------------------------------------------------------------------
 class TestDriver:
     def test_suppression_in_unscanned_file_applies(self, scratch):
         """A project finding anchored outside the scanned paths still
         honours that file's own suppression table."""
         (scratch / "src/other").mkdir()
         (scratch / "src/other/util.py").write_text("x = 1\n")
-        (scratch / "src/mini/state.py").write_text(
-            MODULE.replace(
-                "class Frame:",
-                "class Frame:  # reprolint: ok RPL201 (fixture drift)",
-            ).replace("length: int = 0",
-                      "length: int = 0\n    dirty: bool = False"))
+        (scratch / "src/mini").mkdir()
+        stray = scratch / "src/mini/state.py"
+        stray.write_text(STRAY.format(pragma=""))
         found = run_lint(["src/other"], root=scratch,
                          scopes=config.RULE_SCOPES)
-        assert [f.render() for f in found if f.code == "RPL201"] == []
+        assert codes(found) == ["RPL304"]
+        stray.write_text(STRAY.format(
+            pragma="  # reprolint: ok RPL304 (fixture)"))
+        found = run_lint(["src/other"], root=scratch,
+                         scopes=config.RULE_SCOPES)
+        assert [f.render() for f in found if f.code == "RPL304"] == []
         # Scanning the file itself routes through the same table.
         found = run_lint(["src"], root=scratch,
                          scopes=config.RULE_SCOPES)
-        assert [f.render() for f in found if f.code == "RPL201"] == []
+        assert [f.render() for f in found if f.code == "RPL304"] == []
 
     def test_out_of_root_path_is_a_usage_error(self, tmp_path, capsys):
         root = tmp_path / "repo"
@@ -324,6 +224,12 @@ class TestDriver:
                                "--no-project-rules"])
         assert code == 2
         assert "outside the lint root" in capsys.readouterr().err
+
+    def test_missing_path_is_a_usage_error(self, scratch, capsys):
+        """A path that names nothing (such as the retired ``manifest``
+        subcommand) fails instead of linting zero files clean."""
+        assert reprolint_main(["manifest", "--root", str(scratch)]) == 2
+        assert "no such file or directory" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -340,8 +246,3 @@ class TestRepoIsClean:
         findings = run_lint(["src", "benchmarks", "tests"], root=_ROOT,
                             scopes=config.RULE_SCOPES)
         assert findings == [], "\n".join(f.render() for f in findings)
-
-    def test_manifest_matches_tree(self):
-        stored = json.loads(
-            (_ROOT / config.MANIFEST_PATH).read_text())
-        assert stored == build_manifest(_ROOT)

@@ -117,19 +117,21 @@ class TestScenarioResumeIdentity:
                              resume=True).run()
 
     def test_resume_refuses_an_older_schema(self, tmp_path, monkeypatch):
-        """``run-checkpoint/9`` pickled tenant and scenario key
-        sequences as plain lists where this tree expects a ``KeyList``:
-        refused by schema tag, before the config hash is even
-        compared."""
+        """A checkpoint written by other code (here: under another
+        source fingerprint) is refused by its schema tag, before the
+        config hash is even compared, and the error names both
+        fingerprints."""
         from repro.core import experiment
 
+        older = "run-checkpoint/0123456789abcdef"
+        current = experiment.checkpoint_schema()
+        assert current != older
         config = config_for("plain", "log_ingest:tenants=2,seed=5")
         with monkeypatch.context() as patch:
-            patch.setattr(experiment, "CHECKPOINT_SCHEMA",
-                          "run-checkpoint/9")
+            patch.setattr(experiment, "checkpoint_schema", lambda: older)
             run_interrupted(config, tmp_path, 0.0)
-        assert experiment.CHECKPOINT_SCHEMA == "run-checkpoint/10"
-        with pytest.raises(ConfigError,
-                           match="has schema 'run-checkpoint/9'"):
+        with pytest.raises(ConfigError) as refused:
             ExperimentRunner(config, checkpoint_dir=tmp_path,
                              resume=True).run()
+        assert f"has schema {older!r}, expected {current!r}" \
+            in str(refused.value)

@@ -172,9 +172,8 @@ class TestStoreSpec:
 class TestRegistry:
     def test_registry_lists_all_backends(self):
         names = backend_names()
-        assert len(names) >= 5
-        for expected in ("filesystem", "database", "gfs", "lfs",
-                         "sharded"):
+        assert len(names) >= 4
+        for expected in ("filesystem", "database", "gfs", "lfs"):
             assert expected in names
         descriptions = backend_descriptions()
         assert all(descriptions[name] for name in names)
@@ -221,17 +220,22 @@ class TestRegistry:
                                   options={"fs_config": "naive"}))
 
     def test_sharded_pseudo_backend_desugars(self):
+        """A sharded store has one spelling, ``<backend>:shards=N``; the
+        retired ``sharded:inner=<backend>`` is an unknown backend."""
         spec = resolve_spec(
-            StoreSpec.parse("sharded:inner=gfs,chunk_size=8M,volume=64M"))
-        assert spec.backend == "gfs"
-        assert spec.shards == 2  # composite implies at least two
-        store = build_store(
-            StoreSpec.parse("sharded:inner=gfs,chunk_size=8M,volume=64M"))
+            StoreSpec.parse("gfs:shards=2,chunk_size=8M,volume=64M"))
+        assert (spec.backend, spec.shards) == ("gfs", 2)
+        store = build_store(spec)
         assert isinstance(store, ShardedStore)
         assert all(isinstance(s, GfsChunkBackend) for s in store.shards)
+        with pytest.raises(ConfigError, match="unknown backend 'sharded'"):
+            build_store(
+                StoreSpec.parse("sharded:inner=gfs,chunk_size=8M,volume=64M"))
 
     def test_sharded_does_not_nest(self):
-        with pytest.raises(ConfigError):
+        """``sharded`` is no registry name, so nothing can nest it."""
+        assert "sharded" not in backend_names()
+        with pytest.raises(ConfigError, match="unknown backend"):
             build_store(StoreSpec.parse("sharded:inner=sharded"))
 
     def test_shards_wrap_any_backend(self):

@@ -73,14 +73,18 @@ class TestPolicyNoneParity:
         assert new.wall_s == new.elapsed_s
 
     def test_both_paths_draw_the_same_keys(self):
-        spec = StoreSpec("lfs", volume_bytes=64 * MB)
-        store, state = aged_store(spec)
+        # The store picks the path: the default spec takes per-object
+        # gets, a batch=16 spec takes read_many.
+        store, state = aged_store(StoreSpec("lfs", volume_bytes=64 * MB))
+        batched_store, batched_state = aged_store(
+            StoreSpec("lfs", volume_bytes=64 * MB,
+                      policy=DevicePolicy(batch_size=16)))
         per_object = measure_read_throughput(store, state, NREADS,
-                                             substream(9, "read-sweep"),
-                                             via_read_many=False)
-        batched = measure_read_throughput(store, state, NREADS,
-                                          substream(9, "read-sweep"),
-                                          via_read_many=True)
+                                             substream(9, "read-sweep"))
+        batched = measure_read_throughput(batched_store, batched_state,
+                                          NREADS, substream(9, "read-sweep"))
+        # Non-vacuity: batching collapsed the per-object requests.
+        assert batched.window.requests < per_object.window.requests
         # Same rng -> same key population -> same logical bytes.
         assert batched.logical_bytes == per_object.logical_bytes
 
@@ -116,9 +120,9 @@ class TestPolicyRouting:
         assert result.wall_mbps > result.mbps
 
     def test_nreads_validation_on_read_many_path(self):
-        spec = StoreSpec("lfs", volume_bytes=64 * MB)
+        spec = StoreSpec("lfs", volume_bytes=64 * MB,
+                         policy=DevicePolicy(batch_size=16))
         store, state = aged_store(spec)
         with pytest.raises(ConfigError):
             measure_read_throughput(store, state, 0,
-                                    substream(5, "read-sweep"),
-                                    via_read_many=True)
+                                    substream(5, "read-sweep"))

@@ -1,9 +1,8 @@
 """reprolint: project-specific static analysis for the repro simulator.
 
-Every PR since the persistence work has hand-defended the same three
-contracts — bit-exact determinism, checkpoint schema discipline, and
-spec/registry consistency — in review.  This package checks them
-mechanically.  It is **stdlib-only and never imports ``repro``**: every
+Bit-exact determinism, the device-error contract and hot-path hygiene
+were once defended in review; this package checks them mechanically.
+It is **stdlib-only and never imports ``repro``**: every
 rule works on the AST of the source tree, so the linter runs in a bare
 CI container and cannot be confused by import-time side effects.
 
@@ -16,11 +15,6 @@ invariants"):
   simulation code, RNG construction outside :mod:`repro.rng`, unseeded
   randomness in benches/tests, unordered ``set`` iteration, float/int
   accumulation over ``dict.values()`` in accounting modules.
-* **RPL2xx** — schema discipline: a checked-in manifest of every
-  pickled/snapshot-framed class's field names and defaults
-  (``tools/reprolint/schema_manifest.json``), regenerated only via the
-  ``manifest`` subcommand, fails the build when pickled state changes
-  shape without a ``CHECKPOINT_SCHEMA``/``SNAPSHOT_VERSION`` bump.
 * **RPL3xx** — error-contract consistency: ``DeviceError`` subclasses
   declared, with their contract, in the one contract module.
 * **RPL4xx** — performance hygiene: ``slots=True`` on hot-path
@@ -37,8 +31,7 @@ is one that suppresses nothing.
 Command line::
 
     python -m tools.reprolint src benchmarks tests   # lint (exit 1 on findings)
-    python -m tools.reprolint manifest               # print the schema manifest
-    python -m tools.reprolint manifest --write       # regenerate it (guarded)
+    python -m tools.reprolint --list-rules           # the rule catalogue
 
 Library use: :func:`tools.reprolint.engine.run_lint` and
 :func:`tools.reprolint.engine.lint_source` (used by the fixture tests).

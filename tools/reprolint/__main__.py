@@ -4,32 +4,18 @@
 
     python -m tools.reprolint src benchmarks tests      # lint
     python -m tools.reprolint --list-rules              # catalogue
-    python -m tools.reprolint manifest                  # print manifest
-    python -m tools.reprolint manifest --write          # regenerate
 
-Exit status: 0 clean, 1 findings, 2 usage/manifest-guard errors.
-
-``manifest --write`` is the *deliberate* regeneration path: it refuses
-to write when a tracked class changed shape while its guard version
-did not — that is exactly the situation RPL201 exists to fail — unless
-``--allow-unbumped`` acknowledges it (e.g. fixing a typo in a default
-that never shipped in a checkpoint).
+Exit status: 0 clean, 1 findings, 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from tools.reprolint import config
 from tools.reprolint.engine import all_rules, run_lint
-from tools.reprolint.rules_schema import (
-    build_manifest,
-    load_manifest,
-    manifest_diff,
-)
 
 
 def _repo_root() -> Path:
@@ -37,7 +23,7 @@ def _repo_root() -> Path:
     return Path(__file__).resolve().parent.parent.parent
 
 
-def _cmd_lint(argv: list[str]) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.reprolint",
         description="Lint the tree against the repro invariant rules.")
@@ -46,10 +32,10 @@ def _cmd_lint(argv: list[str]) -> int:
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--no-project-rules", action="store_true",
-                        help="skip cross-file rules (RPL2xx/RPL3xx)")
+                        help="skip cross-file rules (RPL3xx)")
     parser.add_argument("--root", default=None,
                         help="repo root (default: autodetected)")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     if args.list_rules:
         for info in all_rules().values():
             kind = "project" if info.project else "file"
@@ -70,69 +56,6 @@ def _cmd_lint(argv: list[str]) -> int:
         print(f"reprolint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
     return 0
-
-
-def _cmd_manifest(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m tools.reprolint manifest",
-        description="Print or regenerate the pickled-state schema "
-                    "manifest.")
-    parser.add_argument("--write", action="store_true",
-                        help=f"rewrite {config.MANIFEST_PATH}")
-    parser.add_argument("--allow-unbumped", action="store_true",
-                        help="write even when shapes changed without a "
-                             "guard version bump")
-    parser.add_argument("--root", default=None)
-    args = parser.parse_args(argv)
-    root = Path(args.root).resolve() if args.root else _repo_root()
-    current = build_manifest(root)
-    if not args.write:
-        json.dump(current, sys.stdout, indent=2, sort_keys=True)
-        print()
-        return 0
-    stored = load_manifest(root)
-    # A manifest in an older format diffs against every class whatever
-    # the pickled state did; the format migration itself is the
-    # deliberate act, so the unbumped-guard refusal only applies when
-    # the stored manifest speaks the current format.
-    if stored is not None and \
-            stored.get("manifest_schema") == config.MANIFEST_FORMAT and \
-            not args.allow_unbumped:
-        unbumped = [
-            token for token, value in
-            stored.get("versions", {}).items()
-            if current["versions"].get(token) == value
-        ]
-        blocking = [
-            (key, what) for key, what in manifest_diff(stored, current)
-            if stored.get("classes", {}).get(key, {}).get("guard")
-            in unbumped
-            and current.get("classes", {}).get(key, {}).get("guard")
-            in unbumped
-        ]
-        if blocking:
-            print("refusing to rewrite the manifest: pickled state "
-                  "changed shape without a guard version bump:",
-                  file=sys.stderr)
-            for key, what in blocking:
-                print(f"  {key}: {what}", file=sys.stderr)
-            print("bump the guard (CHECKPOINT_SCHEMA / "
-                  "SNAPSHOT_VERSION / CHECKPOINT_VERSION) first, or "
-                  "pass --allow-unbumped.", file=sys.stderr)
-            return 2
-    path = root / config.MANIFEST_PATH
-    path.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    print(f"wrote {path.relative_to(root)} "
-          f"({len(current['classes'])} classes)")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "manifest":
-        return _cmd_manifest(argv[1:])
-    return _cmd_lint(argv)
 
 
 if __name__ == "__main__":

@@ -1,21 +1,10 @@
-"""Project policy: rule scopes, version guards, and manifest coverage.
+"""Project policy: which paths each rule patrols.
 
 The engine and rule modules are generic; this file is where the
-*project* decides which paths each rule patrols and which classes form
-the pickled/snapshot-framed state surface.  New modules that pickle
-state must be added to :data:`MANIFEST_COVERAGE` (RPL202 reminds you
-when a dataclass appears in a covered module without being listed).
+*project* decides the scope of each rule.
 """
 
 from __future__ import annotations
-
-#: Repo-relative path of the checked-in schema manifest.
-MANIFEST_PATH = "tools/reprolint/schema_manifest.json"
-
-#: Format tag inside the manifest file itself (``/2``: class entries
-#: grew ``slots``/``frozen``/``hooks`` — the pickle-wire-format
-#: modifiers — alongside ``fields``).
-MANIFEST_FORMAT = "reprolint-schema-manifest/2"
 
 #: Per-rule path scoping (fnmatch over repo-relative posix paths; ``*``
 #: crosses ``/``).  Rules not listed here use their declared defaults.
@@ -36,141 +25,4 @@ RULE_SCOPES: dict[str, dict[str, list[str]]] = {
     "RPL402": {"include": [
         "src/repro/struct/*", "src/repro/alloc/*", "src/repro/disk/*",
     ]},
-}
-
-#: Version guard tokens: name -> module that must define it at top
-#: level.  The manifest records each token's value; RPL201 compares.
-VERSION_TOKENS: dict[str, str] = {
-    "CHECKPOINT_SCHEMA": "src/repro/core/experiment.py",
-    "SNAPSHOT_VERSION": "src/repro/persist/snapshot.py",
-    "CHECKPOINT_VERSION": "src/repro/persist/checkpoint.py",
-}
-
-#: The pickled-state surface.  ``state.pkl`` pickles the whole store,
-#: workload state, and result (see ``ExperimentRunner._save_checkpoint``),
-#: so every class listed under a CHECKPOINT_SCHEMA module can end up on
-#: disk; JournalState is framed by the RJLS codec (SNAPSHOT_VERSION) and
-#: Checkpoint by the manifest format (CHECKPOINT_VERSION).
-#:
-#: ``track``: shape changes require a guard bump.  ``transient``:
-#: dataclasses in the module that never reach a checkpoint (reports,
-#: per-IO scratch) — listed so RPL202 knows they are deliberate.
-MANIFEST_COVERAGE: dict[str, dict] = {
-    "src/repro/core/results.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["AgeSample", "RunResult"],
-    },
-    "src/repro/core/workload.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["ConstantSize", "UniformSize", "WorkloadSpec",
-                  "WorkloadState"],
-    },
-    "src/repro/core/storage_age.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["StorageAgeTracker"],
-    },
-    "src/repro/disk/iostats.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["WindowStats", "IoStats"],
-    },
-    "src/repro/disk/schedule.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["SchedulerWindow", "ShardScheduler"],
-    },
-    "src/repro/disk/events.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["ArrivalSpec", "LatencyHistogram", "EventRequest",
-                  "EventWindow", "EventScheduler"],
-    },
-    "src/repro/disk/faults.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["FaultClause", "FaultProfile", "CrashClock",
-                  "DeviceFaults"],
-    },
-    "src/repro/disk/policy.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["DevicePolicy"],
-    },
-    "src/repro/disk/geometry.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["Zone", "DiskGeometry"],
-    },
-    "src/repro/disk/device.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["BlockDevice"],
-        "transient": ["IoRequest"],
-    },
-    "src/repro/backends/spec.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["StoreSpec"],
-    },
-    "src/repro/scenario/spec.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["TenantProfile", "ScenarioSpec"],
-        "transient": ["_Preset"],
-    },
-    "src/repro/scenario/engine.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["TenantState", "ScenarioState"],
-    },
-    "src/repro/backends/costmodel.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["CostModel"],
-    },
-    "src/repro/backends/base.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["MeasurementWindows"],
-        "transient": ["ObjectMeta", "StoreStats"],
-    },
-    "src/repro/backends/gfs_backend.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["_Record", "_Chunk", "GfsChunkBackend"],
-    },
-    "src/repro/backends/lfs_backend.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["_Segment", "_ObjectLoc", "LfsBackend"],
-    },
-    "src/repro/backends/sharded.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["ShardedStore"],
-        "transient": ["RebalanceReport", "RebuildReport"],
-    },
-    "src/repro/fs/filetable.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["FileRecord", "FileTable"],
-    },
-    "src/repro/fs/journal.py": {
-        "guard": "SNAPSHOT_VERSION",
-        "track": ["JournalState"],
-        "transient": ["RecoveryReport"],
-    },
-    "src/repro/fs/filesystem.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["FsConfig"],
-    },
-    "src/repro/alloc/extent.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["Extent"],
-    },
-    "src/repro/db/blobstore.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["_BlobRecord"],
-    },
-    "src/repro/db/bufferpool.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["_Frame"],
-    },
-    "src/repro/db/wal.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["GhostRecord"],
-        "transient": ["WalRecoveryReport"],
-    },
-    "src/repro/db/database.py": {
-        "guard": "CHECKPOINT_SCHEMA",
-        "track": ["DbConfig"],
-    },
-    "src/repro/persist/checkpoint.py": {
-        "guard": "CHECKPOINT_VERSION",
-        "track": ["Checkpoint"],
-    },
 }

@@ -2,7 +2,7 @@
 
 A **file rule** visits one module's AST and yields findings; a
 **project rule** runs once against the repository root (cross-file
-contracts: the schema manifest, registry/docs consistency).  Rules
+contracts such as the device-error contract module).  Rules
 register themselves with the :func:`rule` decorator and carry:
 
 * ``code`` — ``RPL###``; the suppression and catalogue key.
@@ -167,7 +167,6 @@ def _ensure_loaded() -> None:
     import tools.reprolint.rules_consistency  # noqa: F401
     import tools.reprolint.rules_determinism  # noqa: F401
     import tools.reprolint.rules_hygiene      # noqa: F401
-    import tools.reprolint.rules_schema       # noqa: F401
 
 
 def all_rules() -> dict[str, RuleInfo]:
@@ -338,6 +337,8 @@ def _iter_py_files(paths: Iterable[Path]) -> Iterator[Path]:
             for sub in sorted(path.rglob("*.py")):
                 if "__pycache__" not in sub.parts:
                     yield sub
+        elif not path.exists():
+            raise ValueError(f"{path}: no such file or directory")
 
 
 def run_lint(paths: Iterable[str | Path], *, root: str | Path,
@@ -345,8 +346,8 @@ def run_lint(paths: Iterable[str | Path], *, root: str | Path,
              project_rules: bool = True) -> list[Finding]:
     """Lint the given files/trees; returns every surviving finding.
 
-    File rules run over each ``*.py`` beneath ``paths``; project rules
-    (the schema manifest, registry consistency) run once against
+    File rules run over each ``*.py`` beneath ``paths`` (a path that
+    does not exist is a usage error); project rules run once against
     ``root`` when ``project_rules`` is true, and their findings pass
     through the same per-line suppression filter as everything else.
     """
