@@ -118,6 +118,8 @@ key survives does the composite raise
 :class:`~repro.errors.ShardUnavailableError` — degradation is per-key:
 keys with surviving replicas stay readable and writable (writes simply
 skip dead holders, leaving the key under-replicated until rebuild).
+A rebuild or rebalance copy retries its source read the same way,
+charging the backoff inside the copy's own background round.
 
 :meth:`rebuild` restores redundancy: it walks the key map, re-copies
 every under-replicated object from its first surviving holder onto the
@@ -401,6 +403,12 @@ class ShardedStore:
         self._charge_stall(index, pause)
         return pause
 
+    def _back_off(self, index: int, attempt: int) -> None:
+        """Count one transient-read retry and charge its capped backoff."""
+        self.retries += 1
+        self._charge_stall(index, min(
+            self.BACKOFF_CAP_S, self.BACKOFF_BASE_S * (2 ** (attempt - 1))))
+
     @contextlib.contextmanager
     def _background_round(self, indices: tuple[int, ...]):
         """One background round over the given shard lanes; yields a reader
@@ -455,10 +463,7 @@ class ShardedStore:
                     if attempt > self.MAX_READ_RETRIES:
                         self.failovers += 1
                         break  # give this holder up, try the next
-                    self.retries += 1
-                    self._charge_stall(index, min(
-                        self.BACKOFF_CAP_S,
-                        self.BACKOFF_BASE_S * (2 ** (attempt - 1))))
+                    self._back_off(index, attempt)
                     continue
                 except ShardLostError:
                     # The device knows before we do; remember it.
@@ -683,9 +688,20 @@ class ShardedStore:
               *, replace: bool = False) -> None:
         """Copy ``key`` between shards, inside the caller's round.
         ``replace`` first drops a copy already on the target (rebuild's
-        leftover from a crashed pass: replaced, never adopted)."""
+        leftover from a crashed pass: replaced, never adopted).  The
+        source read retries transient faults like :meth:`get` does, its
+        backoff stalls charged inside the same round."""
         dst = self.shards[dst_index]
-        data = self.shards[src_index].get(key)
+        attempt = 0
+        while True:
+            try:
+                data = self.shards[src_index].get(key)
+                break
+            except TransientIoError:
+                attempt += 1
+                if attempt > self.MAX_READ_RETRIES:
+                    raise
+                self._back_off(src_index, attempt)
         if replace and dst.exists(key):
             dst.delete(key)
         dst.put(key, size=size if data is None else None, data=data)

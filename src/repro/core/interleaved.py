@@ -8,8 +8,8 @@ every allocation decision happens with other half-written objects
 competing for the same runs.
 
 Works against both substrates: the filesystem appends to open files;
-the database appends pages to open BLOBs through the LOB tree (an
-insert at the logical end).
+the database grows open BLOBs with ``BlobStore.append``, which adds
+pages down the LOB tree's rightmost spine.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def interleaved_db_load(db: SimDatabase, *, nstreams: int,
                         object_size: int, total_objects: int,
                         write_request: int = DEFAULT_WRITE_REQUEST
                         ) -> InterleaveResult:
-    """Database version: BLOBs grow by logical-end insert_range calls."""
+    """Database version: BLOBs grow by ``BlobStore.append`` calls."""
     if nstreams < 1 or total_objects < 1:
         raise ConfigError("nstreams and total_objects must be >= 1")
     from repro.alloc.extent import coalesce
@@ -134,8 +134,8 @@ def interleaved_db_load(db: SimDatabase, *, nstreams: int,
             blob_id, remaining = active[slot]
             current = db.blobs.size_of(blob_id)
             chunk = min(write_request, padded - current)
-            db.blobs.insert_range(blob_id, current, size=chunk,
-                                  write_request=write_request)
+            db.blobs.append(blob_id, size=chunk,
+                            write_request=write_request)
             remaining -= 1
             if remaining == 0:
                 del active[slot]

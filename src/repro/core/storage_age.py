@@ -7,9 +7,11 @@ time or total work, it is independent of volume size, update strategy,
 and hardware, so curves from different systems are comparable.
 
 :class:`StorageAgeTracker` accumulates the ratio from allocation events.
-It can also translate a *target* age into the number of churn operations
-required, which is how the experiment driver schedules its sampling
-points (ages 0, 2, 4 for Figures 1/4; 0..10 for Figures 2/3/5/6).
+The experiment driver reaches each sampling point (ages 0, 2, 4 for
+Figures 1/4; 0..10 for Figures 2/3/5/6) by safe-writing until the
+tracked ratio gets there (:func:`repro.core.workload.churn_to_age`);
+:meth:`~StorageAgeTracker.overwrites_to_reach` only *estimates* the
+churn operations a target age will take.
 """
 
 from __future__ import annotations

@@ -111,18 +111,18 @@ class BlobStore:
         record = _BlobRecord(
             blob_id=next(self._next_id), size=total, tree=self._new_tree()
         )
-        self._write_chunks(record.tree, 0, total, data, write_request)
+        self._write_chunks(record.tree, total, data, write_request)
         self._blobs[record.blob_id] = record
         return record.blob_id
 
-    def _write_chunks(self, tree: LobTree, position: int, total: int,
-                      data: bytes | None, write_request: int) -> None:
-        """Write ``total`` bytes as new pages from logical page
-        ``position`` on, zero-padded to whole pages.  Per write request,
-        in this order: allocate, one data-device request, the tree
-        update (may allocate node pages), one log record, one tick.
+    def _write_chunks(self, tree: LobTree, total: int, data: bytes | None,
+                      write_request: int) -> None:
+        """Append ``total`` bytes to ``tree`` as new pages, zero-padded
+        to whole pages.  Per write request, in this order: allocate, one
+        data-device request, the tree append (may allocate node pages),
+        one log record, one tick.
         """
-        append = position == tree.total_pages
+        append_run = tree.append_run
         alloc_runs = self.gam.alloc_runs
         write_extents = self.pagefile.device.write_extents
         log_operation, tick = self.wal.log_operation, self.ghost.on_operation
@@ -134,11 +134,7 @@ class BlobStore:
             runs = self._alloc(alloc_runs, npages)
             write_extents(self._extents(runs), chunk_data)
             for start, count in runs:
-                if append:
-                    tree.append_run(start, count)
-                else:
-                    tree.insert_run(position, start, count)
-                    position += count
+                append_run(start, count)
             log_operation(payload_bytes=chunk)
             # The background cleaner runs concurrently with the insert:
             # one tick per write request lets freed pages trickle back
@@ -200,64 +196,31 @@ class BlobStore:
         """Physical byte extents of the BLOB's data pages, logical order."""
         return self._extents(self._lookup(blob_id).tree.all_runs())
 
-    # ------------------------------------------------------------------
-    # Range updates (the Exodus capability, paper Section 2)
-    # ------------------------------------------------------------------
-    def insert_range(self, blob_id: int, offset: int, *,
-                     size: int | None = None,
-                     data: bytes | None = None,
-                     write_request: int = 64 * 1024) -> None:
-        """Insert bytes *inside* a BLOB without rewriting its tail.
+    def append(self, blob_id: int, *, size: int | None = None,
+               data: bytes | None = None,
+               write_request: int = 64 * 1024) -> None:
+        """Grow a BLOB at its end, one write request at a time.
 
-        This is the B-tree storage advantage the paper's background
-        section contrasts with filesystems ("insertions and deletions
-        within an object" are efficient, at the cost of fragmentation —
-        the inserted pages land wherever the allocator puts them, never
-        adjacent to their logical neighbours).
-
-        ``offset`` and the inserted length must be page-aligned: SQL
-        Server's LOB trees shuffle whole fragments, and modelling
-        sub-page splits would add read-modify-write of neighbour pages
-        without changing any layout behaviour.
+        The new pages land wherever the allocator puts them, exactly as
+        ``put``'s do: a BLOB grown in several calls with other writes in
+        between interleaves with them on disk.  The blob size and the
+        appended length must be whole pages, so the append starts on a
+        fresh page and ``size_of`` stays exact.
         """
         if (size is None) == (data is None):
             raise ConfigError("pass exactly one of size or data")
         total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
         record = self._lookup(blob_id)
-        if offset % PAGE_SIZE or total % PAGE_SIZE:
+        if record.size % PAGE_SIZE or total % PAGE_SIZE:
             raise ConfigError(
-                "insert_range requires page-aligned offset and length"
+                "append requires a page-aligned blob size and length"
             )
-        if not 0 <= offset <= record.size:
-            raise ConfigError(f"offset {offset} outside blob")
         check_write_request(write_request)
-        self._write_chunks(record.tree, offset // PAGE_SIZE, total, data,
-                           write_request)
+        self._write_chunks(record.tree, total, data, write_request)
         record.size += total
 
-    def delete_range(self, blob_id: int, offset: int, length: int) -> None:
-        """Remove a page-aligned byte range from inside a BLOB.
-
-        The removed pages ghost like a whole-object delete; logical
-        bytes after the range shift down without any page moving.
-        """
-        record = self._lookup(blob_id)
-        if offset % PAGE_SIZE or length % PAGE_SIZE:
-            raise ConfigError(
-                "delete_range requires page-aligned offset and length"
-            )
-        if offset < 0 or length < 0 or offset + length > record.size:
-            raise ConfigError("range outside blob")
-        if length == 0:
-            return
-        removed = record.tree.delete_range(offset // PAGE_SIZE,
-                                           length // PAGE_SIZE)
-        self.wal.log_ghost(removed, token=blob_id)
-        self.ghost.on_operation()
-        record.size -= length
-
     def tree_of(self, blob_id: int) -> LobTree:
-        """The BLOB's LOB tree (for range-update extensions and tests)."""
+        """The BLOB's LOB tree (for invariant checks and tests)."""
         return self._lookup(blob_id).tree
 
     def _lookup(self, blob_id: int) -> _BlobRecord:

@@ -24,11 +24,10 @@ discards them (the delete never happened; the file still exists on the
 real volume).  Frees whose force completed but whose free-index update
 was lost are **replayable** — mount-time recovery redoes them, ARIES
 style.  :meth:`recover` applies exactly that rule and reports both
-sets; :meth:`snapshot_state`/:meth:`restore_state` expose the
-recoverable state for the persistence layer
-(:mod:`repro.persist.snapshot`).  The invariant the crash-injection
-suite holds every kill point to: an extent is never allocatable before
-the commit that freed it is durable.
+sets; :meth:`snapshot_state` exposes the recoverable state for the
+persistence layer to encode and verify (:mod:`repro.persist.snapshot`).
+The invariant the crash-injection suite holds every kill point to: an
+extent is never allocatable before the commit that freed it is durable.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex
 from repro.disk.device import BlockDevice
-from repro.errors import ConfigError, CorruptionError
+from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -222,29 +221,6 @@ class Journal:
             pending=tuple(self._pending_frees),
             replayable=tuple(self._replayable),
         )
-
-    def restore_state(self, state: JournalState) -> None:
-        """Adopt a previously snapshotted state (checkpoint restore).
-
-        The caller is responsible for the free index matching: restored
-        pending/replayable extents must not already be free.
-        """
-        if not 0 <= state.cursor < self._log_size:
-            raise CorruptionError(
-                f"journal cursor {state.cursor} outside log of "
-                f"{self._log_size} bytes"
-            )
-        if state.ops_since_commit < 0 or state.buffered_records < 0:
-            raise CorruptionError("negative journal counters in snapshot")
-        self._cursor = state.cursor
-        self._ops_since_commit = state.ops_since_commit
-        self._buffered_records = state.buffered_records
-        self.commits = state.commits
-        self.logged_ops = state.logged_ops
-        self._pending_frees = list(state.pending)
-        self._pending_bytes = sum(e.length for e in state.pending)
-        self._replayable = list(state.replayable)
-        self._replayable_bytes = sum(e.length for e in state.replayable)
 
     # ------------------------------------------------------------------
     # Introspection

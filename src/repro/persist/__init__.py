@@ -37,7 +37,6 @@ from repro.persist.snapshot import (
     decode_journal_state,
     encode_free_index,
     encode_journal,
-    restore_journal,
     verify_journal,
 )
 
@@ -56,6 +55,5 @@ __all__ = [
     "fs_components",
     "rebuild_free_index",
     "rebuild_fs_free_index",
-    "restore_journal",
     "verify_journal",
 ]

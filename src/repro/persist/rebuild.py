@@ -50,7 +50,7 @@ def rebuild_free_index(capacity: int, *,
     return index
 
 
-def rebuild_fs_free_index(fs: Any, *, kind: str | None = None) -> _FreeIndex:
+def rebuild_fs_free_index(fs: Any) -> _FreeIndex:
     """Rebuild a :class:`~repro.fs.filesystem.SimFilesystem`'s free index.
 
     Sources: the file table's extent maps (allocated), the metadata
@@ -71,7 +71,7 @@ def rebuild_fs_free_index(fs: Any, *, kind: str | None = None) -> _FreeIndex:
             fs.capacity,
             allocated=(ext for record in fs.table for ext in record.extents),
             unavailable=unavailable,
-            kind=kind or index_kind_of(fs.free_index),
+            kind=index_kind_of(fs.free_index),
         )
     except CorruptionError as exc:
         raise SnapshotError(

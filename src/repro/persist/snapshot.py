@@ -11,19 +11,21 @@ logical state always serializes to the same bytes (runs are written in
 address order, the one canonical order both engines iterate in), so
 ``encode(decode(blob)) == blob`` and checkpoints diff cleanly.
 
-Free-index snapshots (magic ``RFXS``) record the engine kind so a
-restore defaults to the engine that wrote it, but ``kind=`` can
-override — the engines are placement-identical, so a snapshot taken
-under ``naive`` restores into ``tiered`` (and vice versa) for
-migrations and ablation replays.  Decoding validates the run list
-(ascending, coalesced, inside capacity) and runs the engine's own
+A checkpoint resumes from its pickle alone; these snapshots are the
+second, independently encoded record a resume *verifies* the unpickled
+state against, so a torn or drifted artifact is refused rather than
+run.
+
+Free-index snapshots (magic ``RFXS``) record the engine kind and decode
+into that engine.  Decoding validates the run list (ascending,
+coalesced, inside capacity) and runs the engine's own
 ``check_invariants`` before handing the index back.
 
 Journal snapshots (magic ``RJLS``) carry the journal's *recoverable*
 state (:class:`~repro.fs.journal.JournalState`) plus the log geometry
-it was taken under; :func:`restore_journal` refuses a blob whose
-geometry disagrees with the mounting journal's, because a cursor is
-only meaningful inside the region it wrapped in.
+it was taken under; :func:`verify_journal` refuses a blob whose
+geometry disagrees with the live journal's, because a cursor is only
+meaningful inside the region it wrapped in.
 """
 
 from __future__ import annotations
@@ -110,15 +112,13 @@ def encode_free_index(index: FreeExtentIndex | NaiveFreeExtentIndex) -> bytes:
     return _crc_frame(buf)
 
 
-def decode_free_index(blob: bytes, *, kind: str | None = None,
-                      ) -> FreeExtentIndex | NaiveFreeExtentIndex:
-    """Rebuild a free index from :func:`encode_free_index` output.
+def decode_free_index(blob: bytes) -> FreeExtentIndex | NaiveFreeExtentIndex:
+    """Rebuild a free index from :func:`encode_free_index` output, in
+    the engine recorded in the blob.
 
-    ``kind`` overrides the engine recorded in the blob (the engines are
-    placement-identical, so cross-engine restores are exact).  The run
-    list is validated structurally — ascending, coalesced, inside
-    capacity — and the engine's own ``check_invariants`` runs before
-    the index is returned.
+    The run list is validated structurally — ascending, coalesced,
+    inside capacity — and the engine's own ``check_invariants`` runs
+    before the index is returned.
     """
     magic, version, kind_code, _, capacity, nruns = _open_frame(
         blob, _FREE_MAGIC, _FREE_HEADER, "free-index")
@@ -126,7 +126,7 @@ def decode_free_index(blob: bytes, *, kind: str | None = None,
         raise SnapshotError(f"unknown free-index engine code {kind_code}")
     _expect_size(blob, _FREE_HEADER.size + nruns * _RUN.size + _CRC.size,
                  "free-index")
-    index = make_free_index(capacity, kind=kind or _KIND_NAMES[kind_code],
+    index = make_free_index(capacity, kind=_KIND_NAMES[kind_code],
                             initially_free=False)
     offset = _FREE_HEADER.size
     prev_end = -1
@@ -207,20 +207,6 @@ def decode_journal_state(blob: bytes) -> tuple[dict, JournalState]:
             f"{log_size} bytes"
         )
     return geometry, state
-
-
-def restore_journal(journal: Journal, blob: bytes) -> JournalState:
-    """Adopt a snapshotted state into ``journal``; geometry must match."""
-    geometry, state = decode_journal_state(blob)
-    actual = {"log_base": journal.log_base, "log_size": journal.log_size,
-              "record_bytes": journal.record_bytes}
-    if geometry != actual:
-        raise SnapshotError(
-            f"journal snapshot geometry {geometry} does not match the "
-            f"mounting journal's {actual}"
-        )
-    journal.restore_state(state)
-    return state
 
 
 def verify_journal(journal: Journal, blob: bytes) -> None:

@@ -7,12 +7,18 @@ searched by linear scan, a ghost backlog holding one entry per page —
 that the property tests in ``test_prop_db_runs.py`` hold the real ones
 to, operation by operation.
 
+:func:`general_insert` is the LOB tree's retired general insert: a
+recursive descent by recounted subtree page counts that can place a run
+at *any* logical position, splitting the run it lands in.  The shipped
+tree only grows through ``LobTree.append_run`` down its rightmost spine;
+``test_prop_structures.py`` holds that to ``general_insert`` at the
+logical end, node for node.
+
 :func:`oracle_put` is ``BlobStore.put`` as it was before the BLOB chunk
 loop became one pass per chunk: its own chunk loop, every run appended
-through the general ``LobTree.insert_run`` at the logical end, every
-whole extent taken through ``GamAllocator._set_mask``.
-``test_db_put_oracle.py`` holds the shipped ``put`` to it on twin
-databases.
+through :func:`general_insert` at the logical end, every whole extent
+taken through ``GamAllocator._set_mask``.  ``test_db_put_oracle.py``
+holds the shipped ``put`` to it on twin databases.
 """
 
 from __future__ import annotations
@@ -199,6 +205,95 @@ class PerPageGhostQueue:
 
 
 # ----------------------------------------------------------------------
+# The retired general LOB-tree insert
+# ----------------------------------------------------------------------
+def general_insert(tree, position: int, start: int, count: int) -> None:
+    """Insert the run ``(start, count)`` so it begins at logical page
+    ``position`` of ``tree``: the Exodus operation, where pages after
+    ``position`` shift right without any data page being rewritten.
+
+    Splits and root growth go through the tree's own ``_split_leaf``,
+    ``_split_interior`` and ``_grow_root``, so node pages are allocated
+    in the order the retired method allocated them.
+    """
+    if count <= 0:
+        raise ConfigError("count must be positive")
+    if start < 0:
+        raise ConfigError("start must be >= 0")
+    if not 0 <= position <= tree.total_pages:
+        raise ConfigError(
+            f"position {position} outside object of "
+            f"{tree.total_pages} pages"
+        )
+    tree._count += count
+    split = _insert(tree, tree._root, position, (start, count))
+    if split is not None:
+        tree._grow_root(split)
+
+
+def _insert(tree, node, position: int, run):
+    """Recursive insert; returns a new right sibling when ``node`` split."""
+    if node.leaf:
+        _leaf_insert(node, position, run)
+    else:
+        for idx, child in enumerate(node.children):
+            pages = child.total_pages()
+            # <= lets appends descend into the last child.
+            if position <= pages and not (
+                position == pages and idx + 1 < len(node.children)
+            ):
+                split = _insert(tree, child, position, run)
+                if split is not None:
+                    node.children.insert(idx + 1, split)
+                break
+            position -= pages
+        else:
+            raise CorruptionError("insert descent fell off the tree")
+    if node.leaf and len(node.runs) > tree.fanout:
+        return tree._split_leaf(node)
+    if not node.leaf and len(node.children) > tree.fanout:
+        return tree._split_interior(node)
+    return None
+
+
+def _leaf_insert(node, position: int, run) -> None:
+    start, count = run
+    # Find the run containing `position`, splitting it if interior.
+    for idx, (run_start, run_count) in enumerate(node.runs):
+        if position == 0:
+            break
+        if position < run_count:
+            node.runs[idx: idx + 1] = [
+                (run_start, position),
+                (run_start + position, run_count - position),
+            ]
+            idx += 1
+            break
+        position -= run_count
+    else:
+        idx = len(node.runs)
+    # Merge with physical neighbours where possible.
+    if idx > 0:
+        prev_start, prev_count = node.runs[idx - 1]
+        if prev_start + prev_count == start:
+            node.runs[idx - 1] = (prev_start, prev_count + count)
+            _try_merge_at(node, idx - 1)
+            return
+    node.runs.insert(idx, (start, count))
+    _try_merge_at(node, idx)
+
+
+def _try_merge_at(node, idx: int) -> None:
+    """Merge runs[idx] with runs[idx+1] when physically consecutive."""
+    if idx + 1 >= len(node.runs):
+        return
+    start, count = node.runs[idx]
+    nxt_start, nxt_count = node.runs[idx + 1]
+    if start + count == nxt_start:
+        node.runs[idx: idx + 2] = [(start, count + nxt_count)]
+
+
+# ----------------------------------------------------------------------
 # The retired BLOB chunk loop
 # ----------------------------------------------------------------------
 def retired_alloc_uniform_extent(gam: GamAllocator) -> int | None:
@@ -262,7 +357,8 @@ def oracle_put(store, *, size: int | None = None, data: bytes | None = None,
             chunk_data = data[cursor: cursor + chunk]
             chunk_data += b"\x00" * (npages * PAGE_SIZE - chunk)
         for start, count in _write_new_pages(store, npages, chunk_data):
-            record.tree.insert_run(record.tree.total_pages, start, count)
+            general_insert(record.tree, record.tree.total_pages, start,
+                           count)
         store.wal.log_operation(payload_bytes=chunk)
         cursor += chunk
         store.ghost.on_operation()

@@ -79,19 +79,19 @@ class TestPutGet:
         with pytest.raises(ConfigError, match="write_request must be positive"):
             db.blobs.put(size=64 * KB, write_request=write_request)
         with pytest.raises(ConfigError, match="write_request must be positive"):
-            db.blobs.insert_range(blob_id, 0, size=PAGE_SIZE,
-                                  write_request=write_request)
+            db.blobs.append(blob_id, size=PAGE_SIZE,
+                            write_request=write_request)
         assert db.gam.free_page_count == free
         assert db.blobs.blob_ids() == [blob_id]
         assert db.blobs.size_of(blob_id) == 64 * KB
         assert db.put_blob(size=64 * KB) == blob_id + 1
 
-    def test_insert_range_write_request_must_be_page_aligned(self):
+    def test_append_write_request_must_be_page_aligned(self):
         db = make_db()
         blob_id = db.put_blob(size=64 * KB)
         with pytest.raises(ConfigError, match="multiple of the page size"):
-            db.blobs.insert_range(blob_id, 0, size=2 * PAGE_SIZE,
-                                  write_request=PAGE_SIZE + 1)
+            db.blobs.append(blob_id, size=2 * PAGE_SIZE,
+                            write_request=PAGE_SIZE + 1)
         assert db.blobs.size_of(blob_id) == 64 * KB
 
 
@@ -184,21 +184,19 @@ class TestAllocationPressure:
         assert db.gam.free_page_count < 1024
         return db, keeper
 
-    def test_insert_range_reclaims_like_put(self):
+    def test_append_reclaims_like_put(self):
         """One request larger than the old fixed 8192-page pressure
-        sweep: insert_range gave up with the space it needed still
-        queued as ghosts; put, given the same request, did not."""
+        sweep: growing a BLOB must not give up with the space it needs
+        still queued as ghosts, exactly as put does not."""
         db, keeper = self.make_full_of_ghosts()
-        db.blobs.insert_range(keeper, 0, size=80 * MB,
-                              write_request=80 * MB)
+        db.blobs.append(keeper, size=80 * MB, write_request=80 * MB)
         assert db.blobs.size_of(keeper) == 80 * MB + 64 * KB
         db.check_invariants()
 
     def test_allocation_fails_only_with_the_backlog_empty(self):
         db, keeper = self.make_full_of_ghosts()
         with pytest.raises(AllocationError):
-            db.blobs.insert_range(keeper, 0, size=224 * MB,
-                                  write_request=224 * MB)
+            db.blobs.append(keeper, size=224 * MB, write_request=224 * MB)
         assert db.ghost.pending_pages == 0
         with pytest.raises(AllocationError):
             db.put_blob(size=224 * MB)

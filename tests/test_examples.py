@@ -1,8 +1,9 @@
 """``examples/*.py``: each script runs to completion.
 
 They are the only callers of ``Defragmenter``, ``rebuild_database`` and
-``LargeObjectRepository`` outside the unit tests (ROADMAP 8(c): verify
-reachability before deleting anything), and nothing else executes them.
+``LargeObjectRepository`` outside the unit tests: no figure, ``repro``
+CLI run or e2e workload reaches those, so only these scripts show they
+still work, and nothing else executes them.
 """
 
 import os

@@ -6,8 +6,9 @@ from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
-from repro.errors import ConfigError, CorruptionError, CrashPoint
-from repro.fs.journal import Journal, JournalState
+from repro.errors import ConfigError, CrashPoint, SnapshotError
+from repro.fs.journal import Journal
+from repro.persist import decode_journal_state, encode_journal, verify_journal
 from repro.units import KB, MB
 
 RECORD = 4096
@@ -242,15 +243,17 @@ class TestStateSnapshot:
         journal.log_operation(frees=[Extent(2 * MB, 1 * MB)])
         journal.log_operation()
         state = journal.snapshot_state()
-        other, _, _ = make_journal(commit_interval=10_000)
-        other.restore_state(state)
-        assert other.snapshot_state() == state
-        assert other.pending_free_bytes == 1 * MB
+        assert state.pending == (Extent(2 * MB, 1 * MB),)
+        assert (state.logged_ops, state.buffered_records) == (2, 2)
+        blob = encode_journal(journal)
+        assert decode_journal_state(blob)[1] == state
+        verify_journal(journal, blob)
+        assert journal.pending_free_bytes == 1 * MB
 
     def test_restore_rejects_cursor_outside_log(self):
+        """A resume verifies the unpickled journal against its snapshot;
+        a snapshot whose cursor lies outside its own log is refused."""
         journal, _, _ = make_journal()
-        bad = JournalState(cursor=2 * MB, ops_since_commit=0,
-                           buffered_records=0, commits=0, logged_ops=0,
-                           pending=(), replayable=())
-        with pytest.raises(CorruptionError):
-            journal.restore_state(bad)
+        journal._cursor = journal.log_size
+        with pytest.raises(SnapshotError, match="cursor"):
+            verify_journal(journal, encode_journal(journal))

@@ -27,7 +27,6 @@ from repro.persist import (
     encode_journal,
     fs_components,
     rebuild_fs_free_index,
-    restore_journal,
     verify_journal,
 )
 from repro.persist.snapshot import index_kind_of
@@ -74,12 +73,6 @@ class TestFreeIndexSnapshot:
         blob = encode_free_index(index)
         assert encode_free_index(decode_free_index(blob)) == blob
 
-    def test_cross_engine_restore(self):
-        tiered = churned_index("tiered")
-        naive = decode_free_index(encode_free_index(tiered), kind="naive")
-        assert index_kind_of(naive) == "naive"
-        cross_check(tiered, naive)
-
     def test_empty_index(self):
         index = make_free_index(CAPACITY, initially_free=False)
         restored = decode_free_index(encode_free_index(index))
@@ -111,14 +104,16 @@ class TestJournalSnapshot:
                        commit_interval_ops=10_000), index
 
     def test_round_trip_and_verify(self):
-        journal, _ = self.make_journal()
-        journal.log_operation(frees=[Extent(2 * MB, 1 * MB)])
-        journal.log_operation()
-        blob = encode_journal(journal)
-        other, _ = self.make_journal()
-        state = restore_journal(other, blob)
-        assert other.snapshot_state() == state == journal.snapshot_state()
-        verify_journal(other, blob)
+        journals = [self.make_journal()[0] for _ in range(2)]
+        for journal in journals:
+            journal.log_operation(frees=[Extent(2 * MB, 1 * MB)])
+            journal.log_operation()
+        blob = encode_journal(journals[0])
+        _, state = decode_journal_state(blob)
+        assert state == journals[0].snapshot_state()
+        assert state.pending == (Extent(2 * MB, 1 * MB),)
+        # A twin that took the same operations verifies against it.
+        verify_journal(journals[1], blob)
 
     def test_geometry_mismatch_rejected(self):
         journal, _ = self.make_journal()
@@ -127,8 +122,8 @@ class TestJournalSnapshot:
         index = make_free_index(16 * MB, initially_free=False)
         other = Journal(device, index, log_base=0, log_size=2 * MB,
                         commit_interval_ops=4)
-        with pytest.raises(SnapshotError):
-            restore_journal(other, blob)
+        with pytest.raises(SnapshotError, match="geometry"):
+            verify_journal(other, blob)
 
     def test_verify_detects_divergence(self):
         journal, _ = self.make_journal()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from dboracle import alloc_pages
+from dboracle import alloc_pages, general_insert
 
 from repro.alloc.buddy import BuddyAllocator
 from repro.db.btree import LobTree
@@ -110,45 +110,28 @@ def test_gam_alloc_free_is_identity(npages):
 # ----------------------------------------------------------------------
 # LOB tree
 # ----------------------------------------------------------------------
-@st.composite
-def tree_operations(draw):
-    return draw(st.lists(
-        st.one_of(
-            st.tuples(st.just("insert"),
-                      st.integers(min_value=0, max_value=10**6),
-                      st.integers(min_value=1, max_value=8)),
-            st.tuples(st.just("delete"),
-                      st.integers(min_value=0, max_value=10**6),
-                      st.integers(min_value=1, max_value=8)),
-        ),
-        max_size=80,
-    ))
-
-
-@given(tree_operations(),
+@given(st.lists(st.tuples(st.one_of(st.none(),
+                                    st.integers(min_value=0, max_value=10**6)),
+                          st.integers(min_value=1, max_value=8)),
+                max_size=80),
        st.integers(min_value=4, max_value=16))
 @settings(max_examples=100, deadline=None)
 def test_lobtree_matches_list_model(ops, fanout):
+    """Appends and the oracle's general inserts (position None is an
+    append) against a plain page list: structure, count, full
+    reconstruction and point lookups all agree."""
     tree = LobTree(fanout=fanout)
     model: list[int] = []
     next_page = 0
-    for op, position, count in ops:
-        if op == "insert":
+    for position, count in ops:
+        if position is None:
+            tree.append_run(next_page, count)
+            pos = len(model)
+        else:
             pos = position % (len(model) + 1)
-            tree.insert_run(pos, next_page, count)
-            model[pos:pos] = range(next_page, next_page + count)
-            next_page += count + 5
-        elif model:
-            start = position % len(model)
-            take = min(count, len(model) - start)
-            removed = tree.delete_range(start, take)
-            flat = [
-                page
-                for run_start, run_count in removed
-                for page in range(run_start, run_start + run_count)
-            ]
-            assert flat == model[start:start + take]
-            del model[start:start + take]
+            general_insert(tree, pos, next_page, count)
+        model[pos:pos] = range(next_page, next_page + count)
+        next_page += count + 5
         tree.check_invariants()
         assert tree.total_pages == len(model)
     # Final full reconstruction agrees with the model.
@@ -160,7 +143,7 @@ def test_lobtree_matches_list_model(ops, fanout):
     assert pages == model
     # And random-access lookups agree point-wise.
     for idx in range(0, len(model), max(1, len(model) // 16)):
-        assert tree.page_at(idx) == model[idx]
+        assert tree.runs_in_range(idx, 1) == [(model[idx], 1)]
 
 
 @given(st.lists(st.integers(min_value=1, max_value=12),
@@ -207,7 +190,8 @@ def allocating_tree(fanout: int) -> tuple[LobTree, list[int]]:
        fanout=st.integers(min_value=4, max_value=6))
 @settings(max_examples=100, deadline=None)
 def test_spine_append_equals_the_general_insert(prefix, appends, fanout):
-    """``append_run`` against ``insert_run(total_pages, ...)`` on a twin:
+    """``append_run`` against the oracle's ``general_insert`` at
+    ``total_pages`` on a twin:
     leaves run for run, node pages, depth and allocation order all equal,
     through leaf, interior and root splits.  Both trees first take the
     same general inserts, so appends also meet a tree of any shape; an
@@ -217,13 +201,13 @@ def test_spine_append_equals_the_general_insert(prefix, appends, fanout):
     next_page = 0
     for position, count in prefix:
         for tree in (spine, general):
-            tree.insert_run(position % (tree.total_pages + 1), next_page,
-                            count)
+            general_insert(tree, position % (tree.total_pages + 1),
+                           next_page, count)
         next_page += count + 1
     for start, count in appends:
         start = next_page if start is None else start
         spine.append_run(start, count)
-        general.insert_run(general.total_pages, start, count)
+        general_insert(general, general.total_pages, start, count)
         next_page = start + count
         assert leaf_runs(spine._root) == leaf_runs(general._root)
         assert spine.node_pages() == general.node_pages()

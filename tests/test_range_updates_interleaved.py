@@ -1,4 +1,4 @@
-"""Tests for BLOB range updates (Exodus) and interleaved append loads."""
+"""Tests for BLOB appends and interleaved append loads."""
 
 import pytest
 
@@ -17,94 +17,43 @@ def make_db(store_data=False):
 
 
 class TestBlobInsertRange:
+    """``BlobStore.append``: an insert at the logical end, the only
+    range update the store keeps."""
+
     def test_insert_grows_size(self):
         db = make_db()
         blob_id = db.put_blob(size=64 * KB)
-        db.blobs.insert_range(blob_id, 8 * KB, size=16 * KB)
+        db.blobs.append(blob_id, size=16 * KB)
         assert db.blobs.size_of(blob_id) == 80 * KB
+        db.check_invariants()
 
     def test_insert_at_end_is_append(self):
-        db = make_db()
-        blob_id = db.put_blob(size=64 * KB)
-        db.blobs.insert_range(blob_id, 64 * KB, size=64 * KB)
-        assert db.blobs.size_of(blob_id) == 128 * KB
-
-    def test_content_shifts_without_moving_pages(self):
+        """Content lands after the old tail, and the old pages stay put:
+        no data page is rewritten."""
         db = make_db(store_data=True)
-        before = b"A" * (32 * KB) + b"B" * (32 * KB)
-        blob_id = db.put_blob(data=before)
-        old_tail_pages = db.blobs.tree_of(blob_id).runs_in_range(4, 4)
-        db.blobs.insert_range(blob_id, 32 * KB, data=b"X" * (8 * KB))
-        got = db.get_blob(blob_id)
-        assert got == b"A" * (32 * KB) + b"X" * (8 * KB) + b"B" * (32 * KB)
-        # The original tail pages are still the same physical pages,
-        # now one insert further along logically (the Exodus property).
-        new_tail_pages = db.blobs.tree_of(blob_id).runs_in_range(5, 4)
-        assert old_tail_pages == new_tail_pages
+        blob_id = db.put_blob(data=b"A" * (64 * KB))
+        old_pages = db.blobs.tree_of(blob_id).all_runs()
+        db.blobs.append(blob_id, data=b"B" * (16 * KB))
+        assert db.get_blob(blob_id) == b"A" * (64 * KB) + b"B" * (16 * KB)
+        assert db.blobs.tree_of(blob_id).runs_in_range(0, 8) == old_pages
 
     def test_alignment_enforced(self):
         db = make_db()
         blob_id = db.put_blob(size=64 * KB)
         with pytest.raises(ConfigError):
-            db.blobs.insert_range(blob_id, 100, size=PAGE_SIZE)
+            db.blobs.append(blob_id, size=100)
         with pytest.raises(ConfigError):
-            db.blobs.insert_range(blob_id, PAGE_SIZE, size=100)
+            db.blobs.append(blob_id)  # neither size nor data
+        assert db.blobs.size_of(blob_id) == 64 * KB
 
     def test_offset_bounds(self):
+        """An append's offset is the blob's end, which must be a page
+        boundary: a blob put with a ragged size cannot grow."""
         db = make_db()
-        blob_id = db.put_blob(size=64 * KB)
-        with pytest.raises(ConfigError):
-            db.blobs.insert_range(blob_id, 72 * KB, size=PAGE_SIZE)
-
-
-class TestBlobDeleteRange:
-    def test_delete_shrinks_and_shifts(self):
-        db = make_db(store_data=True)
-        payload = b"A" * (16 * KB) + b"B" * (16 * KB) + b"C" * (16 * KB)
-        blob_id = db.put_blob(data=payload)
-        db.blobs.delete_range(blob_id, 16 * KB, 16 * KB)
-        assert db.blobs.size_of(blob_id) == 32 * KB
-        assert db.get_blob(blob_id) == b"A" * (16 * KB) + b"C" * (16 * KB)
-
-    def test_removed_pages_ghost_then_free(self):
-        db = make_db()
-        free0 = db.gam.free_page_count
-        blob_id = db.put_blob(size=128 * KB)
-        db.blobs.delete_range(blob_id, 0, 64 * KB)
-        db.checkpoint()
-        used_now = free0 - db.gam.free_page_count
-        assert used_now <= (64 * KB) // PAGE_SIZE + 2  # data + node pages
-
-    def test_alignment_and_bounds(self):
-        db = make_db()
-        blob_id = db.put_blob(size=64 * KB)
-        with pytest.raises(ConfigError):
-            db.blobs.delete_range(blob_id, 1, PAGE_SIZE)
-        with pytest.raises(ConfigError):
-            db.blobs.delete_range(blob_id, 0, 128 * KB)
-
-    def test_round_trip_after_many_range_ops(self):
-        db = make_db(store_data=True)
-        import random
-
-        rng = random.Random(17)
-        model = bytearray(b"0" * (64 * KB))
-        blob_id = db.put_blob(data=bytes(model))
-        for step in range(20):
-            page_len = PAGE_SIZE
-            if rng.random() < 0.5 or len(model) <= page_len:
-                offset = rng.randrange(0, len(model) // page_len + 1) \
-                    * page_len
-                payload = bytes([65 + step % 26]) * page_len
-                db.blobs.insert_range(blob_id, offset, data=payload)
-                model[offset:offset] = payload
-            else:
-                offset = rng.randrange(0, len(model) // page_len) \
-                    * page_len
-                db.blobs.delete_range(blob_id, offset, page_len)
-                del model[offset: offset + page_len]
-        assert db.get_blob(blob_id) == bytes(model)
-        db.check_invariants()
+        ragged = db.put_blob(size=64 * KB + 100)
+        with pytest.raises(ConfigError, match="page-aligned blob size"):
+            db.blobs.append(ragged, size=PAGE_SIZE)
+        assert db.blobs.size_of(ragged) == 64 * KB + 100
 
 
 class TestInterleavedLoads:

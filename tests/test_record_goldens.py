@@ -7,7 +7,9 @@ sharded lfs store — so a refactor of the measurement stack can show,
 not argue, that no modelled number moved.  No checkpoint is taken, so
 no pickled bytes enter these records, and the runs are small enough
 that the metadata heap's ``hash(key)`` leaf choice never costs a device
-access (ROADMAP 1e), so the hashes hold under any ``PYTHONHASHSEED``.
+access (it does once a metadata table passes 512 rows and the buffer
+pool evicts, and then modelled time follows ``PYTHONHASHSEED``), so the
+hashes hold under any ``PYTHONHASHSEED``.
 They hold on every CI Python because no modelled total goes through
 builtin ``sum()`` — a left fold up to CPython 3.11, a compensated sum
 from 3.12 — but through an explicit left fold

@@ -17,7 +17,8 @@ from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize
 from repro.disk.faults import DeviceFaults, FaultyBlockDevice
 from repro.disk.geometry import scaled_disk
-from repro.errors import ConfigError, CrashPoint, ShardUnavailableError
+from repro.errors import (ConfigError, CrashPoint, ShardUnavailableError,
+                          TransientIoError)
 from repro.units import KB, MB
 
 
@@ -190,8 +191,71 @@ class TestTransientRetry:
         with pytest.raises(ShardUnavailableError):
             store.get(keys[0])
 
+    @staticmethod
+    def flaky_reads(store, fails):
+        """Make the next ``fails`` shard gets raise TransientIoError
+        before touching a device (nothing charged, nothing read)."""
+        left = [fails]
+        for shard in store.shards:
+            def get(key, *args, real=shard.get):
+                if left[0] > 0:
+                    left[0] -= 1
+                    raise TransientIoError("injected")
+                return real(key, *args)
+            shard.get = get
+
+    def test_rebuild_copy_retries_its_source_read(self):
+        """A rebuild copy's source read gets the per-holder retry a
+        foreground get has, inside the copy's own background round: a
+        fault-free twin dispatches the same rounds, and the flaky run's
+        extra wall time is exactly the backoff schedule."""
+        healthy, flaky = (make_replicated(4, replicas=2, overlap=True)
+                          for _ in range(2))
+        keys = load(healthy), load(flaky)
+        for store in (healthy, flaky):
+            store.fail_shard(1)
+        self.flaky_reads(flaky, ShardedStore.MAX_READ_RETRIES)
+        assert flaky.rebuild() == healthy.rebuild()
+        assert flaky.retries == ShardedStore.MAX_READ_RETRIES
+        assert healthy.retries == 0
+        assert flaky.scheduler.rounds == healthy.scheduler.rounds
+        backoff = sum(
+            min(ShardedStore.BACKOFF_CAP_S,
+                ShardedStore.BACKOFF_BASE_S * (2 ** i))
+            for i in range(ShardedStore.MAX_READ_RETRIES))
+        assert flaky.scheduler.wall_time_s == pytest.approx(
+            healthy.scheduler.wall_time_s + backoff)
+        for key in keys[1]:
+            assert flaky.get(key) == content_for(key)
+
+    def test_rebuild_copy_gives_up_after_the_retry_budget(self):
+        store = make_replicated(4, replicas=2)
+        load(store)
+        store.fail_shard(1)
+        self.flaky_reads(store, ShardedStore.MAX_READ_RETRIES + 1)
+        with pytest.raises(TransientIoError):
+            store.rebuild()
+        assert store.retries == ShardedStore.MAX_READ_RETRIES
+
+    @pytest.mark.xfail(strict=True, raises=TransientIoError, reason=(
+        "the LFS cleaner reads a victim segment's live pieces inside a "
+        "put or overwrite, and a transient fault on that read aborts the "
+        "write instead of being retried like every other read"))
+    def test_cleaner_read_inside_a_write_is_retried(self):
+        """Two unreplicated lfs shards, 32 MB, 256 KB objects, 5 % of
+        read batches failing: aging to 1.0 cleans segments inside
+        overwrites, and one of those reads draws a fault (every seed
+        from 0 to 5 does)."""
+        spec = replace(
+            StoreSpec.parse("lfs", default_backend="lfs",
+                            volume_bytes=32 * MB, write_request=64 * KB),
+            shards=2, faults="transient:rate=5e-2:ops=read")
+        result = run_experiment(ExperimentConfig(
+            store=spec, sizes=ConstantSize(256 * KB), occupancy=0.5,
+            ages=(0.0, 1.0), reads_per_sample=1, seed=7))
+        assert [s.age for s in result.samples] == [0.0, 1.0]
+
     def test_writes_are_not_retried(self):
-        from repro.errors import TransientIoError
         store = make_replicated(
             4, replicas=2,
             shard_faults={i: DeviceFaults(transient_rate=1.0,
