@@ -304,11 +304,7 @@ def _fs_churn_row(kind: str, volume: int, seed: int) -> dict:
 
     def write_file(name: str) -> None:
         fs.create(name)
-        remaining = FILE_BYTES
-        while remaining > 0:
-            request = min(REQUEST_BYTES, remaining)
-            fs.append(name, request)
-            remaining -= request
+        fs.append(name, FILE_BYTES, write_request=REQUEST_BYTES)
 
     target = int(fs.data_capacity * OCCUPANCY)
     names: list[str] = []

@@ -39,12 +39,16 @@ and the augmentation contract:
 Complexity of the public methods, with n free runs: ``add`` /
 ``remove`` are O(log n + load) — carves and merges that only move a
 run boundary take the in-place :meth:`BlockedList.replace` fast path;
-only a mid-run carve pays a delete plus two inserts.  ``run_at`` /
-``run_starting_at`` / ``best_fit`` / ``worst_fit`` / ``largest`` are
-O(log n); ``largest_runs(k)`` is O(log load + k); ``first_fit`` /
+only a mid-run carve pays a delete plus two inserts.  ``carve_front``
+(every allocator's carve: the caller holds the run's start) is
+``remove`` of the run's front without the predecessor search, so it
+never pays the mid-run path.  ``run_at`` / ``best_fit`` /
+``worst_fit`` / ``largest`` are O(log n); ``largest_runs(k)`` is
+O(log load + k), one slice per block it reads; ``first_fit`` /
 ``next_fit`` are O(log n) plus one scanned block per directory block
 whose max-run augmentation passes the size filter or is stale (one
-rescan, then cached).  ``total_free`` and ``__len__`` are O(1).
+rescan, then cached).  ``run_length_at``, ``total_free`` and
+``__len__`` are O(1).
 
 The public API and error semantics are identical to the naive engine:
 :class:`~repro.errors.CorruptionError` on double frees or overlapping
@@ -226,6 +230,20 @@ class FreeExtentIndex:
         else:
             self._delete(rstart)
 
+    def carve_front(self, start: int, nbytes: int) -> Extent:
+        """Allocate and return the first ``nbytes`` of the free run that
+        begins at ``start``: the mutations of ``remove(Extent(start,
+        nbytes))`` without its predecessor search."""
+        taken = Extent(start, nbytes)
+        rlen = self._len_by_start.get(start, 0)
+        if nbytes > rlen:
+            raise CorruptionError(f"{taken} is not the front of a free run")
+        if nbytes < rlen:
+            self._resize(start, start + nbytes, rlen - nbytes)
+        else:
+            self._delete(start)
+        return taken
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -237,10 +255,10 @@ class FreeExtentIndex:
         run = Extent(start, self._len_by_start[start])
         return run if run.contains(offset) else None
 
-    def run_starting_at(self, offset: int) -> Extent | None:
-        """The free run beginning exactly at ``offset`` (extension probe)."""
-        length = self._len_by_start.get(offset)
-        return Extent(offset, length) if length is not None else None
+    def run_length_at(self, offset: int) -> int:
+        """Length of the free run beginning exactly at ``offset``, 0 when
+        none begins there (the extension probe)."""
+        return self._len_by_start.get(offset, 0)
 
     def first_fit(self, size: int, *, min_start: int = 0,
                   max_start: int | None = None) -> Extent | None:
@@ -319,28 +337,23 @@ class FreeExtentIndex:
             return found
         return self.first_fit(size, max_start=cursor)
 
-    def largest(self) -> Extent | None:
-        """The largest free run (highest address ties)."""
-        buckets = self._buckets
-        b = self._btop
-        while b >= 0 and not buckets[b]:
-            b -= 1
-        if b < 0:
-            self._btop = 0
-            return None
-        self._btop = b
-        length, start = buckets[b].last()
-        return Extent(start, length)
-
-    def _size_blocks_desc(self) -> Iterator[list[tuple[int, int]]]:
-        """Size-tier blocks, largest pairs first; lowers ``_btop``."""
+    def _top_bucket(self) -> int:
+        """Lower ``_btop`` to the highest non-empty bucket and return it
+        (bucket 0 holds no run: it is the answer for an empty index)."""
         buckets = self._buckets
         b = self._btop
         while b > 0 and not buckets[b]:
             b -= 1
         self._btop = b
-        for b in range(b, -1, -1):
-            yield from reversed(buckets[b].blocks)
+        return b
+
+    def largest(self) -> Extent | None:
+        """The largest free run (highest address ties)."""
+        bucket = self._buckets[self._top_bucket()]
+        if not bucket:
+            return None
+        length, start = bucket.last()
+        return Extent(start, length)
 
     def largest_runs(self, limit: int,
                      min_length: int = 1) -> list[tuple[int, int]]:
@@ -348,19 +361,26 @@ class FreeExtentIndex:
         pairs, cut at the first one shorter than ``min_length``."""
         out: list[tuple[int, int]] = []
         floor = (min_length,)
-        for block in self._size_blocks_desc():
-            lo = max(len(block) - limit + len(out),
-                     bisect.bisect_left(block, floor))
-            out.extend(reversed(block[lo:]))
-            if lo:
-                break
+        buckets = self._buckets
+        for b in range(self._top_bucket(), -1, -1):
+            for block in reversed(buckets[b].blocks):
+                lo = max(len(block) - limit + len(out), 0)
+                if lo or block[0] < floor:
+                    # The limit or min_length cuts this block, the last
+                    # one read: keep block[cut:], largest first.
+                    cut = bisect.bisect_left(block, floor, lo)
+                    out += block[:cut - 1:-1]
+                    return out
+                out += block[::-1]
         return out
 
     def runs_by_size_desc(self) -> Iterator[Extent]:
         """Free runs from largest to smallest (NTFS run-cache order)."""
-        for block in self._size_blocks_desc():
-            for length, start in reversed(block):
-                yield Extent(start, length)
+        buckets = self._buckets
+        for b in range(self._top_bucket(), -1, -1):
+            for block in reversed(buckets[b].blocks):
+                for length, start in reversed(block):
+                    yield Extent(start, length)
 
     def __iter__(self) -> Iterator[Extent]:
         """Free runs in address order."""

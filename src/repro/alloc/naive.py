@@ -121,6 +121,15 @@ class NaiveFreeExtentIndex:
         if ext.end < run.end:
             self._insert(Extent(ext.end, run.end - ext.end))
 
+    def carve_front(self, start: int, nbytes: int) -> Extent:
+        """Allocate the first ``nbytes`` of the free run beginning at
+        ``start`` and return them (``remove`` of that range)."""
+        taken = Extent(start, nbytes)
+        if nbytes > self._len_by_start.get(start, 0):
+            raise CorruptionError(f"{taken} is not the front of a free run")
+        self.remove(taken)
+        return taken
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -133,10 +142,10 @@ class NaiveFreeExtentIndex:
         run = Extent(start, self._len_by_start[start])
         return run if run.contains(offset) else None
 
-    def run_starting_at(self, offset: int) -> Extent | None:
-        """The free run beginning exactly at ``offset`` (extension probe)."""
-        length = self._len_by_start.get(offset)
-        return Extent(offset, length) if length is not None else None
+    def run_length_at(self, offset: int) -> int:
+        """Length of the free run beginning exactly at ``offset``, 0 when
+        none begins there (the extension probe)."""
+        return self._len_by_start.get(offset, 0)
 
     def first_fit(self, size: int, *, min_start: int = 0,
                   max_start: int | None = None) -> Extent | None:

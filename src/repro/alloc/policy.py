@@ -115,9 +115,7 @@ def allocate_contiguous(index: FreeExtentIndex, size: int,
             f"no contiguous run of {size} bytes (largest is "
             f"{index.largest().length if index.largest() else 0})"
         )
-    taken, _ = run.take_front(size)
-    index.remove(taken)
-    return taken
+    return index.carve_front(run.start, size)
 
 
 def allocate_fragmented(index: FreeExtentIndex, size: int,
@@ -139,9 +137,7 @@ def allocate_fragmented(index: FreeExtentIndex, size: int,
     while remaining > 0:
         run = policy.choose(index, remaining)
         if run is not None:
-            taken, _ = run.take_front(remaining)
-            index.remove(taken)
-            pieces.append(taken)
+            pieces.append(index.carve_front(run.start, remaining))
             break
         run = index.largest()
         if run is None:
@@ -150,7 +146,6 @@ def allocate_fragmented(index: FreeExtentIndex, size: int,
             for piece in pieces:
                 index.add(piece)
             raise AllocationError("free space exhausted mid-allocation")
-        index.remove(run)
-        pieces.append(run)
+        pieces.append(index.carve_front(run.start, run.length))
         remaining -= run.length
     return pieces

@@ -23,6 +23,10 @@ invisible to allocation until the big runs are consumed, which is why an
 aged NTFS volume keeps carving big holes while small holes wait to merge
 with neighbours — the mechanism behind the fragmentation asymptote of
 Figure 2.
+
+On this per-request hot path selection reads ``(length, start)`` pairs
+and run lengths, and every carve is ``FreeExtentIndex.carve_front``:
+the only Extents minted are the pieces handed back.
 """
 
 from __future__ import annotations
@@ -68,13 +72,17 @@ class NtfsRunCache:
         Returns None when no cached run fits (the caller then fragments).
         Does not mutate the index.  Selection order per the paper's
         description: outer-band runs first (lowest offset), then the
-        largest cached run (ties to the lower offset).  This sits on
-        the aging hot path, once per allocation: the cached view is one
-        slice of ``(length, start)`` pairs and the only Extent minted is
-        the one returned.
+        largest cached run (ties to the lower offset).
         """
         if size <= 0:
             raise ConfigError("allocation size must be positive")
+        run = self._select(size)
+        return None if run is None else Extent(run[1], run[0])
+
+    def _select(self, size: int) -> tuple[int, int] | None:
+        """``choose`` as a ``(length, start)`` pair.  This sits on the
+        aging hot path, once per allocation: the cached view is one
+        slice of ``(length, start)`` pairs and no Extent is minted."""
         # Size-descending (length, start) pairs, ties on descending
         # start, already cut at the first run too short for ``size``.
         cached = self.index.largest_runs(self.cache_size, size)
@@ -89,7 +97,7 @@ class NtfsRunCache:
                 if tied != length:
                     break
                 start = lower
-        return Extent(start, length)
+        return length, start
 
     def allocate(self, size: int) -> list[Extent]:
         """Allocate ``size`` bytes, fragmenting only when no run fits.
@@ -98,31 +106,29 @@ class NtfsRunCache:
         """
         if size <= 0:
             raise ConfigError("allocation size must be positive")
-        if self.index.total_free < size:
+        index = self.index
+        if index.total_free < size:
             raise AllocationError(
-                f"volume full: need {size}, have {self.index.total_free}"
+                f"volume full: need {size}, have {index.total_free}"
             )
         pieces: list[Extent] = []
         remaining = size
-        while remaining > 0:
-            run = self.choose(remaining)
+        while True:
+            run = self._select(remaining)
             if run is not None:
-                taken = Extent(run.start, remaining)
-                self.index.remove(taken)
-                pieces.append(taken)
-                break
+                pieces.append(index.carve_front(run[1], remaining))
+                return pieces
             # Fragment: consume the largest visible run and retry.  The
             # cache is size-descending, so its head is the index's
             # largest run.
-            largest = self.index.largest()
-            if largest is None:
+            head = index.largest_runs(1)
+            if not head:
                 for piece in pieces:
-                    self.index.add(piece)
+                    index.add(piece)
                 raise AllocationError("no free runs while space remains")
-            self.index.remove(largest)
-            pieces.append(largest)
-            remaining -= largest.length
-        return pieces
+            length, start = head[0]
+            pieces.append(index.carve_front(start, length))
+            remaining -= length
 
     def try_extend(self, at_offset: int, size: int, *,
                    stickiness: float = 0.75) -> Extent | None:
@@ -155,16 +161,14 @@ class NtfsRunCache:
         """
         if not 0.0 <= stickiness <= 1.0:
             raise ConfigError("stickiness must be in [0, 1]")
-        run = self.index.run_starting_at(at_offset)
-        if run is None:
+        length = self.index.run_length_at(at_offset)
+        if not length:
             return None
-        if run.start >= self.outer_band_limit and run.length < size:
-            return None
-        if run.start >= self.outer_band_limit and stickiness > 0.0:
-            # Never empty: ``run`` itself is in the index.
-            head_length = self.index.largest_runs(1)[0][0]
-            if run.length < stickiness * head_length:
+        if at_offset >= self.outer_band_limit:
+            if length < size:
                 return None
-        taken = Extent(run.start, min(size, run.length))
-        self.index.remove(taken)
-        return taken
+            # Never empty: the run at ``at_offset`` itself is indexed.
+            if stickiness > 0.0 and \
+                    length < stickiness * self.index.largest_runs(1)[0][0]:
+                return None
+        return self.index.carve_front(at_offset, min(size, length))

@@ -25,7 +25,7 @@ from repro.db.database import DbConfig, SimDatabase
 from repro.disk.device import BlockDevice, IoRequest
 from repro.disk.geometry import scaled_disk
 from repro.errors import ObjectNotFoundError
-from repro.fs.filesystem import FsConfig, SimFilesystem
+from repro.fs.filesystem import FsConfig, SimFilesystem, checked_write_size
 from repro.specgrammar import choice, to_bool
 from repro.units import DEFAULT_WRITE_REQUEST, MB
 
@@ -71,20 +71,13 @@ class FileBackend:
     # ------------------------------------------------------------------
     def put(self, key: str, *, size: int | None = None,
             data: bytes | None = None) -> None:
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+        total = checked_write_size(size, data, self.write_request)
         fname = self._file_name(key)
         self.cost.charge_file_open(self.device.stats)
         self.fs.create(fname)
         if self.size_hints:
             self.fs.preallocate(fname, total)
-        cursor = 0
-        while cursor < total:
-            chunk = min(self.write_request, total - cursor)
-            if data is not None:
-                self.fs.append(fname, data=data[cursor: cursor + chunk])
-            else:
-                self.fs.append(fname, nbytes=chunk)
-            cursor += chunk
+        self.fs.append(fname, size, data, write_request=self.write_request)
         self.cost.charge_file_stream(self.device.stats, total)
         self.fs.fsync(fname)
         self.cost.charge_file_close(self.device.stats)
@@ -107,7 +100,7 @@ class FileBackend:
 
     def overwrite(self, key: str, *, size: int | None = None,
                   data: bytes | None = None) -> None:
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+        total = checked_write_size(size, data, self.write_request)
         row = self._meta_lookup(key)
         fname = row["path"]
         self.cost.charge_file_open(self.device.stats)

@@ -46,16 +46,13 @@ class FsAllocator:
             cache_size=cache_size,
         )
 
-    def _clusters(self, nbytes: int) -> int:
-        return round_up(nbytes, self.cluster_size)
-
     def allocate_append(self, record: FileRecord, nbytes: int) -> list[Extent]:
         """Allocate space for one append request to ``record``.
 
         Returns the new extents in logical order.  The caller appends
         them to the record's run list and writes them.
         """
-        needed = self._clusters(nbytes)
+        needed = round_up(nbytes, self.cluster_size)
         pieces: list[Extent] = []
         # Placement is re-evaluated against the run cache only every
         # Nth request of a sequentially appended file; in between, the
@@ -83,5 +80,5 @@ class FsAllocator:
         Falls back to the normal fragmenting path only when no single
         run fits — exactly what delayed allocation buys.
         """
-        needed = self._clusters(nbytes)
+        needed = round_up(nbytes, self.cluster_size)
         return self.runcache.allocate(needed)

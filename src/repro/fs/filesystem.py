@@ -11,6 +11,11 @@ allocation, banded run cache, contiguous-extension attempts, journal-
 deferred free reuse).  Safe writes implement the temp-file + atomic
 rename protocol of Section 4.
 
+:meth:`SimFilesystem.append` is the one write-request loop (``safe_write``
+and the backend's ``put`` call it once each): per request, allocate the
+shortfall, extend the run list, write one device request whose span is
+found from the run list's tail.
+
 When the underlying device stores content, appends carry real bytes and
 reads return them — the marker-based fragmentation analyzer and crash
 tests rely on this; the timing model is identical either way.
@@ -221,42 +226,52 @@ class SimFilesystem:
     # Data path
     # ------------------------------------------------------------------
     def append(self, name: str, nbytes: int | None = None,
-               data: bytes | None = None) -> None:
-        """Append one write request to ``name``.
+               data: bytes | None = None, *,
+               write_request: int | None = None) -> None:
+        """Append to ``name`` in ``write_request``-byte write requests.
 
         Exactly one of ``nbytes`` (timing-only) or ``data`` must be
-        given.  Without delayed allocation, space is allocated *now*,
+        given; ``write_request=None`` makes the whole append one
+        request.  Without delayed allocation, space is allocated *now*,
         per request — the behaviour responsible for most of the
-        fragmentation in the paper.
+        fragmentation in the paper.  Each request fills preallocated or
+        cluster-slack space first, allocates the shortfall per the
+        append policy, then writes as one device request.
         """
         if (nbytes is None) == (data is None):
             raise ConfigError("pass exactly one of nbytes or data")
-        length = len(data) if data is not None else int(nbytes)  # type: ignore[arg-type]
-        if length <= 0:
+        total = len(data) if data is not None else int(nbytes)  # type: ignore[arg-type]
+        if total <= 0:
             raise ConfigError("append length must be positive")
+        if write_request is None:
+            write_request = total
+        elif write_request <= 0:
+            raise ConfigError("write_request must be positive")
         record = self.table.lookup(name)
+        requests = range(0, total, write_request)
         if self.config.delayed_allocation:
-            self._write_buffers.setdefault(name, []).append(
-                data if data is not None else length
-            )
+            self._write_buffers.setdefault(name, []).extend(
+                min(write_request, total - cursor) if data is None
+                else data[cursor: cursor + write_request]
+                for cursor in requests)
             return
-        self._materialize_append(record, length, data)
-
-    def _materialize_append(self, record: FileRecord, length: int,
-                            data: bytes | None) -> None:
-        """Write ``length`` bytes at the file's logical end.
-
-        Fills preallocated/cluster-slack space first, then allocates the
-        shortfall per the append policy.
-        """
-        shortfall = record.size + length - record.allocated_bytes
-        if shortfall > 0:
-            for ext in self._allocate_under_pressure(
-                    self.allocator.allocate_append, record, shortfall):
-                record.add_extent(ext)
-        span = _slice_extents(record.extents, record.size, length)
-        self.device.write_extents(span, data)
-        record.size += length
+        extents = record.extents
+        size = record.size
+        allocated = record.allocated_bytes
+        allocate = self.allocator.allocate_append
+        write_extents = self.device.write_extents
+        for cursor in requests:
+            length = min(write_request, total - cursor)
+            if size + length > allocated:
+                for ext in self._allocate_under_pressure(
+                        allocate, record, size + length - allocated):
+                    record.add_extent(ext)
+                    allocated += ext.length
+            write_extents(_tail_span(extents, allocated - size, length),
+                          None if data is None
+                          else data[cursor: cursor + length])
+            size += length
+            record.size = size
 
     def _allocate_under_pressure(self, allocate, *args):
         """Retry a failed allocation after forcing the journal commit.
@@ -281,15 +296,17 @@ class SimFilesystem:
         data: bytes | None = None
         if all(isinstance(c, bytes) for c in chunks):
             data = b"".join(chunks)  # type: ignore[arg-type]
-        shortfall = record.size + total - record.allocated_bytes
+        allocated = record.allocated_bytes
+        shortfall = record.size + total - allocated
         if shortfall > 0:
             # The whole buffered amount is allocated at once: delayed
             # allocation turns N append requests into one large one.
             for ext in self._allocate_under_pressure(
                     self.allocator.allocate_full, shortfall):
                 record.add_extent(ext)
-        span = _slice_extents(record.extents, record.size, total)
-        self.device.write_extents(span, data)
+                allocated += ext.length
+        self.device.write_extents(
+            _tail_span(record.extents, allocated - record.size, total), data)
         record.size += total
 
     def preallocate(self, name: str, expected_size: int) -> None:
@@ -371,24 +388,13 @@ class SimFilesystem:
         ``size_hint=True`` the temp file is preallocated at its final
         size first (the paper's proposed interface).
         """
-        if (size is None) == (data is None):
-            raise ConfigError("pass exactly one of size or data")
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
-        if total <= 0:
-            raise ConfigError("safe_write size must be positive")
+        total = checked_write_size(size, data, write_request)
         self._tmp_seq += 1
         tmp = f"{name}.tmp{self._tmp_seq}"
         self.create(tmp)
         if size_hint:
             self.preallocate(tmp, total)
-        cursor = 0
-        while cursor < total:
-            chunk = min(write_request, total - cursor)
-            if data is not None:
-                self.append(tmp, data=data[cursor: cursor + chunk])
-            else:
-                self.append(tmp, nbytes=chunk)
-            cursor += chunk
+        self.append(tmp, size, data, write_request=write_request)
         self._crash("safe_write:after_data")
         self.fsync(tmp)
         self._crash("safe_write:after_fsync")
@@ -448,8 +454,43 @@ class SimFilesystem:
             record.check_invariants()
 
 
+def checked_write_size(size: int | None, data: bytes | None,
+                       write_request: int) -> int:
+    """Byte count of a whole-file write given as ``size`` or ``data``,
+    checked before the file is created: exactly one of the two, a
+    positive length and a positive ``write_request``."""
+    if (size is None) == (data is None):
+        raise ConfigError("pass exactly one of size or data")
+    total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+    if total <= 0:
+        raise ConfigError("write size must be positive")
+    if write_request <= 0:
+        raise ConfigError("write_request must be positive")
+    return total
+
+
 def _round_up_to(value: int, multiple: int) -> int:
     return -(-value // multiple) * multiple
+
+
+def _tail_span(extents: list[Extent], back: int,
+               length: int) -> list[Extent]:
+    """Physical extents of the ``length`` bytes that start ``back``
+    bytes before the end of the run list, found from its tail (the
+    write position of an append sits in the last run or two)."""
+    i = len(extents)
+    while back > 0:
+        i -= 1
+        back -= extents[i].length
+    out: list[Extent] = []
+    while length > 0:
+        ext = extents[i]
+        take = min(ext.length + back, length)
+        out.append(Extent(ext.start - back, take))
+        length -= take
+        back = 0
+        i += 1
+    return out
 
 
 def _slice_extents(extents: list[Extent], offset: int,

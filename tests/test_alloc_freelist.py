@@ -86,10 +86,10 @@ class TestQueries:
         assert index.run_at(150) is None
         assert index.run_at(250) == Extent(200, 800)
 
-    def test_run_starting_at(self, index):
+    def test_run_length_at(self, index):
         index.remove(Extent(0, 100))
-        assert index.run_starting_at(100) == Extent(100, 900)
-        assert index.run_starting_at(50) is None
+        assert index.run_length_at(100) == 900
+        assert index.run_length_at(50) == 0
 
     def test_first_fit(self, index):
         index.remove(Extent(0, 100))    # free: [100, 1000)

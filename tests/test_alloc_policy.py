@@ -68,7 +68,7 @@ class TestAllocateContiguous:
         index = make_index_with_holes()
         ext = allocate_contiguous(index, 40, FirstFit())
         assert ext == Extent(0, 40)
-        assert index.run_starting_at(40) == Extent(40, 60)
+        assert index.run_length_at(40) == 60
 
     def test_raises_when_no_run_fits(self):
         index = make_index_with_holes()

@@ -73,6 +73,21 @@ class TestFileBackendSpecifics:
         assert store.meta_db.data_device is not device
         assert len(store.devices()) == 3
 
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"size": 0},
+        {"size": 64 * KB, "data": b"x" * 100},
+        {"data": b""},
+    ])
+    def test_put_refuses_bad_arguments_before_creating_a_file(self, kwargs):
+        device = BlockDevice(scaled_disk(64 * MB))
+        store = FileBackend(device)
+        with pytest.raises(ConfigError):
+            store.put("a", **kwargs)
+        assert store.keys() == []
+        assert store.fs.list_files() == []
+        assert device.clock_s == 0.0
+
 
 class TestBlobBackendSpecifics:
     def test_single_data_and_log_device(self):

@@ -52,6 +52,18 @@ class TestSafeWriteSemantics:
         with pytest.raises(ConfigError):
             quiet_fs.safe_write("obj", size=0)
 
+    @pytest.mark.parametrize("write_request", [0, -64 * KB])
+    def test_bad_write_request_is_refused_before_the_temp_file(
+            self, fs, write_request):
+        fs.create("a")
+        fs.append("a", nbytes=64 * KB)
+        clock, logged = fs.device.clock_s, fs.journal.logged_ops
+        with pytest.raises(ConfigError,
+                           match="write_request must be positive"):
+            fs.safe_write("a", size=128 * KB, write_request=write_request)
+        assert fs.list_files() == ["a"]
+        assert (fs.device.clock_s, fs.journal.logged_ops) == (clock, logged)
+
     def test_charges_flush(self, quiet_fs):
         quiet_fs.create("obj")
         quiet_fs.append("obj", nbytes=64 * KB)
