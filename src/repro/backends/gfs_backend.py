@@ -25,6 +25,7 @@ from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, IoRequest
 from repro.errors import ConfigError, ObjectNotFoundError, StorageFullError
+from repro.fs.filesystem import checked_write_size
 from repro.specgrammar import to_float, to_size
 from repro.units import DEFAULT_WRITE_REQUEST, MB
 
@@ -199,7 +200,7 @@ class GfsChunkBackend:
     # ------------------------------------------------------------------
     def put(self, key: str, *, size: int | None = None,
             data: bytes | None = None) -> None:
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+        total = checked_write_size(size, data, self.write_request)
         if key in self._records:
             raise ConfigError(f"object {key!r} exists")
         self.cost.charge_db_query(self.device.stats)  # master metadata op
@@ -221,7 +222,7 @@ class GfsChunkBackend:
 
     def overwrite(self, key: str, *, size: int | None = None,
                   data: bytes | None = None) -> None:
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+        total = checked_write_size(size, data, self.write_request)
         old = self._lookup(key)
         self.cost.charge_db_query(self.device.stats)
         new = self._append_record(key, total, data, version=old.version + 1)

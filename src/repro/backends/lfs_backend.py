@@ -20,6 +20,7 @@ from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, IoRequest
 from repro.errors import ConfigError, ObjectNotFoundError, StorageFullError
+from repro.fs.filesystem import checked_write_size
 from repro.specgrammar import to_float, to_size
 from repro.units import DEFAULT_WRITE_REQUEST, MB
 
@@ -205,7 +206,7 @@ class LfsBackend:
     # ------------------------------------------------------------------
     def put(self, key: str, *, size: int | None = None,
             data: bytes | None = None) -> None:
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+        total = checked_write_size(size, data, self.write_request)
         if key in self._objects:
             raise ConfigError(f"object {key!r} exists")
         self.cost.charge_db_query(self.device.stats)
@@ -242,7 +243,7 @@ class LfsBackend:
 
     def overwrite(self, key: str, *, size: int | None = None,
                   data: bytes | None = None) -> None:
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+        total = checked_write_size(size, data, self.write_request)
         old = self._lookup(key)
         self.cost.charge_db_query(self.device.stats)
         new = self._append(key, total, data, version=old.version + 1)

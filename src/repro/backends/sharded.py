@@ -153,6 +153,7 @@ from repro.disk.faults import FaultProfile
 from repro.disk.schedule import ShardScheduler, throttle_pause
 from repro.errors import (ConfigError, ObjectNotFoundError, ShardLostError,
                           ShardUnavailableError, TransientIoError)
+from repro.fs.filesystem import checked_write_size
 
 #: Supported :meth:`ShardedStore.rebalance` modes.
 REBALANCE_MODES = ("even", "placement")
@@ -423,7 +424,8 @@ class ShardedStore:
     # ------------------------------------------------------------------
     def put(self, key: str, *, size: int | None = None,
             data: bytes | None = None) -> None:
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+        # Checked before placement moves a cursor (shards check write_request).
+        total = checked_write_size(size, data, 1)
         # A duplicate put must fail with the inner backend's error, so
         # route it to the owning shard rather than re-placing.
         index = self._shard_of.get(key)

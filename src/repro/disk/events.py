@@ -40,7 +40,10 @@ Request lifecycle::
 Dispatch rules: one request in service per shard (a shard is one
 device lane), a global worker cap of ``parallelism`` (0 = one worker
 per shard, matching the round model), FIFO within a shard and
-oldest-first across idle shards when a worker frees.
+oldest-first across idle shards when a worker frees.  With a worker
+for every shard no request waits for a worker, so a submit or a
+completion can start only its own shard's head and dispatch looks at
+that shard alone; a capped pool scans every idle shard's head.
 
 Stall/arrival timeline contract
 -------------------------------
@@ -195,6 +198,13 @@ class ArrivalSpec:
 # ----------------------------------------------------------------------
 # Streaming latency summary
 # ----------------------------------------------------------------------
+def bucket_of(value: float) -> int:
+    """The :class:`LatencyHistogram` bucket of a sample ``value >= 0``."""
+    if value <= HIST_BASE_S:
+        return 0
+    return 1 + int(math.log(value / HIST_BASE_S) / _LOG_GROWTH)
+
+
 class LatencyHistogram:
     """Sparse log-bucketed latency summary with clamped percentiles.
 
@@ -223,10 +233,11 @@ class LatencyHistogram:
 
     def record(self, seconds: float) -> None:
         value = seconds if seconds > 0.0 else 0.0
-        if value <= HIST_BASE_S:
-            index = 0
-        else:
-            index = 1 + int(math.log(value / HIST_BASE_S) / _LOG_GROWTH)
+        self.add(bucket_of(value), value)
+
+    def add(self, index: int, value: float) -> None:
+        """:meth:`record` of a ``value >= 0`` whose bucket the caller
+        computed once: ``index == bucket_of(value)``."""
         self._buckets[index] = self._buckets.get(index, 0) + 1
         self.count += 1
         self.sum_s += value
@@ -460,13 +471,22 @@ class EventScheduler(ShardScheduler):
     def _record_open_round(self, lane_times: Sequence[float],
                            indices: Sequence[int],
                            background: bool = False) -> float:
+        before = self.wall_time_s
+        # Host-side fan-out cost is serial wall time per round; the
+        # lanes' own wall time is charged as their requests complete.
+        if len(lane_times) == 1:
+            # One shard, one submit; left_sum([t]) is 0.0 + t == t.
+            service = lane_times[0]
+            if not service > 0.0:
+                return 0.0
+            self._charge(self.dispatch_overhead_s, service, 1)
+            self._submit(int(indices[0]) % self.nshards, service,
+                         background=background)
+            return self.wall_time_s - before
         pairs = [(int(i) % self.nshards, t)
                  for i, t in zip(indices, lane_times) if t > 0.0]
         if not pairs:
             return 0.0
-        before = self.wall_time_s
-        # Host-side fan-out cost is serial wall time per round; the
-        # lanes' own wall time is charged as their requests complete.
         self._charge(self.dispatch_overhead_s,
                      left_sum(t for _, t in pairs), 1)
         for shard, service in pairs:
@@ -506,21 +526,23 @@ class EventScheduler(ShardScheduler):
         depth_now = len(self._queues[shard])
         if depth_now > self.max_queue_depth:
             self.max_queue_depth = depth_now
-        self._dispatch_ready()
+        self._dispatch_ready(shard)
 
-    def _dispatch_ready(self) -> None:
-        """Start queued requests while a worker and their shard are idle.
+    def _dispatch_ready(self, shard: int) -> None:
+        """Start queued requests by the dispatch rules (module
+        docstring) now that ``shard`` gained or finished a request.
 
-        One request in service per shard; at most ``parallelism``
-        (0 = nshards) in service overall; oldest enqueued request
-        first across the idle shards.  Dispatch waits for the earliest
-        free *worker* as well as the shard: completions are processed
-        in completion order, so the minimum of the worker clocks is
-        always a worker that has genuinely freed, and a request that
-        queued behind the global cap starts when that worker did —
-        not back-dated to its enqueue time.
+        A request waits for the earliest free *worker* as well as its
+        shard: completions are processed in completion order, so the
+        least worker clock is a worker that has genuinely freed, and a
+        request queued behind the cap starts when that worker did.
         """
         cap = len(self._worker_free)
+        if cap >= self.nshards:
+            queue = self._queues[shard]
+            if queue and shard not in self._busy_shards:
+                self._start(queue.popleft())
+            return
         while len(self._in_service) < cap:
             head: EventRequest | None = None
             for s, queue in enumerate(self._queues):
@@ -530,16 +552,17 @@ class EventScheduler(ShardScheduler):
                         head = candidate
             if head is None:
                 return
-            self._queues[head.shard].popleft()
-            worker_free_s = heapq.heappop(self._worker_free)
-            head.dispatch_s = max(head.enqueue_s,
-                                  self._free_at[head.shard],
-                                  worker_free_s)
-            head.complete_s = head.dispatch_s + head.service_s
-            heapq.heappush(self._worker_free, head.complete_s)
-            self._busy_shards.add(head.shard)
-            heapq.heappush(self._in_service,
-                           (head.complete_s, head.seq, head))
+            self._start(self._queues[head.shard].popleft())
+
+    def _start(self, req: EventRequest) -> None:
+        """Put ``req``, just off its queue, in service."""
+        worker_free_s = heapq.heappop(self._worker_free)
+        req.dispatch_s = max(req.enqueue_s, self._free_at[req.shard],
+                             worker_free_s)
+        req.complete_s = req.dispatch_s + req.service_s
+        heapq.heappush(self._worker_free, req.complete_s)
+        self._busy_shards.add(req.shard)
+        heapq.heappush(self._in_service, (req.complete_s, req.seq, req))
 
     def _complete_one(self) -> None:
         complete_s, _, req = heapq.heappop(self._in_service)
@@ -551,7 +574,7 @@ class EventScheduler(ShardScheduler):
                              background=req.background, tag=req.tag)
         if complete_s > self._charged:
             self._charge(complete_s - self._charged)
-        self._dispatch_ready()
+        self._dispatch_ready(req.shard)
 
     def drain(self) -> None:
         """Run every in-flight request to completion (charges wall)."""
@@ -588,18 +611,20 @@ class EventScheduler(ShardScheduler):
         # The lifetime histogram keeps every completion so the books
         # (submitted == completed == latency.count) stay balanced;
         # windows split by lane so foreground percentiles stay pure.
-        self.latency.record(sojourn_s)
+        value = sojourn_s if sojourn_s > 0.0 else 0.0
+        index = bucket_of(value)
+        self.latency.add(index, value)
         if tag is not None and not background:
-            _tenant_hist(self.tenant_latency, tag).record(sojourn_s)
+            _tenant_hist(self.tenant_latency, tag).add(index, value)
         # start_window is the only producer of this stack's entries.
         windows: list[EventWindow] = self._windows  # type: ignore[assignment]
         for win in windows:
             if background:
-                win.background_latency.record(sojourn_s)
+                win.background_latency.add(index, value)
                 continue
-            win.latency.record(sojourn_s)
+            win.latency.add(index, value)
             if tag is not None:
-                _tenant_hist(win.tenant_latency, tag).record(sojourn_s)
+                _tenant_hist(win.tenant_latency, tag).add(index, value)
 
     @property
     def queued(self) -> int:

@@ -176,24 +176,41 @@ def _untagged(tenant: str) -> AbstractContextManager[None]:
     return _UNTIMED
 
 
+#: ``id(spec) -> (spec, [(weight, wave phase) per tenant])``, kept out
+#: of the pickled (and clock-charged) state like ``cost_tables``'s memo;
+#: the entry holds its spec, so the id cannot be recycled under it.
+_TENANT_TABLES: dict[int, tuple[ScenarioSpec, list[tuple[float, float]]]] = {}
+
+
+def _tenant_table(spec: ScenarioSpec) -> list[tuple[float, float]]:
+    """Each tenant's op weight and its wave phase ``tau * i / n``."""
+    entry = _TENANT_TABLES.get(id(spec))
+    if entry is None or entry[0] is not spec:
+        n = len(spec.tenants)
+        entry = _TENANT_TABLES[id(spec)] = (spec, [
+            (t.weight, math.tau * i / n) for i, t in enumerate(spec.tenants)])
+    return entry[1]
+
+
 def _choose_tenant(state: ScenarioState) -> int:
     """Weighted draw over tenants, wave-modulated with per-tenant
     phase offsets so bursts rotate across the tenant set."""
-    tenants = state.tenants
-    if len(tenants) == 1:
-        return 0
-    n = len(tenants)
-    weights = [t.profile.weight for t in tenants]
     spec = state.spec
-    # ScenarioSpec validates that an amplitude comes with a period.
-    if spec.wave_amplitude > 0.0:
-        tau, amp = 2.0 * math.pi, spec.wave_amplitude
-        base = tau * state.op_index / spec.wave_period_ops
-        weights = [w * (1.0 + amp * math.sin(base + tau * i / n))
-                   for i, w in enumerate(weights)]
+    table = _tenant_table(spec)
+    n = len(table)
+    if n == 1:
+        return 0
+    # Without a wave each factor is 1.0 + 0.0 * sin(phase) == 1.0 (and
+    # ScenarioSpec validates that an amplitude comes with a period).
+    amp = spec.wave_amplitude
+    base = math.tau * state.op_index / spec.wave_period_ops if amp else 0.0
     # Running totals are a left fold (builtin sum() is not, from 3.12).
-    cum = list(accumulate(weights))
-    x = state.pick_rng.random() * cum[-1]
+    cum: list[float] = []
+    total = 0.0
+    for weight, phase in table:
+        total += weight * (1.0 + amp * math.sin(base + phase))
+        cum.append(total)
+    x = state.pick_rng.random() * total
     return min(bisect_right(cum, x), n - 1)
 
 
@@ -202,15 +219,15 @@ def _maybe_update_arrival(store: ObjectStore, state: ScenarioState) -> None:
     spec = state.spec
     if spec.wave_amplitude <= 0.0:
         return
+    window = state.op_index // max(1, spec.wave_period_ops // 8)
+    if window == state.wave_window:
+        return
     sched = getattr(store, "scheduler", None)
     if (not getattr(sched, "is_event", False)
             or sched.arrival.mode != "poisson"):
         return
     if state.base_rate <= 0.0:
         state.base_rate = sched.arrival.rate
-    window = state.op_index // max(1, spec.wave_period_ops // 8)
-    if window == state.wave_window:
-        return
     state.wave_window = window
     angle = 2.0 * math.pi * state.op_index / spec.wave_period_ops
     rate = state.base_rate * (1.0 + spec.wave_amplitude * math.sin(angle))

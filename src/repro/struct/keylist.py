@@ -3,8 +3,9 @@
 Keys sit in blocks of at most :data:`BLOCK` plus a key → block dict:
 appends fill the last block, an emptied block is dropped, none are
 merged.  It pickles as the key sequence alone — dict and blocks are
-rebuilt on load — so the bytes do not depend on removal history.  Why
-the scenario engine needs the order kept: docs/architecture.md.
+rebuilt on load — so the bytes do not depend on removal history or
+on :data:`BLOCK`.  Why the scenario engine needs the order kept, and
+the traffic the block size is chosen for: docs/architecture.md.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from typing import Any, Generic, TypeVar
 
 from repro.errors import CorruptionError
 
-#: Block capacity: ``remove`` scans one block, ``seq[rank]`` n / BLOCK.
-BLOCK = 512
+#: Block capacity: ``remove`` scans one block, ``seq[rank]`` n / BLOCK
+#: blocks; small, as most ranks the scenario engine asks are Zipf picks.
+BLOCK = 128
 
 K = TypeVar("K", bound=Hashable)
 

@@ -8,6 +8,8 @@ from repro.backends.costmodel import CostModel
 from repro.backends.file_backend import FileBackend
 from repro.backends.gfs_backend import GfsChunkBackend
 from repro.backends.lfs_backend import LfsBackend
+from repro.backends.registry import build_store
+from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.errors import ConfigError
@@ -230,3 +232,55 @@ class TestLfsSpecifics:
         assert store.cleaner_runs > 0
         for key in keys:
             assert store.get(key) == payloads[key]
+
+
+class TestWriteArguments:
+    """``lfs``, ``gfs`` and the sharded composite refuse a malformed
+    write — neither or both of ``size``/``data``, or an empty object —
+    with :class:`ConfigError` before any charge or state change, like
+    :class:`FileBackend` and the database."""
+
+    BAD = [
+        pytest.param({}, id="neither"),
+        pytest.param({"size": 0}, id="size-0"),
+        pytest.param({"size": 5, "data": b"abc"}, id="both"),
+        pytest.param({"data": b""}, id="empty-data"),
+    ]
+
+    @staticmethod
+    def make(text):
+        return build_store(StoreSpec.parse(text, volume_bytes=64 * MB))
+
+    @staticmethod
+    def clocks(store):
+        return [d.clock_s for d in store.devices()]
+
+    @pytest.mark.parametrize("text", ["lfs", "gfs", "lfs:shards=2"])
+    @pytest.mark.parametrize("kwargs", BAD)
+    def test_put_refuses_bad_arguments(self, text, kwargs):
+        store = self.make(text)
+        with pytest.raises(ConfigError):
+            store.put("a", **kwargs)
+        assert store.keys() == [] and not store.exists("a")
+        assert set(self.clocks(store)) == {0.0}
+        store.put("a", size=64 * KB)  # placement state was not disturbed
+        assert store.meta("a").size == 64 * KB
+
+    @pytest.mark.parametrize("text", ["lfs", "gfs", "lfs:shards=2"])
+    @pytest.mark.parametrize("kwargs", BAD)
+    def test_overwrite_refuses_bad_arguments(self, text, kwargs):
+        store = self.make(text)
+        store.put("a", size=64 * KB)
+        clocks = self.clocks(store)
+        with pytest.raises(ConfigError):
+            store.overwrite("a", **kwargs)
+        assert self.clocks(store) == clocks
+        assert store.meta("a").size == 64 * KB
+        assert store.meta("a").version == 1
+
+    def test_sharded_put_checks_before_placement(self):
+        store = self.make("lfs:shards=2,placement=round_robin")
+        with pytest.raises(ConfigError):
+            store.put("a", size=0)
+        store.put("b", size=64 * KB)
+        assert store.shard_for("b") == 0
