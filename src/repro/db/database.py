@@ -65,6 +65,15 @@ class SimDatabase:
         if log_device is None:
             log_device = BlockDevice(scaled_disk(self.config.log_device_bytes))
         self.log_device = log_device
+        # The largest log record must fit the circular log, or the first
+        # put that writes one fails halfway, after pages and data I/O.
+        record = WriteAheadLog.RECORD_BYTES
+        if not self.config.bulk_logged:
+            record += self.config.write_request
+        if self.config.charge_log_io and record > log_device.geometry.capacity:
+            raise ConfigError(
+                f"log record of {record} bytes exceeds the log device's "
+                f"{log_device.geometry.capacity} bytes")
 
         num_pages = data_device.geometry.capacity // PAGE_SIZE
         num_extents = num_pages // PAGES_PER_EXTENT

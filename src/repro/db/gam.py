@@ -159,18 +159,28 @@ class GamAllocator:
 
         Nothing allocates mid-run, so the end state equals freeing page
         by page.  A run naming a free or out-of-range page is rejected
-        whole, before any page is freed.
+        whole, before any page is freed.  Whole extents inside the run
+        that are all full (a ghost sweep's usual case) take one slice
+        write instead.
         """
         end = start + count
         if count <= 0 or start < 0 or end > self.num_pages:
             raise CorruptionError(f"run ({start}, +{count}) out of range")
+        masks = self._used_mask
+        lo = -(-start // PAGES_PER_EXTENT)  # whole extents: [lo, hi)
+        hi = end // PAGES_PER_EXTENT
+        if hi > lo and masks.count(_FULL_MASK, lo, hi) != hi - lo:
+            hi = lo
         pieces: list[tuple[int, int]] = []
         page = start
         while page < end:
+            if page == lo * PAGES_PER_EXTENT and hi > lo:
+                page = hi * PAGES_PER_EXTENT  # all full: nothing to check
+                continue
             extent_id, first = divmod(page, PAGES_PER_EXTENT)
             take = min(PAGES_PER_EXTENT - first, end - page)
             bits = ((1 << take) - 1) << first
-            missing = bits & ~self._used_mask[extent_id]
+            missing = bits & ~masks[extent_id]
             if missing:
                 lowest = (missing & -missing).bit_length() - 1
                 raise CorruptionError(
@@ -179,7 +189,12 @@ class GamAllocator:
             pieces.append((extent_id, bits))
             page += take
         for extent_id, bits in pieces:
-            self._set_mask(extent_id, self._used_mask[extent_id] & ~bits)
+            self._set_mask(extent_id, masks[extent_id] & ~bits)
+        if hi > lo:
+            masks[lo:hi] = bytes(hi - lo)
+            self._free_pages += (hi - lo) * PAGES_PER_EXTENT
+            self._free_extents += hi - lo
+            self._lowest_free = min(self._lowest_free, lo)
 
     def free_page(self, page_no: int) -> None:
         self.free_run(page_no, 1)

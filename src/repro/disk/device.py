@@ -7,13 +7,13 @@ accumulates everything in an :class:`~repro.disk.iostats.IoStats`.
 
 Submission paths
 ----------------
-All timed I/O funnels through :meth:`BlockDevice.submit`, which takes a
-batch of :class:`IoRequest` scatter/gather requests, charges the cost
-model for the whole batch with the head position chaining request to
-request, and records **one** :class:`IoStats` entry per batch.
-:meth:`read_extents` / :meth:`write_extents` are single-request batches;
-the backends' bulk paths (LFS/GFS appends) submit many requests per
-call to cut host-side accounting overhead on bulk loads.  With
+A single request (``read``/``write``/``*_extents``, a one-request
+``submit``) is one call to :meth:`BlockDevice._serve`; a batch of
+:class:`IoRequest` scatter/gather requests goes through :meth:`submit`,
+which charges the whole batch with the head chaining request to request.
+Either way each call records **one** :class:`IoStats` entry.  The
+backends' bulk paths (LFS/GFS appends) submit many requests per call to
+cut host-side accounting overhead on bulk loads.  With
 ``reorder=True`` the batch is served in elevator (C-LOOK) order —
 ascending starts from the current head, wrapping once — which models
 request-scheduling effects; modelled cost with ``reorder=False`` is
@@ -289,6 +289,18 @@ class BlockDevice:
     # ------------------------------------------------------------------
     # Timed I/O
     # ------------------------------------------------------------------
+    def _serve(self, is_write: bool, extents: list[Extent],
+               data: bytes | None) -> bytes | None:
+        """Serve one request: one costing pass, one ``IoStats`` record,
+        the clock, then the content effect (a faulty device admits the
+        request here first); returns the read result or ``None``."""
+        seeks, service, self._head, nbytes = self._cost_of(extents, self._head)
+        self.stats.record(is_write, nbytes, service, seeks)
+        self.clock_s += service
+        if self._store is None:
+            return None
+        return self._apply_content(is_write, extents, data)
+
     def submit(self, batch: list[IoRequest], *,
                reorder: bool | None = None) -> list[bytes | None]:
         """Serve a batch of requests; one ``IoStats`` record per batch.
@@ -302,20 +314,13 @@ class BlockDevice:
         thread a spec-level scheduling choice through every submission.
         Returns one entry per request in submission order: read results
         (when content storage is on) or ``None``.  An empty batch is a
-        no-op.
+        no-op; a one-request batch is :meth:`_serve`.
         """
         if not batch:
             return []
         if len(batch) == 1:
-            # Fast path for the single-request wrappers (read_extents /
-            # write_extents sit on every experiment's hot path): same
-            # accounting, none of the batch bookkeeping.
             req = batch[0]
-            seeks, service, self._head, nbytes = self._cost_of(
-                req.extents, self._head)
-            self.stats.record(req.is_write, nbytes, service, seeks)
-            self.clock_s += service
-            return [None] if self._store is None else [self._apply_content(req)]
+            return [self._serve(req.is_write, req.extents, req.data)]
         if reorder is None:
             reorder = self.policy.reorder_flag
         head = self._head
@@ -341,25 +346,24 @@ class BlockDevice:
             return [None] * len(batch)
         # Content pass, always in submission order: reordering is a
         # timing-model choice and must never change stored bytes.
-        return [self._apply_content(req) for req in batch]
+        return [self._apply_content(req.is_write, req.extents, req.data)
+                for req in batch]
 
-    def _apply_content(self, req: IoRequest) -> bytes | None:
+    def _apply_content(self, is_write: bool, extents: list[Extent],
+                       data: bytes | None) -> bytes | None:
         """Apply one request's content effect; None unless a stored read."""
         store = self._store
-        if store is None:
-            return None
-        if not req.is_write:
-            return b"".join(store.read(e.start, e.length)
-                            for e in req.extents)
-        if req.data is not None:
-            nbytes = sum(e.length for e in req.extents)
-            if len(req.data) != nbytes:
+        if not is_write:
+            return b"".join(store.read(e.start, e.length) for e in extents)
+        if data is not None:
+            nbytes = sum(e.length for e in extents)
+            if len(data) != nbytes:
                 raise ConfigError(
-                    f"data length {len(req.data)} != extent bytes {nbytes}"
+                    f"data length {len(data)} != extent bytes {nbytes}"
                 )
             cursor = 0
-            for ext in req.extents:
-                store.write(ext.start, req.data[cursor: cursor + ext.length])
+            for ext in extents:
+                store.write(ext.start, data[cursor: cursor + ext.length])
                 cursor += ext.length
         return None
 
@@ -378,7 +382,7 @@ class BlockDevice:
 
     def read_extents(self, extents: list[Extent]) -> bytes | None:
         """Read a list of extents as one request; returns data if stored."""
-        return self.submit([IoRequest(False, extents)])[0]
+        return self._serve(False, extents, None)
 
     def write_extents(self, extents: list[Extent],
                       data: bytes | None = None) -> None:
@@ -387,16 +391,16 @@ class BlockDevice:
         ``data`` (when content storage is on) must cover the extents in
         order; pass ``None`` to write timing-only.
         """
-        self.submit([IoRequest(True, extents, data)])
+        self._serve(True, extents, data)
 
     def read(self, offset: int, length: int) -> bytes | None:
         """Timed single-extent read."""
-        return self.submit([IoRequest(False, [Extent(offset, length)])])[0]
+        return self._serve(False, [Extent(offset, length)], None)
 
     def write(self, offset: int, length: int,
               data: bytes | None = None) -> None:
         """Timed single-extent write."""
-        self.submit([IoRequest(True, [Extent(offset, length)], data)])
+        self._serve(True, [Extent(offset, length)], data)
 
     def charge_sequential_write(self, nbytes: int) -> float:
         """Charge a background sequential write of ``nbytes``; timing only.

@@ -20,7 +20,7 @@ commas, write them with ``:``)::
 (The rules shared with the other specs — first-``=`` split, duplicate
 keys, non-finite values — are in :mod:`repro.specgrammar`.)
 
-* ``transient`` — each submitted batch independently fails with
+* ``transient`` — each timed call (a request or a batch) fails with
   probability ``rate``, raising :class:`~repro.errors.TransientIoError`
   before any time is charged or content applied (the failure happens up
   front; retry cost is charged by whoever retries).  Optional
@@ -269,8 +269,8 @@ class FaultyBlockDevice(BlockDevice):
     """A block device with crash, transient, latency, and loss faults.
 
     Crash semantics (the PR 4 recovery-matrix contract): reads never
-    crash (a dying read loses nothing); every write-bearing ``submit``
-    and every ``flush`` ticks the shared :class:`CrashClock` first.
+    crash (a dying read loses nothing); every write-bearing call (see
+    :meth:`_admit`) and every ``flush`` ticks the shared clock first.
     With ``torn=True`` the doomed write additionally applies the first
     half of its first extent's content (untimed, like a partial transfer
     cut by power loss) before raising — so content-checked recovery sees
@@ -342,12 +342,11 @@ class FaultyBlockDevice(BlockDevice):
         return service_s if faults is None else service_s * faults.slow_factor
 
     # -- timed I/O -----------------------------------------------------
-    def submit(self, batch: list[IoRequest], *,
-               reorder: bool | None = None) -> list[bytes | None]:
-        if not batch:
-            return []
+    def _admit(self, is_write: bool, batch: list[IoRequest]) -> None:
+        """The one fault seam, before anything is charged: loss, the
+        crash tick of a write-bearing call, one transient draw.  A single
+        request comes from ``_serve``, a larger batch from ``submit``."""
         self._check_lost()
-        is_write = any(req.is_write for req in batch)
         if is_write:
             self._tick("write", batch)
         faults = self.faults
@@ -355,6 +354,15 @@ class FaultyBlockDevice(BlockDevice):
             raise TransientIoError(
                 "injected transient "
                 + ("write" if is_write else "read") + " error")
+
+    def _serve(self, is_write, extents, data):
+        self._admit(is_write, [IoRequest(is_write, extents, data)])
+        return super()._serve(is_write, extents, data)
+
+    def submit(self, batch: list[IoRequest], *,
+               reorder: bool | None = None) -> list[bytes | None]:
+        if len(batch) > 1:
+            self._admit(any(req.is_write for req in batch), batch)
         return super().submit(batch, reorder=reorder)
 
     def charge_sequential_write(self, nbytes: int) -> float:

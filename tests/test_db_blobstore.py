@@ -224,6 +224,24 @@ class TestIoAccounting:
         db.put_blob(size=4 * MB)
         assert db.log_device.stats.write_bytes < 64 * KB
 
+    def test_log_record_larger_than_the_log_device_refused_up_front(self):
+        """Full recovery logs each write request's payload; a record the
+        circular log cannot hold is refused at construction, not halfway
+        through a put after its pages and data writes were charged."""
+        with pytest.raises(ConfigError, match="exceeds the log device"):
+            make_db(write_request=8 * MB, bulk_logged=False,
+                    log_device_bytes=4 * MB)
+
+    @pytest.mark.parametrize("cfg", [
+        dict(write_request=4 * MB - PAGE_SIZE, bulk_logged=False),
+        dict(write_request=8 * MB),                       # bulk-logged
+        dict(write_request=8 * MB, bulk_logged=False, charge_log_io=False),
+    ])
+    def test_log_records_that_fit_or_are_never_written_accepted(self, cfg):
+        db = make_db(log_device_bytes=4 * MB, **cfg)
+        db.put_blob(size=8 * MB)
+        db.check_invariants()
+
     def test_get_charges_reads(self):
         db = make_db()
         blob_id = db.put_blob(size=1 * MB)

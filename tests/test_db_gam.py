@@ -138,6 +138,32 @@ class TestFree:
             gam.free_run(6, 12)
         assert gam.free_page_count == 128 - 23  # nothing else was freed
 
+    def test_whole_extents_inside_a_run_freed_together(self):
+        gam = GamAllocator(20)
+        alloc_pages(gam, 160)
+        gam.free_page(2)
+        gam.free_run(5, 130)    # head 5-7, extents 1-15 whole, tail 128-134
+        assert gam.free_page_count == 1 + 3 + 15 * PAGES_PER_EXTENT + 7
+        assert gam.free_extent_count == 15
+        assert gam._partial_extents == [0, 16]
+        assert gam._lowest_free == 1
+        gam.check_invariants()
+        assert gam.alloc_uniform_extent() == 1
+        assert gam.alloc_page() == 2
+
+    def test_double_free_inside_whole_extents_rejected(self):
+        gam = GamAllocator(20)
+        alloc_pages(gam, 160)
+        gam.free_page(67)       # middle of extent 8
+        before = bytes(gam._used_mask)
+        with pytest.raises(CorruptionError, match="double free of page 67$"):
+            gam.free_run(16, 16 * PAGES_PER_EXTENT)   # extents 2-17
+        with pytest.raises(CorruptionError, match="double free of page 67$"):
+            gam.free_run(3, 16 * PAGES_PER_EXTENT)    # partial head and tail
+        assert bytes(gam._used_mask) == before
+        assert gam.free_page_count == 1
+        gam.check_invariants()
+
     def test_counts(self, gam):
         assert gam.free_page_count == 128
         alloc_pages(gam, 10)

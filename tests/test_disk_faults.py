@@ -1,10 +1,12 @@
 """Tests for repro.disk.faults: the fault-spec grammar, per-shard
-resolution, and the FaultyBlockDevice runtime injectors (transient
-errors, slow factors, permanent loss, crash clock)."""
+resolution, the FaultyBlockDevice runtime injectors (transient
+errors, slow factors, permanent loss, crash clock), and the one
+admission seam every timed call passes."""
 
 import pytest
 
-from repro.disk.device import BlockDevice
+from repro.alloc.extent import Extent
+from repro.disk.device import BlockDevice, IoRequest
 from repro.disk.faults import (
     CrashClock,
     DeviceFaults,
@@ -18,7 +20,7 @@ from repro.errors import (
     ShardLostError,
     TransientIoError,
 )
-from repro.rng import derive_seed
+from repro.rng import derive_seed, substream
 from repro.units import KB, MB
 
 FULL = "transient:rate=0.0001;slow:shard=2,factor=8;loss:shard=1,at_age=3"
@@ -256,3 +258,110 @@ class TestCrashClock:
         for i in range(50):
             dev.write(i * 64 * KB, 32 * KB)
         assert dev.write_events == 50
+
+
+# ----------------------------------------------------------------------
+# The admission seam: every timed call admits once
+# ----------------------------------------------------------------------
+#: Every timed entry point: the call, the ``submit`` batch it equals,
+#: and what a torn crash on it leaves stored as ``(offset, bytes)``
+#: (``None`` for a read, which never ticks the crash clock).
+SEAM_CALLS = [
+    pytest.param(lambda d: d.read(1 * MB, 64 * KB),
+                 [IoRequest.read([Extent(1 * MB, 64 * KB)])], None,
+                 id="read"),
+    pytest.param(lambda d: d.write(0, 8, b"ABCDEFGH"),
+                 [IoRequest.write([Extent(0, 8)], b"ABCDEFGH")],
+                 (0, b"ABCD\x00\x00\x00\x00"), id="write"),
+    pytest.param(lambda d: d.read_extents([Extent(2 * MB, 8 * KB),
+                                           Extent(3 * MB, 8 * KB)]),
+                 [IoRequest.read([Extent(2 * MB, 8 * KB),
+                                  Extent(3 * MB, 8 * KB)])], None,
+                 id="read_extents"),
+    pytest.param(lambda d: d.write_extents([Extent(4 * MB, 4),
+                                            Extent(5 * MB, 4)], b"WXYZwxyz"),
+                 [IoRequest.write([Extent(4 * MB, 4), Extent(5 * MB, 4)],
+                                  b"WXYZwxyz")],
+                 (4 * MB, b"WX\x00\x00"), id="write_extents"),
+    pytest.param(lambda d: d.submit([IoRequest.write([Extent(6 * MB, 8)],
+                                                     b"12345678")]),
+                 [IoRequest.write([Extent(6 * MB, 8)], b"12345678")],
+                 (6 * MB, b"1234\x00\x00\x00\x00"), id="submit_one"),
+    pytest.param(lambda d: d.submit([IoRequest.read([Extent(7 * MB, 8 * KB)]),
+                                     IoRequest.write([Extent(8 * MB, 8)],
+                                                     b"abcdefgh")]),
+                 [IoRequest.read([Extent(7 * MB, 8 * KB)]),
+                  IoRequest.write([Extent(8 * MB, 8)], b"abcdefgh")],
+                 (8 * MB, b"abcd\x00\x00\x00\x00"), id="submit_two"),
+]
+seam = pytest.mark.parametrize("call, batch, torn", SEAM_CALLS)
+
+
+class TestAdmitSeam:
+    @seam
+    def test_write_bearing_calls_tick_once_reads_never(self, call, batch,
+                                                       torn):
+        dev = make_faulty(store_data=True)
+        call(dev)
+        call(dev)
+        assert dev.write_events == (0 if torn is None else 2)
+
+    def test_every_call_draws_once(self):
+        """The RNG state after each call equals a twin's driven only
+        through ``submit``, and a fresh stream advanced once per call."""
+        text = "transient:rate=1e-12:seed=4"
+        dev, twin = make_faulty(text), make_faulty(text)
+        reference = substream(4, "transient-faults")
+        for call, batch, _ in (param.values for param in SEAM_CALLS):
+            call(dev)
+            twin.submit(batch)
+            reference.random()
+            assert dev.faults._rng.getstate() \
+                == twin.faults._rng.getstate() \
+                == reference.getstate()
+
+    @seam
+    def test_transient_failure_charges_nothing(self, call, batch, torn):
+        dev = make_faulty("transient:rate=1.0", store_data=True)
+        with pytest.raises(TransientIoError):
+            call(dev)
+        assert dev.clock_s == 0.0 and dev.head_position == 0
+        assert dev.stats == BlockDevice(scaled_disk(64 * MB)).stats
+        if torn is not None:
+            offset, stored = torn
+            assert dev.peek(offset, len(stored)) == bytes(len(stored))
+
+    @seam
+    def test_lost_device_raises(self, call, batch, torn):
+        dev = make_faulty()
+        dev.mark_lost()
+        with pytest.raises(ShardLostError):
+            call(dev)
+        assert dev.clock_s == 0.0 and dev.write_events == 0
+
+    @seam
+    def test_torn_write_tears_half_the_first_write_extent(self, call, batch,
+                                                          torn):
+        dev = FaultyBlockDevice(scaled_disk(64 * MB),
+                                clock=CrashClock(kill_after=0),
+                                torn=True, store_data=True)
+        if torn is None:
+            call(dev)               # a read never reaches the crash point
+            return
+        with pytest.raises(CrashPoint):
+            call(dev)
+        offset, stored = torn
+        assert dev.peek(offset, len(stored)) == stored
+        assert dev.clock_s == 0.0
+
+    @seam
+    def test_plain_device_wrappers_equal_submit(self, call, batch, torn):
+        dev = BlockDevice(scaled_disk(64 * MB), store_data=True)
+        twin = BlockDevice(scaled_disk(64 * MB), store_data=True)
+        dev.read(32 * MB, 8 * KB)          # move the heads off zero
+        twin.submit([IoRequest.read([Extent(32 * MB, 8 * KB)])])
+        call(dev)
+        twin.submit(batch)
+        assert dev.stats == twin.stats
+        assert dev.clock_s == twin.clock_s
+        assert dev.head_position == twin.head_position

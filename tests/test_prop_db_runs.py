@@ -8,6 +8,10 @@ pickle that depends on the masks only, never on how they were reached.
 
 (b) The run-queue :class:`GhostCleaner` against a queue with one entry
 per page: same pages freed in the same order, same books.
+
+(c) ``GamAllocator.free_run``'s whole-extent step — a run's full inner
+extents cleared by one mask write — against the same oracle, on runs
+with a partial head extent, whole middle extents and a partial tail.
 """
 
 import pickle
@@ -241,3 +245,49 @@ class TestSweepSplitsTheHeadRun:
             gam.free_run(30, 3)
         assert bytes(gam._used_mask) == before
         gam.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# (c) Whole-extent frees vs. the per-page oracle
+# ----------------------------------------------------------------------
+WIDE_EXTENTS = 40
+WIDE_PAGES = WIDE_EXTENTS * PAGES_PER_EXTENT
+
+SPAN_OPS = st.lists(st.one_of(
+    st.tuples(st.just("alloc_runs"),
+              st.integers(min_value=1, max_value=6 * PAGES_PER_EXTENT + 7)),
+    st.tuples(st.just("alloc_page")),
+    # A span around extent `e`: `head` pages before it (0 = aligned
+    # start), `whole` extents from it, `tail` pages after them.  Spans
+    # may reach past either end of the file or name a free page.
+    st.tuples(st.just("free_span"),
+              st.integers(min_value=0, max_value=WIDE_EXTENTS),
+              st.integers(min_value=0, max_value=PAGES_PER_EXTENT - 1),
+              st.integers(min_value=0, max_value=18),
+              st.integers(min_value=0, max_value=PAGES_PER_EXTENT - 1)),
+), max_size=50)
+
+
+@given(ops=SPAN_OPS)
+@settings(max_examples=150, deadline=None)
+def test_whole_extent_free_matches_the_per_page_oracle(ops):
+    gam, oracle = GamAllocator(WIDE_EXTENTS), OracleGam(WIDE_EXTENTS)
+    # Start full, so most spans name used pages until holes open up.
+    assert gam.alloc_runs(WIDE_PAGES) == oracle.alloc_runs(WIDE_PAGES)
+    for op, *args in ops:
+        if op == "free_span":
+            extent_id, head, whole, tail = args
+            start = extent_id * PAGES_PER_EXTENT - head
+            end = (extent_id + whole) * PAGES_PER_EXTENT + tail
+            args = [start, end - start]
+            op = "free_run"
+        assert outcome(getattr(gam, op), *args) \
+            == outcome(getattr(oracle, op), *args)
+        masks = oracle.masks
+        assert list(gam._used_mask) == masks
+        assert gam._free_pages == oracle.free_page_count
+        assert gam._free_extents == masks.count(0)
+        assert gam._partial_extents == [
+            e for e, mask in enumerate(masks) if 0 < mask < FULL]
+        assert gam._lowest_free == next(
+            (e for e, mask in enumerate(masks) if mask == 0), WIDE_EXTENTS)
