@@ -31,6 +31,16 @@ class Extent:
         if self.length <= 0:
             raise ConfigError(f"extent length must be > 0, got {self.length}")
 
+    # The frozen-slots dataclass hooks, spelt out: the generated pair
+    # walks ``fields()`` per extent, and checkpoints pickle tens of
+    # thousands.  Same state, so the same pickled bytes.
+    def __getstate__(self) -> list[int]:
+        return [self.start, self.length]
+
+    def __setstate__(self, state: list[int]) -> None:
+        object.__setattr__(self, "start", state[0])
+        object.__setattr__(self, "length", state[1])
+
     @property
     def end(self) -> int:
         """Exclusive end offset."""

@@ -8,7 +8,7 @@ data device (the page file) plus one dedicated log device.
 from __future__ import annotations
 
 from repro.alloc.extent import Extent
-from repro.backends.base import ObjectMeta, StoreStats
+from repro.backends.base import ObjectMeta, StoreStats, checked_read_range
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import object_option, register_backend
 from repro.backends.spec import StoreSpec
@@ -55,7 +55,7 @@ class BlobBackend:
     def get(self, key: str, offset: int = 0,
             length: int | None = None) -> bytes | None:
         row = self._meta_lookup(key)
-        nbytes = length if length is not None else row["size"] - offset
+        nbytes = checked_read_range(offset, length, row["size"])
         result = self.db.get_blob(row["blob_id"], offset, length)
         self.cost.charge_db_stream(self.device.stats, nbytes)
         return result

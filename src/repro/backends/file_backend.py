@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import INDEX_KINDS
-from repro.backends.base import ObjectMeta, StoreStats
+from repro.backends.base import ObjectMeta, StoreStats, checked_read_range
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import object_option, register_backend
 from repro.backends.spec import StoreSpec
@@ -89,11 +89,11 @@ class FileBackend:
     def get(self, key: str, offset: int = 0,
             length: int | None = None) -> bytes | None:
         row = self._meta_lookup(key)
+        nbytes = checked_read_range(offset, length, row["size"])
         fname = row["path"]
         self.cost.charge_file_open(self.device.stats)
         self.fs.read_record(fname)
         result = self.fs.read(fname, offset, length)
-        nbytes = length if length is not None else row["size"] - offset
         self.cost.charge_file_stream(self.device.stats, nbytes)
         self.cost.charge_file_close(self.device.stats)
         return result

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.alloc.extent import Extent
-from repro.backends.base import ObjectMeta, StoreStats
+from repro.backends.base import ObjectMeta, StoreStats, checked_read_range
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
@@ -210,11 +210,10 @@ class GfsChunkBackend:
     def get(self, key: str, offset: int = 0,
             length: int | None = None) -> bytes | None:
         record = self._lookup(key)
-        if length is None:
-            length = record.size - offset
-        if offset < 0 or offset + length > record.size:
-            raise ConfigError("range outside object")
+        length = checked_read_range(offset, length, record.size)
         self.cost.charge_db_query(self.device.stats)
+        if length == 0:
+            return b"" if self.device.stores_data else None
         chunk = self._chunks[record.chunk_id]
         return self.device.read(
             chunk.base + record.offset_in_chunk + offset, length

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.alloc.extent import Extent
-from repro.backends.base import ObjectMeta, StoreStats
+from repro.backends.base import ObjectMeta, StoreStats, checked_read_range
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
@@ -217,11 +217,10 @@ class LfsBackend:
     def get(self, key: str, offset: int = 0,
             length: int | None = None) -> bytes | None:
         loc = self._lookup(key)
-        if length is None:
-            length = loc.size - offset
-        if offset < 0 or offset + length > loc.size:
-            raise ConfigError("range outside object")
+        length = checked_read_range(offset, length, loc.size)
         self.cost.charge_db_query(self.device.stats)
+        if length == 0:
+            return b"" if self.device.stores_data else None
         # Map the byte range onto the pieces.
         extents: list[Extent] = []
         logical = 0

@@ -307,6 +307,32 @@ class ShardedStore:
                 summed_clock_s(devs) - b for devs, b in zip(lanes, before)
             ], indices=tuple(indices), background=background)
 
+    def _one_lane(self, index: int, op, *args, **kwargs):
+        """``op(*args, **kwargs)`` as a one-lane foreground round on shard
+        ``index``: what ``_dispatch((index,))`` records, as one plain
+        call (every single-shard op on an unreplicated store is one)."""
+        sched = self.scheduler
+        if sched is None:
+            return op(*args, **kwargs)
+        devs = self._lane_devices[index]
+        before = summed_clock_s(devs)
+        try:
+            return op(*args, **kwargs)
+        finally:
+            sched.record_round([summed_clock_s(devs) - before], (index,))
+
+    def _each(self, indices: Sequence[int], name: str, key: str,
+              **kwargs) -> None:
+        """Call shard method ``name`` on ``key`` at every shard in
+        ``indices``, inside one foreground dispatch round."""
+        if len(indices) == 1:
+            op = getattr(self.shards[indices[0]], name)
+            self._one_lane(indices[0], op, key, **kwargs)
+        else:
+            with self._dispatch(tuple(indices)):
+                for i in indices:
+                    getattr(self.shards[i], name)(key, **kwargs)
+
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
@@ -441,9 +467,7 @@ class ShardedStore:
                                   self.replicas - 1)
         # The write fans out to every holder inside one dispatch round,
         # so replica lanes overlap under the scheduler.
-        with self._dispatch(tuple(targets)):
-            for i in targets:
-                self.shards[i].put(key, size=size, data=data)
+        self._each(targets, "put", key, size=size, data=data)
         if index is None:
             self._route(key, targets)
 
@@ -458,8 +482,8 @@ class ShardedStore:
             attempt = 0
             while True:
                 try:
-                    with self._dispatch((index,)):
-                        value = self.shards[index].get(key, offset, length)
+                    value = self._one_lane(index, self.shards[index].get,
+                                           key, offset, length)
                 except TransientIoError:
                     attempt += 1
                     if attempt > self.MAX_READ_RETRIES:
@@ -482,15 +506,11 @@ class ShardedStore:
         live = self._live_holders(key)
         # Dead holders are skipped, not retried: the key runs
         # under-replicated (and its dead copy stale) until rebuild().
-        with self._dispatch(tuple(live)):
-            for i in live:
-                self.shards[i].overwrite(key, size=size, data=data)
+        self._each(live, "overwrite", key, size=size, data=data)
 
     def delete(self, key: str) -> None:
         live = self._live_holders(key, need=False)
-        with self._dispatch(tuple(live)):
-            for i in live:
-                self.shards[i].delete(key)
+        self._each(live, "delete", key)
         # Copies on dead shards died with their devices; dropping the
         # catalog entry is all that is left to do.
         del self._shard_of[key]
@@ -499,8 +519,14 @@ class ShardedStore:
     def exists(self, key: str) -> bool:
         return key in self._shard_of
 
+    def _first_live(self, key: str) -> int:
+        """The first live holder of ``key`` (its primary if none died)."""
+        if self._dead_shards:
+            return self._live_holders(key)[0]
+        return self.shard_for(key)
+
     def meta(self, key: str) -> ObjectMeta:
-        return self.shards[self._live_holders(key)[0]].meta(key)
+        return self.shards[self._first_live(key)].meta(key)
 
     def keys(self) -> list[str]:
         return list(self._shard_of)
@@ -542,7 +568,7 @@ class ShardedStore:
         return results
 
     def object_extents(self, key: str) -> list[Extent]:
-        return self.shards[self._live_holders(key)[0]].object_extents(key)
+        return self.shards[self._first_live(key)].object_extents(key)
 
     def devices(self) -> list[BlockDevice]:
         return [dev for lane in self._lane_devices for dev in lane]

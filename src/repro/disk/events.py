@@ -102,8 +102,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 from random import Random
 from dataclasses import dataclass, field
 
@@ -341,6 +340,25 @@ def _tenant_hist(tenants: dict[str, LatencyHistogram],
     return hist
 
 
+class _Tagged:
+    """One :meth:`EventScheduler.tagged` block (every tenant op opens
+    one): sets the tag on entry, restores the one it replaced on every
+    exit.  Never stored on the scheduler, so pickles never see it."""
+
+    __slots__ = ("_sched", "_tag", "_prev")
+
+    def __init__(self, sched: EventScheduler, tag: str) -> None:
+        self._sched = sched
+        self._tag = tag
+
+    def __enter__(self) -> None:
+        self._prev = self._sched._tag
+        self._sched._tag = self._tag
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._sched._tag = self._prev
+
+
 # ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
@@ -437,8 +455,7 @@ class EventScheduler(ShardScheduler):
             self._charge(seconds)
             self._arrival_cursor = max(self._arrival_cursor, self._charged)
 
-    @contextmanager
-    def tagged(self, tag: str) -> Iterator[None]:
+    def tagged(self, tag: str) -> _Tagged:
         """Attribute requests submitted inside the block to ``tag``.
 
         The tag is stamped onto each request at submit time and travels
@@ -446,12 +463,7 @@ class EventScheduler(ShardScheduler):
         tenant's block, in a drain, at window close — still lands in
         the submitting tenant's histogram.
         """
-        prev = self._tag
-        self._tag = tag
-        try:
-            yield
-        finally:
-            self._tag = prev
+        return _Tagged(self, tag)
 
     def start_window(self, name: str) -> EventWindow:
         win = EventWindow(name=name)

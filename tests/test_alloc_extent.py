@@ -133,3 +133,23 @@ class TestSlots:
 
         ext = Extent(12, 34)
         assert pickle.loads(pickle.dumps(ext)) == ext
+
+    #: ``pickle.dumps`` of ``PINNED`` after its protocol header: the same
+    #: under the default protocol (4 on CPython 3.8-3.13) and protocol 5.
+    #: Checkpoints pickle extents and charge their byte count, so these
+    #: bytes must not move.
+    PINNED = [Extent(0, 4096), Extent(8192, 65536), Extent(2**40, 2**33)]
+    PINNED_BODY = (
+        b"\x95]\x00\x00\x00\x00\x00\x00\x00]\x94(\x8c\x12repro.alloc.extent"
+        b"\x94\x8c\x06Extent\x94\x93\x94)\x81\x94]\x94(K\x00M\x00\x10ebh\x03)"
+        b"\x81\x94]\x94(M\x00 J\x00\x00\x01\x00ebh\x03)\x81\x94]\x94(\x8a\x06"
+        b"\x00\x00\x00\x00\x00\x01\x8a\x05\x00\x00\x00\x00\x02ebe.")
+
+    @pytest.mark.parametrize("protocol", [None, 5])
+    def test_extent_pickle_bytes_are_pinned(self, protocol):
+        import pickle
+
+        head = bytes([0x80, protocol or pickle.DEFAULT_PROTOCOL])
+        got = pickle.dumps(self.PINNED, protocol=protocol)
+        assert got == head + self.PINNED_BODY
+        assert pickle.loads(got) == self.PINNED

@@ -6,6 +6,8 @@ experiment driver relies on.  Backend-specific behaviour lives in the
 dedicated test modules.
 """
 
+import copy
+
 import pytest
 
 from repro.backends import StoreSpec, build_store
@@ -16,7 +18,7 @@ from repro.backends.gfs_backend import GfsChunkBackend
 from repro.backends.lfs_backend import LfsBackend
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
-from repro.errors import ObjectNotFoundError
+from repro.errors import ConfigError, ObjectNotFoundError
 from repro.units import KB, MB
 
 BACKENDS = ["filesystem", "database", "gfs", "lfs", "sharded"]
@@ -33,11 +35,11 @@ def make_store(kind: str, *, store_data: bool = False,
         return GfsChunkBackend(device, chunk_size=8 * MB)
     if kind == "lfs":
         return LfsBackend(device, segment_size=2 * MB)
-    if kind == "sharded":
-        # Three filesystem shards, each of `capacity`, so per-shard
-        # headroom matches what the other backends get.
-        return build_store(StoreSpec("filesystem",
-                                     volume_bytes=3 * capacity,
+    if kind in ("sharded", "sharded-lfs"):
+        # Three shards, each of `capacity`, so per-shard headroom
+        # matches what the other backends get.
+        inner = "filesystem" if kind == "sharded" else "lfs"
+        return build_store(StoreSpec(inner, volume_bytes=3 * capacity,
                                      store_data=store_data, shards=3))
     raise AssertionError(kind)
 
@@ -156,6 +158,50 @@ class TestContentParity:
             content_store.put(f"k{i}", data=bytes([i]) * (16 * KB))
         for i in range(8):
             assert content_store.get(f"k{i}") == bytes([i]) * (16 * KB)
+
+
+def device_books(store):
+    return [(copy.deepcopy(dev.stats), dev.clock_s)
+            for dev in store.devices()]
+
+
+class TestRangeReads:
+    """``get(key, offset, length)`` outside the object is refused with
+    :class:`ConfigError`; an in-range zero-length read is empty.  The
+    log and chunk stores (and a composite over logs) know an object's
+    size without a charged lookup, so they refuse before any charge and
+    serve an empty read without a device request."""
+
+    UNCHARGED = ("gfs", "lfs", "sharded-lfs")
+
+    @pytest.mark.parametrize("store_data", [False, True])
+    @pytest.mark.parametrize("kind", BACKENDS + ["sharded-lfs"])
+    def test_reads_outside_the_object_are_refused(self, kind, store_data):
+        store = make_store(kind, store_data=store_data)
+        size = 64 * KB
+        store.put("a", size=size)
+        before = device_books(store)
+        for offset, length in [(0, -1), (-1, 4), (-1, None), (size + 1, None),
+                               (size - 10, 11), (size, 1)]:
+            with pytest.raises(ConfigError):
+                store.get("a", offset, length)
+        if kind in self.UNCHARGED:
+            assert device_books(store) == before
+
+    @pytest.mark.parametrize("store_data", [False, True])
+    @pytest.mark.parametrize("kind", BACKENDS + ["sharded-lfs"])
+    def test_a_zero_length_read_is_empty(self, kind, store_data):
+        store = make_store(kind, store_data=store_data)
+        size = 64 * KB
+        store.put("a", size=size)
+        requests = [dev.stats.requests for dev in store.devices()]
+        empty = b"" if store_data else None
+        for offset in (0, size // 2, size):
+            assert store.get("a", offset, 0) == empty
+        assert store.get("a", size) == empty
+        if kind in self.UNCHARGED:
+            assert [dev.stats.requests for dev in store.devices()] == requests
+        assert store.get("a", size - KB) == (bytes(KB) if store_data else None)
 
 
 class TestChurnParity:

@@ -463,3 +463,54 @@ class TestBackgroundLane:
         # same foreground request now sees an idle shard.
         assert win.latency.count == 1
         assert win.latency.max_s < 0.05
+
+
+class TestTagSeam:
+    """``EventScheduler.tagged``: the block every tenant op opens."""
+
+    def test_an_exception_restores_the_previous_tag(self):
+        sched = EventScheduler(2)
+        with pytest.raises(RuntimeError):
+            with sched.tagged("a"):
+                assert sched._tag == "a"
+                raise RuntimeError("op failed")
+        assert sched._tag is None
+
+    def test_an_exception_in_a_nested_block_restores_each_tag(self):
+        sched = EventScheduler(2)
+        with sched.tagged("a"):
+            with pytest.raises(RuntimeError):
+                with sched.tagged("b"):
+                    raise RuntimeError("op failed")
+            assert sched._tag == "a"
+            with pytest.raises(RuntimeError):
+                with sched.tagged("c"):
+                    with sched.tagged("d"):
+                        raise RuntimeError("op failed")
+            assert sched._tag == "a"
+        assert sched._tag is None
+
+    def test_a_completion_drained_under_another_tenant_keeps_its_tag(self):
+        sched = EventScheduler(2, arrival="poisson:rate=1000:seed=3")
+        win = sched.start_window("w")
+        with sched.tagged("a"):
+            sched.record_round([0.5], indices=(0,))
+        assert sched.in_flight == 1
+        with sched.tagged("b"):
+            sched.drain()
+        sched.end_window(win)
+        for tenants in (sched.tenant_latency, win.tenant_latency):
+            assert list(tenants) == ["a"]
+            assert tenants["a"].count == 1
+
+    @pytest.mark.parametrize("arrival", ["closed", "poisson:rate=1000:seed=3"])
+    def test_a_tagged_block_leaves_no_trace_in_the_pickle(self, arrival):
+        sched = EventScheduler(2, arrival=arrival)
+        with sched.tagged("a"):
+            sched.record_round([0.002], indices=(1,))
+        sched.drain()
+        before = pickle.dumps(sched)
+        with sched.tagged("b"):
+            sched.record_round([0.0], indices=(0,))  # an idle op
+        assert sched.in_flight == 0
+        assert pickle.dumps(sched) == before
