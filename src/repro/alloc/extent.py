@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Extent:
     """A contiguous byte range ``[start, start + length)``.
 
@@ -25,11 +25,17 @@ class Extent:
     start: int
     length: int
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ConfigError(f"extent start must be >= 0, got {self.start}")
-        if self.length <= 0:
-            raise ConfigError(f"extent length must be > 0, got {self.length}")
+    # Validation and the two slot writes in one frame: the generated
+    # ``__init__`` called ``__post_init__`` as a second one per extent.
+    # The writes go straight to the slot descriptors, past the frozen
+    # ``__setattr__``.
+    def __init__(self, start: int, length: int) -> None:
+        if start < 0:
+            raise ConfigError(f"extent start must be >= 0, got {start}")
+        if length <= 0:
+            raise ConfigError(f"extent length must be > 0, got {length}")
+        _set_start(self, start)
+        _set_length(self, length)
 
     # The frozen-slots dataclass hooks, spelt out: the generated pair
     # walks ``fields()`` per extent, and checkpoints pickle tens of
@@ -38,8 +44,8 @@ class Extent:
         return [self.start, self.length]
 
     def __setstate__(self, state: list[int]) -> None:
-        object.__setattr__(self, "start", state[0])
-        object.__setattr__(self, "length", state[1])
+        _set_start(self, state[0])
+        _set_length(self, state[1])
 
     @property
     def end(self) -> int:
@@ -94,6 +100,10 @@ class Extent:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Extent({self.start}, +{self.length})"
+
+
+_set_start = vars(Extent)["start"].__set__
+_set_length = vars(Extent)["length"].__set__
 
 
 def coalesce(extents: list[Extent]) -> list[Extent]:

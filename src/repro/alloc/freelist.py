@@ -38,8 +38,10 @@ and the augmentation contract:
 
 Complexity of the public methods, with n free runs: ``add`` /
 ``remove`` are O(log n + load) — carves and merges that only move a
-run boundary take the in-place :meth:`BlockedList.replace` fast path;
-only a mid-run carve pays a delete plus two inserts.  ``carve_front``
+run boundary take the in-place :meth:`BlockedList.replace` fast path
+in the address tier and one :meth:`BlockedList.move` in the size tier
+when the run keeps its bucket, so each tier is searched once; only a
+mid-run carve pays a delete plus two inserts.  ``carve_front``
 (every allocator's carve: the caller holds the run's start) is
 ``remove`` of the run's front without the predecessor search, so it
 never pays the mid-run path.  ``run_at`` / ``best_fit`` /
@@ -116,32 +118,23 @@ class FreeExtentIndex:
             self._insert(0, capacity)
 
     # ------------------------------------------------------------------
-    # Size tier
-    # ------------------------------------------------------------------
-    def _b_insert(self, start: int, length: int) -> None:
-        b = length.bit_length()
-        if b > self._btop:
-            self._btop = b
-        self._buckets[b].insert((length, start))
-
-    def _b_delete(self, start: int, length: int) -> None:
-        if not self._buckets[length.bit_length()].remove((length, start)):
-            raise CorruptionError(f"size view out of sync at {start}")
-
-    # ------------------------------------------------------------------
-    # Internal bookkeeping (all tiers updated together)
+    # Internal bookkeeping (all tiers updated together, each once)
     # ------------------------------------------------------------------
     def _insert(self, start: int, length: int) -> None:
         self._len_by_start[start] = length
         self._addr.insert(start, weight=length)
-        self._b_insert(start, length)
+        b = length.bit_length()
+        if b > self._btop:
+            self._btop = b
+        self._buckets[b].insert((length, start))
         self._total_free += length
 
     def _delete(self, start: int) -> int:
         length = self._len_by_start.pop(start)
         if not self._addr.remove(start, weight=length):
             raise CorruptionError(f"free index views out of sync at {start}")
-        self._b_delete(start, length)
+        if not self._buckets[length.bit_length()].remove((length, start)):
+            raise CorruptionError(f"size view out of sync at {start}")
         self._total_free -= length
         return length
 
@@ -151,15 +144,24 @@ class FreeExtentIndex:
         The caller guarantees the replacement preserves address order
         (carves and merges only move a boundary between two existing
         neighbours), which is what lets the address tier rewrite the
-        entry without a memmove.
+        entry without a memmove.  A run that keeps its size bucket
+        moves inside it with one :meth:`BlockedList.move`.
         """
         lens = self._len_by_start
         old_len = lens.pop(old_start)
         lens[new_start] = new_len
         self._addr.replace(old_start, new_start,
                            old_weight=old_len, new_weight=new_len)
-        self._b_delete(old_start, old_len)
-        self._b_insert(new_start, new_len)
+        old_b, new_b = old_len.bit_length(), new_len.bit_length()
+        buckets = self._buckets
+        if old_b == new_b:
+            buckets[old_b].move((old_len, old_start), (new_len, new_start))
+        else:
+            if not buckets[old_b].remove((old_len, old_start)):
+                raise CorruptionError(f"size view out of sync at {old_start}")
+            if new_b > self._btop:
+                self._btop = new_b
+            buckets[new_b].insert((new_len, new_start))
         self._total_free += new_len - old_len
 
     # ------------------------------------------------------------------
@@ -176,12 +178,11 @@ class FreeExtentIndex:
         if end > self.capacity:
             raise CorruptionError(f"{ext} extends past capacity {self.capacity}")
         lens = self._len_by_start
-        pred = self._addr.pred_le(start)
+        pred, succ = self._addr.neighbours(start)
         if pred is not None and pred + lens[pred] > start:
             raise CorruptionError(
                 f"double free: {ext} overlaps free run at {pred}"
             )
-        succ = self._addr.succ_gt(start)
         if succ is not None and succ < end:
             raise CorruptionError(
                 f"double free: {ext} overlaps free run at {succ}"
@@ -310,7 +311,9 @@ class FreeExtentIndex:
     def best_fit(self, size: int) -> Extent | None:
         """Smallest free run of at least ``size`` bytes (lowest address ties)."""
         buckets = self._buckets
-        b0 = size.bit_length()
+        # A negative size's bit_length() is its magnitude's: every run
+        # fits it, so start from the bottom bucket.
+        b0 = size.bit_length() if size > 0 else 0
         if b0 >= len(buckets):
             return None
         pair = buckets[b0].first_ge((size, -1))

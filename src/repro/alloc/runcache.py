@@ -159,6 +159,8 @@ class NtfsRunCache:
         Returns the extent taken (possibly shorter than ``size``) or
         None.
         """
+        if size <= 0:
+            raise ConfigError("allocation size must be positive")
         if not 0.0 <= stickiness <= 1.0:
             raise ConfigError("stickiness must be in [0, 1]")
         length = self.index.run_length_at(at_offset)

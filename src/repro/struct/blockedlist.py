@@ -29,22 +29,19 @@ Invariants (checked by :meth:`BlockedList.check`)
 * When augmented, ``sums[i]`` is either ``None`` (stale) or equal to
   ``augment.summarize(blocks[i])``.
 
-Augmentation contract
----------------------
-An augmentation maintains one summary value per block, incrementally
-where possible and **lazily** where not:
-
-* ``summarize(block)`` — full O(block) recompute.
-* ``add(summary, weight)`` — summary after a key of ``weight`` joins
-  the block (must always succeed).
-* ``discard(summary, weight)`` — summary after a key of ``weight``
-  leaves, or ``None`` when only a rescan can tell.
-
-A mutation that cannot update a summary in O(1) (``discard`` returned
-``None``, or the block split) stores ``None`` in ``sums[i]`` and moves
-on; a stale entry stays stale until :meth:`BlockedList.summary`
-rescans and caches it — so a workload that never reads summaries (the
-run-cache allocator) never pays for them.
+Augmentation
+------------
+The one augmentation is :class:`MaxWeightAugmentation`: per block,
+``(max weight, count attaining it)``.  The list keeps it incrementally
+where possible and **lazily** where not.  A key joining a block
+updates its summary in O(1), and so does a key leaving it, unless it
+was the last key attaining the maximum; the list does that arithmetic
+inline in its own mutations.  A mutation that cannot update a summary
+in O(1) (the last maximal key left, or the block split) stores
+``None`` in ``sums[i]`` and moves on; a stale entry stays stale until
+:meth:`BlockedList.summary` rescans it with
+``MaxWeightAugmentation.summarize`` and caches it — so a workload that
+never reads summaries (the run-cache allocator) never pays for them.
 Pickling refreshes every entry first: the pickled bytes depend on the
 keys and weights alone, never on which summaries were read.
 
@@ -52,16 +49,15 @@ Weights are supplied by the caller on every mutation (so the caller
 can mutate its weight source first), while rescans pull weights
 through the augmentation's own ``weight(key)`` callable — the source
 must agree with the list whenever a summary is read or it is pickled.
-:class:`MaxWeightAugmentation` tracks ``(max weight, count attaining
-it)``, which is what lets the free-space index's ``first_fit`` skip
+The max weight is what lets the free-space index's ``first_fit`` skip
 whole blocks that cannot satisfy a request.
 
 Complexity of the public methods (n keys, b = #blocks ≈ n / load)
 -----------------------------------------------------------------
-``insert`` / ``remove`` / ``replace``: O(log n + load), plus O(b) on
-the rare split or block deletion.  ``summary``: O(1), or one O(block)
-rescan when the entry is stale.  ``pred_le`` / ``pred_lt`` /
-``succ_gt`` / ``first_ge``: O(log n).  ``first`` / ``last`` /
+``insert`` / ``remove`` / ``replace`` / ``move``: O(log n + load),
+plus O(b) on the rare split or block deletion.  ``summary``: O(1), or
+one O(block) rescan when the entry is stale.  ``pred_le`` / ``pred_lt`` /
+``neighbours`` / ``first_ge``: O(log n).  ``first`` / ``last`` /
 ``__len__``: O(1).  Iteration: O(n); ``iter_from``: O(log n) to seek
 plus O(1) per key yielded.  Mutating the list during iteration is
 undefined.
@@ -89,7 +85,8 @@ class MaxWeightAugmentation:
     several keys tie for the maximum; only removing the last maximal
     key leaves the summary stale until someone reads it.  Weights must
     be positive so the empty summary ``(0, 0)`` never collides with a
-    real one.
+    real one.  This object holds the rescan; :class:`BlockedList` does
+    the O(1) updates itself.
     """
 
     __slots__ = ("weight",)
@@ -102,23 +99,6 @@ class MaxWeightAugmentation:
         weights = list(map(self.weight, block))
         mx = max(weights, default=0)
         return mx, weights.count(mx)
-
-    def add(self, summary: tuple[int, int], weight: int) -> tuple[int, int]:
-        mx, cnt = summary
-        if weight > mx:
-            return weight, 1
-        if weight == mx:
-            return mx, cnt + 1
-        return summary
-
-    def discard(self, summary: tuple[int, int],
-                weight: int) -> tuple[int, int] | None:
-        mx, cnt = summary
-        if weight == mx:
-            if cnt == 1:
-                return None
-            return mx, cnt - 1
-        return summary
 
 
 class BlockedList:
@@ -159,29 +139,36 @@ class BlockedList:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    # The max-weight arithmetic is spelt inline below: a key of weight w
+    # joining a block whose summary is (mx, cnt) leaves (w, 1) when
+    # w > mx, (mx, cnt + 1) when w == mx, the summary otherwise; a key
+    # leaving it drops cnt, and the last maximal key leaves it stale.
     def insert(self, key: Any, weight: int | None = None) -> None:
         """Add ``key`` (must not be present); O(log n + load)."""
         blocks = self.blocks
         mins = self.mins
-        augment = self.augment
         self._n += 1
         if not blocks:
             blocks.append([key])
             mins.append(key)
-            if augment is not None:
-                self.sums.append(augment.add((0, 0), cast(int, weight)))
+            if self.augment is not None:
+                self.sums.append((cast(int, weight), 1))
             return
         bi = bisect_right(mins, key) - 1
         if bi < 0:
             bi = 0
         block = blocks[bi]
         insort(block, key)
-        if block[0] != mins[bi]:
-            mins[bi] = block[0]
-        if augment is not None:
+        if block[0] is key:
+            mins[bi] = key
+        if self.augment is not None:
             summary = self.sums[bi]
             if summary is not None:
-                self.sums[bi] = augment.add(summary, cast(int, weight))
+                mx = summary[0]
+                if cast(int, weight) > mx:
+                    self.sums[bi] = (cast(int, weight), 1)
+                elif weight == mx:
+                    self.sums[bi] = (mx, summary[1] + 1)
         if len(block) >= 2 * self.load:
             self._split(bi)
 
@@ -216,11 +203,11 @@ class BlockedList:
             return True
         if pos == 0:
             mins[bi] = block[0]
-        augment = self.augment
-        if augment is not None:
+        if self.augment is not None:
             summary = self.sums[bi]
-            if summary is not None:
-                self.sums[bi] = augment.discard(summary, cast(int, weight))
+            if summary is not None and weight == summary[0]:
+                mx, cnt = summary
+                self.sums[bi] = (mx, cnt - 1) if cnt > 1 else None
         return True
 
     def replace(self, old: Any, new: Any, *, old_weight: int | None = None,
@@ -230,26 +217,71 @@ class BlockedList:
         The caller guarantees the replacement preserves sort order
         (i.e. ``new`` still belongs between ``old``'s neighbours);
         this is the boundary-move fast path behind the free index's
-        carves and merges.
+        carves and merges.  ``replace(key, key, ...)`` only reweights
+        ``key``: it reads the directory and the summary, not the block,
+        so the caller vouches that ``key`` is present.
         """
         mins = self.mins
         bi = bisect_right(mins, old) - 1
         if bi < 0:
             raise CorruptionError(f"blocked list: key {old!r} not present")
-        block = self.blocks[bi]
-        pos = bisect_left(block, old)
-        if pos >= len(block) or block[pos] != old:
-            raise CorruptionError(f"blocked list: key {old!r} not present")
-        block[pos] = new
-        if pos == 0:
-            mins[bi] = new
-        augment = self.augment
-        if augment is not None:
+        if new != old:
+            block = self.blocks[bi]
+            pos = bisect_left(block, old)
+            if pos >= len(block) or block[pos] != old:
+                raise CorruptionError(
+                    f"blocked list: key {old!r} not present")
+            block[pos] = new
+            if pos == 0:
+                mins[bi] = new
+        if self.augment is not None:
             summary = self.sums[bi]
-            if summary is not None:
-                summary = augment.add(summary, cast(int, new_weight))
-                self.sums[bi] = augment.discard(summary,
-                                                cast(int, old_weight))
+            # Join new_weight, then drop old_weight; a boundary move
+            # below the block's maximum leaves the summary as it is.
+            if summary is not None and (cast(int, new_weight) >= summary[0]
+                                        or old_weight == summary[0]):
+                mx, cnt = summary
+                if cast(int, new_weight) > mx:
+                    mx, cnt = cast(int, new_weight), 1
+                elif new_weight == mx:
+                    cnt += 1
+                if old_weight == mx:
+                    cnt -= 1
+                self.sums[bi] = (mx, cnt) if cnt else None
+
+    def move(self, old: Any, new: Any) -> None:
+        """``remove(old)`` then ``insert(new)`` as one call, leaving the
+        same blocks, minima and split points as the pair would.
+
+        When ``new`` lands in ``old``'s block (the common case for a
+        free run that shrinks a little, and always for a list of one
+        key) the directory and the block are searched once; otherwise
+        this is the pair itself.  ``old`` must be present.  Unaugmented
+        lists only (the free index's size buckets).
+        """
+        mins = self.mins
+        blocks = self.blocks
+        bi = bisect_right(mins, old) - 1
+        if bi >= 0:
+            block = blocks[bi]
+            pos = bisect_left(block, old)
+            n = len(block)
+            if pos < n and block[pos] == old:
+                if n == 1:
+                    if len(blocks) == 1:
+                        block[0] = mins[0] = new
+                        return
+                elif (bi + 1 == len(blocks) or new < mins[bi + 1]) and \
+                        (bi == 0 or not new < block[1 if pos == 0 else 0]):
+                    # new sorts below the next block's first key and not
+                    # below this block's first key once old is gone.
+                    del block[pos]
+                    insort(block, new)
+                    mins[bi] = block[0]
+                    return
+        if not self.remove(old):
+            raise CorruptionError(f"blocked list: key {old!r} not present")
+        self.insert(new)
 
     # ------------------------------------------------------------------
     # Point queries
@@ -289,21 +321,20 @@ class BlockedList:
         pos = bisect_left(block, key) - 1
         return block[pos] if pos >= 0 else None
 
-    def succ_gt(self, key: Any) -> Any | None:
-        """Smallest key ``> key``, or None."""
+    def neighbours(self, key: Any) -> tuple[Any | None, Any | None]:
+        """``(largest key <= key, smallest key > key)``, either None when
+        absent, from one directory search."""
         blocks = self.blocks
-        if not blocks:
-            return None
         bi = bisect_right(self.mins, key) - 1
         if bi < 0:
-            return blocks[0][0]
+            return None, (blocks[0][0] if blocks else None)
         block = blocks[bi]
         pos = bisect_right(block, key)
         if pos < len(block):
-            return block[pos]
+            return block[pos - 1], block[pos]
         if bi + 1 < len(blocks):
-            return blocks[bi + 1][0]
-        return None
+            return block[pos - 1], blocks[bi + 1][0]
+        return block[pos - 1], None
 
     def first_ge(self, key: Any) -> Any | None:
         """Smallest key ``>= key``, or None."""

@@ -153,3 +153,49 @@ class TestSlots:
         got = pickle.dumps(self.PINNED, protocol=protocol)
         assert got == head + self.PINNED_BODY
         assert pickle.loads(got) == self.PINNED
+
+
+class TestOneFrame:
+    """An extent is built, and unpickled, in one Python frame: the
+    validating ``__init__`` (there is no ``__post_init__``), or
+    ``__setstate__``."""
+
+    @staticmethod
+    def frames(call):
+        import sys
+
+        seen = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                seen.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return seen
+
+    def test_construction_is_one_frame(self):
+        assert "__post_init__" not in vars(Extent)
+        assert self.frames(lambda: Extent(5, 7)) == ["<lambda>", "__init__"]
+        assert self.frames(lambda: Extent(start=5, length=7)) == \
+            ["<lambda>", "__init__"]
+
+    def test_unpickling_is_one_frame(self):
+        import pickle
+
+        data = pickle.dumps(Extent(5, 7))
+        assert self.frames(lambda: pickle.loads(data)) == \
+            ["<lambda>", "__setstate__"]
+        assert pickle.loads(data) == Extent(5, 7)
+
+    @pytest.mark.parametrize("start,length,message", [
+        (-1, 4, "extent start must be >= 0, got -1"),
+        (0, 0, "extent length must be > 0, got 0"),
+        (3, -2, "extent length must be > 0, got -2"),
+    ])
+    def test_validation_messages(self, start, length, message):
+        with pytest.raises(ConfigError, match=message):
+            Extent(start, length)

@@ -117,6 +117,20 @@ class TestQueries:
         # Two 100-byte runs at 200 and 400? free: [0,100),[200,300),[400,500)
         assert index.best_fit(100) == Extent(0, 100)
 
+    @pytest.mark.parametrize("size", [-300, -5, -2, -1, 0, 1])
+    def test_best_fit_of_a_non_positive_size_is_the_smallest_run(self, size):
+        """Every run fits a size of 0 or less, so the answer is the
+        smallest run, as on the naive engine.  A negative size's
+        ``bit_length()`` is its magnitude's: the bucket search must not
+        start from it."""
+        tiered, naive = FreeExtentIndex(1000), NaiveFreeExtentIndex(1000)
+        for index in (tiered, naive):
+            index.remove(Extent(1, 99))       # [0,1) [100,1000)
+            index.remove(Extent(102, 400))    # ... [100,102) [502,1000)
+            index.remove(Extent(505, 100))    # ... [502,505) [605,1000)
+        assert naive.best_fit(size) == Extent(0, 1)
+        assert tiered.best_fit(size) == naive.best_fit(size)
+
     def test_worst_fit_takes_largest(self, index):
         index.remove(Extent(0, 600))
         assert index.worst_fit(100) == Extent(600, 400)
@@ -277,13 +291,13 @@ class TestLazySummaries:
         summarized: list[int] = []
         minted: list[int] = []
         summarize = MaxWeightAugmentation.summarize
-        post_init = Extent.__post_init__
+        init = Extent.__init__
         monkeypatch.setattr(
             MaxWeightAugmentation, "summarize",
             lambda self, block: summarized.append(1) or summarize(self, block))
         monkeypatch.setattr(
-            Extent, "__post_init__",
-            lambda self: minted.append(1) or post_init(self))
+            Extent, "__init__",
+            lambda self, *args: minted.append(1) or init(self, *args))
         churn(2000)
         assert summarized == []
         for size in (4 << 10, 64 << 10, 1 << 20, 1 << 27):

@@ -221,3 +221,16 @@ class TestTryExtend:
         cache, _ = make_cache()
         with pytest.raises(ConfigError):
             cache.try_extend(0, 64 * KB, stickiness=1.5)
+
+    @pytest.mark.parametrize("size", [0, -64 * KB])
+    @pytest.mark.parametrize("at", [1 * MB, 50 * MB])
+    def test_size_validation(self, size, at):
+        """A non-positive request is refused like ``choose`` and
+        ``allocate`` refuse it, before the free run is probed, in and
+        out of the outer band."""
+        cache, index = make_cache()
+        index.remove(Extent(0, 100 * MB))
+        index.add(Extent(at, 2 * MB))
+        with pytest.raises(ConfigError, match="allocation size must be"):
+            cache.try_extend(at, size)
+        assert list(index) == [Extent(at, 2 * MB)]

@@ -294,7 +294,7 @@ def operations(draw):
     return draw(st.lists(
         st.tuples(
             st.sampled_from(["insert", "remove", "pred_le", "pred_lt",
-                             "succ_gt", "first_ge"]),
+                             "neighbours", "first_ge"]),
             st.integers(min_value=0, max_value=200),
         ),
         max_size=120,
@@ -319,8 +319,9 @@ def test_blockedlist_matches_sorted_list_model(ops, load):
             assert bl.pred_le(key) == model_pred_le(model, key)
         elif op == "pred_lt":
             assert bl.pred_lt(key) == model_pred_lt(model, key)
-        elif op == "succ_gt":
-            assert bl.succ_gt(key) == model_succ_gt(model, key)
+        elif op == "neighbours":
+            assert bl.neighbours(key) == (model_pred_le(model, key),
+                                          model_succ_gt(model, key))
         elif op == "first_ge":
             assert bl.first_ge(key) == model_first_ge(model, key)
         bl.check("model")
