@@ -1,19 +1,27 @@
-"""Quickstart: a large-object repository in ~40 lines.
+"""Quickstart: the paper's aging methodology in ~40 lines.
 
-Creates a simulated 512 MB volume, stores objects on the filesystem
-backend, replaces one with a safe write, and prints the repository's
-built-in instrumentation: storage age and fragments/object.
+Creates a simulated 512 MB volume, bulk-loads the filesystem backend to
+90% full, ages it with safe writes, and prints what the paper plots
+against storage age: fragments per object.  The store is driven through
+the same books every figure uses — ``WorkloadSpec``, ``bulk_load``,
+``churn_to_age``, ``read_sweep`` and ``fragment_report``.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import (
     BlockDevice,
+    ConstantSize,
     FileBackend,
-    LargeObjectRepository,
     MB,
+    WorkloadSpec,
+    bulk_load,
+    churn_to_age,
+    fragment_report,
+    read_sweep,
     scaled_disk,
 )
+from repro.rng import substream
 
 
 def main() -> None:
@@ -23,33 +31,31 @@ def main() -> None:
 
     # The paper's filesystem configuration: one file per object,
     # metadata rows in a (simulated) database, safe-write updates.
-    repo = LargeObjectRepository(FileBackend(device))
+    store = FileBackend(device)
 
-    # Store a few photo-sized objects.
-    for i in range(20):
-        repo.put(f"photo-{i:03d}", size=2 * MB)
-    print("after bulk load:   ", repo.describe())
+    # Photo-sized objects, loaded one after another to 90% full: the
+    # bulk load lays every object out contiguously (storage age 0).
+    spec = WorkloadSpec(sizes=ConstantSize(2 * MB), target_occupancy=0.9)
+    state = bulk_load(store, spec, substream(7, "workload"))
 
-    # Users re-upload edited versions: each replace is a safe write
-    # (write temp file, force, atomic rename) — the old bytes become
-    # "dead" and storage age advances.
-    for _ in range(3):
-        for i in range(20):
-            repo.replace(f"photo-{i:03d}", size=2 * MB)
-    print("after three edits: ", repo.describe())
+    # Users re-upload edited versions of random objects: each one is a
+    # safe write (write temp file, force, atomic rename), the old bytes
+    # become free space, and storage age — safe writes per object —
+    # advances.  Fragments/object is the paper's fragmentation metric;
+    # 1.0 means every object is physically contiguous.
+    for age in (0, 1, 2, 4):
+        churn_to_age(store, state, age)
+        report = fragment_report(store)
+        print(f"storage age {state.tracker.storage_age:.2f}: "
+              f"{report.mean:.2f} fragments/object over "
+              f"{report.objects} objects")
 
     # Reads are timed against the disk model.
-    data_len = repo.meta("photo-007").size
-    repo.get("photo-007")
-    stats = device.stats
-    print(f"device so far:      {stats.total_bytes / MB:.0f} MB moved, "
-          f"{stats.seeks} seeks, {stats.busy_time_s:.2f} s modelled time")
-
-    # Fragments/object is the paper's fragmentation metric; 1.0 means
-    # every object is physically contiguous.
-    report = repo.fragment_report()
+    before = device.stats.read_time_s
+    nbytes = read_sweep(store, state, 32, rng=substream(7, "reads"))
+    seconds = device.stats.read_time_s - before
+    print(f"aged read sweep:    {nbytes / MB / seconds:.1f} MB/s modelled")
     print(f"fragment histogram: {report.histogram(bins=[1, 2, 4, 8])}")
-    assert data_len == 2 * MB
 
 
 if __name__ == "__main__":

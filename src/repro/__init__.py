@@ -3,21 +3,24 @@
 
 A simulation laboratory for studying long-term fragmentation in large
 object stores: an NTFS-like filesystem and a SQL-Server-like database
-built from scratch over a mechanical disk model, a get/put repository
-API with storage-age instrumentation, the paper's marker-based
-fragmentation analyzer, and an experiment driver that regenerates every
-figure in the paper's evaluation.
+built from scratch over a mechanical disk model, get/put backends, the
+paper's marker-based fragmentation analyzer, and an experiment driver
+that regenerates every figure in the paper's evaluation.
 
-Quickstart::
+Quickstart — the path every figure drives: bulk-load a store, age it
+with safe writes, measure fragments per object::
 
-    from repro import (LargeObjectRepository, FileBackend,
-                       BlockDevice, scaled_disk, MB)
-
-    device = BlockDevice(scaled_disk(512 * MB))
-    repo = LargeObjectRepository(FileBackend(device))
-    repo.put("photo-1", size=2 * MB)
-    repo.replace("photo-1", size=2 * MB)     # a safe write
-    print(repo.describe())
+    >>> from repro import (BlockDevice, ConstantSize, FileBackend, MB,
+    ...                    WorkloadSpec, bulk_load, churn_to_age,
+    ...                    fragment_report, scaled_disk)
+    >>> from repro.rng import substream
+    >>> store = FileBackend(BlockDevice(scaled_disk(64 * MB)))
+    >>> spec = WorkloadSpec(ConstantSize(1 * MB), target_occupancy=0.9)
+    >>> state = bulk_load(store, spec, substream(7, "workload"))
+    >>> churn_to_age(store, state, 4.0)  # safe writes to storage age 4
+    200
+    >>> state.tracker.storage_age, fragment_report(store).mean
+    (4.0, 3.94)
 """
 
 from repro.units import KB, MB, GB, TB, parse_size, fmt_size
@@ -48,7 +51,6 @@ from repro.core import (
     ExperimentConfig,
     ExperimentRunner,
     FragmentReport,
-    LargeObjectRepository,
     MarkerScanner,
     RunResult,
     StorageAgeTracker,
@@ -74,7 +76,7 @@ __all__ = [
     "SimDatabase", "DbConfig",
     "ObjectStore", "FileBackend", "BlobBackend", "GfsChunkBackend",
     "LfsBackend", "CostModel", "StoreSpec",
-    "LargeObjectRepository", "StorageAgeTracker", "FragmentReport",
+    "StorageAgeTracker", "FragmentReport",
     "MarkerScanner", "fragment_report", "make_marker_content",
     "ConstantSize", "UniformSize", "WorkloadSpec",
     "bulk_load", "churn_to_age", "read_sweep",

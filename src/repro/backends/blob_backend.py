@@ -14,7 +14,7 @@ from repro.backends.registry import object_option, register_backend
 from repro.backends.spec import StoreSpec
 from repro.db.database import DbConfig, SimDatabase
 from repro.disk.device import BlockDevice, IoRequest
-from repro.errors import ObjectNotFoundError
+from repro.errors import ConfigError, ObjectNotFoundError
 
 
 class BlobBackend:
@@ -131,6 +131,8 @@ class BlobBackend:
 def _database_from_spec(spec: StoreSpec,
                         device: BlockDevice) -> BlobBackend:
     db_config = spec.option("db_config") or DbConfig(
-        write_request=spec.write_request
-    )
+        write_request=spec.write_request)
+    if db_config.write_request != spec.write_request:
+        raise ConfigError(f"db_config.write_request={db_config.write_request}"
+                          f" differs from the spec's {spec.write_request}")
     return BlobBackend(device, db_config=db_config)

@@ -6,7 +6,7 @@ across many small stores instead of scaling one.  ``ShardedStore`` is
 that composite for this codebase: an :class:`ObjectStore` that stripes
 keys over N inner stores (each with its own device, free-space index,
 and cleaner), so every driver written against the protocol — the
-experiment runner, :class:`LargeObjectRepository`, the fragmentation
+experiment runner, the workload books, the fragmentation
 analyzers — runs unchanged over a multi-volume layout.
 
 Placement policies (``spec.placement``):

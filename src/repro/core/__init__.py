@@ -1,16 +1,16 @@
-"""The paper's core contribution: repository API + measurement methodology.
+"""The paper's core contribution: the measurement methodology.
 
-* :class:`LargeObjectRepository` — the get/put application facade with
-  storage-age accounting built in.
+* :mod:`repro.core.workload` — bulk load + safe-write churn; its
+  ``WorkloadState`` is the one set of run books (keys, marker versions,
+  storage age) every figure and ``repro run`` drives a store through.
 * :mod:`repro.core.fragmentation` — fragments/object analysis, both from
   extent maps and from on-disk markers (the paper's measurement tool).
-* :mod:`repro.core.workload` — bulk load + safe-write churn generators.
 * :mod:`repro.core.experiment` — the aging experiment driver that
   produces every figure's data.
+* :mod:`repro.core.interleaved` — concurrent append streams (Section 6).
 * :mod:`repro.core.defrag` — offline/incremental defragmenters.
 """
 
-from repro.core.repository import LargeObjectRepository
 from repro.core.storage_age import StorageAgeTracker
 from repro.core.fragmentation import (
     FragmentReport,
@@ -42,7 +42,6 @@ from repro.core.interleaved import (
 )
 
 __all__ = [
-    "LargeObjectRepository",
     "StorageAgeTracker",
     "FragmentReport",
     "MarkerScanner",

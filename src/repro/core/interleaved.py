@@ -7,20 +7,25 @@ objects grow concurrently, one write request at a time round-robin, so
 every allocation decision happens with other half-written objects
 competing for the same runs.
 
-Works against both substrates: the filesystem appends to open files;
+One loop serves both substrates: the filesystem appends to open files;
 the database grows open BLOBs with ``BlobStore.append``, which adds
 pages down the LOB tree's rightmost spine.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TypeVar
 
+from repro.alloc.extent import Extent, coalesce
 from repro.core.fragmentation import FragmentReport
 from repro.db.database import SimDatabase
 from repro.errors import ConfigError
 from repro.fs.filesystem import SimFilesystem
-from repro.units import DEFAULT_WRITE_REQUEST, ceil_div
+from repro.units import DEFAULT_WRITE_REQUEST, PAGE_SIZE, ceil_div, round_up
+
+Handle = TypeVar("Handle")
 
 
 @dataclass
@@ -36,6 +41,57 @@ class InterleaveResult:
         return self.report.mean
 
 
+def _round_robin(*, nstreams: int, total_objects: int, size: int,
+                 write_request: int,
+                 open_stream: Callable[[int], tuple[Handle, int]],
+                 append: Callable[[Handle, int, bool], None],
+                 extents: Callable[[Handle], list[Extent]]
+                 ) -> InterleaveResult:
+    """Grow ``total_objects`` objects of ``size`` bytes, ``nstreams`` at
+    a time, one ``write_request`` per stream per turn.  ``open_stream(i)``
+    starts object ``i`` and returns its handle and the requests it wrote
+    itself; ``append(handle, nbytes, last)`` writes one more.  A finished
+    stream's slot goes to the next object, opened at the back, so the
+    stream now in that slot is not skipped.
+    """
+    if nstreams < 1 or total_objects < 1 or size < 1:
+        raise ConfigError("nstreams, total_objects, object_size must be >= 1")
+    requests = ceil_div(size, write_request)
+    tail = size - (requests - 1) * write_request
+    handles: list[Handle] = []
+    active: list[tuple[Handle, int]] = []  # (handle, requests left)
+
+    def open_next() -> None:
+        handle, written = open_stream(len(handles))
+        handles.append(handle)
+        if written < requests:
+            active.append((handle, requests - written))
+
+    while len(handles) < min(nstreams, total_objects):
+        open_next()
+    while active or len(handles) < total_objects:
+        if not active:
+            open_next()
+            continue
+        slot = 0
+        while slot < len(active):
+            handle, remaining = active[slot]
+            append(handle, write_request if remaining > 1 else tail,
+                   remaining == 1)
+            remaining -= 1
+            if remaining == 0:
+                del active[slot]
+                if len(handles) < total_objects:
+                    open_next()
+                continue
+            active[slot] = (handle, remaining)
+            slot += 1
+    counts = {str(handle): len(coalesce(extents(handle)))
+              for handle in handles}
+    return InterleaveResult(nstreams=nstreams, objects=len(handles),
+                            report=FragmentReport(counts=counts))
+
+
 def interleaved_fs_load(fs: SimFilesystem, *, nstreams: int,
                         object_size: int, total_objects: int,
                         write_request: int = DEFAULT_WRITE_REQUEST,
@@ -46,55 +102,20 @@ def interleaved_fs_load(fs: SimFilesystem, *, nstreams: int,
     out contiguous on a clean volume); larger values interleave the
     append requests of concurrent uploads.
     """
-    if nstreams < 1 or total_objects < 1:
-        raise ConfigError("nstreams and total_objects must be >= 1")
-    requests_per_object = ceil_div(object_size, write_request)
-    names: list[str] = []
-    active: list[tuple[str, int]] = []  # (name, requests remaining)
-    next_idx = 0
-
-    def open_next() -> None:
-        nonlocal next_idx
-        name = f"{name_prefix}-{next_idx:05d}"
-        next_idx += 1
+    def open_file(index: int) -> tuple[str, int]:
+        name = f"{name_prefix}-{index:05d}"
         fs.create(name)
-        names.append(name)
-        active.append((name, requests_per_object))
+        return name, 0
 
-    while next_idx < min(nstreams, total_objects):
-        open_next()
-    remaining_total = object_size % write_request or write_request
-    while active:
-        slot = 0
-        while slot < len(active):
-            name, remaining = active[slot]
-            chunk = write_request if remaining > 1 else remaining_total
-            fs.append(name, nbytes=chunk)
-            remaining -= 1
-            if remaining == 0:
-                fs.fsync(name)
-                del active[slot]
-                if next_idx < total_objects:
-                    open_next()
-                    # The fresh stream starts at the back; do not skip
-                    # the stream now occupying this slot.
-                continue
-            active[slot] = (name, remaining)
-            slot += 1
-    counts = {
-        name: len(_coalesced(fs, name)) for name in names
-    }
-    return InterleaveResult(
-        nstreams=nstreams,
-        objects=len(names),
-        report=FragmentReport(counts=counts),
-    )
+    def append(name: str, nbytes: int, last: bool) -> None:
+        fs.append(name, nbytes=nbytes)
+        if last:
+            fs.fsync(name)
 
-
-def _coalesced(fs: SimFilesystem, name: str):
-    from repro.alloc.extent import coalesce
-
-    return coalesce(fs.extent_map(name))
+    return _round_robin(nstreams=nstreams, total_objects=total_objects,
+                        size=object_size, write_request=write_request,
+                        open_stream=open_file, append=append,
+                        extents=fs.extent_map)
 
 
 def interleaved_db_load(db: SimDatabase, *, nstreams: int,
@@ -102,55 +123,18 @@ def interleaved_db_load(db: SimDatabase, *, nstreams: int,
                         write_request: int = DEFAULT_WRITE_REQUEST
                         ) -> InterleaveResult:
     """Database version: BLOBs grow by ``BlobStore.append`` calls."""
-    if nstreams < 1 or total_objects < 1:
-        raise ConfigError("nstreams and total_objects must be >= 1")
-    from repro.alloc.extent import coalesce
-    from repro.units import PAGE_SIZE, round_up
-
     padded = round_up(object_size, PAGE_SIZE)
-    requests_per_object = ceil_div(padded, write_request)
-    blob_ids: list[int] = []
-    active: list[tuple[int, int]] = []
-    created = 0
 
-    def open_next() -> None:
-        nonlocal created
+    def open_blob(_index: int) -> tuple[int, int]:
         # Seed each blob with its first request's worth of pages.
-        first = min(write_request, padded)
-        blob_id = db.put_blob(size=first, commit=False)
-        created += 1
-        blob_ids.append(blob_id)
-        if requests_per_object > 1:
-            active.append((blob_id, requests_per_object - 1))
+        return db.put_blob(size=min(write_request, padded), commit=False), 1
 
-    while created < min(nstreams, total_objects):
-        open_next()
-    while active or created < total_objects:
-        if not active:
-            open_next()
-            continue
-        slot = 0
-        while slot < len(active):
-            blob_id, remaining = active[slot]
-            current = db.blobs.size_of(blob_id)
-            chunk = min(write_request, padded - current)
-            db.blobs.append(blob_id, size=chunk,
-                            write_request=write_request)
-            remaining -= 1
-            if remaining == 0:
-                del active[slot]
-                if created < total_objects:
-                    open_next()
-                continue
-            active[slot] = (blob_id, remaining)
-            slot += 1
+    def append(blob_id: int, nbytes: int, _last: bool) -> None:
+        db.blobs.append(blob_id, size=nbytes, write_request=write_request)
+
+    result = _round_robin(nstreams=nstreams, total_objects=total_objects,
+                          size=padded, write_request=write_request,
+                          open_stream=open_blob, append=append,
+                          extents=db.blobs.blob_extents)
     db.commit()
-    counts = {
-        str(blob_id): len(coalesce(db.blobs.blob_extents(blob_id)))
-        for blob_id in blob_ids
-    }
-    return InterleaveResult(
-        nstreams=nstreams,
-        objects=len(blob_ids),
-        report=FragmentReport(counts=counts),
-    )
+    return result

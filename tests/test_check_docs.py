@@ -152,3 +152,31 @@ def test_a_source_file_citing_a_missing_md_is_caught(tmp_path, monkeypatch):
     ]
     monkeypatch.undo()
     assert check_docs.dangling_md_mentions() == []
+
+
+def test_a_backticked_path_that_names_nothing_is_caught(tmp_path,
+                                                        monkeypatch):
+    """A deleted module named in the current docs keeps sending readers
+    to it; the history files may name it."""
+    for path in ("src/repro/core/workload.py", "tests/test_a.py"):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text("")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text(
+        "`src/repro/core/workload.py`, `repro/core/workload.py`,\n"
+        "`src/repro/core/`, `tests/test_a.py::test_x`, `tests/test_*.py`,\n"
+        "`src/repro/**/*.py`, `PYTHONPATH=src python tests/test_a.py`.\n"
+        "```\nsrc/repro/core/gone.py\n```\n")
+    (tmp_path / "docs" / "architecture.md").write_text(
+        "`src/repro/core/repository.py`, `python examples/quickstart.py`\n")
+    (tmp_path / "CHANGES.md").write_text(
+        "`src/repro/core/repository.py` is deleted\n")
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    assert check_docs.missing_repo_paths() == [
+        "docs/architecture.md: `src/repro/core/repository.py` names no "
+        "file in the repo",
+        "docs/architecture.md: `examples/quickstart.py` names no file in "
+        "the repo",
+    ]
+    monkeypatch.undo()
+    assert check_docs.missing_repo_paths() == []

@@ -11,9 +11,17 @@ from repro.core.fragmentation import (
     fragment_report,
     make_marker_content,
 )
+from repro.core.workload import (
+    ConstantSize,
+    UniformSize,
+    WorkloadSpec,
+    bulk_load,
+    churn_step,
+)
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.errors import ConfigError
+from repro.rng import substream
 from repro.units import KB, MB
 
 
@@ -145,42 +153,41 @@ class TestMarkerScanner:
 
 class TestCrossValidation:
     """The paper validated its marker tool against the NTFS
-    defragmentation utility; we validate ours against the extent maps."""
+    defragmentation utility; we validate ours against the extent maps,
+    on a volume the workload books loaded and aged with safe writes."""
+
+    @staticmethod
+    def assert_marker_and_extent_analysis_agree(store, sizes):
+        spec = WorkloadSpec(sizes=sizes, target_occupancy=0.6,
+                            with_content=True)
+        state = bulk_load(store, spec, substream(11, "w"))
+        for _ in range(2 * len(state.keys)):
+            churn_step(store, state)
+        extent_counts = fragment_counts(store)
+        assert max(extent_counts.values()) > 1
+        scanner = MarkerScanner(store.device)
+        live = {state.object_id_of(k) for k in state.keys}
+        marker_counts = scanner.fragment_counts(live_ids=live)
+        translated = {
+            state.object_id_of(key): count
+            for key, count in extent_counts.items()
+        }
+        assert marker_counts == translated
 
     def test_marker_and_extent_analysis_agree_filesystem(
             self, content_file_store):
-        from repro.core.repository import LargeObjectRepository
-
-        repo = LargeObjectRepository(content_file_store, tag_content=True)
-        for i in range(6):
-            repo.put(f"obj{i}", size=192 * KB)
-        for i in range(6):
-            repo.replace(f"obj{i}", size=192 * KB)
-        extent_counts = fragment_counts(content_file_store)
-        scanner = MarkerScanner(content_file_store.device)
-        live = {repo.object_id(k) for k in repo.keys()}
-        marker_counts = scanner.fragment_counts(live_ids=live)
-        translated = {
-            repo.object_id(key): count
-            for key, count in extent_counts.items()
-        }
-        assert marker_counts == translated
+        self.assert_marker_and_extent_analysis_agree(
+            content_file_store, UniformSize.around_mean(192 * KB))
 
     def test_marker_and_extent_analysis_agree_database(
             self, content_blob_store):
-        from repro.core.repository import LargeObjectRepository
+        self.assert_marker_and_extent_analysis_agree(
+            content_blob_store, ConstantSize(192 * KB))
 
-        repo = LargeObjectRepository(content_blob_store, tag_content=True)
-        for i in range(6):
-            repo.put(f"obj{i}", size=192 * KB)
-        for i in range(6):
-            repo.replace(f"obj{i}", size=192 * KB)
-        extent_counts = fragment_counts(content_blob_store)
-        scanner = MarkerScanner(content_blob_store.device)
-        live = {repo.object_id(k) for k in repo.keys()}
-        marker_counts = scanner.fragment_counts(live_ids=live)
-        translated = {
-            repo.object_id(key): count
-            for key, count in extent_counts.items()
-        }
-        assert marker_counts == translated
+    @pytest.mark.xfail(strict=True, reason=(
+        "coalesce() sorts an object's extents by physical start, so a "
+        "BLOB whose last pages land just before its first ones counts "
+        "as one fragment; the marker scan, in logical order, counts two"))
+    def test_logically_wrapped_blob_counts_alike(self, content_blob_store):
+        self.assert_marker_and_extent_analysis_agree(
+            content_blob_store, UniformSize.around_mean(192 * KB))

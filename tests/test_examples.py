@@ -1,11 +1,12 @@
-"""``examples/*.py``: each script runs to completion.
+"""``examples/*.py`` and the package quickstart: each runs to completion.
 
-They are the only callers of ``Defragmenter``, ``rebuild_database`` and
-``LargeObjectRepository`` outside the unit tests: no figure, ``repro``
-CLI run or e2e workload reaches those, so only these scripts show they
+The scripts are the only callers of ``Defragmenter`` and
+``rebuild_database`` outside the unit tests: no figure, ``repro`` CLI
+run or e2e workload reaches those, so only these scripts show they
 still work, and nothing else executes them.
 """
 
+import doctest
 import os
 import subprocess
 import sys
@@ -25,3 +26,12 @@ def test_example_exits_zero(script):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_package_docstring_quickstart_runs():
+    """The ``repro`` docstring's quickstart is the first code a reader
+    sees; running it keeps it from naming an API that is gone."""
+    import repro
+
+    failed, attempted = doctest.testmod(repro)
+    assert attempted and not failed

@@ -131,17 +131,25 @@ class TestRepositoryAcrossBackends:
         "file_store", "blob_store",
     ])
     def test_repository_wraps_any_backend(self, request, fixture_name):
-        from repro.core.repository import LargeObjectRepository
+        from repro.core.workload import (
+            ConstantSize,
+            WorkloadSpec,
+            bulk_load,
+            churn_to_age,
+            delete_all,
+        )
+        from repro.rng import substream
 
         store = request.getfixturevalue(fixture_name)
-        repo = LargeObjectRepository(store)
-        repo.put("x", size=128 * KB)
-        repo.replace("x", size=128 * KB)
-        assert repo.storage_age == pytest.approx(1.0)
-        repo.delete("x")
+        spec = WorkloadSpec(sizes=ConstantSize(128 * KB),
+                            target_occupancy=0.1)
+        state = bulk_load(store, spec, substream(1, "w"))
+        churn_to_age(store, state, 1.0)
+        assert state.tracker.storage_age == pytest.approx(1.0)
+        delete_all(store, state)
         # An empty volume has no live bytes, so age reads as zero.
-        assert repo.storage_age == 0.0
-        assert repo.keys() == []
+        assert state.tracker.storage_age == 0.0
+        assert store.keys() == []
 
 
 class TestPageTypeEnum:

@@ -99,3 +99,7 @@ class TestInterleavedLoads:
         with pytest.raises(ConfigError):
             interleaved_fs_load(fs, nstreams=0, object_size=1 * MB,
                                 total_objects=5)
+        # An empty object has no request to append.
+        with pytest.raises(ConfigError):
+            interleaved_fs_load(fs, nstreams=1, object_size=0,
+                                total_objects=1)

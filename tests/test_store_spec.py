@@ -29,7 +29,7 @@ from repro.disk.geometry import scaled_disk
 from repro.disk.policy import DevicePolicy
 from repro.errors import ConfigError
 from repro.fs.filesystem import FsConfig
-from repro.units import KB, MB
+from repro.units import DEFAULT_WRITE_REQUEST, KB, MB
 
 ROOT = Path(__file__).resolve().parents[1]
 SIMPLE_CLASSES = {
@@ -261,7 +261,8 @@ class TestDeprecationShim:
         dict(backend="filesystem", index_kind="naive", size_hints=True),
         dict(backend="filesystem", fs_config=FsConfig(index_kind="naive")),
         dict(backend="database"),
-        dict(backend="database", db_config=DbConfig(write_request=128 * KB)),
+        dict(backend="database", db_config=DbConfig(write_request=128 * KB),
+             write_request=128 * KB),
         dict(backend="gfs"),
         dict(backend="lfs"),
     ]
@@ -271,8 +272,10 @@ class TestDeprecationShim:
     def test_shim_builds_identical_store(self, legacy):
         options = dict(legacy)
         backend = options.pop("backend")
+        write_request = options.pop("write_request", DEFAULT_WRITE_REQUEST)
         config = ExperimentConfig(
-            store=StoreSpec(backend, volume_bytes=64 * MB, options=options),
+            store=StoreSpec(backend, volume_bytes=64 * MB,
+                            write_request=write_request, options=options),
             sizes=_sizes())
         assert config.to_dict()["store"]["options"].keys() == options.keys()
         store = build_store(config.store)
@@ -282,8 +285,19 @@ class TestDeprecationShim:
             assert store.fs.config is options["fs_config"]
         if "db_config" in options:
             assert store.db.config is options["db_config"]
+            assert store.db.config.write_request == \
+                config.to_dict()["store"]["write_request"]
         if "index_kind" in options:
             assert store.fs.config.index_kind == options["index_kind"]
+
+    def test_db_config_must_write_the_specs_request_size(self):
+        """A ``db_config`` whose ``write_request`` differs from the
+        spec's would run one size while the record reports the other."""
+        spec = StoreSpec("database", volume_bytes=64 * MB,
+                         write_request=256 * KB,
+                         options={"db_config": DbConfig()})
+        with pytest.raises(ConfigError, match="65536.*262144"):
+            build_store(spec)
 
     def test_spec_path_rejects_legacy_knobs(self):
         for knob in (dict(index_kind="naive"), dict(size_hints=True),

@@ -17,6 +17,14 @@ registry, and every
 registered rule must appear in the ``docs/architecture.md`` catalogue
 — so the "Enforced invariants" section cannot rot.
 
+Every repo path written in backticks in ``README.md``, ``docs/*.md``
+or ``benchmarks/README.md`` must name something that exists, so a
+deleted module cannot stay in the current docs: ``src/…``,
+``benchmarks/…``, ``tests/…``, ``tools/…``, ``examples/…`` and
+``repro/…`` (read from ``src/``), globs included, a ``::name`` or
+``:line`` suffix ignored.  ROADMAP and CHANGES are history and may
+name it.
+
 And holds what ``README.md``, ``docs/*.md`` and ``benchmarks/README.md``
 quote from the committed baselines under ``benchmarks/`` to those
 files:
@@ -150,6 +158,28 @@ E2E_QUOTE_RE = re.compile(r"`([a-z0-9_]+)` ([0-9.]+) → ([0-9.]+) "
                           r"`sim_ops_per_host_s`")
 
 
+SPAN_RE = re.compile(r"`([^`\n]+)`")
+REPO_PATH_RE = re.compile(
+    r"(?<![\w/.-])((?:src|repro|benchmarks|tests|tools|examples)/[\w./*-]*)")
+
+
+def missing_repo_paths() -> list[str]:
+    """Backticked repo paths in the current docs that name nothing."""
+    problems: list[str] = []
+    for pattern in FIGURE_GLOBS:
+        for path in sorted(ROOT.glob(pattern)):
+            text = FENCE_RE.sub("", path.read_text(encoding="utf-8"))
+            for span in SPAN_RE.findall(text):
+                for mention in REPO_PATH_RE.findall(span):
+                    base = ROOT / "src" if mention.startswith("repro/") \
+                        else ROOT
+                    if not any(base.glob(mention.rstrip("./"))):
+                        problems.append(
+                            f"{path.relative_to(ROOT).as_posix()}: "
+                            f"`{mention}` names no file in the repo")
+    return problems
+
+
 def committed_alloc_speedups() -> dict[str, float]:
     """The ``op@scale`` ratios of the committed ``BENCH_alloc.json``."""
     path = ROOT / "benchmarks" / "BENCH_alloc.json"
@@ -244,15 +274,15 @@ def main() -> int:
         for target in broken_links(path):
             failures += 1
             print(f"{path.relative_to(ROOT)}: broken link -> {target}")
-    for problem in (dangling_md_mentions() + rule_code_problems()
-                    + figure_problems()):
+    for problem in (dangling_md_mentions() + missing_repo_paths()
+                    + rule_code_problems() + figure_problems()):
         failures += 1
         print(problem)
     if failures:
         print(f"\n{failures} problem(s) across {checked} file(s)")
         return 1
-    print(f"ok: {checked} file(s); links, rule catalogue and quoted "
-          "bench figures in sync")
+    print(f"ok: {checked} file(s); links, repo paths, rule catalogue and "
+          "quoted bench figures in sync")
     return 0
 
 
