@@ -24,7 +24,9 @@ from repro.backends.costmodel import CostModel
 from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, IoRequest
-from repro.errors import ConfigError, ObjectNotFoundError, StorageFullError
+from repro.disk.faults import retry_read
+from repro.errors import (ConfigError, ObjectNotFoundError, StorageFullError,
+                          TransientIoError)
 from repro.fs.filesystem import checked_write_size
 from repro.specgrammar import to_float, to_size
 from repro.units import DEFAULT_WRITE_REQUEST, MB
@@ -182,11 +184,15 @@ class GfsChunkBackend:
         self.gc_runs += 1
         for record in sorted(live, key=lambda r: r.offset_in_chunk):
             payload = None
+            start = chunk.base + record.offset_in_chunk
             if self.device.stores_data:
-                payload = self.device.peek(
-                    chunk.base + record.offset_in_chunk, record.size
-                )
-            self.device.read(chunk.base + record.offset_in_chunk, record.size)
+                payload = self.device.peek(start, record.size)
+            # A transient fault retries; the backoff is device CPU time.
+            try:
+                self.device.read(start, record.size)
+            except TransientIoError:
+                retry_read(self.device.stats.record_cpu, self.device.read,
+                           start, record.size)
             moved = self._append_record(record.key, record.size, payload,
                                         record.version)
             self._records[record.key] = moved

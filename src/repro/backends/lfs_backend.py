@@ -19,7 +19,9 @@ from repro.backends.costmodel import CostModel
 from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, IoRequest
-from repro.errors import ConfigError, ObjectNotFoundError, StorageFullError
+from repro.disk.faults import retry_read
+from repro.errors import (ConfigError, ObjectNotFoundError, StorageFullError,
+                          TransientIoError)
 from repro.fs.filesystem import checked_write_size
 from repro.specgrammar import to_float, to_size
 from repro.units import DEFAULT_WRITE_REQUEST, MB
@@ -192,8 +194,13 @@ class LfsBackend:
         return b"".join(parts)
 
     def _read_pieces(self, loc: _ObjectLoc) -> None:
+        """The cleaner's read; a fault's backoff is device CPU time."""
         extents = self._extents_of(loc)
-        self.device.read_extents(extents)
+        try:
+            self.device.read_extents(extents)
+        except TransientIoError:
+            retry_read(self.device.stats.record_cpu,
+                       self.device.read_extents, extents)
 
     def _extents_of(self, loc: _ObjectLoc) -> list[Extent]:
         out = []

@@ -128,6 +128,11 @@ def resolve_spec(spec: StoreSpec) -> StoreSpec:
             "overlap=true needs shards > 1 (the overlap model schedules "
             "per-shard device lanes; a single volume has one lane)"
         )
+    if spec.checkpoint_rate > 0.0 and spec.shards <= 1:
+        raise ConfigError(
+            "checkpoint_rate > 0 needs shards > 1 (checkpoint write-back "
+            "is charged through the composite's background lanes)"
+        )
     if spec.queue == "event" and not spec.overlap:
         raise ConfigError(
             "queue=event needs overlap=true (the event queue simulates "

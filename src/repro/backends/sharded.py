@@ -104,8 +104,9 @@ time).  The primary stays the routing entry in the key map, preserving
 the :meth:`keys` order contract; replica holders live in a side map.
 
 Reads degrade instead of failing.  A :class:`~repro.errors.
-TransientIoError` is retried against the same shard up to
-:attr:`~ShardedStore.MAX_READ_RETRIES` times with a capped exponential
+TransientIoError` is retried against the same shard through
+:func:`~repro.disk.faults.retry_read` (the one retry policy, shared with
+the leaf stores' cleaner and collector reads), its capped exponential
 backoff charged as modelled time (a scheduler stall under the overlap
 model, device CPU time otherwise); a dead shard — marked by
 :meth:`fail_shard`, an ``at_age`` loss clause firing, or the device
@@ -119,7 +120,9 @@ key survives does the composite raise
 keys with surviving replicas stay readable and writable (writes simply
 skip dead holders, leaving the key under-replicated until rebuild).
 A rebuild or rebalance copy retries its source read the same way,
-charging the backoff inside the copy's own background round.
+charging the backoff inside its background round: the one step
+(``_background``) through which every copy and write-back reaches the
+devices and then pays its duty-cycle stall.
 
 :meth:`rebuild` restores redundancy: it walks the key map, re-copies
 every under-replicated object from its first surviving holder onto the
@@ -130,10 +133,10 @@ foreground I/O on the same devices — and a ``rebuild_rate=R`` throttle
 models a background task running at duty cycle ``R``: after each copy
 the pass stalls ``copy_time * (1-R)/R`` of wall time, so a gentler
 rebuild takes proportionally longer without occupying the devices.
-Rebuild is crash-safe and idempotent: routing is only updated after a
-copy completes, a leftover copy from a crashed pass is deleted and
-re-copied (never adopted — it may be torn), and a second pass over a
-healthy store does nothing.
+Rebuild and rebalance are crash-safe and idempotent: routing is only
+updated after a copy completes, every copy first deletes a leftover
+copy of a crashed pass from its target and re-copies (never adopts —
+it may be torn), and a second pass over a healthy store does nothing.
 """
 
 from __future__ import annotations
@@ -142,6 +145,7 @@ import contextlib
 import zlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 from repro.alloc.extent import Extent
@@ -149,7 +153,7 @@ from repro.backends.base import ObjectMeta, ObjectStore, StoreStats
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, summed_clock_s
 from repro.disk.events import EventScheduler
-from repro.disk.faults import FaultProfile
+from repro.disk.faults import FaultProfile, retry_read
 from repro.disk.schedule import ShardScheduler, throttle_pause
 from repro.errors import (ConfigError, ObjectNotFoundError, ShardLostError,
                           ShardUnavailableError, TransientIoError)
@@ -208,12 +212,6 @@ class RebuildReport:
 
 class ShardedStore:
     """Stripe keys over N inner object stores."""
-
-    #: Bounded retry for transient read faults (re-issues per holder).
-    MAX_READ_RETRIES = 3
-    #: Capped exponential backoff charged per retry as modelled time.
-    BACKOFF_BASE_S = 0.002
-    BACKOFF_CAP_S = 0.016
 
     def __init__(self, shards: Sequence[ObjectStore],
                  spec: StoreSpec) -> None:
@@ -422,28 +420,26 @@ class ShardedStore:
             if devs:
                 devs[0].stats.record_cpu(seconds)
 
-    def _throttle(self, index: int, spent: float, rate: float) -> float:
-        """Charge the duty-cycle stall ``spent`` s owes; returns the pause."""
-        if rate >= 1.0:
-            return 0.0
-        pause = throttle_pause(spent, rate)
-        self._charge_stall(index, pause)
-        return pause
-
-    def _back_off(self, index: int, attempt: int) -> None:
-        """Count one transient-read retry and charge its capped backoff."""
+    def _back_off(self, index: int, seconds: float) -> None:
+        """Count one transient-read retry and charge its backoff."""
         self.retries += 1
-        self._charge_stall(index, min(
-            self.BACKOFF_CAP_S, self.BACKOFF_BASE_S * (2 ** (attempt - 1))))
+        self._charge_stall(index, seconds)
 
-    @contextlib.contextmanager
-    def _background_round(self, indices: tuple[int, ...]):
-        """One background round over the given shard lanes; yields a reader
-        of the device seconds they spent (call it after the block)."""
+    def _background(self, indices: tuple[int, ...], work, rate: float,
+                    stall_at: int) -> tuple[float, float]:
+        """Run ``work()`` as one background round over the shard lanes
+        ``indices``, then charge the duty-cycle stall at shard
+        ``stall_at``.  Returns the lanes' device seconds and the stall."""
         lanes = [d for i in indices for d in self._lane_devices[i]]
         before = summed_clock_s(lanes)
         with self._dispatch(indices, background=True):
-            yield lambda: summed_clock_s(lanes) - before
+            work()
+        spent = summed_clock_s(lanes) - before
+        if rate >= 1.0:
+            return spent, 0.0
+        pause = throttle_pause(spent, rate)
+        self._charge_stall(stall_at, pause)
+        return spent, pause
 
     # ------------------------------------------------------------------
     # ObjectStore interface
@@ -479,26 +475,25 @@ class ShardedStore:
             if index in self._dead_shards:
                 self.failovers += 1
                 continue
-            attempt = 0
-            while True:
+            read = self.shards[index].get
+            try:
                 try:
-                    value = self._one_lane(index, self.shards[index].get,
-                                           key, offset, length)
+                    value = self._one_lane(index, read, key, offset, length)
                 except TransientIoError:
-                    attempt += 1
-                    if attempt > self.MAX_READ_RETRIES:
-                        self.failovers += 1
-                        break  # give this holder up, try the next
-                    self._back_off(index, attempt)
-                    continue
-                except ShardLostError:
-                    # The device knows before we do; remember it.
-                    self._dead_shards.add(index)
-                    self.failovers += 1
-                    break
-                if index != primary:
-                    self.degraded_reads += 1
-                return value
+                    value = retry_read(partial(self._back_off, index),
+                                       self._one_lane, index, read, key,
+                                       offset, length)
+            except TransientIoError:
+                self.failovers += 1
+                continue  # retries spent: give this holder up
+            except ShardLostError:
+                # The device knows before we do; remember it.
+                self._dead_shards.add(index)
+                self.failovers += 1
+                continue
+            if index != primary:
+                self.degraded_reads += 1
+            return value
         raise _no_replica(key)
 
     def overwrite(self, key: str, *, size: int | None = None,
@@ -683,9 +678,11 @@ class ShardedStore:
                     break
                 if dst in live:
                     continue
-                spent = self._rebuild_copy(key, size, src, dst)
+                spent, stall = self._background(
+                    (src, dst), partial(self._copy, key, size, src, dst),
+                    rate, dst)
                 copy_s += spent
-                stall_s += self._throttle(dst, spent, rate)
+                stall_s += stall
                 live.append(dst)
             # Promote the first live holder to primary, drop dead ones.
             self._route(key, live)
@@ -705,32 +702,20 @@ class ShardedStore:
             stall_s=stall_s,
         )
 
-    def _rebuild_copy(self, key: str, size: int, src_index: int,
-                      dst_index: int) -> float:
-        """One re-replication copy; returns its device seconds."""
-        with self._background_round((src_index, dst_index)) as spent:
-            self._copy(key, size, src_index, dst_index, replace=True)
-        return spent()
-
-    def _copy(self, key: str, size: int, src_index: int, dst_index: int,
-              *, replace: bool = False) -> None:
-        """Copy ``key`` between shards, inside the caller's round.
-        ``replace`` first drops a copy already on the target (rebuild's
-        leftover from a crashed pass: replaced, never adopted).  The
-        source read retries transient faults like :meth:`get` does, its
-        backoff stalls charged inside the same round."""
+    def _copy(self, key: str, size: int, src_index: int,
+              dst_index: int) -> None:
+        """Copy ``key`` between shards, inside the caller's round.  A copy
+        already on the target (a crashed pass's leftover) is dropped
+        first: replaced, never adopted, as it may be torn.  The source
+        read retries transient faults like :meth:`get` does, its backoff
+        stalls charged inside the same round."""
+        read = self.shards[src_index].get
+        try:
+            data = read(key)
+        except TransientIoError:
+            data = retry_read(partial(self._back_off, src_index), read, key)
         dst = self.shards[dst_index]
-        attempt = 0
-        while True:
-            try:
-                data = self.shards[src_index].get(key)
-                break
-            except TransientIoError:
-                attempt += 1
-                if attempt > self.MAX_READ_RETRIES:
-                    raise
-                self._back_off(src_index, attempt)
-        if replace and dst.exists(key):
+        if dst.exists(key):
             dst.delete(key)
         dst.put(key, size=size if data is None else None, data=data)
 
@@ -794,17 +779,19 @@ class ShardedStore:
             # considers primary copies only.
             moves = [(key, src, dst) for key, src, dst in moves
                      if dst not in self._replica_of.get(key, ())]
-        moved_bytes = 0
         copy_s = stall_s = 0.0
         for key, src, dst in moves:
-            spent = self._migrate(key, sizes[key], src, dst, on_move)
-            moved_bytes += sizes[key]
+            spent, stall = self._background(
+                (src, dst), partial(self._migrate, key, sizes[key], src, dst,
+                                    on_move), rate, dst)
+            self.migrated_objects += 1
+            self.migrated_bytes += sizes[key]
             copy_s += spent
-            stall_s += self._throttle(dst, spent, rate)
+            stall_s += stall
         return RebalanceReport(
             mode=mode,
             moved_objects=len(moves),
-            moved_bytes=moved_bytes,
+            moved_bytes=sum(sizes[key] for key, _, _ in moves),
             skew_before=skew_before,
             skew_after=self.occupancy_skew(),
             copy_device_s=copy_s,
@@ -864,25 +851,16 @@ class ShardedStore:
         return moves
 
     def _migrate(self, key: str, size: int, src_index: int,
-                 dst_index: int, on_move) -> float:
-        """Copy ``key`` to its new shard, re-route, then delete.
-
-        Returns the device seconds spent, which feed the duty-cycle
-        throttle, measured the same way :meth:`_rebuild_copy` measures
-        its copies.
-        """
-        with self._background_round((src_index, dst_index)) as spent:
-            self._copy(key, size, src_index, dst_index)
-            # Routing flips only once the copy is complete; a dict
-            # value update keeps the key's position, preserving the
-            # keys() insertion-order contract.
-            self._shard_of[key] = dst_index
-            if on_move is not None:
-                on_move(key, src_index, dst_index)
-            self.shards[src_index].delete(key)
-        self.migrated_objects += 1
-        self.migrated_bytes += size
-        return spent()
+                 dst_index: int, on_move) -> None:
+        """Copy ``key`` to its new shard, re-route, then delete."""
+        self._copy(key, size, src_index, dst_index)
+        # Routing flips only once the copy is complete; a dict value
+        # update keeps the key's position, preserving the keys()
+        # insertion-order contract.
+        self._shard_of[key] = dst_index
+        if on_move is not None:
+            on_move(key, src_index, dst_index)
+        self.shards[src_index].delete(key)
 
     # ------------------------------------------------------------------
     # Charged background writes
@@ -910,15 +888,14 @@ class ShardedStore:
         if not live:
             return 0.0
         share, remainder = divmod(nbytes, len(live))
-        with self._background_round(tuple(live)) as spent:
+
+        def stream() -> None:
             for slot, index in enumerate(live):
                 chunk = share + (1 if slot < remainder else 0)
                 devs = self._lane_devices[index]
                 if chunk > 0 and devs:
                     devs[0].charge_sequential_write(chunk)
-        spent_s = spent()
-        self._throttle(live[0], spent_s, rate)
-        return spent_s
+        return self._background(tuple(live), stream, rate, live[0])[0]
 
     # ------------------------------------------------------------------
     # Introspection

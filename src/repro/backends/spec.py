@@ -99,8 +99,8 @@ class StoreSpec:
     #: Default duty cycle for :meth:`ShardedStore.rebalance` migration
     #: I/O (1.0 = flat out, throttle pauses below that).
     rebalance_rate: float = 1.0
-    #: Duty cycle for charged checkpoint write-back
-    #: (:meth:`ShardedStore.background_write`); 0.0 (the default) keeps
+    #: Duty cycle for charged checkpoint write-back (needs ``shards > 1``:
+    #: :meth:`ShardedStore.background_write`); 0.0 (the default) keeps
     #: checkpoint I/O uncharged, preserving the historical timeline.
     checkpoint_rate: float = 0.0
     #: Queue model for the overlap scheduler: ``round`` (makespan, the
@@ -221,9 +221,6 @@ class StoreSpec:
             profile = FaultProfile.parse(self.faults)
             faults_of = [profile.for_shard(i).text()
                          for i in range(self.shards)]
-        # Overlap, replication, and the event queue are properties of
-        # the composite's dispatch loop, not of the individual shards —
-        # sub-specs must not re-trigger them.
         return [replace(self, shards=1, volume_bytes=per_shard,
                         faults=faults_of[i], **_COMPOSITE_RESETS)
                 for i in range(self.shards)]
@@ -304,13 +301,14 @@ _KEYS = {
 
 
 #: Fields a shard sub-spec resets to their declared defaults: the
-#: composite's dispatch loop owns overlap, replication, and the event
-#: queue, so sub-specs must not re-trigger them.  Resolved from the
-#: dataclass so a changed default cannot drift from this reset site,
-#: and a misspelt name is a ``KeyError`` at import.
+#: composite's dispatch loop owns overlap, replication, the event
+#: queue and write-back, so sub-specs must not re-trigger them.
+#: Resolved from the dataclass so a changed default cannot drift from
+#: this reset site, and a misspelt name is a ``KeyError`` at import.
 _COMPOSITE_RESETS = {
     name: StoreSpec.__dataclass_fields__[name].default
-    for name in ("overlap", "replicas", "queue", "queue_depth", "arrival")
+    for name in ("overlap", "replicas", "queue", "queue_depth", "arrival",
+                 "checkpoint_rate")
 }
 
 

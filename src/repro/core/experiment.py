@@ -38,7 +38,6 @@ from repro.core.workload import (
     bulk_load,
     churn_to_age,
 )
-from repro.disk.schedule import throttle_pause
 from repro.errors import ConfigError
 from repro.fs.filesystem import FsConfig
 from repro.persist import (
@@ -406,20 +405,21 @@ class ExperimentRunner:
         against a rebuild from the extent maps, so a torn checkpoint is
         rejected instead of resumed.
 
-        With the spec's ``checkpoint_rate > 0``, checkpoint I/O is
-        charged through the store's devices lag-one: saving checkpoint
-        N first charges the stored bytes of checkpoint N-1 as a
-        background sequential write plus the duty-cycle throttle pause
-        (the deferred flush of the previous checkpoint; the final
-        checkpoint's write-back is never charged).  The charge happens
-        *before* pickling, so its device-clock effects travel inside
-        ``state.pkl`` and a resumed run reproduces them exactly — the
-        lag-one bytes are recomputed from the loaded manifest.
+        With the spec's ``checkpoint_rate > 0`` (a sharded store's
+        key), checkpoint I/O is charged lag-one through
+        :meth:`~repro.backends.sharded.ShardedStore.background_write`:
+        saving checkpoint N first charges the stored bytes of
+        checkpoint N-1 as a background sequential write plus the
+        duty-cycle throttle pause (the deferred flush of the previous
+        checkpoint; the final checkpoint's write-back is never
+        charged).  The charge happens *before* pickling, so its
+        device-clock effects travel inside ``state.pkl`` and a resumed
+        run reproduces them exactly — the lag-one bytes are recomputed
+        from the loaded manifest.
         """
-        rate = self.config.store.checkpoint_rate
-        if rate > 0.0 and self._prev_checkpoint_bytes > 0:
-            _charge_background_write(self.store,
-                                     self._prev_checkpoint_bytes, rate)
+        prev_bytes = self._prev_checkpoint_bytes
+        if self.config.store.checkpoint_rate > 0.0 and prev_bytes > 0:
+            self.store.background_write(prev_bytes)
         payload = {
             "store": self.store,
             "state": self.state,
@@ -520,30 +520,6 @@ class ExperimentRunner:
             scenario_lat=dict(scenario_lat or {}),
             tenant_lat=dict(tenant_lat or {}),
         )
-
-
-def _charge_background_write(store: ObjectStore | None, nbytes: int,
-                             rate: float) -> None:
-    """Charge ``nbytes`` of background write traffic to a store.
-
-    Sharded stores route the charge through their normal dispatch lanes
-    (:meth:`~repro.backends.sharded.ShardedStore.background_write`,
-    which also takes the duty-cycle pause on the event timeline);
-    single-device stores charge their device directly and account the
-    pause as host time.
-    """
-    if store is None or nbytes <= 0 or rate <= 0.0:
-        return
-    background_write = getattr(store, "background_write", None)
-    if background_write is not None:
-        background_write(nbytes, rate=rate)
-        return
-    devices = store.devices()
-    if not devices:
-        return
-    spent = devices[0].charge_sequential_write(nbytes)
-    if rate < 1.0:
-        devices[0].stats.record_cpu(throttle_pause(spent, rate))
 
 
 def run_experiment(config: ExperimentConfig, progress=None, *,

@@ -23,7 +23,8 @@ keys, non-finite values — are in :mod:`repro.specgrammar`.)
 * ``transient`` — each timed call (a request or a batch) fails with
   probability ``rate``, raising :class:`~repro.errors.TransientIoError`
   before any time is charged or content applied (the failure happens up
-  front; retry cost is charged by whoever retries).  Optional
+  front).  Every read that meets one retries through
+  :func:`retry_read`, and the reader charges its backoff.  Optional
   ``ops=read|write|all`` scopes injection, ``shard=N`` restricts it to
   one shard of a composite, and ``seed=N`` picks the injection stream.
 * ``slow`` — every service time on the device is multiplied by
@@ -66,6 +67,7 @@ __all__ = [
     "FaultClause",
     "FaultProfile",
     "FaultyBlockDevice",
+    "retry_read",
 ]
 
 #: Recognised fault kinds, in canonical rendering order.
@@ -73,6 +75,28 @@ FAULT_KINDS = ("transient", "slow", "loss")
 
 #: Operation scopes a ``transient`` clause may target.
 TRANSIENT_OPS = ("read", "write", "all")
+
+#: Bounded retry for transient read faults: re-issues per read.
+READ_RETRIES = 3
+#: Capped exponential backoff charged before each re-issue.
+BACKOFF_BASE_S = 0.002
+BACKOFF_CAP_S = 0.016
+
+
+def retry_read(pause, read, *args):
+    """Re-issue ``read(*args)`` after the :class:`TransientIoError` it
+    just raised, up to :data:`READ_RETRIES` times, each after
+    ``pause(seconds)`` of capped exponential backoff; once the budget
+    is spent, the last fault propagates."""
+    attempt = 0
+    while True:
+        pause(min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** attempt))
+        attempt += 1
+        try:
+            return read(*args)
+        except TransientIoError:
+            if attempt == READ_RETRIES:
+                raise
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,9 @@ shard is dead; ``EventScheduler.tagged`` returns a slotted object.
 :class:`OracleStore` is the store with the methods those changes
 replaced, as they were written: every op wraps its shard calls in the
 generator ``_dispatch`` round (kept here too, so the oracle's
-``read_many`` and background rounds run it as well), and every lookup
-walks ``_live_holders``.  :func:`tagged` is the generator tag block.
+``read_many`` and background rounds run it as well), every lookup
+walks ``_live_holders``, and ``get`` keeps its own transient-read retry
+loop (the retired one, over :mod:`repro.disk.faults`' constants).  :func:`tagged` is the generator tag block.
 :func:`pickled` takes an oracle's bytes under ``ShardedStore``'s name,
 so twins compare with ``==``.
 """
@@ -25,6 +26,7 @@ from repro.backends.base import ObjectMeta
 from repro.backends.sharded import ShardedStore, _no_replica
 from repro.disk.device import summed_clock_s
 from repro.disk.events import EventScheduler
+from repro.disk.faults import BACKOFF_BASE_S, BACKOFF_CAP_S, READ_RETRIES
 from repro.errors import ShardLostError, TransientIoError
 from repro.fs.filesystem import checked_write_size
 
@@ -100,10 +102,11 @@ class OracleStore(ShardedStore):
                         value = self.shards[index].get(key, offset, length)
                 except TransientIoError:
                     attempt += 1
-                    if attempt > self.MAX_READ_RETRIES:
+                    if attempt > READ_RETRIES:
                         self.failovers += 1
                         break
-                    self._back_off(index, attempt)
+                    self._back_off(index, min(
+                        BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** (attempt - 1))))
                     continue
                 except ShardLostError:
                     self._dead_shards.add(index)

@@ -15,7 +15,8 @@ from repro.backends.lfs_backend import LfsBackend
 from repro.backends.sharded import ShardedStore
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize
-from repro.disk.faults import DeviceFaults, FaultyBlockDevice
+from repro.disk.faults import (BACKOFF_BASE_S, BACKOFF_CAP_S, READ_RETRIES,
+                               DeviceFaults, FaultyBlockDevice)
 from repro.disk.geometry import scaled_disk
 from repro.errors import (ConfigError, CrashPoint, ShardUnavailableError,
                           TransientIoError)
@@ -29,7 +30,7 @@ def content_for(key: str, size: int = 32 * KB) -> bytes:
 
 def make_replicated(n=4, replicas=2, *, store_data=True, overlap=False,
                     per_shard=32 * MB, clock=None, torn=False,
-                    shard_faults=None, rebuild_rate=1.0):
+                    shard_faults=None, rebuild_rate=1.0, placement="hash"):
     """A ShardedStore of LfsBackends on faulty devices.
 
     ``shard_faults`` maps shard index -> DeviceFaults for that shard's
@@ -45,7 +46,7 @@ def make_replicated(n=4, replicas=2, *, store_data=True, overlap=False,
         shards.append(LfsBackend(device, segment_size=2 * MB))
     return ShardedStore(shards, resolve_spec(StoreSpec(
         "lfs", shards=n, overlap=overlap, replicas=replicas,
-        rebuild_rate=rebuild_rate)))
+        rebuild_rate=rebuild_rate, placement=placement)))
 
 
 def load(store, count=12, size=32 * KB):
@@ -142,6 +143,27 @@ class TestDegradedReads:
         with pytest.raises(ShardUnavailableError):
             store.read_many([victim])
 
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_loss_the_device_finds_first_fails_over(self, sweep):
+        """Shard 1's device dies without the composite being told: the
+        first read that reaches it raises ShardLostError, the composite
+        records the shard dead, and every read it would have served
+        fails over to the replica (one failover per holder given up)."""
+        store = make_replicated(4, replicas=2)
+        keys = load(store)
+        store.shards[1].devices()[0].mark_lost()
+        assert store.dead_shards == ()
+        on_lost = [k for k in keys if store.shard_for(k) == 1]
+        assert on_lost
+        if sweep:
+            values = store.read_many(keys)
+        else:
+            values = [store.get(k) for k in keys]
+        assert values == [content_for(k) for k in keys]
+        assert store.dead_shards == (1,)
+        assert store.failovers == len(on_lost)
+        assert store.degraded_reads == len(on_lost)
+
     def test_exists_and_keys_survive_degradation(self):
         store = make_replicated(4, replicas=2)
         keys = load(store)
@@ -159,7 +181,7 @@ class TestTransientRetry:
                                           transient_ops="read")})
         key = next(k for k in load(store) if store.shard_for(k) == 0)
         assert store.get(key) == content_for(key)
-        assert store.retries == ShardedStore.MAX_READ_RETRIES
+        assert store.retries == READ_RETRIES
         assert store.failovers == 1
         assert store.degraded_reads == 1
 
@@ -173,9 +195,8 @@ class TestTransientRetry:
         store.get(key)
         spent = sum(d.stats.cpu_time_s for d in store.devices()) - before
         expected = sum(
-            min(ShardedStore.BACKOFF_CAP_S,
-                ShardedStore.BACKOFF_BASE_S * (2 ** i))
-            for i in range(ShardedStore.MAX_READ_RETRIES))
+            min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** i))
+            for i in range(READ_RETRIES))
         # The inner backend books a little lookup CPU of its own; the
         # backoff must account for (at least) the exponential schedule.
         assert spent >= expected
@@ -214,15 +235,14 @@ class TestTransientRetry:
         keys = load(healthy), load(flaky)
         for store in (healthy, flaky):
             store.fail_shard(1)
-        self.flaky_reads(flaky, ShardedStore.MAX_READ_RETRIES)
+        self.flaky_reads(flaky, READ_RETRIES)
         assert flaky.rebuild() == healthy.rebuild()
-        assert flaky.retries == ShardedStore.MAX_READ_RETRIES
+        assert flaky.retries == READ_RETRIES
         assert healthy.retries == 0
         assert flaky.scheduler.rounds == healthy.scheduler.rounds
         backoff = sum(
-            min(ShardedStore.BACKOFF_CAP_S,
-                ShardedStore.BACKOFF_BASE_S * (2 ** i))
-            for i in range(ShardedStore.MAX_READ_RETRIES))
+            min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** i))
+            for i in range(READ_RETRIES))
         assert flaky.scheduler.wall_time_s == pytest.approx(
             healthy.scheduler.wall_time_s + backoff)
         for key in keys[1]:
@@ -232,28 +252,35 @@ class TestTransientRetry:
         store = make_replicated(4, replicas=2)
         load(store)
         store.fail_shard(1)
-        self.flaky_reads(store, ShardedStore.MAX_READ_RETRIES + 1)
+        self.flaky_reads(store, READ_RETRIES + 1)
         with pytest.raises(TransientIoError):
             store.rebuild()
-        assert store.retries == ShardedStore.MAX_READ_RETRIES
+        assert store.retries == READ_RETRIES
 
-    @pytest.mark.xfail(strict=True, raises=TransientIoError, reason=(
-        "the LFS cleaner reads a victim segment's live pieces inside a "
-        "put or overwrite, and a transient fault on that read aborts the "
-        "write instead of being retried like every other read"))
-    def test_cleaner_read_inside_a_write_is_retried(self):
-        """Two unreplicated lfs shards, 32 MB, 256 KB objects, 5 % of
-        read batches failing: aging to 1.0 cleans segments inside
-        overwrites, and one of those reads draws a fault (every seed
-        from 0 to 5 does)."""
+    @staticmethod
+    def age_under_read_faults(text):
+        """Two unreplicated shards of ``text``, 32 MB, 256 KB objects,
+        5 % of read batches failing, aged to 1.0 at seed 7."""
         spec = replace(
-            StoreSpec.parse("lfs", default_backend="lfs",
-                            volume_bytes=32 * MB, write_request=64 * KB),
+            StoreSpec.parse(text, volume_bytes=32 * MB,
+                            write_request=64 * KB),
             shards=2, faults="transient:rate=5e-2:ops=read")
         result = run_experiment(ExperimentConfig(
             store=spec, sizes=ConstantSize(256 * KB), occupancy=0.5,
             ages=(0.0, 1.0), reads_per_sample=1, seed=7))
         assert [s.age for s in result.samples] == [0.0, 1.0]
+
+    def test_cleaner_read_inside_a_write_is_retried(self):
+        """Aging to 1.0 cleans LFS segments inside overwrites, and one
+        of the cleaner's reads draws a fault (every seed from 0 to 5
+        does): it retries instead of aborting the write."""
+        self.age_under_read_faults("lfs")
+
+    def test_collector_read_inside_a_write_is_retried(self):
+        """The GFS twin: an overwrite's dead record tips a sealed 1 MB
+        chunk over the GC threshold, and a fault on the collector's
+        record read retries instead of aborting the write."""
+        self.age_under_read_faults("gfs:chunk_size=1M")
 
     def test_writes_are_not_retried(self):
         store = make_replicated(
@@ -382,55 +409,93 @@ class TestRebuild:
 
 
 class TestRebuildKillMatrix:
-    """Crash at every write event inside rebuild(); re-running rebuild
-    must restore full redundancy without losing or double-counting a
-    replica."""
+    """Crash at every write event inside a background copy job —
+    rebuild() or rebalance() — then run the job again: every key reads
+    back byte-identical, no replica is lost or double-counted, and no
+    shard keeps an orphan copy (a leftover is replaced, not adopted)."""
 
     KEYS = 8
+    SIZE = 16 * KB
 
-    def build(self, clock):
-        return make_replicated(4, replicas=2, clock=clock, torn=True,
-                               per_shard=16 * MB)
+    def sweep(self, setup, job, *, replicas=2, placement="hash"):
+        """Kill ``job(store)`` at each of its write events on a fresh
+        ``setup``-prepared store, re-run it, and return the stores."""
+        def prepared(clock):
+            store = make_replicated(4, replicas=replicas, clock=clock,
+                                    torn=True, per_shard=16 * MB,
+                                    placement=placement)
+            setup(store)
+            return store
 
-    def setup_phase(self, store):
-        load(store, count=self.KEYS, size=16 * KB)
-        store.fail_shard(1)
-
-    def check_redundant(self, store):
-        for i in range(self.KEYS):
-            key = f"obj-{i}"
-            holders = store.holders_of(key)
-            assert len(set(holders)) == len(holders) == 2
-            assert 1 not in holders
-            # No orphan copies on healthy shards beyond the holder set.
-            for s, shard in enumerate(store.shards):
-                if s != 1:
-                    assert shard.exists(key) == (s in holders)
-            assert store.get(key) == content_for(key, 16 * KB)
-
-    def test_every_kill_point_inside_rebuild_recovers(self):
         baseline_clock = CrashClock(None)
-        baseline = self.build(baseline_clock)
-        self.setup_phase(baseline)
-        first = baseline_clock.events  # rebuild's first write event
-        baseline.rebuild()
+        baseline = prepared(baseline_clock)
+        keys = baseline.keys()
+        first = baseline_clock.events  # the job's first write event
+        job(baseline)
         total = baseline_clock.events
-        assert total > first, "rebuild produced no write events"
+        assert total > first, "the job produced no write events"
         crashed = 0
         for k in range(first, total):
-            clock = CrashClock(k)
-            store = self.build(clock)
-            self.setup_phase(store)
+            store = prepared(CrashClock(k))
             try:
-                store.rebuild()
+                job(store)
             except CrashPoint:
                 crashed += 1
             # Recovery: the crash clock has fired; one more pass must
             # finish the job idempotently.
-            store.rebuild()
-            assert store.under_replicated() == []
-            self.check_redundant(store)
+            job(store)
+            assert store.keys() == keys
+            self.check_copies(store)
+            yield store
         assert crashed > 0
+
+    def check_copies(self, store):
+        for key in store.keys():
+            holders = store.holders_of(key)
+            assert len(set(holders)) == len(holders)
+            # No orphan copies on live shards beyond the holder set.
+            for s, shard in enumerate(store.shards):
+                if s not in store.dead_shards:
+                    assert shard.exists(key) == (s in holders)
+            assert store.get(key) == content_for(key, self.SIZE)
+
+    def test_every_kill_point_inside_rebuild_recovers(self):
+        def setup(store):
+            load(store, count=self.KEYS, size=self.SIZE)
+            store.fail_shard(1)
+
+        for store in self.sweep(setup, lambda store: store.rebuild()):
+            assert store.under_replicated() == []
+            for key in store.keys():
+                holders = store.holders_of(key)
+                assert len(holders) == 2 and 1 not in holders
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    @pytest.mark.parametrize("mode,placement", [
+        ("even", "hash"), ("placement", "round_robin")])
+    def test_every_kill_point_inside_rebalance_recovers(
+            self, mode, placement, replicas):
+        def setup(store):
+            if placement == "round_robin":
+                # Delete-and-re-put drift: the re-put keys move to the
+                # end of the key order, off their rotation slots.
+                load(store, count=self.KEYS, size=self.SIZE)
+                for key in ("obj-0", "obj-1", "obj-5"):
+                    store.delete(key)
+                    store.put(key, data=content_for(key, self.SIZE))
+            else:
+                # Hash placement spreads 16 keys 4/4/4/4; emptying
+                # shard 0 leaves a spread that takes three moves.
+                for key in load(store, count=2 * self.KEYS, size=self.SIZE):
+                    if store.shard_for(key) == 0:
+                        store.delete(key)
+
+        def job(store):
+            return store.rebalance(mode=mode)
+
+        for store in self.sweep(setup, job, replicas=replicas,
+                                placement=placement):
+            assert job(store).moved_objects == 0
 
 
 class TestExperimentIntegration:

@@ -244,6 +244,23 @@ class TestRegistry:
         assert isinstance(store, ShardedStore)
         assert len(store.shards) == 3
 
+    def test_checkpoint_rate_needs_shards(self):
+        """Charged write-back runs only through a composite's
+        background lanes, so one volume refuses the rate, in text and
+        programmatic form alike; the shards of a composite that takes
+        it carry none of their own."""
+        for spec in (StoreSpec.parse("filesystem:checkpoint_rate=0.5"),
+                     StoreSpec("filesystem", checkpoint_rate=0.5)):
+            with pytest.raises(ConfigError, match="shards"):
+                build_store(spec)
+        spec = StoreSpec("filesystem", volume_bytes=64 * MB, shards=2,
+                         checkpoint_rate=0.5)
+        store = build_store(spec)
+        assert isinstance(store, ShardedStore)
+        assert store.checkpoint_rate == 0.5
+        assert [sub.checkpoint_rate for sub in spec.shard_specs()] \
+            == [0.0, 0.0]
+
 
 def _sizes():
     return ConstantSize(256 * KB)
