@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Allocator microbenchmark: tiered vs naive free-space engine.
+"""Allocator microbenchmark: the free-space engine's per-op host time.
 
 Times the operations every experiment funnels through
 :class:`~repro.alloc.freelist.FreeExtentIndex` — building a fragmented
 free map, mixed alloc/free churn through the repo's allocation entry
-points, and the point queries — at 10^3..10^6 live extents, for both
-the tiered production engine and the flat-list reference model
-(``--index`` ablation twin).  Results go to a machine-readable
-``BENCH_alloc.json`` (schema documented in ``benchmarks/README.md``),
-the repo's first perf-trajectory baseline.
+points, and the point queries — at 10^3..10^6 live extents.  ``--out``
+writes a machine-readable ``bench-alloc/2`` record (schema documented
+in ``benchmarks/README.md``).  The committed ``BENCH_alloc.json`` is
+the older ``bench-alloc/1`` record that also timed the retired
+flat-list engine; nothing here rewrites it.
 
 Operation families
 ------------------
@@ -26,7 +26,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_alloc_micro.py
     PYTHONPATH=src python benchmarks/bench_alloc_micro.py --quick
     PYTHONPATH=src python benchmarks/bench_alloc_micro.py \
-        --scales 1000,100000,1000000 --out BENCH_alloc.json
+        --scales 1000,100000,1000000 --out /tmp/bench_alloc.json
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import INDEX_KINDS, make_free_index
+from repro.alloc.freelist import FreeExtentIndex
 from repro.alloc.policy import FirstFit, allocate_fragmented
 from repro.alloc.runcache import NtfsRunCache
 
@@ -48,8 +48,8 @@ from repro.alloc.runcache import NtfsRunCache
 SLOT = 64
 DEFAULT_SCALES = (1_000, 10_000, 100_000)
 QUICK_SCALES = (1_000, 10_000)
-#: The naive engine pays O(n) per op; cap measured mutation ops per
-#: scale so the largest naive runs stay in seconds, not minutes.
+#: Measured mutation ops per scale (the committed record's counts, so
+#: per-op times stay comparable with it).
 MUTATION_OPS = {1_000: 2_000, 10_000: 1_000}
 MUTATION_OPS_DEFAULT = 300
 QUERY_OPS = 200
@@ -60,8 +60,8 @@ def seeded_run(i: int) -> Extent:
     return Extent(i * SLOT, 1 + (i * 7919) % 48)
 
 
-def build_index(kind: str, n: int):
-    index = make_free_index((n + 1) * SLOT, kind=kind, initially_free=False)
+def build_index(n: int) -> FreeExtentIndex:
+    index = FreeExtentIndex((n + 1) * SLOT, initially_free=False)
     for i in range(n):
         index.add(seeded_run(i))
     return index
@@ -73,14 +73,13 @@ def timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def bench_one_kind(kind: str, n: int) -> list[dict]:
-    """All operation families for one engine at one scale."""
+def bench_scale(n: int) -> list[dict]:
+    """All operation families at one scale."""
     ops = MUTATION_OPS.get(n, MUTATION_OPS_DEFAULT)
     rows: list[dict] = []
 
     def row(op: str, count: int, seconds: float) -> None:
         rows.append({
-            "index": kind,
             "live_extents": n,
             "op": op,
             "ops": count,
@@ -89,7 +88,7 @@ def bench_one_kind(kind: str, n: int) -> list[dict]:
         })
 
     holder: list = []
-    row("build", n, timed(lambda: holder.append(build_index(kind, n))))
+    row("build", n, timed(lambda: holder.append(build_index(n))))
     index = holder[0]
 
     # Mixed alloc/free through the generic policy path.
@@ -150,86 +149,42 @@ def bench_one_kind(kind: str, n: int) -> list[dict]:
     return rows
 
 
-def compute_speedups(rows: list[dict]) -> dict[str, float]:
-    """naive-vs-tiered per (op, scale), keyed ``op@scale``."""
-    us = {(r["index"], r["op"], r["live_extents"]): r["us_per_op"]
-          for r in rows}
-    speedups: dict[str, float] = {}
-    for (kind, op, n), tiered_us in sorted(us.items()):
-        if kind != "tiered":
-            continue
-        naive_us = us.get(("naive", op, n))
-        if naive_us is not None and tiered_us > 0:
-            speedups[f"{op}@{n}"] = round(naive_us / tiered_us, 2)
-    return speedups
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="small scales only (CI smoke)")
     parser.add_argument("--scales", type=str, default=None,
                         help="comma-separated live-extent counts")
-    parser.add_argument("--kinds", type=str, default=",".join(INDEX_KINDS),
-                        help="comma-separated engines to measure")
-    parser.add_argument("--naive-max", type=int, default=100_000,
-                        help="skip the naive engine above this many live "
-                             "extents (its O(n) ops make 10^6 impractical)")
     parser.add_argument("--out", type=Path,
-                        default=Path(__file__).parent / "BENCH_alloc.json")
+                        help="write the bench-alloc/2 record here")
     args = parser.parse_args(argv)
 
     if args.scales:
         scales = tuple(int(s) for s in args.scales.split(","))
     else:
         scales = QUICK_SCALES if args.quick else DEFAULT_SCALES
-    kinds = tuple(args.kinds.split(","))
-
     rows: list[dict] = []
     for n in scales:
-        for kind in kinds:
-            if kind == "naive" and n > args.naive_max:
-                print(f"... naive @ {n:,} skipped (--naive-max "
-                      f"{args.naive_max:,})", flush=True)
-                continue
-            print(f"... {kind} @ {n:,} live extents", flush=True)
-            rows.extend(bench_one_kind(kind, n))
+        print(f"... {n:,} live extents", flush=True)
+        rows.extend(bench_scale(n))
 
-    speedups = compute_speedups(rows)
-    report = {
-        "schema": "bench-alloc/1",
-        "generated_by": "benchmarks/bench_alloc_micro.py",
-        "python": platform.python_version(),
-        "config": {
-            "scales": list(scales),
-            "kinds": list(kinds),
-            "quick": args.quick,
-            "query_ops": QUERY_OPS,
-        },
-        "results": rows,
-        "speedups_naive_over_tiered": speedups,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-
-    print(f"\n{'op':24s} {'n':>9s} {'tiered us':>10s} {'naive us':>10s} "
-          f"{'speedup':>8s}")
-    us = {(r["index"], r["op"], r["live_extents"]): r["us_per_op"]
-          for r in rows}
-    for key, ratio in speedups.items():
-        op, n = key.rsplit("@", 1)
-        tiered_us = us.get(("tiered", op, int(n)), float("nan"))
-        naive_us = us.get(("naive", op, int(n)), float("nan"))
-        print(f"{op:24s} {int(n):>9,d} {tiered_us:>10.1f} {naive_us:>10.1f} "
-              f"{ratio:>7.1f}x")
-    print(f"\nwrote {args.out}")
-
-    mixed = {k: v for k, v in speedups.items()
-             if k.startswith(("mixed_policy", "aging_runcache"))
-             and int(k.rsplit("@", 1)[1]) >= 100_000}
-    if mixed and min(mixed.values()) < 10.0:
-        print("WARNING: mixed alloc/free speedup below the 10x target "
-              f"at 1e5+ extents: {mixed}")
-        return 1
+    print(f"\n{'op':24s} {'n':>9s} {'us/op':>10s}")
+    for r in rows:
+        print(f"{r['op']:24s} {r['live_extents']:>9,d} "
+              f"{r['us_per_op']:>10.1f}")
+    if args.out is not None:
+        args.out.write_text(json.dumps({
+            "schema": "bench-alloc/2",
+            "generated_by": "benchmarks/bench_alloc_micro.py",
+            "python": platform.python_version(),
+            "config": {
+                "scales": list(scales),
+                "quick": args.quick,
+                "query_ops": QUERY_OPS,
+            },
+            "results": rows,
+        }, indent=2) + "\n")
+        print(f"\nwrote {args.out}")
     return 0
 
 

@@ -20,21 +20,12 @@ from repro.units import KB, MB
 import paperfig
 
 
-def curve(run, backend: str, **kwargs):
-    """One curve of this figure (``bench_ablation_index`` reruns the
-    filesystem one under each free-space engine)."""
-    return run(
-        backend, ConstantSize(256 * KB),
-        volume=512 * MB,
-        occupancy=0.97,
-        ages=paperfig.FULL_AGES,
-        reads_per_sample=16,
-        **kwargs,
-    )
-
-
 def compute(run):
-    return {backend: curve(run, backend)
+    return {backend: run(backend, ConstantSize(256 * KB),
+                         volume=512 * MB,
+                         occupancy=0.97,
+                         ages=paperfig.FULL_AGES,
+                         reads_per_sample=16)
             for backend in ("database", "filesystem")}
 
 

@@ -1,12 +1,12 @@
-"""Store scenarios: allocator churn, sharding, faults, tails, tenants.
+"""Store scenarios: sharding, faults, tails, tenants.
 
-Seven figures past the paper, one :data:`FIGURES` table that
+Six figures past the paper, one :data:`FIGURES` table that
 ``paperfig.FIGURES`` loads by name (``python benchmarks/paperfig.py
 --only tail_latency``; no driver here).  Each entry declares its run
 function, the constants it echoes into the record's ``params``, its
 printed columns and its claims as shape checks.  A figure states its
 own store specs and sizes, so like ``table1`` it ignores
-``--store``/``--index``/``--paper-scale``.  The five
+``--store``/``--paper-scale``.  The five
 sharded scenarios share their mechanics through :class:`AgedStore`.
 Modelled cells (device/wall seconds, seeks, percentiles) are
 deterministic and hashed into ``BENCH_paper.json``, which CI and tier-1
@@ -16,10 +16,6 @@ are host time and sit outside the hash.  A gate that means "the
 scenario could not finish" raises; a claim over finished rows is a
 check.
 
-* ``fs_churn`` — volume sizes x free-space engines: bulk load plus a
-  delete/rewrite churn loop on the filesystem backend.  The naive
-  flat-list engine's per-op cost grows with the free map; the tiered
-  engine stays flat.  Checks that the engines' modelled cells agree.
 * ``sharded_aging`` — an aged whole-population read sweep on a
   single-volume LFS vs 4 shards vs 4 shards + C-LOOK batches vs all of
   that plus ``overlap=true``; summed device time beside the overlap
@@ -66,25 +62,16 @@ from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize
-from repro.disk.device import BlockDevice, summed_clock_s
+from repro.disk.device import summed_clock_s
 from repro.disk.events import EventWindow
-from repro.disk.geometry import scaled_disk
 from repro.disk.policy import DevicePolicy
-from repro.fs.filesystem import FsConfig, SimFilesystem
 from repro.persist import encode_free_index, encode_journal, fs_components
 from repro.scenario.spec import ScenarioSpec
 from repro.units import KB, MB
 
 from paperfig import Figure
 
-CHURN_VOLUMES = (128 * MB, 512 * MB, 2048 * MB)
-CHURN_ENGINES = ("tiered", "naive")
-#: Small files (64 KB in 16 KB requests) maximise allocator pressure per
-#: byte: every file is a fresh create/append/delete cycle.
-FILE_BYTES = 64 * KB
-REQUEST_BYTES = 16 * KB
 OCCUPANCY = 0.5
-CHURN_OPS = 400
 
 AGING_VOLUME = 512 * MB
 AGING_OBJECT = 256 * KB
@@ -290,50 +277,6 @@ class AgedStore:
         sched.drain()
         if not (sched.submitted == sched.completed == sched.latency.count):
             raise AssertionError("scheduler books don't balance")
-
-
-def run_fs_churn(seed: int = 7) -> list[dict]:
-    return [_fs_churn_row(kind, volume, seed)
-            for volume in CHURN_VOLUMES for kind in CHURN_ENGINES]
-
-
-def _fs_churn_row(kind: str, volume: int, seed: int) -> dict:
-    device = BlockDevice(scaled_disk(volume))
-    fs = SimFilesystem(device, FsConfig(index_kind=kind))
-    rng = random.Random(seed)
-
-    def write_file(name: str) -> None:
-        fs.create(name)
-        fs.append(name, FILE_BYTES, write_request=REQUEST_BYTES)
-
-    target = int(fs.data_capacity * OCCUPANCY)
-    names: list[str] = []
-    t0 = time.perf_counter()
-    while fs.used_bytes < target:
-        name = f"f{len(names)}"
-        write_file(name)
-        names.append(name)
-    build_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for op in range(CHURN_OPS):
-        victim = rng.randrange(len(names))
-        fs.delete(names[victim])
-        names[victim] = f"f{len(names) + op}"
-        write_file(names[victim])
-    churn_s = time.perf_counter() - t0
-
-    fs.check_invariants()
-    return {
-        "index": kind,
-        "volume_bytes": volume,
-        "files": len(names),
-        "build_seconds": round(build_s, 4),
-        "churn_ops": CHURN_OPS,
-        "churn_us_per_op": round(churn_s / CHURN_OPS * 1e6, 2),
-        "free_runs": len(fs.free_index),
-        "modelled_device_s": round(device.clock_s, 4),
-    }
 
 
 def run_sharded_aging(seed: int = 17) -> list[dict]:
@@ -753,15 +696,6 @@ def cells_by(rows: list[dict], label: str, field: str) -> dict:
     return {row[label]: row[field] for row in rows}
 
 
-def fs_churn_checks(rows: list[dict]) -> dict[str, ShapeCheck]:
-    # Rows alternate CHURN_ENGINES within each volume.
-    moved = sum(tiered[cell] != naive[cell]
-                for tiered, naive in zip(rows[::2], rows[1::2])
-                for cell in ("files", "free_runs", "modelled_device_s"))
-    return {"engine_cells_moved": check_between(
-        "naive leaves every modelled cell where tiered does", moved, 0, 0)}
-
-
 def sharded_aging_checks(rows: list[dict]) -> dict[str, ShapeCheck]:
     device = cells_by(rows, "config", "sweep_device_s")
     wall = cells_by(rows, "config", "sweep_wall_s")
@@ -873,14 +807,6 @@ LAT_TABLE = ("lat_p50_ms:.2f", "lat_p95_ms:.2f", "lat_p99_ms:.2f",
              "lat_max_ms:.2f")
 
 FIGURES: dict[str, Figure] = {
-    "fs_churn": figure(
-        "fs_churn", run_fs_churn,
-        params={"file_bytes": FILE_BYTES, "request_bytes": REQUEST_BYTES,
-                "occupancy": OCCUPANCY, "churn_ops": CHURN_OPS},
-        table=("volume_bytes:,", "index", "files", "build_seconds:.2f",
-               "churn_us_per_op:.1f", "free_runs"),
-        checks=fs_churn_checks,
-    ),
     "sharded_aging": figure(
         "sharded_aging", run_sharded_aging,
         params=AGING_PARAMS,

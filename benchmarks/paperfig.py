@@ -5,7 +5,7 @@ paper's evaluation (Section 5) on scaled volumes (see "Contract,
 scaling and calibration" in docs/benchmarks.md: the free-object-pool
 and request-size ratios that the paper says govern the curves are
 preserved; absolute volume sizes shrink so the whole paper takes about
-two minutes instead of the paper's week), then the seven store
+two minutes instead of the paper's week), then the six store
 scenarios past the paper (``bench_store_scenarios.py``: sharding,
 faults, tails, tenants)::
 
@@ -110,11 +110,10 @@ FIGURES = {
     "ablation_size_hint": _figure("bench_ablation_size_hint"),
     "ablation_deferred_free": _figure("bench_ablation_deferred_free"),
     "ablation_zones": _figure("bench_ablation_zones"),
-    "ablation_index": _figure("bench_ablation_index"),
     "extension_backends": _figure("bench_extension_backends"),
     "extension_interleaved": _figure("bench_extension_interleaved"),
     **{name: _figure("bench_store_scenarios", name) for name in (
-        "fs_churn", "sharded_aging", "shard_skew", "degraded_aging",
+        "sharded_aging", "shard_skew", "degraded_aging",
         "tail_latency", "continuous_operation", "scenario_matrix")},
 }
 
@@ -128,9 +127,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                         help=f"write the {SCHEMA} record here")
     parser.add_argument("--paper-scale", action="store_true",
                         help="the paper's 40/400 GB volumes, not stand-ins")
-    parser.add_argument("--index", choices=("tiered", "naive"),
-                        help="free-space engine of every filesystem curve "
-                             "(placement parity: tables must not move)")
     parser.add_argument("--store", metavar="SPEC",
                         help="replay every curve against this store spec, "
                              "e.g. lfs:reorder=clook; ':reorder=clook' keeps "
@@ -166,7 +162,6 @@ def curve_config(opts: argparse.Namespace, backend: str,
                  label: str = "",
                  write_request: int | None = None,
                  store_data: bool = False,
-                 index_kind: str | None = None,
                  size_hints: bool = False,
                  fs_config=None,
                  db_config=None) -> ExperimentConfig:
@@ -176,9 +171,8 @@ def curve_config(opts: argparse.Namespace, backend: str,
     backend and parameters, or — under a ``--store`` override — that
     declarative spec, with the curve's backend filling an empty backend
     part (so ``--store :shards=4,reorder=clook`` applies one layout
-    across a multi-backend comparison).  ``index_kind``/
-    ``size_hints``/``fs_config``/``db_config`` are sugar for spec
-    options and apply to whichever backend the spec ends up naming,
+    across a multi-backend comparison).  ``size_hints``/``fs_config``/
+    ``db_config`` are sugar for spec options and apply to whichever backend the spec ends up naming,
     override or not.
     """
     # Figure parameters arrive as parse *defaults*: explicit spec-text
@@ -197,8 +191,7 @@ def curve_config(opts: argparse.Namespace, backend: str,
     # in the --store text survives (with_options drops a None).
     sugar = {}
     if spec.backend == "filesystem":
-        sugar = {"index_kind": index_kind or opts.index,
-                 "size_hints": size_hints or None,
+        sugar = {"size_hints": size_hints or None,
                  "fs_config": fs_config}
     elif spec.backend == "database":
         sugar = {"db_config": db_config}

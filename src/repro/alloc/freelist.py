@@ -4,9 +4,8 @@
 source of truth about which byte ranges of a volume are free.  Every
 experiment — bulk load, safe-write churn, fragmentation aging — funnels
 through it, so it is engineered as a tiered engine rather than the flat
-sorted lists of the original implementation (preserved as
-:class:`~repro.alloc.naive.NaiveFreeExtentIndex` for parity tests and
-the ``--index naive`` ablation).  Both tiers are instances of the
+sorted lists of the original implementation (kept test-side as the
+oracle ``tests/freeindexoracle.py``).  Both tiers are instances of the
 shared :class:`~repro.struct.blockedlist.BlockedList` primitive —
 see its module docstring for the block-size bounds, split/merge rules,
 and the augmentation contract:
@@ -52,12 +51,12 @@ whose max-run augmentation passes the size filter or is stale (one
 rescan, then cached).  ``run_length_at``, ``total_free`` and
 ``__len__`` are O(1).
 
-The public API and error semantics are identical to the naive engine:
-:class:`~repro.errors.CorruptionError` on double frees or overlapping
-inserts rather than repairing them, because an overlap means the
-caller's accounting diverged.  ``tests/test_prop_freelist.py`` holds
-the two engines to placement-identical answers under random operation
-sequences.
+The public API and error semantics are identical to the flat-list
+oracle's: :class:`~repro.errors.CorruptionError` on double frees or
+overlapping inserts rather than repairing them, because an overlap
+means the caller's accounting diverged.  ``tests/test_prop_freelist.py``
+holds the two engines to placement-identical answers under random
+operation sequences and whole filesystem runs.
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ import bisect
 from collections.abc import Iterator
 
 from repro.alloc.extent import Extent
-from repro.alloc.naive import NaiveFreeExtentIndex
-from repro.errors import ConfigError, CorruptionError
+from repro.errors import CorruptionError
 from repro.struct.blockedlist import (
     DEFAULT_LOAD, BlockedList, MaxWeightAugmentation,
 )
@@ -75,10 +73,6 @@ from repro.struct.blockedlist import (
 #: Target block size of both tiers; see
 #: :data:`repro.struct.blockedlist.DEFAULT_LOAD` for the trade-off.
 _LOAD = DEFAULT_LOAD
-
-#: Engine names accepted by :func:`make_free_index` (and therefore by
-#: ``FsConfig.index_kind`` / the benches' ``--index`` flag).
-INDEX_KINDS = ("tiered", "naive")
 
 
 class FreeExtentIndex:
@@ -443,21 +437,3 @@ class FreeExtentIndex:
         for b in range(self._btop + 1, len(self._buckets)):
             if self._buckets[b]:
                 raise CorruptionError(f"bucket {b} above the top-bucket hint")
-
-
-def make_free_index(capacity: int, *, kind: str = "tiered",
-                    initially_free: bool = True,
-                    ) -> FreeExtentIndex | NaiveFreeExtentIndex:
-    """Instantiate a free-space engine by name.
-
-    ``tiered`` is the production engine; ``naive`` is the flat-list
-    reference model, exposed so benches and figure scripts can ablate
-    the allocator's contribution (``--index naive``).
-    """
-    if kind == "tiered":
-        return FreeExtentIndex(capacity, initially_free=initially_free)
-    if kind == "naive":
-        return NaiveFreeExtentIndex(capacity, initially_free=initially_free)
-    raise ConfigError(
-        f"unknown free-index kind {kind!r}; choose from {INDEX_KINDS}"
-    )

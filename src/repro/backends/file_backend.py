@@ -13,10 +13,7 @@ of them — the workload is synchronous.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import INDEX_KINDS
 from repro.backends.base import ObjectMeta, StoreStats, checked_read_range
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import object_option, register_backend
@@ -26,7 +23,7 @@ from repro.disk.device import BlockDevice, IoRequest
 from repro.disk.geometry import scaled_disk
 from repro.errors import ObjectNotFoundError
 from repro.fs.filesystem import FsConfig, SimFilesystem, checked_write_size
-from repro.specgrammar import choice, to_bool
+from repro.specgrammar import to_bool
 from repro.units import DEFAULT_WRITE_REQUEST, MB
 
 
@@ -178,21 +175,15 @@ class FileBackend:
     "filesystem",
     description="NTFS-like: file per object + metadata database",
     options={
-        "index_kind": choice(*INDEX_KINDS),
         "size_hints": to_bool,
         "fs_config": object_option(FsConfig),
     },
 )
 def _filesystem_from_spec(spec: StoreSpec,
                           device: BlockDevice) -> FileBackend:
-    fs_config = spec.option("fs_config")
-    index_kind = spec.option("index_kind")
-    if index_kind is not None:
-        fs_config = replace(fs_config or FsConfig(),
-                            index_kind=index_kind)
     return FileBackend(
         device,
-        fs_config=fs_config,
+        fs_config=spec.option("fs_config"),
         write_request=spec.write_request,
         size_hints=bool(spec.option("size_hints", False)),
     )

@@ -13,7 +13,7 @@ grammar rules are in :mod:`repro.specgrammar`)::
 
     lfs
     lfs:reorder=clook,batch=16
-    filesystem:index_kind=naive,size_hints=true
+    filesystem:size_hints=true
     gfs:chunk_size=8M,volume=512M,shards=4,placement=hash
     filesystem:shards=2,overlap=true,parallelism=4
     lfs:shards=4,overlap=true,batch=16,reorder=clook

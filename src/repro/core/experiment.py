@@ -39,7 +39,6 @@ from repro.core.workload import (
     churn_to_age,
 )
 from repro.errors import ConfigError
-from repro.fs.filesystem import FsConfig
 from repro.persist import (
     CheckpointManager,
     cross_check,
@@ -96,10 +95,10 @@ class ExperimentConfig:
 
     ``store`` says what to run on: the :class:`StoreSpec` names the
     backend, volume, write-request size, device policy, per-backend
-    options (``index_kind``, ``size_hints``, ``fs_config``,
-    ``db_config``, ...) and shard layout.  The rest says what to do to
-    it.  ``backend``/``volume_bytes``/``write_request``/``store_data``
-    are read-only views of the spec.
+    options (``size_hints``, ``fs_config``, ``db_config``, ...) and
+    shard layout.  The rest says what to do to it.
+    ``backend``/``volume_bytes``/``write_request``/``store_data`` are
+    read-only views of the spec.
     """
 
     store: StoreSpec
@@ -196,8 +195,9 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         # The fully resolved spec (converted options, device policy,
         # shard layout) so a result file alone attributes any ablation;
-        # ``size_hints`` and ``index_kind`` are read off it for the same
-        # reason.
+        # ``size_hints`` is read off it for the same reason.  The
+        # ``index_kind`` echo names the free-space engine a filesystem
+        # runs (there is one) and is None for the other backends.
         resolved = resolve_spec(self.store)
         return {
             "backend": self.backend,
@@ -209,29 +209,14 @@ class ExperimentConfig:
             "reads_per_sample": self.reads_per_sample,
             "seed": self.seed,
             "size_hints": resolved.option("size_hints", False),
-            "index_kind": self.effective_index_kind(),
+            "index_kind": ("tiered" if resolved.backend == "filesystem"
+                           else None),
             "rebalance_ages": list(self.rebalance_ages),
             "rebuild_ages": list(self.rebuild_ages),
             "scenario": (self.scenario.to_dict()
                          if self.scenario is not None else None),
             "store": resolved.to_dict(),
         }
-
-    def effective_index_kind(self) -> str | None:
-        """The free-space engine the store will actually run.
-
-        None for backends that do not use the free-extent index at all,
-        so recorded run configs never misattribute an ablation.  A
-        sharded filesystem spec reports the engine its shards run.
-        """
-        spec = resolve_spec(self.store)
-        if spec.backend != "filesystem":
-            return None
-        kind = spec.option("index_kind")
-        if kind is not None:
-            return kind
-        fs_config = spec.option("fs_config")
-        return (fs_config or FsConfig()).index_kind
 
 
 @dataclass

@@ -11,6 +11,7 @@ page allocations come from the GAM's mixed pages.
 
 from __future__ import annotations
 
+import zlib
 from typing import Any
 
 from repro.db.bufferpool import BufferPool
@@ -57,7 +58,8 @@ class HeapTable:
         # The first index page stands in for the root.
         self.pool.access(self._index_pages[0], for_write=for_write)
         if len(self._index_pages) > 1:
-            leaf = self._index_pages[hash(key) % len(self._index_pages)]
+            leaf = self._index_pages[zlib.crc32(str(key).encode("utf-8"))
+                                     % len(self._index_pages)]
             self.pool.access(leaf, for_write=for_write)
 
     # ------------------------------------------------------------------

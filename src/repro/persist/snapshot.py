@@ -8,7 +8,7 @@ The CRC covers every byte before it, so truncation, bit rot, and torn
 writes all surface as :class:`~repro.errors.SnapshotError` instead of a
 silently wrong free map.  Encodings are **byte-stable**: the same
 logical state always serializes to the same bytes (runs are written in
-address order, the one canonical order both engines iterate in), so
+address order, the index's canonical iteration order), so
 ``encode(decode(blob)) == blob`` and checkpoints diff cleanly.
 
 A checkpoint resumes from its pickle alone; these snapshots are the
@@ -16,10 +16,11 @@ second, independently encoded record a resume *verifies* the unpickled
 state against, so a torn or drifted artifact is refused rather than
 run.
 
-Free-index snapshots (magic ``RFXS``) record the engine kind and decode
-into that engine.  Decoding validates the run list (ascending,
-coalesced, inside capacity) and runs the engine's own
-``check_invariants`` before handing the index back.
+Free-index snapshots (magic ``RFXS``) keep an engine-kind byte in
+their header; the encoder always writes 0, the tiered engine, and the
+decoder refuses code 1, which named the retired flat-list engine.
+Decoding validates the run list (ascending, coalesced, inside capacity)
+and runs the index's own ``check_invariants`` before handing it back.
 
 Journal snapshots (magic ``RJLS``) carry the journal's *recoverable*
 state (:class:`~repro.fs.journal.JournalState`) plus the log geometry
@@ -34,8 +35,7 @@ import struct
 import zlib
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import FreeExtentIndex, make_free_index
-from repro.alloc.naive import NaiveFreeExtentIndex
+from repro.alloc.freelist import FreeExtentIndex
 from repro.errors import SnapshotError
 from repro.fs.journal import Journal, JournalState
 
@@ -45,9 +45,9 @@ SNAPSHOT_VERSION = 1
 _FREE_MAGIC = b"RFXS"
 _JOURNAL_MAGIC = b"RJLS"
 
-#: kind code <-> engine name (codes are part of the on-disk format).
-_KIND_CODES = {"tiered": 0, "naive": 1}
-_KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
+#: Engine-kind codes of the header (part of the on-disk format).
+_TIERED_CODE = 0
+_RETIRED_NAIVE_CODE = 1
 
 _FREE_HEADER = struct.Struct("<4sHBBQQ")   # magic, version, kind, pad, capacity, nruns
 _RUN = struct.Struct("<QQ")                # start, length
@@ -91,16 +91,11 @@ def _expect_size(blob: bytes, expected: int, what: str) -> None:
 # ----------------------------------------------------------------------
 # Free-extent index
 # ----------------------------------------------------------------------
-def index_kind_of(index: FreeExtentIndex | NaiveFreeExtentIndex) -> str:
-    """The factory name of an engine instance."""
-    return "naive" if isinstance(index, NaiveFreeExtentIndex) else "tiered"
-
-
-def encode_free_index(index: FreeExtentIndex | NaiveFreeExtentIndex) -> bytes:
+def encode_free_index(index: FreeExtentIndex) -> bytes:
     """Serialize a free index; same free map -> same bytes."""
     runs = list(index)  # address order: the canonical iteration order
     buf = bytearray(_FREE_HEADER.pack(
-        _FREE_MAGIC, SNAPSHOT_VERSION, _KIND_CODES[index_kind_of(index)], 0,
+        _FREE_MAGIC, SNAPSHOT_VERSION, _TIERED_CODE, 0,
         index.capacity, len(runs),
     ))
     pack_into = _RUN.pack_into
@@ -112,22 +107,24 @@ def encode_free_index(index: FreeExtentIndex | NaiveFreeExtentIndex) -> bytes:
     return _crc_frame(buf)
 
 
-def decode_free_index(blob: bytes) -> FreeExtentIndex | NaiveFreeExtentIndex:
-    """Rebuild a free index from :func:`encode_free_index` output, in
-    the engine recorded in the blob.
+def decode_free_index(blob: bytes) -> FreeExtentIndex:
+    """Rebuild a free index from :func:`encode_free_index` output.
 
     The run list is validated structurally — ascending, coalesced,
-    inside capacity — and the engine's own ``check_invariants`` runs
-    before the index is returned.
+    inside capacity — and the index's own ``check_invariants`` runs
+    before it is returned.
     """
     magic, version, kind_code, _, capacity, nruns = _open_frame(
         blob, _FREE_MAGIC, _FREE_HEADER, "free-index")
-    if kind_code not in _KIND_NAMES:
+    if kind_code == _RETIRED_NAIVE_CODE:
+        raise SnapshotError(
+            "free-index snapshot names the retired naive engine "
+            f"(code {kind_code}); only the tiered engine decodes")
+    if kind_code != _TIERED_CODE:
         raise SnapshotError(f"unknown free-index engine code {kind_code}")
     _expect_size(blob, _FREE_HEADER.size + nruns * _RUN.size + _CRC.size,
                  "free-index")
-    index = make_free_index(capacity, kind=_KIND_NAMES[kind_code],
-                            initially_free=False)
+    index = FreeExtentIndex(capacity, initially_free=False)
     offset = _FREE_HEADER.size
     prev_end = -1
     for _ in range(nruns):

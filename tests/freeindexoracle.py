@@ -1,19 +1,15 @@
-"""Flat-list reference free-space index (the pre-tiered implementation).
+"""Flat-list reference free-space index (test-side only).
 
-:class:`NaiveFreeExtentIndex` is the original O(n)-per-mutation engine
-kept verbatim as an executable specification.  It exists for two
-reasons:
+:class:`NaiveFreeExtentIndex` is the original O(n)-per-mutation engine,
+the one the tiered :class:`~repro.alloc.freelist.FreeExtentIndex`
+replaced, kept verbatim as an executable specification:
 
-* **Parity testing** — ``tests/test_prop_freelist.py`` drives it and the
-  tiered :class:`~repro.alloc.freelist.FreeExtentIndex` with identical
-  operation sequences and asserts byte-identical free maps and
-  placement-identical policy answers.
-* **Ablation** — ``python benchmarks/paperfig.py --only ablation_index``
-  ages Figure 3's filesystem curve under both engines
-  (``FsConfig(index_kind="naive")``), checks that no sample moved and
-  records the two host times side by side in
-  ``benchmarks/BENCH_paper.json``; ``--index naive`` reruns any other
-  figure on this engine.
+* ``test_prop_freelist.py`` drives both engines with identical
+  operation sequences and asserts identical free maps and
+  placement-identical policy answers; it also substitutes this class
+  for the filesystem's engine and holds whole runs (Figure 3's
+  filesystem curve, a delete/rewrite churn loop) to the production
+  engine's numbers.
 
 Do not optimise this class; its value is that it is obviously correct.
 Both classes expose the same public API and raise

@@ -5,11 +5,15 @@ import random
 import pytest
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import FreeExtentIndex, make_free_index
-from repro.alloc.naive import NaiveFreeExtentIndex
+from repro.alloc.freelist import FreeExtentIndex
 from repro.alloc.runcache import NtfsRunCache
-from repro.errors import ConfigError, CorruptionError
+from repro.errors import CorruptionError
 from repro.struct.blockedlist import MaxWeightAugmentation
+
+from freeindexoracle import NaiveFreeExtentIndex
+
+#: The production engine and the flat-list oracle, by test id.
+ENGINES = {"tiered": FreeExtentIndex, "naive": NaiveFreeExtentIndex}
 
 
 @pytest.fixture
@@ -120,7 +124,7 @@ class TestQueries:
     @pytest.mark.parametrize("size", [-300, -5, -2, -1, 0, 1])
     def test_best_fit_of_a_non_positive_size_is_the_smallest_run(self, size):
         """Every run fits a size of 0 or less, so the answer is the
-        smallest run, as on the naive engine.  A negative size's
+        smallest run, as on the flat-list oracle.  A negative size's
         ``bit_length()`` is its magnitude's: the bucket search must not
         start from it."""
         tiered, naive = FreeExtentIndex(1000), NaiveFreeExtentIndex(1000)
@@ -151,9 +155,9 @@ class TestQueries:
         sizes = [r.length for r in index.runs_by_size_desc()]
         assert sizes == [800, 100]
 
-    @pytest.mark.parametrize("kind", ["tiered", "naive"])
+    @pytest.mark.parametrize("kind", ENGINES)
     def test_largest_runs(self, kind):
-        index = make_free_index(1000, kind=kind, initially_free=False)
+        index = ENGINES[kind](1000, initially_free=False)
         for start, length in ((0, 100), (200, 100), (400, 50), (500, 100),
                               (700, 300)):
             index.add(Extent(start, length))
@@ -166,8 +170,7 @@ class TestQueries:
         assert index.largest_runs(3, 100) == everything[:3]
         assert index.largest_runs(10, 301) == []
         assert index.largest_runs(0) == []
-        assert make_free_index(8, kind=kind,
-                               initially_free=False).largest_runs(4) == []
+        assert ENGINES[kind](8, initially_free=False).largest_runs(4) == []
 
 
 class TestInvariants:
@@ -253,7 +256,7 @@ class TestIncrementalAccounting:
 class TestLazySummaries:
     def test_first_fit_refreshes_a_stale_block(self):
         """Carving the block's largest run leaves its max-run summary
-        stale; the next first_fit answers as the naive engine does and
+        stale; the next first_fit answers as the flat-list oracle does and
         caches the rescan."""
         tiered = FreeExtentIndex(4096, initially_free=False)
         naive = NaiveFreeExtentIndex(4096, initially_free=False)
@@ -306,17 +309,3 @@ class TestLazySummaries:
             assert len(minted) - before == (0 if run is None else 1)
         monkeypatch.undo()
         index.check_invariants()
-
-
-class TestFactory:
-    def test_make_free_index_kinds(self):
-        assert isinstance(make_free_index(1000), FreeExtentIndex)
-        assert isinstance(make_free_index(1000, kind="tiered"),
-                          FreeExtentIndex)
-        naive = make_free_index(1000, kind="naive", initially_free=False)
-        assert isinstance(naive, NaiveFreeExtentIndex)
-        assert naive.total_free == 0
-
-    def test_make_free_index_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            make_free_index(1000, kind="bitmap")

@@ -6,10 +6,15 @@ from itertools import islice
 import pytest
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import FreeExtentIndex, make_free_index
+from repro.alloc.freelist import FreeExtentIndex
 from repro.alloc.runcache import NtfsRunCache
 from repro.errors import AllocationError, ConfigError
 from repro.units import KB, MB
+
+from freeindexoracle import NaiveFreeExtentIndex
+
+#: The production engine and the flat-list oracle, by test id.
+ENGINES = {"tiered": FreeExtentIndex, "naive": NaiveFreeExtentIndex}
 
 
 def make_cache(capacity=100 * MB, band=0.125, cache_size=64):
@@ -123,11 +128,11 @@ class TestChooseMatchesOracle:
         assert cache.choose(256 * KB) is None is \
             oracle_choose(cache, 256 * KB)
 
-    @pytest.mark.parametrize("kind", ["tiered", "naive"])
+    @pytest.mark.parametrize("kind", ENGINES)
     @pytest.mark.parametrize("cache_size", [1, 3, 64])
     def test_random_aging(self, kind, cache_size):
         rng = random.Random(cache_size)
-        index = make_free_index(16 * MB, kind=kind)
+        index = ENGINES[kind](16 * MB)
         cache = NtfsRunCache(index, cache_size=cache_size)
         live = []
         for _ in range(5000):

@@ -51,7 +51,7 @@ def test_the_repos_own_docs_are_in_sync():
 
 def test_matching_quotes_pass(docs_root):
     assert docs_root(
-        "Run `--only fs_churn,tail_latency`; the `tail_latency` rows\n"
+        "Run `--only shard_skew,tail_latency`; the `tail_latency` rows\n"
         "show `tail_latency.aged_p99_inflation` 1.19× and\n"
         "`scenario_matrix.divergent_winners` = 1;\n"
         "`mixed_policy@100000`\n  320× through the policy path.\n\n"

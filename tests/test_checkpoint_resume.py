@@ -3,8 +3,9 @@
 The acceptance bar: an aging run checkpointed mid-way, killed, and
 resumed produces a run record *identical* to the same run uninterrupted
 — every sample (fragmentation metrics, read/write throughput over
-modelled IoStats, occupancy, seek counts), across both free-space
-engines and a 3-shard composite.  Plus the failure half: checkpoints
+modelled IoStats, occupancy, seek counts), on a filesystem over the
+production free-space engine and over the flat-list oracle, and on a
+3-shard composite.  Plus the failure half: checkpoints
 from a different configuration are refused, torn checkpoints fall back
 to the previous valid one, and a fully torn directory falls back to a
 fresh (still identical) run.
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from freeindexoracle import NaiveFreeExtentIndex
 from repro.backends.spec import StoreSpec
 from repro.core.experiment import (
     ExperimentConfig,
@@ -22,6 +24,7 @@ from repro.core.experiment import (
 )
 from repro.core.workload import ConstantSize
 from repro.errors import ConfigError
+from repro.fs import filesystem
 from repro.persist import CheckpointManager
 from repro.units import KB, MB
 
@@ -31,8 +34,8 @@ AGES = (0.0, 1.0, 2.0)
 def config_for(store_kind: str, seed: int = 11) -> ExperimentConfig:
     specs = {
         "tiered": StoreSpec("filesystem", volume_bytes=64 * MB),
-        "naive": StoreSpec("filesystem", volume_bytes=64 * MB,
-                           options={"index_kind": "naive"}),
+        # The same store; the test substitutes the oracle engine.
+        "naive": StoreSpec("filesystem", volume_bytes=64 * MB),
         "sharded": StoreSpec("filesystem", volume_bytes=96 * MB, shards=3),
     }
     return ExperimentConfig(
@@ -66,7 +69,10 @@ class TestResumeIdentity:
     @pytest.mark.parametrize("store_kind", ["tiered", "naive", "sharded"])
     @pytest.mark.parametrize("kill_after_age", [0.0, 1.0])
     def test_killed_and_resumed_equals_uninterrupted(
-            self, tmp_path, store_kind, kill_after_age):
+            self, tmp_path, monkeypatch, store_kind, kill_after_age):
+        if store_kind == "naive":
+            monkeypatch.setattr(filesystem, "FreeExtentIndex",
+                                NaiveFreeExtentIndex)
         config = config_for(store_kind)
         baseline = ExperimentRunner(config).run()
         run_interrupted(config, tmp_path, kill_after_age)
@@ -155,12 +161,12 @@ class TestResumeFailureModes:
         ckpt = manager.load_latest()
         # Swap in a *valid* snapshot of a different (empty) free map,
         # rewriting the manifest so digests still verify.
-        from repro.alloc.freelist import make_free_index
+        from repro.alloc.freelist import FreeExtentIndex
         from repro.persist import encode_free_index
         import hashlib as _hashlib
         import json as _json
         alien = encode_free_index(
-            make_free_index(64 * MB, initially_free=False))
+            FreeExtentIndex(64 * MB, initially_free=False))
         (ckpt.path / "free_index-vol0.bin").write_bytes(alien)
         manifest = _json.loads((ckpt.path / "MANIFEST.json").read_text())
         manifest["files"]["free_index-vol0.bin"] = {

@@ -208,35 +208,34 @@ class TestResults:
 
 
 class TestIndexKindAblation:
+    """The free-space engine is no longer a choice: the class keeps its
+    name (and test ids) and holds what is left — the spec and
+    ``FsConfig`` refuse an engine, and the run record still echoes the
+    one a filesystem runs."""
+
     @staticmethod
     def config(backend="filesystem", **options):
         return ExperimentConfig(
             store=StoreSpec(backend, volume_bytes=64 * MB, options=options),
             sizes=ConstantSize(64 * KB))
 
-    def test_make_store_honours_index_kind(self):
-        from repro.alloc.freelist import FreeExtentIndex
-        from repro.alloc.naive import NaiveFreeExtentIndex
-
-        tiered = build_store(self.config().store)
-        assert isinstance(tiered.fs.free_index, FreeExtentIndex)
-        naive = build_store(self.config(index_kind="naive").store)
-        assert isinstance(naive.fs.free_index, NaiveFreeExtentIndex)
-
     def test_index_kind_validated(self):
-        with pytest.raises(ConfigError):
-            self.config(index_kind="bitmap")
+        from repro.fs.filesystem import FsConfig
+
+        with pytest.raises(ConfigError, match="does not accept option "
+                           ".index_kind.; accepted: .'size_hints', "
+                           "'fs_config'."):
+            self.config(index_kind="naive")
+        with pytest.raises(TypeError):
+            FsConfig(index_kind="naive")
 
     def test_index_kind_in_run_config(self):
         from repro.fs.filesystem import FsConfig
 
-        assert self.config(
-            index_kind="naive").to_dict()["index_kind"] == "naive"
         assert self.config().to_dict()["index_kind"] == "tiered"
-        # Provenance follows the engine actually instantiated: an
-        # fs_config-selected engine is recorded, and backends that never
-        # touch the index record None rather than a misleading default.
         assert self.config(
-            fs_config=FsConfig(index_kind="naive"),
-        ).to_dict()["index_kind"] == "naive"
+            fs_config=FsConfig(commit_interval_ops=1),
+        ).to_dict()["index_kind"] == "tiered"
+        # Backends that never touch the index record None rather than a
+        # misleading default.
         assert self.config("database").to_dict()["index_kind"] is None

@@ -12,20 +12,23 @@ every crash asserts the paper's deferred-free rule:
     (frees replayed), never a state where an uncommitted free is
     allocatable.
 
-Runs over the tiered engine, the naive reference engine, and a 3-shard
-composite, plus the CheckpointManager's own write path.
+Runs over a filesystem on the production free-space engine and on the
+flat-list oracle, and over a 3-shard composite, plus the
+CheckpointManager's own write path.
 """
 
 import pytest
 
 from crashsim import CrashClock, FaultyDevice, kill_point_matrix
+from freeindexoracle import NaiveFreeExtentIndex
 
-from repro.alloc.freelist import INDEX_KINDS
+from repro.alloc.freelist import FreeExtentIndex
 from repro.backends.file_backend import FileBackend
 from repro.backends.sharded import ShardedStore
 from repro.backends.spec import StoreSpec
 from repro.disk.geometry import scaled_disk
 from repro.errors import CrashPoint
+from repro.fs import filesystem
 from repro.fs.filesystem import FsConfig, SimFilesystem
 from repro.persist import CheckpointManager, cross_check, rebuild_fs_free_index
 from repro.units import KB, MB
@@ -68,12 +71,15 @@ def recover_and_check(fs: SimFilesystem) -> None:
 
 
 class TestFilesystemKillMatrix:
-    @pytest.mark.parametrize("kind", INDEX_KINDS)
-    def test_every_kill_point_recovers(self, kind):
+    @pytest.mark.parametrize("engine", [FreeExtentIndex, NaiveFreeExtentIndex],
+                             ids=["tiered", "naive"])
+    def test_every_kill_point_recovers(self, engine, monkeypatch):
+        monkeypatch.setattr(filesystem, "FreeExtentIndex", engine)
+
         def build(clock: CrashClock) -> SimFilesystem:
             device = FaultyDevice(scaled_disk(24 * MB), clock=clock)
             fs = SimFilesystem(
-                device, FsConfig(index_kind=kind, **CRASHY_FS_CONFIG_KWARGS)
+                device, FsConfig(**CRASHY_FS_CONFIG_KWARGS)
             )
             fs.crash_hook = clock.hook  # host-side commit kill points
             return fs

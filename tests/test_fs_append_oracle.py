@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsoracle
+from freeindexoracle import NaiveFreeExtentIndex
 from repro.alloc import freelist
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex
-from repro.alloc.naive import NaiveFreeExtentIndex
 from repro.alloc.runcache import NtfsRunCache
 from repro.backends.file_backend import FileBackend
 from repro.disk.device import BlockDevice
@@ -211,8 +211,9 @@ def test_appends_across_files_and_slack(delayed):
 # ----------------------------------------------------------------------
 # The run cache and the carve primitive
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["tiered", "naive"])
-def test_run_cache_allocate_matches_the_retired_carves(kind):
+@pytest.mark.parametrize("engine", [FreeExtentIndex, NaiveFreeExtentIndex],
+                         ids=["tiered", "naive"])
+def test_run_cache_allocate_matches_the_retired_carves(engine):
     """``NtfsRunCache.allocate``/``try_extend`` against ``fsoracle``'s
     remove-based versions on twin indexes, through fragmenting
     allocations and frees."""
@@ -220,7 +221,7 @@ def test_run_cache_allocate_matches_the_retired_carves(kind):
     capacity = 8 * MB
     caches = []
     for _ in range(2):
-        index = freelist.make_free_index(capacity, kind=kind)
+        index = engine(capacity)
         caches.append(NtfsRunCache(index, cache_size=4,
                                    outer_band_fraction=0.25))
     shipped, oracle = caches

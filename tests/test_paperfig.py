@@ -62,16 +62,15 @@ def test_store_override_keeps_db_config_and_matches_backend():
 
 
 def test_no_override_builds_the_same_spec_options():
-    config = curve_config(["--index", "naive"], "filesystem",
+    config = curve_config([], "filesystem",
                           size_hints=True, write_request=16 * KB)
-    assert config.store.options_dict() == {"index_kind": "naive",
-                                           "size_hints": True}
+    assert config.store.options_dict() == {"size_hints": True}
     assert config.store.write_request == 16 * KB
     assert config.label == ""
     # An option written in the --store text survives absent sugar.
-    config = curve_config(["--store", "filesystem:index_kind=naive"],
+    config = curve_config(["--store", "filesystem:size_hints=true"],
                           "filesystem")
-    assert config.store.option("index_kind") == "naive"
+    assert config.store.option("size_hints") == "true"
 
 
 def test_paper_scale_maps_volume_roles_not_values():
@@ -106,7 +105,7 @@ def test_the_committed_record_is_a_full_run_without_overrides():
     assert COMMITTED["schema"] == paperfig.SCHEMA
     assert list(COMMITTED["figures"]) == list(paperfig.FIGURES)
     assert COMMITTED["config"] == {"only": None, "paper_scale": False,
-                                   "index": None, "store": None}
+                                   "store": None}
 
 
 def test_figure_modules_hold_no_driver_of_their_own():
@@ -180,3 +179,8 @@ def test_a_failed_check_fails_main_unless_the_store_is_overridden(
         paperfig.main(["--only", "tail_latency", "--quick"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --quick" in capsys.readouterr().err
+    # One free-space engine: there is no engine flag either.
+    with pytest.raises(SystemExit) as exit_info:
+        paperfig.main(["--only", "fig3", "--index", "naive"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --index" in capsys.readouterr().err

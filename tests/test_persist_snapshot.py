@@ -8,15 +8,19 @@ behaviour.  Crash-driven coverage lives in ``test_crash_matrix.py``.
 
 import hashlib
 import random
+import struct
+import zlib
 
 import pytest
 
+from freeindexoracle import NaiveFreeExtentIndex
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import INDEX_KINDS, make_free_index
+from repro.alloc.freelist import FreeExtentIndex
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.errors import ConfigError, SnapshotError
-from repro.fs.filesystem import FsConfig, SimFilesystem
+from repro.fs import filesystem
+from repro.fs.filesystem import SimFilesystem
 from repro.fs.journal import Journal
 from repro.persist import (
     CheckpointManager,
@@ -29,15 +33,16 @@ from repro.persist import (
     rebuild_fs_free_index,
     verify_journal,
 )
-from repro.persist.snapshot import index_kind_of
 from repro.units import KB, MB
 
 CAPACITY = 64 * MB
+#: The production engine and the flat-list oracle, by test id.
+ENGINES = {"tiered": FreeExtentIndex, "naive": NaiveFreeExtentIndex}
 
 
 def churned_index(kind: str, seed: int = 3):
     """A free index with a few dozen runs from random carves/frees."""
-    index = make_free_index(CAPACITY, kind=kind)
+    index = ENGINES[kind](CAPACITY)
     rng = random.Random(seed)
     allocated = []
     for _ in range(300):
@@ -55,26 +60,50 @@ def churned_index(kind: str, seed: int = 3):
     return index
 
 
+def with_kind_code(blob: bytes, code: int) -> bytes:
+    """``blob`` with its header's engine-kind byte set to ``code`` and
+    the CRC recomputed, so only the code is wrong."""
+    body = bytearray(blob[:-4])
+    body[6] = code          # after magic (4) and version (u16)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
 class TestFreeIndexSnapshot:
-    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    @pytest.mark.parametrize("kind", ENGINES)
     def test_round_trip(self, kind):
+        """Either engine's free map decodes into the production one."""
         index = churned_index(kind)
         blob = encode_free_index(index)
         restored = decode_free_index(blob)
-        assert index_kind_of(restored) == kind
+        assert type(restored) is FreeExtentIndex
         assert list(restored) == list(index)
         assert restored.total_free == index.total_free
         assert restored.largest() == index.largest()
 
-    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    @pytest.mark.parametrize("kind", ENGINES)
     def test_byte_stable(self, kind):
-        """Same free map -> same bytes; decode/encode is the identity."""
+        """Same free map -> same bytes, whichever engine holds it;
+        decode/encode is the identity."""
         index = churned_index(kind)
         blob = encode_free_index(index)
+        assert blob == encode_free_index(churned_index("tiered"))
         assert encode_free_index(decode_free_index(blob)) == blob
 
+    def test_retired_engine_code_refused(self):
+        """Code 1 named the retired flat-list engine: a blob carrying it
+        passes its checksum and is still refused, by name; any other
+        unknown code gets the generic error."""
+        blob = encode_free_index(churned_index("tiered"))
+        assert blob[6] == 0
+        assert with_kind_code(blob, 0) == blob
+        with pytest.raises(SnapshotError, match="retired naive engine"):
+            decode_free_index(with_kind_code(blob, 1))
+        with pytest.raises(SnapshotError, match="unknown free-index engine "
+                                                "code 2"):
+            decode_free_index(with_kind_code(blob, 2))
+
     def test_empty_index(self):
-        index = make_free_index(CAPACITY, initially_free=False)
+        index = FreeExtentIndex(CAPACITY, initially_free=False)
         restored = decode_free_index(encode_free_index(index))
         assert len(restored) == 0 and restored.capacity == CAPACITY
 
@@ -99,7 +128,7 @@ class TestFreeIndexSnapshot:
 class TestJournalSnapshot:
     def make_journal(self):
         device = BlockDevice(scaled_disk(16 * MB))
-        index = make_free_index(16 * MB, initially_free=False)
+        index = FreeExtentIndex(16 * MB, initially_free=False)
         return Journal(device, index, log_base=0, log_size=1 * MB,
                        commit_interval_ops=10_000), index
 
@@ -119,7 +148,7 @@ class TestJournalSnapshot:
         journal, _ = self.make_journal()
         blob = encode_journal(journal)
         device = BlockDevice(scaled_disk(16 * MB))
-        index = make_free_index(16 * MB, initially_free=False)
+        index = FreeExtentIndex(16 * MB, initially_free=False)
         other = Journal(device, index, log_base=0, log_size=2 * MB,
                         commit_interval_ops=4)
         with pytest.raises(SnapshotError, match="geometry"):
@@ -140,9 +169,9 @@ class TestJournalSnapshot:
             decode_journal_state(blob[:-3])
 
 
-def aged_fs(kind: str = "tiered", seed: int = 5) -> SimFilesystem:
+def aged_fs(seed: int = 5) -> SimFilesystem:
     device = BlockDevice(scaled_disk(48 * MB))
-    fs = SimFilesystem(device, FsConfig(index_kind=kind))
+    fs = SimFilesystem(device)
     rng = random.Random(seed)
     names = []
     for i in range(40):
@@ -157,11 +186,15 @@ def aged_fs(kind: str = "tiered", seed: int = 5) -> SimFilesystem:
 
 
 class TestRebuild:
-    @pytest.mark.parametrize("kind", INDEX_KINDS)
-    def test_rebuild_matches_live_index(self, kind):
-        fs = aged_fs(kind)
+    @pytest.mark.parametrize("kind", ENGINES)
+    def test_rebuild_matches_live_index(self, kind, monkeypatch):
+        """The rebuild agrees with the live index, also when the
+        filesystem runs on the flat-list oracle."""
+        monkeypatch.setattr(filesystem, "FreeExtentIndex", ENGINES[kind])
+        fs = aged_fs()
+        assert type(fs.free_index) is ENGINES[kind]
         rebuilt = rebuild_fs_free_index(fs)
-        assert index_kind_of(rebuilt) == kind
+        assert type(rebuilt) is FreeExtentIndex
         cross_check(rebuilt, fs.free_index)
         # ... including while frees are parked in the journal.
         assert fs.journal.pending_free_count >= 0

@@ -5,13 +5,17 @@ set partitions the volume — no byte is lost, duplicated, or handed out
 twice — and the internal tiers stay synchronized.
 
 The parity suite additionally drives the tiered engine and the naive
-flat-list reference model (:class:`NaiveFreeExtentIndex`) with
-identical operation sequences and asserts byte-identical free maps and
-placement-identical policy answers — including the banded ``first_fit``
-edge cases where a free run straddles ``min_start``, and the
-``largest_runs`` slice the run cache allocates from.
+flat-list oracle (:class:`NaiveFreeExtentIndex`, test-side in
+``freeindexoracle.py``) with identical operation sequences and asserts
+byte-identical free maps and placement-identical policy answers —
+including the banded ``first_fit`` edge cases where a free run
+straddles ``min_start``, and the ``largest_runs`` slice the run cache
+allocates from.  Two whole runs hold the same parity end to end, with
+the oracle substituted for the filesystem's engine: Figure 3's
+filesystem curve, and a delete/rewrite churn loop over small files.
 """
 
+import random
 from itertools import islice
 from unittest import mock
 
@@ -19,10 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from freeindexoracle import NaiveFreeExtentIndex
 from repro.alloc import freelist
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex
-from repro.alloc.naive import NaiveFreeExtentIndex
+from repro.backends.spec import StoreSpec
+from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.core.workload import ConstantSize
+from repro.disk.device import BlockDevice
+from repro.disk.geometry import scaled_disk
+from repro.fs import filesystem
+from repro.units import KB, MB
 
 CAPACITY = 4096
 
@@ -197,6 +208,64 @@ def test_tiered_matches_naive_reference(ops):
     naive.check_invariants()
     assert tiered.largest() == naive.largest()
     assert list(tiered.runs_by_size_desc()) == list(naive.runs_by_size_desc())
+
+
+def _on_the_oracle(monkeypatch, run):
+    """``run()`` on the production engine, then again with the oracle
+    substituted for the filesystem's engine: the two answers."""
+    production = run()
+    monkeypatch.setattr(filesystem, "FreeExtentIndex", NaiveFreeExtentIndex)
+    return production, run()
+
+
+def test_figure3_filesystem_curve_is_engine_independent(monkeypatch):
+    """Figure 3's filesystem curve (97 % full, 256 KB objects in 64 KB
+    requests: the longest free lists any figure builds) samples the
+    same numbers on either engine."""
+    config = ExperimentConfig(
+        store=StoreSpec("filesystem", volume_bytes=512 * MB),
+        sizes=ConstantSize(256 * KB), occupancy=0.97,
+        ages=(0.0, 1.0, 2.0), reads_per_sample=16, seed=7)
+    tiered, naive = _on_the_oracle(
+        monkeypatch, lambda: run_experiment(config).samples)
+    assert len(tiered) == 3
+    assert tiered == naive
+
+
+def test_small_file_churn_is_engine_independent(monkeypatch):
+    """Bulk load 64 KB files (16 KB requests) to half of a 128 MB
+    volume, then delete and rewrite 400 random ones: the file count,
+    free-run count and modelled device clock agree on either engine."""
+    def churn():
+        device = BlockDevice(scaled_disk(128 * MB))
+        fs = filesystem.SimFilesystem(device)
+        rng = random.Random(7)
+        names: list[str] = []
+
+        def write_file(name: str) -> None:
+            fs.create(name)
+            fs.append(name, 64 * KB, write_request=16 * KB)
+
+        while fs.used_bytes < int(fs.data_capacity * 0.5):
+            names.append(f"f{len(names)}")
+            write_file(names[-1])
+        for op in range(400):
+            victim = rng.randrange(len(names))
+            fs.delete(names[victim])
+            names[victim] = f"f{len(names) + op}"
+            write_file(names[victim])
+        fs.check_invariants()
+        return {"files": len(names), "free_runs": len(fs.free_index),
+                "modelled_device_s": round(device.clock_s, 4),
+                "clock_s": device.clock_s, "engine": type(fs.free_index)}
+
+    tiered, naive = _on_the_oracle(monkeypatch, churn)
+    assert (tiered.pop("engine"), naive.pop("engine")) \
+        == (FreeExtentIndex, NaiveFreeExtentIndex)
+    # The 128 MB row the retired ``fs_churn`` figure committed.
+    assert (tiered["files"], tiered["free_runs"],
+            tiered["modelled_device_s"]) == (944, 535, 46.118)
+    assert tiered == naive
 
 
 @given(

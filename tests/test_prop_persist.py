@@ -7,19 +7,24 @@ journal snapshots, cross-checked against each other on the way back).
 The restored store then finishes the stream, and every observable —
 free map, O(1) accounting, key order, per-object extent maps, modelled
 device time and IoStats — must be identical to a store that ran the
-stream uninterrupted.  Both free-space engines are held to this.
+stream uninterrupted.  The production free-space engine and the
+flat-list oracle (substituted into the filesystem) are both held to
+this.
 """
 
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeindexoracle import NaiveFreeExtentIndex
+from repro.alloc.freelist import FreeExtentIndex
 from repro.backends.file_backend import FileBackend
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
-from repro.fs.filesystem import FsConfig
+from repro.fs import filesystem
 from repro.persist import (
     cross_check,
     decode_free_index,
@@ -32,6 +37,8 @@ from repro.units import KB, MB
 
 VOLUME = 48 * MB
 KEYS = 12
+#: The production engine and the flat-list oracle, by test id.
+ENGINES = {"tiered": FreeExtentIndex, "naive": NaiveFreeExtentIndex}
 
 
 @st.composite
@@ -50,11 +57,9 @@ def op_streams(draw):
 
 
 def make_store(kind: str) -> FileBackend:
-    return FileBackend(
-        BlockDevice(scaled_disk(VOLUME)),
-        fs_config=FsConfig(index_kind=kind),
-        write_request=64 * KB,
-    )
+    with mock.patch.object(filesystem, "FreeExtentIndex", ENGINES[kind]):
+        return FileBackend(BlockDevice(scaled_disk(VOLUME)),
+                           write_request=64 * KB)
 
 
 def apply_ops(store: FileBackend, ops) -> None:
@@ -88,7 +93,7 @@ def assert_identical(a: FileBackend, b: FileBackend) -> None:
         assert dev_a.head_position == dev_b.head_position
 
 
-@pytest.mark.parametrize("kind", ["tiered", "naive"])
+@pytest.mark.parametrize("kind", ENGINES)
 @given(stream=op_streams())
 @settings(max_examples=30, deadline=None)
 def test_snapshot_restore_continue_is_identical(kind, stream):
@@ -115,7 +120,7 @@ def test_snapshot_restore_continue_is_identical(kind, stream):
     restored.fs.check_invariants()
 
 
-@pytest.mark.parametrize("kind", ["tiered", "naive"])
+@pytest.mark.parametrize("kind", ENGINES)
 @given(stream=op_streams())
 @settings(max_examples=15, deadline=None)
 def test_snapshot_is_byte_stable_across_the_boundary(kind, stream):

@@ -98,6 +98,26 @@ class TestDeterminismRules:
         # Out of the accounting scope: quiet.
         assert fire(bad, "src/repro/core/x.py", "RPL106") == []
 
+    def test_rpl107_fires_on_builtin_hash_in_src(self):
+        bad = "leaf = pages[hash(key) % len(pages)]\n"
+        assert codes(fire(bad, "src/repro/db/x.py", "RPL107")) == ["RPL107"]
+        bad2 = "import builtins\nh = builtins.hash(x)\n"
+        assert codes(fire(bad2, "src/repro/x.py", "RPL107")) == ["RPL107"]
+        # A nested __hash__-free function still counts.
+        bad3 = "def f(x):\n    return hash(x)\n"
+        assert codes(fire(bad3, "src/repro/x.py", "RPL107")) == ["RPL107"]
+
+    def test_rpl107_quiet_on_dunder_hash_and_drivers(self):
+        good = ("class K:\n"
+                "    def __hash__(self):\n"
+                "        return hash((self.a, self.b))\n")
+        assert fire(good, "src/repro/x.py", "RPL107") == []
+        # A method of that name on some object is not the builtin.
+        assert fire("h = obj.hash(x)\n", "src/repro/x.py", "RPL107") == []
+        bad = "h = hash(x)\n"
+        assert fire(bad, "benchmarks/bench.py", "RPL107") == []
+        assert fire(bad, "tests/t.py", "RPL107") == []
+
 
 # ----------------------------------------------------------------------
 # Hygiene rules

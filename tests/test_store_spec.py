@@ -275,8 +275,8 @@ class TestDeprecationShim:
 
     LEGACY = [
         dict(backend="filesystem"),
-        dict(backend="filesystem", index_kind="naive", size_hints=True),
-        dict(backend="filesystem", fs_config=FsConfig(index_kind="naive")),
+        dict(backend="filesystem", size_hints=True),
+        dict(backend="filesystem", fs_config=FsConfig(commit_interval_ops=1)),
         dict(backend="database"),
         dict(backend="database", db_config=DbConfig(write_request=128 * KB),
              write_request=128 * KB),
@@ -304,8 +304,6 @@ class TestDeprecationShim:
             assert store.db.config is options["db_config"]
             assert store.db.config.write_request == \
                 config.to_dict()["store"]["write_request"]
-        if "index_kind" in options:
-            assert store.fs.config.index_kind == options["index_kind"]
 
     def test_db_config_must_write_the_specs_request_size(self):
         """A ``db_config`` whose ``write_request`` differs from the
@@ -372,14 +370,16 @@ class TestRunRecords:
             assert config.to_dict()["size_hints"] is expected, text
 
     def test_effective_index_kind_through_sharded_spec(self):
+        """The record echoes the engine the shards run: the one
+        free-space engine for filesystem shards, None for lfs."""
         config = ExperimentConfig(
-            store=StoreSpec("filesystem", volume_bytes=96 * MB, shards=3,
-                            options={"index_kind": "naive"}),
+            store=StoreSpec("filesystem", volume_bytes=96 * MB, shards=3),
             sizes=_sizes(),
         )
-        assert config.effective_index_kind() == "naive"
-        lfs = ExperimentConfig(store=StoreSpec("lfs"), sizes=_sizes())
-        assert lfs.effective_index_kind() is None
+        assert config.to_dict()["index_kind"] == "tiered"
+        lfs = ExperimentConfig(store=StoreSpec("lfs", shards=2),
+                               sizes=_sizes())
+        assert lfs.to_dict()["index_kind"] is None
 
     def test_experiment_runs_over_sharded_spec(self):
         config = ExperimentConfig(

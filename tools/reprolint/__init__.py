@@ -14,7 +14,8 @@ invariants"):
 * **RPL1xx** — determinism: wall-clock/entropy sources, host timers in
   simulation code, RNG construction outside :mod:`repro.rng`, unseeded
   randomness in benches/tests, unordered ``set`` iteration, float/int
-  accumulation over ``dict.values()`` in accounting modules.
+  accumulation over ``dict.values()`` in accounting modules, builtin
+  ``hash()`` in simulation code.
 * **RPL3xx** — error-contract consistency: ``DeviceError`` subclasses
   declared, with their contract, in the one contract module.
 * **RPL4xx** — performance hygiene: ``slots=True`` on hot-path

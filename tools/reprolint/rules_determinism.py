@@ -194,3 +194,30 @@ def check_values_accumulation(ctx: FileContext) -> Iterator[Finding]:
                 yield Finding(ctx.path, node.iter.lineno, "RPL106",
                               "accumulation loop over `.values()` has "
                               "no stated order")
+
+
+def _is_builtin_hash(ctx: FileContext, func: ast.expr) -> bool:
+    if isinstance(func, ast.Name) and func.id == "hash":
+        return func.id not in ctx.aliases
+    return ctx.dotted(func) == "builtins.hash"
+
+
+@rule("RPL107", "builtin-hash", include=("src/*",),
+      hint="str/bytes hashes follow PYTHONHASHSEED; derive a stable key "
+           "with `zlib.crc32(str(key).encode(\"utf-8\"))`")
+def check_builtin_hash(ctx: FileContext) -> Iterator[Finding]:
+    """Ban builtin ``hash()`` calls in the simulator (``__hash__`` bodies
+    are exempt: they only key dicts and sets)."""
+    def calls(node: ast.AST) -> Iterator[ast.Call]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and child.name == "__hash__":
+                continue
+            if isinstance(child, ast.Call) and \
+                    _is_builtin_hash(ctx, child.func):
+                yield child
+            yield from calls(child)
+
+    for node in calls(ctx.tree):
+        yield Finding(ctx.path, node.lineno, "RPL107",
+                      "builtin `hash()` varies with the hash seed")
