@@ -8,7 +8,8 @@
 * :mod:`repro.core.experiment` — the aging experiment driver that
   produces every figure's data.
 * :mod:`repro.core.interleaved` — concurrent append streams (Section 6).
-* :mod:`repro.core.defrag` — offline/incremental defragmenters.
+* :mod:`repro.core.defrag` — the filesystem's NTFS-style defragmenter
+  and the database's table rebuild (Section 5.3).
 """
 
 from repro.core.storage_age import StorageAgeTracker

@@ -12,7 +12,8 @@ quantify both sides:
   first) passes, like the Windows online defragmenter.
 * For the database backend, the procedure Microsoft recommended to the
   authors (Section 5.3): rebuild — copy every BLOB out and back in after
-  draining ghost pages, so the address-ordered allocator repacks them.
+  draining ghost pages, so the address-ordered allocator repacks them
+  (:func:`rebuild_database`; :class:`Defragmenter` refuses a database).
 """
 
 from __future__ import annotations
@@ -46,9 +47,18 @@ class DefragStats:
 
 
 class Defragmenter:
-    """Backend-aware defragmentation passes."""
+    """NTFS-style defragmentation passes over a filesystem store.
+
+    A database is not defragmented object by object: its procedure is
+    :func:`rebuild_database`, and a :class:`BlobBackend` is refused here
+    with that pointer.
+    """
 
     def __init__(self, store: ObjectStore) -> None:
+        if isinstance(store, BlobBackend):
+            raise ConfigError(
+                "a database store is defragmented by rebuild_database(store)"
+                " (Section 5.3), not by Defragmenter")
         self.store = store
 
     # ------------------------------------------------------------------
@@ -80,17 +90,11 @@ class Defragmenter:
 
     # ------------------------------------------------------------------
     def _move(self, key: str, size: int) -> bool:
-        if isinstance(self.store, FileBackend):
-            return self._move_file(self.store, key, size)
-        if isinstance(self.store, BlobBackend):
-            return self._move_blob(self.store, key, size)
-        raise ConfigError(
-            f"no defragmentation strategy for backend {self.store.name!r}"
-        )
-
-    @staticmethod
-    def _move_file(store: FileBackend, key: str, size: int) -> bool:
         """NTFS-style file move: new contiguous allocation, then switch."""
+        store = self.store
+        if not isinstance(store, FileBackend):
+            raise ConfigError(
+                f"no defragmentation strategy for backend {store.name!r}")
         fs = store.fs
         row = store.meta_table.get(key)
         name = row["path"]
@@ -114,20 +118,6 @@ class Defragmenter:
         for ext in new_extents:
             record.add_extent(ext)
         fs.journal.log_operation(frees=old_extents)
-        return True
-
-    @staticmethod
-    def _move_blob(store: BlobBackend, key: str, size: int) -> bool:
-        """Rebuild-style move: drain ghosts, then rewrite the BLOB."""
-        db = store.db
-        row = store.meta_table.get(key)
-        db.ghost.drain()  # make every reclaimable page visible first
-        data = db.get_blob(row["blob_id"])
-        new_id = db.replace_blob(row["blob_id"],
-                                 size=None if data is not None else size,
-                                 data=data)
-        store.meta_table.update(key, {"blob_id": new_id})
-        db.ghost.drain()
         return True
 
 

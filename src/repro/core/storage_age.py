@@ -9,9 +9,7 @@ and hardware, so curves from different systems are comparable.
 :class:`StorageAgeTracker` accumulates the ratio from allocation events.
 The experiment driver reaches each sampling point (ages 0, 2, 4 for
 Figures 1/4; 0..10 for Figures 2/3/5/6) by safe-writing until the
-tracked ratio gets there (:func:`repro.core.workload.churn_to_age`);
-:meth:`~StorageAgeTracker.overwrites_to_reach` only *estimates* the
-churn operations a target age will take.
+tracked ratio gets there (:func:`repro.core.workload.churn_to_age`).
 """
 
 from __future__ import annotations
@@ -66,21 +64,3 @@ class StorageAgeTracker:
     @property
     def history(self) -> list[tuple[int, float]]:
         return list(self._history)
-
-    def overwrites_to_reach(self, target_age: float,
-                            mean_object_size: float | None = None) -> int:
-        """Estimate safe writes needed to reach ``target_age``.
-
-        Each overwrite adds one object's bytes to the dead count, so with
-        n live objects the age advances by about 1/n per overwrite.
-        """
-        if target_age <= self.storage_age:
-            return 0
-        if self.live_bytes <= 0:
-            return 0
-        size = mean_object_size
-        if size is None:
-            denominator = max(1, self.puts)
-            size = self.live_bytes / denominator
-        deficit_bytes = target_age * self.live_bytes - self.dead_bytes
-        return max(0, round(deficit_bytes / size))

@@ -248,22 +248,3 @@ def read_sweep(store: ObjectStore, state: WorkloadState,
         store.get(key)
         total += size
     return total
-
-
-def delete_all(store: ObjectStore, state: WorkloadState) -> None:
-    """Delete every object (teardown / pathological-aging setup)."""
-    for key in list(state.keys):
-        size = store.meta(key).size
-        store.delete(key)
-        state.tracker.on_delete(size)
-    state.keys.clear()
-    # A key re-put after delete-all must restart its marker versions at
-    # 1; a carried-over counter would make a fresh object look like a
-    # stale resurrected one to content verification.
-    state.versions.clear()
-    if state.tracker.live_bytes != 0:
-        raise RuntimeError(
-            "delete_all books out of balance: "
-            f"{state.tracker.live_bytes} live bytes still tracked after "
-            "deleting every key"
-        )

@@ -53,17 +53,6 @@ class GamAllocator:
         self._free_extents = num_extents
         self._free_pages = self.num_pages
 
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def extent_of(page_no: int) -> int:
-        return page_no // PAGES_PER_EXTENT
-
-    @staticmethod
-    def page_in_extent(page_no: int) -> int:
-        return page_no % PAGES_PER_EXTENT
-
     def _set_mask(self, extent_id: int, new: int) -> None:
         """Store a *changed* mask; at most one class transition."""
         masks = self._used_mask
@@ -203,9 +192,8 @@ class GamAllocator:
     # Queries
     # ------------------------------------------------------------------
     def is_page_used(self, page_no: int) -> bool:
-        extent_id = self.extent_of(page_no)
-        return bool(self._used_mask[extent_id]
-                    & (1 << self.page_in_extent(page_no)))
+        extent_id, bit = divmod(page_no, PAGES_PER_EXTENT)
+        return bool(self._used_mask[extent_id] & (1 << bit))
 
     @property
     def free_page_count(self) -> int:

@@ -319,32 +319,6 @@ class SimFilesystem:
                 self.allocator.allocate_full, expected_size):
             record.add_extent(ext)
 
-    def truncate_slack(self, name: str) -> None:
-        """Release allocated-but-unwritten clusters past end of file."""
-        record = self.table.lookup(name)
-        self._flush_buffers(name)
-        keep = _round_up_to(record.size, self.config.cluster_size)
-        excess = record.allocated_bytes - keep
-        if excess <= 0:
-            return
-        trimmed: list[Extent] = []
-        freed: list[Extent] = []
-        remaining = keep
-        for ext in record.extents:
-            if remaining >= ext.length:
-                trimmed.append(ext)
-                remaining -= ext.length
-            elif remaining > 0:
-                head, tail = ext.take_front(remaining)
-                trimmed.append(head)
-                if tail is not None:
-                    freed.append(tail)
-                remaining = 0
-            else:
-                freed.append(ext)
-        record.extents[:] = trimmed
-        self.journal.log_operation(frees=freed)
-
     def read(self, name: str, offset: int = 0,
              length: int | None = None) -> bytes | None:
         """Timed read of ``[offset, offset+length)`` of the file."""
@@ -461,10 +435,6 @@ def checked_write_size(size: int | None, data: bytes | None,
     if write_request <= 0:
         raise ConfigError("write_request must be positive")
     return total
-
-
-def _round_up_to(value: int, multiple: int) -> int:
-    return -(-value // multiple) * multiple
 
 
 def _tail_span(extents: list[Extent], back: int,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.alloc.extent import Extent, coalesce, total_length
+from repro.alloc.extent import Extent, total_length
 from repro.errors import (
     CorruptionError,
     FileExistsFsError,
@@ -48,12 +48,6 @@ class FileRecord:
     @property
     def allocated_bytes(self) -> int:
         return total_length(self.extents)
-
-    def fragment_count(self) -> int:
-        """Number of maximal contiguous runs (1 == unfragmented)."""
-        if not self.extents:
-            return 0
-        return len(coalesce(self.extents))
 
     def check_invariants(self) -> None:
         """Runs are in logical order, disjoint, and cover ``size`` bytes."""

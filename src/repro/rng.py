@@ -13,16 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["make_rng", "derive_seed", "substream"]
-
-
-def make_rng(seed: int | None) -> random.Random:
-    """Create a private :class:`random.Random` from an integer seed.
-
-    ``None`` yields a nondeterministic generator (accepted for interactive
-    play, never used by the benches).
-    """
-    return random.Random(seed)
+__all__ = ["derive_seed", "substream"]
 
 
 def derive_seed(seed: int, label: str) -> int:

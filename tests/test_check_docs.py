@@ -180,3 +180,36 @@ def test_a_backticked_path_that_names_nothing_is_caught(tmp_path,
     ]
     monkeypatch.undo()
     assert check_docs.missing_repo_paths() == []
+
+
+def test_the_reach_counts_in_the_docs_are_in_sync():
+    assert check_docs.reach_problems() == []
+
+
+def test_a_drifted_reach_count_is_caught(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    # A class body is not a function, and neither is a ``...`` body.
+    (package / "mod.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def unused():\n    return 2\n\n\n"
+        "def checked():\n    return 3\n\n\n"
+        "def declared():\n    ...\n\n\n"
+        "class Holder:\n    size = 1\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "reach.json").write_text(json.dumps(
+        {"repro.mod.unused": "readout: tests call it",
+         "repro.mod.checked": "tier1: the crash tests call it"}))
+    (tmp_path / "docs").mkdir()
+    doc = tmp_path / "docs" / "architecture.md"
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    doc.write_text("`reach.functions` 3 named, `reach.entered` 1 entered;\n"
+                   "| `reach.readout` | 1 |\n| `reach.tier1` 1 |\n")
+    assert check_docs.reach_problems() == []
+    doc.write_text("`reach.functions` 4 named, `reach.listed` 2 listed\n"
+                   "| `reach.tier1` 2 |\n")
+    assert check_docs.reach_problems() == [
+        "docs/architecture.md: `reach.functions` quoted as 4, "
+        "tools/reach.json gives 3",
+        "docs/architecture.md: `reach.tier1` quoted as 2, "
+        "tools/reach.json gives 1"]

@@ -62,12 +62,10 @@ class TestFilesystemDefrag:
 
 
 class TestDatabaseDefrag:
-    def test_defragmenter_runs_on_blob_backend(self, blob_store):
-        age_store(blob_store, occupancy=0.6, age=2.0)
-        before = fragment_report(blob_store)
-        Defragmenter(blob_store).run()
-        after = fragment_report(blob_store)
-        assert after.mean <= before.mean
+    def test_defragmenter_refuses_blob_backend_for_rebuild(self, blob_store):
+        # The database's one defragmentation procedure is the rebuild.
+        with pytest.raises(ConfigError, match="rebuild_database"):
+            Defragmenter(blob_store)
 
     def test_rebuild_restores_near_contiguity(self, blob_store):
         age_store(blob_store, occupancy=0.6, age=3.0)

@@ -1,8 +1,9 @@
 """The get/put repository as every run drives it: an ``ObjectStore``
 under ``repro.core.workload``'s books.
 
-``bulk_load``, ``churn_step`` and ``delete_all`` keep a run's keys,
-marker versions and storage age; these cases hold those books to the
+``bulk_load`` and ``churn_step`` keep a run's keys, marker versions
+and storage age (a delete is booked with
+``StorageAgeTracker.on_delete``); these cases hold those books to the
 store they drive.  Markers are cross-validated against extent maps in
 ``test_core_fragmentation.py`` (driver-written) and
 ``test_prop_systems.py`` (random put/overwrite/delete scripts).
@@ -24,13 +25,18 @@ from repro.core.workload import (
     bulk_load,
     churn_step,
     churn_to_age,
-    delete_all,
 )
 from repro.errors import ConfigError, FileExistsFsError, ObjectNotFoundError
 from repro.rng import substream
 from repro.units import KB
 
 SPEC = WorkloadSpec(sizes=ConstantSize(256 * KB), target_occupancy=0.2)
+
+
+def delete_every_key(store, state):
+    for key in state.keys:
+        state.tracker.on_delete(store.meta(key).size)
+        store.delete(key)
 
 
 @pytest.fixture
@@ -71,7 +77,7 @@ class TestBasicApi:
     def test_delete(self, loaded):
         store, state = loaded
         keys = list(state.keys)
-        delete_all(store, state)
+        delete_every_key(store, state)
         assert not any(store.exists(key) for key in keys)
         assert store.keys() == []
 
@@ -103,7 +109,7 @@ class TestStorageAgeIntegration:
     def test_delete_counts_dead_bytes(self, loaded):
         store, state = loaded
         live = state.tracker.live_bytes
-        delete_all(store, state)
+        delete_every_key(store, state)
         assert state.tracker.dead_bytes == live
         # An empty volume has no live bytes, so age reads as zero.
         assert state.tracker.storage_age == 0.0

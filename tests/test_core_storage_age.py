@@ -57,37 +57,6 @@ class TestDefinition:
         assert small.storage_age == pytest.approx(large.storage_age)
 
 
-class TestPlanning:
-    def test_overwrites_to_reach(self):
-        tracker = StorageAgeTracker()
-        for _ in range(100):
-            tracker.on_put(1 * MB)
-        needed = tracker.overwrites_to_reach(2.0)
-        assert needed == 200
-
-    def test_overwrites_to_reach_partial(self):
-        tracker = StorageAgeTracker()
-        for _ in range(100):
-            tracker.on_put(1 * MB)
-        for _ in range(50):
-            tracker.on_overwrite(1 * MB, 1 * MB)
-        assert tracker.overwrites_to_reach(1.0) == 50
-
-    def test_target_already_reached(self):
-        tracker = StorageAgeTracker()
-        tracker.on_put(1 * MB)
-        tracker.on_overwrite(1 * MB, 1 * MB)
-        assert tracker.overwrites_to_reach(0.5) == 0
-
-    def test_explicit_mean_size(self):
-        tracker = StorageAgeTracker()
-        for _ in range(10):
-            tracker.on_put(2 * MB)
-        assert tracker.overwrites_to_reach(
-            1.0, mean_object_size=2 * MB
-        ) == 10
-
-
 class TestCounters:
     def test_event_counts(self):
         tracker = StorageAgeTracker()

@@ -9,7 +9,6 @@ from repro.core.workload import (
     bulk_load,
     churn_step,
     churn_to_age,
-    delete_all,
     read_sweep,
 )
 from repro.errors import ConfigError
@@ -177,31 +176,6 @@ class TestReadSweep:
         state = bulk_load(file_store, spec, substream(5, "w"))
         with pytest.raises(ConfigError):
             read_sweep(file_store, state, 0)
-
-
-class TestDeleteAll:
-    def test_everything_removed(self, file_store):
-        spec = WorkloadSpec(sizes=ConstantSize(512 * KB),
-                            target_occupancy=0.4)
-        state = bulk_load(file_store, spec, substream(5, "w"))
-        n = len(state.keys)
-        delete_all(file_store, state)
-        assert file_store.store_stats().objects == 0
-        assert state.tracker.deletes == n
-        assert state.keys == []
-        assert state.tracker.live_bytes == 0
-
-    def test_versions_reset_for_fresh_puts(self, content_file_store):
-        # A key re-put after delete-all must restart marker versions at
-        # 1 — the old counter leaking through would disguise a stale
-        # resurrected object as fresh content.
-        spec = WorkloadSpec(sizes=ConstantSize(64 * KB),
-                            target_occupancy=0.2, with_content=True)
-        state = bulk_load(content_file_store, spec, substream(5, "w"))
-        churn_step(content_file_store, state)  # bump some version past 1
-        assert max(state.versions.values()) >= 2
-        delete_all(content_file_store, state)
-        assert state.versions == {}
 
 
 class TestObjectIdOf:

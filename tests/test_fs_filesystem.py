@@ -152,16 +152,6 @@ class TestSpaceAccounting:
         quiet_fs.journal.commit()
         assert quiet_fs.free_bytes == free_after_write + 1 * MB
 
-    def test_truncate_slack_releases_tail(self, quiet_fs):
-        quiet_fs.create("a")
-        quiet_fs.preallocate("a", 1 * MB)
-        quiet_fs.append("a", nbytes=100 * KB)
-        quiet_fs.truncate_slack("a")
-        quiet_fs.journal.commit()
-        record = quiet_fs.table.lookup("a")
-        assert record.allocated_bytes == 100 * KB
-        record.check_invariants()
-
     def test_check_invariants(self, quiet_fs):
         for i in range(5):
             quiet_fs.create(f"f{i}")

@@ -24,16 +24,6 @@ class TestFileRecord:
         record.add_extent(Extent(200, 50))
         assert len(record.extents) == 2
 
-    def test_fragment_count(self):
-        record = FileRecord(1, "a")
-        record.add_extent(Extent(0, 100))
-        record.add_extent(Extent(200, 50))
-        record.add_extent(Extent(250, 50))  # merges with previous
-        assert record.fragment_count() == 2
-
-    def test_fragment_count_empty(self):
-        assert FileRecord(1, "a").fragment_count() == 0
-
     def test_allocated_bytes(self):
         record = FileRecord(1, "a")
         record.add_extent(Extent(0, 100))

@@ -1,9 +1,11 @@
 """Tests for seeded RNG substreams and the exception hierarchy."""
 
+import random
+
 import pytest
 
 from repro import errors
-from repro.rng import derive_seed, make_rng, substream
+from repro.rng import derive_seed, substream
 
 
 class TestRng:
@@ -19,14 +21,11 @@ class TestRng:
     def test_different_seeds_differ(self):
         assert substream(1, "x").random() != substream(2, "x").random()
 
-    def test_make_rng_seeded(self):
-        assert make_rng(5).random() == make_rng(5).random()
-
     def test_derive_seed_is_the_substream_recipe(self):
         # Pinned: moving it moves every stream and per-shard fault seed.
         assert derive_seed(7, "sizes") == 3720969453593647115
         assert substream(7, "sizes").random() == \
-            make_rng(derive_seed(7, "sizes")).random()
+            random.Random(derive_seed(7, "sizes")).random()
 
 
 class TestErrorHierarchy:

@@ -42,6 +42,9 @@ files:
   and a number written right after it must equal that check's measured
   value to the printed precision.
 
+And ``docs/architecture.md``'s `` `reach.KEY` N `` quotes must equal
+what ``tools/reach.json`` gives (:func:`reach_counts`).
+
 Stdlib-only so the CI lint job needs no installs::
 
     python tools/check_docs.py
@@ -266,6 +269,39 @@ def figure_problems() -> list[str]:
     return problems
 
 
+#: ``docs/architecture.md``'s "What runs" quotes: `` `reach.KEY` N ``.
+REACH_QUOTE_RE = re.compile(r"`reach\.([a-z0-9_-]+)`[\s:=(|]*([0-9]+)")
+
+
+def reach_counts() -> dict[str, int]:
+    """What ``tools/reach.json`` says of ``src/repro``: every named
+    function, the listed ones (also per reason category), and the rest,
+    which a clean ``tools/reach.py`` report says the run paths enter."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    try:
+        import reach
+    finally:
+        sys.path.pop(0)
+    functions = len(reach.named_functions(ROOT / "src" / "repro"))
+    listed = json.loads((ROOT / "tools" / "reach.json").read_text())
+    counts = {"functions": functions, "listed": len(listed),
+              "entered": functions - len(listed)}
+    for reason in listed.values():
+        key = reach.category(reason)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def reach_problems() -> list[str]:
+    """Reach counts quoted in the catalogue doc that drifted."""
+    text = (ROOT / CATALOGUE_DOC).read_text(encoding="utf-8")
+    quotes = REACH_QUOTE_RE.findall(text)
+    counts = reach_counts() if quotes else {}
+    return [f"{CATALOGUE_DOC}: `reach.{key}` quoted as {quoted}, "
+            f"tools/reach.json gives {counts.get(key)}"
+            for key, quoted in quotes if counts.get(key) != int(quoted)]
+
+
 def main() -> int:
     failures = 0
     checked = 0
@@ -275,14 +311,15 @@ def main() -> int:
             failures += 1
             print(f"{path.relative_to(ROOT)}: broken link -> {target}")
     for problem in (dangling_md_mentions() + missing_repo_paths()
-                    + rule_code_problems() + figure_problems()):
+                    + rule_code_problems() + figure_problems()
+                    + reach_problems()):
         failures += 1
         print(problem)
     if failures:
         print(f"\n{failures} problem(s) across {checked} file(s)")
         return 1
-    print(f"ok: {checked} file(s); links, repo paths, rule catalogue and "
-          "quoted bench figures in sync")
+    print(f"ok: {checked} file(s); links, repo paths, rule catalogue, "
+          "quoted bench figures and reach counts in sync")
     return 0
 
 

@@ -81,8 +81,8 @@ def check_host_timer(ctx: FileContext) -> Iterator[Finding]:
 
 @rule("RPL103", "rng-construction",
       include=("src/*",), exclude=("src/repro/rng.py",),
-      hint="construct RNGs via repro.rng.make_rng / substream so every "
-           "stream is seeded and labelled")
+      hint="construct RNGs via repro.rng.substream so every stream is "
+           "seeded and labelled")
 def check_rng_construction(ctx: FileContext) -> Iterator[Finding]:
     """Only repro/rng.py may touch the ``random`` module inside src/."""
     for node in ast.walk(ctx.tree):
