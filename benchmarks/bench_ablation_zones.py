@@ -9,7 +9,6 @@ and a uniform spread — plus the filesystem's own outer-band preference
 observed from a real bulk load.
 """
 
-from repro.alloc.extent import Extent
 from repro.analysis.compare import ShapeCheck, check_between, check_faster
 from repro.analysis.tables import render_table
 from repro.core.workload import ConstantSize, WorkloadSpec, bulk_load
@@ -27,15 +26,13 @@ VOLUME = 4 * GB
 def read_rate_at(band_start: int) -> float:
     """Sequentially-placed objects at a band, read in random order."""
     device = BlockDevice(scaled_disk(VOLUME))
-    extents = [
-        Extent(band_start + i * OBJECT, OBJECT) for i in range(NOBJECTS)
-    ]
+    spans = [(band_start + i * OBJECT, OBJECT) for i in range(NOBJECTS)]
     rng = substream(3, f"band-{band_start}")
     order = list(range(NOBJECTS))
     rng.shuffle(order)
     win = device.stats.start_window("reads")
     for idx in order:
-        device.read_extents([extents[idx]])
+        device.read_extents([spans[idx]])
     device.stats.end_window(win)
     return win.read_bytes / win.total_time_s
 

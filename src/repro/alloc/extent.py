@@ -1,8 +1,9 @@
 """The :class:`Extent` value type: a half-open byte range on a volume.
 
-Extents are the currency of every layer here — free-space indexes hold
-them, files and BLOBs map to lists of them, the device reads them, and
-the fragmentation analyzer counts maximal runs of them.
+Extents are the layout currency — free-space indexes hold them, files
+and BLOBs map to lists of them, and the fragmentation analyzer counts
+maximal runs of them.  Device requests carry plain ``(start, length)``
+spans instead (see :mod:`repro.disk.device`).
 """
 
 from __future__ import annotations

@@ -96,8 +96,7 @@ class BlobBackend:
             row = self._meta_lookup(key)
             self.cost.charge_db_stream(self.device.stats, row["size"])
             requests.append(
-                IoRequest(False, self.db.blobs.blob_extents(row["blob_id"]))
-            )
+                IoRequest(False, self.db.blobs.blob_spans(row["blob_id"])))
             sizes.append(row["size"])
         results = self.device.submit_policy(requests)
         return [r if r is None else r[:size]

@@ -142,7 +142,8 @@ class FileBackend:
             fname = row["path"]
             self.cost.charge_file_open(self.device.stats)
             self.fs.read_record(fname)
-            requests.append(IoRequest(False, self.fs.extent_map(fname)))
+            requests.append(IoRequest(False, [
+                (ext.start, ext.length) for ext in self.fs.extent_map(fname)]))
             self.cost.charge_file_stream(self.device.stats, row["size"])
             self.cost.charge_file_close(self.device.stats)
             sizes.append(row["size"])

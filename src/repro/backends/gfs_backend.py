@@ -124,11 +124,8 @@ class GfsChunkBackend:
         while cursor < size:
             step = min(self.write_request, size - cursor)
             payload = data[cursor: cursor + step] if data is not None else None
-            batch.append(
-                IoRequest(True,
-                          [Extent(chunk.base + chunk.used + cursor, step)],
-                          payload)
-            )
+            batch.append(IoRequest(
+                True, [(chunk.base + chunk.used + cursor, step)], payload))
             cursor += step
         self.device.submit_policy(batch)
         chunk.used += size
@@ -258,8 +255,7 @@ class GfsChunkBackend:
             self.cost.charge_db_query(self.device.stats)
             chunk = self._chunks[record.chunk_id]
             requests.append(IoRequest(False, [
-                Extent(chunk.base + record.offset_in_chunk, record.size)
-            ]))
+                (chunk.base + record.offset_in_chunk, record.size)]))
         return self.device.submit_policy(requests)
 
     def object_extents(self, key: str) -> list[Extent]:

@@ -18,7 +18,7 @@ from repro.backends.base import ObjectMeta, StoreStats, checked_read_range
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
-from repro.disk.device import BlockDevice, IoRequest
+from repro.disk.device import BlockDevice, IoRequest, Span
 from repro.disk.faults import retry_read
 from repro.errors import (ConfigError, ObjectNotFoundError, StorageFullError,
                           TransientIoError)
@@ -115,9 +115,7 @@ class LfsBackend:
             while step < take:
                 req = min(self.write_request, take - step)
                 chunk = payload[step: step + req] if payload is not None else None
-                batch.append(
-                    IoRequest(True, [Extent(offset + step, req)], chunk)
-                )
+                batch.append(IoRequest(True, [(offset + step, req)], chunk))
                 step += req
             self.device.submit_policy(batch)
             loc.pieces.append((seg.seg_id, seg.used, take))
@@ -195,18 +193,17 @@ class LfsBackend:
 
     def _read_pieces(self, loc: _ObjectLoc) -> None:
         """The cleaner's read; a fault's backoff is device CPU time."""
-        extents = self._extents_of(loc)
+        spans = self._spans_of(loc)
         try:
-            self.device.read_extents(extents)
+            self.device.read_extents(spans)
         except TransientIoError:
             retry_read(self.device.stats.record_cpu,
-                       self.device.read_extents, extents)
+                       self.device.read_extents, spans)
 
-    def _extents_of(self, loc: _ObjectLoc) -> list[Extent]:
-        out = []
-        for seg_id, off, length in loc.pieces:
-            out.append(Extent(seg_id * self.segment_size + off, length))
-        return out
+    def _spans_of(self, loc: _ObjectLoc) -> list[Span]:
+        size = self.segment_size
+        return [(seg_id * size + off, length)
+                for seg_id, off, length in loc.pieces]
 
     # ------------------------------------------------------------------
     # ObjectStore interface
@@ -229,7 +226,7 @@ class LfsBackend:
         if length == 0:
             return b"" if self.device.stores_data else None
         # Map the byte range onto the pieces.
-        extents: list[Extent] = []
+        spans: list[Span] = []
         logical = 0
         remaining = length
         for seg_id, off, plen in loc.pieces:
@@ -239,13 +236,11 @@ class LfsBackend:
                 continue
             start_in = max(0, offset - lo)
             take = min(plen - start_in, remaining)
-            extents.append(
-                Extent(seg_id * self.segment_size + off + start_in, take)
-            )
+            spans.append((seg_id * self.segment_size + off + start_in, take))
             remaining -= take
             if remaining == 0:
                 break
-        return self.device.read_extents(extents)
+        return self.device.read_extents(spans)
 
     def overwrite(self, key: str, *, size: int | None = None,
                   data: bytes | None = None) -> None:
@@ -278,11 +273,11 @@ class LfsBackend:
         for key in keys:
             loc = self._lookup(key)
             self.cost.charge_db_query(self.device.stats)
-            requests.append(IoRequest(False, self._extents_of(loc)))
+            requests.append(IoRequest(False, self._spans_of(loc)))
         return self.device.submit_policy(requests)
 
     def object_extents(self, key: str) -> list[Extent]:
-        return self._extents_of(self._lookup(key))
+        return [Extent(*span) for span in self._spans_of(self._lookup(key))]
 
     def devices(self) -> list[BlockDevice]:
         return [self.device]

@@ -111,8 +111,10 @@ class Defragmenter:
             for ext in new_extents:
                 fs.free_index.add(ext)
             return False
-        data = fs.device.read_extents(old_extents)      # read old copy
-        fs.device.write_extents(new_extents, data)      # write new copy
+        data = fs.device.read_extents(                  # read old copy
+            [(ext.start, ext.length) for ext in old_extents])
+        fs.device.write_extents(                        # write new copy
+            [(ext.start, ext.length) for ext in new_extents], data)
         fs.device.flush()
         record.extents[:] = []
         for ext in new_extents:

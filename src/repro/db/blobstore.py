@@ -25,6 +25,7 @@ from repro.db.ghost import GhostCleaner
 from repro.db.page import Run
 from repro.db.pagefile import PageFile
 from repro.db.wal import WriteAheadLog
+from repro.disk.device import Span
 from repro.errors import AllocationError, BlobNotFoundError, ConfigError
 from repro.units import PAGE_SIZE, ceil_div
 
@@ -132,7 +133,7 @@ class BlobStore:
             chunk_data = None if data is None \
                 else data[cursor: cursor + chunk] + bytes(-chunk % PAGE_SIZE)
             runs = self._alloc(alloc_runs, npages)
-            write_extents(self._extents(runs), chunk_data)
+            write_extents(self._spans(runs), chunk_data)
             for start, count in runs:
                 append_run(start, count)
             log_operation(payload_bytes=chunk)
@@ -143,10 +144,10 @@ class BlobStore:
             # per-request scatter behind "one fragment per 64 KB".
             tick()
 
-    def _extents(self, runs: list[Run]) -> list[Extent]:
-        """Device byte extents of page runs, order preserved."""
+    def _spans(self, runs: list[Run]) -> list[Span]:
+        """Device ``(start, length)`` spans of page runs, order preserved."""
         base = self.pagefile.base
-        return [Extent(base + start * PAGE_SIZE, count * PAGE_SIZE)
+        return [(base + start * PAGE_SIZE, count * PAGE_SIZE)
                 for start, count in runs]
 
     def get(self, blob_id: int, offset: int = 0,
@@ -166,7 +167,7 @@ class BlobStore:
         last_page = (offset + length - 1) // PAGE_SIZE
         runs = record.tree.runs_in_range(first_page,
                                          last_page - first_page + 1)
-        raw = self.pagefile.device.read_extents(self._extents(runs))
+        raw = self.pagefile.device.read_extents(self._spans(runs))
         if raw is None:
             return None
         skip = offset - first_page * PAGE_SIZE
@@ -192,9 +193,13 @@ class BlobStore:
     def blob_ids(self) -> list[int]:
         return list(self._blobs)
 
+    def blob_spans(self, blob_id: int) -> list[Span]:
+        """Device spans of the BLOB's data pages, logical order."""
+        return self._spans(self._lookup(blob_id).tree.all_runs())
+
     def blob_extents(self, blob_id: int) -> list[Extent]:
         """Physical byte extents of the BLOB's data pages, logical order."""
-        return self._extents(self._lookup(blob_id).tree.all_runs())
+        return [Extent(*span) for span in self.blob_spans(blob_id)]
 
     def append(self, blob_id: int, *, size: int | None = None,
                data: bytes | None = None,

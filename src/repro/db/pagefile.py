@@ -6,28 +6,28 @@ as a preallocated region covering (most of) its device, so allocation
 exactly as in the testbed.
 
 Reads and writes take lists of page numbers; consecutive numbers are
-batched into extents so sequential page runs cost sequential I/O.
+batched into device spans so sequential page runs cost sequential I/O.
 """
 
 from __future__ import annotations
 
-from repro.alloc.extent import Extent
-from repro.disk.device import BlockDevice
+from repro.disk.device import BlockDevice, Span
 from repro.errors import ConfigError
 from repro.units import PAGE_SIZE
 
 
-def pages_to_extents(page_nos: list[int], *, base: int,
-                     page_size: int = PAGE_SIZE) -> list[Extent]:
-    """Group page numbers into maximal physically contiguous extents.
+def pages_to_spans(page_nos: list[int], *, base: int,
+                   page_size: int = PAGE_SIZE) -> list[Span]:
+    """Group page numbers into maximal physically contiguous
+    ``(start, length)`` device spans.
 
-    Order is preserved: the extents cover the pages in the order given,
+    Order is preserved: the spans cover the pages in the order given,
     which is the logical byte order of the object being transferred.
 
-    >>> pages_to_extents([0, 1, 2, 7], base=0)
-    [Extent(0, +24576), Extent(57344, +8192)]
+    >>> pages_to_spans([0, 1, 2, 7], base=0)
+    [(0, 24576), (57344, 8192)]
     """
-    extents: list[Extent] = []
+    spans: list[Span] = []
     run_start: int | None = None
     run_len = 0
     prev = None
@@ -36,17 +36,14 @@ def pages_to_extents(page_nos: list[int], *, base: int,
             run_len += 1
         else:
             if run_start is not None:
-                extents.append(
-                    Extent(base + run_start * page_size, run_len * page_size)
-                )
+                spans.append(
+                    (base + run_start * page_size, run_len * page_size))
             run_start = page_no
             run_len = 1
         prev = page_no
     if run_start is not None:
-        extents.append(
-            Extent(base + run_start * page_size, run_len * page_size)
-        )
-    return extents
+        spans.append((base + run_start * page_size, run_len * page_size))
+    return spans
 
 
 class PageFile:
@@ -76,19 +73,19 @@ class PageFile:
         self._check([page_no])
         return self.base + page_no * PAGE_SIZE
 
-    def extents_for(self, page_nos: list[int]) -> list[Extent]:
+    def spans_for(self, page_nos: list[int]) -> list[Span]:
         self._check(page_nos)
-        return pages_to_extents(page_nos, base=self.base)
+        return pages_to_spans(page_nos, base=self.base)
 
     def read_pages(self, page_nos: list[int]) -> bytes | None:
-        """Timed read of the pages as one request (batched extents)."""
+        """Timed read of the pages as one request (batched spans)."""
         if not page_nos:
             return b"" if self.device.stores_data else None
-        return self.device.read_extents(self.extents_for(page_nos))
+        return self.device.read_extents(self.spans_for(page_nos))
 
     def write_pages(self, page_nos: list[int],
                     data: bytes | None = None) -> None:
         """Timed write; ``data`` must be page-padded when provided."""
         if not page_nos:
             return
-        self.device.write_extents(self.extents_for(page_nos), data)
+        self.device.write_extents(self.spans_for(page_nos), data)

@@ -2,19 +2,25 @@
 
 :class:`BlockDevice` is the single substrate both storage systems sit on.
 It tracks the head position, charges seek + rotational latency for every
-discontiguous extent touched and media transfer time for every byte, and
+discontiguous span touched and media transfer time for every byte, and
 accumulates everything in an :class:`~repro.disk.iostats.IoStats`.
 
 Submission paths
 ----------------
-A single request (``read``/``write``/``*_extents``, a one-request
-``submit``) is one call to :meth:`BlockDevice._serve`; a batch of
-:class:`IoRequest` scatter/gather requests goes through :meth:`submit`,
-which charges the whole batch with the head chaining request to request.
-Either way each call records **one** :class:`IoStats` entry.  The
-backends' bulk paths (LFS/GFS appends) submit many requests per call to
-cut host-side accounting overhead on bulk loads.  With
-``reorder=True`` the batch is served in elevator (C-LOOK) order —
+A request is a list of ``(start, length)`` int pairs, *spans*: the
+device reads two ints per piece and never builds an
+:class:`~repro.alloc.extent.Extent`, so callers that hold extent maps
+convert where they call it.  A single request (``read``/``write``/
+``*_extents``, a one-request ``submit``) is one call to
+:meth:`BlockDevice._serve`; a batch of :class:`IoRequest`
+scatter/gather requests goes through :meth:`submit`, which charges the
+whole batch with the head chaining request to request.  Either way each
+call records **one** :class:`IoStats` entry.  The public names
+(``read_extents``/``write_extents`` included) stay as they are: the
+whole-run benchmark's tracer patches these methods by name to time the
+disk layer.  The backends' bulk paths (LFS/GFS appends) submit many
+requests per call to cut host-side accounting overhead on bulk loads.
+With ``reorder=True`` the batch is served in elevator (C-LOOK) order —
 ascending starts from the current head, wrapping once — which models
 request-scheduling effects; modelled cost with ``reorder=False`` is
 exactly identical to submitting the requests one call at a time.
@@ -53,8 +59,10 @@ from repro.disk.geometry import DiskGeometry, cost_tables
 from repro.disk.iostats import IoStats
 from repro.disk.policy import DEFAULT_POLICY, DevicePolicy
 from repro.errors import ConfigError
-from repro.alloc.extent import Extent
 from repro.struct.blockedlist import BlockedList
+
+#: One piece of a device request: ``(start, length)`` in bytes.
+Span = tuple[int, int]
 
 
 class _SegmentStore:
@@ -164,23 +172,23 @@ class _SegmentStore:
 class IoRequest:
     """One scatter/gather request inside a :meth:`BlockDevice.submit` batch.
 
-    ``extents`` are served in order within the request (the head chains
+    ``spans`` are served in order within the request (the head chains
     through them); ``data``, when content storage is on, must cover the
-    extents in logical order.
+    spans in logical order.
     """
 
     is_write: bool
-    extents: list[Extent]
+    spans: list[Span]
     data: bytes | None = None
 
     @classmethod
-    def read(cls, extents: list[Extent]) -> "IoRequest":
-        return cls(is_write=False, extents=extents)
+    def read(cls, spans: list[Span]) -> "IoRequest":
+        return cls(is_write=False, spans=spans)
 
     @classmethod
-    def write(cls, extents: list[Extent],
+    def write(cls, spans: list[Span],
               data: bytes | None = None) -> "IoRequest":
-        return cls(is_write=True, extents=extents, data=data)
+        return cls(is_write=True, spans=spans, data=data)
 
 
 class BlockDevice:
@@ -220,18 +228,19 @@ class BlockDevice:
     # ------------------------------------------------------------------
     # Service-time model
     # ------------------------------------------------------------------
-    def _cost_of(self, extents: list[Extent],
+    def _cost_of(self, spans: list[Span],
                  head: int) -> tuple[int, float, int, int]:
         """(seeks, service seconds, final head, bytes) for one request.
 
-        The one costing kernel: a single pass validates every extent,
+        The one costing kernel: a single pass validates every span,
         charges seek + rotation + transfer with the head chaining
         through them, and counts the bytes.  It raises
-        :class:`ConfigError` for an extent outside the volume before the
-        caller has changed any state.  The zone table and seek constants
-        come from :func:`~repro.disk.geometry.cost_tables` — derived
-        data is not device state, because devices are pickled into
-        checkpoints whose byte count is a modelled quantity.  Only a
+        :class:`ConfigError` for a span that is empty or outside the
+        volume before the caller has changed any state.  The zone table
+        and seek constants come from
+        :func:`~repro.disk.geometry.cost_tables` — derived data is not
+        device state, because devices are pickled into checkpoints whose
+        byte count is a modelled quantity.  Only a
         transfer that straddles a zone boundary goes back to
         :meth:`DiskGeometry.transfer_time`; its result is added as one
         sub-total so the float sums equal the composed model's.
@@ -242,12 +251,10 @@ class BlockDevice:
         window = self._sequential_window
         seeks = nbytes = 0
         total = geometry.per_request_overhead_s
-        for ext in extents:
-            start = ext.start
-            length = ext.length
-            if start < 0 or start + length > capacity:
-                raise ConfigError(
-                    f"extent {ext} outside volume of {capacity} bytes")
+        for start, length in spans:
+            if start < 0 or length <= 0 or start + length > capacity:
+                raise ConfigError(f"span ({start}, {length}) empty or "
+                                  f"outside volume of {capacity} bytes")
             gap = start - head
             if 0 <= gap <= window:
                 # Sequential continuation: pay only any skipped media time.
@@ -280,7 +287,7 @@ class BlockDevice:
         head = self._head
 
         def start_of(req: IoRequest) -> int:
-            return req.extents[0].start if req.extents else head
+            return req.spans[0][0] if req.spans else head
 
         ahead = sorted((r for r in batch if start_of(r) >= head), key=start_of)
         behind = sorted((r for r in batch if start_of(r) < head), key=start_of)
@@ -289,17 +296,22 @@ class BlockDevice:
     # ------------------------------------------------------------------
     # Timed I/O
     # ------------------------------------------------------------------
-    def _serve(self, is_write: bool, extents: list[Extent],
+    def _serve(self, is_write: bool, spans: list[Span],
                data: bytes | None) -> bytes | None:
-        """Serve one request: one costing pass, one ``IoStats`` record,
-        the clock, then the content effect (a faulty device admits the
-        request here first); returns the read result or ``None``."""
-        seeks, service, self._head, nbytes = self._cost_of(extents, self._head)
+        """Serve one request: one costing pass (which also holds stored
+        ``data`` to the span bytes), one ``IoStats`` record, the clock,
+        then the content effect (a faulty device admits the request here
+        first); returns the read result or ``None``."""
+        seeks, service, head, nbytes = self._cost_of(spans, self._head)
+        store = self._store
+        if store is not None and data is not None and len(data) != nbytes:
+            raise ConfigError(f"data length {len(data)} != span bytes {nbytes}")
+        self._head = head
         self.stats.record(is_write, nbytes, service, seeks)
         self.clock_s += service
-        if self._store is None:
+        if store is None:
             return None
-        return self._apply_content(is_write, extents, data)
+        return self._apply_content(is_write, spans, data)
 
     def submit(self, batch: list[IoRequest], *,
                reorder: bool | None = None) -> list[bytes | None]:
@@ -320,17 +332,22 @@ class BlockDevice:
             return []
         if len(batch) == 1:
             req = batch[0]
-            return [self._serve(req.is_write, req.extents, req.data)]
+            return [self._serve(req.is_write, req.spans, req.data)]
         if reorder is None:
             reorder = self.policy.reorder_flag
         head = self._head
         seeks = 0
         read_bytes = write_bytes = 0
         read_s = write_s = 0.0
+        stored = self._store is not None
         # Nothing is mutated until the last request is costed (and so
-        # validated): a bad extent anywhere leaves the device untouched.
+        # validated): a bad span or data length anywhere leaves the
+        # device untouched.
         for req in self._elevator(batch) if reorder else batch:
-            req_seeks, service, head, nbytes = self._cost_of(req.extents, head)
+            req_seeks, service, head, nbytes = self._cost_of(req.spans, head)
+            if stored and req.data is not None and len(req.data) != nbytes:
+                raise ConfigError(
+                    f"data length {len(req.data)} != span bytes {nbytes}")
             seeks += req_seeks
             if req.is_write:
                 write_bytes += nbytes
@@ -346,25 +363,21 @@ class BlockDevice:
             return [None] * len(batch)
         # Content pass, always in submission order: reordering is a
         # timing-model choice and must never change stored bytes.
-        return [self._apply_content(req.is_write, req.extents, req.data)
+        return [self._apply_content(req.is_write, req.spans, req.data)
                 for req in batch]
 
-    def _apply_content(self, is_write: bool, extents: list[Extent],
+    def _apply_content(self, is_write: bool, spans: list[Span],
                        data: bytes | None) -> bytes | None:
         """Apply one request's content effect; None unless a stored read."""
         store = self._store
         if not is_write:
-            return b"".join(store.read(e.start, e.length) for e in extents)
+            return b"".join(store.read(start, length)
+                            for start, length in spans)
         if data is not None:
-            nbytes = sum(e.length for e in extents)
-            if len(data) != nbytes:
-                raise ConfigError(
-                    f"data length {len(data)} != extent bytes {nbytes}"
-                )
             cursor = 0
-            for ext in extents:
-                store.write(ext.start, data[cursor: cursor + ext.length])
-                cursor += ext.length
+            for start, length in spans:
+                store.write(start, data[cursor: cursor + length])
+                cursor += length
         return None
 
     def submit_policy(self, requests: list[IoRequest]) -> list[bytes | None]:
@@ -380,27 +393,27 @@ class BlockDevice:
             out.extend(self.submit(list(chunk)))
         return out
 
-    def read_extents(self, extents: list[Extent]) -> bytes | None:
-        """Read a list of extents as one request; returns data if stored."""
-        return self._serve(False, extents, None)
+    def read_extents(self, spans: list[Span]) -> bytes | None:
+        """Read a list of spans as one request; returns data if stored."""
+        return self._serve(False, spans, None)
 
-    def write_extents(self, extents: list[Extent],
+    def write_extents(self, spans: list[Span],
                       data: bytes | None = None) -> None:
-        """Write a list of extents as one request.
+        """Write a list of spans as one request.
 
-        ``data`` (when content storage is on) must cover the extents in
+        ``data`` (when content storage is on) must cover the spans in
         order; pass ``None`` to write timing-only.
         """
-        self._serve(True, extents, data)
+        self._serve(True, spans, data)
 
     def read(self, offset: int, length: int) -> bytes | None:
-        """Timed single-extent read."""
-        return self._serve(False, [Extent(offset, length)], None)
+        """Timed single-span read."""
+        return self._serve(False, [(offset, length)], None)
 
     def write(self, offset: int, length: int,
               data: bytes | None = None) -> None:
-        """Timed single-extent write."""
-        self._serve(True, [Extent(offset, length)], data)
+        """Timed single-span write."""
+        self._serve(True, [(offset, length)], data)
 
     def charge_sequential_write(self, nbytes: int) -> float:
         """Charge a background sequential write of ``nbytes``; timing only.

@@ -46,7 +46,7 @@ fail independently but reproducibly.
 Crash semantics (:class:`CrashClock`, ``torn=``) are unchanged from the
 PR 4 harness: the clock counts write events across every device of one
 system and raises :class:`~repro.errors.CrashPoint` on the armed event,
-optionally after applying half of the doomed write's first extent.
+optionally after applying half of the doomed write's first span.
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ class FaultyBlockDevice(BlockDevice):
     crash (a dying read loses nothing); every write-bearing call (see
     :meth:`_admit`) and every ``flush`` ticks the shared clock first.
     With ``torn=True`` the doomed write additionally applies the first
-    half of its first extent's content (untimed, like a partial transfer
+    half of its first span's content (untimed, like a partial transfer
     cut by power loss) before raising — so content-checked recovery sees
     a genuinely torn state, not just a missing one.
 
@@ -336,11 +336,11 @@ class FaultyBlockDevice(BlockDevice):
 
     def _tear(self, batch: list[IoRequest]) -> None:
         for req in batch:
-            if req.is_write and req.data is not None and req.extents:
-                ext = req.extents[0]
-                half = ext.length // 2
+            if req.is_write and req.data is not None and req.spans:
+                start, length = req.spans[0]
+                half = length // 2
                 if half:
-                    self.poke(ext.start, req.data[:half])
+                    self.poke(start, req.data[:half])
                 return
 
     # -- loss ----------------------------------------------------------
@@ -357,8 +357,8 @@ class FaultyBlockDevice(BlockDevice):
             raise ShardLostError("device is permanently lost")
 
     # -- cost model ----------------------------------------------------
-    def _cost_of(self, extents, head):
-        seeks, total, head, nbytes = super()._cost_of(extents, head)
+    def _cost_of(self, spans, head):
+        seeks, total, head, nbytes = super()._cost_of(spans, head)
         return seeks, self._scaled(total), head, nbytes
 
     def _scaled(self, service_s: float) -> float:
@@ -379,9 +379,9 @@ class FaultyBlockDevice(BlockDevice):
                 "injected transient "
                 + ("write" if is_write else "read") + " error")
 
-    def _serve(self, is_write, extents, data):
-        self._admit(is_write, [IoRequest(is_write, extents, data)])
-        return super()._serve(is_write, extents, data)
+    def _serve(self, is_write, spans, data):
+        self._admit(is_write, [IoRequest(is_write, spans, data)])
+        return super()._serve(is_write, spans, data)
 
     def submit(self, batch: list[IoRequest], *,
                reorder: bool | None = None) -> list[bytes | None]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex
-from repro.disk.device import BlockDevice
+from repro.disk.device import BlockDevice, Span
 from repro.errors import AllocationError, ConfigError, FsError
 from repro.fs.allocator import FsAllocator
 from repro.fs.filetable import FileRecord, FileTable
@@ -333,8 +333,8 @@ class SimFilesystem:
             )
         if length == 0:
             return b"" if self.device.stores_data else None
-        span = _slice_extents(record.extents, offset, length)
-        return self.device.read_extents(span)
+        return self.device.read_extents(
+            _slice_spans(record.extents, offset, length))
 
     def fsync(self, name: str) -> None:
         """Force the file's data to the platter."""
@@ -438,29 +438,29 @@ def checked_write_size(size: int | None, data: bytes | None,
 
 
 def _tail_span(extents: list[Extent], back: int,
-               length: int) -> list[Extent]:
-    """Physical extents of the ``length`` bytes that start ``back``
-    bytes before the end of the run list, found from its tail (the
-    write position of an append sits in the last run or two)."""
+               length: int) -> list[Span]:
+    """Device spans of the ``length`` bytes that start ``back`` bytes
+    before the end of the run list, found from its tail (the write
+    position of an append sits in the last run or two)."""
     i = len(extents)
     while back > 0:
         i -= 1
         back -= extents[i].length
-    out: list[Extent] = []
+    out: list[Span] = []
     while length > 0:
         ext = extents[i]
         take = min(ext.length + back, length)
-        out.append(Extent(ext.start - back, take))
+        out.append((ext.start - back, take))
         length -= take
         back = 0
         i += 1
     return out
 
 
-def _slice_extents(extents: list[Extent], offset: int,
-                   length: int) -> list[Extent]:
-    """Map a logical byte range to physical extents."""
-    out: list[Extent] = []
+def _slice_spans(extents: list[Extent], offset: int,
+                 length: int) -> list[Span]:
+    """Map a logical byte range to device spans."""
+    out: list[Span] = []
     logical = 0
     remaining = length
     for ext in extents:
@@ -472,7 +472,7 @@ def _slice_extents(extents: list[Extent], offset: int,
         take = min(ext.length - start_in_ext, remaining)
         if take <= 0:
             break
-        out.append(Extent(ext.start + start_in_ext, take))
+        out.append((ext.start + start_in_ext, take))
         remaining -= take
         if remaining == 0:
             break

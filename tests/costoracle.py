@@ -15,7 +15,7 @@ from repro.disk.device import IoRequest
 from repro.disk.geometry import DiskGeometry
 
 
-def cost_of(geometry: DiskGeometry, window: int, extents, head: int,
+def cost_of(geometry: DiskGeometry, window: int, spans, head: int,
             slow_factor: float = 1.0) -> tuple[int, float, int]:
     """(seeks, service seconds, final head) for one request."""
     transfer_time = geometry.transfer_time
@@ -23,8 +23,7 @@ def cost_of(geometry: DiskGeometry, window: int, extents, head: int,
     rotational_s = geometry.avg_rotational_latency_s
     seeks = 0
     total = geometry.per_request_overhead_s
-    for ext in extents:
-        start = ext.start
+    for start, length in spans:
         gap = start - head
         if 0 <= gap <= window:
             # Sequential continuation: pay only any skipped media time.
@@ -33,7 +32,6 @@ def cost_of(geometry: DiskGeometry, window: int, extents, head: int,
         else:
             seeks += 1
             total += seek_time(head, start) + rotational_s
-        length = ext.length
         total += transfer_time(start, length)
         head = start + length
     if slow_factor != 1.0:
@@ -66,12 +64,12 @@ class OracleDevice:
         read_s = write_s = 0.0
         for req in order:
             req_seeks, service, head = cost_of(
-                self.geometry, self.window, req.extents, head,
+                self.geometry, self.window, req.spans, head,
                 self.slow_factor)
             seeks += req_seeks
             nbytes = 0
-            for ext in req.extents:
-                nbytes += ext.length
+            for _, length in req.spans:
+                nbytes += length
             if req.is_write:
                 write_bytes += nbytes
                 write_s += service

@@ -331,7 +331,7 @@ def _write_new_pages(store, npages: int, data: bytes | None):
     """Allocate one write request's pages and write them as one
     device request, in logical order; returns the runs."""
     runs = store._alloc(partial(retired_alloc_runs, store.gam), npages)
-    store.pagefile.device.write_extents(store._extents(runs), data)
+    store.pagefile.device.write_extents(store._spans(runs), data)
     return runs
 
 

@@ -7,7 +7,7 @@ span is found by walking back from the run list's tail.  The functions
 here are that path as it was before: the caller's loop issuing one
 ``append`` per write request, each request validating and looking the
 file up again, re-summing its run list and slicing the span from the
-front with ``_slice_extents``, and every allocation carved through
+front with ``_slice_spans``, and every allocation carved through
 ``index.remove(Extent(...))`` after a selection that returns an
 ``Extent``.  ``test_fs_append_oracle.py`` holds the shipped path to
 them on twin filesystems.
@@ -23,7 +23,7 @@ from repro.alloc.extent import Extent
 from repro.alloc.runcache import NtfsRunCache
 from repro.errors import AllocationError, ConfigError, FsError
 from repro.fs.allocator import FsAllocator
-from repro.fs.filesystem import SimFilesystem, _slice_extents
+from repro.fs.filesystem import SimFilesystem, _slice_spans
 from repro.fs.filetable import FileRecord
 from repro.units import round_up
 
@@ -128,7 +128,7 @@ def append(fs: SimFilesystem, name: str, nbytes: int | None = None,
         for ext in fs._allocate_under_pressure(
                 allocate_append, fs.allocator, record, shortfall):
             record.add_extent(ext)
-    span = _slice_extents(record.extents, record.size, length)
+    span = _slice_spans(record.extents, record.size, length)
     fs.device.write_extents(span, data)
     record.size += length
 
@@ -162,7 +162,7 @@ def flush(fs: SimFilesystem, name: str) -> None:
         for ext in fs._allocate_under_pressure(
                 allocate_full, fs.allocator, shortfall):
             record.add_extent(ext)
-    span = _slice_extents(record.extents, record.size, total)
+    span = _slice_spans(record.extents, record.size, total)
     fs.device.write_extents(span, data)
     record.size += total
 

@@ -6,7 +6,7 @@ from repro.db.bufferpool import BufferPool
 from repro.db.gam import GamAllocator
 from repro.db.ghost import GhostCleaner
 from repro.db.heap import HeapTable
-from repro.db.pagefile import PageFile, pages_to_extents
+from repro.db.pagefile import PageFile, pages_to_spans
 from repro.db.wal import WriteAheadLog
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
@@ -19,23 +19,23 @@ from repro.units import MB, PAGE_SIZE
 # ----------------------------------------------------------------------
 class TestPagesToExtents:
     def test_groups_consecutive(self):
-        out = pages_to_extents([0, 1, 2, 7], base=0)
-        assert [(e.start, e.length) for e in out] == [
+        out = pages_to_spans([0, 1, 2, 7], base=0)
+        assert out == [
             (0, 3 * PAGE_SIZE), (7 * PAGE_SIZE, PAGE_SIZE)
         ]
 
     def test_preserves_logical_order(self):
-        out = pages_to_extents([7, 0, 1], base=0)
-        assert [(e.start, e.length) for e in out] == [
+        out = pages_to_spans([7, 0, 1], base=0)
+        assert out == [
             (7 * PAGE_SIZE, PAGE_SIZE), (0, 2 * PAGE_SIZE)
         ]
 
     def test_base_offset(self):
-        out = pages_to_extents([0], base=1 * MB)
-        assert out[0].start == 1 * MB
+        out = pages_to_spans([0], base=1 * MB)
+        assert out[0][0] == 1 * MB
 
     def test_empty(self):
-        assert pages_to_extents([], base=0) == []
+        assert pages_to_spans([], base=0) == []
 
 
 class TestPageFile:

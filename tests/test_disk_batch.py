@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from segmentoracle import FlatSegmentStore
 
-from repro.alloc.extent import Extent
 from repro.disk.device import BlockDevice, IoRequest, _SegmentStore
 from repro.disk.geometry import scaled_disk
 from repro.errors import ConfigError
@@ -111,7 +110,7 @@ def test_discard_requires_content_mode():
 # ----------------------------------------------------------------------
 def scattered_requests():
     return [
-        IoRequest(True, [Extent(i * 3 * MB, 64 * KB)])
+        IoRequest(True, [(i * 3 * MB, 64 * KB)])
         for i in range(8)
     ]
 
@@ -141,8 +140,8 @@ class TestBatchAccounting:
     def test_mixed_batch_splits_read_and_write_accounting(self):
         dev = BlockDevice(scaled_disk(64 * MB))
         dev.submit([
-            IoRequest(False, [Extent(0, 1 * MB)]),
-            IoRequest(True, [Extent(32 * MB, 2 * MB)]),
+            IoRequest(False, [(0, 1 * MB)]),
+            IoRequest(True, [(32 * MB, 2 * MB)]),
         ])
         assert dev.stats.read_bytes == 1 * MB
         assert dev.stats.write_bytes == 2 * MB
@@ -168,8 +167,8 @@ class TestBatchAccounting:
         dev = BlockDevice(scaled_disk(64 * MB))
         with pytest.raises(ConfigError):
             dev.submit([
-                IoRequest(True, [Extent(0, 64 * KB)]),
-                IoRequest(True, [Extent(64 * MB, 64 * KB)]),  # off the end
+                IoRequest(True, [(0, 64 * KB)]),
+                IoRequest(True, [(64 * MB, 64 * KB)]),  # off the end
             ])
         assert dev.stats.requests == 0  # rejected before any accounting
 
@@ -178,8 +177,8 @@ class TestBatchAccounting:
         dev.poke(0, b"aaaa")
         dev.poke(100, b"bbbb")
         results = dev.submit([
-            IoRequest.read([Extent(100, 4)]),
-            IoRequest.read([Extent(0, 4)]),
+            IoRequest.read([(100, 4)]),
+            IoRequest.read([(0, 4)]),
         ], reorder=True)
         assert results == [b"bbbb", b"aaaa"]
 
@@ -188,7 +187,7 @@ class TestElevator:
     def test_reorder_reduces_seek_cost(self):
         """Descending submissions served ascending cost fewer seeks."""
         requests = [
-            IoRequest(False, [Extent((7 - i) * 8 * MB, 64 * KB)])
+            IoRequest(False, [((7 - i) * 8 * MB, 64 * KB)])
             for i in range(8)
         ]
         ordered = BlockDevice(scaled_disk(64 * MB))
@@ -202,25 +201,25 @@ class TestElevator:
         """C-LOOK: requests behind the head go last, still ascending."""
         dev = BlockDevice(scaled_disk(64 * MB))
         dev.read(32 * MB, 64 * KB)  # park the head mid-volume
-        behind = Extent(1 * MB, 64 * KB)
-        ahead = Extent(48 * MB, 64 * KB)
+        behind = (1 * MB, 64 * KB)
+        ahead = (48 * MB, 64 * KB)
         dev.submit([IoRequest.read([behind]), IoRequest.read([ahead])],
                    reorder=True)
         # Served ahead-first, so the head finishes past the wrapped one.
-        assert dev.head_position == behind.end
+        assert dev.head_position == 1 * MB + 64 * KB
 
     def test_reorder_never_changes_stored_bytes(self):
         """Overlapping writes resolve in submission order regardless."""
         plain = BlockDevice(scaled_disk(4 * MB), store_data=True)
         shuffled = BlockDevice(scaled_disk(4 * MB), store_data=True)
         batch = [
-            IoRequest.write([Extent(2 * MB, 8)], b"X" * 8),
-            IoRequest.write([Extent(2 * MB + 4, 8)], b"Y" * 8),
-            IoRequest.write([Extent(0, 4)], b"Z" * 4),
+            IoRequest.write([(2 * MB, 8)], b"X" * 8),
+            IoRequest.write([(2 * MB + 4, 8)], b"Y" * 8),
+            IoRequest.write([(0, 4)], b"Z" * 4),
         ]
-        plain.submit([IoRequest(r.is_write, r.extents, r.data)
+        plain.submit([IoRequest(r.is_write, r.spans, r.data)
                       for r in batch], reorder=False)
-        shuffled.submit([IoRequest(r.is_write, r.extents, r.data)
+        shuffled.submit([IoRequest(r.is_write, r.spans, r.data)
                          for r in batch], reorder=True)
         assert plain.peek(2 * MB, 12) == b"X" * 4 + b"Y" * 8
         assert shuffled.peek(2 * MB, 12) == plain.peek(2 * MB, 12)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from costoracle import OracleDevice, cost_of, device_totals
 
-from repro.alloc.extent import Extent
 from repro.disk.device import BlockDevice, IoRequest
 from repro.disk.faults import DeviceFaults, FaultyBlockDevice
 from repro.disk.geometry import DiskGeometry, Zone, make_disk, scaled_disk
@@ -52,13 +51,13 @@ class TestServiceModel:
 
     def test_fragmented_request_costs_one_seek_per_fragment(self, dev):
         contiguous = BlockDevice(dev.geometry)
-        contiguous.read_extents([Extent(4 * MB, 256 * KB)])
+        contiguous.read_extents([(4 * MB, 256 * KB)])
         fragmented = BlockDevice(dev.geometry)
         fragmented.read_extents([
-            Extent(4 * MB, 64 * KB),
-            Extent(8 * MB, 64 * KB),
-            Extent(16 * MB, 64 * KB),
-            Extent(24 * MB, 64 * KB),
+            (4 * MB, 64 * KB),
+            (8 * MB, 64 * KB),
+            (16 * MB, 64 * KB),
+            (24 * MB, 64 * KB),
         ])
         assert fragmented.stats.seeks == 4
         assert contiguous.stats.seeks == 1
@@ -107,7 +106,7 @@ class TestHeadTracking:
         assert dev.head_position == 1 * MB + 64 * KB
 
     def test_multi_extent_head_at_last(self, dev):
-        dev.read_extents([Extent(0, KB), Extent(2 * MB, KB)])
+        dev.read_extents([(0, KB), (2 * MB, KB)])
         assert dev.head_position == 2 * MB + KB
 
 
@@ -147,15 +146,15 @@ class TestContentStore:
 
     def test_multi_extent_write_and_read(self):
         dev = BlockDevice(scaled_disk(4 * MB), store_data=True)
-        extents = [Extent(0, 4), Extent(100, 4)]
-        dev.write_extents(extents, b"ABCDEFGH")
-        assert dev.read_extents(extents) == b"ABCDEFGH"
+        spans = [(0, 4), (100, 4)]
+        dev.write_extents(spans, b"ABCDEFGH")
+        assert dev.read_extents(spans) == b"ABCDEFGH"
         assert dev.peek(100, 4) == b"EFGH"
 
     def test_data_length_mismatch_rejected(self):
         dev = BlockDevice(scaled_disk(4 * MB), store_data=True)
         with pytest.raises(ConfigError):
-            dev.write_extents([Extent(0, 8)], b"short")
+            dev.write_extents([(0, 8)], b"short")
 
     def test_peek_poke_do_not_charge_time(self):
         dev = BlockDevice(scaled_disk(4 * MB), store_data=True)
@@ -221,8 +220,8 @@ def zoned_geometries(draw):
     return DiskGeometry(capacity=start, zones=tuple(zones))
 
 
-def resolve_extent(geometry, window, head, pick):
-    """Turn drawn integers into an extent placed relative to ``head``:
+def resolve_span(geometry, window, head, pick):
+    """Turn drawn integers into a span placed relative to ``head``:
     gap 0 / inside the window / window + 1 / backwards / on a zone end /
     anywhere, ending in-zone / on the next zone end / on capacity /
     anywhere (straddling zero or more boundaries)."""
@@ -240,12 +239,12 @@ def resolve_extent(geometry, window, head, pick):
     zone_end = geometry.zone_at(start).end
     length = (1, zone_end - start, capacity - start,
               1 + y % (capacity - start))[how]
-    return Extent(start, length)
+    return start, length
 
 
-extent_picks = st.tuples(st.integers(0, 5), st.integers(0, 1 << 20),
+span_picks = st.tuples(st.integers(0, 5), st.integers(0, 1 << 20),
                          st.integers(0, 3), st.integers(0, 1 << 20))
-request_picks = st.tuples(st.booleans(), st.lists(extent_picks, max_size=4))
+request_picks = st.tuples(st.booleans(), st.lists(span_picks, max_size=4))
 
 
 @given(zoned_geometries(), st.sampled_from([0, 1, 64, 64 * KB]),
@@ -270,14 +269,14 @@ def test_kernel_matches_composed_model(geometry, window, slow, steps):
             dev, oracle = devs[mode], oracles[mode]
             batch, head = [], oracle.head
             for is_write, picks in step:
-                extents = []
+                spans = []
                 for pick in picks:
-                    extents.append(
-                        resolve_extent(geometry, window, head, pick))
-                    head = extents[-1].end
-                batch.append(IoRequest(is_write, extents))
-                assert dev._cost_of(extents, oracle.head)[:3] == cost_of(
-                    geometry, window, extents, oracle.head, slow)
+                    start, length = resolve_span(geometry, window, head, pick)
+                    spans.append((start, length))
+                    head = start + length
+                batch.append(IoRequest(is_write, spans))
+                assert dev._cost_of(spans, oracle.head)[:3] == cost_of(
+                    geometry, window, spans, oracle.head, slow)
             if mode == "single":
                 for req in batch:
                     dev.submit([req])
@@ -303,13 +302,13 @@ class TestKernelEdges:
         Zone(0, 100, 1e4), Zone(100, 400, 7e3), Zone(400, 1000, 3e3)))
 
     @pytest.mark.parametrize("extents, head", [
-        ([Extent(0, 1000)], 0),                    # straddles every zone
-        ([Extent(50, 50), Extent(100, 1)], 0),     # head lands on a zone end
-        ([Extent(900, 100), Extent(0, 10)], 0),    # head lands on capacity
-        ([Extent(10, 10), Extent(95, 10)], 10),    # in-window gap straddles
-        ([Extent(20, 10)], 20),                    # gap 0
-        ([Extent(85, 5)], 20),                     # gap == window + 1
-        ([Extent(5, 5)], 20),                      # backwards
+        ([(0, 1000)], 0),                    # straddles every zone
+        ([(50, 50), (100, 1)], 0),     # head lands on a zone end
+        ([(900, 100), (0, 10)], 0),    # head lands on capacity
+        ([(10, 10), (95, 10)], 10),    # in-window gap straddles
+        ([(20, 10)], 20),                    # gap 0
+        ([(85, 5)], 20),                     # gap == window + 1
+        ([(5, 5)], 20),                      # backwards
         ([], 20),                                  # empty request
     ])
     @pytest.mark.parametrize("window", [0, 64])
@@ -317,7 +316,7 @@ class TestKernelEdges:
         dev = BlockDevice(self.GEOMETRY, sequential_window=window)
         *cost, nbytes = dev._cost_of(extents, head)
         assert tuple(cost) == cost_of(self.GEOMETRY, window, extents, head)
-        assert nbytes == sum(e.length for e in extents)
+        assert nbytes == sum(length for _, length in extents)
 
     def test_negative_window_rejected(self):
         with pytest.raises(ConfigError):
@@ -334,8 +333,8 @@ DEVICE_KEYS = {"geometry", "stats", "policy", "_store", "_head",
 def drive(dev, offsets):
     for offset in offsets:
         dev.write(offset, 96 * KB)
-        dev.read_extents([Extent(offset, 32 * KB),
-                          Extent(offset + 40 * KB, 8 * KB)])
+        dev.read_extents([(offset, 32 * KB),
+                          (offset + 40 * KB, 8 * KB)])
 
 
 class TestPickleNeutral:
@@ -363,29 +362,94 @@ class TestPickleNeutral:
         assert pickle.dumps(copy) == pickle.dumps(twin)
 
 
+def stored_device(slow: float, capacity: int = 8 * MB) -> BlockDevice:
+    """A content-storing device, slowed through the fault seam if asked."""
+    if slow == 1.0:
+        return BlockDevice(scaled_disk(capacity), store_data=True)
+    return FaultyBlockDevice(scaled_disk(capacity), store_data=True,
+                             faults=DeviceFaults(slow_factor=slow))
+
+
+def device_state(dev):
+    return (dev.head_position, dev.clock_s, dev.stats.snapshot(),
+            dev.peek(0, 64), dev.peek(1 * MB, 64))
+
+
 class TestAtomicValidation:
-    def state(self, dev):
-        return (dev.head_position, dev.clock_s, dev.stats.snapshot(),
-                dev.peek(0, 64), dev.peek(1 * MB, 64))
+    @pytest.mark.parametrize("slow", [1.0, 4.0])
+    def test_short_data_leaves_the_device_untouched(self, slow):
+        """A data length that misses the span bytes is refused in the
+        costing pass: by ``_serve`` and by ``submit``, even when an
+        earlier request of the batch is well formed."""
+        dev = stored_device(slow)
+        dev.write(0, 8, data=b"original")
+        before = device_state(dev)
+        with pytest.raises(ConfigError, match="data length 100 != span"):
+            dev.write_extents([(0, 4096)], b"x" * 100)
+        with pytest.raises(ConfigError, match="data length"):
+            dev.write(1 * MB, 8, b"short")
+        assert device_state(dev) == before
+        batch = [IoRequest.write([(0, 8)], b"y" * 8),
+                 IoRequest.write([(1 * MB, 8)], b"z" * 4)]
+        for reorder in (False, True):
+            with pytest.raises(ConfigError, match="data length 4 != span"):
+                dev.submit(batch, reorder=reorder)
+            assert device_state(dev) == before
 
     def test_bad_last_extent_of_a_request(self):
         dev = BlockDevice(scaled_disk(8 * MB), store_data=True)
         dev.write(0, 8, data=b"original")
-        before = self.state(dev)
+        before = device_state(dev)
         with pytest.raises(ConfigError, match="outside volume of"):
-            dev.write_extents([Extent(0, 8), Extent(8 * MB - 4, 8)],
+            dev.write_extents([(0, 8), (8 * MB - 4, 8)],
                               data=b"x" * 16)
-        assert self.state(dev) == before
+        assert device_state(dev) == before
 
     def test_bad_last_request_of_a_batch(self):
         dev = BlockDevice(scaled_disk(8 * MB), store_data=True)
         dev.write(0, 8, data=b"original")
-        before = self.state(dev)
-        batch = [IoRequest.write([Extent(0, 8)], b"y" * 8),
-                 IoRequest.write([Extent(1 * MB, 8)], b"z" * 8),
-                 IoRequest.read([Extent(2 * MB, 8),
-                                 Extent(8 * MB - 4, 8)])]
+        before = device_state(dev)
+        batch = [IoRequest.write([(0, 8)], b"y" * 8),
+                 IoRequest.write([(1 * MB, 8)], b"z" * 8),
+                 IoRequest.read([(2 * MB, 8),
+                                 (8 * MB - 4, 8)])]
         for reorder in (False, True):
             with pytest.raises(ConfigError, match="outside volume of"):
                 dev.submit(batch, reorder=reorder)
-            assert self.state(dev) == before
+            assert device_state(dev) == before
+
+
+CAPACITY = 8 * MB
+good_spans = st.tuples(st.integers(0, CAPACITY - 64 * KB),
+                       st.integers(1, 64 * KB))
+bad_spans = st.one_of(
+    st.tuples(st.integers(max_value=-1), st.integers(1, 64 * KB)),
+    st.tuples(st.integers(0, CAPACITY), st.integers(max_value=0)),
+    st.tuples(st.integers(0, 64 * KB), st.integers(1, 64 * KB)).map(
+        lambda pick: (CAPACITY - pick[0], pick[0] + pick[1])),
+)
+
+
+@given(bad_spans, st.lists(good_spans, max_size=3), st.integers(0, 3),
+       st.booleans(), st.sampled_from(["single", "batch", "reorder"]),
+       st.sampled_from([1.0, 4.0]))
+@settings(max_examples=150, deadline=None)
+def test_a_bad_span_is_refused_before_any_state_moves(bad, good, where,
+                                                      is_write, mode, slow):
+    """A span with ``start < 0``, ``length <= 0`` or an end past capacity,
+    anywhere in a request, raises before the head, the clock, the stats
+    or the stored bytes change: alone, or as the last request of a
+    batch (in submission or elevator order)."""
+    dev = stored_device(slow, CAPACITY)
+    dev.write(0, 8, data=b"original")
+    before = device_state(dev)
+    spans = list(good)
+    spans.insert(where % (len(spans) + 1), bad)
+    with pytest.raises(ConfigError, match="outside volume of"):
+        if mode == "single":
+            (dev.write_extents if is_write else dev.read_extents)(spans)
+        else:
+            dev.submit([IoRequest.write([(1 * MB, 8)], b"y" * 8),
+                        IoRequest(is_write, spans)],
+                       reorder=mode == "reorder")
+    assert device_state(dev) == before

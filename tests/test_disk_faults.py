@@ -5,7 +5,6 @@ admission seam every timed call passes."""
 
 import pytest
 
-from repro.alloc.extent import Extent
 from repro.disk.device import BlockDevice, IoRequest
 from repro.disk.faults import (
     CrashClock,
@@ -268,30 +267,30 @@ class TestCrashClock:
 #: (``None`` for a read, which never ticks the crash clock).
 SEAM_CALLS = [
     pytest.param(lambda d: d.read(1 * MB, 64 * KB),
-                 [IoRequest.read([Extent(1 * MB, 64 * KB)])], None,
+                 [IoRequest.read([(1 * MB, 64 * KB)])], None,
                  id="read"),
     pytest.param(lambda d: d.write(0, 8, b"ABCDEFGH"),
-                 [IoRequest.write([Extent(0, 8)], b"ABCDEFGH")],
+                 [IoRequest.write([(0, 8)], b"ABCDEFGH")],
                  (0, b"ABCD\x00\x00\x00\x00"), id="write"),
-    pytest.param(lambda d: d.read_extents([Extent(2 * MB, 8 * KB),
-                                           Extent(3 * MB, 8 * KB)]),
-                 [IoRequest.read([Extent(2 * MB, 8 * KB),
-                                  Extent(3 * MB, 8 * KB)])], None,
+    pytest.param(lambda d: d.read_extents([(2 * MB, 8 * KB),
+                                           (3 * MB, 8 * KB)]),
+                 [IoRequest.read([(2 * MB, 8 * KB),
+                                  (3 * MB, 8 * KB)])], None,
                  id="read_extents"),
-    pytest.param(lambda d: d.write_extents([Extent(4 * MB, 4),
-                                            Extent(5 * MB, 4)], b"WXYZwxyz"),
-                 [IoRequest.write([Extent(4 * MB, 4), Extent(5 * MB, 4)],
+    pytest.param(lambda d: d.write_extents([(4 * MB, 4),
+                                            (5 * MB, 4)], b"WXYZwxyz"),
+                 [IoRequest.write([(4 * MB, 4), (5 * MB, 4)],
                                   b"WXYZwxyz")],
                  (4 * MB, b"WX\x00\x00"), id="write_extents"),
-    pytest.param(lambda d: d.submit([IoRequest.write([Extent(6 * MB, 8)],
+    pytest.param(lambda d: d.submit([IoRequest.write([(6 * MB, 8)],
                                                      b"12345678")]),
-                 [IoRequest.write([Extent(6 * MB, 8)], b"12345678")],
+                 [IoRequest.write([(6 * MB, 8)], b"12345678")],
                  (6 * MB, b"1234\x00\x00\x00\x00"), id="submit_one"),
-    pytest.param(lambda d: d.submit([IoRequest.read([Extent(7 * MB, 8 * KB)]),
-                                     IoRequest.write([Extent(8 * MB, 8)],
+    pytest.param(lambda d: d.submit([IoRequest.read([(7 * MB, 8 * KB)]),
+                                     IoRequest.write([(8 * MB, 8)],
                                                      b"abcdefgh")]),
-                 [IoRequest.read([Extent(7 * MB, 8 * KB)]),
-                  IoRequest.write([Extent(8 * MB, 8)], b"abcdefgh")],
+                 [IoRequest.read([(7 * MB, 8 * KB)]),
+                  IoRequest.write([(8 * MB, 8)], b"abcdefgh")],
                  (8 * MB, b"abcd\x00\x00\x00\x00"), id="submit_two"),
 ]
 seam = pytest.mark.parametrize("call, batch, torn", SEAM_CALLS)
@@ -359,9 +358,26 @@ class TestAdmitSeam:
         dev = BlockDevice(scaled_disk(64 * MB), store_data=True)
         twin = BlockDevice(scaled_disk(64 * MB), store_data=True)
         dev.read(32 * MB, 8 * KB)          # move the heads off zero
-        twin.submit([IoRequest.read([Extent(32 * MB, 8 * KB)])])
+        twin.submit([IoRequest.read([(32 * MB, 8 * KB)])])
         call(dev)
         twin.submit(batch)
         assert dev.stats == twin.stats
         assert dev.clock_s == twin.clock_s
         assert dev.head_position == twin.head_position
+
+
+def test_a_torn_batch_tears_the_first_span_of_its_first_write():
+    """Half of ``spans[0]`` of the first write request lands; its second
+    span, the later write and the clock stay untouched."""
+    dev = FaultyBlockDevice(scaled_disk(64 * MB),
+                            clock=CrashClock(kill_after=0),
+                            torn=True, store_data=True)
+    batch = [IoRequest.read([(7 * MB, 8 * KB)]),
+             IoRequest.write([(9 * MB, 6), (2 * MB, 2)], b"abcdefgh"),
+             IoRequest.write([(3 * MB, 8)], b"ABCDEFGH")]
+    with pytest.raises(CrashPoint):
+        dev.submit(batch)
+    assert dev.peek(9 * MB, 6) == b"abc\x00\x00\x00"
+    assert dev.peek(2 * MB, 2) == bytes(2)
+    assert dev.peek(3 * MB, 8) == bytes(8)
+    assert dev.clock_s == 0.0 and dev.head_position == 0

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.alloc.extent import Extent
 from repro.backends import (
     BlobBackend,
     FileBackend,
@@ -71,7 +70,7 @@ class TestDevicePolicy:
         def scattered_batch():
             offsets = [40 * MB, 2 * MB, 30 * MB, 6 * MB, 20 * MB,
                        10 * MB, 50 * MB, 1 * MB]
-            return [IoRequest(False, [Extent(off, 64 * KB)])
+            return [IoRequest(False, [(off, 64 * KB)])
                     for off in offsets]
 
         plain = BlockDevice(scaled_disk(64 * MB))
@@ -88,7 +87,7 @@ class TestDevicePolicy:
     def test_submit_policy_chunks_batches(self):
         device = BlockDevice(scaled_disk(64 * MB),
                              policy=DevicePolicy(batch_size=3))
-        requests = [IoRequest(True, [Extent(i * MB, 64 * KB)])
+        requests = [IoRequest(True, [(i * MB, 64 * KB)])
                     for i in range(7)]
         device.submit_policy(requests)
         # ceil(7 / 3) = 3 batches -> 3 stats records.
