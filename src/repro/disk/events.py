@@ -106,6 +106,7 @@ from collections.abc import Sequence
 from random import Random
 from dataclasses import dataclass, field
 
+from repro.disk.iostats import open_depth
 from repro.disk.schedule import SchedulerWindow, ShardScheduler
 from repro.errors import ConfigError
 from repro.rng import substream
@@ -473,7 +474,10 @@ class EventScheduler(ShardScheduler):
     def end_window(self, win: SchedulerWindow) -> SchedulerWindow:
         # A window's wall time and percentiles must include requests
         # still in flight when it closes, so drain first (while the
-        # window is still on the stack and sees the charges).
+        # window is still on the stack and sees the charges) — but only
+        # once the window is known to be open: a refused close charges
+        # nothing.
+        open_depth(self._windows, win, "scheduler window")
         self.drain()
         return super().end_window(win)
 

@@ -11,6 +11,7 @@ the bulk load and storage-age-two read measurements").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.units import MB
 
@@ -94,6 +95,14 @@ class WindowStats:
         )
 
 
+def open_depth(stack: list, win: Any, what: str) -> int:
+    """Where ``win`` sits in a window stack; ``ValueError`` if not open."""
+    for depth in range(len(stack) - 1, -1, -1):
+        if stack[depth] is win:
+            return depth
+    raise ValueError(f"{what} {win.name!r} is not open")
+
+
 @dataclass(slots=True)
 class IoStats:
     """Cumulative counters plus a stack of open measurement windows."""
@@ -149,12 +158,10 @@ class IoStats:
         return win
 
     def end_window(self, win: WindowStats) -> WindowStats:
-        """Close ``win`` (and any windows opened after it)."""
-        while self._windows:
-            top = self._windows.pop()
-            if top is win:
-                return win
-        raise ValueError(f"window {win.name!r} is not open")
+        """Close ``win`` (and any windows opened after it); a window that
+        is not open raises ``ValueError`` and leaves the stack as it was."""
+        del self._windows[open_depth(self._windows, win, "window"):]
+        return win
 
     @property
     def total_bytes(self) -> int:

@@ -46,6 +46,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from repro.disk.iostats import open_depth
 from repro.errors import ConfigError
 from repro.units import left_sum
 
@@ -195,8 +196,5 @@ class ShardScheduler:
         return win
 
     def end_window(self, win: SchedulerWindow) -> SchedulerWindow:
-        while self._windows:
-            top = self._windows.pop()
-            if top is win:
-                return win
-        raise ValueError(f"scheduler window {win.name!r} is not open")
+        del self._windows[open_depth(self._windows, win, "scheduler window"):]
+        return win

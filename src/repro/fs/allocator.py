@@ -5,7 +5,11 @@ allocated *as the file is appended to*, before the final size is known.
 ``allocate_append`` therefore serves one write request at a time — first
 trying to extend the file's last run contiguously (NTFS detects
 sequential appends and extends aggressively), then falling back to the
-banded run cache, fragmenting only when no cached run fits.
+banded run cache, fragmenting only when no cached run fits.  The
+commonest case, a non-review request whose shortfall fits the free run
+at the file's end, ``SimFilesystem.append`` serves in place with the
+same one carve; this module keeps the band, stickiness and
+partial-carve rules for every request that is not that case.
 
 ``allocate_full`` is the counterfactual interface the paper wishes
 existed ("there is no way to pass the (known) object size to the file

@@ -13,8 +13,9 @@ rename protocol of Section 4.
 
 :meth:`SimFilesystem.append` is the one write-request loop (``safe_write``
 and the backend's ``put`` call it once each): per request, allocate the
-shortfall, extend the run list, write one device request whose span is
-found from the run list's tail.
+shortfall (in place when it extends the last run, see ``append``),
+extend the run list, write one device request whose span is found from
+the run list's tail.
 
 When the underlying device stores content, appends carry real bytes and
 reads return them — the marker-based fragmentation analyzer and crash
@@ -231,6 +232,11 @@ class SimFilesystem:
         fragmentation in the paper.  Each request fills preallocated or
         cluster-slack space first, allocates the shortfall per the
         append policy, then writes as one device request.
+
+        A non-review request whose rounded shortfall fits the free run
+        at the allocation end is served in place (one ``carve_front``,
+        the last run grown): exactly the requests ``allocate_append``
+        serves whole from ``try_extend``, so nothing modelled moves.
         """
         if (nbytes is None) == (data is None):
             raise ConfigError("pass exactly one of nbytes or data")
@@ -252,16 +258,35 @@ class SimFilesystem:
         extents = record.extents
         size = record.size
         allocated = record.allocated_bytes
-        allocate = self.allocator.allocate_append
+        allocator = self.allocator
+        allocate = allocator.allocate_append
+        cluster = allocator.cluster_size
+        interval = allocator.reconsider_interval_requests
+        run_length_at = self.free_index.run_length_at
+        carve_front = self.free_index.carve_front
         write_extents = self.device.write_extents
         for cursor in requests:
             length = min(write_request, total - cursor)
             if size + length > allocated:
-                for ext in self._allocate_under_pressure(
-                        allocate, record, size + length - allocated):
-                    record.add_extent(ext)
-                    allocated += ext.length
-            write_extents(_tail_span(extents, allocated - size, length),
+                needed = -(-(size + length - allocated) // cluster) * cluster
+                if extents and record.append_requests % interval and \
+                        run_length_at(extents[-1].end) >= needed:
+                    # No review, so no stickiness; the run fits, so no
+                    # band refusal: ``try_extend`` would carve it whole.
+                    record.append_requests += 1
+                    last = extents[-1]
+                    carve_front(last.end, needed)
+                    extents[-1] = Extent(last.start, last.length + needed)
+                    allocated += needed
+                else:
+                    for ext in self._allocate_under_pressure(
+                            allocate, record, size + length - allocated):
+                        record.add_extent(ext)
+                        allocated += ext.length
+            last, back = extents[-1], allocated - size
+            write_extents([(last.start + last.length - back, length)]
+                          if back <= last.length
+                          else _tail_span(extents, back, length),
                           None if data is None
                           else data[cursor: cursor + length])
             size += length

@@ -308,6 +308,22 @@ class TestPoissonMode:
         assert sched.in_flight == 0
         assert win.latency.count == 10
 
+    def test_a_refused_end_window_neither_drains_nor_pops(self):
+        sched = self.make(rate=50.0)
+        phase = sched.start_window("phase")
+        stale = sched.start_window("stale")
+        sched.end_window(stale)
+        for _ in range(2):
+            sched.record_round([0.01, 0.02], indices=(0, 1))
+        in_flight, wall = sched.in_flight, sched.wall_time_s
+        assert in_flight > 0
+        with pytest.raises(ValueError, match="'stale' is not open"):
+            sched.end_window(stale)
+        assert (sched.in_flight, sched.wall_time_s) == (in_flight, wall)
+        sched.end_window(phase)
+        assert phase.latency.count == 4
+        assert phase.wall_time_s == sched.wall_time_s
+
     def test_set_arrival_switches_modes(self):
         sched = EventScheduler(2)
         sched.record_round([0.1, 0.2], indices=(0, 1))

@@ -10,6 +10,7 @@ at checkpoints of the run, and at its end, on the pickled bytes of the
 whole store.
 """
 
+import itertools
 import pickle
 import random
 from unittest import mock
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsoracle
+from crashsim import CrashClock, FaultyDevice, kill_point_matrix
 from freeindexoracle import NaiveFreeExtentIndex
 from repro.alloc import freelist
 from repro.alloc.extent import Extent
@@ -31,7 +33,7 @@ from repro.errors import AllocationError, CorruptionError
 from repro.fs import filesystem
 from repro.fs.allocator import FsAllocator
 from repro.fs.filesystem import FsConfig, SimFilesystem
-from repro.units import CLUSTER_SIZE, KB, MB
+from repro.units import CLUSTER_SIZE, KB, MB, round_up
 
 #: 64 KB (the paper's), a cluster multiple that is not a power of two,
 #: and a request that is not a cluster multiple at all.
@@ -308,3 +310,186 @@ def test_carve_front_is_remove_of_the_front(ops, carves, load):
             assert taken == Extent(run.start, nbytes)
             assert pickle.dumps(carved) == pickle.dumps(removed)
             carved.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# Requests served in place, killed anywhere
+# ----------------------------------------------------------------------
+class InPlaceProbe:
+    """Classifies the shipped twin's allocating requests.
+
+    A ``carve_front`` outside the allocator is a request served in
+    place; ``ends`` counts how each run of such requests ended: at a
+    review request, at a non-review request whose adjacent run was
+    partially carved (in band) or refused though free (out of band),
+    or at the end of the append.  A non-review request that
+    ``try_extend`` served whole should never reach the allocator."""
+
+    def __init__(self, monkeypatch, engine) -> None:
+        self.in_place = 0
+        self.in_place_from_slack = 0
+        self.whole_outside_review = 0
+        self.ends: dict[str, int] = {}
+        seen: dict[int, int] = {}
+        state = {"allocating": False, "carved": False, "extend": None}
+
+        def end(kind: str) -> None:
+            self.ends[kind] = self.ends.get(kind, 0) + 1
+
+        carve_front = engine.carve_front
+
+        def probe_carve(index, start, nbytes):
+            if not state["allocating"]:
+                self.in_place += 1
+                state["carved"] = True
+            return carve_front(index, start, nbytes)
+
+        try_extend = NtfsRunCache.try_extend
+
+        def probe_extend(cache, at, size, *, stickiness):
+            free = cache.index.run_length_at(at)
+            got = try_extend(cache, at, size, stickiness=stickiness)
+            state["extend"] = ("no-run" if not free
+                               else "refused" if got is None
+                               else "whole" if got.length == size
+                               else "partial")
+            return got
+
+        allocate_append = FsAllocator.allocate_append
+
+        def probe_allocate(allocator, record, nbytes):
+            streak = record.append_requests > seen.get(record.file_id, 0)
+            review = (record.append_requests
+                      % allocator.reconsider_interval_requests == 0)
+            state["allocating"], state["extend"] = True, None
+            try:
+                pieces = allocate_append(allocator, record, nbytes)
+            finally:
+                state["allocating"] = False
+            if not review and state["extend"] == "whole":
+                self.whole_outside_review += 1
+            if streak:
+                end("review" if review else state["extend"])
+            seen[record.file_id] = record.append_requests
+            return pieces
+
+        allocate_full = FsAllocator.allocate_full
+
+        def probe_full(allocator, nbytes):
+            state["allocating"] = True
+            try:
+                return allocate_full(allocator, nbytes)
+            finally:
+                state["allocating"] = False
+
+        write_extents = BlockDevice.write_extents
+
+        def probe_write(device, spans, data=None):
+            if state["carved"] and spans[0][0] % CLUSTER_SIZE:
+                self.in_place_from_slack += 1
+            state["carved"] = False
+            return write_extents(device, spans, data)
+
+        append = SimFilesystem.append
+
+        def probe_append(fs, name, *args, **kwargs):
+            append(fs, name, *args, **kwargs)
+            record = fs.table.lookup(name)
+            if record.append_requests > seen.get(record.file_id, 0):
+                end("append")
+            seen[record.file_id] = record.append_requests
+
+        monkeypatch.setattr(engine, "carve_front", probe_carve)
+        monkeypatch.setattr(NtfsRunCache, "try_extend", probe_extend)
+        monkeypatch.setattr(FsAllocator, "allocate_append", probe_allocate)
+        monkeypatch.setattr(FsAllocator, "allocate_full", probe_full)
+        monkeypatch.setattr(BlockDevice, "write_extents", probe_write)
+        monkeypatch.setattr(SimFilesystem, "append", probe_append)
+
+
+def in_place_workload(fs: SimFilesystem, write, preallocate, *,
+                      write_request: int) -> None:
+    """Runs of in-place requests ending every way a run can end.
+
+    ``b`` grows from the start of the free tail past its review request
+    and, unaligned, starts its second append in cluster slack.  A hole
+    of ~3.5 requests is then left as the volume's lowest *and* largest
+    free run (a filler preallocation leaves ~2 requests of tail), so
+    ``a``'s first request lands in it under either band rule and its
+    fourth meets a run too short for it: partially carved in the band,
+    refused outside it."""
+    rng = random.Random(write_request)
+    w = write_request
+
+    def put(name: str, total: int, request: int | None = w) -> None:
+        if not fs.exists(name):
+            fs.create(name)
+        write(fs, name, rng.randbytes(total), request or total)
+
+    put("b", 20 * w + 1000)
+    put("b", 3 * w)
+    put("h", round_up(7 * w // 2, CLUSTER_SIZE), None)
+    put("keep", CLUSTER_SIZE, None)
+    tail = fs.free_index.run_length_at(fs.table.lookup("keep").extents[-1].end)
+    fs.create("filler")
+    preallocate(fs, "filler", tail - round_up(2 * w, CLUSTER_SIZE))
+    fs.delete("h")
+    fs.journal.commit()
+    put("a", 5 * w)
+    fs.delete("b")
+    fs.journal.commit()
+
+
+def shipped_write(fs, name, data, request):
+    fs.append(name, data=data, write_request=request)
+
+
+def oracle_write(fs, name, data, request):
+    fsoracle.write(fs, name, len(data), data, request)
+
+
+@pytest.mark.parametrize("engine", [FreeExtentIndex, NaiveFreeExtentIndex],
+                         ids=["tiered", "naive"])
+@pytest.mark.parametrize("band", [1.0, 0.01], ids=["in-band", "out-of-band"])
+@pytest.mark.parametrize("write_request", [64 * KB, 10_000])
+def test_in_place_requests_match_the_oracle_at_every_kill_point(
+        monkeypatch, engine, band, write_request):
+    """Kill the twins at every write event of :func:`in_place_workload`:
+    the shipped ``append`` (requests served in place) and the oracle's
+    per-request loop (every request through ``allocate_append``) must
+    leave filesystems that pickle alike, crashed or not."""
+    monkeypatch.setattr(filesystem, "FreeExtentIndex", engine)
+    probe = InPlaceProbe(monkeypatch, engine)
+
+    def build(clock: CrashClock) -> SimFilesystem:
+        device = FaultyDevice(scaled_disk(16 * MB), clock=clock,
+                              store_data=True)
+        fs = SimFilesystem(device, FsConfig(
+            mft_zone_bytes=1 * MB, log_bytes=64 * KB,
+            commit_interval_ops=4, metadata_interval_events=0,
+            outer_band_fraction=band))
+        fs.crash_hook = clock.hook
+        return fs
+
+    def run(write, preallocate):
+        return lambda fs: in_place_workload(
+            fs, write, preallocate, write_request=write_request)
+
+    shipped = kill_point_matrix(
+        build, run(shipped_write, SimFilesystem.preallocate))
+    # Drawing the first kill point runs the unarmed baseline, so the
+    # probe has seen the whole workload once by then.
+    first = next(shipped)
+    assert probe.in_place > 0
+    assert probe.in_place_from_slack > 0
+    assert probe.whole_outside_review == 0
+    short_run = "partial" if band == 1.0 else "refused"
+    assert {"review", short_run, "append"} <= set(probe.ends), probe.ends
+    oracle = kill_point_matrix(build, run(oracle_write, fsoracle.preallocate))
+    kills = 0
+    for (k, crashed, fs), (_, oracle_crashed, oracle_fs) in zip(
+            itertools.chain([first], shipped), oracle, strict=True):
+        assert crashed == oracle_crashed, f"kill point {k}"
+        assert pickle.dumps(fs) == pickle.dumps(oracle_fs), f"kill point {k}"
+        kills += crashed
+    assert kills > 40

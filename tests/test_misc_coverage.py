@@ -9,6 +9,7 @@ from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import make_disk
 from repro.disk.iostats import IoStats
+from repro.disk.schedule import ShardScheduler
 from repro.errors import ConfigError
 from repro.units import KB, MB
 
@@ -20,6 +21,17 @@ class TestIoStatsEdges:
         stats.end_window(win)
         with pytest.raises(ValueError):
             stats.end_window(win)
+
+    def test_closing_a_window_that_is_not_open_leaves_the_stack(self):
+        stats = IoStats()
+        phase = stats.start_window("phase")
+        stale = stats.start_window("stale")
+        stats.end_window(stale)
+        with pytest.raises(ValueError, match="'stale' is not open"):
+            stats.end_window(stale)
+        stats.record_cpu(1.0)
+        assert phase.cpu_time_s == 1.0
+        assert stats.end_window(phase) is phase
 
     def test_closing_outer_window_closes_inner(self):
         stats = IoStats()
@@ -108,6 +120,33 @@ class TestMeasurementWindows:
         # way as the device-clock samples above.
         assert combined.latency["count"] \
             == combined.tenant_lat["a"]["count"] > 0
+
+    def test_a_double_close_leaves_other_windows_open(self):
+        store = build_store(StoreSpec.parse(
+            "lfs:shards=2,overlap=true,queue=event,volume=32M"))
+        phase = MeasurementWindows(store, "phase")
+        step = MeasurementWindows(store, "step")
+        store.put("a", size=256 * KB)
+        step.close()
+        with pytest.raises(ValueError, match="'step' is not open"):
+            step.close()
+        store.put("b", size=256 * KB)
+        combined = phase.close()
+        assert combined.write_bytes == 2 * 256 * KB
+        assert combined.wall_time_s >= store.scheduler.wall_time_s > 0
+
+
+class TestShardSchedulerWindows:
+    def test_closing_a_window_that_is_not_open_leaves_the_stack(self):
+        sched = ShardScheduler(parallelism=2)
+        phase = sched.start_window("phase")
+        stale = sched.start_window("stale")
+        sched.end_window(stale)
+        with pytest.raises(ValueError, match="'stale' is not open"):
+            sched.end_window(stale)
+        sched.record_round([0.25, 0.5])
+        assert phase.rounds == 1
+        assert sched.end_window(phase) is phase
 
 
 class TestShapeCheckEdges:
