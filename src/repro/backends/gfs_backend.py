@@ -116,18 +116,11 @@ class GfsChunkBackend:
         record = _Record(key=key, chunk_id=chunk.chunk_id,
                          offset_in_chunk=chunk.used, size=size,
                          version=version)
-        # Bulk path: one scatter/gather submission per record instead of
-        # one stats record per write_request chunk; the device policy
-        # caps the batch size and picks the order.
-        batch: list[IoRequest] = []
-        cursor = 0
-        while cursor < size:
-            step = min(self.write_request, size - cursor)
-            payload = data[cursor: cursor + step] if data is not None else None
-            batch.append(IoRequest(
-                True, [(chunk.base + chunk.used + cursor, step)], payload))
-            cursor += step
-        self.device.submit_policy(batch)
+        # Bulk path: the record is one device stream of
+        # write_request-sized requests; the device policy caps the batch
+        # size and picks the order.
+        self.device.write_stream(chunk.base + chunk.used, size,
+                                 self.write_request, data)
         chunk.used += size
         return record
 
@@ -192,6 +185,9 @@ class GfsChunkBackend:
                            start, record.size)
             moved = self._append_record(record.key, record.size, payload,
                                         record.version)
+            if payload is not None:
+                # Same version: a marker scan must see only the copy.
+                self.device.discard(start, record.size)
             self._records[record.key] = moved
             self.gc_copied_bytes += record.size
         del self._chunks[chunk.chunk_id]

@@ -107,17 +107,11 @@ class LfsBackend:
             if data is not None:
                 payload = data[cursor: cursor + take]
             offset = seg.base + seg.used
-            # Bulk path: one scatter/gather submission per log piece
-            # instead of one stats record per write_request chunk; the
-            # device policy caps the batch size and picks the order.
-            batch: list[IoRequest] = []
-            step = 0
-            while step < take:
-                req = min(self.write_request, take - step)
-                chunk = payload[step: step + req] if payload is not None else None
-                batch.append(IoRequest(True, [(offset + step, req)], chunk))
-                step += req
-            self.device.submit_policy(batch)
+            # Bulk path: the log piece is one device stream of
+            # write_request-sized requests; the device policy caps the
+            # batch size and picks the order.
+            self.device.write_stream(offset, take, self.write_request,
+                                     payload)
             loc.pieces.append((seg.seg_id, seg.used, take))
             seg.used += take
             seg.live += take
@@ -173,6 +167,10 @@ class LfsBackend:
             payload = self._peek_object(loc)
             self._read_pieces(loc)
             new_loc = self._append(loc.key, loc.size, payload, loc.version)
+            if payload is not None:
+                # Same version: a marker scan must see only the copy.
+                for start, length in self._spans_of(loc):
+                    self.device.discard(start, length)
             self._objects[loc.key] = new_loc
             self._release_pieces(loc)
             self.cleaner_copied_bytes += loc.size

@@ -18,11 +18,13 @@ whole batch with the head chaining request to request.  Either way each
 call records **one** :class:`IoStats` entry.  The public names
 (``read_extents``/``write_extents`` included) stay as they are: the
 whole-run benchmark's tracer patches these methods by name to time the
-disk layer.  The backends' bulk paths (LFS/GFS appends) submit many
-requests per call to cut host-side accounting overhead on bulk loads.
-With ``reorder=True`` the batch is served in elevator (C-LOOK) order —
-ascending starts from the current head, wrapping once — which models
-request-scheduling effects; modelled cost with ``reorder=False`` is
+disk layer.  A log append (the LFS log piece, the GFS record) is a
+contiguous run of ``write_request``-sized writes and goes through
+:meth:`write_stream`, which charges exactly what :meth:`submit_policy`
+of those requests would without building them.  With ``reorder=True``
+the batch is served in elevator (C-LOOK) order — ascending starts from
+the current head, wrapping once — which models request-scheduling
+effects; modelled cost with ``reorder=False`` is
 exactly identical to submitting the requests one call at a time.
 Content effects (stored bytes, read results) always apply in
 *submission* order regardless of reordering: the elevator changes the
@@ -385,13 +387,84 @@ class BlockDevice:
 
         The policy's ``batch_size`` splits the stream into batches and
         its ``reorder`` discipline orders each batch; results come back
-        aligned with ``requests``.  This is the bulk path the backends'
-        appends and ``read_many`` sweeps use.
+        aligned with ``requests``.  The backends' ``read_many`` sweeps
+        use it; log appends use :meth:`write_stream`, which charges the
+        same.
         """
         out: list[bytes | None] = []
         for chunk in self.policy.chunks(requests):
             out.extend(self.submit(list(chunk)))
         return out
+
+    def _check_stream(self, start: int, length: int, request: int,
+                      data: bytes | None) -> None:
+        """Refuse a bad :meth:`write_stream` before anything moves."""
+        capacity = self.geometry.capacity
+        if (start < 0 or length <= 0 or request <= 0
+                or start + length > capacity):
+            raise ConfigError(f"stream ({start}, {length}) by {request} "
+                              f"empty or outside volume of {capacity} bytes")
+        if (self._store is not None and data is not None
+                and len(data) != length):
+            raise ConfigError(
+                f"data length {len(data)} != stream bytes {length}")
+
+    def write_stream(self, start: int, length: int, request: int,
+                     data: bytes | None = None) -> None:
+        """Write ``[start, start + length)`` as consecutive ``request``-byte
+        write requests (the last one short) under the device policy,
+        charging bit for bit what :meth:`submit_policy` of them charges.
+        A batch's first request (and a C-LOOK wrap's) goes through
+        :meth:`_cost_of`; each other one starts where the last ended, so
+        it costs the two terms ``_cost_of`` adds for a zero gap."""
+        self._check_stream(start, length, request, data)
+        store = self._store
+        payload = data if store is not None else None
+        geometry = self.geometry
+        ends, rates = cost_tables(geometry)[:2]
+        overhead = geometry.per_request_overhead_s
+        stop = start + length
+        step = self.policy.batch_size * request or length
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            if hi - lo <= request:
+                self._serve(True, [(lo, hi - lo)], None if payload is None
+                            else payload[lo - start: hi - start])
+                continue
+            head = self._head
+            runs = [(lo, hi)]
+            if self.policy.reorder_flag and lo < head < hi:
+                # C-LOOK: the requests from the first start >= head on,
+                # then the wrap back to the batch's first request.
+                pivot = lo - (lo - head) // request * request
+                if pivot < hi:
+                    runs = [(pivot, hi), (lo, pivot)]
+            seeks = 0
+            write_s = 0.0
+            for first, end in runs:
+                pos = min(first + request, end)
+                first_seeks, service, head, _ = self._cost_of(
+                    [(first, pos - first)], head)
+                seeks += first_seeks
+                write_s += service
+                while pos < end:
+                    size = min(request, end - pos)
+                    zone = bisect_right(ends, pos)
+                    if pos + size <= ends[zone]:
+                        transfer = size / rates[zone]
+                    else:
+                        transfer = geometry.transfer_time(pos, size)
+                    write_s += overhead + transfer
+                    pos += size
+                head = end
+            self._head = head
+            self.stats.record(False, 0, 0.0, seeks)
+            self.stats.record(True, hi - lo, write_s, 0, requests=0)
+            self.clock_s += write_s
+            if store is not None and payload is not None:
+                for pos in range(lo, hi, request):
+                    at = pos - start
+                    store.write(pos, payload[at: at + request])
 
     def read_extents(self, spans: list[Span]) -> bytes | None:
         """Read a list of spans as one request; returns data if stored."""

@@ -389,6 +389,17 @@ class FaultyBlockDevice(BlockDevice):
             self._admit(any(req.is_write for req in batch), batch)
         return super().submit(batch, reorder=reorder)
 
+    def write_stream(self, start: int, length: int, request: int,
+                     data: bytes | None = None) -> None:
+        # The request-list form: admission, crash ticks, tears, draws
+        # and slow factors see the requests and batches they always saw.
+        self._check_stream(start, length, request, data)
+        self.submit_policy([
+            IoRequest(True, [(pos, min(request, start + length - pos))],
+                      None if data is None
+                      else data[pos - start: pos - start + request])
+            for pos in range(start, start + length, request)])
+
     def charge_sequential_write(self, nbytes: int) -> float:
         self._check_lost()
         return super().charge_sequential_write(nbytes)

@@ -234,6 +234,44 @@ class TestLfsSpecifics:
             assert store.get(key) == payloads[key]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("make, occupancy", [
+    pytest.param(lambda d: LfsBackend(d, segment_size=1 * MB), 0.6,
+                 id="lfs"),
+    pytest.param(lambda d: GfsChunkBackend(d, chunk_size=2 * MB), 0.35,
+                 id="gfs"),
+])
+def test_marker_scan_counts_records_the_cleaner_moved(make, occupancy, seed):
+    """The LFS cleaner and the GFS collector copy a record with its
+    version unchanged; the source's markers must not outlive the copy,
+    or the newest-version filter sees two copies of each sequence
+    number and stitches them into one object."""
+    from repro.core.fragmentation import MarkerScanner, fragment_counts
+    from repro.core.workload import (UniformSize, WorkloadSpec, bulk_load,
+                                     churn_to_age)
+    from repro.rng import substream
+
+    device = BlockDevice(scaled_disk(32 * MB), store_data=True)
+    store = make(device)
+    spec = WorkloadSpec(sizes=UniformSize.around_mean(160 * KB),
+                        target_occupancy=occupancy, with_content=True)
+    state = bulk_load(store, spec, substream(seed, "w"))
+    churn_to_age(store, state, 3)
+    assert getattr(store, "cleaner_runs", 0) + getattr(store, "gc_runs", 0)
+    ids = {key: state.object_id_of(key) for key in state.keys}
+    scanner = MarkerScanner(device)
+    newest: dict[int, list[int]] = {}
+    for hit in sorted(scanner.scan(), key=lambda h: -h.version):
+        seqs = newest.setdefault(hit.object_id, [hit.version])
+        if hit.version == seqs[0]:
+            seqs.append(hit.seq)
+    for object_id in ids.values():
+        seqs = newest[object_id][1:]
+        assert len(seqs) == len(set(seqs)), f"object {object_id} twice"
+    assert scanner.fragment_counts(live_ids=set(ids.values())) == {
+        ids[key]: count for key, count in fragment_counts(store).items()}
+
+
 class TestWriteArguments:
     """``lfs``, ``gfs`` and the sharded composite refuse a malformed
     write — neither or both of ``size``/``data``, or an empty object —

@@ -292,6 +292,11 @@ SEAM_CALLS = [
                  [IoRequest.read([(7 * MB, 8 * KB)]),
                   IoRequest.write([(8 * MB, 8)], b"abcdefgh")],
                  (8 * MB, b"abcd\x00\x00\x00\x00"), id="submit_two"),
+    pytest.param(lambda d: d.write_stream(10 * MB, 8, 4, b"stream!!"),
+                 [IoRequest.write([(10 * MB, 4)], b"stre"),
+                  IoRequest.write([(10 * MB + 4, 4)], b"am!!")],
+                 (10 * MB, b"st\x00\x00\x00\x00\x00\x00"),
+                 id="write_stream"),
 ]
 seam = pytest.mark.parametrize("call, batch, torn", SEAM_CALLS)
 
