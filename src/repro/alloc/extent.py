@@ -9,6 +9,7 @@ spans instead (see :mod:`repro.disk.device`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import ConfigError
 
@@ -90,45 +91,30 @@ class Extent:
             return taken, None
         return taken, Extent(self.start + length, self.length - length)
 
-    def take_back(self, length: int) -> tuple[Extent, Extent | None]:
-        """Carve ``length`` bytes off the back; returns (taken, remainder)."""
-        if length <= 0 or length > self.length:
-            raise ConfigError(f"cannot take {length} bytes from {self}")
-        taken = Extent(self.end - length, length)
-        if length == self.length:
-            return taken, None
-        return taken, Extent(self.start, self.length - length)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Extent({self.start}, +{self.length})"
 
 
 _set_start = vars(Extent)["start"].__set__
 _set_length = vars(Extent)["length"].__set__
+_start_of = attrgetter("start")
 
 
-def coalesce(extents: list[Extent]) -> list[Extent]:
-    """Merge touching/overlapping extents into maximal runs, sorted.
+def fragment_count(extents: list[Extent]) -> int:
+    """An object's fragment count: the maximal runs its touching or
+    overlapping extents form, grouped in physical (start) order.  A
+    contiguous object has one fragment (Figure 2's caption).
 
-    Used by the fragmentation analyzer: the number of coalesced runs in an
-    object's extent list *is* its fragment count (a contiguous object has
-    one fragment, Figure 2's caption).
-
-    >>> coalesce([Extent(0, 10), Extent(10, 5), Extent(20, 5)])
-    [Extent(0, +15), Extent(20, +5)]
+    >>> fragment_count([Extent(0, 10), Extent(10, 5), Extent(20, 5)])
+    2
     """
-    if not extents:
-        return []
-    ordered = sorted(extents, key=lambda e: e.start)
-    merged = [ordered[0]]
-    for ext in ordered[1:]:
-        last = merged[-1]
-        if ext.start <= last.end:
-            merged[-1] = Extent(last.start,
-                                max(last.end, ext.end) - last.start)
-        else:
-            merged.append(ext)
-    return merged
+    count = 0
+    end = -1
+    for ext in sorted(extents, key=_start_of):
+        if ext.start > end:
+            count += 1
+        end = max(end, ext.end)
+    return count
 
 
 def total_length(extents: list[Extent]) -> int:

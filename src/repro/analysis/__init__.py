@@ -13,7 +13,6 @@ from repro.analysis.compare import (
     check_levels_off,
     check_keeps_growing,
     crossover_age,
-    ratio,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "check_levels_off",
     "check_keeps_growing",
     "crossover_age",
-    "ratio",
 ]

@@ -127,15 +127,6 @@ def crossover_age(series_a: Series, series_b: Series) -> float | None:
     return None
 
 
-def ratio(series: Series, x: float) -> float:
-    """Value at x divided by value at the first point (degradation)."""
-    lookup = dict(series)
-    first = series[0][1]
-    if first == 0:
-        return 0.0
-    return lookup[x] / first
-
-
 def check_between(name: str, value: float, lo: float, hi: float, *,
                   paper: str | None = None) -> ShapeCheck:
     """Value falls in [lo, hi] — for the paper's quoted levels, e.g.

@@ -19,7 +19,6 @@ from repro.alloc.extent import Extent
 from repro.disk.device import BlockDevice, summed_clock_s
 from repro.disk.events import LatencyHistogram
 from repro.disk.iostats import WindowStats
-from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -29,19 +28,6 @@ class ObjectMeta:
     key: str
     size: int
     version: int
-
-
-def checked_read_range(offset: int, length: int | None, size: int) -> int:
-    """The byte count of a ``get(key, offset, length)`` of a ``size``-byte
-    object (``length=None`` reads to its end).  Refused with
-    :class:`ConfigError` unless ``offset >= 0``, ``length >= 0`` and
-    ``offset + length <= size``; stores check it before charging."""
-    if length is None:
-        length = size - offset
-    if offset < 0 or length < 0 or offset + length > size:
-        raise ConfigError(f"read [{offset}, {offset + length}) outside "
-                          f"object of {size} bytes")
-    return length
 
 
 @dataclass

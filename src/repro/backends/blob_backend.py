@@ -8,13 +8,14 @@ data device (the page file) plus one dedicated log device.
 from __future__ import annotations
 
 from repro.alloc.extent import Extent
-from repro.backends.base import ObjectMeta, StoreStats, checked_read_range
+from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import object_option, register_backend
 from repro.backends.spec import StoreSpec
 from repro.db.database import DbConfig, SimDatabase
 from repro.disk.device import BlockDevice, IoRequest
 from repro.errors import ConfigError, ObjectNotFoundError
+from repro.units import checked_read_range, checked_write_size
 
 
 class BlobBackend:
@@ -33,18 +34,19 @@ class BlobBackend:
 
     # ------------------------------------------------------------------
     def _meta_lookup(self, key: str) -> dict:
+        if not self.meta_table.contains(key):
+            raise ObjectNotFoundError(f"no object {key!r}")
         self.cost.charge_db_query(self.device.stats)
-        try:
-            return self.meta_table.get(key)
-        except KeyError:
-            raise ObjectNotFoundError(f"no object {key!r}") from None
+        return self.meta_table.get(key)
 
     # ------------------------------------------------------------------
     # ObjectStore interface
     # ------------------------------------------------------------------
     def put(self, key: str, *, size: int | None = None,
             data: bytes | None = None) -> None:
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+        total = checked_write_size(size, data)
+        if self.meta_table.contains(key):
+            raise ConfigError(f"object {key!r} exists")
         self.cost.charge_db_query(self.device.stats)
         self.cost.charge_db_stream(self.device.stats, total)
         blob_id = self.db.put_blob(size=size, data=data, commit=False)
@@ -62,7 +64,7 @@ class BlobBackend:
 
     def overwrite(self, key: str, *, size: int | None = None,
                   data: bytes | None = None) -> None:
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+        total = checked_write_size(size, data)
         row = self._meta_lookup(key)
         self.cost.charge_db_stream(self.device.stats, total)
         new_id = self.db.replace_blob(row["blob_id"], size=size, data=data,

@@ -14,17 +14,18 @@ of them — the workload is synchronous.
 from __future__ import annotations
 
 from repro.alloc.extent import Extent
-from repro.backends.base import ObjectMeta, StoreStats, checked_read_range
+from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import object_option, register_backend
 from repro.backends.spec import StoreSpec
 from repro.db.database import DbConfig, SimDatabase
 from repro.disk.device import BlockDevice, IoRequest
 from repro.disk.geometry import scaled_disk
-from repro.errors import ObjectNotFoundError
-from repro.fs.filesystem import FsConfig, SimFilesystem, checked_write_size
+from repro.errors import FileExistsFsError, ObjectNotFoundError
+from repro.fs.filesystem import FsConfig, SimFilesystem
 from repro.specgrammar import to_bool
-from repro.units import DEFAULT_WRITE_REQUEST, MB
+from repro.units import (DEFAULT_WRITE_REQUEST, MB, checked_read_range,
+                         checked_write_size)
 
 
 class FileBackend:
@@ -57,11 +58,10 @@ class FileBackend:
         return f"obj-{key}"
 
     def _meta_lookup(self, key: str) -> dict:
+        if not self.meta_table.contains(key):
+            raise ObjectNotFoundError(f"no object {key!r}")
         self.cost.charge_db_query(self.device.stats)
-        try:
-            return self.meta_table.get(key)
-        except KeyError:
-            raise ObjectNotFoundError(f"no object {key!r}") from None
+        return self.meta_table.get(key)
 
     # ------------------------------------------------------------------
     # ObjectStore interface
@@ -70,6 +70,8 @@ class FileBackend:
             data: bytes | None = None) -> None:
         total = checked_write_size(size, data, self.write_request)
         fname = self._file_name(key)
+        if self.fs.table.exists(fname):
+            raise FileExistsFsError(f"file exists: {fname!r}")
         self.cost.charge_file_open(self.device.stats)
         self.fs.create(fname)
         if self.size_hints:

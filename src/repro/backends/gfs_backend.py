@@ -19,17 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.alloc.extent import Extent
-from repro.backends.base import ObjectMeta, StoreStats, checked_read_range
+from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, IoRequest
-from repro.disk.faults import retry_read
-from repro.errors import (ConfigError, ObjectNotFoundError, StorageFullError,
-                          TransientIoError)
-from repro.fs.filesystem import checked_write_size
+from repro.disk.faults import read_live
+from repro.errors import ConfigError, ObjectNotFoundError, StorageFullError
 from repro.specgrammar import to_float, to_size
-from repro.units import DEFAULT_WRITE_REQUEST, MB
+from repro.units import (DEFAULT_WRITE_REQUEST, MB, checked_read_range,
+                         checked_write_size)
 
 
 @dataclass
@@ -173,16 +172,8 @@ class GfsChunkBackend:
                 if r.chunk_id == chunk.chunk_id]
         self.gc_runs += 1
         for record in sorted(live, key=lambda r: r.offset_in_chunk):
-            payload = None
             start = chunk.base + record.offset_in_chunk
-            if self.device.stores_data:
-                payload = self.device.peek(start, record.size)
-            # A transient fault retries; the backoff is device CPU time.
-            try:
-                self.device.read(start, record.size)
-            except TransientIoError:
-                retry_read(self.device.stats.record_cpu, self.device.read,
-                           start, record.size)
+            payload = read_live(self.device, [(start, record.size)])
             moved = self._append_record(record.key, record.size, payload,
                                         record.version)
             if payload is not None:

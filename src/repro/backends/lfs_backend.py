@@ -14,17 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.alloc.extent import Extent
-from repro.backends.base import ObjectMeta, StoreStats, checked_read_range
+from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
-from repro.disk.device import BlockDevice, IoRequest, Span
-from repro.disk.faults import retry_read
-from repro.errors import (ConfigError, ObjectNotFoundError, StorageFullError,
-                          TransientIoError)
-from repro.fs.filesystem import checked_write_size
+from repro.disk.device import BlockDevice, IoRequest, Span, slice_spans
+from repro.disk.faults import read_live
+from repro.errors import ConfigError, ObjectNotFoundError, StorageFullError
 from repro.specgrammar import to_float, to_size
-from repro.units import DEFAULT_WRITE_REQUEST, MB
+from repro.units import (DEFAULT_WRITE_REQUEST, MB, checked_read_range,
+                         checked_write_size)
 
 
 @dataclass
@@ -164,12 +163,12 @@ class LfsBackend:
             if any(seg_id == victim.seg_id for seg_id, _, _ in loc.pieces)
         ]
         for loc in movers:
-            payload = self._peek_object(loc)
-            self._read_pieces(loc)
+            spans = self._spans_of(loc)
+            payload = read_live(self.device, spans)
             new_loc = self._append(loc.key, loc.size, payload, loc.version)
             if payload is not None:
                 # Same version: a marker scan must see only the copy.
-                for start, length in self._spans_of(loc):
+                for start, length in spans:
                     self.device.discard(start, length)
             self._objects[loc.key] = new_loc
             self._release_pieces(loc)
@@ -179,24 +178,6 @@ class LfsBackend:
             del self._segments[victim.seg_id]
             self._free_segments.append(victim.seg_id)
             self._free_segments.sort()
-
-    def _peek_object(self, loc: _ObjectLoc) -> bytes | None:
-        if not self.device.stores_data:
-            return None
-        parts = []
-        for seg_id, off, length in loc.pieces:
-            base = seg_id * self.segment_size
-            parts.append(self.device.peek(base + off, length))
-        return b"".join(parts)
-
-    def _read_pieces(self, loc: _ObjectLoc) -> None:
-        """The cleaner's read; a fault's backoff is device CPU time."""
-        spans = self._spans_of(loc)
-        try:
-            self.device.read_extents(spans)
-        except TransientIoError:
-            retry_read(self.device.stats.record_cpu,
-                       self.device.read_extents, spans)
 
     def _spans_of(self, loc: _ObjectLoc) -> list[Span]:
         size = self.segment_size
@@ -223,21 +204,9 @@ class LfsBackend:
         self.cost.charge_db_query(self.device.stats)
         if length == 0:
             return b"" if self.device.stores_data else None
-        # Map the byte range onto the pieces.
-        spans: list[Span] = []
-        logical = 0
-        remaining = length
-        for seg_id, off, plen in loc.pieces:
-            lo = logical
-            logical += plen
-            if logical <= offset:
-                continue
-            start_in = max(0, offset - lo)
-            take = min(plen - start_in, remaining)
-            spans.append((seg_id * self.segment_size + off + start_in, take))
-            remaining -= take
-            if remaining == 0:
-                break
+        spans = self._spans_of(loc)
+        if length != loc.size:
+            spans = slice_spans(spans, offset, length)
         return self.device.read_extents(spans)
 
     def overwrite(self, key: str, *, size: int | None = None,

@@ -157,7 +157,7 @@ from repro.disk.faults import FaultProfile, retry_read
 from repro.disk.schedule import ShardScheduler, throttle_pause
 from repro.errors import (ConfigError, ObjectNotFoundError, ShardLostError,
                           ShardUnavailableError, TransientIoError)
-from repro.fs.filesystem import checked_write_size
+from repro.units import checked_write_size
 
 #: Supported :meth:`ShardedStore.rebalance` modes.
 REBALANCE_MODES = ("even", "placement")
@@ -447,7 +447,7 @@ class ShardedStore:
     def put(self, key: str, *, size: int | None = None,
             data: bytes | None = None) -> None:
         # Checked before placement moves a cursor (shards check write_request).
-        total = checked_write_size(size, data, 1)
+        total = checked_write_size(size, data)
         # A duplicate put must fail with the inner backend's error, so
         # route it to the owning shard rather than re-placing.
         index = self._shard_of.get(key)
@@ -498,6 +498,7 @@ class ShardedStore:
 
     def overwrite(self, key: str, *, size: int | None = None,
                   data: bytes | None = None) -> None:
+        checked_write_size(size, data)
         live = self._live_holders(key)
         # Dead holders are skipped, not retried: the key runs
         # under-replicated (and its dead copy stale) until rebuild().

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.alloc.extent import coalesce
+from repro.alloc.extent import fragment_count
 from repro.backends.base import ObjectStore
 from repro.backends.blob_backend import BlobBackend
 from repro.backends.file_backend import FileBackend
@@ -106,7 +106,7 @@ class Defragmenter:
             new_extents = fs.allocator.allocate_full(size)
         except AllocationError:
             return False
-        if len(coalesce(new_extents)) >= len(coalesce(old_extents)):
+        if fragment_count(new_extents) >= fragment_count(old_extents):
             # No improvement available; put the space back.
             for ext in new_extents:
                 fs.free_index.add(ext)

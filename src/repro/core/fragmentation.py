@@ -8,8 +8,8 @@ Two analyzers are provided:
 
 * **Extent-map analysis** (:func:`fragment_counts`,
   :func:`fragment_report`) asks the backend for each object's physical
-  extents and coalesces them.  Exact and fast; works for every backend
-  in this library.
+  extents and counts their maximal runs.  Exact and fast; works for
+  every backend in this library.
 * **Marker scanning** (:func:`make_marker_content`,
   :class:`MarkerScanner`) reimplements the paper's tool (Section 5.3):
   objects are tagged "with a unique identifier and a sequence number at
@@ -28,7 +28,7 @@ import statistics
 import struct
 from dataclasses import dataclass, field
 
-from repro.alloc.extent import coalesce
+from repro.alloc.extent import fragment_count
 from repro.backends.base import ObjectStore
 from repro.disk.device import BlockDevice
 from repro.errors import ConfigError
@@ -51,7 +51,7 @@ def fragment_counts(store: ObjectStore) -> dict[str, int]:
     counts: dict[str, int] = {}
     for key in store.keys():
         extents = store.object_extents(key)
-        counts[key] = len(coalesce(extents))
+        counts[key] = fragment_count(extents)
     return counts
 
 
@@ -85,14 +85,6 @@ class FragmentReport:
     @property
     def max(self) -> int:
         return max(self.counts.values(), default=0)
-
-    @property
-    def contiguous_fraction(self) -> float:
-        """Share of objects stored in a single fragment."""
-        if not self.counts:
-            return 0.0
-        ones = sum(1 for c in self.counts.values() if c == 1)
-        return ones / len(self.counts)
 
     def histogram(self, bins: list[int] | None = None) -> dict[str, int]:
         """Counts of objects by fragment-count bucket."""

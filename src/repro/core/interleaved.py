@@ -18,7 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TypeVar
 
-from repro.alloc.extent import Extent, coalesce
+from repro.alloc.extent import Extent, fragment_count
 from repro.core.fragmentation import FragmentReport
 from repro.db.database import SimDatabase
 from repro.errors import ConfigError
@@ -86,7 +86,7 @@ def _round_robin(*, nstreams: int, total_objects: int, size: int,
                 continue
             active[slot] = (handle, remaining)
             slot += 1
-    counts = {str(handle): len(coalesce(extents(handle)))
+    counts = {str(handle): fragment_count(extents(handle))
               for handle in handles}
     return InterleaveResult(nstreams=nstreams, objects=len(handles),
                             report=FragmentReport(counts=counts))

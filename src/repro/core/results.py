@@ -12,8 +12,6 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.units import MB
-
 
 @dataclass
 class AgeSample:
@@ -70,14 +68,6 @@ class AgeSample:
     #: for non-scenario runs and for the age-0 sample (no interval).
     scenario_lat: dict[str, float] = field(default_factory=dict)
     tenant_lat: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def row(self) -> dict[str, float]:
-        return {
-            "age": round(self.age, 3),
-            "frags/obj": round(self.fragments_per_object, 2),
-            "read MB/s": round(self.read_mbps / MB, 2),
-            "write MB/s": round(self.write_mbps / MB, 2),
-        }
 
 
 @dataclass

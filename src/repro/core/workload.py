@@ -154,6 +154,14 @@ def _content_for(state: WorkloadState, key: str, size: int) -> bytes | None:
 # ----------------------------------------------------------------------
 # Phases
 # ----------------------------------------------------------------------
+def has_room_for(store: ObjectStore, size: int) -> bool:
+    """Whether ``store`` can take one more ``size``-byte object and keep
+    a free-space margin: metadata overhead (index pages, LOB-tree nodes,
+    MFT spill) also consumes space, and the last object loaded must not
+    wedge the store.  One ``free_bytes()`` call."""
+    return store.free_bytes() >= size + size // 8 + (1 << 20)
+
+
 def bulk_load(store: ObjectStore, spec: WorkloadSpec,
               rng: Random) -> WorkloadState:
     """Fill a clean store to the target occupancy (storage age 0).
@@ -172,12 +180,7 @@ def bulk_load(store: ObjectStore, spec: WorkloadSpec,
     loaded = 0
     while True:
         size = spec.sizes.draw(rng)
-        if loaded + size > target_bytes:
-            break
-        # Metadata overhead (index pages, LOB-tree nodes, MFT spill)
-        # also consumes space; keep a safety margin so the last object
-        # does not wedge the store.
-        if store.free_bytes() < size + size // 8 + (1 << 20):
+        if loaded + size > target_bytes or not has_room_for(store, size):
             break
         key = f"object-{state.next_object_id}"
         state.next_object_id += 1

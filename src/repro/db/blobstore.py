@@ -27,7 +27,8 @@ from repro.db.pagefile import PageFile
 from repro.db.wal import WriteAheadLog
 from repro.disk.device import Span
 from repro.errors import AllocationError, BlobNotFoundError, ConfigError
-from repro.units import PAGE_SIZE, ceil_div
+from repro.units import (PAGE_SIZE, ceil_div, checked_read_range,
+                         checked_write_size)
 
 
 @dataclass
@@ -103,11 +104,7 @@ class BlobStore:
         Returns the new blob id.  The caller (the database facade) owns
         transaction boundaries — this method logs but does not commit.
         """
-        if (size is None) == (data is None):
-            raise ConfigError("pass exactly one of size or data")
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
-        if total <= 0:
-            raise ConfigError("blob size must be positive")
+        total = checked_write_size(size, data)
         check_write_request(write_request)
         record = _BlobRecord(
             blob_id=next(self._next_id), size=total, tree=self._new_tree()
@@ -154,13 +151,7 @@ class BlobStore:
             length: int | None = None) -> bytes | None:
         """Timed read of a byte range of the BLOB."""
         record = self._lookup(blob_id)
-        if length is None:
-            length = record.size - offset
-        if offset < 0 or length < 0 or offset + length > record.size:
-            raise ConfigError(
-                f"read [{offset}, {offset + length}) outside blob of "
-                f"{record.size} bytes"
-            )
+        length = checked_read_range(offset, length, record.size)
         if length == 0:
             return b"" if self.pagefile.device.stores_data else None
         first_page = offset // PAGE_SIZE
@@ -212,9 +203,7 @@ class BlobStore:
         appended length must be whole pages, so the append starts on a
         fresh page and ``size_of`` stays exact.
         """
-        if (size is None) == (data is None):
-            raise ConfigError("pass exactly one of size or data")
-        total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+        total = checked_write_size(size, data)
         record = self._lookup(blob_id)
         if record.size % PAGE_SIZE or total % PAGE_SIZE:
             raise ConfigError(

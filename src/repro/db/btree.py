@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 
 from repro.db.page import Run, extend_runs
+from repro.disk.device import slice_spans
 from repro.errors import ConfigError, CorruptionError
 
 
@@ -103,22 +104,7 @@ class LobTree:
                 f"range [{start}, {start + count}) outside object of "
                 f"{self.total_pages} pages"
             )
-        if count == 0:
-            return []
-        out: list[Run] = []
-        remaining = count
-        skip = start
-        for run_start, run_count in self._iter_runs(self._root):
-            if skip >= run_count:
-                skip -= run_count
-                continue
-            take = min(run_count - skip, remaining)
-            out.append((run_start + skip, take))
-            remaining -= take
-            skip = 0
-            if remaining == 0:
-                break
-        return out
+        return slice_spans(self._iter_runs(self._root), start, count)
 
     def node_pages(self) -> list[int]:
         """Physical pages occupied by the tree's own nodes."""

@@ -92,10 +92,5 @@ class BufferPool:
         for page_no in dirty:
             self._frames[page_no].dirty = False
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __len__(self) -> int:
         return len(self._frames)

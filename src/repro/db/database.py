@@ -22,8 +22,9 @@ from repro.db.pagefile import PageFile
 from repro.db.wal import WriteAheadLog
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
-from repro.errors import ConfigError
-from repro.units import DEFAULT_WRITE_REQUEST, MB, PAGE_SIZE, PAGES_PER_EXTENT
+from repro.errors import ConfigError, CorruptionError
+from repro.units import (DEFAULT_WRITE_REQUEST, MB, PAGE_SIZE,
+                         PAGES_PER_EXTENT, ceil_div)
 
 
 @dataclass(frozen=True)
@@ -212,6 +213,14 @@ class SimDatabase:
         return 1.0 - self.gam.free_page_count / self.pagefile.num_pages
 
     def check_invariants(self) -> None:
+        """The GAM and every LOB tree are sane, and each BLOB's tree
+        holds exactly the pages its size needs."""
         self.gam.check_invariants()
         for blob_id in self.blobs.blob_ids():
-            self.blobs.tree_of(blob_id).check_invariants()
+            tree = self.blobs.tree_of(blob_id)
+            tree.check_invariants()
+            size = self.blobs.size_of(blob_id)
+            if tree.total_pages != ceil_div(size, PAGE_SIZE):
+                raise CorruptionError(
+                    f"blob {blob_id} of {size} bytes holds "
+                    f"{tree.total_pages} pages")

@@ -68,11 +68,6 @@ class PageFile:
             if not 0 <= page_no < self.num_pages:
                 raise ConfigError(f"page {page_no} outside file")
 
-    def page_offset(self, page_no: int) -> int:
-        """Device byte offset of a page."""
-        self._check([page_no])
-        return self.base + page_no * PAGE_SIZE
-
     def spans_for(self, page_nos: list[int]) -> list[Span]:
         self._check(page_nos)
         return pages_to_spans(page_nos, base=self.base)

@@ -67,6 +67,26 @@ from repro.struct.blockedlist import BlockedList
 Span = tuple[int, int]
 
 
+def slice_spans(runs: Iterable[Span], offset: int,
+                length: int) -> list[Span]:
+    """The spans of logical bytes ``[offset, offset + length)`` of an
+    object laid out as ``runs`` in logical order: the one range-to-spans
+    map of every store (a LOB tree slices in page units).  The caller
+    checks the range against the object's size."""
+    out: list[Span] = []
+    for start, run in runs:
+        if length <= 0:
+            break
+        if offset >= run:
+            offset -= run
+            continue
+        take = min(run - offset, length)
+        out.append((start + offset, take))
+        length -= take
+        offset = 0
+    return out
+
+
 class _SegmentStore:
     """Sparse byte store: non-overlapping ``(start, bytes)`` segments.
 

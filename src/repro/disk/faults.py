@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.disk.device import BlockDevice, IoRequest
+from repro.disk.device import BlockDevice, IoRequest, Span
 from repro.disk.geometry import DiskGeometry
 from repro.errors import (ConfigError, CrashPoint, ShardLostError,
                           TransientIoError)
@@ -67,6 +67,7 @@ __all__ = [
     "FaultClause",
     "FaultProfile",
     "FaultyBlockDevice",
+    "read_live",
     "retry_read",
 ]
 
@@ -97,6 +98,20 @@ def retry_read(pause, read, *args):
         except TransientIoError:
             if attempt == READ_RETRIES:
                 raise
+
+
+def read_live(device: BlockDevice, spans: list[Span]) -> bytes | None:
+    """A cleaner's read of a live record it is about to copy: the stored
+    bytes of ``spans`` when ``device`` keeps content (else ``None``),
+    then one timed read of them whose transient faults retry, each
+    backoff charged as device CPU time."""
+    payload = b"".join(device.peek(start, length) for start, length in spans) \
+        if device.stores_data else None
+    try:
+        device.read_extents(spans)
+    except TransientIoError:
+        retry_read(device.stats.record_cpu, device.read_extents, spans)
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -344,10 +359,6 @@ class FaultyBlockDevice(BlockDevice):
                 return
 
     # -- loss ----------------------------------------------------------
-    @property
-    def lost(self) -> bool:
-        return self._lost
-
     def mark_lost(self) -> None:
         """Permanently fail the device; all further timed I/O raises."""
         self._lost = True

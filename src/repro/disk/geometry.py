@@ -121,10 +121,6 @@ class DiskGeometry:
             )
         return self.zones[bisect_right(cost_tables(self)[0], offset)]
 
-    def rate_at(self, offset: int) -> float:
-        """Media transfer rate (bytes/s) at byte ``offset``."""
-        return self.zone_at(offset).rate
-
     def seek_time(self, from_offset: int, to_offset: int) -> float:
         """Distance-dependent seek time between two byte offsets.
 

@@ -28,13 +28,14 @@ from dataclasses import dataclass, field
 
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex
-from repro.disk.device import BlockDevice, Span
+from repro.disk.device import BlockDevice, Span, slice_spans
 from repro.errors import AllocationError, ConfigError, FsError
 from repro.fs.allocator import FsAllocator
 from repro.fs.filetable import FileRecord, FileTable
 from repro.fs.journal import Journal, RecoveryReport
 from repro.fs.metadata_traffic import MetadataTraffic
-from repro.units import CLUSTER_SIZE, DEFAULT_WRITE_REQUEST, KB, MB
+from repro.units import (CLUSTER_SIZE, DEFAULT_WRITE_REQUEST, KB, MB,
+                         checked_write_size)
 
 
 @dataclass(frozen=True)
@@ -238,15 +239,9 @@ class SimFilesystem:
         the last run grown): exactly the requests ``allocate_append``
         serves whole from ``try_extend``, so nothing modelled moves.
         """
-        if (nbytes is None) == (data is None):
-            raise ConfigError("pass exactly one of nbytes or data")
-        total = len(data) if data is not None else int(nbytes)  # type: ignore[arg-type]
-        if total <= 0:
-            raise ConfigError("append length must be positive")
+        total = checked_write_size(nbytes, data, write_request)
         if write_request is None:
             write_request = total
-        elif write_request <= 0:
-            raise ConfigError("write_request must be positive")
         record = self.table.lookup(name)
         requests = range(0, total, write_request)
         if self.config.delayed_allocation:
@@ -358,8 +353,9 @@ class SimFilesystem:
             )
         if length == 0:
             return b"" if self.device.stores_data else None
-        return self.device.read_extents(
-            _slice_spans(record.extents, offset, length))
+        return self.device.read_extents(slice_spans(
+            [(ext.start, ext.length) for ext in record.extents],
+            offset, length))
 
     def fsync(self, name: str) -> None:
         """Force the file's data to the platter."""
@@ -447,21 +443,6 @@ class SimFilesystem:
             record.check_invariants()
 
 
-def checked_write_size(size: int | None, data: bytes | None,
-                       write_request: int) -> int:
-    """Byte count of a whole-file write given as ``size`` or ``data``,
-    checked before the file is created: exactly one of the two, a
-    positive length and a positive ``write_request``."""
-    if (size is None) == (data is None):
-        raise ConfigError("pass exactly one of size or data")
-    total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
-    if total <= 0:
-        raise ConfigError("write size must be positive")
-    if write_request <= 0:
-        raise ConfigError("write_request must be positive")
-    return total
-
-
 def _tail_span(extents: list[Extent], back: int,
                length: int) -> list[Span]:
     """Device spans of the ``length`` bytes that start ``back`` bytes
@@ -479,26 +460,4 @@ def _tail_span(extents: list[Extent], back: int,
         length -= take
         back = 0
         i += 1
-    return out
-
-
-def _slice_spans(extents: list[Extent], offset: int,
-                 length: int) -> list[Span]:
-    """Map a logical byte range to device spans."""
-    out: list[Span] = []
-    logical = 0
-    remaining = length
-    for ext in extents:
-        ext_lo = logical
-        logical += ext.length
-        if logical <= offset:
-            continue
-        start_in_ext = max(0, offset - ext_lo)
-        take = min(ext.length - start_in_ext, remaining)
-        if take <= 0:
-            break
-        out.append((ext.start + start_in_ext, take))
-        remaining -= take
-        if remaining == 0:
-            break
     return out

@@ -104,8 +104,3 @@ class MetadataTraffic:
             oldest = self._outstanding.popleft()
             self._runcache.index.add(oldest)
             self.nibbles_freed += 1
-
-    def release_all(self) -> None:
-        """Free every outstanding nibble (used by teardown paths)."""
-        while self._outstanding:
-            self._runcache.index.add(self._outstanding.popleft())

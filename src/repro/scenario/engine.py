@@ -52,7 +52,7 @@ from itertools import accumulate
 from random import Random
 
 from repro.backends.base import ObjectStore
-from repro.core.workload import WorkloadSpec, WorkloadState
+from repro.core.workload import WorkloadSpec, WorkloadState, has_room_for
 from repro.errors import ConfigError, CorruptionError
 from repro.rng import substream
 from repro.scenario.spec import ScenarioSpec, TenantProfile
@@ -301,10 +301,7 @@ def scenario_bulk_load(store: ObjectStore, spec: WorkloadSpec,
             tidx = len(tenants) - 1
         tenant = tenants[tidx]
         size = tenant.profile.sizes.draw(tenant.rng)
-        if loaded + size > target_bytes:
-            break
-        # Same free-space margin as the paper loop's bulk_load.
-        if store.free_bytes() < size + size // 8 + (1 << 20):
+        if loaded + size > target_bytes or not has_room_for(store, size):
             break
         key = f"{tenant.profile.name}-object-{workload.next_object_id}"
         workload.next_object_id += 1
@@ -361,7 +358,7 @@ def scenario_step(store: ObjectStore, state: ScenarioState,
         # deterministic, and it keeps TTL churn recycling the
         # population instead of wedging the volume.
         if (workload.tracker.live_bytes + size > state.live_cap
-                or store.free_bytes() < size + size // 8 + (1 << 20)
+                or not has_room_for(store, size)
                 or prof.ttl_ops <= 0):
             kind = "overwrite" if tenant.keys else "read"
     if kind == "read":

@@ -3,13 +3,17 @@
 The paper quotes sizes in KB/MB/GB with binary semantics (256 KB objects,
 64 KB write requests, 8 KB pages, 40/400 GB volumes).  Everything in this
 library is an integer number of bytes; these constants and helpers keep
-call sites readable.
+call sites readable.  The byte-count checks every store applies to a
+write (:func:`checked_write_size`) and a ranged read
+(:func:`checked_read_range`) live here too.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable
+
+from repro.errors import ConfigError
 
 KB: int = 1024
 MB: int = 1024 * KB
@@ -137,3 +141,31 @@ def left_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def checked_write_size(size: int | None, data: bytes | None,
+                       write_request: int | None = None) -> int:
+    """Byte count of a write given as ``size`` or ``data``, checked
+    before any store moves: exactly one of the two, a positive length
+    and, unless ``None``, a positive ``write_request``."""
+    if (size is None) == (data is None):
+        raise ConfigError("pass exactly one of size or data")
+    total = len(data) if data is not None else int(size)  # type: ignore[arg-type]
+    if total <= 0:
+        raise ConfigError("write size must be positive")
+    if write_request is not None and write_request <= 0:
+        raise ConfigError("write_request must be positive")
+    return total
+
+
+def checked_read_range(offset: int, length: int | None, size: int) -> int:
+    """The byte count of a ``get(key, offset, length)`` of a ``size``-byte
+    object (``length=None`` reads to its end).  Refused with
+    :class:`ConfigError` unless ``offset >= 0``, ``length >= 0`` and
+    ``offset + length <= size``; stores check it before charging."""
+    if length is None:
+        length = size - offset
+    if offset < 0 or length < 0 or offset + length > size:
+        raise ConfigError(f"read [{offset}, {offset + length}) outside "
+                          f"object of {size} bytes")
+    return length

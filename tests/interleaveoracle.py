@@ -10,6 +10,7 @@ versions on twin volumes and holds the shipped loaders to them with
 
 from __future__ import annotations
 
+from repro.alloc.extent import fragment_count
 from repro.core.fragmentation import FragmentReport
 from repro.core.interleaved import InterleaveResult
 from repro.db.database import SimDatabase
@@ -64,19 +65,13 @@ def interleaved_fs_load(fs: SimFilesystem, *, nstreams: int,
             active[slot] = (name, remaining)
             slot += 1
     counts = {
-        name: len(_coalesced(fs, name)) for name in names
+        name: fragment_count(fs.extent_map(name)) for name in names
     }
     return InterleaveResult(
         nstreams=nstreams,
         objects=len(names),
         report=FragmentReport(counts=counts),
     )
-
-
-def _coalesced(fs: SimFilesystem, name: str):
-    from repro.alloc.extent import coalesce
-
-    return coalesce(fs.extent_map(name))
 
 
 def interleaved_db_load(db: SimDatabase, *, nstreams: int,
@@ -86,7 +81,6 @@ def interleaved_db_load(db: SimDatabase, *, nstreams: int,
     """Database version: BLOBs grow by ``BlobStore.append`` calls."""
     if nstreams < 1 or total_objects < 1:
         raise ConfigError("nstreams and total_objects must be >= 1")
-    from repro.alloc.extent import coalesce
     from repro.units import PAGE_SIZE, round_up
 
     padded = round_up(object_size, PAGE_SIZE)
@@ -128,7 +122,7 @@ def interleaved_db_load(db: SimDatabase, *, nstreams: int,
             slot += 1
     db.commit()
     counts = {
-        str(blob_id): len(coalesce(db.blobs.blob_extents(blob_id)))
+        str(blob_id): fragment_count(db.blobs.blob_extents(blob_id))
         for blob_id in blob_ids
     }
     return InterleaveResult(

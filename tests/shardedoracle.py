@@ -28,7 +28,7 @@ from repro.disk.device import summed_clock_s
 from repro.disk.events import EventScheduler
 from repro.disk.faults import BACKOFF_BASE_S, BACKOFF_CAP_S, READ_RETRIES
 from repro.errors import ShardLostError, TransientIoError
-from repro.fs.filesystem import checked_write_size
+from repro.units import checked_write_size
 
 
 def pickled(store: ShardedStore) -> bytes:

@@ -9,7 +9,6 @@ from repro.analysis.compare import (
     check_levels_off,
     check_monotonic_increase,
     crossover_age,
-    ratio,
 )
 from repro.analysis.tables import render_series_table, render_table
 
@@ -88,10 +87,6 @@ class TestShapeChecks:
         fs = [(0.0, 6.0), (2.0, 6.0), (4.0, 6.0)]
         assert crossover_age(db, fs) == 4.0
         assert crossover_age(fs, [(0.0, 1.0), (4.0, 1.0)]) is None
-
-    def test_ratio(self):
-        series = [(0.0, 10.0), (4.0, 5.0)]
-        assert ratio(series, 4.0) == pytest.approx(0.5)
 
     def test_between(self):
         assert check_between("b", 4.2, 3.0, 5.0).passed

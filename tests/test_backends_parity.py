@@ -18,7 +18,7 @@ from repro.backends.gfs_backend import GfsChunkBackend
 from repro.backends.lfs_backend import LfsBackend
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
-from repro.errors import ConfigError, ObjectNotFoundError
+from repro.errors import ConfigError, ObjectNotFoundError, ReproError
 from repro.units import KB, MB
 
 BACKENDS = ["filesystem", "database", "gfs", "lfs", "sharded"]
@@ -202,6 +202,40 @@ class TestRangeReads:
         if kind in self.UNCHARGED:
             assert [dev.stats.requests for dev in store.devices()] == requests
         assert store.get("a", size - KB) == (bytes(KB) if store_data else None)
+
+
+class TestRefusedWrites:
+    """Every store checks a write and the key before it charges: a
+    refused ``put`` or ``overwrite`` raises and moves no device's books,
+    no free space and no key, alone or under a two-shard composite."""
+
+    OPTIONS = {"gfs": {"chunk_size": 8 * MB}, "lfs": {"segment_size": 2 * MB}}
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("kind", ["filesystem", "database", "lfs", "gfs"])
+    def test_a_refused_write_moves_nothing(self, kind, shards):
+        store = build_store(StoreSpec(kind, volume_bytes=shards * 64 * MB,
+                                      shards=shards,
+                                      options=self.OPTIONS.get(kind, {})))
+        store.put("a", size=64 * KB)
+
+        def books():
+            return ([dev.stats.snapshot() for dev in store.devices()],
+                    store.free_bytes(), store.keys())
+
+        before = books()
+        refused = [
+            lambda: store.put("a", size=64 * KB),          # duplicate key
+            lambda: store.put("b", size=0),
+            lambda: store.put("b"),                        # neither
+            lambda: store.put("b", size=8, data=bytes(8)),  # both
+            lambda: store.overwrite("missing", size=64 * KB),
+            lambda: store.overwrite("a", size=0),
+        ]
+        for write in refused:
+            with pytest.raises(ReproError):
+                write()
+            assert books() == before
 
 
 class TestChurnParity:

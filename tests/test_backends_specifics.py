@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.alloc.extent import coalesce
+from repro.alloc.extent import fragment_count
 from repro.backends.blob_backend import BlobBackend
 from repro.backends.costmodel import CostModel
 from repro.backends.file_backend import FileBackend
@@ -66,7 +66,7 @@ class TestFileBackendSpecifics:
         store.put("a", size=1 * MB)
         for _ in range(5):
             store.overwrite("a", size=1 * MB)
-        assert len(coalesce(store.object_extents("a"))) == 1
+        assert fragment_count(store.object_extents("a")) == 1
 
     def test_metadata_lives_in_separate_db(self):
         device = BlockDevice(scaled_disk(64 * MB))

@@ -201,11 +201,6 @@ class TestResults:
         clone = RunResult.load(path)
         assert clone.samples == result.samples
 
-    def test_sample_row(self):
-        row = self.make_result().samples[0].row()
-        assert row["age"] == 0.0
-        assert row["read MB/s"] == 10.0
-
 
 class TestIndexKindAblation:
     """The free-space engine is no longer a choice: the class keeps its

@@ -31,7 +31,6 @@ class TestFragmentReport:
         assert report.mean == 0.0
         assert report.median == 0.0
         assert report.max == 0
-        assert report.contiguous_fraction == 0.0
 
     def test_statistics(self):
         report = FragmentReport(counts={"a": 1, "b": 3, "c": 8})
@@ -40,7 +39,6 @@ class TestFragmentReport:
         assert report.max == 8
         assert report.objects == 3
         assert report.total_fragments == 12
-        assert report.contiguous_fraction == pytest.approx(1 / 3)
 
     def test_histogram(self):
         report = FragmentReport(
@@ -185,7 +183,7 @@ class TestCrossValidation:
             content_blob_store, ConstantSize(192 * KB))
 
     @pytest.mark.xfail(strict=True, reason=(
-        "coalesce() sorts an object's extents by physical start, so a "
+        "fragment_count() groups an object's extents by physical start, so a "
         "BLOB whose last pages land just before its first ones counts "
         "as one fragment; the marker scan, in logical order, counts two"))
     def test_logically_wrapped_blob_counts_alike(self, content_blob_store):

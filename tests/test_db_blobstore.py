@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.alloc.extent import coalesce
+from repro.alloc.extent import fragment_count
 from repro.db.database import DbConfig, SimDatabase
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
-from repro.errors import AllocationError, BlobNotFoundError, ConfigError
+from repro.errors import (AllocationError, BlobNotFoundError, ConfigError,
+                          CorruptionError)
 from repro.units import KB, MB, PAGE_SIZE
 
 
@@ -61,7 +62,7 @@ class TestPutGet:
         db = make_db()
         blob_id = db.put_blob(size=1 * MB)
         extents = db.blobs.blob_extents(blob_id)
-        assert len(coalesce(extents)) == 1
+        assert fragment_count(extents) == 1
 
     def test_write_request_must_be_page_aligned(self):
         with pytest.raises(ConfigError):
@@ -93,6 +94,15 @@ class TestPutGet:
             db.blobs.append(blob_id, size=2 * PAGE_SIZE,
                             write_request=PAGE_SIZE + 1)
         assert db.blobs.size_of(blob_id) == 64 * KB
+
+    @pytest.mark.parametrize("size", [0, -PAGE_SIZE])
+    def test_append_length_must_be_positive(self, size):
+        db = make_db()
+        blob_id = db.put_blob(size=64 * KB)
+        with pytest.raises(ConfigError, match="write size must be positive"):
+            db.blobs.append(blob_id, size=size)
+        assert db.blobs.size_of(blob_id) == 64 * KB
+        db.check_invariants()
 
 
 class TestDelete:
@@ -274,6 +284,13 @@ class TestInvariants:
         db.check_invariants()
         for blob_id in live:
             assert db.blobs.size_of(blob_id) == 256 * KB
+
+    def test_a_size_its_pages_do_not_match_is_caught(self):
+        db = make_db()
+        blob_id = db.put_blob(size=64 * KB)
+        db.blobs._blobs[blob_id].size -= PAGE_SIZE
+        with pytest.raises(CorruptionError, match="holds 8 pages"):
+            db.check_invariants()
 
     def test_occupancy(self):
         db = make_db()

@@ -45,13 +45,13 @@ class TestPageFile:
 
     def test_offsets(self):
         pf, _ = self.make()
-        assert pf.page_offset(0) == 0
-        assert pf.page_offset(10) == 10 * PAGE_SIZE
+        assert pf.spans_for([0]) == [(0, PAGE_SIZE)]
+        assert pf.spans_for([10]) == [(10 * PAGE_SIZE, PAGE_SIZE)]
 
     def test_bounds(self):
         pf, _ = self.make()
         with pytest.raises(ConfigError):
-            pf.page_offset(1024)
+            pf.spans_for([1024])
 
     def test_reads_batch_consecutive_pages(self):
         pf, device = self.make()
@@ -267,13 +267,6 @@ class TestBufferPool:
         pool.access(5, for_write=True)
         pool.invalidate(5)
         assert 5 not in pool._frames
-
-    def test_hit_rate(self):
-        pool, _ = self.make()
-        pool.access(0)
-        pool.access(0)
-        pool.access(0)
-        assert pool.hit_rate == pytest.approx(2 / 3)
 
 
 # ----------------------------------------------------------------------

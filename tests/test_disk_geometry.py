@@ -54,8 +54,8 @@ class TestPaperDisk:
         )
 
     def test_outer_band_faster_than_inner(self):
-        outer = PAPER_DISK.rate_at(0)
-        inner = PAPER_DISK.rate_at(PAPER_DISK.capacity - 1)
+        outer = PAPER_DISK.zone_at(0).rate
+        inner = PAPER_DISK.zone_at(PAPER_DISK.capacity - 1).rate
         assert outer > inner
         assert outer / inner == pytest.approx(65 / 33, rel=0.01)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.alloc.extent import coalesce
+from repro.alloc.extent import fragment_count
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.errors import ConfigError
@@ -36,7 +36,7 @@ class TestDelayedAllocation:
         for _ in range(16):
             fs.append("a", nbytes=64 * KB)
         fs.fsync("a")
-        assert len(coalesce(fs.extent_map("a"))) == 1
+        assert fragment_count(fs.extent_map("a")) == 1
 
     def test_read_triggers_flush(self):
         fs = make_fs(delayed_allocation=True)
@@ -94,14 +94,6 @@ class TestMetadataTraffic:
         traffic = fs.metadata_traffic
         assert traffic.outstanding_bytes <= 4 * 4 * KB
         assert traffic.nibbles_freed > 0
-
-    def test_release_all(self):
-        fs = make_fs(metadata_interval_events=1)
-        for i in range(10):
-            fs.create(f"f{i}")
-        free_before = fs.free_bytes
-        fs.metadata_traffic.release_all()
-        assert fs.free_bytes > free_before
 
     def test_full_volume_skips_nibbles(self):
         fs = make_fs(metadata_interval_events=1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.alloc.extent import coalesce
+from repro.alloc.extent import fragment_count
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.errors import (
@@ -76,7 +76,7 @@ class TestAppendRead:
         quiet_fs.create("a")
         for _ in range(16):
             quiet_fs.append("a", nbytes=64 * KB)
-        assert len(coalesce(quiet_fs.extent_map("a"))) == 1
+        assert fragment_count(quiet_fs.extent_map("a")) == 1
 
     def test_bulk_load_files_contiguous(self, quiet_fs):
         # Clean-volume bulk load: every file lands in one extent
@@ -87,7 +87,7 @@ class TestAppendRead:
             for _ in range(4):
                 quiet_fs.append(name, nbytes=64 * KB)
         for i in range(10):
-            assert len(coalesce(quiet_fs.extent_map(f"f{i}"))) == 1
+            assert fragment_count(quiet_fs.extent_map(f"f{i}")) == 1
 
     def test_read_range_validation(self, quiet_fs):
         quiet_fs.create("a")
@@ -168,7 +168,7 @@ class TestPreallocate:
         for _ in range(16):
             quiet_fs.append("a", nbytes=64 * KB)
         assert quiet_fs.free_bytes == free_after_prealloc
-        assert len(coalesce(quiet_fs.extent_map("a"))) == 1
+        assert fragment_count(quiet_fs.extent_map("a")) == 1
 
     def test_preallocate_requires_empty_file(self, quiet_fs):
         quiet_fs.create("a")

@@ -1,7 +1,9 @@
 """Property-based tests: buddy allocator, GAM, LOB tree and KeyList
-invariants."""
+invariants, and the range-to-spans slicer and fragment count against
+brute-force references."""
 
 import pickle
+from itertools import groupby
 from random import Random
 from unittest import mock
 
@@ -12,8 +14,10 @@ from hypothesis import strategies as st
 from dboracle import alloc_pages, general_insert
 
 from repro.alloc.buddy import BuddyAllocator
+from repro.alloc.extent import Extent, fragment_count
 from repro.db.btree import LobTree
 from repro.db.gam import GamAllocator
+from repro.disk.device import slice_spans
 from repro.errors import AllocationError
 from repro.struct import KeyList, keylist
 from repro.units import KB, MB, PAGES_PER_EXTENT
@@ -314,3 +318,53 @@ def test_keylist_remove_and_membership_scan_one_block():
     seq.remove(probe)
     assert 1 <= calls[0] <= keylist.BLOCK + 2
     assert probe not in seq and len(seq) == 9_999
+
+
+# ----------------------------------------------------------------------
+# The range-to-spans slicer and the fragment count
+# ----------------------------------------------------------------------
+RUN_LISTS = st.lists(st.tuples(st.integers(min_value=0, max_value=300),
+                               st.integers(min_value=1, max_value=24)),
+                     max_size=10)
+
+
+@given(RUN_LISTS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_slice_spans_matches_a_byte_level_reference(runs, data):
+    """Expand the runs to one ``(run, address)`` per byte, slice the
+    logical range, and re-group consecutive bytes of one run."""
+    total = sum(length for _, length in runs)
+    offset = data.draw(st.integers(min_value=0, max_value=total))
+    length = data.draw(st.integers(min_value=0, max_value=total - offset))
+    per_byte = [(i, start + k) for i, (start, n) in enumerate(runs)
+                for k in range(n)]
+    expected = []
+    for _, group in groupby(per_byte[offset: offset + length],
+                            key=lambda byte: byte[0]):
+        addresses = [address for _, address in group]
+        expected.append((addresses[0], len(addresses)))
+    assert slice_spans(runs, offset, length) == expected
+    assert slice_spans(iter(runs), offset, length) == expected
+
+
+@given(RUN_LISTS)
+@settings(max_examples=200, deadline=None)
+def test_fragment_count_matches_a_brute_force_grouping(runs):
+    """Components of the "touches or overlaps" graph, found by
+    flooding every pair."""
+    extents = [Extent(start, length) for start, length in runs]
+    seen: set[int] = set()
+    groups = 0
+    for first in range(len(extents)):
+        if first in seen:
+            continue
+        groups += 1
+        stack = [first]
+        seen.add(first)
+        while stack:
+            a = extents[stack.pop()]
+            for j, b in enumerate(extents):
+                if j not in seen and a.start <= b.end and b.start <= a.end:
+                    seen.add(j)
+                    stack.append(j)
+    assert fragment_count(extents) == groups
