@@ -47,10 +47,10 @@ def fs_band_usage() -> float:
     in_band = 0
     total = 0
     for key in state.keys:
-        for ext in store.object_extents(key):
-            total += ext.length
-            if ext.start < band_limit:
-                in_band += ext.length
+        for start, length in store.object_extents(key):
+            total += length
+            if start < band_limit:
+                in_band += length
     return in_band / total if total else 0.0
 
 

@@ -1,17 +1,18 @@
 """The :class:`Extent` value type: a half-open byte range on a volume.
 
-Extents are the layout currency — free-space indexes hold them, files
-and BLOBs map to lists of them, and the fragmentation analyzer counts
-maximal runs of them.  Device requests carry plain ``(start, length)``
-spans instead (see :mod:`repro.disk.device`).
+Extents are layout *state*: free-space indexes hold them, a file's run
+list is a list of them, and allocators hand them out.  An object's
+layout is *reported* as plain ``(start, length)`` spans in logical
+order (:func:`as_spans`, each store's ``object_extents``), which is
+also what device requests carry and what :func:`fragment_count` counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from repro.errors import ConfigError
+from repro.units import Span
 
 
 @dataclass(frozen=True, order=True, slots=True, init=False)
@@ -97,23 +98,27 @@ class Extent:
 
 _set_start = vars(Extent)["start"].__set__
 _set_length = vars(Extent)["length"].__set__
-_start_of = attrgetter("start")
 
 
-def fragment_count(extents: list[Extent]) -> int:
+def as_spans(extents: list[Extent]) -> list[Span]:
+    """The ``(start, length)`` spans of a run list, order preserved."""
+    return [(ext.start, ext.length) for ext in extents]
+
+
+def fragment_count(spans: list[Span]) -> int:
     """An object's fragment count: the maximal runs its touching or
-    overlapping extents form, grouped in physical (start) order.  A
+    overlapping spans form, grouped in physical (start) order.  A
     contiguous object has one fragment (Figure 2's caption).
 
-    >>> fragment_count([Extent(0, 10), Extent(10, 5), Extent(20, 5)])
+    >>> fragment_count([(0, 10), (10, 5), (20, 5)])
     2
     """
     count = 0
     end = -1
-    for ext in sorted(extents, key=_start_of):
-        if ext.start > end:
+    for start, length in sorted(spans):
+        if start > end:
             count += 1
-        end = max(end, ext.end)
+        end = max(end, start + length)
     return count
 
 

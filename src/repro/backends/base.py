@@ -15,10 +15,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from repro.alloc.extent import Extent
 from repro.disk.device import BlockDevice, summed_clock_s
 from repro.disk.events import LatencyHistogram
 from repro.disk.iostats import WindowStats
+from repro.units import Span
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,11 @@ class ObjectStore(Protocol):
         """
         ...
 
-    def object_extents(self, key: str) -> list[Extent]:
-        """Physical layout of the object's data, logical order."""
+    def object_extents(self, key: str) -> list[Span]:
+        """The object's layout: device ``(start, length)`` spans in
+        logical order, from the same function the store's reads use
+        (:func:`repro.alloc.extent.fragment_count` counts them).  The
+        name predates spans; it is kept for callers and the tracer."""
         ...
 
     def devices(self) -> list[BlockDevice]:

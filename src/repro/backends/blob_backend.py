@@ -7,7 +7,6 @@ data device (the page file) plus one dedicated log device.
 
 from __future__ import annotations
 
-from repro.alloc.extent import Extent
 from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import object_option, register_backend
@@ -15,7 +14,7 @@ from repro.backends.spec import StoreSpec
 from repro.db.database import DbConfig, SimDatabase
 from repro.disk.device import BlockDevice, IoRequest
 from repro.errors import ConfigError, ObjectNotFoundError
-from repro.units import checked_read_range, checked_write_size
+from repro.units import Span, checked_read_range, checked_write_size
 
 
 class BlobBackend:
@@ -104,9 +103,9 @@ class BlobBackend:
         return [r if r is None else r[:size]
                 for r, size in zip(results, sizes)]
 
-    def object_extents(self, key: str) -> list[Extent]:
+    def object_extents(self, key: str) -> list[Span]:
         row = self.meta_table.get(key)
-        return self.db.blobs.blob_extents(row["blob_id"])
+        return self.db.blobs.blob_spans(row["blob_id"])
 
     def devices(self) -> list[BlockDevice]:
         return [self.device, self.db.log_device]
@@ -119,7 +118,7 @@ class BlobBackend:
         return StoreStats(
             objects=len(self.meta_table),
             live_bytes=live,
-            free_bytes=self.db.free_bytes,
+            free_bytes=self.free_bytes(),
             capacity=self.db.capacity,
         )
 

@@ -13,18 +13,17 @@ of them — the workload is synchronous.
 
 from __future__ import annotations
 
-from repro.alloc.extent import Extent
 from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import object_option, register_backend
 from repro.backends.spec import StoreSpec
 from repro.db.database import DbConfig, SimDatabase
-from repro.disk.device import BlockDevice, IoRequest
+from repro.disk.device import BlockDevice, IoRequest, slice_spans
 from repro.disk.geometry import scaled_disk
 from repro.errors import FileExistsFsError, ObjectNotFoundError
 from repro.fs.filesystem import FsConfig, SimFilesystem
 from repro.specgrammar import to_bool
-from repro.units import (DEFAULT_WRITE_REQUEST, MB, checked_read_range,
+from repro.units import (DEFAULT_WRITE_REQUEST, MB, Span, checked_read_range,
                          checked_write_size)
 
 
@@ -138,22 +137,19 @@ class FileBackend:
 
     def read_many(self, keys: list[str]) -> list[bytes | None]:
         requests: list[IoRequest] = []
-        sizes: list[int] = []
         for key in keys:
             row = self._meta_lookup(key)
             fname = row["path"]
             self.cost.charge_file_open(self.device.stats)
             self.fs.read_record(fname)
-            requests.append(IoRequest(False, [
-                (ext.start, ext.length) for ext in self.fs.extent_map(fname)]))
+            # The file's bytes, not its allocation: what ``get`` reads.
+            requests.append(IoRequest(False, slice_spans(
+                self.fs.extent_map(fname), 0, row["size"])))
             self.cost.charge_file_stream(self.device.stats, row["size"])
             self.cost.charge_file_close(self.device.stats)
-            sizes.append(row["size"])
-        results = self.device.submit_policy(requests)
-        return [r if r is None else r[:size]
-                for r, size in zip(results, sizes)]
+        return self.device.submit_policy(requests)
 
-    def object_extents(self, key: str) -> list[Extent]:
+    def object_extents(self, key: str) -> list[Span]:
         row = self.meta_table.get(key)
         return self.fs.extent_map(row["path"])
 
@@ -169,7 +165,7 @@ class FileBackend:
         return StoreStats(
             objects=len(self.meta_table),
             live_bytes=live,
-            free_bytes=self.fs.free_bytes,
+            free_bytes=self.free_bytes(),
             capacity=self.fs.data_capacity,
         )
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.alloc.extent import Extent
 from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import register_backend
@@ -27,7 +26,7 @@ from repro.disk.device import BlockDevice, IoRequest
 from repro.disk.faults import read_live
 from repro.errors import ConfigError, ObjectNotFoundError, StorageFullError
 from repro.specgrammar import to_float, to_size
-from repro.units import (DEFAULT_WRITE_REQUEST, MB, checked_read_range,
+from repro.units import (DEFAULT_WRITE_REQUEST, MB, Span, checked_read_range,
                          checked_write_size)
 
 
@@ -172,18 +171,23 @@ class GfsChunkBackend:
                 if r.chunk_id == chunk.chunk_id]
         self.gc_runs += 1
         for record in sorted(live, key=lambda r: r.offset_in_chunk):
-            start = chunk.base + record.offset_in_chunk
-            payload = read_live(self.device, [(start, record.size)])
+            span = self._span_of(record)
+            payload = read_live(self.device, [span])
             moved = self._append_record(record.key, record.size, payload,
                                         record.version)
             if payload is not None:
                 # Same version: a marker scan must see only the copy.
-                self.device.discard(start, record.size)
+                self.device.discard(*span)
             self._records[record.key] = moved
             self.gc_copied_bytes += record.size
         del self._chunks[chunk.chunk_id]
         self._free_chunks.append(chunk.chunk_id)
         self._free_chunks.sort()
+
+    def _span_of(self, record: _Record) -> Span:
+        """The record's device span: its whole layout."""
+        return (self._chunks[record.chunk_id].base + record.offset_in_chunk,
+                record.size)
 
     # ------------------------------------------------------------------
     # ObjectStore interface
@@ -204,10 +208,8 @@ class GfsChunkBackend:
         self.cost.charge_db_query(self.device.stats)
         if length == 0:
             return b"" if self.device.stores_data else None
-        chunk = self._chunks[record.chunk_id]
-        return self.device.read(
-            chunk.base + record.offset_in_chunk + offset, length
-        )
+        start, _ = self._span_of(record)
+        return self.device.read(start + offset, length)
 
     def overwrite(self, key: str, *, size: int | None = None,
                   data: bytes | None = None) -> None:
@@ -240,15 +242,11 @@ class GfsChunkBackend:
         for key in keys:
             record = self._lookup(key)
             self.cost.charge_db_query(self.device.stats)
-            chunk = self._chunks[record.chunk_id]
-            requests.append(IoRequest(False, [
-                (chunk.base + record.offset_in_chunk, record.size)]))
+            requests.append(IoRequest(False, [self._span_of(record)]))
         return self.device.submit_policy(requests)
 
-    def object_extents(self, key: str) -> list[Extent]:
-        record = self._lookup(key)
-        chunk = self._chunks[record.chunk_id]
-        return [Extent(chunk.base + record.offset_in_chunk, record.size)]
+    def object_extents(self, key: str) -> list[Span]:
+        return [self._span_of(self._lookup(key))]
 
     def devices(self) -> list[BlockDevice]:
         return [self.device]
@@ -262,11 +260,10 @@ class GfsChunkBackend:
 
     def store_stats(self) -> StoreStats:
         live = sum(self._records[k].size for k in sorted(self._records))
-        used_chunks = len(self._chunks) * self.chunk_size
         return StoreStats(
             objects=len(self._records),
             live_bytes=live,
-            free_bytes=self.device.geometry.capacity - used_chunks,
+            free_bytes=self.free_bytes(),
             capacity=self.device.geometry.capacity,
         )
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.alloc.extent import Extent
 from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import register_backend
@@ -243,8 +242,8 @@ class LfsBackend:
             requests.append(IoRequest(False, self._spans_of(loc)))
         return self.device.submit_policy(requests)
 
-    def object_extents(self, key: str) -> list[Extent]:
-        return [Extent(*span) for span in self._spans_of(self._lookup(key))]
+    def object_extents(self, key: str) -> list[Span]:
+        return self._spans_of(self._lookup(key))
 
     def devices(self) -> list[BlockDevice]:
         return [self.device]
@@ -256,20 +255,19 @@ class LfsBackend:
         return free
 
     def store_stats(self) -> StoreStats:
-        live = sum(self._objects[k].size for k in sorted(self._objects))
-        free = self._free_count() * self.segment_size
-        if self._head is not None:
-            free += self.segment_size - self._head.used
         return StoreStats(
             objects=len(self._objects),
-            live_bytes=live,
-            free_bytes=free,
+            live_bytes=self._live_bytes(),
+            free_bytes=self.free_bytes(),
             capacity=self.nsegments * self.segment_size,
         )
 
+    def _live_bytes(self) -> int:
+        return sum(self._objects[k].size for k in sorted(self._objects))
+
     def write_amplification(self) -> float:
         """Cleaner bytes per logical byte written (0 when never cleaned)."""
-        logical = sum(self._objects[k].size for k in sorted(self._objects))
+        logical = self._live_bytes()
         if self.cleaner_copied_bytes == 0 or logical == 0:
             return 0.0
         return self.cleaner_copied_bytes / max(1, logical)

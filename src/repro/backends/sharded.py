@@ -30,7 +30,7 @@ contract.
 Stats aggregate across shards: :meth:`store_stats` sums the per-shard
 :class:`StoreStats` fields, :meth:`devices` concatenates every shard's
 devices (so measurement windows span all volumes), and
-:meth:`object_extents` reports the owning shard's extents (offsets are
+:meth:`object_extents` reports the owning shard's spans (offsets are
 per-shard device addresses; fragment counts coalesce within one object
 and therefore within one shard, so reports stay exact).
 
@@ -148,7 +148,6 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
-from repro.alloc.extent import Extent
 from repro.backends.base import ObjectMeta, ObjectStore, StoreStats
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, summed_clock_s
@@ -157,7 +156,7 @@ from repro.disk.faults import FaultProfile, retry_read
 from repro.disk.schedule import ShardScheduler, throttle_pause
 from repro.errors import (ConfigError, ObjectNotFoundError, ShardLostError,
                           ShardUnavailableError, TransientIoError)
-from repro.units import checked_write_size
+from repro.units import Span, checked_write_size
 
 #: Supported :meth:`ShardedStore.rebalance` modes.
 REBALANCE_MODES = ("even", "placement")
@@ -563,7 +562,7 @@ class ShardedStore:
             results[pos] = self.get(keys[pos])
         return results
 
-    def object_extents(self, key: str) -> list[Extent]:
+    def object_extents(self, key: str) -> list[Span]:
         return self.shards[self._first_live(key)].object_extents(key)
 
     def devices(self) -> list[BlockDevice]:

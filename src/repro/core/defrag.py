@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.alloc.extent import fragment_count
+from repro.alloc.extent import as_spans, fragment_count
 from repro.backends.base import ObjectStore
 from repro.backends.blob_backend import BlobBackend
 from repro.backends.file_backend import FileBackend
@@ -100,21 +100,21 @@ class Defragmenter:
         name = row["path"]
         record = fs.table.lookup(name)
         old_extents = list(record.extents)
+        old_spans = as_spans(old_extents)
         # Force pending frees into the pool so the mover sees all space.
         fs.journal.commit()
         try:
             new_extents = fs.allocator.allocate_full(size)
         except AllocationError:
             return False
-        if fragment_count(new_extents) >= fragment_count(old_extents):
+        new_spans = as_spans(new_extents)
+        if fragment_count(new_spans) >= fragment_count(old_spans):
             # No improvement available; put the space back.
             for ext in new_extents:
                 fs.free_index.add(ext)
             return False
-        data = fs.device.read_extents(                  # read old copy
-            [(ext.start, ext.length) for ext in old_extents])
-        fs.device.write_extents(                        # write new copy
-            [(ext.start, ext.length) for ext in new_extents], data)
+        data = fs.device.read_extents(old_spans)        # read old copy
+        fs.device.write_extents(new_spans, data)        # write new copy
         fs.device.flush()
         record.extents[:] = []
         for ext in new_extents:
@@ -146,8 +146,8 @@ def rebuild_database(store: BlobBackend) -> DefragStats:
     # Phase 1: read every record out (the copy's read half), in
     # physical order like a table scan.
     def first_offset(key: str) -> int:
-        extents = store.object_extents(key)
-        return extents[0].start if extents else 0
+        spans = store.object_extents(key)
+        return spans[0][0] if spans else 0
 
     staged: list[tuple[str, int, bytes | None]] = []
     for key in sorted(store.keys(), key=first_offset):

@@ -7,8 +7,8 @@ object has 1 fragment — Figure 2's caption).
 Two analyzers are provided:
 
 * **Extent-map analysis** (:func:`fragment_counts`,
-  :func:`fragment_report`) asks the backend for each object's physical
-  extents and counts their maximal runs.  Exact and fast; works for
+  :func:`fragment_report`) asks the backend for each object's device
+  spans and counts their maximal runs.  Exact and fast; works for
   every backend in this library.
 * **Marker scanning** (:func:`make_marker_content`,
   :class:`MarkerScanner`) reimplements the paper's tool (Section 5.3):
@@ -50,8 +50,7 @@ def fragment_counts(store: ObjectStore) -> dict[str, int]:
     """Fragments per object for every object in the store."""
     counts: dict[str, int] = {}
     for key in store.keys():
-        extents = store.object_extents(key)
-        counts[key] = fragment_count(extents)
+        counts[key] = fragment_count(store.object_extents(key))
     return counts
 
 

@@ -18,12 +18,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TypeVar
 
-from repro.alloc.extent import Extent, fragment_count
+from repro.alloc.extent import fragment_count
 from repro.core.fragmentation import FragmentReport
 from repro.db.database import SimDatabase
 from repro.errors import ConfigError
 from repro.fs.filesystem import SimFilesystem
-from repro.units import DEFAULT_WRITE_REQUEST, PAGE_SIZE, ceil_div, round_up
+from repro.units import (DEFAULT_WRITE_REQUEST, PAGE_SIZE, Span, ceil_div,
+                         round_up)
 
 Handle = TypeVar("Handle")
 
@@ -45,7 +46,7 @@ def _round_robin(*, nstreams: int, total_objects: int, size: int,
                  write_request: int,
                  open_stream: Callable[[int], tuple[Handle, int]],
                  append: Callable[[Handle, int, bool], None],
-                 extents: Callable[[Handle], list[Extent]]
+                 spans: Callable[[Handle], list[Span]]
                  ) -> InterleaveResult:
     """Grow ``total_objects`` objects of ``size`` bytes, ``nstreams`` at
     a time, one ``write_request`` per stream per turn.  ``open_stream(i)``
@@ -86,7 +87,7 @@ def _round_robin(*, nstreams: int, total_objects: int, size: int,
                 continue
             active[slot] = (handle, remaining)
             slot += 1
-    counts = {str(handle): fragment_count(extents(handle))
+    counts = {str(handle): fragment_count(spans(handle))
               for handle in handles}
     return InterleaveResult(nstreams=nstreams, objects=len(handles),
                             report=FragmentReport(counts=counts))
@@ -115,7 +116,7 @@ def interleaved_fs_load(fs: SimFilesystem, *, nstreams: int,
     return _round_robin(nstreams=nstreams, total_objects=total_objects,
                         size=object_size, write_request=write_request,
                         open_stream=open_file, append=append,
-                        extents=fs.extent_map)
+                        spans=fs.extent_map)
 
 
 def interleaved_db_load(db: SimDatabase, *, nstreams: int,
@@ -135,6 +136,6 @@ def interleaved_db_load(db: SimDatabase, *, nstreams: int,
     result = _round_robin(nstreams=nstreams, total_objects=total_objects,
                           size=padded, write_request=write_request,
                           open_stream=open_blob, append=append,
-                          extents=db.blobs.blob_extents)
+                          spans=db.blobs.blob_spans)
     db.commit()
     return result

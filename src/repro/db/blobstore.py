@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.alloc.extent import Extent
 from repro.db.btree import LobTree
 from repro.db.gam import GamAllocator
 from repro.db.ghost import GhostCleaner
@@ -185,12 +184,9 @@ class BlobStore:
         return list(self._blobs)
 
     def blob_spans(self, blob_id: int) -> list[Span]:
-        """Device spans of the BLOB's data pages, logical order."""
+        """Device spans of the BLOB's data pages in logical order: its
+        layout (whole pages, so the last may carry padding)."""
         return self._spans(self._lookup(blob_id).tree.all_runs())
-
-    def blob_extents(self, blob_id: int) -> list[Extent]:
-        """Physical byte extents of the BLOB's data pages, logical order."""
-        return [Extent(*span) for span in self.blob_spans(blob_id)]
 
     def append(self, blob_id: int, *, size: int | None = None,
                data: bytes | None = None,

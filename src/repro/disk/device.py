@@ -9,8 +9,8 @@ Submission paths
 ----------------
 A request is a list of ``(start, length)`` int pairs, *spans*: the
 device reads two ints per piece and never builds an
-:class:`~repro.alloc.extent.Extent`, so callers that hold extent maps
-convert where they call it.  A single request (``read``/``write``/
+:class:`~repro.alloc.extent.Extent`; an object's layout is reported in
+the same spans (``object_extents``).  A single request (``read``/``write``/
 ``*_extents``, a one-request ``submit``) is one call to
 :meth:`BlockDevice._serve`; a batch of :class:`IoRequest`
 scatter/gather requests goes through :meth:`submit`, which charges the
@@ -21,10 +21,10 @@ whole-run benchmark's tracer patches these methods by name to time the
 disk layer.  A log append (the LFS log piece, the GFS record) is a
 contiguous run of ``write_request``-sized writes and goes through
 :meth:`write_stream`, which charges exactly what :meth:`submit_policy`
-of those requests would without building them.  With ``reorder=True``
-the batch is served in elevator (C-LOOK) order — ascending starts from
-the current head, wrapping once — which models request-scheduling
-effects; modelled cost with ``reorder=False`` is
+of those requests would without building them.  Under a reordering
+policy the batch is served in elevator (C-LOOK) order — ascending
+starts from the current head, wrapping once — which models
+request-scheduling effects; without reordering the modelled cost is
 exactly identical to submitting the requests one call at a time.
 Content effects (stored bytes, read results) always apply in
 *submission* order regardless of reordering: the elevator changes the
@@ -62,9 +62,7 @@ from repro.disk.iostats import IoStats
 from repro.disk.policy import DEFAULT_POLICY, DevicePolicy
 from repro.errors import ConfigError
 from repro.struct.blockedlist import BlockedList
-
-#: One piece of a device request: ``(start, length)`` in bytes.
-Span = tuple[int, int]
+from repro.units import Span
 
 
 def slice_spans(runs: Iterable[Span], offset: int,
@@ -229,9 +227,9 @@ class BlockDevice:
         delay) — drives coalesce near-sequential access via track
         buffering.
     policy:
-        Default :class:`~repro.disk.policy.DevicePolicy` for batches
-        submitted without an explicit ``reorder`` argument.  The default
-        policy reproduces the historical behaviour (submission order).
+        The :class:`~repro.disk.policy.DevicePolicy` every batch is
+        served under.  The default policy reproduces the historical
+        behaviour (submission order).
     """
 
     def __init__(self, geometry: DiskGeometry, *, store_data: bool = False,
@@ -335,17 +333,14 @@ class BlockDevice:
             return None
         return self._apply_content(is_write, spans, data)
 
-    def submit(self, batch: list[IoRequest], *,
-               reorder: bool | None = None) -> list[bytes | None]:
+    def submit(self, batch: list[IoRequest]) -> list[bytes | None]:
         """Serve a batch of requests; one ``IoStats`` record per batch.
 
         Costs are charged with the head chaining through the batch in
-        service order (``reorder=True`` picks elevator order, otherwise
-        submission order), so a non-reordered batch costs exactly what
-        the same requests cost submitted one at a time.  ``reorder=None``
-        (the default) defers to the device's
-        :class:`~repro.disk.policy.DevicePolicy`, which is how backends
-        thread a spec-level scheduling choice through every submission.
+        service order: elevator order when the device's
+        :class:`~repro.disk.policy.DevicePolicy` reorders, otherwise
+        submission order, so a non-reordered batch costs exactly what
+        the same requests cost submitted one at a time.
         Returns one entry per request in submission order: read results
         (when content storage is on) or ``None``.  An empty batch is a
         no-op; a one-request batch is :meth:`_serve`.
@@ -355,8 +350,6 @@ class BlockDevice:
         if len(batch) == 1:
             req = batch[0]
             return [self._serve(req.is_write, req.spans, req.data)]
-        if reorder is None:
-            reorder = self.policy.reorder_flag
         head = self._head
         seeks = 0
         read_bytes = write_bytes = 0
@@ -365,7 +358,8 @@ class BlockDevice:
         # Nothing is mutated until the last request is costed (and so
         # validated): a bad span or data length anywhere leaves the
         # device untouched.
-        for req in self._elevator(batch) if reorder else batch:
+        order = self._elevator(batch) if self.policy.reorder_flag else batch
+        for req in order:
             req_seeks, service, head, nbytes = self._cost_of(req.spans, head)
             if stored and req.data is not None and len(req.data) != nbytes:
                 raise ConfigError(

@@ -394,11 +394,10 @@ class FaultyBlockDevice(BlockDevice):
         self._admit(is_write, [IoRequest(is_write, spans, data)])
         return super()._serve(is_write, spans, data)
 
-    def submit(self, batch: list[IoRequest], *,
-               reorder: bool | None = None) -> list[bytes | None]:
+    def submit(self, batch: list[IoRequest]) -> list[bytes | None]:
         if len(batch) > 1:
             self._admit(any(req.is_write for req in batch), batch)
-        return super().submit(batch, reorder=reorder)
+        return super().submit(batch)
 
     def write_stream(self, start: int, length: int, request: int,
                      data: bytes | None = None) -> None:

@@ -9,9 +9,8 @@ threads into its device submissions — the handle for the paper's
 request-scheduling ablations (ROADMAP: elevator scheduling study).
 
 The default policy (unbounded batches, no reordering) is cost-identical
-to the pre-policy behaviour: ``submit`` without an explicit ``reorder``
-argument falls back to the device's policy, and the default policy's
-``reorder_flag`` is False.
+to the pre-policy behaviour: ``submit`` orders every batch by the
+device's policy, and the default policy's ``reorder_flag`` is False.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.alloc.extent import Extent
+from repro.alloc.extent import Extent, as_spans
 from repro.alloc.freelist import FreeExtentIndex
 from repro.disk.device import BlockDevice, Span, slice_spans
 from repro.errors import AllocationError, ConfigError, FsError
@@ -184,9 +184,9 @@ class SimFilesystem:
     def file_size(self, name: str) -> int:
         return self.table.lookup(name).size
 
-    def extent_map(self, name: str) -> list[Extent]:
-        """The file's physical run list in logical order (a copy)."""
-        return list(self.table.lookup(name).extents)
+    def extent_map(self, name: str) -> list[Span]:
+        """The file's device spans in logical order: its layout."""
+        return as_spans(self.table.lookup(name).extents)
 
     def list_files(self) -> list[str]:
         return self.table.names()
@@ -354,8 +354,7 @@ class SimFilesystem:
         if length == 0:
             return b"" if self.device.stores_data else None
         return self.device.read_extents(slice_spans(
-            [(ext.start, ext.length) for ext in record.extents],
-            offset, length))
+            as_spans(record.extents), offset, length))
 
     def fsync(self, name: str) -> None:
         """Force the file's data to the platter."""

@@ -31,6 +31,10 @@ CLUSTER_SIZE: int = 4 * KB
 #: The paper's application write request size (Section 5.3).
 DEFAULT_WRITE_REQUEST: int = 64 * KB
 
+#: One contiguous piece of an object or a device request: ``(start,
+#: length)`` in bytes.
+Span = tuple[int, int]
+
 _SIZE_RE = re.compile(
     r"^\s*(?P<num>\d+(?:\.\d+)?)\s*(?P<unit>[KMGT]?i?B?)\s*$", re.IGNORECASE
 )

@@ -122,7 +122,7 @@ def interleaved_db_load(db: SimDatabase, *, nstreams: int,
             slot += 1
     db.commit()
     counts = {
-        str(blob_id): fragment_count(db.blobs.blob_extents(blob_id))
+        str(blob_id): fragment_count(db.blobs.blob_spans(blob_id))
         for blob_id in blob_ids
     }
     return InterleaveResult(

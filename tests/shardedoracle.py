@@ -21,14 +21,13 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import islice
 
-from repro.alloc.extent import Extent
 from repro.backends.base import ObjectMeta
 from repro.backends.sharded import ShardedStore, _no_replica
 from repro.disk.device import summed_clock_s
 from repro.disk.events import EventScheduler
 from repro.disk.faults import BACKOFF_BASE_S, BACKOFF_CAP_S, READ_RETRIES
 from repro.errors import ShardLostError, TransientIoError
-from repro.units import checked_write_size
+from repro.units import Span, checked_write_size
 
 
 def pickled(store: ShardedStore) -> bytes:
@@ -135,5 +134,5 @@ class OracleStore(ShardedStore):
     def meta(self, key: str) -> ObjectMeta:
         return self.shards[self._live_holders(key)[0]].meta(key)
 
-    def object_extents(self, key: str) -> list[Extent]:
+    def object_extents(self, key: str) -> list[Span]:
         return self.shards[self._live_holders(key)[0]].object_extents(key)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.alloc.extent import Extent, fragment_count, total_length
+from repro.alloc.extent import Extent, as_spans, fragment_count, total_length
 from repro.errors import ConfigError
 
 
@@ -86,23 +86,26 @@ class TestCoalesce:
         assert fragment_count([]) == 0
 
     def test_merges_touching(self):
-        assert fragment_count([Extent(0, 10), Extent(10, 5)]) == 1
+        assert fragment_count([(0, 10), (10, 5)]) == 1
 
     def test_keeps_gaps(self):
-        assert fragment_count([Extent(20, 5), Extent(0, 10)]) == 2
+        assert fragment_count([(20, 5), (0, 10)]) == 2
 
     def test_unsorted_input(self):
-        assert fragment_count(
-            [Extent(10, 5), Extent(0, 10), Extent(15, 1)]) == 1
+        assert fragment_count([(10, 5), (0, 10), (15, 1)]) == 1
 
     def test_fragment_count_semantics(self):
         # A contiguous object has one fragment (Figure 2's caption).
-        contiguous = [Extent(0, 64), Extent(64, 64), Extent(128, 64)]
+        contiguous = [(0, 64), (64, 64), (128, 64)]
         assert fragment_count(contiguous) == 1
-        scattered = [Extent(0, 64), Extent(128, 64), Extent(256, 64)]
+        scattered = [(0, 64), (128, 64), (256, 64)]
         assert fragment_count(scattered) == 3
         # Overlap merges too: the count is of covered runs.
-        assert fragment_count([Extent(0, 64), Extent(32, 8)]) == 1
+        assert fragment_count([(0, 64), (32, 8)]) == 1
+
+    def test_as_spans_keeps_run_order(self):
+        runs = [Extent(128, 64), Extent(0, 10)]
+        assert as_spans(runs) == [(128, 64), (0, 10)]
 
     def test_total_length(self):
         assert total_length([Extent(0, 10), Extent(100, 5)]) == 15

@@ -18,6 +18,7 @@ from repro.backends.gfs_backend import GfsChunkBackend
 from repro.backends.lfs_backend import LfsBackend
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
+from repro.disk.policy import DevicePolicy
 from repro.errors import ConfigError, ObjectNotFoundError, ReproError
 from repro.units import KB, MB
 
@@ -114,8 +115,8 @@ class TestProtocol:
 
     def test_object_extents_cover_size(self, store):
         store.put("a", size=200 * KB)
-        extents = store.object_extents("a")
-        covered = sum(e.length for e in extents)
+        spans = store.object_extents("a")
+        covered = sum(length for _, length in spans)
         assert covered >= 200 * KB  # rounding to clusters/pages allowed
         assert covered <= 200 * KB + 64 * KB
 
@@ -236,6 +237,62 @@ class TestRefusedWrites:
             with pytest.raises(ReproError):
                 write()
             assert books() == before
+
+
+class TestStoreRuleParity:
+    """Rules every store states once, held alone and under a two-shard
+    composite: the free bytes ``store_stats`` reports are
+    ``free_bytes()``, and a ``read_many`` sweep reads the bytes per-key
+    ``get`` reads."""
+
+    OPTIONS = TestRefusedWrites.OPTIONS
+    #: Not multiples of a cluster or a page.
+    SIZES = [5000, 8885, 6143, 7001, 5555, 8191]
+
+    def build(self, kind, shards, **spec):
+        return build_store(StoreSpec(kind, volume_bytes=shards * 64 * MB,
+                                     shards=shards,
+                                     options=self.OPTIONS.get(kind, {}),
+                                     **spec))
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("kind", ["filesystem", "database", "lfs", "gfs"])
+    def test_store_stats_reports_free_bytes(self, kind, shards):
+        store = self.build(kind, shards)
+        for i in range(5):
+            store.put(f"k{i}", size=300_000)
+            assert store.store_stats().free_bytes == store.free_bytes()
+        store.delete("k0")
+        assert store.store_stats().free_bytes == store.free_bytes()
+
+    @pytest.mark.parametrize("store_data", [False, True])
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("kind", ["filesystem", "database", "lfs", "gfs"])
+    def test_read_many_reads_what_get_reads(self, kind, shards, store_data):
+        policy = DevicePolicy(batch_size=4, reorder="clook")
+        swept, fetched = (self.build(kind, shards, store_data=store_data,
+                                     policy=policy) for _ in range(2))
+        payloads = {f"k{i}": bytes([i + 1]) * size
+                    for i, size in enumerate(self.SIZES)}
+        for store in (swept, fetched):
+            for key, payload in payloads.items():
+                if store_data:
+                    store.put(key, data=payload)
+                else:
+                    store.put(key, size=len(payload))
+        keys = list(payloads)[::-1]
+
+        def read_bytes(store):
+            return sum(dev.stats.read_bytes for dev in store.devices())
+
+        base = read_bytes(swept), read_bytes(fetched)
+        results = swept.read_many(keys)
+        expected = [fetched.get(key) for key in keys]
+        # Bytes only: batching may reorder the metadata reads.
+        assert read_bytes(swept) - base[0] == read_bytes(fetched) - base[1]
+        assert results == expected
+        if store_data:
+            assert results == [payloads[key] for key in keys]
 
 
 class TestChurnParity:

@@ -101,10 +101,9 @@ class TestBlobBackendSpecifics:
         device = BlockDevice(scaled_disk(64 * MB))
         store = BlobBackend(device)
         store.put("a", size=100 * KB)
-        extents = store.object_extents("a")
-        for ext in extents:
-            assert ext.start % PAGE_SIZE == 0
-            assert ext.length % PAGE_SIZE == 0
+        for start, length in store.object_extents("a"):
+            assert start % PAGE_SIZE == 0
+            assert length % PAGE_SIZE == 0
 
 
 class TestGfsSpecifics:
@@ -131,9 +130,9 @@ class TestGfsSpecifics:
         for i in range(12):  # forces chunk rollover with padding
             store.put(f"k{i}", size=1900 * KB)
         for i in range(12):
-            [ext] = store.object_extents(f"k{i}")
+            [(start, length)] = store.object_extents(f"k{i}")
             chunk_of = lambda off: off // (8 * MB)
-            assert chunk_of(ext.start) == chunk_of(ext.end - 1)
+            assert chunk_of(start) == chunk_of(start + length - 1)
 
     def test_padding_accounted(self):
         store = self.make()
@@ -169,7 +168,7 @@ class TestGfsSpecifics:
         assert store.gc_runs == 0
         store.put("last", size=250 * KB)  # no free chunk left
         assert store.gc_runs == 1
-        assert store.object_extents("last")[0].start < 1 * MB
+        assert store.object_extents("last")[0][0] < 1 * MB
         assert store.store_stats().live_bytes == 5 * 250 * KB
 
     def test_internal_fragmentation_metric(self):
@@ -187,9 +186,9 @@ class TestLfsSpecifics:
     def test_overwrites_go_to_log_head(self):
         store = self.make()
         store.put("a", size=512 * KB)
-        first = store.object_extents("a")[0].start
+        [(first, _), *_] = store.object_extents("a")
         store.overwrite("a", size=512 * KB)
-        second = store.object_extents("a")[0].start
+        [(second, _), *_] = store.object_extents("a")
         assert second != first  # new copy, old space reclaimed by cleaner
 
     def test_objects_mostly_contiguous(self):

@@ -168,7 +168,7 @@ def test_partial_last_chunk_is_zero_padded():
     shipped, oracle = twins(4 * MB)
     run_twins(shipped, oracle, [PAGE_SIZE + 1, 64 * KB + 3], keep=5, seed=3)
     blob_id = shipped.blobs.blob_ids()[0]
-    (extent,) = shipped.blobs.blob_extents(blob_id)
-    assert extent.length == 2 * PAGE_SIZE
-    stored = shipped.data_device.peek(extent.start, extent.length)
+    ((start, length),) = shipped.blobs.blob_spans(blob_id)
+    assert length == 2 * PAGE_SIZE
+    stored = shipped.data_device.peek(start, length)
     assert stored[PAGE_SIZE + 1:] == bytes(PAGE_SIZE - 1)

@@ -18,8 +18,11 @@ from segmentoracle import FlatSegmentStore
 
 from repro.disk.device import BlockDevice, IoRequest, _SegmentStore
 from repro.disk.geometry import scaled_disk
+from repro.disk.policy import DevicePolicy
 from repro.errors import ConfigError
 from repro.units import KB, MB
+
+CLOOK = DevicePolicy(reorder="clook")
 
 
 # ----------------------------------------------------------------------
@@ -173,13 +176,13 @@ class TestBatchAccounting:
         assert dev.stats.requests == 0  # rejected before any accounting
 
     def test_read_results_in_submission_order(self):
-        dev = BlockDevice(scaled_disk(4 * MB), store_data=True)
+        dev = BlockDevice(scaled_disk(4 * MB), store_data=True, policy=CLOOK)
         dev.poke(0, b"aaaa")
         dev.poke(100, b"bbbb")
         results = dev.submit([
             IoRequest.read([(100, 4)]),
             IoRequest.read([(0, 4)]),
-        ], reorder=True)
+        ])
         assert results == [b"bbbb", b"aaaa"]
 
 
@@ -190,37 +193,37 @@ class TestElevator:
             IoRequest(False, [((7 - i) * 8 * MB, 64 * KB)])
             for i in range(8)
         ]
-        ordered = BlockDevice(scaled_disk(64 * MB))
-        ordered.submit(list(requests), reorder=True)
+        ordered = BlockDevice(scaled_disk(64 * MB), policy=CLOOK)
+        ordered.submit(list(requests))
         unordered = BlockDevice(scaled_disk(64 * MB))
-        unordered.submit(list(requests), reorder=False)
+        unordered.submit(list(requests))
         assert ordered.stats.read_time_s < unordered.stats.read_time_s
         assert ordered.stats.read_bytes == unordered.stats.read_bytes
 
     def test_reorder_wraps_around_head(self):
         """C-LOOK: requests behind the head go last, still ascending."""
-        dev = BlockDevice(scaled_disk(64 * MB))
+        dev = BlockDevice(scaled_disk(64 * MB), policy=CLOOK)
         dev.read(32 * MB, 64 * KB)  # park the head mid-volume
         behind = (1 * MB, 64 * KB)
         ahead = (48 * MB, 64 * KB)
-        dev.submit([IoRequest.read([behind]), IoRequest.read([ahead])],
-                   reorder=True)
+        dev.submit([IoRequest.read([behind]), IoRequest.read([ahead])])
         # Served ahead-first, so the head finishes past the wrapped one.
         assert dev.head_position == 1 * MB + 64 * KB
 
     def test_reorder_never_changes_stored_bytes(self):
         """Overlapping writes resolve in submission order regardless."""
         plain = BlockDevice(scaled_disk(4 * MB), store_data=True)
-        shuffled = BlockDevice(scaled_disk(4 * MB), store_data=True)
+        shuffled = BlockDevice(scaled_disk(4 * MB), store_data=True,
+                               policy=CLOOK)
         batch = [
             IoRequest.write([(2 * MB, 8)], b"X" * 8),
             IoRequest.write([(2 * MB + 4, 8)], b"Y" * 8),
             IoRequest.write([(0, 4)], b"Z" * 4),
         ]
         plain.submit([IoRequest(r.is_write, r.spans, r.data)
-                      for r in batch], reorder=False)
+                      for r in batch])
         shuffled.submit([IoRequest(r.is_write, r.spans, r.data)
-                         for r in batch], reorder=True)
+                         for r in batch])
         assert plain.peek(2 * MB, 12) == b"X" * 4 + b"Y" * 8
         assert shuffled.peek(2 * MB, 12) == plain.peek(2 * MB, 12)
         assert shuffled.peek(0, 4) == b"Z" * 4

@@ -11,6 +11,7 @@ from costoracle import OracleDevice, cost_of, device_totals
 from repro.disk.device import BlockDevice, IoRequest
 from repro.disk.faults import DeviceFaults, FaultyBlockDevice
 from repro.disk.geometry import DiskGeometry, Zone, make_disk, scaled_disk
+from repro.disk.policy import DevicePolicy
 from repro.errors import ConfigError
 from repro.units import KB, MB
 
@@ -255,14 +256,17 @@ def test_kernel_matches_composed_model(geometry, window, slow, steps):
     """``==`` on every float: per request, and on head, clock and stats
     after every step, for a batch submitted whole, one request at a
     time, and in elevator order."""
-    def device():
+    def device(policy):
         if slow == 1.0:
-            return BlockDevice(geometry, sequential_window=window)
+            return BlockDevice(geometry, sequential_window=window,
+                               policy=policy)
         return FaultyBlockDevice(geometry, sequential_window=window,
-                                 faults=DeviceFaults(slow_factor=slow))
+                                 faults=DeviceFaults(slow_factor=slow),
+                                 policy=policy)
 
     modes = ("whole", "single", "reorder")
-    devs = {mode: device() for mode in modes}
+    devs = {mode: device(CLOOK if mode == "reorder" else DevicePolicy())
+            for mode in modes}
     oracles = {mode: OracleDevice(geometry, window, slow) for mode in modes}
     for step in steps:
         for mode in modes:
@@ -283,9 +287,9 @@ def test_kernel_matches_composed_model(geometry, window, slow, steps):
                     oracle.submit([req])
             elif mode == "reorder":
                 oracle.submit(dev._elevator(batch))
-                dev.submit(batch, reorder=True)
+                dev.submit(batch)
             else:
-                dev.submit(batch, reorder=False)
+                dev.submit(batch)
                 oracle.submit(batch)
             assert device_totals(dev) == oracle.totals()
     # Submission order is free of batching except for the request count
@@ -362,12 +366,18 @@ class TestPickleNeutral:
         assert pickle.dumps(copy) == pickle.dumps(twin)
 
 
-def stored_device(slow: float, capacity: int = 8 * MB) -> BlockDevice:
+CLOOK = DevicePolicy(reorder="clook")
+
+
+def stored_device(slow: float, capacity: int = 8 * MB,
+                  policy: DevicePolicy | None = None) -> BlockDevice:
     """A content-storing device, slowed through the fault seam if asked."""
     if slow == 1.0:
-        return BlockDevice(scaled_disk(capacity), store_data=True)
+        return BlockDevice(scaled_disk(capacity), store_data=True,
+                           policy=policy)
     return FaultyBlockDevice(scaled_disk(capacity), store_data=True,
-                             faults=DeviceFaults(slow_factor=slow))
+                             faults=DeviceFaults(slow_factor=slow),
+                             policy=policy)
 
 
 def device_state(dev):
@@ -391,9 +401,12 @@ class TestAtomicValidation:
         assert device_state(dev) == before
         batch = [IoRequest.write([(0, 8)], b"y" * 8),
                  IoRequest.write([(1 * MB, 8)], b"z" * 4)]
-        for reorder in (False, True):
+        for policy in (None, CLOOK):
+            dev = stored_device(slow, policy=policy)
+            dev.write(0, 8, data=b"original")
+            before = device_state(dev)
             with pytest.raises(ConfigError, match="data length 4 != span"):
-                dev.submit(batch, reorder=reorder)
+                dev.submit(batch)
             assert device_state(dev) == before
 
     def test_bad_last_extent_of_a_request(self):
@@ -406,16 +419,17 @@ class TestAtomicValidation:
         assert device_state(dev) == before
 
     def test_bad_last_request_of_a_batch(self):
-        dev = BlockDevice(scaled_disk(8 * MB), store_data=True)
-        dev.write(0, 8, data=b"original")
-        before = device_state(dev)
         batch = [IoRequest.write([(0, 8)], b"y" * 8),
                  IoRequest.write([(1 * MB, 8)], b"z" * 8),
                  IoRequest.read([(2 * MB, 8),
                                  (8 * MB - 4, 8)])]
-        for reorder in (False, True):
+        for policy in (None, CLOOK):
+            dev = BlockDevice(scaled_disk(8 * MB), store_data=True,
+                              policy=policy)
+            dev.write(0, 8, data=b"original")
+            before = device_state(dev)
             with pytest.raises(ConfigError, match="outside volume of"):
-                dev.submit(batch, reorder=reorder)
+                dev.submit(batch)
             assert device_state(dev) == before
 
 
@@ -440,7 +454,8 @@ def test_a_bad_span_is_refused_before_any_state_moves(bad, good, where,
     anywhere in a request, raises before the head, the clock, the stats
     or the stored bytes change: alone, or as the last request of a
     batch (in submission or elevator order)."""
-    dev = stored_device(slow, CAPACITY)
+    dev = stored_device(slow, CAPACITY,
+                        CLOOK if mode == "reorder" else None)
     dev.write(0, 8, data=b"original")
     before = device_state(dev)
     spans = list(good)
@@ -450,6 +465,5 @@ def test_a_bad_span_is_refused_before_any_state_moves(bad, good, where,
             (dev.write_extents if is_write else dev.read_extents)(spans)
         else:
             dev.submit([IoRequest.write([(1 * MB, 8)], b"y" * 8),
-                        IoRequest(is_write, spans)],
-                       reorder=mode == "reorder")
+                        IoRequest(is_write, spans)])
     assert device_state(dev) == before

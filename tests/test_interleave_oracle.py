@@ -74,8 +74,8 @@ def test_database_load_matches_the_retired_loop(nstreams, object_size):
         list(old.report.counts.items())
     for key in old.report.counts:
         blob_id = int(key)
-        assert new_db.blobs.blob_extents(blob_id) == \
-            old_db.blobs.blob_extents(blob_id)
+        assert new_db.blobs.blob_spans(blob_id) == \
+            old_db.blobs.blob_spans(blob_id)
     _assert_same_device(new_db.data_device, old_db.data_device)
     _assert_same_device(new_db.log_device, old_db.log_device)
     assert pickle.dumps(new_db) == pickle.dumps(old_db)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dboracle import alloc_pages, general_insert
 
 from repro.alloc.buddy import BuddyAllocator
-from repro.alloc.extent import Extent, fragment_count
+from repro.alloc.extent import fragment_count
 from repro.db.btree import LobTree
 from repro.db.gam import GamAllocator
 from repro.disk.device import slice_spans
@@ -352,19 +352,19 @@ def test_slice_spans_matches_a_byte_level_reference(runs, data):
 def test_fragment_count_matches_a_brute_force_grouping(runs):
     """Components of the "touches or overlaps" graph, found by
     flooding every pair."""
-    extents = [Extent(start, length) for start, length in runs]
     seen: set[int] = set()
     groups = 0
-    for first in range(len(extents)):
+    for first in range(len(runs)):
         if first in seen:
             continue
         groups += 1
         stack = [first]
         seen.add(first)
         while stack:
-            a = extents[stack.pop()]
-            for j, b in enumerate(extents):
-                if j not in seen and a.start <= b.end and b.start <= a.end:
+            a_start, a_length = runs[stack.pop()]
+            for j, (b_start, b_length) in enumerate(runs):
+                if j not in seen and a_start <= b_start + b_length \
+                        and b_start <= a_start + a_length:
                     seen.add(j)
                     stack.append(j)
-    assert fragment_count(extents) == groups
+    assert fragment_count(runs) == groups

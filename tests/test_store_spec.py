@@ -65,8 +65,8 @@ class TestDevicePolicy:
         assert DevicePolicy.from_dict(policy.to_dict()) == policy
 
     def test_device_submit_defers_to_policy(self):
-        """A clook policy reorders batches submitted without an explicit
-        reorder argument; an explicit argument still wins."""
+        """A clook policy reorders every batch; the default policy
+        serves it in submission order."""
         def scattered_batch():
             offsets = [40 * MB, 2 * MB, 30 * MB, 6 * MB, 20 * MB,
                        10 * MB, 50 * MB, 1 * MB]
@@ -79,10 +79,9 @@ class TestDevicePolicy:
                                policy=DevicePolicy(reorder="clook"))
         elevator.submit(scattered_batch())
         assert elevator.clock_s < plain.clock_s
-        forced = BlockDevice(scaled_disk(64 * MB),
-                             policy=DevicePolicy(reorder="clook"))
-        forced.submit(scattered_batch(), reorder=False)
-        assert forced.clock_s == plain.clock_s
+        default = BlockDevice(scaled_disk(64 * MB), policy=DevicePolicy())
+        default.submit(scattered_batch())
+        assert default.clock_s == plain.clock_s
 
     def test_submit_policy_chunks_batches(self):
         device = BlockDevice(scaled_disk(64 * MB),

@@ -75,6 +75,11 @@ CLI_ARGV: tuple[tuple[str, ...], ...] = (
      "gfs:shards=2,chunk_size=1M,faults=transient:rate=5e-2:ops=read",
      "--object-size", "256K", "--volume", "32M", "--ages", "0,1",
      "--reads", "1"),
+    *(("run", "--store", store, "--volume", "32M", "--object-size", "256K",
+       "--ages", "0,1", "--reads", "4")
+      for store in ("filesystem:batch=8,reorder=clook",
+                    "database:batch=8,reorder=clook",
+                    "gfs:chunk_size=1M,batch=8,reorder=clook")),
     ("run", "--store", "filesystem:index_kind=naive", "--volume", "32M",
      "--ages", "0", "--reads", "1"),
     ("compare", "--volume", "32M", "--object-size", "256K", "--ages", "0,1",
