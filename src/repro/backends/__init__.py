@@ -11,7 +11,9 @@ composite.
   append and padding (Section 3.4's related work, built to measure the
   internal-fragmentation trade).
 * :class:`LfsBackend` — log-structured layout with a segment cleaner
-  (Section 3.4), the write-optimized extreme.
+  (Section 3.4), the write-optimized extreme.  LFS and GFS are two
+  policies (placement, copy order, collection trigger) over one
+  segment log, ``lfs_backend.SegmentLog``.
 * :class:`ShardedStore` — composite striping keys over N inner stores
   (multi-volume scaling; see ``sharded.py``).
 

@@ -265,6 +265,19 @@ class TestStoreRuleParity:
         store.delete("k0")
         assert store.store_stats().free_bytes == store.free_bytes()
 
+    @pytest.mark.parametrize("kind", ["lfs", "gfs"])
+    def test_free_bytes_count_whole_units_only(self, kind):
+        """A log store's space is its whole segments or chunks: the
+        volume's tail past the last one is neither free nor capacity."""
+        (unit,) = self.OPTIONS[kind].values()
+        volume = 64 * MB + 5 * MB  # not a multiple of 2 MB or 8 MB
+        store = build_store(StoreSpec(kind, volume_bytes=volume,
+                                      options=self.OPTIONS[kind]))
+        whole = volume // unit * unit
+        assert store.free_bytes() == store.store_stats().capacity == whole
+        store.put("a", size=300_000)
+        assert store.free_bytes() == whole - 300_000
+
     @pytest.mark.parametrize("store_data", [False, True])
     @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("kind", ["filesystem", "database", "lfs", "gfs"])

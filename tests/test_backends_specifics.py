@@ -153,20 +153,22 @@ class TestGfsSpecifics:
         assert store.gc_runs > 0
         assert store.store_stats().live_bytes == 40 * MB
 
-    def test_forced_gc_frees_a_chunk_that_died_while_active(self):
+    def test_gc_frees_a_chunk_that_died_while_active_when_sealed(self):
         """A chunk whose records all die while it is the active chunk
-        is never collected by the dead-fraction trigger; once the
-        volume runs out of chunks, only forced GC reclaims it."""
+        is collected when it is sealed, so the put that finds no other
+        free chunk lands in its space."""
         store = GfsChunkBackend(BlockDevice(scaled_disk(2 * MB)),
                                 chunk_size=1 * MB)
         for i in range(4):  # 4 x 250 KB fill chunk 0 ...
             store.put(f"k{i}", size=250 * KB)
         for i in range(4):  # ... and all die while it is active.
             store.delete(f"k{i}")
-        for i in range(4):  # Seal chunk 0, fill chunk 1.
-            store.put(f"n{i}", size=250 * KB)
         assert store.gc_runs == 0
-        store.put("last", size=250 * KB)  # no free chunk left
+        store.put("n0", size=250 * KB)  # seals chunk 0: collected
+        assert store.gc_runs == 1
+        for i in range(1, 4):  # fill chunk 1
+            store.put(f"n{i}", size=250 * KB)
+        store.put("last", size=250 * KB)  # seals chunk 1, reuses chunk 0
         assert store.gc_runs == 1
         assert store.object_extents("last")[0][0] < 1 * MB
         assert store.store_stats().live_bytes == 5 * 250 * KB

@@ -1,0 +1,115 @@
+"""The segment log under the LFS and GFS stores.
+
+A stateful exploration drives either store with stored bytes through
+random puts, overwrites, deletes and reads on a small volume: the log's
+books (``SegmentLog.check_invariants``) hold after every step, and every
+object reads back the last bytes written to it.  A regression run holds
+the GFS forced-collection wedge closed: at 50 % occupancy with
+``gc_dead_fraction=0.9``, chunks whose records died while they were open
+used to fill the volume until a write found no free chunk.
+"""
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
+
+from repro.backends.gfs_backend import GfsChunkBackend
+from repro.backends.lfs_backend import LfsBackend
+from repro.cli import main
+from repro.disk.device import BlockDevice
+from repro.disk.geometry import scaled_disk
+from repro.units import KB
+
+VOLUME = 256 * KB
+UNIT = 32 * KB  # eight units
+
+
+class SegmentLogMachine(RuleBasedStateMachine):
+    kind = "lfs"
+
+    def __init__(self):
+        super().__init__()
+        self.store = None
+        self.model: dict[str, bytes] = {}
+        self.writes = 0
+
+    @initialize(dead_fraction=st.sampled_from([0.25, 0.5, 0.9]))  # GFS
+    def build(self, dead_fraction):
+        device = BlockDevice(scaled_disk(VOLUME), store_data=True)
+        if self.kind == "lfs":
+            self.store = LfsBackend(device, segment_size=UNIT)
+            self.scale = 3  # objects span segments
+        else:
+            self.store = GfsChunkBackend(device, chunk_size=UNIT,
+                                         gc_dead_fraction=dead_fraction)
+            self.scale = 1
+
+    def payload(self, size):
+        self.writes += 1
+        return bytes([self.writes % 251 + 1]) * (size * self.scale)
+
+    def fits(self, size, replaced=b""):
+        """Keep live bytes at or under half the volume."""
+        live = sum(map(len, self.model.values())) - len(replaced)
+        return live + size * self.scale <= VOLUME // 2
+
+    @rule(size=st.integers(min_value=UNIT // 8, max_value=UNIT // 4))
+    def put(self, size):
+        if self.fits(size):
+            key = f"k{self.writes}"
+            self.model[key] = data = self.payload(size)
+            self.store.put(key, data=data)
+
+    def pick(self, index):
+        return sorted(self.model)[index % len(self.model)]
+
+    @precondition(lambda self: self.model)
+    @rule(index=st.integers(min_value=0),
+          size=st.integers(min_value=UNIT // 8, max_value=UNIT // 4))
+    def overwrite(self, index, size):
+        key = self.pick(index)
+        if self.fits(size, self.model[key]):
+            self.model[key] = data = self.payload(size)
+            self.store.overwrite(key, data=data)
+
+    @precondition(lambda self: self.model)
+    @rule(index=st.integers(min_value=0))
+    def delete(self, index):
+        key = self.pick(index)
+        del self.model[key]
+        self.store.delete(key)
+
+    @precondition(lambda self: self.model)
+    @rule(index=st.integers(min_value=0))
+    def get(self, index):
+        key = self.pick(index)
+        assert self.store.get(key) == self.model[key]
+
+    @invariant()
+    def books_hold(self):
+        if self.store is not None:
+            self.store.check_invariants()
+            assert self.store.keys() == list(self.model)
+
+    def teardown(self):
+        for key, data in self.model.items():
+            assert self.store.get(key) == data
+
+
+class GfsLogMachine(SegmentLogMachine):
+    kind = "gfs"
+
+
+LOG_SETTINGS = settings(max_examples=20, stateful_step_count=100,
+                        deadline=None)
+TestLfsLog = SegmentLogMachine.TestCase
+TestLfsLog.settings = LOG_SETTINGS
+TestGfsLog = GfsLogMachine.TestCase
+TestGfsLog.settings = LOG_SETTINGS
+
+
+def test_gfs_forced_collection_does_not_wedge():
+    assert main(["run", "--store", "gfs:gc_dead_fraction=0.9,chunk_size=1M",
+                 "--volume", "32M", "--object-size", "256K",
+                 "--occupancy", "0.5", "--ages", "0,1,2"]) == 0
