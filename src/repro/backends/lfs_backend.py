@@ -117,18 +117,30 @@ class SegmentLog:
         loc = _ObjectLoc(key=key, size=size, version=version)
         need = size if self.whole_records else 1
         cursor = 0
-        while cursor < size:
-            seg = self._head_for(need)
-            take = min(size - cursor, self.segment_size - seg.used)
-            # One device stream of write_request-sized requests; the
-            # device policy caps the batch size and picks the order.
-            self.device.write_stream(
-                seg.base + seg.used, take, self.write_request,
-                None if data is None else data[cursor: cursor + take])
-            loc.pieces.append((seg.seg_id, seg.used, take))
-            seg.used += take
-            seg.live += take
-            cursor += take
+        units: list[_Segment] = []
+        try:
+            while cursor < size:
+                seg = self._head_for(need)
+                take = min(size - cursor, self.segment_size - seg.used)
+                # One device stream of write_request-sized requests; the
+                # device policy caps the batch size and picks the order.
+                self.device.write_stream(
+                    seg.base + seg.used, take, self.write_request,
+                    None if data is None else data[cursor: cursor + take])
+                loc.pieces.append((seg.seg_id, seg.used, take))
+                units.append(seg)
+                seg.used += take
+                seg.live += take
+                cursor += take
+        except StorageFullError:
+            # A refused object owns nothing: the pieces already written
+            # become dead bytes of their units (of those still held: a
+            # collection this append ran may have freed one).
+            for unit, (_, _, length) in zip(units, loc.pieces):
+                if self._segments.get(unit.seg_id) is unit:
+                    unit.live -= length
+                    self._released(unit)
+            raise
         return loc
 
     def _release_pieces(self, loc: _ObjectLoc) -> None:

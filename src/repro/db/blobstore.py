@@ -115,30 +115,41 @@ class BlobStore:
     def _write_chunks(self, tree: LobTree, total: int, data: bytes | None,
                       write_request: int) -> None:
         """Append ``total`` bytes to ``tree`` as new pages, zero-padded
-        to whole pages.  Per write request, in this order: allocate, one
-        data-device request, the tree append (may allocate node pages),
-        one log record, one tick.
+        to whole pages.  Per write request, in this order: allocate, the
+        tree append (may allocate node pages), one tick.  None of these
+        touches a device, so the chunks' data requests then go to the
+        data device as one ``write_each`` and their log records to the
+        log as one ``log_operations``: each device serves the requests a
+        loop issuing both per chunk would, in the same order.  A loop
+        that raises midway still issues what it planned before the raise.
         """
         append_run = tree.append_run
         alloc_runs = self.gam.alloc_runs
-        write_extents = self.pagefile.device.write_extents
-        log_operation, tick = self.wal.log_operation, self.ghost.on_operation
-        for cursor in range(0, total, write_request):
-            chunk = min(write_request, total - cursor)
-            npages = ceil_div(chunk, PAGE_SIZE)
-            chunk_data = None if data is None \
-                else data[cursor: cursor + chunk] + bytes(-chunk % PAGE_SIZE)
-            runs = self._alloc(alloc_runs, npages)
-            write_extents(self._spans(runs), chunk_data)
-            for start, count in runs:
-                append_run(start, count)
-            log_operation(payload_bytes=chunk)
-            # The background cleaner runs concurrently with the insert:
-            # one tick per write request lets freed pages trickle back
-            # *between* a BLOB's chunks, so successive chunks can land
-            # on opposite sides of the allocation frontier — the
-            # per-request scatter behind "one fragment per 64 KB".
-            tick()
+        spans_of, tick = self._spans, self.ghost.on_operation
+        requests: list[list[Span]] = []
+        chunks: list[bytes] | None = None if data is None else []
+        payloads: list[int] = []
+        try:
+            for cursor in range(0, total, write_request):
+                chunk = min(write_request, total - cursor)
+                runs = self._alloc(alloc_runs, ceil_div(chunk, PAGE_SIZE))
+                requests.append(spans_of(runs))
+                if chunks is not None:
+                    chunks.append(data[cursor: cursor + chunk]
+                                  + bytes(-chunk % PAGE_SIZE))
+                for start, count in runs:
+                    append_run(start, count)
+                payloads.append(chunk)
+                # The background cleaner runs concurrently with the
+                # insert: one tick per write request lets freed pages
+                # trickle back *between* a BLOB's chunks, so successive
+                # chunks can land on opposite sides of the allocation
+                # frontier — the per-request scatter behind "one
+                # fragment per 64 KB".
+                tick()
+        finally:
+            self.pagefile.device.write_each(requests, chunks)
+            self.wal.log_operations(payloads)
 
     def _spans(self, runs: list[Run]) -> list[Span]:
         """Device ``(start, length)`` spans of page runs, order preserved."""

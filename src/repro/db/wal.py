@@ -92,42 +92,49 @@ class WriteAheadLog:
         #: cleaner hand-off); raising aborts the commit there.
         self.crash_hook = None
 
-    def _append(self, nbytes: int) -> None:
-        if self._cursor + nbytes > self.device.geometry.capacity:
-            self._cursor = 0
-        if self._charge_io:
-            self.device.write(self._cursor, nbytes)
-        self._cursor += nbytes
-        self.logged_bytes += nbytes
-
-    def log_operation(self, *, payload_bytes: int = 0) -> None:
-        """Log one operation.
+    def log_operations(self, payloads: list[int]) -> None:
+        """Log one operation record per entry of ``payloads``, as one
+        :meth:`~repro.disk.device.BlockDevice.write_each` on the log
+        device: each record is its own write request at the cursor,
+        which wraps to the start of the device when a record would run
+        past its end.
 
         In bulk-logged mode BLOB payloads are *not* logged — only the
         fixed-size allocation record.  In full-recovery mode the payload
         rides the log too (the configuration the paper avoided because
-        it doubles the write volume).
+        it doubles the write volume).  A negative payload is refused
+        before the cursor or any counter moves.
         """
-        if payload_bytes < 0:
-            raise ConfigError("payload_bytes must be >= 0")
-        nbytes = self.RECORD_BYTES
-        if not self.bulk_logged:
-            nbytes += payload_bytes
-        self._append(nbytes)
-        self.records += 1
-        self._pending_records += 1
+        if any(payload < 0 for payload in payloads):
+            raise ConfigError("payload bytes must be >= 0")
+        record, full = self.RECORD_BYTES, not self.bulk_logged
+        capacity = self.device.geometry.capacity
+        cursor = self._cursor
+        logged = 0
+        requests = []
+        for payload in payloads:
+            nbytes = record + payload if full else record
+            if cursor + nbytes > capacity:
+                cursor = 0
+            requests.append([(cursor, nbytes)])
+            cursor += nbytes
+            logged += nbytes
+        if self._charge_io:
+            self.device.write_each(requests)
+        self._cursor = cursor
+        self.logged_bytes += logged
+        self.records += len(payloads)
+        self._pending_records += len(payloads)
 
     def log_ghost(self, runs: Iterable[Run], *, token: int = 0) -> None:
         """Log one delete's ghost record.
 
-        Cost-identical to :meth:`log_operation` (one fixed-size record),
-        but the ghosted runs travel with the record: they reach the
-        ghost cleaner only at the commit that makes this record durable
-        — never before, which is exactly the deferred-free rule.
+        Cost-identical to a :meth:`log_operations` entry (one fixed-size
+        record), but the ghosted runs travel with the record: they reach
+        the ghost cleaner only at the commit that makes this record
+        durable — never before, which is exactly the deferred-free rule.
         """
-        self._append(self.RECORD_BYTES)
-        self.records += 1
-        self._pending_records += 1
+        self.log_operations([0])
         self._pending_ghosts.append(GhostRecord(token, tuple(runs)))
 
     def commit(self) -> None:

@@ -15,10 +15,13 @@ the same spans (``object_extents``).  A single request (``read``/``write``/
 :meth:`BlockDevice._serve`; a batch of :class:`IoRequest`
 scatter/gather requests goes through :meth:`submit`, which charges the
 whole batch with the head chaining request to request.  Either way each
-call records **one** :class:`IoStats` entry.  The public names
-(``read_extents``/``write_extents`` included) stay as they are: the
-whole-run benchmark's tracer patches these methods by name to time the
-disk layer.  A log append (the LFS log piece, the GFS record) is a
+call records **one** :class:`IoStats` entry.  A list of write requests
+that stay separate requests (a BLOB's 64 KB chunks, the log records
+beside them) goes through :meth:`write_each`: one call, one costing
+pass, and the books of one :meth:`write_extents` per request.  The
+public names (``read_extents``/``write_extents`` included) stay as they
+are: the whole-run benchmark's tracer patches these methods by name to
+time the disk layer.  A log append (the LFS log piece, the GFS record) is a
 contiguous run of ``write_request``-sized writes and goes through
 :meth:`write_stream`, which charges exactly what :meth:`submit_policy`
 of those requests would without building them.  Under a reordering
@@ -248,9 +251,11 @@ class BlockDevice:
     # ------------------------------------------------------------------
     # Service-time model
     # ------------------------------------------------------------------
-    def _cost_of(self, spans: list[Span],
-                 head: int) -> tuple[int, float, int, int]:
-        """(seeks, service seconds, final head, bytes) for one request.
+    def _cost_of(self, requests: list[list[Span]], head: int
+                 ) -> tuple[list[tuple[int, float, int]], int]:
+        """``(costed, head)`` for a list of requests served in order:
+        ``costed`` holds one ``(nbytes, service seconds, seeks)`` per
+        request, and the head chains from request to request.
 
         The one costing kernel: a single pass validates every span,
         charges seek + rotation + transfer with the head chaining
@@ -269,33 +274,39 @@ class BlockDevice:
         ends, rates, settle_s, seek_span_s, rotational_s = cost_tables(geometry)
         capacity = geometry.capacity
         window = self._sequential_window
-        seeks = nbytes = 0
-        total = geometry.per_request_overhead_s
-        for start, length in spans:
-            if start < 0 or length <= 0 or start + length > capacity:
-                raise ConfigError(f"span ({start}, {length}) empty or "
-                                  f"outside volume of {capacity} bytes")
-            gap = start - head
-            if 0 <= gap <= window:
-                # Sequential continuation: pay only any skipped media time.
-                if gap:
-                    zone = bisect_right(ends, head)
-                    if start <= ends[zone]:
-                        total += gap / rates[zone]
-                    else:
-                        total += geometry.transfer_time(head, gap)
-            else:
-                seeks += 1
-                seek_s = settle_s + seek_span_s * ((abs(gap) / capacity) ** 0.5)
-                total += seek_s + rotational_s
-            head = start + length
-            zone = bisect_right(ends, start)
-            if head <= ends[zone]:
-                total += length / rates[zone]
-            else:
-                total += geometry.transfer_time(start, length)
-            nbytes += length
-        return seeks, total, head, nbytes
+        overhead = geometry.per_request_overhead_s
+        costed: list[tuple[int, float, int]] = []
+        for spans in requests:
+            seeks = nbytes = 0
+            total = overhead
+            for start, length in spans:
+                if start < 0 or length <= 0 or start + length > capacity:
+                    raise ConfigError(f"span ({start}, {length}) empty or "
+                                      f"outside volume of {capacity} bytes")
+                gap = start - head
+                if 0 <= gap <= window:
+                    # Sequential continuation: pay only any skipped media
+                    # time.
+                    if gap:
+                        zone = bisect_right(ends, head)
+                        if start <= ends[zone]:
+                            total += gap / rates[zone]
+                        else:
+                            total += geometry.transfer_time(head, gap)
+                else:
+                    seeks += 1
+                    seek_s = settle_s + seek_span_s * ((abs(gap) / capacity)
+                                                       ** 0.5)
+                    total += seek_s + rotational_s
+                head = start + length
+                zone = bisect_right(ends, start)
+                if head <= ends[zone]:
+                    total += length / rates[zone]
+                else:
+                    total += geometry.transfer_time(start, length)
+                nbytes += length
+            costed.append((nbytes, total, seeks))
+        return costed, head
 
     def _scaled(self, service_s: float) -> float:
         """Seam: every modelled service time passes through here once
@@ -322,7 +333,8 @@ class BlockDevice:
         ``data`` to the span bytes), one ``IoStats`` record, the clock,
         then the content effect (a faulty device admits the request here
         first); returns the read result or ``None``."""
-        seeks, service, head, nbytes = self._cost_of(spans, self._head)
+        ((nbytes, service, seeks),), head = self._cost_of([spans],
+                                                          self._head)
         store = self._store
         if store is not None and data is not None and len(data) != nbytes:
             raise ConfigError(f"data length {len(data)} != span bytes {nbytes}")
@@ -350,7 +362,6 @@ class BlockDevice:
         if len(batch) == 1:
             req = batch[0]
             return [self._serve(req.is_write, req.spans, req.data)]
-        head = self._head
         seeks = 0
         read_bytes = write_bytes = 0
         read_s = write_s = 0.0
@@ -359,8 +370,9 @@ class BlockDevice:
         # validated): a bad span or data length anywhere leaves the
         # device untouched.
         order = self._elevator(batch) if self.policy.reorder_flag else batch
-        for req in order:
-            req_seeks, service, head, nbytes = self._cost_of(req.spans, head)
+        costed, head = self._cost_of([req.spans for req in order],
+                                     self._head)
+        for req, (nbytes, service, req_seeks) in zip(order, costed):
             if stored and req.data is not None and len(req.data) != nbytes:
                 raise ConfigError(
                     f"data length {len(req.data)} != span bytes {nbytes}")
@@ -457,8 +469,8 @@ class BlockDevice:
             write_s = 0.0
             for first, end in runs:
                 pos = min(first + request, end)
-                first_seeks, service, head, _ = self._cost_of(
-                    [(first, pos - first)], head)
+                ((_, service, first_seeks),), head = self._cost_of(
+                    [[(first, pos - first)]], head)
                 seeks += first_seeks
                 write_s += service
                 while pos < end:
@@ -492,6 +504,37 @@ class BlockDevice:
         order; pass ``None`` to write timing-only.
         """
         self._serve(True, spans, data)
+
+    def write_each(self, requests: list[list[Span]],
+                   data: list[bytes] | None = None) -> None:
+        """Write each span list as its own request, in order, charging
+        bit for bit what one :meth:`write_extents` per list charges: one
+        ``IoStats`` entry per request, the clock folded per request.
+
+        ``data`` (when content storage is on) holds one payload per
+        request.  The whole list is costed, and every payload held to
+        its request's bytes, before the head, clock, stats or stored
+        bytes move.
+        """
+        if data is not None and len(data) != len(requests):
+            raise ConfigError(f"{len(data)} payloads for "
+                              f"{len(requests)} requests")
+        costed, head = self._cost_of(requests, self._head)
+        store = self._store
+        if store is not None and data is not None:
+            for payload, (nbytes, _, _) in zip(data, costed):
+                if len(payload) != nbytes:
+                    raise ConfigError(
+                        f"data length {len(payload)} != span bytes {nbytes}")
+        self._head = head
+        self.stats.record_each(True, costed)
+        clock_s = self.clock_s
+        for _, service, _ in costed:
+            clock_s += service
+        self.clock_s = clock_s
+        if store is not None and data is not None:
+            for spans, payload in zip(requests, data):
+                self._apply_content(True, spans, payload)
 
     def read(self, offset: int, length: int) -> bytes | None:
         """Timed single-span read."""

@@ -368,9 +368,10 @@ class FaultyBlockDevice(BlockDevice):
             raise ShardLostError("device is permanently lost")
 
     # -- cost model ----------------------------------------------------
-    def _cost_of(self, spans, head):
-        seeks, total, head, nbytes = super()._cost_of(spans, head)
-        return seeks, self._scaled(total), head, nbytes
+    def _cost_of(self, requests, head):
+        costed, head = super()._cost_of(requests, head)
+        return [(nbytes, self._scaled(service), seeks)
+                for nbytes, service, seeks in costed], head
 
     def _scaled(self, service_s: float) -> float:
         faults = self.faults
@@ -398,6 +399,16 @@ class FaultyBlockDevice(BlockDevice):
         if len(batch) > 1:
             self._admit(any(req.is_write for req in batch), batch)
         return super().submit(batch)
+
+    def write_each(self, requests: list[list[Span]],
+                   data: list[bytes] | None = None) -> None:
+        # One ``_serve`` per request: each is admitted, ticked, torn,
+        # drawn and slowed on its own, as one ``write_extents`` each.
+        if data is not None and len(data) != len(requests):
+            raise ConfigError(f"{len(data)} payloads for "
+                              f"{len(requests)} requests")
+        for at, spans in enumerate(requests):
+            self._serve(True, spans, None if data is None else data[at])
 
     def write_stream(self, start: int, length: int, request: int,
                      data: bytes | None = None) -> None:

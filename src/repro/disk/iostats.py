@@ -151,6 +151,29 @@ class IoStats:
                 win.read_bytes += nbytes
                 win.read_time_s += service_s
 
+    def record_each(self, is_write: bool,
+                    costed: list[tuple[int, float, int]]) -> None:
+        """:meth:`record` applied once per ``(nbytes, service_s, seeks)``
+        entry, in order: every accumulator (the totals and each open
+        window) folds the service times one entry at a time, so its
+        float sum is the one ``len(costed)`` ``record`` calls leave."""
+        nbytes = seeks = 0
+        for size, _, count in costed:
+            nbytes += size
+            seeks += count
+        if is_write:
+            bytes_field, time_field = "write_bytes", "write_time_s"
+        else:
+            bytes_field, time_field = "read_bytes", "read_time_s"
+        for acc in (self, *self._windows):
+            acc.requests += len(costed)
+            acc.seeks += seeks
+            setattr(acc, bytes_field, getattr(acc, bytes_field) + nbytes)
+            elapsed = getattr(acc, time_field)
+            for _, service_s, _ in costed:
+                elapsed += service_s
+            setattr(acc, time_field, elapsed)
+
     def start_window(self, name: str) -> WindowStats:
         """Open a named measurement window; windows may nest."""
         win = WindowStats(name=name)

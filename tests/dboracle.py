@@ -359,7 +359,7 @@ def oracle_put(store, *, size: int | None = None, data: bytes | None = None,
         for start, count in _write_new_pages(store, npages, chunk_data):
             general_insert(record.tree, record.tree.total_pages, start,
                            count)
-        store.wal.log_operation(payload_bytes=chunk)
+        store.wal.log_operations([chunk])
         cursor += chunk
         store.ghost.on_operation()
     store._blobs[record.blob_id] = record

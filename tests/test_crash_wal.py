@@ -174,6 +174,6 @@ class TestWalGhostSemantics:
         assert report.replayed == ()
         assert published == []
         # A later commit must not resurrect the rolled-back record.
-        wal.log_operation()
+        wal.log_operations([0])
         wal.commit()
         assert published == []

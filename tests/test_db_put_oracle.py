@@ -17,6 +17,7 @@ from dboracle import oracle_put
 from repro.db.database import DbConfig, SimDatabase
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
+from repro.errors import AllocationError
 from repro.units import KB, MB, PAGE_SIZE
 
 WRITE_REQUESTS = [8 * KB, 64 * KB, 72 * KB]
@@ -172,3 +173,25 @@ def test_partial_last_chunk_is_zero_padded():
     assert length == 2 * PAGE_SIZE
     stored = shipped.data_device.peek(start, length)
     assert stored[PAGE_SIZE + 1:] == bytes(PAGE_SIZE - 1)
+
+
+def test_a_put_that_runs_out_midway_keeps_the_serial_books():
+    """A put that runs out of pages partway through a BLOB: the chunks
+    planned before the refusal are still written and logged, so each
+    device's books equal the serial loop's at the raise."""
+    shipped, oracle = twins(2 * MB, ghost_min_age_ops=10_000)
+    rng = random.Random(7)
+    for _ in range(3):
+        data = rng.randbytes(400 * KB + 11)
+        assert shipped.blobs.put(data=data) == oracle_put(oracle.blobs,
+                                                          data=data)
+    free_bytes = shipped.gam.free_page_count * PAGE_SIZE
+    requests_before = shipped.data_device.stats.requests
+    data = rng.randbytes(free_bytes + 200 * KB)
+    with pytest.raises(AllocationError):
+        shipped.blobs.put(data=data)
+    with pytest.raises(AllocationError):
+        oracle_put(oracle.blobs, data=data)
+    assert shipped.data_device.stats.requests > requests_before + 1
+    assert shipped.wal.records > 3 * 7
+    assert state(shipped) == state(oracle)

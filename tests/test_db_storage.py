@@ -74,25 +74,48 @@ class TestPageFile:
 # WAL
 # ----------------------------------------------------------------------
 class TestWal:
-    def make(self, bulk_logged=True):
+    def make(self, bulk_logged=True, charge_io=True):
         device = BlockDevice(scaled_disk(8 * MB))
-        return WriteAheadLog(device, bulk_logged=bulk_logged), device
+        return WriteAheadLog(device, bulk_logged=bulk_logged,
+                             charge_io=charge_io), device
+
+    @staticmethod
+    def books(wal, device):
+        return (wal._cursor, wal.records, wal._pending_records,
+                wal.logged_bytes, device.stats.snapshot(), device.clock_s,
+                device.head_position)
 
     def test_bulk_logged_skips_payload(self):
         wal, device = self.make(bulk_logged=True)
-        wal.log_operation(payload_bytes=1 * MB)
+        wal.log_operations([1 * MB])
         assert device.stats.write_bytes == WriteAheadLog.RECORD_BYTES
 
     def test_full_recovery_logs_payload(self):
         wal, device = self.make(bulk_logged=False)
-        wal.log_operation(payload_bytes=1 * MB)
+        wal.log_operations([1 * MB])
         assert device.stats.write_bytes == \
             WriteAheadLog.RECORD_BYTES + 1 * MB
 
+    def test_full_recovery_list_carries_each_payload(self):
+        record = WriteAheadLog.RECORD_BYTES
+        wal, device = self.make(bulk_logged=False)
+        wal.log_operations([1 * MB, 0, 3])
+        logged = 3 * record + 1 * MB + 3
+        assert (device.stats.write_bytes, device.stats.requests) == \
+            (logged, 3)
+        assert (wal._cursor, wal.logged_bytes, wal.records) == \
+            (logged, logged, 3)
+        # The same records written one request each, at the same offsets.
+        twin = BlockDevice(scaled_disk(8 * MB))
+        twin.write(0, record + 1 * MB)
+        twin.write(record + 1 * MB, record)
+        twin.write(2 * record + 1 * MB, record + 3)
+        assert (device.stats, device.clock_s, device.head_position) == \
+            (twin.stats, twin.clock_s, twin.head_position)
+
     def test_commit_flushes_once(self):
         wal, device = self.make()
-        for _ in range(5):
-            wal.log_operation()
+        wal.log_operations([0] * 5)
         requests_before = device.stats.requests
         wal.commit()
         assert device.stats.requests == requests_before + 1  # one flush
@@ -106,13 +129,58 @@ class TestWal:
     def test_log_wraps(self):
         wal, device = self.make()
         for _ in range(20000):
-            wal.log_operation()
+            wal.log_operations([0])
         assert wal.records == 20000  # no overflow error
+
+    def test_cursor_wraps_mid_list(self):
+        """Two records fit before the end; the third wraps to offset 0.
+        The list charges what one write per record at the same offsets
+        charges."""
+        record = WriteAheadLog.RECORD_BYTES
+        wal, device = self.make()
+        capacity = device.geometry.capacity
+        fill = capacity // record - 2
+        wal.log_operations([0] * fill)
+        twin = BlockDevice(scaled_disk(8 * MB))
+        for at in range(fill):
+            twin.write(at * record, record)
+        wal.log_operations([0] * 5)
+        for offset in (fill * record, (fill + 1) * record, 0, record,
+                       2 * record):
+            twin.write(offset, record)
+        assert wal._cursor == 3 * record
+        assert wal.records == wal._pending_records == fill + 5
+        assert (device.stats, device.clock_s, device.head_position) == \
+            (twin.stats, twin.clock_s, twin.head_position)
+
+    def test_uncharged_log_moves_only_its_counters(self):
+        wal, device = self.make(charge_io=False)
+        wal.log_operations([5, 6])
+        assert (wal._cursor, wal.records, wal.logged_bytes) == \
+            (2 * WriteAheadLog.RECORD_BYTES, 2,
+             2 * WriteAheadLog.RECORD_BYTES)
+        assert device.stats == BlockDevice(scaled_disk(8 * MB)).stats
+        assert device.clock_s == 0.0
+
+    def test_empty_list_is_a_noop(self):
+        wal, device = self.make()
+        before = self.books(wal, device)
+        wal.log_operations([])
+        assert self.books(wal, device) == before
 
     def test_payload_validation(self):
         wal, _ = self.make()
         with pytest.raises(ConfigError):
-            wal.log_operation(payload_bytes=-1)
+            wal.log_operations([-1])
+
+    @pytest.mark.parametrize("payloads", [[-1], [0, 7, -1], [-1, 0]])
+    def test_a_negative_payload_anywhere_moves_nothing(self, payloads):
+        wal, device = self.make(bulk_logged=False)
+        wal.log_operations([3])
+        before = self.books(wal, device)
+        with pytest.raises(ConfigError):
+            wal.log_operations(payloads)
+        assert self.books(wal, device) == before
 
 
 # ----------------------------------------------------------------------

@@ -248,14 +248,24 @@ span_picks = st.tuples(st.integers(0, 5), st.integers(0, 1 << 20),
 request_picks = st.tuples(st.booleans(), st.lists(span_picks, max_size=4))
 
 
+def chained(dev, batch, head):
+    """``_cost_of``'s answer for ``batch``, one request per call."""
+    costed = []
+    for req in batch:
+        (entry,), head = dev._cost_of([req.spans], head)
+        costed.append(entry)
+    return costed, head
+
+
 @given(zoned_geometries(), st.sampled_from([0, 1, 64, 64 * KB]),
        st.sampled_from([1.0, 4.0]),
        st.lists(st.lists(request_picks, min_size=1, max_size=3), max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_composed_model(geometry, window, slow, steps):
-    """``==`` on every float: per request, and on head, clock and stats
-    after every step, for a batch submitted whole, one request at a
-    time, and in elevator order."""
+    """``==`` on every float: per request, for the batch costed as one
+    list against its requests chained one call at a time, and on head,
+    clock and stats after every step, for a batch submitted whole, one
+    request at a time, and in elevator order."""
     def device(policy):
         if slow == 1.0:
             return BlockDevice(geometry, sequential_window=window,
@@ -279,8 +289,13 @@ def test_kernel_matches_composed_model(geometry, window, slow, steps):
                     spans.append((start, length))
                     head = start + length
                 batch.append(IoRequest(is_write, spans))
-                assert dev._cost_of(spans, oracle.head)[:3] == cost_of(
+                ((_, service, seeks),), final = dev._cost_of(
+                    [spans], oracle.head)
+                assert (seeks, service, final) == cost_of(
                     geometry, window, spans, oracle.head, slow)
+            assert dev._cost_of([req.spans for req in batch],
+                                oracle.head) == chained(dev, batch,
+                                                        oracle.head)
             if mode == "single":
                 for req in batch:
                     dev.submit([req])
@@ -305,7 +320,7 @@ class TestKernelEdges:
     GEOMETRY = DiskGeometry(capacity=1000, zones=(
         Zone(0, 100, 1e4), Zone(100, 400, 7e3), Zone(400, 1000, 3e3)))
 
-    @pytest.mark.parametrize("extents, head", [
+    EDGES = [
         ([(0, 1000)], 0),                    # straddles every zone
         ([(50, 50), (100, 1)], 0),     # head lands on a zone end
         ([(900, 100), (0, 10)], 0),    # head lands on capacity
@@ -314,13 +329,26 @@ class TestKernelEdges:
         ([(85, 5)], 20),                     # gap == window + 1
         ([(5, 5)], 20),                      # backwards
         ([], 20),                                  # empty request
-    ])
+    ]
+
+    @pytest.mark.parametrize("extents, head", EDGES)
     @pytest.mark.parametrize("window", [0, 64])
     def test_equals_composed_model(self, extents, head, window):
         dev = BlockDevice(self.GEOMETRY, sequential_window=window)
-        *cost, nbytes = dev._cost_of(extents, head)
-        assert tuple(cost) == cost_of(self.GEOMETRY, window, extents, head)
+        ((nbytes, service, seeks),), final = dev._cost_of([extents], head)
+        assert (seeks, service, final) == cost_of(self.GEOMETRY, window,
+                                                  extents, head)
         assert nbytes == sum(length for _, length in extents)
+
+    @pytest.mark.parametrize("window", [0, 64])
+    def test_list_equals_requests_chained(self, window):
+        """Every edge request in one list, the head chaining through
+        them, costs what the same requests cost one call at a time."""
+        dev = BlockDevice(self.GEOMETRY, sequential_window=window)
+        batch = [IoRequest(True, extents) for extents, _ in self.EDGES]
+        assert dev._cost_of([req.spans for req in batch], 20) == \
+            chained(dev, batch, 20)
+        assert dev._cost_of([], 20) == ([], 20)
 
     def test_negative_window_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,8 +6,13 @@ books (``SegmentLog.check_invariants``) hold after every step, and every
 object reads back the last bytes written to it.  A regression run holds
 the GFS forced-collection wedge closed: at 50 % occupancy with
 ``gc_dead_fraction=0.9``, chunks whose records died while they were open
-used to fill the volume until a write found no free chunk.
+used to fill the volume until a write found no free chunk.  A put the
+full log refuses partway through an object leaves what it wrote as dead
+bytes, not live ones no object owns.
 """
+
+import pytest
+import random
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -19,7 +24,8 @@ from repro.backends.lfs_backend import LfsBackend
 from repro.cli import main
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
-from repro.units import KB
+from repro.errors import StorageFullError
+from repro.units import KB, MB
 
 VOLUME = 256 * KB
 UNIT = 32 * KB  # eight units
@@ -113,3 +119,47 @@ def test_gfs_forced_collection_does_not_wedge():
     assert main(["run", "--store", "gfs:gc_dead_fraction=0.9,chunk_size=1M",
                  "--volume", "32M", "--object-size", "256K",
                  "--occupancy", "0.5", "--ages", "0,1,2"]) == 0
+
+
+def test_a_refused_put_leaves_no_orphan_live_bytes():
+    store = LfsBackend(BlockDevice(scaled_disk(8 * MB)),
+                       segment_size=1 * MB, clean_threshold=1.0)
+    for i in range(6):
+        store.put(f"k{i}", size=1 * MB)
+    with pytest.raises(StorageFullError):
+        store.put("big", size=3 * MB)
+    store.check_invariants()
+    assert not store.exists("big")
+    assert sum(seg.live for seg in store._segments.values()) == 6 * MB
+    # The refused object's 2 MB are dead: the unit it emptied is free
+    # again, the head keeps its dead megabyte for a collection.
+    assert store.free_bytes() == 1 * MB
+    assert sum(seg.dead() for seg in store._segments.values()) == 1 * MB
+
+
+def test_a_refused_put_after_a_mid_append_collection_keeps_the_books():
+    """A seeded random op mix on a full 4 MB log: the put refused at
+    step 92 had a collection free and reuse a unit that held one of its
+    earlier pieces, so only the pieces in units still held may become
+    dead bytes."""
+    rng = random.Random(1)
+    store = LfsBackend(BlockDevice(scaled_disk(4 * MB)),
+                       segment_size=rng.choice([128 * KB, 256 * KB]),
+                       clean_threshold=rng.choice([0.5, 0.75, 1.0]))
+    keys, refused = [], 0
+    for step in range(93):
+        op, size = rng.random(), rng.randint(50 * KB, 700 * KB)
+        try:
+            if op < 0.5 or not keys:
+                store.put(f"k{step}", size=size)
+                keys.append(f"k{step}")
+            elif op < 0.8:
+                store.overwrite(rng.choice(keys), size=size)
+            else:
+                key = rng.choice(keys)
+                keys.remove(key)
+                store.delete(key)
+        except StorageFullError:
+            refused += 1
+        store.check_invariants()
+    assert refused > 0
