@@ -12,7 +12,7 @@ from repro.backends.costmodel import CostModel
 from repro.backends.registry import object_option, register_backend
 from repro.backends.spec import StoreSpec
 from repro.db.database import DbConfig, SimDatabase
-from repro.disk.device import BlockDevice, IoRequest
+from repro.disk.device import BlockDevice
 from repro.errors import ConfigError, ObjectNotFoundError
 from repro.units import Span, checked_read_range, checked_write_size
 
@@ -91,13 +91,12 @@ class BlobBackend:
         return self.meta_table.keys()
 
     def read_many(self, keys: list[str]) -> list[bytes | None]:
-        requests: list[IoRequest] = []
+        requests: list[list[Span]] = []
         sizes: list[int] = []
         for key in keys:
             row = self._meta_lookup(key)
             self.cost.charge_db_stream(self.device.stats, row["size"])
-            requests.append(
-                IoRequest(False, self.db.blobs.blob_spans(row["blob_id"])))
+            requests.append(self.db.blobs.blob_spans(row["blob_id"]))
             sizes.append(row["size"])
         results = self.device.submit_policy(requests)
         return [r if r is None else r[:size]

@@ -18,7 +18,7 @@ from repro.backends.costmodel import CostModel
 from repro.backends.registry import object_option, register_backend
 from repro.backends.spec import StoreSpec
 from repro.db.database import DbConfig, SimDatabase
-from repro.disk.device import BlockDevice, IoRequest, slice_spans
+from repro.disk.device import BlockDevice, slice_spans
 from repro.disk.geometry import scaled_disk
 from repro.errors import FileExistsFsError, ObjectNotFoundError
 from repro.fs.filesystem import FsConfig, SimFilesystem
@@ -136,15 +136,15 @@ class FileBackend:
         return self.meta_table.keys()
 
     def read_many(self, keys: list[str]) -> list[bytes | None]:
-        requests: list[IoRequest] = []
+        requests: list[list[Span]] = []
         for key in keys:
             row = self._meta_lookup(key)
             fname = row["path"]
             self.cost.charge_file_open(self.device.stats)
             self.fs.read_record(fname)
             # The file's bytes, not its allocation: what ``get`` reads.
-            requests.append(IoRequest(False, slice_spans(
-                self.fs.extent_map(fname), 0, row["size"])))
+            requests.append(slice_spans(self.fs.extent_map(fname), 0,
+                                        row["size"]))
             self.cost.charge_file_stream(self.device.stats, row["size"])
             self.cost.charge_file_close(self.device.stats)
         return self.device.submit_policy(requests)

@@ -22,7 +22,7 @@ from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import register_backend
 from repro.backends.spec import StoreSpec
-from repro.disk.device import BlockDevice, IoRequest, Span, slice_spans
+from repro.disk.device import BlockDevice, Span, slice_spans
 from repro.disk.faults import read_live
 from repro.errors import (ConfigError, CorruptionError, ObjectNotFoundError,
                           StorageFullError)
@@ -77,14 +77,15 @@ class SegmentLog:
         head = self._head
         return head is not None and head.used + need <= self.segment_size
 
-    def _head_for(self, need: int) -> _Segment:
+    def _head_for(self, need: int, placing: _ObjectLoc) -> _Segment:
         """The open unit, with room for ``need`` bytes.  Without it, a
-        free list at the reserve is collected first; then the lowest free
-        unit becomes the head, and the policy sees the sealed one."""
+        free list at the reserve is collected first (sparing the units of
+        ``placing``, the object being written); then the lowest free unit
+        becomes the head, and the policy sees the sealed one."""
         while not self._fits(need):
             if len(self._free_segments) <= self.reserve:
                 self._collect(lambda: self._fits(need) or len(
-                    self._free_segments) > self.reserve)
+                    self._free_segments) > self.reserve, placing=placing)
                 if self._fits(need):
                     break
             if not self._free_segments:
@@ -117,10 +118,9 @@ class SegmentLog:
         loc = _ObjectLoc(key=key, size=size, version=version)
         need = size if self.whole_records else 1
         cursor = 0
-        units: list[_Segment] = []
         try:
             while cursor < size:
-                seg = self._head_for(need)
+                seg = self._head_for(need, loc)
                 take = min(size - cursor, self.segment_size - seg.used)
                 # One device stream of write_request-sized requests; the
                 # device policy caps the batch size and picks the order.
@@ -128,18 +128,13 @@ class SegmentLog:
                     seg.base + seg.used, take, self.write_request,
                     None if data is None else data[cursor: cursor + take])
                 loc.pieces.append((seg.seg_id, seg.used, take))
-                units.append(seg)
                 seg.used += take
                 seg.live += take
                 cursor += take
         except StorageFullError:
             # A refused object owns nothing: the pieces already written
-            # become dead bytes of their units (of those still held: a
-            # collection this append ran may have freed one).
-            for unit, (_, _, length) in zip(units, loc.pieces):
-                if self._segments.get(unit.seg_id) is unit:
-                    unit.live -= length
-                    self._released(unit)
+            # become dead bytes of their units.
+            self._release_pieces(loc)
             raise
         return loc
 
@@ -154,10 +149,14 @@ class SegmentLog:
         insort(self._free_segments, seg.seg_id)
 
     def _collect(self, enough: Callable[[], bool],
-                 victim: _Segment | None = None) -> None:
+                 victim: _Segment | None = None,
+                 placing: _ObjectLoc | None = None) -> None:
         """Collect ``victim`` if given, then, until ``enough()``, the unit
         other than the head with the most dead bytes (ties: the first in
-        ``_segments``) the policy lets go.  Copies never collect."""
+        ``_segments``) the policy lets go and no piece of ``placing`` is
+        in; or until a volume's worth of victims has not raised the
+        pass's best free count (it only moves live bytes around).
+        Copies never collect."""
         if self._cleaning:
             return
         self._cleaning = True
@@ -168,14 +167,20 @@ class SegmentLog:
             # log takes victims only among the units held as it began.
             pool = list(self._segments.values()) if self.whole_records \
                 else None
-            while not enough():
+            busy = {piece[0] for piece in placing.pieces} if placing else ()
+            best, idle = len(self._free_segments), 0
+            while not enough() and idle < self.nsegments:
                 held = self._segments.values() if pool is None else [
                     u for u in pool if self._segments.get(u.seg_id) is u]
                 victims = [u for u in held if u is not self._head
-                           and u.dead() > 0 and self._collectable(u)]
+                           and u.dead() > 0 and u.seg_id not in busy
+                           and self._collectable(u)]
                 if not victims:
                     return
                 self._collect_unit(max(victims, key=_Segment.dead))
+                idle += 1
+                if len(self._free_segments) > best:
+                    best, idle = len(self._free_segments), 0
         finally:
             self._cleaning = False
 
@@ -287,11 +292,11 @@ class SegmentLog:
         return list(self._objects)
 
     def read_many(self, keys: list[str]) -> list[bytes | None]:
-        requests: list[IoRequest] = []
+        requests: list[list[Span]] = []
         for key in keys:
             loc = self._lookup(key)
             self.cost.charge_db_query(self.device.stats)
-            requests.append(IoRequest(False, self._spans_of(loc)))
+            requests.append(self._spans_of(loc))
         return self.device.submit_policy(requests)
 
     def object_extents(self, key: str) -> list[Span]:

@@ -10,28 +10,29 @@ Submission paths
 A request is a list of ``(start, length)`` int pairs, *spans*: the
 device reads two ints per piece and never builds an
 :class:`~repro.alloc.extent.Extent`; an object's layout is reported in
-the same spans (``object_extents``).  A single request (``read``/``write``/
-``*_extents``, a one-request ``submit``) is one call to
-:meth:`BlockDevice._serve`; a batch of :class:`IoRequest`
-scatter/gather requests goes through :meth:`submit`, which charges the
-whole batch with the head chaining request to request.  Either way each
-call records **one** :class:`IoStats` entry.  A list of write requests
-that stay separate requests (a BLOB's 64 KB chunks, the log records
-beside them) goes through :meth:`write_each`: one call, one costing
-pass, and the books of one :meth:`write_extents` per request.  The
-public names (``read_extents``/``write_extents`` included) stay as they
-are: the whole-run benchmark's tracer patches these methods by name to
-time the disk layer.  A log append (the LFS log piece, the GFS record) is a
-contiguous run of ``write_request``-sized writes and goes through
-:meth:`write_stream`, which charges exactly what :meth:`submit_policy`
-of those requests would without building them.  Under a reordering
-policy the batch is served in elevator (C-LOOK) order — ascending
-starts from the current head, wrapping once — which models
-request-scheduling effects; without reordering the modelled cost is
-exactly identical to submitting the requests one call at a time.
+the same spans (``object_extents``).  Every list entry point takes a
+list of span lists, one direction per call and one payload per write
+request, and checks every span and payload before anything moves.  A
+single request (``read``/``write``/``*_extents``, a one-request
+``submit``) is one call to :meth:`BlockDevice._serve`; a batch goes
+through :meth:`submit`, which charges the whole batch with the head
+chaining request to request.  Either way each call records **one**
+:class:`IoStats` entry.  A list of write requests that stay separate
+requests (a BLOB's 64 KB chunks, the log records beside them) goes
+through :meth:`write_each`: one call, one costing pass, and the books
+of one :meth:`write_extents` per request.  A log append (the LFS log
+piece, the GFS record) is a contiguous run of ``write_request``-sized
+writes and goes through :meth:`write_stream`, which charges exactly
+what :meth:`submit_policy` of those requests would without building
+them.  Under a reordering policy a batch is served in elevator (C-LOOK)
+order — ascending starts from the current head, wrapping once — which
+models request-scheduling effects; without reordering the modelled
+cost is exactly that of the requests submitted one call at a time.
 Content effects (stored bytes, read results) always apply in
 *submission* order regardless of reordering: the elevator changes the
-timing model, never the semantics.
+timing model, never the semantics.  The public names stay as they are:
+the whole-run benchmark's tracer patches them by name to time the disk
+layer, and counts a batch's requests from ``submit``'s first argument.
 
 Content storage
 ---------------
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from repro.disk.geometry import DiskGeometry, cost_tables
 from repro.disk.iostats import IoStats
@@ -191,29 +191,6 @@ class _SegmentStore:
         return bytes(out)
 
 
-@dataclass(slots=True)
-class IoRequest:
-    """One scatter/gather request inside a :meth:`BlockDevice.submit` batch.
-
-    ``spans`` are served in order within the request (the head chains
-    through them); ``data``, when content storage is on, must cover the
-    spans in logical order.
-    """
-
-    is_write: bool
-    spans: list[Span]
-    data: bytes | None = None
-
-    @classmethod
-    def read(cls, spans: list[Span]) -> "IoRequest":
-        return cls(is_write=False, spans=spans)
-
-    @classmethod
-    def write(cls, spans: list[Span],
-              data: bytes | None = None) -> "IoRequest":
-        return cls(is_write=True, spans=spans, data=data)
-
-
 class BlockDevice:
     """A single simulated drive.
 
@@ -313,12 +290,13 @@ class BlockDevice:
         (a degraded device overrides it; see ``disk/faults.py``)."""
         return service_s
 
-    def _elevator(self, batch: list[IoRequest]) -> list[IoRequest]:
-        """C-LOOK order: ascending starts from the head, wrapping once."""
+    def _elevator(self, batch: list[list[Span]]) -> list[list[Span]]:
+        """C-LOOK order: ascending starts from the head, wrapping once
+        (a stable sort: ties keep submission order)."""
         head = self._head
 
-        def start_of(req: IoRequest) -> int:
-            return req.spans[0][0] if req.spans else head
+        def start_of(spans: list[Span]) -> int:
+            return spans[0][0] if spans else head
 
         ahead = sorted((r for r in batch if start_of(r) >= head), key=start_of)
         behind = sorted((r for r in batch if start_of(r) < head), key=start_of)
@@ -345,8 +323,27 @@ class BlockDevice:
             return None
         return self._apply_content(is_write, spans, data)
 
-    def submit(self, batch: list[IoRequest]) -> list[bytes | None]:
-        """Serve a batch of requests; one ``IoStats`` record per batch.
+    def _check_payloads(self, requests: list[list[Span]], is_write: bool,
+                        data: list[bytes] | None) -> None:
+        """Refuse a batch's payloads before anything moves: only a write
+        carries them, one per request, each (with content storage) as
+        long as its request's span bytes."""
+        if data is None:
+            return
+        if not is_write or len(data) != len(requests):
+            raise ConfigError(f"{len(data)} payloads for {len(requests)} "
+                              + ("write" if is_write else "read") + " requests")
+        if self._store is not None:
+            for spans, payload in zip(requests, data):
+                nbytes = sum(length for _, length in spans)
+                if len(payload) != nbytes:
+                    raise ConfigError(
+                        f"data length {len(payload)} != span bytes {nbytes}")
+
+    def submit(self, requests: list[list[Span]], *, is_write: bool = False,
+               data: list[bytes] | None = None) -> list[bytes | None]:
+        """Serve a batch of requests, all reads or all writes (``data``:
+        one payload per write request); one ``IoStats`` record per batch.
 
         Costs are charged with the head chaining through the batch in
         service order: elevator order when the device's
@@ -355,44 +352,33 @@ class BlockDevice:
         the same requests cost submitted one at a time.
         Returns one entry per request in submission order: read results
         (when content storage is on) or ``None``.  An empty batch is a
-        no-op; a one-request batch is :meth:`_serve`.
+        no-op; a one-request batch is :meth:`_serve`.  Every span and
+        payload is checked before anything moves.
         """
-        if not batch:
+        self._check_payloads(requests, is_write, data)
+        if not requests:
             return []
-        if len(batch) == 1:
-            req = batch[0]
-            return [self._serve(req.is_write, req.spans, req.data)]
-        seeks = 0
-        read_bytes = write_bytes = 0
-        read_s = write_s = 0.0
-        stored = self._store is not None
-        # Nothing is mutated until the last request is costed (and so
-        # validated): a bad span or data length anywhere leaves the
-        # device untouched.
-        order = self._elevator(batch) if self.policy.reorder_flag else batch
-        costed, head = self._cost_of([req.spans for req in order],
-                                     self._head)
-        for req, (nbytes, service, req_seeks) in zip(order, costed):
-            if stored and req.data is not None and len(req.data) != nbytes:
-                raise ConfigError(
-                    f"data length {len(req.data)} != span bytes {nbytes}")
-            seeks += req_seeks
-            if req.is_write:
-                write_bytes += nbytes
-                write_s += service
-            else:
-                read_bytes += nbytes
-                read_s += service
-        self._head = head
-        self.stats.record(False, read_bytes, read_s, seeks)
-        self.stats.record(True, write_bytes, write_s, 0, requests=0)
-        self.clock_s += read_s + write_s
+        if len(requests) == 1:
+            return [self._serve(is_write, requests[0],
+                                None if data is None else data[0])]
+        order = self._elevator(requests) if self.policy.reorder_flag \
+            else requests
+        costed, self._head = self._cost_of(order, self._head)
+        nbytes = seeks = 0
+        service_s = 0.0
+        for size, service, count in costed:
+            nbytes += size
+            service_s += service
+            seeks += count
+        self.stats.record(is_write, nbytes, service_s, seeks)
+        self.clock_s += service_s
         if self._store is None:
-            return [None] * len(batch)
+            return [None] * len(requests)
         # Content pass, always in submission order: reordering is a
         # timing-model choice and must never change stored bytes.
-        return [self._apply_content(req.is_write, req.spans, req.data)
-                for req in batch]
+        return [self._apply_content(is_write, spans, payload)
+                for spans, payload in zip(requests,
+                                          data or [None] * len(requests))]
 
     def _apply_content(self, is_write: bool, spans: list[Span],
                        data: bytes | None) -> bytes | None:
@@ -408,18 +394,25 @@ class BlockDevice:
                 cursor += length
         return None
 
-    def submit_policy(self, requests: list[IoRequest]) -> list[bytes | None]:
+    def submit_policy(self, requests: list[list[Span]], *,
+                      is_write: bool = False,
+                      data: list[bytes] | None = None) -> list[bytes | None]:
         """Submit a request stream under the device's policy.
 
-        The policy's ``batch_size`` splits the stream into batches and
-        its ``reorder`` discipline orders each batch; results come back
-        aligned with ``requests``.  The backends' ``read_many`` sweeps
-        use it; log appends use :meth:`write_stream`, which charges the
-        same.
+        The policy's ``batch_size`` splits the stream (and ``data``
+        beside it) into batches and its ``reorder`` discipline orders
+        each batch; results come back aligned with ``requests``.  The
+        backends' ``read_many`` sweeps use it; log appends use
+        :meth:`write_stream`, which charges the same.
         """
+        self._check_payloads(requests, is_write, data)
         out: list[bytes | None] = []
+        at = 0
         for chunk in self.policy.chunks(requests):
-            out.extend(self.submit(list(chunk)))
+            out.extend(self.submit(
+                chunk, is_write=is_write,
+                data=None if data is None else data[at: at + len(chunk)]))
+            at += len(chunk)
         return out
 
     def _check_stream(self, start: int, length: int, request: int,
@@ -484,8 +477,7 @@ class BlockDevice:
                     pos += size
                 head = end
             self._head = head
-            self.stats.record(False, 0, 0.0, seeks)
-            self.stats.record(True, hi - lo, write_s, 0, requests=0)
+            self.stats.record(True, hi - lo, write_s, seeks)
             self.clock_s += write_s
             if store is not None and payload is not None:
                 for pos in range(lo, hi, request):
@@ -516,23 +508,14 @@ class BlockDevice:
         its request's bytes, before the head, clock, stats or stored
         bytes move.
         """
-        if data is not None and len(data) != len(requests):
-            raise ConfigError(f"{len(data)} payloads for "
-                              f"{len(requests)} requests")
-        costed, head = self._cost_of(requests, self._head)
-        store = self._store
-        if store is not None and data is not None:
-            for payload, (nbytes, _, _) in zip(data, costed):
-                if len(payload) != nbytes:
-                    raise ConfigError(
-                        f"data length {len(payload)} != span bytes {nbytes}")
-        self._head = head
+        self._check_payloads(requests, True, data)
+        costed, self._head = self._cost_of(requests, self._head)
         self.stats.record_each(True, costed)
         clock_s = self.clock_s
         for _, service, _ in costed:
             clock_s += service
         self.clock_s = clock_s
-        if store is not None and data is not None:
+        if self._store is not None and data is not None:
             for spans, payload in zip(requests, data):
                 self._apply_content(True, spans, payload)
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.disk.device import BlockDevice, IoRequest, Span
+from repro.disk.device import BlockDevice, Span
 from repro.disk.geometry import DiskGeometry
 from repro.errors import (ConfigError, CrashPoint, ShardLostError,
                           TransientIoError)
@@ -308,7 +308,7 @@ class FaultyBlockDevice(BlockDevice):
     """A block device with crash, transient, latency, and loss faults.
 
     Crash semantics (the PR 4 recovery-matrix contract): reads never
-    crash (a dying read loses nothing); every write-bearing call (see
+    crash (a dying read loses nothing); every write call (see
     :meth:`_admit`) and every ``flush`` ticks the shared clock first.
     With ``torn=True`` the doomed write additionally applies the first
     half of its first span's content (untimed, like a partial transfer
@@ -341,21 +341,23 @@ class FaultyBlockDevice(BlockDevice):
     def write_events(self) -> int:
         return self.clock.events
 
-    def _tick(self, label: str, batch: list[IoRequest]) -> None:
+    def _tick(self, label: str, requests: list[list[Span]],
+              data: list[bytes] | None) -> None:
         try:
             self.clock.tick(label)
         except CrashPoint:
             if self.torn and self.stores_data:
-                self._tear(batch)
+                self._tear(requests, data)
             raise
 
-    def _tear(self, batch: list[IoRequest]) -> None:
-        for req in batch:
-            if req.is_write and req.data is not None and req.spans:
-                start, length = req.spans[0]
-                half = length // 2
-                if half:
-                    self.poke(start, req.data[:half])
+    def _tear(self, requests: list[list[Span]],
+              data: list[bytes] | None) -> None:
+        """Apply half of the first non-empty request's first span."""
+        for spans, payload in zip(requests, data or ()):
+            if spans:
+                start, length = spans[0]
+                if length // 2:
+                    self.poke(start, payload[:length // 2])
                 return
 
     # -- loss ----------------------------------------------------------
@@ -378,13 +380,14 @@ class FaultyBlockDevice(BlockDevice):
         return service_s if faults is None else service_s * faults.slow_factor
 
     # -- timed I/O -----------------------------------------------------
-    def _admit(self, is_write: bool, batch: list[IoRequest]) -> None:
+    def _admit(self, is_write: bool, requests: list[list[Span]],
+               data: list[bytes] | None) -> None:
         """The one fault seam, before anything is charged: loss, the
-        crash tick of a write-bearing call, one transient draw.  A single
+        crash tick of a write, one transient draw.  A single
         request comes from ``_serve``, a larger batch from ``submit``."""
         self._check_lost()
         if is_write:
-            self._tick("write", batch)
+            self._tick("write", requests, data)
         faults = self.faults
         if faults is not None and faults.fires_on(is_write):
             raise TransientIoError(
@@ -392,21 +395,20 @@ class FaultyBlockDevice(BlockDevice):
                 + ("write" if is_write else "read") + " error")
 
     def _serve(self, is_write, spans, data):
-        self._admit(is_write, [IoRequest(is_write, spans, data)])
+        self._admit(is_write, [spans], None if data is None else [data])
         return super()._serve(is_write, spans, data)
 
-    def submit(self, batch: list[IoRequest]) -> list[bytes | None]:
-        if len(batch) > 1:
-            self._admit(any(req.is_write for req in batch), batch)
-        return super().submit(batch)
+    def submit(self, requests: list[list[Span]], *, is_write: bool = False,
+               data: list[bytes] | None = None) -> list[bytes | None]:
+        if len(requests) > 1:
+            self._admit(is_write, requests, data)
+        return super().submit(requests, is_write=is_write, data=data)
 
     def write_each(self, requests: list[list[Span]],
                    data: list[bytes] | None = None) -> None:
         # One ``_serve`` per request: each is admitted, ticked, torn,
         # drawn and slowed on its own, as one ``write_extents`` each.
-        if data is not None and len(data) != len(requests):
-            raise ConfigError(f"{len(data)} payloads for "
-                              f"{len(requests)} requests")
+        self._check_payloads(requests, True, data)
         for at, spans in enumerate(requests):
             self._serve(True, spans, None if data is None else data[at])
 
@@ -415,11 +417,11 @@ class FaultyBlockDevice(BlockDevice):
         # The request-list form: admission, crash ticks, tears, draws
         # and slow factors see the requests and batches they always saw.
         self._check_stream(start, length, request, data)
-        self.submit_policy([
-            IoRequest(True, [(pos, min(request, start + length - pos))],
-                      None if data is None
-                      else data[pos - start: pos - start + request])
-            for pos in range(start, start + length, request)])
+        starts = range(start, start + length, request)
+        self.submit_policy(
+            [[(pos, min(request, start + length - pos))] for pos in starts],
+            is_write=True, data=None if data is None else
+            [data[pos - start: pos - start + request] for pos in starts])
 
     def charge_sequential_write(self, nbytes: int) -> float:
         self._check_lost()
@@ -427,5 +429,5 @@ class FaultyBlockDevice(BlockDevice):
 
     def flush(self) -> None:
         self._check_lost()
-        self._tick("flush", [])
+        self._tick("flush", [], None)
         super().flush()

@@ -123,22 +123,21 @@ class IoStats:
             win.cpu_time_s += seconds
 
     def record(self, is_write: bool, nbytes: int, service_s: float,
-               seeks: int, requests: int = 1) -> None:
+               seeks: int) -> None:
         """Account one submission in the totals and all open windows.
 
-        A submission is one request or one scatter/gather batch: it
-        bumps ``requests`` (and every open window's request count)
-        exactly once — the host-side submission count, not the extent
-        count.  A batch that mixes directions accounts its other side
-        with ``requests=0``.
+        A submission is one request or one batch (one direction either
+        way): it bumps ``requests`` (and every open window's request
+        count) exactly once — the host-side submission count, not the
+        extent count.
         """
-        self.requests += requests
+        self.requests += 1
         self.seeks += seeks
         if is_write:
             self.write_bytes += nbytes
             self.write_time_s += service_s
             for win in self._windows:
-                win.requests += requests
+                win.requests += 1
                 win.seeks += seeks
                 win.write_bytes += nbytes
                 win.write_time_s += service_s
@@ -146,7 +145,7 @@ class IoStats:
             self.read_bytes += nbytes
             self.read_time_s += service_s
             for win in self._windows:
-                win.requests += requests
+                win.requests += 1
                 win.seeks += seeks
                 win.read_bytes += nbytes
                 win.read_time_s += service_s

@@ -11,8 +11,8 @@ the kernel to the composed model float for float.
 
 from __future__ import annotations
 
-from repro.disk.device import IoRequest
 from repro.disk.geometry import DiskGeometry
+from repro.units import Span
 
 
 def cost_of(geometry: DiskGeometry, window: int, spans, head: int,
@@ -53,37 +53,31 @@ class OracleDevice:
         self.read_time_s = self.write_time_s = 0.0
         self.seeks = self.requests = 0
 
-    def submit(self, order: list[IoRequest]) -> None:
+    def submit(self, order: list[list[Span]], is_write: bool) -> None:
         """Account one batch, given in *service* order (the elevator is
         not part of the kernel; the test asks the real device for it)."""
         if not order:
             return
         head = self.head
-        seeks = 0
-        read_bytes = write_bytes = 0
-        read_s = write_s = 0.0
-        for req in order:
+        seeks = nbytes = 0
+        service_s = 0.0
+        for spans in order:
             req_seeks, service, head = cost_of(
-                self.geometry, self.window, req.spans, head,
-                self.slow_factor)
+                self.geometry, self.window, spans, head, self.slow_factor)
             seeks += req_seeks
-            nbytes = 0
-            for _, length in req.spans:
+            service_s += service
+            for _, length in spans:
                 nbytes += length
-            if req.is_write:
-                write_bytes += nbytes
-                write_s += service
-            else:
-                read_bytes += nbytes
-                read_s += service
         self.head = head
         self.requests += 1
         self.seeks += seeks
-        self.read_bytes += read_bytes
-        self.write_bytes += write_bytes
-        self.read_time_s += read_s
-        self.write_time_s += write_s
-        self.clock_s += read_s + write_s
+        if is_write:
+            self.write_bytes += nbytes
+            self.write_time_s += service_s
+        else:
+            self.read_bytes += nbytes
+            self.read_time_s += service_s
+        self.clock_s += service_s
 
     def totals(self) -> tuple:
         """Comparable with :func:`device_totals` of the real device."""

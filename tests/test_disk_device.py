@@ -1,5 +1,6 @@
 """Tests for the block device: service times, head tracking, content."""
 
+import itertools
 import pickle
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from costoracle import OracleDevice, cost_of, device_totals
 
-from repro.disk.device import BlockDevice, IoRequest
+from repro.disk.device import BlockDevice
 from repro.disk.faults import DeviceFaults, FaultyBlockDevice
 from repro.disk.geometry import DiskGeometry, Zone, make_disk, scaled_disk
 from repro.disk.policy import DevicePolicy
@@ -245,21 +246,23 @@ def resolve_span(geometry, window, head, pick):
 
 span_picks = st.tuples(st.integers(0, 5), st.integers(0, 1 << 20),
                          st.integers(0, 3), st.integers(0, 1 << 20))
-request_picks = st.tuples(st.booleans(), st.lists(span_picks, max_size=4))
+#: One batch: its direction and, per request, the span picks.
+batch_picks = st.tuples(st.booleans(), st.lists(
+    st.lists(span_picks, max_size=4), min_size=1, max_size=3))
 
 
 def chained(dev, batch, head):
     """``_cost_of``'s answer for ``batch``, one request per call."""
     costed = []
-    for req in batch:
-        (entry,), head = dev._cost_of([req.spans], head)
+    for spans in batch:
+        (entry,), head = dev._cost_of([spans], head)
         costed.append(entry)
     return costed, head
 
 
 @given(zoned_geometries(), st.sampled_from([0, 1, 64, 64 * KB]),
        st.sampled_from([1.0, 4.0]),
-       st.lists(st.lists(request_picks, min_size=1, max_size=3), max_size=8))
+       st.lists(batch_picks, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_composed_model(geometry, window, slow, steps):
     """``==`` on every float: per request, for the batch costed as one
@@ -278,34 +281,33 @@ def test_kernel_matches_composed_model(geometry, window, slow, steps):
     devs = {mode: device(CLOOK if mode == "reorder" else DevicePolicy())
             for mode in modes}
     oracles = {mode: OracleDevice(geometry, window, slow) for mode in modes}
-    for step in steps:
+    for is_write, step in steps:
         for mode in modes:
             dev, oracle = devs[mode], oracles[mode]
             batch, head = [], oracle.head
-            for is_write, picks in step:
+            for picks in step:
                 spans = []
                 for pick in picks:
                     start, length = resolve_span(geometry, window, head, pick)
                     spans.append((start, length))
                     head = start + length
-                batch.append(IoRequest(is_write, spans))
+                batch.append(spans)
                 ((_, service, seeks),), final = dev._cost_of(
                     [spans], oracle.head)
                 assert (seeks, service, final) == cost_of(
                     geometry, window, spans, oracle.head, slow)
-            assert dev._cost_of([req.spans for req in batch],
-                                oracle.head) == chained(dev, batch,
-                                                        oracle.head)
+            assert dev._cost_of(batch, oracle.head) == chained(
+                dev, batch, oracle.head)
             if mode == "single":
-                for req in batch:
-                    dev.submit([req])
-                    oracle.submit([req])
+                for spans in batch:
+                    dev.submit([spans], is_write=is_write)
+                    oracle.submit([spans], is_write)
             elif mode == "reorder":
-                oracle.submit(dev._elevator(batch))
-                dev.submit(batch)
+                oracle.submit(dev._elevator(batch), is_write)
+                dev.submit(batch, is_write=is_write)
             else:
-                dev.submit(batch)
-                oracle.submit(batch)
+                dev.submit(batch, is_write=is_write)
+                oracle.submit(batch, is_write)
             assert device_totals(dev) == oracle.totals()
     # Submission order is free of batching except for the request count
     # and the association of the float sums.
@@ -345,9 +347,8 @@ class TestKernelEdges:
         """Every edge request in one list, the head chaining through
         them, costs what the same requests cost one call at a time."""
         dev = BlockDevice(self.GEOMETRY, sequential_window=window)
-        batch = [IoRequest(True, extents) for extents, _ in self.EDGES]
-        assert dev._cost_of([req.spans for req in batch], 20) == \
-            chained(dev, batch, 20)
+        batch = [extents for extents, _ in self.EDGES]
+        assert dev._cost_of(batch, 20) == chained(dev, batch, 20)
         assert dev._cost_of([], 20) == ([], 20)
 
     def test_negative_window_rejected(self):
@@ -427,14 +428,13 @@ class TestAtomicValidation:
         with pytest.raises(ConfigError, match="data length"):
             dev.write(1 * MB, 8, b"short")
         assert device_state(dev) == before
-        batch = [IoRequest.write([(0, 8)], b"y" * 8),
-                 IoRequest.write([(1 * MB, 8)], b"z" * 4)]
+        batch = [[(0, 8)], [(1 * MB, 8)]]
         for policy in (None, CLOOK):
             dev = stored_device(slow, policy=policy)
             dev.write(0, 8, data=b"original")
             before = device_state(dev)
             with pytest.raises(ConfigError, match="data length 4 != span"):
-                dev.submit(batch)
+                dev.submit(batch, is_write=True, data=[b"y" * 8, b"z" * 4])
             assert device_state(dev) == before
 
     def test_bad_last_extent_of_a_request(self):
@@ -447,17 +447,15 @@ class TestAtomicValidation:
         assert device_state(dev) == before
 
     def test_bad_last_request_of_a_batch(self):
-        batch = [IoRequest.write([(0, 8)], b"y" * 8),
-                 IoRequest.write([(1 * MB, 8)], b"z" * 8),
-                 IoRequest.read([(2 * MB, 8),
-                                 (8 * MB - 4, 8)])]
-        for policy in (None, CLOOK):
+        batch = [[(0, 8)], [(1 * MB, 8)], [(2 * MB, 8), (8 * MB - 4, 8)]]
+        for policy, data in itertools.product(
+                (None, CLOOK), (None, [b"y" * 8, b"z" * 8, b"w" * 16])):
             dev = BlockDevice(scaled_disk(8 * MB), store_data=True,
                               policy=policy)
             dev.write(0, 8, data=b"original")
             before = device_state(dev)
             with pytest.raises(ConfigError, match="outside volume of"):
-                dev.submit(batch)
+                dev.submit(batch, is_write=data is not None, data=data)
             assert device_state(dev) == before
 
 
@@ -492,6 +490,5 @@ def test_a_bad_span_is_refused_before_any_state_moves(bad, good, where,
         if mode == "single":
             (dev.write_extents if is_write else dev.read_extents)(spans)
         else:
-            dev.submit([IoRequest.write([(1 * MB, 8)], b"y" * 8),
-                        IoRequest(is_write, spans)])
+            dev.submit([[(1 * MB, 8)], spans], is_write=is_write)
     assert device_state(dev) == before

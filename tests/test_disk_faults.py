@@ -5,7 +5,7 @@ admission seam every timed call passes."""
 
 import pytest
 
-from repro.disk.device import BlockDevice, IoRequest
+from repro.disk.device import BlockDevice
 from repro.disk.faults import (
     CrashClock,
     DeviceFaults,
@@ -260,43 +260,50 @@ class TestCrashClock:
 # ----------------------------------------------------------------------
 # The admission seam: every timed call admits once
 # ----------------------------------------------------------------------
-#: Every timed entry point: the call, the ``submit`` batch it equals,
-#: and what a torn crash on it leaves stored as ``(offset, bytes)``
-#: (``None`` for a read, which never ticks the crash clock).
+#: Every timed entry point: the call, the ``submit`` batch it equals as
+#: ``(requests, is_write, data)``, and what a torn crash on it leaves
+#: stored as ``(offset, bytes)`` (``None`` for a read, which never ticks
+#: the crash clock).
 SEAM_CALLS = [
     pytest.param(lambda d: d.read(1 * MB, 64 * KB),
-                 [IoRequest.read([(1 * MB, 64 * KB)])], None,
+                 ([[(1 * MB, 64 * KB)]], False, None), None,
                  id="read"),
     pytest.param(lambda d: d.write(0, 8, b"ABCDEFGH"),
-                 [IoRequest.write([(0, 8)], b"ABCDEFGH")],
+                 ([[(0, 8)]], True, [b"ABCDEFGH"]),
                  (0, b"ABCD\x00\x00\x00\x00"), id="write"),
     pytest.param(lambda d: d.read_extents([(2 * MB, 8 * KB),
                                            (3 * MB, 8 * KB)]),
-                 [IoRequest.read([(2 * MB, 8 * KB),
-                                  (3 * MB, 8 * KB)])], None,
-                 id="read_extents"),
+                 ([[(2 * MB, 8 * KB), (3 * MB, 8 * KB)]], False, None),
+                 None, id="read_extents"),
     pytest.param(lambda d: d.write_extents([(4 * MB, 4),
                                             (5 * MB, 4)], b"WXYZwxyz"),
-                 [IoRequest.write([(4 * MB, 4), (5 * MB, 4)],
-                                  b"WXYZwxyz")],
+                 ([[(4 * MB, 4), (5 * MB, 4)]], True, [b"WXYZwxyz"]),
                  (4 * MB, b"WX\x00\x00"), id="write_extents"),
-    pytest.param(lambda d: d.submit([IoRequest.write([(6 * MB, 8)],
-                                                     b"12345678")]),
-                 [IoRequest.write([(6 * MB, 8)], b"12345678")],
+    pytest.param(lambda d: d.submit([[(6 * MB, 8)]], is_write=True,
+                                    data=[b"12345678"]),
+                 ([[(6 * MB, 8)]], True, [b"12345678"]),
                  (6 * MB, b"1234\x00\x00\x00\x00"), id="submit_one"),
-    pytest.param(lambda d: d.submit([IoRequest.read([(7 * MB, 8 * KB)]),
-                                     IoRequest.write([(8 * MB, 8)],
-                                                     b"abcdefgh")]),
-                 [IoRequest.read([(7 * MB, 8 * KB)]),
-                  IoRequest.write([(8 * MB, 8)], b"abcdefgh")],
+    pytest.param(lambda d: d.submit([[(7 * MB, 8 * KB)], [(9 * MB, 8 * KB)]]),
+                 ([[(7 * MB, 8 * KB)], [(9 * MB, 8 * KB)]], False, None),
+                 None, id="submit_two_reads"),
+    pytest.param(lambda d: d.submit([[(8 * MB, 8)], [(1 * MB, 8)]],
+                                    is_write=True,
+                                    data=[b"abcdefgh", b"ABCDEFGH"]),
+                 ([[(8 * MB, 8)], [(1 * MB, 8)]], True,
+                  [b"abcdefgh", b"ABCDEFGH"]),
                  (8 * MB, b"abcd\x00\x00\x00\x00"), id="submit_two"),
     pytest.param(lambda d: d.write_stream(10 * MB, 8, 4, b"stream!!"),
-                 [IoRequest.write([(10 * MB, 4)], b"stre"),
-                  IoRequest.write([(10 * MB + 4, 4)], b"am!!")],
+                 ([[(10 * MB, 4)], [(10 * MB + 4, 4)]], True,
+                  [b"stre", b"am!!"]),
                  (10 * MB, b"st\x00\x00\x00\x00\x00\x00"),
                  id="write_stream"),
 ]
 seam = pytest.mark.parametrize("call, batch, torn", SEAM_CALLS)
+
+
+def submit(dev, batch):
+    requests, is_write, data = batch
+    return dev.submit(requests, is_write=is_write, data=data)
 
 
 class TestAdmitSeam:
@@ -316,7 +323,7 @@ class TestAdmitSeam:
         reference = substream(4, "transient-faults")
         for call, batch, _ in (param.values for param in SEAM_CALLS):
             call(dev)
-            twin.submit(batch)
+            submit(twin, batch)
             reference.random()
             assert dev.faults._rng.getstate() \
                 == twin.faults._rng.getstate() \
@@ -361,25 +368,23 @@ class TestAdmitSeam:
         dev = BlockDevice(scaled_disk(64 * MB), store_data=True)
         twin = BlockDevice(scaled_disk(64 * MB), store_data=True)
         dev.read(32 * MB, 8 * KB)          # move the heads off zero
-        twin.submit([IoRequest.read([(32 * MB, 8 * KB)])])
+        twin.submit([[(32 * MB, 8 * KB)]])
         call(dev)
-        twin.submit(batch)
+        submit(twin, batch)
         assert dev.stats == twin.stats
         assert dev.clock_s == twin.clock_s
         assert dev.head_position == twin.head_position
 
 
 def test_a_torn_batch_tears_the_first_span_of_its_first_write():
-    """Half of ``spans[0]`` of the first write request lands; its second
-    span, the later write and the clock stay untouched."""
+    """Half of ``spans[0]`` of the first non-empty write request lands;
+    its second span, the later write and the clock stay untouched."""
     dev = FaultyBlockDevice(scaled_disk(64 * MB),
                             clock=CrashClock(kill_after=0),
                             torn=True, store_data=True)
-    batch = [IoRequest.read([(7 * MB, 8 * KB)]),
-             IoRequest.write([(9 * MB, 6), (2 * MB, 2)], b"abcdefgh"),
-             IoRequest.write([(3 * MB, 8)], b"ABCDEFGH")]
     with pytest.raises(CrashPoint):
-        dev.submit(batch)
+        dev.submit([[], [(9 * MB, 6), (2 * MB, 2)], [(3 * MB, 8)]],
+                   is_write=True, data=[b"", b"abcdefgh", b"ABCDEFGH"])
     assert dev.peek(9 * MB, 6) == b"abc\x00\x00\x00"
     assert dev.peek(2 * MB, 2) == bytes(2)
     assert dev.peek(3 * MB, 8) == bytes(8)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.disk.device import BlockDevice, IoRequest
+from repro.disk.device import BlockDevice
 from repro.disk.faults import CrashClock, DeviceFaults, FaultyBlockDevice
 from repro.disk.geometry import make_disk
 from repro.disk.policy import DevicePolicy
@@ -28,12 +28,15 @@ from repro.units import KB, MB
 CAPACITY = 8 * MB
 
 
-def materialised(start, length, request, data):
-    """The requests a stream stands for, in submission order."""
-    return [IoRequest(True, [(pos, min(request, start + length - pos))],
-                      None if data is None
-                      else data[pos - start: pos - start + request])
-            for pos in range(start, start + length, request)]
+def materialised(dev, start, length, request, data):
+    """``submit_policy`` of the write requests a stream stands for, in
+    submission order, on ``dev``."""
+    starts = range(start, start + length, request)
+    dev.submit_policy(
+        [[(pos, min(request, start + length - pos))] for pos in starts],
+        is_write=True,
+        data=None if data is None
+        else [data[pos - start: pos - start + request] for pos in starts])
 
 
 def device_state(dev, start=0, length=64 * KB):
@@ -101,7 +104,7 @@ def test_a_stream_charges_what_its_request_list_charges(case):
     span = case["stream"][:2]
     for _ in range(2):     # the second stream starts where the first ended
         stream.write_stream(*case["stream"], data)
-        oracle.submit_policy(materialised(*case["stream"], data))
+        materialised(oracle, *case["stream"], data)
         assert device_state(stream, *span) == device_state(oracle, *span)
 
 
@@ -121,8 +124,7 @@ def test_a_faulty_stream_is_its_request_list(case, factor, seed):
         outcomes = []
         for call in (
                 lambda: stream.write_stream(*case["stream"], data),
-                lambda: oracle.submit_policy(
-                    materialised(*case["stream"], data))):
+                lambda: materialised(oracle, *case["stream"], data)):
             try:
                 call()
                 outcomes.append(None)
@@ -144,8 +146,7 @@ def test_a_faulty_stream_crashes_and_tears_like_its_request_list(case, kill):
     crashed = []
     for call in (
             lambda: stream.write_stream(*case["stream"], data),
-            lambda: oracle.submit_policy(
-                materialised(*case["stream"], data))):
+            lambda: materialised(oracle, *case["stream"], data)):
         try:
             call()
             crashed.append(False)

@@ -8,7 +8,10 @@ the GFS forced-collection wedge closed: at 50 % occupancy with
 ``gc_dead_fraction=0.9``, chunks whose records died while they were open
 used to fill the volume until a write found no free chunk.  A put the
 full log refuses partway through an object leaves what it wrote as dead
-bytes, not live ones no object owns.
+bytes, not live ones no object owns.  A collection run in the middle of
+an LFS append never picks or frees a unit the object being written has
+a piece in, and a low-water pass that cannot reach its mark stops
+instead of moving live bytes around for ever.
 """
 
 import pytest
@@ -20,7 +23,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
 from repro.backends.gfs_backend import GfsChunkBackend
-from repro.backends.lfs_backend import LfsBackend
+from repro.backends.lfs_backend import LfsBackend, SegmentLog
 from repro.cli import main
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
@@ -163,3 +166,71 @@ def test_a_refused_put_after_a_mid_append_collection_keeps_the_books():
             refused += 1
         store.check_invariants()
     assert refused > 0
+
+
+#: A put, overwrite and delete mix on a 4 MB log of 256 KB units that
+#: keeps one unit free: the put of ``k13`` fills the head with all units
+#: held, and the only unit with dead bytes for its collection is unit 14,
+#: which holds the first piece of ``k13`` itself.  Collecting it would
+#: free it under that piece; sparing it leaves no victim, so the put is
+#: refused.
+IN_FLIGHT_OPS = [
+    ("put", "k0", 341884), ("delete", "k0", 0), ("put", "k2", 616973),
+    ("put", "k3", 441663), ("overwrite", "k2", 473673),
+    ("put", "k5", 302679), ("put", "k6", 126002),
+    ("overwrite", "k2", 652032), ("overwrite", "k6", 497068),
+    ("overwrite", "k5", 512030), ("put", "k10", 552954),
+    ("put", "k11", 693394), ("delete", "k11", 0), ("put", "k13", 600898),
+]
+
+
+def test_a_mid_append_collection_spares_the_units_of_the_object_in_flight():
+    store = LfsBackend(BlockDevice(scaled_disk(4 * MB)),
+                       segment_size=256 * KB, clean_threshold=1.0)
+    refused = []
+    for op, key, size in IN_FLIGHT_OPS:
+        try:
+            if op == "delete":
+                store.delete(key)
+            else:
+                getattr(store, op)(key, size=size)
+        except StorageFullError:
+            refused.append(key)
+        store.check_invariants()
+    assert refused == ["k13"] and not store.exists("k13")
+
+
+def test_an_unreachable_low_water_mark_ends_the_pass(monkeypatch):
+    """26 MB of 100-512 KB objects on a 32 MB log of 2 MB units: four
+    free units (the default mark) would need more room than the live
+    bytes leave, and moving an object that spans units leaves dead bytes
+    elsewhere, so there is always another victim.  Each overwrite must
+    return after a bounded number of collections (a pass takes about 30
+    here) with the books intact."""
+    collect_unit = SegmentLog._collect_unit
+    runs = []
+
+    def bounded(self, victim):
+        runs[-1] += 1
+        if runs[-1] > 1000:
+            raise AssertionError("the collector does not stop")
+        collect_unit(self, victim)
+
+    monkeypatch.setattr(SegmentLog, "_collect_unit", bounded)
+    rng = random.Random(0)
+    store = LfsBackend(BlockDevice(scaled_disk(32 * MB)),
+                       segment_size=2 * MB)
+    live = 0
+    runs.append(0)
+    while live < 26 * MB:
+        size = rng.randint(100 * KB, 512 * KB)
+        store.put(f"k{len(store.keys())}", size=size)
+        live += size
+    keys = store.keys()
+    for _ in range(10):
+        runs.append(0)
+        store.overwrite(rng.choice(keys), size=rng.randint(100 * KB,
+                                                            512 * KB))
+        store.check_invariants()
+    assert max(runs[1:]) > store.nsegments
+    assert len(store._free_segments) < 4

@@ -23,7 +23,7 @@ from repro.backends import (
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize
 from repro.db.database import DbConfig
-from repro.disk.device import BlockDevice, IoRequest
+from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.disk.policy import DevicePolicy
 from repro.errors import ConfigError
@@ -70,8 +70,7 @@ class TestDevicePolicy:
         def scattered_batch():
             offsets = [40 * MB, 2 * MB, 30 * MB, 6 * MB, 20 * MB,
                        10 * MB, 50 * MB, 1 * MB]
-            return [IoRequest(False, [(off, 64 * KB)])
-                    for off in offsets]
+            return [[(off, 64 * KB)] for off in offsets]
 
         plain = BlockDevice(scaled_disk(64 * MB))
         plain.submit(scattered_batch())
@@ -86,9 +85,8 @@ class TestDevicePolicy:
     def test_submit_policy_chunks_batches(self):
         device = BlockDevice(scaled_disk(64 * MB),
                              policy=DevicePolicy(batch_size=3))
-        requests = [IoRequest(True, [(i * MB, 64 * KB)])
-                    for i in range(7)]
-        device.submit_policy(requests)
+        requests = [[(i * MB, 64 * KB)] for i in range(7)]
+        device.submit_policy(requests, is_write=True)
         # ceil(7 / 3) = 3 batches -> 3 stats records.
         assert device.stats.requests == 3
 

@@ -60,3 +60,24 @@ def test_instrument_patches_and_restores_every_entry_point():
     with tracer.installed(lambda t: TRACER.instrument(t, {})):
         assert vars(device)["submit"] is not before["submit"]
     assert dict(vars(device)) == before
+
+
+@pytest.mark.parametrize("batch_size, batches", [(0, 1), (2, 3)])
+def test_a_policy_read_adds_one_request_per_span_list(batch_size, batches):
+    """``disk.requests`` adds ``len(args[1])`` per ``submit`` call: a
+    ``submit_policy`` read of N span lists adds exactly N, cut into any
+    batch size, as long as ``submit`` takes the request list first."""
+    from repro.disk.device import BlockDevice
+    from repro.disk.geometry import scaled_disk
+    from repro.disk.policy import DevicePolicy
+    from repro.units import KB, MB
+
+    device = BlockDevice(scaled_disk(64 * MB),
+                         policy=DevicePolicy(batch_size=batch_size))
+    requests = [[(at * MB, 4 * KB)] for at in range(5)]
+    counters: dict[str, int] = {}
+    tracer = TRACER.Tracer()
+    with tracer.installed(lambda t: TRACER.instrument(t, counters)):
+        device.submit_policy(requests)
+    assert counters["disk.requests"] == len(requests)
+    assert tracer.records[("disk", "BlockDevice.submit")][0] == batches

@@ -79,7 +79,8 @@ CLI_ARGV: tuple[tuple[str, ...], ...] = (
        "--ages", "0,1", "--reads", "4")
       for store in ("filesystem:batch=8,reorder=clook",
                     "database:batch=8,reorder=clook",
-                    "gfs:chunk_size=1M,batch=8,reorder=clook")),
+                    "gfs:chunk_size=1M,batch=8,reorder=clook",
+                    "lfs:batch=8,reorder=clook,faults=slow:factor=2")),
     ("run", "--store", "gfs:gc_dead_fraction=0.9,chunk_size=1M", "--volume",
      "32M", "--object-size", "256K", "--occupancy", "0.5", "--ages", "0,1,2"),
     ("run", "--store", "filesystem:index_kind=naive", "--volume", "32M",
