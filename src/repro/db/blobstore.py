@@ -11,6 +11,12 @@ Deletes ghost their pages; the :class:`GhostCleaner` returns them to the
 GAM later.  The resulting reuse pattern — lowest-address-first at extent
 granularity with a deferred-free window — is what produces the near-
 linear fragmentation growth of Figures 2 and 5.
+
+The rule stays per request, but the chunk loop serves the requests
+between two cleaner sweeps as one run when they are whole extents:
+nothing can free or take an extent between them, so the ``k`` lowest
+fully-free extents are what ``k`` requests in a row would have taken
+(:meth:`BlobStore._write_chunks`).
 """
 
 from __future__ import annotations
@@ -21,13 +27,13 @@ from dataclasses import dataclass
 from repro.db.btree import LobTree
 from repro.db.gam import GamAllocator
 from repro.db.ghost import GhostCleaner
-from repro.db.page import Run
+from repro.db.page import Run, extend_runs
 from repro.db.pagefile import PageFile
 from repro.db.wal import WriteAheadLog
 from repro.disk.device import Span
 from repro.errors import AllocationError, BlobNotFoundError, ConfigError
-from repro.units import (PAGE_SIZE, ceil_div, checked_read_range,
-                         checked_write_size)
+from repro.units import (EXTENT_SIZE, PAGE_SIZE, PAGES_PER_EXTENT, ceil_div,
+                         checked_read_range, checked_write_size)
 
 
 @dataclass
@@ -122,31 +128,69 @@ class BlobStore:
         log as one ``log_operations``: each device serves the requests a
         loop issuing both per chunk would, in the same order.  A loop
         that raises midway still issues what it planned before the raise.
+
+        Each pass serves a *run* of ``k`` whole-extent chunks in one
+        step: one GAM call takes their extents, one leaf append adds
+        them, one tick advances the cleaner by ``k``.  ``k`` stops at
+        the cleaner's next sweep and at the rightmost leaf's room, the
+        only two things that could touch the GAM between two chunks, so
+        the GAM hands out exactly the extents ``k`` lowest-free picks in
+        a row would.  A chunk that is not whole extents (a partial last
+        chunk, an 8 KB or 72 KB request), a full leaf or a GAM with too
+        few free extents makes a run of one through the general step:
+        ``alloc_runs`` under sweep-and-retry, ``append_run`` with node
+        splits, one tick.
         """
-        append_run = tree.append_run
-        alloc_runs = self.gam.alloc_runs
-        spans_of, tick = self._spans, self.ghost.on_operation
+        gam, ghost, base = self.gam, self.ghost, self.pagefile.base
+        alloc_runs, append_run, spans_of = (gam.alloc_runs, tree.append_run,
+                                            self._spans)
+        extents, odd = divmod(write_request, EXTENT_SIZE)
         requests: list[list[Span]] = []
         chunks: list[bytes] | None = None if data is None else []
         payloads: list[int] = []
+        cursor = 0
         try:
-            for cursor in range(0, total, write_request):
-                chunk = min(write_request, total - cursor)
-                runs = self._alloc(alloc_runs, ceil_div(chunk, PAGE_SIZE))
-                requests.append(spans_of(runs))
-                if chunks is not None:
-                    chunks.append(data[cursor: cursor + chunk]
-                                  + bytes(-chunk % PAGE_SIZE))
-                for start, count in runs:
-                    append_run(start, count)
-                payloads.append(chunk)
+            while cursor < total:
+                k = 0 if odd else (total - cursor) // write_request
+                if k:
+                    k = ghost.ops_before_sweep(
+                        min(k, tree.leaf_room() // extents))
+                taken = gam.alloc_uniform_extents(k * extents) if k else None
+                if taken is None:  # a run of one, through the general step
+                    k = 1
+                    chunk = min(write_request, total - cursor)
+                    runs = self._alloc(alloc_runs, ceil_div(chunk, PAGE_SIZE))
+                    requests.append(spans_of(runs))
+                    if chunks is not None:
+                        chunks.append(data[cursor: cursor + chunk]
+                                      + bytes(-chunk % PAGE_SIZE))
+                    for start, count in runs:
+                        append_run(start, count)
+                    payloads.append(chunk)
+                else:  # k chunks, their spans in one pass
+                    for first in range(0, len(taken), extents):
+                        spans: list[Span] = []
+                        for extent in taken[first: first + extents]:
+                            extend_runs(spans, base + extent * EXTENT_SIZE,
+                                        EXTENT_SIZE)
+                        requests.append(spans)
+                    if chunks is not None:
+                        chunks.extend(
+                            data[at: at + write_request] for at in
+                            range(cursor, cursor + k * write_request,
+                                  write_request))
+                    tree.append_runs(
+                        [extent * PAGES_PER_EXTENT for extent in taken],
+                        PAGES_PER_EXTENT)
+                    payloads.extend([write_request] * k)
+                cursor += k * write_request
                 # The background cleaner runs concurrently with the
                 # insert: one tick per write request lets freed pages
                 # trickle back *between* a BLOB's chunks, so successive
                 # chunks can land on opposite sides of the allocation
                 # frontier — the per-request scatter behind "one
                 # fragment per 64 KB".
-                tick()
+                ghost.on_operation(k)
         finally:
             self.pagefile.device.write_each(requests, chunks)
             self.wal.log_operations(payloads)

@@ -16,7 +16,9 @@ pages interleave with data pages on disk exactly as in SQL Server — an
 interleaving source the analyzer sees.
 
 Complexity notes: ``append_run`` walks the rightmost spine, O(depth)
-with node splits; ``runs_in_range`` and ``all_runs`` walk the leaves,
+with node splits; ``append_runs`` adds several runs to the rightmost
+leaf in one walk when they fit it without a split (the BLOB chunk
+loop's run step); ``runs_in_range`` and ``all_runs`` walk the leaves,
 O(runs).  Runs are the object's fragment count — hundreds at most.
 The general insert at any position is kept as a test reference,
 ``tests/dboracle.py::general_insert``, which ``append_run`` must match
@@ -117,6 +119,10 @@ class LobTree:
                 stack.extend(node.children)
         return pages
 
+    def leaf_room(self) -> int:
+        """Runs the rightmost leaf takes before an append splits it."""
+        return self.fanout - len(self._rightmost_leaf().runs)
+
     def depth(self) -> int:
         depth = 1
         node = self._root
@@ -152,6 +158,30 @@ class LobTree:
                 return
             split = self._split_interior(node)
         self._grow_root(split)
+
+    def append_runs(self, starts: list[int], count: int) -> None:
+        """``append_run(start, count)`` for each of ``starts`` in order,
+        in one step.  The rightmost leaf must have room for one run per
+        start (:meth:`leaf_room`), so no node splits and no node page is
+        allocated."""
+        if count <= 0:
+            raise ConfigError("count must be positive")
+        if starts and min(starts) < 0:
+            raise ConfigError("start must be >= 0")
+        leaf = self._rightmost_leaf()
+        if len(starts) > self.fanout - len(leaf.runs):
+            raise ConfigError(
+                f"{len(starts)} runs do not fit the rightmost leaf")
+        self._count += len(starts) * count
+        runs = leaf.runs
+        for start in starts:
+            extend_runs(runs, start, count)
+
+    def _rightmost_leaf(self) -> _Node:
+        node = self._root
+        while not node.leaf:
+            node = node.children[-1]
+        return node
 
     def _grow_root(self, split: _Node) -> None:
         old_root = self._root

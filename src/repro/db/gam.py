@@ -38,7 +38,8 @@ class GamAllocator:
     ``_used_mask[e]`` is the bitmask of *used* pages of extent ``e``:
     0 = fully free (GAM), ``_FULL_MASK`` = full, anything else = partly
     free (PFS).  Everything else is derived from it and kept in step by
-    :meth:`_set_mask` (free → full: :meth:`alloc_uniform_extent`).
+    :meth:`_set_mask` (free → full: :meth:`alloc_uniform_extent` and
+    :meth:`alloc_uniform_extents`).
     """
 
     def __init__(self, num_extents: int) -> None:
@@ -96,6 +97,26 @@ class GamAllocator:
         self._lowest_free = found if found >= 0 else self.num_extents
         return extent_id
 
+    def alloc_uniform_extents(self, n: int) -> list[int] | None:
+        """Allocate the ``n`` lowest fully-free extents, lowest first:
+        what ``n`` successive :meth:`alloc_uniform_extent` calls return.
+
+        Returns None, moving nothing, when fewer than ``n`` are free.
+        """
+        if n > self._free_extents:
+            return None
+        masks, find = self._used_mask, self._used_mask.find
+        taken: list[int] = []
+        extent_id = self._lowest_free
+        for _ in range(n):
+            taken.append(extent_id)
+            masks[extent_id] = _FULL_MASK
+            extent_id = find(0, extent_id + 1)
+        self._lowest_free = extent_id if extent_id >= 0 else self.num_extents
+        self._free_extents -= n
+        self._free_pages -= n * PAGES_PER_EXTENT
+        return taken
+
     def alloc_page(self) -> int:
         """Allocate the lowest-address free page (mixed-extent style)."""
         extent_id = self._lowest_free
@@ -124,19 +145,11 @@ class GamAllocator:
             raise AllocationError(
                 f"need {count} pages, only {self._free_pages} free"
             )
-        if count == PAGES_PER_EXTENT:  # one 64 KB write request
-            extent_id = self.alloc_uniform_extent()
-            if extent_id is not None:
-                return [(extent_id * PAGES_PER_EXTENT, PAGES_PER_EXTENT)]
+        extents = min(count // PAGES_PER_EXTENT, self._free_extents)
         runs: list[Run] = []
-        remaining = count
-        while remaining >= PAGES_PER_EXTENT:
-            extent_id = self.alloc_uniform_extent()
-            if extent_id is None:
-                break
+        for extent_id in self.alloc_uniform_extents(extents) or ():
             extend_runs(runs, extent_id * PAGES_PER_EXTENT, PAGES_PER_EXTENT)
-            remaining -= PAGES_PER_EXTENT
-        for _ in range(remaining):
+        for _ in range(count - extents * PAGES_PER_EXTENT):
             extend_runs(runs, self.alloc_page(), 1)
         return runs
 

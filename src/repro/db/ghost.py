@@ -92,13 +92,28 @@ class GhostCleaner:
         self.gam.free_run(start, count)
         self.cleaned_pages += count
 
-    def on_operation(self) -> None:
-        """Advance the operation clock; sweep when the interval elapses."""
-        if self.cleanup_interval_ops == 0:
+    def on_operation(self, ops: int = 1) -> None:
+        """Advance the operation clock by ``ops`` ticks; sweep when the
+        interval elapses.  The ticks may end at the next sweep but not
+        pass it (:meth:`ops_before_sweep`), so this equals ``ops`` calls
+        of one tick each."""
+        interval = self.cleanup_interval_ops
+        if interval == 0:
             return
-        self._ops += 1
-        if self._ops % self.cleanup_interval_ops == 0:
+        if ops > interval - self._ops % interval:
+            raise ConfigError(f"{ops} ticks would pass a cleanup sweep")
+        self._ops += ops
+        if self._ops % interval == 0:
             self.sweep()
+
+    def ops_before_sweep(self, ops: int) -> int:
+        """How many of the next ``ops`` ticks run before the next sweep,
+        the sweeping tick included (all of them when deletes free at
+        once)."""
+        interval = self.cleanup_interval_ops
+        if interval == 0:
+            return ops
+        return min(ops, interval - self._ops % interval)
 
     def sweep(self, *, ignore_age: bool = False,
               max_pages: int | None = None) -> int:

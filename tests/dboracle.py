@@ -307,7 +307,8 @@ def retired_alloc_uniform_extent(gam: GamAllocator) -> int | None:
 
 
 def retired_alloc_runs(gam: GamAllocator, count: int) -> list[tuple[int, int]]:
-    """``GamAllocator.alloc_runs`` without the one-extent shortcut."""
+    """``GamAllocator.alloc_runs`` as a loop of single lowest-free
+    extent picks, each through the general ``_set_mask``."""
     if count <= 0:
         raise ConfigError("count must be positive")
     if count > gam._free_pages:

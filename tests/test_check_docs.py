@@ -23,7 +23,8 @@ def docs_root(tmp_path, monkeypatch):
     for pr, medians in ((13, {"db_large_churn": 250.129,
                               "fs_small_churn": 5971.88}),
                         (14, {"db_large_churn": 726.819}),
-                        (16, {"db_large_churn": 13288.4})):
+                        (16, {"db_large_churn": 13288.4}),
+                        ("16_base", {"db_large_churn": 12001.7})):
         (bench / f"BENCH_e2e_pr{pr}.json").write_text(json.dumps({
             "workloads": {
                 name: {"end_to_end": {"sim_ops_per_host_s": {"value": v}}}
@@ -66,6 +67,9 @@ def test_matching_quotes_pass(docs_root):
         " `sim_ops_per_host_s` |\n"
         "| `BENCH_e2e_pr14.json` → `BENCH_e2e_pr16.json` |"
         " `db_large_churn` 727 → 13288 `sim_ops_per_host_s` |\n"
+        "| `BENCH_e2e_pr16_base.json` → `BENCH_e2e_pr16.json` |"
+        " `db_large_churn` 12002 → 13288 `sim_ops_per_host_s` |\n"
+        "| `BENCH_e2e_pr16_base.json` | the parent, no claim |\n"
         "Prose is not held: `BENCH_e2e_pr14.json` moved `db_large_churn`"
         " 1 → 2 `sim_ops_per_host_s`.\n") == []
 
@@ -91,6 +95,9 @@ def test_matching_quotes_pass(docs_root):
     ("| `BENCH_e2e_pr14.json` | `fs_small_churn` 5972 → 5943"
      " `sim_ops_per_host_s` |",
      "`fs_small_churn` 5943: no committed median in BENCH_e2e_pr14.json"),
+    ("| `BENCH_e2e_pr16_base.json` → `BENCH_e2e_pr16.json` |"
+     " `db_large_churn` 12001 → 13288 `sim_ops_per_host_s` |",
+     "quoted as 12001, BENCH_e2e_pr16_base.json has 12002"),
     ("| Figure 1 | `fig1.db_aging_512K` 1.88× | roughly halves |",
      "`fig1.db_aging_512K` quoted as 1.88, BENCH_paper.json has 1.87"),
     ("the `fig1.db_halves` check", "`fig1.db_halves` is not a committed"),

@@ -36,7 +36,9 @@ files:
 * in a table row naming ``BENCH_e2e_prNN.json``, a figure written
   `` `workload` A → B `sim_ops_per_host_s` `` must equal, to the
   printed precision, the committed medians of ``pr(NN-1)`` and
-  ``prNN`` — or of the two files the row names, in that order;
+  ``prNN`` — or of the two files the row names, in that order (a
+  parent re-measured beside its change, ``BENCH_e2e_prNN_base.json``,
+  included);
 * a backticked `` `figure.check-key` `` (``fig1.db_aging_512K``) must
   name a shape check of the committed ``benchmarks/BENCH_paper.json``,
   and a number written right after it must equal that check's measured
@@ -156,7 +158,7 @@ FIGURE_GLOBS = ("README.md", "docs/*.md", "benchmarks/*.md")
 TOKEN = r"`([A-Za-z0-9_@.]+)`"
 ALLOC_KEY_RE = re.compile(r"`([a-z0-9_]+@[0-9]+)`")
 QUOTED_VALUE_RE = re.compile(TOKEN + r"[\s:=(|]*([0-9]+(?:\.[0-9]+)?)")
-E2E_FILE_RE = re.compile(r"BENCH_e2e_pr([0-9]+)\.json")
+E2E_FILE_RE = re.compile(r"BENCH_e2e_pr([0-9]+(?:_base)?)\.json")
 E2E_QUOTE_RE = re.compile(r"`([a-z0-9_]+)` ([0-9.]+) → ([0-9.]+) "
                           r"`sim_ops_per_host_s`")
 
@@ -205,7 +207,7 @@ def as_printed(value: float, quoted: str) -> str:
     return f"{value:.{len(quoted.partition('.')[2])}f}"
 
 
-def e2e_median(pr: int, workload: str) -> float | None:
+def e2e_median(pr: str, workload: str) -> float | None:
     """Committed ``sim_ops_per_host_s`` median, None when there is none."""
     path = ROOT / "benchmarks" / f"BENCH_e2e_pr{pr}.json"
     try:
@@ -219,11 +221,12 @@ def e2e_quote_problems(text: str) -> list[str]:
     """Before → after whole-run figures that drifted from their files."""
     problems: list[str] = []
     for line in text.splitlines():
-        prs = [int(n) for n in E2E_FILE_RE.findall(line)]
-        if not line.startswith("|") or not prs:
+        prs = E2E_FILE_RE.findall(line)
+        quotes = E2E_QUOTE_RE.findall(line)
+        if not line.startswith("|") or not prs or not quotes:
             continue
-        pair = (prs[0] - 1, prs[0]) if len(prs) == 1 else prs[:2]
-        for workload, *quoted in E2E_QUOTE_RE.findall(line):
+        pair = (str(int(prs[0]) - 1), prs[0]) if len(prs) == 1 else prs[:2]
+        for workload, *quoted in quotes:
             for pr, figure in zip(pair, quoted):
                 median = e2e_median(pr, workload)
                 if median is None:
