@@ -168,12 +168,17 @@ class BlobStore:
                         append_run(start, count)
                     payloads.append(chunk)
                 else:  # k chunks, their spans in one pass
-                    for first in range(0, len(taken), extents):
-                        spans: list[Span] = []
-                        for extent in taken[first: first + extents]:
-                            extend_runs(spans, base + extent * EXTENT_SIZE,
-                                        EXTENT_SIZE)
-                        requests.append(spans)
+                    if extents == 1:  # a one-extent chunk is one span
+                        requests += [[(base + extent * EXTENT_SIZE,
+                                       EXTENT_SIZE)] for extent in taken]
+                    else:
+                        for first in range(0, len(taken), extents):
+                            spans: list[Span] = []
+                            for extent in taken[first: first + extents]:
+                                extend_runs(spans,
+                                            base + extent * EXTENT_SIZE,
+                                            EXTENT_SIZE)
+                            requests.append(spans)
                     if chunks is not None:
                         chunks.extend(
                             data[at: at + write_request] for at in

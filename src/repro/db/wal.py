@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from repro.db.page import Run
 from repro.disk.device import BlockDevice
 from repro.errors import ConfigError
+from repro.units import Span
 
 
 @dataclass(frozen=True)
@@ -105,20 +106,32 @@ class WriteAheadLog:
         it doubles the write volume).  A negative payload is refused
         before the cursor or any counter moves.
         """
-        if any(payload < 0 for payload in payloads):
+        if payloads and min(payloads) < 0:
             raise ConfigError("payload bytes must be >= 0")
-        record, full = self.RECORD_BYTES, not self.bulk_logged
-        capacity = self.device.geometry.capacity
+        record, capacity = self.RECORD_BYTES, self.device.geometry.capacity
+        # ``(record bytes, count)`` runs of equal records: one run in
+        # bulk-logged mode, one per record with the payloads logged.
+        if self.bulk_logged:
+            runs = [(record, len(payloads))]
+        else:
+            runs = [(record + payload, 1) for payload in payloads]
         cursor = self._cursor
         logged = 0
-        requests = []
-        for payload in payloads:
-            nbytes = record + payload if full else record
-            if cursor + nbytes > capacity:
-                cursor = 0
-            requests.append([(cursor, nbytes)])
-            cursor += nbytes
-            logged += nbytes
+        requests: list[list[Span]] = []
+        for nbytes, count in runs:
+            logged += nbytes * count
+            while count:
+                if cursor + nbytes > capacity:
+                    cursor = 0
+                # The records that fit before the next wrap (at least
+                # one: a record longer than the log is refused by the
+                # device).
+                fit = min(count, (capacity - cursor) // nbytes) or 1
+                stop = cursor + fit * nbytes
+                requests += [[(at, nbytes)]
+                             for at in range(cursor, stop, nbytes)]
+                cursor = stop
+                count -= fit
         if self._charge_io:
             self.device.write_each(requests)
         self._cursor = cursor

@@ -20,7 +20,13 @@ chaining request to request.  Either way each call records **one**
 :class:`IoStats` entry.  A list of write requests that stay separate
 requests (a BLOB's 64 KB chunks, the log records beside them) goes
 through :meth:`write_each`: one call, one costing pass, and the books
-of one :meth:`write_extents` per request.  A log append (the LFS log
+of one :meth:`write_extents` per request.  Every path costs requests
+with the one kernel, :meth:`BlockDevice._cost_of`, which within a list
+costs a back-to-back repeat once: a one-span request that continues at
+the head with the length of the last zero-gap, one-zone request and
+ends in that zone reuses its entry.  Costed lists are folded with the
+one left fold, :func:`repro.units.left_sum`.
+A log append (the LFS log
 piece, the GFS record) is a contiguous run of ``write_request``-sized
 writes and goes through :meth:`write_stream`, which charges exactly
 what :meth:`submit_policy` of those requests would without building
@@ -59,13 +65,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
+from operator import itemgetter
 
 from repro.disk.geometry import DiskGeometry, cost_tables
 from repro.disk.iostats import IoStats
 from repro.disk.policy import DEFAULT_POLICY, DevicePolicy
 from repro.errors import ConfigError
 from repro.struct.blockedlist import BlockedList
-from repro.units import Span
+from repro.units import Span, left_sum
 
 
 def slice_spans(runs: Iterable[Span], offset: int,
@@ -246,6 +253,16 @@ class BlockDevice:
         transfer that straddles a zone boundary goes back to
         :meth:`DiskGeometry.transfer_time`; its result is added as one
         sub-total so the float sums equal the composed model's.
+
+        A back-to-back repeat is costed once.  A one-span request with
+        no gap that stays inside one zone costs ``overhead + length /
+        rate[zone]`` and nothing else, so in a list of more than one
+        request a one-span request that starts at the head, has that
+        request's length and ends inside its zone (``ends[z-1] <= start``
+        and ``start + length <= ends[z]``) reuses its entry as is.  The
+        span checks still hold for it: ``start`` is the head, the end of
+        a checked span (so ``>= 0``), the length is a checked span's,
+        and the end is at most the zone's end, at most the capacity.
         """
         geometry = self.geometry
         ends, rates, settle_s, seek_span_s, rotational_s = cost_tables(geometry)
@@ -253,7 +270,19 @@ class BlockDevice:
         window = self._sequential_window
         overhead = geometry.per_request_overhead_s
         costed: list[tuple[int, float, int]] = []
+        # The repeat: its length, first and last start, and entry; a
+        # single request (``_serve``) never arms it.
+        armed = len(requests) > 1
+        repeat_length, repeat_lo, repeat_hi = 0, 0, -1
+        repeat = (0, 0.0, 0)
         for spans in requests:
+            if armed and len(spans) == 1:
+                start, length = spans[0]
+                if (start == head and length == repeat_length
+                        and repeat_lo <= start <= repeat_hi):
+                    costed.append(repeat)
+                    head += length
+                    continue
             seeks = nbytes = 0
             total = overhead
             for start, length in spans:
@@ -282,7 +311,13 @@ class BlockDevice:
                 else:
                     total += geometry.transfer_time(start, length)
                 nbytes += length
-            costed.append((nbytes, total, seeks))
+            entry = (nbytes, total, seeks)
+            costed.append(entry)
+            if (armed and len(spans) == 1 and not gap
+                    and head <= ends[zone]):
+                repeat_length, repeat = length, entry
+                repeat_lo = ends[zone - 1] if zone else 0
+                repeat_hi = ends[zone] - length
         return costed, head
 
     def _scaled(self, service_s: float) -> float:
@@ -364,13 +399,9 @@ class BlockDevice:
         order = self._elevator(requests) if self.policy.reorder_flag \
             else requests
         costed, self._head = self._cost_of(order, self._head)
-        nbytes = seeks = 0
-        service_s = 0.0
-        for size, service, count in costed:
-            nbytes += size
-            service_s += service
-            seeks += count
-        self.stats.record(is_write, nbytes, service_s, seeks)
+        sizes, services, counts = zip(*costed)
+        service_s = left_sum(services)
+        self.stats.record(is_write, sum(sizes), service_s, sum(counts))
         self.clock_s += service_s
         if self._store is None:
             return [None] * len(requests)
@@ -511,10 +542,7 @@ class BlockDevice:
         self._check_payloads(requests, True, data)
         costed, self._head = self._cost_of(requests, self._head)
         self.stats.record_each(True, costed)
-        clock_s = self.clock_s
-        for _, service, _ in costed:
-            clock_s += service
-        self.clock_s = clock_s
+        self.clock_s = left_sum(map(itemgetter(1), costed), self.clock_s)
         if self._store is not None and data is not None:
             for spans, payload in zip(requests, data):
                 self._apply_content(True, spans, payload)

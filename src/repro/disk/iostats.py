@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.units import MB
+from repro.units import MB, left_sum
 
 
 @dataclass(slots=True)
@@ -154,12 +154,13 @@ class IoStats:
                     costed: list[tuple[int, float, int]]) -> None:
         """:meth:`record` applied once per ``(nbytes, service_s, seeks)``
         entry, in order: every accumulator (the totals and each open
-        window) folds the service times one entry at a time, so its
+        window) folds the service times one entry at a time
+        (:func:`~repro.units.left_sum` from its running total), so its
         float sum is the one ``len(costed)`` ``record`` calls leave."""
-        nbytes = seeks = 0
-        for size, _, count in costed:
-            nbytes += size
-            seeks += count
+        if not costed:
+            return
+        sizes, services, counts = zip(*costed)
+        nbytes, seeks = sum(sizes), sum(counts)
         if is_write:
             bytes_field, time_field = "write_bytes", "write_time_s"
         else:
@@ -168,10 +169,8 @@ class IoStats:
             acc.requests += len(costed)
             acc.seeks += seeks
             setattr(acc, bytes_field, getattr(acc, bytes_field) + nbytes)
-            elapsed = getattr(acc, time_field)
-            for _, service_s, _ in costed:
-                elapsed += service_s
-            setattr(acc, time_field, elapsed)
+            setattr(acc, time_field,
+                    left_sum(services, getattr(acc, time_field)))
 
     def start_window(self, name: str) -> WindowStats:
         """Open a named measurement window; windows may nest."""

@@ -316,6 +316,63 @@ def test_kernel_matches_composed_model(geometry, window, slow, steps):
                                                 single[6])
 
 
+#: One request of a run of equal one-span requests, placed relative to
+#: the head: continue at it, end exactly on a zone end, straddle a zone
+#: end, seek back into a lower zone, or break the run with two spans.
+repeat_moves = st.lists(st.tuples(
+    st.sampled_from(["next", "next", "on_end", "straddle", "lower",
+                     "split"]),
+    st.integers(0, 1 << 20)), min_size=2, max_size=40)
+
+
+def place_repeat(geometry, head, length, move, x):
+    """The spans of one ``length``-byte request placed by ``move``."""
+    zones = geometry.zones
+    end = zones[x % len(zones)].end
+    if move == "on_end":
+        start = end - length
+    elif move == "straddle" and length > 1:
+        start = end - length + 1 + x % (length - 1)
+    elif move == "lower":
+        below = [zone for zone in zones if zone.end <= head] or zones[:1]
+        zone = below[x % len(below)]
+        start = zone.start + x % zone.size
+    else:
+        start = head
+    start = max(0, min(start, geometry.capacity - length))
+    if move == "split" and length > 1:
+        cut = 1 + x % (length - 1)
+        return [(start, cut), (start + cut, length - cut)]
+    return [(start, length)]
+
+
+@given(zoned_geometries(), st.sampled_from([0, 64]),
+       st.sampled_from([1.0, 4.0]), st.integers(0, 1 << 20),
+       st.integers(0, 1 << 20), repeat_moves)
+@settings(max_examples=300, deadline=None)
+def test_kernel_costs_repeat_runs_as_the_composed_model(
+        geometry, window, slow, x, y, moves):
+    """Runs of equal one-span requests, the case the kernel costs once:
+    ``==`` against the composed model for every entry and the final
+    head, with runs ending on a zone end, straddling one, and coming
+    back to a lower zone after a seek with the same length."""
+    capacity = geometry.capacity
+    length = 1 + y % min(capacity, 512)
+    head = first = x % (capacity + 1)
+    batch, expected = [], []
+    for move, pick in moves:
+        spans = place_repeat(geometry, head, length, move, pick)
+        seeks, service, head = cost_of(geometry, window, spans, head, slow)
+        batch.append(spans)
+        expected.append((length, service, seeks))
+    if slow == 1.0:
+        dev = BlockDevice(geometry, sequential_window=window)
+    else:
+        dev = FaultyBlockDevice(geometry, sequential_window=window,
+                                faults=DeviceFaults(slow_factor=slow))
+    assert dev._cost_of(batch, first) == (expected, head)
+
+
 class TestKernelEdges:
     """The named corners of the kernel, without a generator in the way."""
 

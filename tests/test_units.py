@@ -1,6 +1,11 @@
 """Tests for size parsing, formatting, and integer helpers."""
 
+import math
+import struct
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.units import (
     EXTENT_SIZE,
@@ -101,6 +106,14 @@ class TestIntegerHelpers:
         assert round_up(1, 4096) == 4096
 
 
+#: Finite floats plus the corners a fold can trip on: signed zeros,
+#: subnormals and infinities.
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     math.inf, -math.inf, 1e308, 0.1]))
+
+
 class TestLeftSum:
     def test_is_a_plain_left_fold_on_any_interpreter(self):
         # Not compensated (builtin sum() is, from CPython 3.12): each
@@ -108,3 +121,13 @@ class TestLeftSum:
         assert left_sum([1e16, 1.0, 1.0]) == 1e16
         assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
         assert left_sum([]) == 0.0
+
+    @given(st.lists(EDGE_FLOATS, max_size=12), EDGE_FLOATS)
+    def test_is_the_explicit_loop_bit_for_bit(self, values, start):
+        total = start
+        for value in values:
+            total += value
+        assert (struct.pack("<d", left_sum(values, start))
+                == struct.pack("<d", total))
+        assert (struct.pack("<d", left_sum(iter(values)))
+                == struct.pack("<d", left_sum(values, 0.0)))
