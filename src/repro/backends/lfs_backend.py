@@ -153,8 +153,9 @@ class SegmentLog:
                  placing: _ObjectLoc | None = None) -> None:
         """Collect ``victim`` if given, then, until ``enough()``, the unit
         other than the head with the most dead bytes (ties: the first in
-        ``_segments``) the policy lets go and no piece of ``placing`` is
-        in; or until a volume's worth of victims has not raised the
+        ``_segments``) the policy lets go, no piece of ``placing`` is in
+        and, in a spanning log, whose objects the free bytes can take
+        whole; or until a volume's worth of victims has not raised the
         pass's best free count (it only moves live bytes around).
         Copies never collect."""
         if self._cleaning:
@@ -172,21 +173,32 @@ class SegmentLog:
             while not enough() and idle < self.nsegments:
                 held = self._segments.values() if pool is None else [
                     u for u in pool if self._segments.get(u.seg_id) is u]
-                victims = [u for u in held if u is not self._head
-                           and u.dead() > 0 and u.seg_id not in busy
-                           and self._collectable(u)]
-                if not victims:
+                victims = sorted((
+                    u for u in held if u is not self._head
+                    and u.dead() > 0 and u.seg_id not in busy
+                    and self._collectable(u)), key=_Segment.dead, reverse=True)
+                # A copy that finds no free byte would be refused halfway
+                # through a pass that serves a write already done.
+                fits = next((u for u in victims if self.whole_records or sum(
+                    loc.size for loc in self._movers(u)) <= self.free_bytes()),
+                    None)
+                if fits is None:
                     return
-                self._collect_unit(max(victims, key=_Segment.dead))
+                self._collect_unit(fits)
                 idle += 1
                 if len(self._free_segments) > best:
                     best, idle = len(self._free_segments), 0
         finally:
             self._cleaning = False
 
+    def _movers(self, unit: _Segment) -> list[_ObjectLoc]:
+        """The objects with a piece in ``unit``: a collection copies each
+        whole."""
+        return [loc for loc in self._objects.values() if any(
+            seg_id == unit.seg_id for seg_id, _, _ in loc.pieces)]
+
     def _collect_unit(self, victim: _Segment) -> None:
-        movers = [loc for loc in self._objects.values() if any(
-            seg_id == victim.seg_id for seg_id, _, _ in loc.pieces)]
+        movers = self._movers(victim)
         if self.whole_records:  # copied in their order in the unit
             movers.sort(key=lambda loc: loc.pieces[0][1])
         for loc in movers:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.db.btree import LobTree
 from repro.db.gam import GamAllocator
 from repro.db.ghost import GhostCleaner
-from repro.db.page import Run, extend_runs
+from repro.db.page import Run
 from repro.db.pagefile import PageFile
 from repro.db.wal import WriteAheadLog
 from repro.disk.device import Span
@@ -135,11 +135,16 @@ class BlobStore:
         the cleaner's next sweep and at the rightmost leaf's room, the
         only two things that could touch the GAM between two chunks, so
         the GAM hands out exactly the extents ``k`` lowest-free picks in
-        a row would.  A chunk that is not whole extents (a partial last
-        chunk, an 8 KB or 72 KB request), a full leaf or a GAM with too
-        few free extents makes a run of one through the general step:
-        ``alloc_runs`` under sweep-and-retry, ``append_run`` with node
-        splits, one tick.
+        a row would.  It hands them out as address runs of consecutive
+        extents, and the run step takes one step per address run, not
+        per extent: one page run for the leaf, and the run's chunk spans
+        built in one pass (from one ``range`` for one-extent chunks; a
+        chunk that straddles two address runs is two spans, as the
+        per-extent merge made it).  A chunk that is not whole extents (a
+        partial last chunk, an 8 KB or 72 KB request), a full leaf or a
+        GAM with too few free extents makes a run of one through the
+        general step: ``alloc_runs`` under sweep-and-retry,
+        ``append_run`` with node splits, one tick.
         """
         gam, ghost, base = self.gam, self.ghost, self.pagefile.base
         alloc_runs, append_run, spans_of = (gam.alloc_runs, tree.append_run,
@@ -155,7 +160,7 @@ class BlobStore:
                 if k:
                     k = ghost.ops_before_sweep(
                         min(k, tree.leaf_room() // extents))
-                taken = gam.alloc_uniform_extents(k * extents) if k else None
+                taken = gam.alloc_extent_runs(k * extents) if k else None
                 if taken is None:  # a run of one, through the general step
                     k = 1
                     chunk = min(write_request, total - cursor)
@@ -167,26 +172,36 @@ class BlobStore:
                     for start, count in runs:
                         append_run(start, count)
                     payloads.append(chunk)
-                else:  # k chunks, their spans in one pass
+                else:  # k chunks, their spans in one pass per address run
                     if extents == 1:  # a one-extent chunk is one span
-                        requests += [[(base + extent * EXTENT_SIZE,
-                                       EXTENT_SIZE)] for extent in taken]
-                    else:
-                        for first in range(0, len(taken), extents):
-                            spans: list[Span] = []
-                            for extent in taken[first: first + extents]:
-                                extend_runs(spans,
-                                            base + extent * EXTENT_SIZE,
-                                            EXTENT_SIZE)
-                            requests.append(spans)
+                        for first, count in taken:
+                            offset = base + first * EXTENT_SIZE
+                            requests += map(list, zip(zip(
+                                range(offset, offset + count * EXTENT_SIZE,
+                                      EXTENT_SIZE),
+                                itertools.repeat(EXTENT_SIZE))))
+                    else:  # an address run's piece of a chunk is one span
+                        spans: list[Span] = []
+                        need = extents
+                        for first, count in taken:
+                            while count:
+                                take = min(need, count)
+                                spans.append((base + first * EXTENT_SIZE,
+                                              take * EXTENT_SIZE))
+                                first += take
+                                count -= take
+                                need -= take
+                                if not need:
+                                    requests.append(spans)
+                                    spans, need = [], extents
                     if chunks is not None:
                         chunks.extend(
                             data[at: at + write_request] for at in
                             range(cursor, cursor + k * write_request,
                                   write_request))
                     tree.append_runs(
-                        [extent * PAGES_PER_EXTENT for extent in taken],
-                        PAGES_PER_EXTENT)
+                        [(first * PAGES_PER_EXTENT, count * PAGES_PER_EXTENT)
+                         for first, count in taken])
                     payloads.extend([write_request] * k)
                 cursor += k * write_request
                 # The background cleaner runs concurrently with the

@@ -18,8 +18,10 @@ interleaving source the analyzer sees.
 Complexity notes: ``append_run`` walks the rightmost spine, O(depth)
 with node splits; ``append_runs`` adds several runs to the rightmost
 leaf in one walk when they fit it without a split (the BLOB chunk
-loop's run step); ``runs_in_range`` and ``all_runs`` walk the leaves,
-O(runs).  Runs are the object's fragment count — hundreds at most.
+loop's run step: one page run per GAM address run of consecutive
+extents, not one per extent); ``runs_in_range`` and ``all_runs`` walk
+the leaves, O(runs).  Runs are the object's fragment count — hundreds
+at most.
 The general insert at any position is kept as a test reference,
 ``tests/dboracle.py::general_insert``, which ``append_run`` must match
 node for node.
@@ -159,23 +161,24 @@ class LobTree:
             split = self._split_interior(node)
         self._grow_root(split)
 
-    def append_runs(self, starts: list[int], count: int) -> None:
-        """``append_run(start, count)`` for each of ``starts`` in order,
-        in one step.  The rightmost leaf must have room for one run per
-        start (:meth:`leaf_room`), so no node splits and no node page is
-        allocated."""
-        if count <= 0:
-            raise ConfigError("count must be positive")
-        if starts and min(starts) < 0:
-            raise ConfigError("start must be >= 0")
+    def append_runs(self, runs: list[Run]) -> None:
+        """``append_run(start, count)`` for each ``(start, count)`` of
+        ``runs`` in order, in one step.  The rightmost leaf must have
+        room for every run (:meth:`leaf_room`), so no node splits and no
+        node page is allocated.  A bad run or a list too long for the
+        leaf is refused before anything changes."""
         leaf = self._rightmost_leaf()
-        if len(starts) > self.fanout - len(leaf.runs):
+        if len(runs) > self.fanout - len(leaf.runs):
             raise ConfigError(
-                f"{len(starts)} runs do not fit the rightmost leaf")
-        self._count += len(starts) * count
-        runs = leaf.runs
-        for start in starts:
-            extend_runs(runs, start, count)
+                f"{len(runs)} runs do not fit the rightmost leaf")
+        pages = 0
+        for start, count in runs:
+            if count <= 0 or start < 0:
+                raise ConfigError(f"bad run ({start}, {count})")
+            pages += count
+        self._count += pages
+        for start, count in runs:
+            extend_runs(leaf.runs, start, count)
 
     def _rightmost_leaf(self) -> _Node:
         node = self._root

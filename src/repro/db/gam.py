@@ -12,8 +12,13 @@ near-linear fragmentation growth in Figures 2 and 5.
 :class:`GamAllocator` implements that discipline exactly, on the
 structure it models: one byte per extent holding the used-page bitmask
 (the GAM/PFS byte), so "lowest fully-free extent" is a C ``memchr`` for
-a zero byte from an exact lowest-free cursor.  The few partially used
-extents sit in a small sorted list; extent and page totals are counters.
+a zero byte from an exact lowest-free cursor.  The ``n`` lowest
+fully-free extents lie in address runs of consecutive free extents, so
+they are taken one run at a time: a C scan for the run's first used
+extent, one slice write marking the run full, one ``memchr`` for the
+next run — the same extents, in the same order, as ``n`` single picks.
+The few partially used extents sit in a small sorted list; extent and
+page totals are counters.
 Cursor, list and counters are pure functions of the masks — never of
 which queries ran — so equal masks pickle to equal bytes and
 :meth:`GamAllocator.check_invariants` recomputes and compares them all.
@@ -23,6 +28,7 @@ in isolation; the page file charges the device.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 
 from repro.db.page import Run, extend_runs
@@ -30,6 +36,9 @@ from repro.errors import AllocationError, ConfigError, CorruptionError
 from repro.units import PAGES_PER_EXTENT
 
 _FULL_MASK = (1 << PAGES_PER_EXTENT) - 1
+_FULL_BYTE = bytes((_FULL_MASK,))
+#: A mask byte of an extent with a used page: ends a run of free ones.
+_USED = re.compile(rb"[^\x00]")
 
 
 class GamAllocator:
@@ -38,8 +47,8 @@ class GamAllocator:
     ``_used_mask[e]`` is the bitmask of *used* pages of extent ``e``:
     0 = fully free (GAM), ``_FULL_MASK`` = full, anything else = partly
     free (PFS).  Everything else is derived from it and kept in step by
-    :meth:`_set_mask` (free → full: :meth:`alloc_uniform_extent` and
-    :meth:`alloc_uniform_extents`).
+    :meth:`_set_mask` (free → full: :meth:`alloc_uniform_extent`, and
+    :meth:`alloc_extent_runs` a run of them per slice write).
     """
 
     def __init__(self, num_extents: int) -> None:
@@ -97,25 +106,30 @@ class GamAllocator:
         self._lowest_free = found if found >= 0 else self.num_extents
         return extent_id
 
-    def alloc_uniform_extents(self, n: int) -> list[int] | None:
-        """Allocate the ``n`` lowest fully-free extents, lowest first:
-        what ``n`` successive :meth:`alloc_uniform_extent` calls return.
+    def alloc_extent_runs(self, n: int) -> list[tuple[int, int]] | None:
+        """Allocate the ``n`` lowest fully-free extents, lowest first, as
+        ``(first extent, count)`` address runs: flattened, what ``n``
+        successive :meth:`alloc_uniform_extent` calls return.  Two runs
+        of one call are separated by a used extent.
 
         Returns None, moving nothing, when fewer than ``n`` are free.
         """
         if n > self._free_extents:
             return None
-        masks, find = self._used_mask, self._used_mask.find
-        taken: list[int] = []
-        extent_id = self._lowest_free
-        for _ in range(n):
-            taken.append(extent_id)
-            masks[extent_id] = _FULL_MASK
-            extent_id = find(0, extent_id + 1)
-        self._lowest_free = extent_id if extent_id >= 0 else self.num_extents
+        masks = self._used_mask
+        runs: list[tuple[int, int]] = []
+        start, left = self._lowest_free, n
+        while left:
+            used = _USED.search(masks, start, start + left)
+            count = used.start() - start if used else left
+            masks[start:start + count] = _FULL_BYTE * count
+            runs.append((start, count))
+            left -= count
+            start = masks.find(0, start + count)
+        self._lowest_free = start if start >= 0 else self.num_extents
         self._free_extents -= n
         self._free_pages -= n * PAGES_PER_EXTENT
-        return taken
+        return runs
 
     def alloc_page(self) -> int:
         """Allocate the lowest-address free page (mixed-extent style)."""
@@ -147,8 +161,9 @@ class GamAllocator:
             )
         extents = min(count // PAGES_PER_EXTENT, self._free_extents)
         runs: list[Run] = []
-        for extent_id in self.alloc_uniform_extents(extents) or ():
-            extend_runs(runs, extent_id * PAGES_PER_EXTENT, PAGES_PER_EXTENT)
+        for first, length in self.alloc_extent_runs(extents) or ():
+            extend_runs(runs, first * PAGES_PER_EXTENT,
+                        length * PAGES_PER_EXTENT)
         for _ in range(count - extents * PAGES_PER_EXTENT):
             extend_runs(runs, self.alloc_page(), 1)
         return runs

@@ -65,7 +65,9 @@ class Coverage:
     loop's runs: all runs, runs of two or more chunks (and the longest),
     runs that end at a tick sweep, runs that end where the next chunk
     splits the LOB leaf, and whole-extent chunks that fell back to the
-    one-chunk general step (a full leaf, too few free extents).
+    one-chunk general step (a full leaf, too few free extents).  Of the
+    GAM calls that serve a run: address runs of two or more extents, and
+    calls cut into two or more address runs by a used extent.
     ``sweep_ordinals`` numbers (from 1, counting every sweep) the sweeps
     that end a run of two or more chunks."""
 
@@ -79,6 +81,8 @@ class Coverage:
         self.sweep_cut_runs = 0
         self.split_cut_runs = 0
         self.fallback_chunks = 0
+        self.long_address_runs = 0
+        self.cut_runs = 0
         self.sweep_ordinals: list[int] = []
         inside = {"put": False, "alloc_runs": False}
         #: Chunks in the run the last allocation served (0: general step).
@@ -108,7 +112,7 @@ class Coverage:
                 last["run"] = 0
             return alloc_runs(count)
 
-        def counting_alloc_extents(n, alloc=gam.alloc_uniform_extents):
+        def counting_alloc_extents(n, alloc=gam.alloc_extent_runs):
             taken = alloc(n)
             if taken is not None and inside["put"] \
                     and not inside["alloc_runs"]:
@@ -116,6 +120,9 @@ class Coverage:
                 self.runs += 1
                 self.long_runs += last["run"] >= 2
                 self.longest_run = max(self.longest_run, last["run"])
+                self.long_address_runs += sum(count >= 2
+                                              for _, count in taken)
+                self.cut_runs += len(taken) >= 2
             return taken
 
         def counting_sweep(sweep=ghost.sweep, **kwargs):
@@ -153,7 +160,7 @@ class Coverage:
         blobs.put = counting_put
         blobs._new_tree = counting_new_tree
         gam.alloc_runs = counting_alloc_runs
-        gam.alloc_uniform_extents = counting_alloc_extents
+        gam.alloc_extent_runs = counting_alloc_extents
         gam.alloc_page = counting_alloc_page
         ghost.sweep = counting_sweep
         ghost.on_operation = counting_tick
@@ -223,6 +230,8 @@ def test_sweeps_land_mid_blob(write_request):
     assert seen.sweep_cut_runs > 0
     assert seen.split_cut_runs > 0
     assert seen.fallback_chunks > 0
+    assert seen.long_address_runs > 0
+    assert seen.cut_runs > 0
     if write_request <= 2 * EXTENT_SIZE:  # two such chunks fit a leaf
         assert seen.long_runs > 0
 
@@ -305,6 +314,8 @@ def test_default_cleaner_cadence(write_request):
     assert seen.long_runs > 0
     assert seen.sweep_cut_runs > 0
     assert seen.longest_run == min(16, 16 // extents)
+    assert seen.long_address_runs > 0
+    assert seen.cut_runs > 0
 
 
 def kill_at_sweep(ordinal: int):

@@ -4,13 +4,15 @@
 three calls, each of which must leave exactly what the per-chunk calls
 it replaces leave:
 
-(a) ``GamAllocator.alloc_uniform_extents(n)`` is ``n`` calls of
-``alloc_uniform_extent()``: the same ids, masks, cursor, counters and
-pickled bytes; with fewer than ``n`` free extents it moves nothing.
+(a) ``GamAllocator.alloc_extent_runs(n)`` is ``n`` calls of
+``alloc_uniform_extent()``: its ``(first, count)`` address runs flatten
+to the same ids, each run is maximal (a used extent separates two), and
+masks, cursor, counters and pickled bytes are equal; with fewer than
+``n`` free extents it moves nothing.
 
-(b) ``LobTree.append_runs(starts, count)`` is one ``append_run`` per
-start, and both are the oracle's ``general_insert`` at the logical end,
-node for node.
+(b) ``LobTree.append_runs(runs)`` is one ``append_run`` per run, and
+both are the oracle's ``general_insert`` at the logical end, node for
+node; a bad run or too many runs is refused before anything changes.
 
 (c) ``GhostCleaner.on_operation(k)`` is ``k`` calls of
 ``on_operation()``, the sweep landing at the same operation.
@@ -33,6 +35,7 @@ from repro.units import PAGES_PER_EXTENT
 
 NUM_EXTENTS = 16
 NUM_PAGES = NUM_EXTENTS * PAGES_PER_EXTENT
+FULL = (1 << PAGES_PER_EXTENT) - 1
 
 
 def gam_state(gam: GamAllocator):
@@ -41,42 +44,49 @@ def gam_state(gam: GamAllocator):
             pickle.dumps(gam))
 
 
-def churned_gam(ops) -> GamAllocator:
-    """A GAM after page and extent allocations and frees of any shape."""
-    gam = GamAllocator(NUM_EXTENTS)
-    used: list[int] = []
-    for kind, arg in ops:
-        if kind == "extent" and (extent := gam.alloc_uniform_extent()) \
-                is not None:
-            used.extend(range(extent * PAGES_PER_EXTENT,
-                              (extent + 1) * PAGES_PER_EXTENT))
-        elif kind == "page" and gam.free_page_count:
-            used.append(gam.alloc_page())
-        elif kind == "free" and used:
-            gam.free_page(used.pop(arg % len(used)))
+def gam_of(masks: list[int]) -> GamAllocator:
+    """A GAM holding ``masks``, cursor and counters derived as an
+    unpickled one derives them."""
+    gam = GamAllocator(len(masks))
+    gam.__setstate__({"num_extents": len(masks),
+                      "num_pages": len(masks) * PAGES_PER_EXTENT,
+                      "_used_mask": masks})
     gam.check_invariants()
     return gam
 
 
-GAM_OPS = st.lists(st.tuples(st.sampled_from(["extent", "page", "free"]),
-                             st.integers(0, 10**6)), max_size=80)
+#: Free, full and partly used extents, free ones often side by side.
+MASKS = st.lists(st.one_of(st.just(0), st.just(0), st.just(FULL),
+                           st.integers(min_value=1, max_value=FULL - 1)),
+                 min_size=1, max_size=48)
+
+
+def flatten(runs: list[tuple[int, int]]) -> list[int]:
+    return [extent for first, count in runs
+            for extent in range(first, first + count)]
 
 
 # ----------------------------------------------------------------------
 # (a) the GAM run
 # ----------------------------------------------------------------------
-@given(ops=GAM_OPS, n=st.integers(min_value=0, max_value=NUM_EXTENTS + 2))
-@settings(max_examples=200, deadline=None)
-def test_the_gam_run_equals_n_lowest_free_picks(ops, n):
-    run = churned_gam(ops)
-    serial = copy.deepcopy(run)
+@given(masks=MASKS, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_gam_run_equals_n_lowest_free_picks(masks, data):
+    run = gam_of(masks)
+    free = run.free_extent_count
     before = gam_state(run)
-    taken = run.alloc_uniform_extents(n)
-    if n > serial.free_extent_count:
-        assert taken is None
-        assert gam_state(run) == before
+    assert run.alloc_extent_runs(free + 1) is None
+    assert gam_state(run) == before
+    if not free:
         return
-    assert taken == [serial.alloc_uniform_extent() for _ in range(n)]
+    n = data.draw(st.integers(min_value=1, max_value=free), label="n")
+    serial = copy.deepcopy(run)
+    taken = run.alloc_extent_runs(n)
+    assert flatten(taken) == [serial.alloc_uniform_extent()
+                              for _ in range(n)]
+    assert all(count > 0 for _, count in taken)
+    for (first, count), (after, _) in zip(taken, taken[1:]):
+        assert first + count < after and masks[first + count] != 0
     assert gam_state(run) == gam_state(serial)
     run.check_invariants()
 
@@ -84,11 +94,18 @@ def test_the_gam_run_equals_n_lowest_free_picks(ops, n):
 def test_the_gam_run_can_empty_the_file():
     gam = GamAllocator(NUM_EXTENTS)
     gam.alloc_page()
-    assert gam.alloc_uniform_extents(NUM_EXTENTS) is None
-    assert gam.alloc_uniform_extents(NUM_EXTENTS - 1) \
-        == list(range(1, NUM_EXTENTS))
+    assert gam.alloc_extent_runs(NUM_EXTENTS) is None
+    assert gam.alloc_extent_runs(0) == []
+    assert gam.alloc_extent_runs(NUM_EXTENTS - 1) == [(1, NUM_EXTENTS - 1)]
     assert gam._lowest_free == NUM_EXTENTS
     assert gam.alloc_uniform_extent() is None
+    gam.check_invariants()
+
+
+def test_a_used_extent_cuts_the_gam_run():
+    gam = gam_of([0, 0, FULL, 3, 0, 0, 0, FULL, 0, 0])
+    assert gam.alloc_extent_runs(6) == [(0, 2), (4, 3), (8, 1)]
+    assert gam._lowest_free == 9
     gam.check_invariants()
 
 
@@ -103,7 +120,7 @@ def leaf_runs(node) -> list[list[tuple[int, int]]]:
 
 def tree_state(tree: LobTree, pages: list[int]):
     return (leaf_runs(tree._root), tree.node_pages(), tree.depth(),
-            tree.total_pages, list(pages))
+            tree.total_pages, tree._count, list(pages))
 
 
 def allocating_tree(fanout: int) -> tuple[LobTree, list[int]]:
@@ -119,16 +136,17 @@ def allocating_tree(fanout: int) -> tuple[LobTree, list[int]]:
 @given(prefix=st.lists(st.tuples(st.integers(0, 10**6),
                                  st.integers(min_value=1, max_value=6)),
                        max_size=60),
-       starts=st.lists(st.one_of(st.none(), st.integers(0, 10**6)),
-                       max_size=12),
-       count=st.integers(min_value=1, max_value=PAGES_PER_EXTENT),
+       runs=st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 10**6)),
+                               st.integers(min_value=1,
+                                           max_value=4 * PAGES_PER_EXTENT)),
+                     max_size=12),
        fanout=st.integers(min_value=4, max_value=8))
 @settings(max_examples=200, deadline=None)
-def test_the_leaf_append_equals_one_append_run_per_start(prefix, starts,
-                                                         count, fanout):
+def test_the_leaf_append_equals_one_append_run_per_start(prefix, runs,
+                                                         fanout):
     """Three twin trees take the same appends (any shape, splits
     included), then the same runs: ``append_runs`` on one, one
-    ``append_run`` per start on the next, ``general_insert`` at the end
+    ``append_run`` per run on the next, ``general_insert`` at the end
     on the last.  A start of None continues the last run physically."""
     step, serial, general = (allocating_tree(fanout) for _ in range(3))
     for start, length in prefix:
@@ -137,12 +155,12 @@ def test_the_leaf_append_equals_one_append_run_per_start(prefix, starts,
         general_insert(general[0], general[0].total_pages, start, length)
     room = step[0].leaf_room()
     last = prefix[-1][0] + prefix[-1][1] if prefix else 0
-    run_starts = []
-    for start in starts[:room]:
-        run_starts.append(last if start is None else start)
-        last = run_starts[-1] + count
-    step[0].append_runs(run_starts, count)
-    for start in run_starts:
+    appended = []
+    for start, count in runs[:room]:
+        appended.append((last if start is None else start, count))
+        last = appended[-1][0] + count
+    step[0].append_runs(appended)
+    for start, count in appended:
         serial[0].append_run(start, count)
         general_insert(general[0], general[0].total_pages, start, count)
     assert tree_state(*step) == tree_state(*serial) == tree_state(*general)
@@ -154,13 +172,16 @@ def test_the_leaf_append_refuses_what_would_split():
     tree.append_run(0, 1)
     assert tree.leaf_room() == 3
     before = tree_state(tree, pages)
-    for starts, count in (([10, 20, 30, 40], 1), ([10], 0), ([10, -1], 1)):
+    for runs in ([(10, 1), (20, 1), (30, 1), (40, 1)], [(10, 0)],
+                 [(10, 2), (20, -1)], [(10, 1), (-1, 1)],
+                 [(1, 8), (20, 1), (30, 1), (40, 1)]):
         with pytest.raises(ConfigError):
-            tree.append_runs(starts, count)
+            tree.append_runs(runs)
         assert tree_state(tree, pages) == before
-    tree.append_runs([10, 20, 30], 1)
-    assert tree.leaf_room() == 0
-    assert tree_state(tree, pages)[0] == [[(0, 1), (10, 1), (20, 1), (30, 1)]]
+    tree.append_runs([(1, 8), (20, 1), (30, 2)])
+    assert tree.leaf_room() == 1
+    assert tree.total_pages == 12
+    assert tree_state(tree, pages)[0] == [[(0, 9), (20, 1), (30, 2)]]
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ full log refuses partway through an object leaves what it wrote as dead
 bytes, not live ones no object owns.  A collection run in the middle of
 an LFS append never picks or frees a unit the object being written has
 a piece in, and a low-water pass that cannot reach its mark stops
-instead of moving live bytes around for ever.
+instead of moving live bytes around for ever.  A collection takes no
+victim whose objects the free bytes cannot take whole, so the pass that
+follows a finished overwrite is never refused halfway through a copy.
 """
 
 import pytest
@@ -234,3 +236,36 @@ def test_an_unreachable_low_water_mark_ends_the_pass(monkeypatch):
         store.check_invariants()
     assert max(runs[1:]) > store.nsegments
     assert len(store._free_segments) < 4
+
+
+#: Puts and overwrites on the eight 32 KB units of the stateful run that
+#: keep live bytes under half the volume.  The last overwrite leaves one
+#: free unit, and the unit with the most dead bytes holds pieces of two
+#: objects that need 42 624 bytes to copy whole, two more than the free
+#: bytes; the pass copied one and was refused on the other.
+NO_ROOM_OPS = [
+    ("put", "k0", 14061), ("put", "k1", 15528), ("overwrite", "k0", 21084),
+    ("put", "k3", 24576), ("overwrite", "k3", 17838), ("put", "k5", 18384),
+    ("overwrite", "k0", 14814), ("put", "k7", 16860), ("put", "k8", 17499),
+    ("put", "k9", 14061), ("overwrite", "k1", 23925),
+    ("overwrite", "k1", 22518), ("overwrite", "k8", 14154),
+    ("overwrite", "k0", 15501), ("overwrite", "k9", 14868),
+    ("overwrite", "k0", 18771), ("overwrite", "k1", 13308),
+    ("overwrite", "k1", 23748), ("overwrite", "k5", 13299),
+    ("overwrite", "k0", 12939), ("overwrite", "k0", 14445),
+    ("overwrite", "k0", 23238), ("overwrite", "k7", 18342),
+    ("overwrite", "k7", 13746), ("overwrite", "k3", 12609),
+    ("overwrite", "k3", 13164), ("overwrite", "k8", 17466),
+    ("overwrite", "k7", 13017), ("overwrite", "k7", 17622),
+    ("overwrite", "k1", 16605), ("overwrite", "k3", 21138),
+    ("overwrite", "k1", 21786), ("overwrite", "k3", 18819),
+    ("overwrite", "k1", 23805),
+]
+
+
+def test_a_collection_copies_only_what_the_free_bytes_can_take():
+    store = LfsBackend(BlockDevice(scaled_disk(VOLUME)), segment_size=UNIT)
+    for op, key, size in NO_ROOM_OPS:
+        getattr(store, op)(key, size=size)
+        store.check_invariants()
+    assert store.meta("k1").size == 23805
