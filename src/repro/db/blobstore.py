@@ -12,11 +12,14 @@ GAM later.  The resulting reuse pattern — lowest-address-first at extent
 granularity with a deferred-free window — is what produces the near-
 linear fragmentation growth of Figures 2 and 5.
 
-The rule stays per request, but the chunk loop serves the requests
-between two cleaner sweeps as one run when they are whole extents:
-nothing can free or take an extent between them, so the ``k`` lowest
-fully-free extents are what ``k`` requests in a row would have taken
-(:meth:`BlobStore._write_chunks`).
+The rule stays per request, but every pass of the chunk loop serves
+``k`` requests in one step (:meth:`BlobStore._write_chunks`): one
+allocation, one leaf append per page run, one tick.  ``k`` exceeds one
+only for whole-extent requests between two cleaner sweeps that fit the
+LOB leaf: nothing can free or take an extent between them, so the
+``k`` lowest fully-free extents are what ``k`` requests in a row would
+have taken.  One cut of the planned pages (:func:`chunk_spans`) then
+gives every request its device spans.
 """
 
 from __future__ import annotations
@@ -49,6 +52,36 @@ def check_write_request(write_request: int) -> None:
         raise ConfigError("write_request must be positive")
     if write_request % PAGE_SIZE != 0:
         raise ConfigError("write_request must be a multiple of the page size")
+
+
+def chunk_spans(spans: list[Span], step: int) -> list[list[Span]]:
+    """Cut ``spans`` (logical order) into requests of ``step`` bytes,
+    the last one possibly shorter.  Whole requests inside one span are
+    one span each; a request that crosses spans joins its pieces."""
+    requests: list[list[Span]] = []
+    piece: list[Span] = []  # the open request, ``need`` bytes short
+    need = step
+    for start, length in spans:
+        if piece:  # the open request takes the span's head
+            take = min(need, length)
+            piece.append((start, take))
+            need -= take
+            if need:
+                continue
+            requests.append(piece)
+            piece = []
+            start += take
+            length -= take
+        tail = length % step
+        end = start + length - tail
+        requests += map(list, zip(zip(range(start, end, step),
+                                      itertools.repeat(step))))
+        if tail:
+            piece = [(end, tail)]
+            need = step - tail
+    if piece:
+        requests.append(piece)
+    return requests
 
 
 class BlobStore:
@@ -121,89 +154,61 @@ class BlobStore:
     def _write_chunks(self, tree: LobTree, total: int, data: bytes | None,
                       write_request: int) -> None:
         """Append ``total`` bytes to ``tree`` as new pages, zero-padded
-        to whole pages.  Per write request, in this order: allocate, the
-        tree append (may allocate node pages), one tick.  None of these
-        touches a device, so the chunks' data requests then go to the
-        data device as one ``write_each`` and their log records to the
-        log as one ``log_operations``: each device serves the requests a
-        loop issuing both per chunk would, in the same order.  A loop
-        that raises midway still issues what it planned before the raise.
+        to whole pages, allocating per ``write_request`` chunk.
 
-        Each pass serves a *run* of ``k`` whole-extent chunks in one
-        step: one GAM call takes their extents, one leaf append adds
-        them, one tick advances the cleaner by ``k``.  ``k`` stops at
-        the cleaner's next sweep and at the rightmost leaf's room, the
-        only two things that could touch the GAM between two chunks, so
-        the GAM hands out exactly the extents ``k`` lowest-free picks in
-        a row would.  It hands them out as address runs of consecutive
-        extents, and the run step takes one step per address run, not
-        per extent: one page run for the leaf, and the run's chunk spans
-        built in one pass (from one ``range`` for one-extent chunks; a
-        chunk that straddles two address runs is two spans, as the
-        per-extent merge made it).  A chunk that is not whole extents (a
-        partial last chunk, an 8 KB or 72 KB request), a full leaf or a
-        GAM with too few free extents makes a run of one through the
-        general step: ``alloc_runs`` under sweep-and-retry,
-        ``append_run`` with node splits, one tick.
+        Every pass is one step over ``k`` chunks: allocate, plan their
+        pages and data, append the page runs to the tree (may allocate
+        node pages), one tick of ``k``.  ``k`` is 1 unless the chunks
+        are whole extents; then it is the whole chunks left, cut at the
+        cleaner's next sweep, at the rightmost leaf's room and at the
+        free extents.  Only a sweep or a leaf split could touch the GAM
+        between two chunks, so one ``alloc_extent_runs`` takes exactly
+        the extents ``k`` lowest-free picks in a row would, and is never
+        refused.  A pass of one chunk (a partial or non-extent chunk, a
+        full leaf, less than a chunk of free extents) allocates through
+        ``alloc_runs`` under sweep-and-retry: how a pass allocates is
+        all that differs between passes.
+
+        None of this touches a device, so the chunks' data requests then
+        go to the data device as one ``write_each`` and their log
+        records to the log as one ``log_operations``: each device serves
+        the requests a loop issuing both per chunk would, in the same
+        order.  Every pass but the last covers whole requests, so one
+        cut of the planned pages' spans (:func:`chunk_spans`) gives each
+        chunk its request.  A loop that raises midway still issues what
+        it planned before the raise: a pass plans its pages before the
+        tree append, and logs its chunks after it.
         """
-        gam, ghost, base = self.gam, self.ghost, self.pagefile.base
-        alloc_runs, append_run, spans_of = (gam.alloc_runs, tree.append_run,
-                                            self._spans)
+        gam, ghost, append_run = self.gam, self.ghost, tree.append_run
         extents, odd = divmod(write_request, EXTENT_SIZE)
-        requests: list[list[Span]] = []
+        planned: list[Run] = []
         chunks: list[bytes] | None = None if data is None else []
         payloads: list[int] = []
         cursor = 0
         try:
             while cursor < total:
-                k = 0 if odd else (total - cursor) // write_request
+                k = 0 if odd else min((total - cursor) // write_request,
+                                      tree.leaf_room() // extents,
+                                      gam.free_extent_count // extents)
                 if k:
-                    k = ghost.ops_before_sweep(
-                        min(k, tree.leaf_room() // extents))
-                taken = gam.alloc_extent_runs(k * extents) if k else None
-                if taken is None:  # a run of one, through the general step
-                    k = 1
-                    chunk = min(write_request, total - cursor)
-                    runs = self._alloc(alloc_runs, ceil_div(chunk, PAGE_SIZE))
-                    requests.append(spans_of(runs))
-                    if chunks is not None:
-                        chunks.append(data[cursor: cursor + chunk]
-                                      + bytes(-chunk % PAGE_SIZE))
-                    for start, count in runs:
-                        append_run(start, count)
-                    payloads.append(chunk)
-                else:  # k chunks, their spans in one pass per address run
-                    if extents == 1:  # a one-extent chunk is one span
-                        for first, count in taken:
-                            offset = base + first * EXTENT_SIZE
-                            requests += map(list, zip(zip(
-                                range(offset, offset + count * EXTENT_SIZE,
-                                      EXTENT_SIZE),
-                                itertools.repeat(EXTENT_SIZE))))
-                    else:  # an address run's piece of a chunk is one span
-                        spans: list[Span] = []
-                        need = extents
-                        for first, count in taken:
-                            while count:
-                                take = min(need, count)
-                                spans.append((base + first * EXTENT_SIZE,
-                                              take * EXTENT_SIZE))
-                                first += take
-                                count -= take
-                                need -= take
-                                if not need:
-                                    requests.append(spans)
-                                    spans, need = [], extents
-                    if chunks is not None:
-                        chunks.extend(
-                            data[at: at + write_request] for at in
-                            range(cursor, cursor + k * write_request,
-                                  write_request))
-                    tree.append_runs(
-                        [(first * PAGES_PER_EXTENT, count * PAGES_PER_EXTENT)
-                         for first, count in taken])
-                    payloads.extend([write_request] * k)
-                cursor += k * write_request
+                    k = ghost.ops_before_sweep(k)
+                    size = k * write_request
+                    runs = [(first * PAGES_PER_EXTENT,
+                             count * PAGES_PER_EXTENT) for first, count
+                            in gam.alloc_extent_runs(k * extents)]
+                else:
+                    k, size = 1, min(write_request, total - cursor)
+                    runs = self._alloc(gam.alloc_runs,
+                                       ceil_div(size, PAGE_SIZE))
+                planned += runs
+                if chunks is not None:
+                    chunks += [data[at: at + write_request] for at in
+                               range(cursor, cursor + size, write_request)]
+                    chunks[-1] += bytes(-size % PAGE_SIZE)
+                for start, count in runs:
+                    append_run(start, count)
+                payloads += [size // k] * k
+                cursor += size
                 # The background cleaner runs concurrently with the
                 # insert: one tick per write request lets freed pages
                 # trickle back *between* a BLOB's chunks, so successive
@@ -212,14 +217,10 @@ class BlobStore:
                 # fragment per 64 KB".
                 ghost.on_operation(k)
         finally:
-            self.pagefile.device.write_each(requests, chunks)
+            self.pagefile.device.write_each(
+                chunk_spans(self.pagefile.spans_of(planned), write_request),
+                chunks)
             self.wal.log_operations(payloads)
-
-    def _spans(self, runs: list[Run]) -> list[Span]:
-        """Device ``(start, length)`` spans of page runs, order preserved."""
-        base = self.pagefile.base
-        return [(base + start * PAGE_SIZE, count * PAGE_SIZE)
-                for start, count in runs]
 
     def get(self, blob_id: int, offset: int = 0,
             length: int | None = None) -> bytes | None:
@@ -232,7 +233,7 @@ class BlobStore:
         last_page = (offset + length - 1) // PAGE_SIZE
         runs = record.tree.runs_in_range(first_page,
                                          last_page - first_page + 1)
-        raw = self.pagefile.device.read_extents(self._spans(runs))
+        raw = self.pagefile.device.read_extents(self.pagefile.spans_of(runs))
         if raw is None:
             return None
         skip = offset - first_page * PAGE_SIZE
@@ -261,7 +262,8 @@ class BlobStore:
     def blob_spans(self, blob_id: int) -> list[Span]:
         """Device spans of the BLOB's data pages in logical order: its
         layout (whole pages, so the last may carry padding)."""
-        return self._spans(self._lookup(blob_id).tree.all_runs())
+        return self.pagefile.spans_of(
+            self._lookup(blob_id).tree.all_runs())
 
     def append(self, blob_id: int, *, size: int | None = None,
                data: bytes | None = None,

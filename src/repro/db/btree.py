@@ -16,12 +16,10 @@ pages interleave with data pages on disk exactly as in SQL Server — an
 interleaving source the analyzer sees.
 
 Complexity notes: ``append_run`` walks the rightmost spine, O(depth)
-with node splits; ``append_runs`` adds several runs to the rightmost
-leaf in one walk when they fit it without a split (the BLOB chunk
-loop's run step: one page run per GAM address run of consecutive
-extents, not one per extent); ``runs_in_range`` and ``all_runs`` walk
-the leaves, O(runs).  Runs are the object's fragment count — hundreds
-at most.
+with node splits (the BLOB chunk loop calls it once per page run, and
+asks :meth:`LobTree.leaf_room` how many runs fit before a split);
+``runs_in_range`` and ``all_runs`` walk the leaves, O(runs).  Runs are
+the object's fragment count — hundreds at most.
 The general insert at any position is kept as a test reference,
 ``tests/dboracle.py::general_insert``, which ``append_run`` must match
 node for node.
@@ -160,25 +158,6 @@ class LobTree:
                 return
             split = self._split_interior(node)
         self._grow_root(split)
-
-    def append_runs(self, runs: list[Run]) -> None:
-        """``append_run(start, count)`` for each ``(start, count)`` of
-        ``runs`` in order, in one step.  The rightmost leaf must have
-        room for every run (:meth:`leaf_room`), so no node splits and no
-        node page is allocated.  A bad run or a list too long for the
-        leaf is refused before anything changes."""
-        leaf = self._rightmost_leaf()
-        if len(runs) > self.fanout - len(leaf.runs):
-            raise ConfigError(
-                f"{len(runs)} runs do not fit the rightmost leaf")
-        pages = 0
-        for start, count in runs:
-            if count <= 0 or start < 0:
-                raise ConfigError(f"bad run ({start}, {count})")
-            pages += count
-        self._count += pages
-        for start, count in runs:
-            extend_runs(leaf.runs, start, count)
 
     def _rightmost_leaf(self) -> _Node:
         node = self._root

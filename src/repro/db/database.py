@@ -84,8 +84,7 @@ class SimDatabase:
                                  num_pages=num_extents * PAGES_PER_EXTENT)
         self.gam = GamAllocator(num_extents)
         # Extent 0 holds the boot page and allocation maps.
-        system_extent = self.gam.alloc_uniform_extent()
-        if system_extent != 0:
+        if self.gam.alloc_extent_runs(1) != [(0, 1)]:
             raise ConfigError("expected extent 0 for system pages")
         self.wal = WriteAheadLog(log_device,
                                  bulk_logged=self.config.bulk_logged,

@@ -12,11 +12,13 @@ near-linear fragmentation growth in Figures 2 and 5.
 :class:`GamAllocator` implements that discipline exactly, on the
 structure it models: one byte per extent holding the used-page bitmask
 (the GAM/PFS byte), so "lowest fully-free extent" is a C ``memchr`` for
-a zero byte from an exact lowest-free cursor.  The ``n`` lowest
-fully-free extents lie in address runs of consecutive free extents, so
-they are taken one run at a time: a C scan for the run's first used
-extent, one slice write marking the run full, one ``memchr`` for the
-next run — the same extents, in the same order, as ``n`` single picks.
+a zero byte from an exact lowest-free cursor.  One method takes whole
+extents, :meth:`GamAllocator.alloc_extent_runs`, for one extent or for
+``n``: the ``n`` lowest fully-free extents lie in address runs of
+consecutive free extents, so they are taken one run at a time: a C scan
+for the run's first used extent, one slice write marking the run full,
+one ``memchr`` for the next run — the same extents, in the same order,
+as ``n`` single picks.
 The few partially used extents sit in a small sorted list; extent and
 page totals are counters.
 Cursor, list and counters are pure functions of the masks — never of
@@ -47,8 +49,8 @@ class GamAllocator:
     ``_used_mask[e]`` is the bitmask of *used* pages of extent ``e``:
     0 = fully free (GAM), ``_FULL_MASK`` = full, anything else = partly
     free (PFS).  Everything else is derived from it and kept in step by
-    :meth:`_set_mask` (free → full: :meth:`alloc_uniform_extent`, and
-    :meth:`alloc_extent_runs` a run of them per slice write).
+    :meth:`_set_mask` (free → full: :meth:`alloc_extent_runs`, a run
+    of them per slice write).
     """
 
     def __init__(self, num_extents: int) -> None:
@@ -90,27 +92,11 @@ class GamAllocator:
     # ------------------------------------------------------------------
     # Allocation (address-ordered, per the GAM scan)
     # ------------------------------------------------------------------
-    def alloc_uniform_extent(self) -> int | None:
-        """Allocate the lowest fully-free extent; all 8 pages become used.
-
-        Returns the extent id, or None when no fully-free extent exists
-        (the caller then falls back to page-at-a-time allocation).
-        """
-        extent_id = self._lowest_free
-        if extent_id == self.num_extents:
-            return None
-        self._used_mask[extent_id] = _FULL_MASK
-        self._free_pages -= PAGES_PER_EXTENT
-        self._free_extents -= 1
-        found = self._used_mask.find(0, extent_id + 1)
-        self._lowest_free = found if found >= 0 else self.num_extents
-        return extent_id
-
     def alloc_extent_runs(self, n: int) -> list[tuple[int, int]] | None:
         """Allocate the ``n`` lowest fully-free extents, lowest first, as
         ``(first extent, count)`` address runs: flattened, what ``n``
-        successive :meth:`alloc_uniform_extent` calls return.  Two runs
-        of one call are separated by a used extent.
+        successive lowest-free picks return.  Two runs of one call are
+        separated by a used extent.
 
         Returns None, moving nothing, when fewer than ``n`` are free.
         """

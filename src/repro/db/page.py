@@ -1,19 +1,17 @@
-"""Page identities and types.
+"""Page runs.
 
 Pages are identified by an integer page number within the database file;
 the :class:`~repro.db.pagefile.PageFile` maps them to byte offsets on the
-device.  We track page *types* the way SQL Server's PFS does, because the
-fragmentation analyzer distinguishes BLOB data pages from the LOB-tree
-index pages interleaved with them.
+device.  Allocation, LOB-tree leaves, the ghost backlog and page-file
+I/O all move pages as runs of physically consecutive pages
+(:data:`Run`), built with :func:`extend_runs`.
 """
 
 from __future__ import annotations
 
-import enum
-
 from repro.units import PAGE_SIZE, PAGES_PER_EXTENT
 
-__all__ = ["PageType", "Run", "extend_runs", "PAGE_SIZE", "PAGES_PER_EXTENT"]
+__all__ = ["Run", "extend_runs", "PAGE_SIZE", "PAGES_PER_EXTENT"]
 
 #: A run of physically consecutive pages: (first page number, page count).
 Run = tuple[int, int]
@@ -25,14 +23,3 @@ def extend_runs(runs: list[Run], start: int, count: int) -> None:
         runs[-1] = (runs[-1][0], runs[-1][1] + count)
     else:
         runs.append((start, count))
-
-
-class PageType(enum.Enum):
-    """What a page currently holds."""
-
-    FREE = "free"
-    HEAP = "heap"            # metadata table rows
-    INDEX = "index"          # heap/LOB B-tree interior pages
-    LOB_DATA = "lob_data"    # out-of-row BLOB bytes
-    GHOST = "ghost"          # deallocated, awaiting ghost cleanup
-    SYSTEM = "system"        # allocation maps, boot page, ...

@@ -5,7 +5,9 @@ and moves ghosted space around in page runs.  The classes here are the
 slow, obvious versions of the same rules — a plain list of masks
 searched by linear scan, a ghost backlog holding one entry per page —
 that the property tests in ``test_prop_db_runs.py`` hold the real ones
-to, operation by operation.
+to, operation by operation.  :meth:`OracleGam.alloc_uniform_extent` is
+the single lowest-free extent pick; ``GamAllocator.alloc_extent_runs``
+is held to ``n`` of them.
 
 :func:`general_insert` is the LOB tree's retired general insert: a
 recursive descent by recounted subtree page counts that can place a run
@@ -14,11 +16,12 @@ tree only grows through ``LobTree.append_run`` down its rightmost spine;
 ``test_prop_structures.py`` holds that to ``general_insert`` at the
 logical end, node for node.
 
-:func:`oracle_put` is ``BlobStore.put`` as it was before the BLOB chunk
-loop became one pass per chunk: its own chunk loop, every run appended
-through :func:`general_insert` at the logical end, every whole extent
-taken through ``GamAllocator._set_mask``.  ``test_db_put_oracle.py``
-holds the shipped ``put`` to it on twin databases.
+:func:`oracle_put` is ``BlobStore.put`` as a plain per-chunk loop, as
+it was before the shipped loop served several chunks per pass: each
+chunk allocated, written, appended through :func:`general_insert` at
+the logical end and logged before the next, every whole extent taken
+through ``GamAllocator._set_mask``.  ``test_db_put_oracle.py`` holds
+the shipped ``put`` to it on twin databases.
 """
 
 from __future__ import annotations
@@ -80,6 +83,16 @@ class OracleGam:
         if extent_id is not None:
             self.masks[extent_id] = FULL
         return extent_id
+
+    def alloc_extent_runs(self, n: int) -> list[tuple[int, int]] | None:
+        """``n`` single picks as maximal address runs; None, moving
+        nothing, when fewer than ``n`` extents are free."""
+        if n > self.masks.count(0):
+            return None
+        runs: list[tuple[int, int]] = []
+        for _ in range(n):
+            extend_runs(runs, self.alloc_uniform_extent(), 1)
+        return runs
 
     def alloc_page(self) -> int:
         extent_id = self._lowest(lambda mask: mask != FULL)
@@ -332,7 +345,7 @@ def _write_new_pages(store, npages: int, data: bytes | None):
     """Allocate one write request's pages and write them as one
     device request, in logical order; returns the runs."""
     runs = store._alloc(partial(retired_alloc_runs, store.gam), npages)
-    store.pagefile.device.write_extents(store._spans(runs), data)
+    store.pagefile.device.write_extents(store.pagefile.spans_of(runs), data)
     return runs
 
 

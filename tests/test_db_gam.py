@@ -16,19 +16,19 @@ def gam():
 
 class TestUniformExtents:
     def test_lowest_first(self, gam):
-        assert gam.alloc_uniform_extent() == 0
-        assert gam.alloc_uniform_extent() == 1
+        assert gam.alloc_extent_runs(1) == [(0, 1)]
+        assert gam.alloc_extent_runs(1) == [(1, 1)]
 
     def test_freed_extent_reused_lowest_first(self, gam):
         for _ in range(4):
-            gam.alloc_uniform_extent()
+            gam.alloc_extent_runs(1)
         gam.free_run(8, 8)   # free extent 1 entirely
-        assert gam.alloc_uniform_extent() == 1
+        assert gam.alloc_extent_runs(1) == [(1, 1)]
 
     def test_exhaustion_returns_none(self, gam):
         for _ in range(16):
-            assert gam.alloc_uniform_extent() is not None
-        assert gam.alloc_uniform_extent() is None
+            assert gam.alloc_extent_runs(1) is not None
+        assert gam.alloc_extent_runs(1) is None
 
 
 class TestPageAllocation:
@@ -38,7 +38,7 @@ class TestPageAllocation:
 
     def test_prefers_partial_extent_below_free(self, gam):
         gam.alloc_page()  # extent 0 now partial
-        gam.alloc_uniform_extent()  # extent 1 full
+        gam.alloc_extent_runs(1)  # extent 1 full
         assert gam.alloc_page() == 1 * 0 + 1  # next page in extent 0
 
     def test_address_order_across_frees(self, gam):
@@ -86,7 +86,7 @@ class TestAllocPages:
             alloc_pages(gam, 0)
 
     def test_runs_merge_in_logical_order(self, gam):
-        gam.alloc_uniform_extent()            # extent 0 taken
+        gam.alloc_extent_runs(1)              # extent 0 taken
         gam.alloc_page()                      # page 8: extent 1 partial
         # Two whole extents (2, 3), then singles from the lowest hole:
         # pages 9 and 10 do not touch the extents logically before them.
@@ -128,7 +128,7 @@ class TestFree:
         assert [gam.is_page_used(p) for p in (4, 5, 24, 25)] \
             == [True, False, False, True]
         gam.check_invariants()
-        assert gam.alloc_uniform_extent() == 1
+        assert gam.alloc_extent_runs(1) == [(1, 1)]
         assert gam.alloc_page() == 5
 
     def test_double_free_inside_a_run_rejected(self, gam):
@@ -148,7 +148,7 @@ class TestFree:
         assert gam._partial_extents == [0, 16]
         assert gam._lowest_free == 1
         gam.check_invariants()
-        assert gam.alloc_uniform_extent() == 1
+        assert gam.alloc_extent_runs(1) == [(1, 1)]
         assert gam.alloc_page() == 2
 
     def test_double_free_inside_whole_extents_rejected(self):

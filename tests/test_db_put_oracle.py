@@ -65,9 +65,12 @@ class Coverage:
     loop's runs: all runs, runs of two or more chunks (and the longest),
     runs that end at a tick sweep, runs that end where the next chunk
     splits the LOB leaf, and whole-extent chunks that fell back to the
-    one-chunk general step (a full leaf, too few free extents).  Of the
-    GAM calls that serve a run: address runs of two or more extents, and
-    calls cut into two or more address runs by a used extent.
+    one-chunk step (a full leaf, less than a chunk of free extents),
+    and runs cut at the free extents (a run that leaves less than a
+    chunk of them, followed in the same put by a whole-extent chunk).
+    Of the GAM calls that serve a run: address runs of two or more
+    extents, and calls cut into two or more address runs by a used
+    extent.
     ``sweep_ordinals`` numbers (from 1, counting every sweep) the sweeps
     that end a run of two or more chunks."""
 
@@ -81,12 +84,15 @@ class Coverage:
         self.sweep_cut_runs = 0
         self.split_cut_runs = 0
         self.fallback_chunks = 0
+        self.free_cut_runs = 0
         self.long_address_runs = 0
         self.cut_runs = 0
         self.sweep_ordinals: list[int] = []
         inside = {"put": False, "alloc_runs": False}
-        #: Chunks in the run the last allocation served (0: general step).
-        last = {"run": 0, "after_run": False}
+        #: Chunks in the run the last allocation served (0: one-chunk
+        #: step), and whether that run left less than a chunk of free
+        #: extents.
+        last = {"run": 0, "after_run": False, "drained": False}
         blobs, gam, ghost = db.blobs, db.gam, db.ghost
         extents = db.config.write_request // EXTENT_SIZE
 
@@ -106,17 +112,19 @@ class Coverage:
         def counting_alloc_runs(count, alloc_runs=during("alloc_runs",
                                                           gam.alloc_runs)):
             if inside["put"]:
-                self.fallback_chunks += extents > 0 \
-                    and count == extents * PAGES_PER_EXTENT
-                last["after_run"] = last["run"] > 0
-                last["run"] = 0
+                whole = extents > 0 and count == extents * PAGES_PER_EXTENT
+                self.fallback_chunks += whole
+                self.free_cut_runs += whole and last["drained"]
+                last.update(run=0, after_run=last["run"] > 0,
+                            drained=False)
             return alloc_runs(count)
 
         def counting_alloc_extents(n, alloc=gam.alloc_extent_runs):
             taken = alloc(n)
             if taken is not None and inside["put"] \
                     and not inside["alloc_runs"]:
-                last.update(run=n // extents, after_run=False)
+                last.update(run=n // extents, after_run=False,
+                            drained=gam.free_extent_count < extents)
                 self.runs += 1
                 self.long_runs += last["run"] >= 2
                 self.longest_run = max(self.longest_run, last["run"])
@@ -154,7 +162,7 @@ class Coverage:
             return tree
 
         def counting_put(*args, put=during("put", blobs.put), **kwargs):
-            last.update(run=0, after_run=False)
+            last.update(run=0, after_run=False, drained=False)
             return put(*args, **kwargs)
 
         blobs.put = counting_put
@@ -253,6 +261,10 @@ def test_nearly_full_file(write_request):
     assert seen.fallback_pages > 0
     if write_request % EXTENT_SIZE == 0:
         assert seen.fallback_chunks > 0
+    if write_request in (EXTENT_SIZE, 2 * EXTENT_SIZE):
+        # A 256 KB run needs an empty 4-run leaf, so the leaf, not the
+        # free extents, ends it.
+        assert seen.free_cut_runs > 0
 
 
 def test_partial_last_chunk_is_zero_padded():
@@ -284,6 +296,29 @@ def test_a_put_that_runs_out_midway_keeps_the_serial_books():
         oracle_put(oracle.blobs, data=data)
     assert shipped.data_device.stats.requests > requests_before + 1
     assert shipped.wal.records > 3 * 7
+    assert state(shipped) == state(oracle)
+
+
+def test_a_leaf_split_with_no_page_left_keeps_the_serial_books():
+    """The last chunk of a put takes the file's last free pages, and
+    its leaf append must split the rightmost leaf: the new node finds
+    no page, even after the age-blind sweep.  The chunk's request and
+    data were planned before the append, so they are still written; its
+    log record, due after the append, is not.  The twins agree."""
+    shipped, oracle = twins(1 * MB, ghost_min_age_ops=10_000)
+    rng = random.Random(5)
+    request = 72 * KB
+    for size in (256 * KB, 320 * KB):
+        data = rng.randbytes(size)
+        assert shipped.blobs.put(data=data, write_request=request) \
+            == oracle_put(oracle.blobs, data=data, write_request=request)
+    data = rng.randbytes(320 * KB)
+    with pytest.raises(AllocationError) as raised:
+        shipped.blobs.put(data=data, write_request=request)
+    assert "_split_leaf" in [entry.name for entry in raised.traceback]
+    with pytest.raises(AllocationError):
+        oracle_put(oracle.blobs, data=data, write_request=request)
+    assert shipped.gam.free_page_count == shipped.ghost.pending_pages == 0
     assert state(shipped) == state(oracle)
 
 

@@ -1,31 +1,31 @@
-"""The BLOB chunk loop's run steps against their one-at-a-time forms.
+"""The BLOB chunk loop's run step against its one-at-a-time forms.
 
 ``BlobStore._write_chunks`` serves a run of whole-extent chunks with
 three calls, each of which must leave exactly what the per-chunk calls
 it replaces leave:
 
-(a) ``GamAllocator.alloc_extent_runs(n)`` is ``n`` calls of
-``alloc_uniform_extent()``: its ``(first, count)`` address runs flatten
-to the same ids, each run is maximal (a used extent separates two), and
-masks, cursor, counters and pickled bytes are equal; with fewer than
+(a) ``GamAllocator.alloc_extent_runs(n)`` is ``n`` lowest-free picks of
+the list-of-masks oracle (``dboracle.OracleGam``): its ``(first,
+count)`` address runs flatten to the same ids, each run is maximal (a
+used extent separates two), and masks, cursor, counters and pickled
+bytes are those of a GAM built from the oracle's masks; with fewer than
 ``n`` free extents it moves nothing.
 
-(b) ``LobTree.append_runs(runs)`` is one ``append_run`` per run, and
-both are the oracle's ``general_insert`` at the logical end, node for
-node; a bad run or too many runs is refused before anything changes.
+(b) One ``append_run`` per page run is the oracle's ``general_insert``
+at the logical end, node for node, and the first ``leaf_room()`` runs
+allocate no node page; a bad run is refused before anything changes.
 
 (c) ``GhostCleaner.on_operation(k)`` is ``k`` calls of
 ``on_operation()``, the sweep landing at the same operation.
 """
 
-import copy
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dboracle import general_insert
+from dboracle import OracleGam, general_insert
 
 from repro.db.btree import LobTree
 from repro.db.gam import GamAllocator
@@ -80,14 +80,15 @@ def test_the_gam_run_equals_n_lowest_free_picks(masks, data):
     if not free:
         return
     n = data.draw(st.integers(min_value=1, max_value=free), label="n")
-    serial = copy.deepcopy(run)
+    serial = OracleGam(len(masks))
+    serial.masks = list(masks)
     taken = run.alloc_extent_runs(n)
     assert flatten(taken) == [serial.alloc_uniform_extent()
                               for _ in range(n)]
     assert all(count > 0 for _, count in taken)
     for (first, count), (after, _) in zip(taken, taken[1:]):
         assert first + count < after and masks[first + count] != 0
-    assert gam_state(run) == gam_state(serial)
+    assert gam_state(run) == gam_state(gam_of(serial.masks))
     run.check_invariants()
 
 
@@ -98,7 +99,7 @@ def test_the_gam_run_can_empty_the_file():
     assert gam.alloc_extent_runs(0) == []
     assert gam.alloc_extent_runs(NUM_EXTENTS - 1) == [(1, NUM_EXTENTS - 1)]
     assert gam._lowest_free == NUM_EXTENTS
-    assert gam.alloc_uniform_extent() is None
+    assert gam.alloc_extent_runs(1) is None
     gam.check_invariants()
 
 
@@ -144,44 +145,47 @@ def allocating_tree(fanout: int) -> tuple[LobTree, list[int]]:
 @settings(max_examples=200, deadline=None)
 def test_the_leaf_append_equals_one_append_run_per_start(prefix, runs,
                                                          fanout):
-    """Three twin trees take the same appends (any shape, splits
-    included), then the same runs: ``append_runs`` on one, one
-    ``append_run`` per run on the next, ``general_insert`` at the end
-    on the last.  A start of None continues the last run physically."""
-    step, serial, general = (allocating_tree(fanout) for _ in range(3))
+    """Twin trees take the same appends (any shape, splits included),
+    then the same runs as far as the leaf has room: one ``append_run``
+    per run on one, ``general_insert`` at the end on the other.  A
+    start of None continues the last run physically.  The runs add no
+    node page, and the trees agree node for node."""
+    step, general = (allocating_tree(fanout) for _ in range(2))
     for start, length in prefix:
         step[0].append_run(start, length)
-        serial[0].append_run(start, length)
         general_insert(general[0], general[0].total_pages, start, length)
     room = step[0].leaf_room()
+    nodes = list(step[1])
     last = prefix[-1][0] + prefix[-1][1] if prefix else 0
-    appended = []
     for start, count in runs[:room]:
-        appended.append((last if start is None else start, count))
-        last = appended[-1][0] + count
-    step[0].append_runs(appended)
-    for start, count in appended:
-        serial[0].append_run(start, count)
+        start = last if start is None else start
+        step[0].append_run(start, count)
         general_insert(general[0], general[0].total_pages, start, count)
-    assert tree_state(*step) == tree_state(*serial) == tree_state(*general)
+        last = start + count
+    assert step[1] == nodes
+    assert tree_state(*step) == tree_state(*general)
     step[0].check_invariants()
 
 
-def test_the_leaf_append_refuses_what_would_split():
+def test_the_leaf_room_is_what_fits_before_a_split():
     tree, pages = allocating_tree(4)
     tree.append_run(0, 1)
     assert tree.leaf_room() == 3
     before = tree_state(tree, pages)
-    for runs in ([(10, 1), (20, 1), (30, 1), (40, 1)], [(10, 0)],
-                 [(10, 2), (20, -1)], [(10, 1), (-1, 1)],
-                 [(1, 8), (20, 1), (30, 1), (40, 1)]):
+    for start, count in ((10, 0), (20, -1), (-1, 1)):
         with pytest.raises(ConfigError):
-            tree.append_runs(runs)
+            tree.append_run(start, count)
         assert tree_state(tree, pages) == before
-    tree.append_runs([(1, 8), (20, 1), (30, 2)])
+    for start, count in ((1, 8), (20, 1), (30, 2)):
+        tree.append_run(start, count)
     assert tree.leaf_room() == 1
     assert tree.total_pages == 12
     assert tree_state(tree, pages)[0] == [[(0, 9), (20, 1), (30, 2)]]
+    tree.append_run(40, 1)
+    assert tree.leaf_room() == 0 and pages == [1000]
+    tree.append_run(50, 1)
+    assert pages == [1000, 1001, 1002]
+    tree.check_invariants()
 
 
 # ----------------------------------------------------------------------

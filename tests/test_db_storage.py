@@ -6,7 +6,8 @@ from repro.db.bufferpool import BufferPool
 from repro.db.gam import GamAllocator
 from repro.db.ghost import GhostCleaner
 from repro.db.heap import HeapTable
-from repro.db.pagefile import PageFile, pages_to_spans
+from repro.db.page import extend_runs
+from repro.db.pagefile import PageFile
 from repro.db.wal import WriteAheadLog
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
@@ -17,41 +18,60 @@ from repro.units import MB, PAGE_SIZE
 # ----------------------------------------------------------------------
 # Page file
 # ----------------------------------------------------------------------
+def page_file(base: int = 0) -> PageFile:
+    return PageFile(BlockDevice(scaled_disk(16 * MB)), base=base,
+                    num_pages=1024)
+
+
+def grouped(page_nos: list[int]) -> list[tuple[int, int]]:
+    runs: list[tuple[int, int]] = []
+    for page_no in page_nos:
+        extend_runs(runs, page_no, 1)
+    return runs
+
+
 class TestPagesToExtents:
+    """``PageFile.spans_of`` over page lists grouped into runs, as
+    ``read_pages`` and ``write_pages`` group them."""
+
     def test_groups_consecutive(self):
-        out = pages_to_spans([0, 1, 2, 7], base=0)
+        out = page_file().spans_of(grouped([0, 1, 2, 7]))
         assert out == [
             (0, 3 * PAGE_SIZE), (7 * PAGE_SIZE, PAGE_SIZE)
         ]
 
     def test_preserves_logical_order(self):
-        out = pages_to_spans([7, 0, 1], base=0)
+        out = page_file().spans_of(grouped([7, 0, 1]))
         assert out == [
             (7 * PAGE_SIZE, PAGE_SIZE), (0, 2 * PAGE_SIZE)
         ]
 
     def test_base_offset(self):
-        out = pages_to_spans([0], base=1 * MB)
+        out = page_file(base=1 * MB).spans_of(grouped([0]))
         assert out[0][0] == 1 * MB
 
     def test_empty(self):
-        assert pages_to_spans([], base=0) == []
+        assert page_file().spans_of([]) == []
 
 
 class TestPageFile:
     def make(self):
-        device = BlockDevice(scaled_disk(16 * MB))
-        return PageFile(device, base=0, num_pages=1024), device
+        pf = page_file()
+        return pf, pf.device
 
     def test_offsets(self):
         pf, _ = self.make()
-        assert pf.spans_for([0]) == [(0, PAGE_SIZE)]
-        assert pf.spans_for([10]) == [(10 * PAGE_SIZE, PAGE_SIZE)]
+        assert pf.spans_of([(0, 1)]) == [(0, PAGE_SIZE)]
+        assert pf.spans_of([(10, 1)]) == [(10 * PAGE_SIZE, PAGE_SIZE)]
 
     def test_bounds(self):
-        pf, _ = self.make()
-        with pytest.raises(ConfigError):
-            pf.spans_for([1024])
+        pf, device = self.make()
+        for page_nos in ([1024], [5, -1]):
+            with pytest.raises(ConfigError):
+                pf.read_pages(page_nos)
+            with pytest.raises(ConfigError):
+                pf.write_pages(page_nos)
+        assert device.stats.requests == 0
 
     def test_reads_batch_consecutive_pages(self):
         pf, device = self.make()

@@ -190,12 +190,3 @@ class TestRepositoryAcrossBackends:
         # An empty volume has no live bytes, so age reads as zero.
         assert state.tracker.storage_age == 0.0
         assert store.keys() == []
-
-
-class TestPageTypeEnum:
-    def test_distinct_values(self):
-        from repro.db.page import PageType
-
-        values = {member.value for member in PageType}
-        assert len(values) == len(PageType)
-        assert PageType.LOB_DATA in PageType

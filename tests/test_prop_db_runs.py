@@ -62,9 +62,9 @@ class GamEquivalence(RuleBasedStateMachine):
     def alloc_page(self):
         self.both("alloc_page")
 
-    @rule()
-    def alloc_uniform_extent(self):
-        self.both("alloc_uniform_extent")
+    @rule(n=st.integers(min_value=0, max_value=4))
+    def alloc_extent_runs(self, n):
+        self.both("alloc_extent_runs", n)
 
     # Starts and counts reach past both ends of the file, and most runs
     # name some free page once the file has holes: the rejection paths

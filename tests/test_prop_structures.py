@@ -90,8 +90,7 @@ def test_gam_page_accounting(ops):
             except AllocationError:
                 pass
         elif op == "extent":
-            extent_id = gam.alloc_uniform_extent()
-            if extent_id is not None:
+            for extent_id, _ in gam.alloc_extent_runs(1) or ():
                 base = extent_id * PAGES_PER_EXTENT
                 live.extend(range(base, base + PAGES_PER_EXTENT))
         elif live:
