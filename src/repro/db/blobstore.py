@@ -18,8 +18,9 @@ allocation, one leaf append per page run, one tick.  ``k`` exceeds one
 only for whole-extent requests between two cleaner sweeps that fit the
 LOB leaf: nothing can free or take an extent between them, so the
 ``k`` lowest fully-free extents are what ``k`` requests in a row would
-have taken.  One cut of the planned pages (:func:`chunk_spans`) then
-gives every request its device spans.
+have taken.  One cut of the planned pages (:func:`chunk_runs`) then
+gives every request its device spans, the whole requests inside one
+span as one ``(spans, count)`` run.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.db.ghost import GhostCleaner
 from repro.db.page import Run
 from repro.db.pagefile import PageFile
 from repro.db.wal import WriteAheadLog
-from repro.disk.device import Span
+from repro.disk.device import RequestRun, Span
 from repro.errors import AllocationError, BlobNotFoundError, ConfigError
 from repro.units import (EXTENT_SIZE, PAGE_SIZE, PAGES_PER_EXTENT, ceil_div,
                          checked_read_range, checked_write_size)
@@ -54,11 +55,12 @@ def check_write_request(write_request: int) -> None:
         raise ConfigError("write_request must be a multiple of the page size")
 
 
-def chunk_spans(spans: list[Span], step: int) -> list[list[Span]]:
+def chunk_runs(spans: list[Span], step: int) -> list[RequestRun]:
     """Cut ``spans`` (logical order) into requests of ``step`` bytes,
-    the last one possibly shorter.  Whole requests inside one span are
-    one span each; a request that crosses spans joins its pieces."""
-    requests: list[list[Span]] = []
+    the last one possibly shorter, as ``write_each`` runs: the whole
+    requests inside one span are one run, and a request that crosses
+    spans is a count-1 entry of its pieces joined."""
+    runs: list[RequestRun] = []
     piece: list[Span] = []  # the open request, ``need`` bytes short
     need = step
     for start, length in spans:
@@ -68,20 +70,19 @@ def chunk_spans(spans: list[Span], step: int) -> list[list[Span]]:
             need -= take
             if need:
                 continue
-            requests.append(piece)
+            runs.append((piece, 1))
             piece = []
             start += take
             length -= take
-        tail = length % step
-        end = start + length - tail
-        requests += map(list, zip(zip(range(start, end, step),
-                                      itertools.repeat(step))))
+        whole, tail = divmod(length, step)
+        if whole:
+            runs.append(([(start, step)], whole))
         if tail:
-            piece = [(end, tail)]
+            piece = [(start + whole * step, tail)]
             need = step - tail
     if piece:
-        requests.append(piece)
-    return requests
+        runs.append((piece, 1))
+    return runs
 
 
 class BlobStore:
@@ -174,10 +175,11 @@ class BlobStore:
         records to the log as one ``log_operations``: each device serves
         the requests a loop issuing both per chunk would, in the same
         order.  Every pass but the last covers whole requests, so one
-        cut of the planned pages' spans (:func:`chunk_spans`) gives each
-        chunk its request.  A loop that raises midway still issues what
-        it planned before the raise: a pass plans its pages before the
-        tree append, and logs its chunks after it.
+        cut of the planned pages' spans (:func:`chunk_runs`) gives each
+        chunk its request, as runs of the requests inside one span.  A
+        loop that raises midway still issues what it planned before the
+        raise: a pass plans its pages before the tree append, and logs
+        its chunks after it.
         """
         gam, ghost, append_run = self.gam, self.ghost, tree.append_run
         extents, odd = divmod(write_request, EXTENT_SIZE)
@@ -218,7 +220,7 @@ class BlobStore:
                 ghost.on_operation(k)
         finally:
             self.pagefile.device.write_each(
-                chunk_spans(self.pagefile.spans_of(planned), write_request),
+                chunk_runs(self.pagefile.spans_of(planned), write_request),
                 chunks)
             self.wal.log_operations(payloads)
 

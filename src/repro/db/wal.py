@@ -33,9 +33,8 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from repro.db.page import Run
-from repro.disk.device import BlockDevice
+from repro.disk.device import BlockDevice, RequestRun
 from repro.errors import ConfigError
-from repro.units import Span
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,8 @@ class WriteAheadLog:
         :meth:`~repro.disk.device.BlockDevice.write_each` on the log
         device: each record is its own write request at the cursor,
         which wraps to the start of the device when a record would run
-        past its end.
+        past its end.  The equal records between two wraps go over as
+        one ``(spans, count)`` run.
 
         In bulk-logged mode BLOB payloads are *not* logged — only the
         fixed-size allocation record.  In full-recovery mode the payload
@@ -117,7 +117,7 @@ class WriteAheadLog:
             runs = [(record + payload, 1) for payload in payloads]
         cursor = self._cursor
         logged = 0
-        requests: list[list[Span]] = []
+        requests: list[RequestRun] = []
         for nbytes, count in runs:
             logged += nbytes * count
             while count:
@@ -127,10 +127,8 @@ class WriteAheadLog:
                 # one: a record longer than the log is refused by the
                 # device).
                 fit = min(count, (capacity - cursor) // nbytes) or 1
-                stop = cursor + fit * nbytes
-                requests += [[(at, nbytes)]
-                             for at in range(cursor, stop, nbytes)]
-                cursor = stop
+                requests.append(([(cursor, nbytes)], fit))
+                cursor += fit * nbytes
                 count -= fit
         if self._charge_io:
             self.device.write_each(requests)

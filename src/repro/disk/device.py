@@ -19,13 +19,18 @@ through :meth:`submit`, which charges the whole batch with the head
 chaining request to request.  Either way each call records **one**
 :class:`IoStats` entry.  A list of write requests that stay separate
 requests (a BLOB's 64 KB chunks, the log records beside them) goes
-through :meth:`write_each`: one call, one costing pass, and the books
-of one :meth:`write_extents` per request.  Every path costs requests
-with the one kernel, :meth:`BlockDevice._cost_of`, which within a list
-costs a back-to-back repeat once: a one-span request that continues at
-the head with the length of the last zero-gap, one-zone request and
-ends in that zone reuses its entry.  Costed lists are folded with the
-one left fold, :func:`repro.units.left_sum`.
+through :meth:`write_each` as ``(spans, count)`` runs
+(:data:`RequestRun`): one call, one costing pass, and the books of one
+:meth:`write_extents` per request.  A run of ``count > 1`` is one span's
+length ``count`` times back to back, so a BLOB's whole requests inside
+one address run, or the log records between two wraps, are one entry.
+Every path costs with the one kernel, :meth:`BlockDevice._cost_of`,
+which takes runs and costs a run's requests that continue at the head
+and end inside the head's zone as one ``(nbytes, service, seeks,
+count)`` entry; every request keeps its own ``IoStats`` entry and
+float.  Costed entries are folded one request at a time
+(:func:`~repro.disk.iostats.service_terms`) with the one left fold,
+:func:`repro.units.left_sum`.
 A log append (the LFS log
 piece, the GFS record) is a contiguous run of ``write_request``-sized
 writes and goes through :meth:`write_stream`, which charges exactly
@@ -64,15 +69,33 @@ whose O(n) memmove per write made content-checked runs test-scale only.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable
-from operator import itemgetter
+from collections.abc import Iterable, Iterator
+from itertools import repeat
 
 from repro.disk.geometry import DiskGeometry, cost_tables
-from repro.disk.iostats import IoStats
+from repro.disk.iostats import Costed, IoStats, service_terms
 from repro.disk.policy import DEFAULT_POLICY, DevicePolicy
 from repro.errors import ConfigError
 from repro.struct.blockedlist import BlockedList
 from repro.units import Span, left_sum
+
+#: ``(spans, count)``: ``count`` write requests.  A count-1 entry is one
+#: request of any span list; for ``count > 1`` ``spans`` is exactly one
+#: span ``(start, length)`` and request ``t`` is ``(start + t * length,
+#: length)``.
+RequestRun = tuple[list[Span], int]
+
+
+def requests_of(runs: Iterable[RequestRun]) -> Iterator[list[Span]]:
+    """The span list of every request of ``runs``, in order (the caller
+    has had the runs checked by the costing kernel)."""
+    for spans, count in runs:
+        if count == 1:
+            yield spans
+        else:
+            ((start, length),) = spans
+            for at in range(start, start + count * length, length):
+                yield [(at, length)]
 
 
 def slice_spans(runs: Iterable[Span], offset: int,
@@ -235,17 +258,22 @@ class BlockDevice:
     # ------------------------------------------------------------------
     # Service-time model
     # ------------------------------------------------------------------
-    def _cost_of(self, requests: list[list[Span]], head: int
-                 ) -> tuple[list[tuple[int, float, int]], int]:
-        """``(costed, head)`` for a list of requests served in order:
-        ``costed`` holds one ``(nbytes, service seconds, seeks)`` per
-        request, and the head chains from request to request.
+    def _cost_of(self, runs: Iterable[RequestRun], head: int
+                 ) -> tuple[list[Costed], int]:
+        """``(costed, head)`` for a list of ``(spans, count)`` runs served
+        in order (:data:`RequestRun`): ``costed`` holds ``(nbytes,
+        service seconds, seeks, count)`` entries, each standing for
+        ``count`` consecutive requests of those books, and the head
+        chains from request to request.
 
         The one costing kernel: a single pass validates every span,
         charges seek + rotation + transfer with the head chaining
         through them, and counts the bytes.  It raises
         :class:`ConfigError` for a span that is empty or outside the
-        volume before the caller has changed any state.  The zone table
+        volume, and for a run whose count is below one, whose
+        ``count > 1`` is not over exactly one span, or whose last
+        request passes the capacity, before the caller has changed any
+        state.  The zone table
         and seek constants come from
         :func:`~repro.disk.geometry.cost_tables` — derived data is not
         device state, because devices are pickled into checkpoints whose
@@ -254,70 +282,77 @@ class BlockDevice:
         :meth:`DiskGeometry.transfer_time`; its result is added as one
         sub-total so the float sums equal the composed model's.
 
-        A back-to-back repeat is costed once.  A one-span request with
-        no gap that stays inside one zone costs ``overhead + length /
-        rate[zone]`` and nothing else, so in a list of more than one
-        request a one-span request that starts at the head, has that
-        request's length and ends inside its zone (``ends[z-1] <= start``
-        and ``start + length <= ends[z]``) reuses its entry as is.  The
-        span checks still hold for it: ``start`` is the head, the end of
-        a checked span (so ``>= 0``), the length is a checked span's,
-        and the end is at most the zone's end, at most the capacity.
+        A run's first request, and every count-1 entry, goes through the
+        span loop.  Each later request of a run starts at the head (zero
+        gap, no seek), so one that ends inside the head's zone costs
+        ``overhead + length / rate[zone]``: exactly what the span loop
+        adds for it, the same float for all of them.  The requests that
+        fit before the zone's end (``(ends[z] - head) // length``) are
+        therefore one entry ``(length, that, 0, n)``, and the request
+        after them, which starts on the zone end or straddles it, goes
+        back through the span loop.  The span checks still hold for the
+        entry: its first start is the head, the end of a checked span
+        (so ``>= 0``), its length a checked span's, and its last end at
+        most the zone's end, at most the capacity.
         """
         geometry = self.geometry
         ends, rates, settle_s, seek_span_s, rotational_s = cost_tables(geometry)
         capacity = geometry.capacity
         window = self._sequential_window
         overhead = geometry.per_request_overhead_s
-        costed: list[tuple[int, float, int]] = []
-        # The repeat: its length, first and last start, and entry; a
-        # single request (``_serve``) never arms it.
-        armed = len(requests) > 1
-        repeat_length, repeat_lo, repeat_hi = 0, 0, -1
-        repeat = (0, 0.0, 0)
-        for spans in requests:
-            if armed and len(spans) == 1:
-                start, length = spans[0]
-                if (start == head and length == repeat_length
-                        and repeat_lo <= start <= repeat_hi):
-                    costed.append(repeat)
-                    head += length
-                    continue
-            seeks = nbytes = 0
-            total = overhead
-            for start, length in spans:
-                if start < 0 or length <= 0 or start + length > capacity:
-                    raise ConfigError(f"span ({start}, {length}) empty or "
-                                      f"outside volume of {capacity} bytes")
-                gap = start - head
-                if 0 <= gap <= window:
-                    # Sequential continuation: pay only any skipped media
-                    # time.
-                    if gap:
-                        zone = bisect_right(ends, head)
-                        if start <= ends[zone]:
-                            total += gap / rates[zone]
-                        else:
-                            total += geometry.transfer_time(head, gap)
-                else:
-                    seeks += 1
-                    seek_s = settle_s + seek_span_s * ((abs(gap) / capacity)
-                                                       ** 0.5)
-                    total += seek_s + rotational_s
-                head = start + length
-                zone = bisect_right(ends, start)
-                if head <= ends[zone]:
-                    total += length / rates[zone]
-                else:
-                    total += geometry.transfer_time(start, length)
-                nbytes += length
-            entry = (nbytes, total, seeks)
-            costed.append(entry)
-            if (armed and len(spans) == 1 and not gap
-                    and head <= ends[zone]):
-                repeat_length, repeat = length, entry
-                repeat_lo = ends[zone - 1] if zone else 0
-                repeat_hi = ends[zone] - length
+        costed: list[Costed] = []
+        for spans, count in runs:
+            if count != 1 and (count < 1 or len(spans) != 1 or spans[0][0]
+                               + count * spans[0][1] > capacity):
+                raise ConfigError(f"run ({spans}, {count}) is not a count "
+                                  f">= 1 of one span inside volume of "
+                                  f"{capacity} bytes")
+            while True:
+                seeks = nbytes = 0
+                total = overhead
+                for start, length in spans:
+                    if start < 0 or length <= 0 or start + length > capacity:
+                        raise ConfigError(
+                            f"span ({start}, {length}) empty or outside "
+                            f"volume of {capacity} bytes")
+                    gap = start - head
+                    if 0 <= gap <= window:
+                        # Sequential continuation: pay only any skipped
+                        # media time.
+                        if gap:
+                            zone = bisect_right(ends, head)
+                            if start <= ends[zone]:
+                                total += gap / rates[zone]
+                            else:
+                                total += geometry.transfer_time(head, gap)
+                    else:
+                        seeks += 1
+                        seek_s = settle_s + seek_span_s * (
+                            (abs(gap) / capacity) ** 0.5)
+                        total += seek_s + rotational_s
+                    head = start + length
+                    zone = bisect_right(ends, start)
+                    if head <= ends[zone]:
+                        total += length / rates[zone]
+                    else:
+                        total += geometry.transfer_time(start, length)
+                    nbytes += length
+                costed.append((nbytes, total, seeks, 1))
+                if count == 1:
+                    break
+                # The rest of the run: the requests that end in the
+                # head's zone, then the next one through the span loop.
+                count -= 1
+                zone = bisect_right(ends, head)
+                fit = min(count, (ends[zone] - head) // length)
+                if fit:
+                    costed.append((length, overhead + length / rates[zone],
+                                   0, fit))
+                    head += fit * length
+                    count -= fit
+                    if not count:
+                        break
+                spans = [(head, length)]
         return costed, head
 
     def _scaled(self, service_s: float) -> float:
@@ -346,8 +381,8 @@ class BlockDevice:
         ``data`` to the span bytes), one ``IoStats`` record, the clock,
         then the content effect (a faulty device admits the request here
         first); returns the read result or ``None``."""
-        ((nbytes, service, seeks),), head = self._cost_of([spans],
-                                                          self._head)
+        ((nbytes, service, seeks, _),), head = self._cost_of(
+            ((spans, 1),), self._head)
         store = self._store
         if store is not None and data is not None and len(data) != nbytes:
             raise ConfigError(f"data length {len(data)} != span bytes {nbytes}")
@@ -358,13 +393,14 @@ class BlockDevice:
             return None
         return self._apply_content(is_write, spans, data)
 
-    def _check_payloads(self, requests: list[list[Span]], is_write: bool,
-                        data: list[bytes] | None) -> None:
+    def _check_payloads(self, requests: Iterable[list[Span]],
+                        is_write: bool, data: list[bytes] | None) -> None:
         """Refuse a batch's payloads before anything moves: only a write
         carries them, one per request, each (with content storage) as
         long as its request's span bytes."""
         if data is None:
             return
+        requests = list(requests)
         if not is_write or len(data) != len(requests):
             raise ConfigError(f"{len(data)} payloads for {len(requests)} "
                               + ("write" if is_write else "read") + " requests")
@@ -398,8 +434,9 @@ class BlockDevice:
                                 None if data is None else data[0])]
         order = self._elevator(requests) if self.policy.reorder_flag \
             else requests
-        costed, self._head = self._cost_of(order, self._head)
-        sizes, services, counts = zip(*costed)
+        costed, self._head = self._cost_of(zip(order, repeat(1)),
+                                           self._head)
+        sizes, services, counts, _ = zip(*costed)
         service_s = left_sum(services)
         self.stats.record(is_write, sum(sizes), service_s, sum(counts))
         self.clock_s += service_s
@@ -493,8 +530,8 @@ class BlockDevice:
             write_s = 0.0
             for first, end in runs:
                 pos = min(first + request, end)
-                ((_, service, first_seeks),), head = self._cost_of(
-                    [[(first, pos - first)]], head)
+                ((_, service, first_seeks, _),), head = self._cost_of(
+                    (([(first, pos - first)], 1),), head)
                 seeks += first_seeks
                 write_s += service
                 while pos < end:
@@ -528,23 +565,25 @@ class BlockDevice:
         """
         self._serve(True, spans, data)
 
-    def write_each(self, requests: list[list[Span]],
+    def write_each(self, runs: list[RequestRun],
                    data: list[bytes] | None = None) -> None:
-        """Write each span list as its own request, in order, charging
-        bit for bit what one :meth:`write_extents` per list charges: one
-        ``IoStats`` entry per request, the clock folded per request.
+        """Write the requests of ``(spans, count)`` runs
+        (:data:`RequestRun`), each its own request, in order, charging
+        bit for bit what one :meth:`write_extents` per request charges:
+        one ``IoStats`` entry per request, the clock folded per request.
 
         ``data`` (when content storage is on) holds one payload per
-        request.  The whole list is costed, and every payload held to
-        its request's bytes, before the head, clock, stats or stored
-        bytes move.
+        request.  Every run is costed, and every payload held to its
+        request's bytes, before the head, clock, stats or stored bytes
+        move.
         """
-        self._check_payloads(requests, True, data)
-        costed, self._head = self._cost_of(requests, self._head)
+        costed, head = self._cost_of(runs, self._head)
+        self._check_payloads(requests_of(runs), True, data)
+        self._head = head
         self.stats.record_each(True, costed)
-        self.clock_s = left_sum(map(itemgetter(1), costed), self.clock_s)
+        self.clock_s = left_sum(service_terms(costed), self.clock_s)
         if self._store is not None and data is not None:
-            for spans, payload in zip(requests, data):
+            for spans, payload in zip(requests_of(runs), data):
                 self._apply_content(True, spans, payload)
 
     def read(self, offset: int, length: int) -> bytes | None:

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.disk.device import BlockDevice, Span
+from repro.disk.device import BlockDevice, RequestRun, Span, requests_of
 from repro.disk.geometry import DiskGeometry
 from repro.errors import (ConfigError, CrashPoint, ShardLostError,
                           TransientIoError)
@@ -370,10 +370,10 @@ class FaultyBlockDevice(BlockDevice):
             raise ShardLostError("device is permanently lost")
 
     # -- cost model ----------------------------------------------------
-    def _cost_of(self, requests, head):
-        costed, head = super()._cost_of(requests, head)
-        return [(nbytes, self._scaled(service), seeks)
-                for nbytes, service, seeks in costed], head
+    def _cost_of(self, runs, head):
+        costed, head = super()._cost_of(runs, head)
+        return [(nbytes, self._scaled(service), seeks, count)
+                for nbytes, service, seeks, count in costed], head
 
     def _scaled(self, service_s: float) -> float:
         faults = self.faults
@@ -404,10 +404,13 @@ class FaultyBlockDevice(BlockDevice):
             self._admit(is_write, requests, data)
         return super().submit(requests, is_write=is_write, data=data)
 
-    def write_each(self, requests: list[list[Span]],
+    def write_each(self, runs: list[RequestRun],
                    data: list[bytes] | None = None) -> None:
-        # One ``_serve`` per request: each is admitted, ticked, torn,
-        # drawn and slowed on its own, as one ``write_extents`` each.
+        # The runs are refused whole before anything moves, then each
+        # request is one ``_serve``: admitted, ticked, torn, drawn and
+        # slowed on its own, as one ``write_extents`` each.
+        self._cost_of(runs, self._head)
+        requests = list(requests_of(runs))
         self._check_payloads(requests, True, data)
         for at, spans in enumerate(requests):
             self._serve(True, spans, None if data is None else data[at])

@@ -11,9 +11,25 @@ the bulk load and storage-age-two read measurements").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import mul
 from typing import Any
 
 from repro.units import MB, left_sum
+
+#: ``(nbytes, service_s, seeks, count)``: ``count`` requests of these
+#: books each, in order (the costing kernel's entries).
+Costed = tuple[int, float, int, int]
+
+
+def service_terms(costed: list[Costed]) -> list[float]:
+    """Every request's service seconds, in order: ``count`` equal terms
+    per entry, for :func:`~repro.units.left_sum` to fold one at a time
+    (built in C: a Python step per term is what the fold itself is)."""
+    if not costed:
+        return []
+    _, services, _, counts = zip(*costed)
+    return list(chain.from_iterable(map(repeat, services, counts)))
 
 
 @dataclass(slots=True)
@@ -150,27 +166,30 @@ class IoStats:
                 win.read_bytes += nbytes
                 win.read_time_s += service_s
 
-    def record_each(self, is_write: bool,
-                    costed: list[tuple[int, float, int]]) -> None:
-        """:meth:`record` applied once per ``(nbytes, service_s, seeks)``
-        entry, in order: every accumulator (the totals and each open
-        window) folds the service times one entry at a time
-        (:func:`~repro.units.left_sum` from its running total), so its
-        float sum is the one ``len(costed)`` ``record`` calls leave."""
+    def record_each(self, is_write: bool, costed: list[Costed]) -> None:
+        """:meth:`record` applied once per request of each ``(nbytes,
+        service_s, seeks, count)`` entry, in order: every accumulator
+        (the totals and each open window) folds the service times one
+        request at a time (:func:`~repro.units.left_sum` from its
+        running total over :func:`service_terms`), so its float sum is
+        the one a ``record`` call per request leaves."""
         if not costed:
             return
-        sizes, services, counts = zip(*costed)
-        nbytes, seeks = sum(sizes), sum(counts)
+        sizes, _, seek_counts, counts = zip(*costed)
+        requests = sum(counts)
+        nbytes = sum(map(mul, sizes, counts))
+        seeks = sum(map(mul, seek_counts, counts))
+        terms = service_terms(costed)
         if is_write:
             bytes_field, time_field = "write_bytes", "write_time_s"
         else:
             bytes_field, time_field = "read_bytes", "read_time_s"
         for acc in (self, *self._windows):
-            acc.requests += len(costed)
+            acc.requests += requests
             acc.seeks += seeks
             setattr(acc, bytes_field, getattr(acc, bytes_field) + nbytes)
             setattr(acc, time_field,
-                    left_sum(services, getattr(acc, time_field)))
+                    left_sum(terms, getattr(acc, time_field)))
 
     def start_window(self, name: str) -> WindowStats:
         """Open a named measurement window; windows may nest."""

@@ -123,10 +123,11 @@ def retired_fold(dev, requests):
     the seeks, then a write entry with ``requests=0`` — applied by hand
     to a copy of ``dev``'s stats (the device itself is not touched)."""
     order = dev._elevator(requests) if dev.policy.reorder_flag else requests
-    costed, _ = dev._cost_of(order, dev.head_position)
+    costed, _ = dev._cost_of([(spans, 1) for spans in order],
+                             dev.head_position)
     seeks = write_bytes = 0
     read_s = write_s = 0.0
-    for nbytes, service, count in costed:
+    for nbytes, service, count, _ in costed:
         seeks += count
         write_bytes += nbytes
         write_s += service

@@ -251,11 +251,16 @@ batch_picks = st.tuples(st.booleans(), st.lists(
     st.lists(span_picks, max_size=4), min_size=1, max_size=3))
 
 
+def ones(batch):
+    """``batch`` as count-1 runs, the kernel's input."""
+    return [(spans, 1) for spans in batch]
+
+
 def chained(dev, batch, head):
     """``_cost_of``'s answer for ``batch``, one request per call."""
     costed = []
     for spans in batch:
-        (entry,), head = dev._cost_of([spans], head)
+        (entry,), head = dev._cost_of([(spans, 1)], head)
         costed.append(entry)
     return costed, head
 
@@ -292,11 +297,11 @@ def test_kernel_matches_composed_model(geometry, window, slow, steps):
                     spans.append((start, length))
                     head = start + length
                 batch.append(spans)
-                ((_, service, seeks),), final = dev._cost_of(
-                    [spans], oracle.head)
+                ((_, service, seeks, _),), final = dev._cost_of(
+                    [(spans, 1)], oracle.head)
                 assert (seeks, service, final) == cost_of(
                     geometry, window, spans, oracle.head, slow)
-            assert dev._cost_of(batch, oracle.head) == chained(
+            assert dev._cost_of(ones(batch), oracle.head) == chained(
                 dev, batch, oracle.head)
             if mode == "single":
                 for spans in batch:
@@ -316,23 +321,27 @@ def test_kernel_matches_composed_model(geometry, window, slow, steps):
                                                 single[6])
 
 
-#: One request of a run of equal one-span requests, placed relative to
-#: the head: continue at it, end exactly on a zone end, straddle a zone
-#: end, seek back into a lower zone, or break the run with two spans.
-repeat_moves = st.lists(st.tuples(
-    st.sampled_from(["next", "next", "on_end", "straddle", "lower",
-                     "split"]),
-    st.integers(0, 1 << 20)), min_size=2, max_size=40)
+#: One run of equal one-span requests, placed relative to the head:
+#: continue at it, end exactly on a zone end, straddle a zone end
+#: mid-run, start on one, come back to a lower zone after a seek, or a
+#: count-1 entry of two spans between runs.
+run_moves = st.lists(st.tuples(
+    st.sampled_from(["next", "next", "on_end", "straddle", "from_end",
+                     "lower", "split"]),
+    st.integers(0, 1 << 20), st.integers(1, 300)), min_size=1, max_size=12)
 
 
-def place_repeat(geometry, head, length, move, x):
-    """The spans of one ``length``-byte request placed by ``move``."""
+def place_run(geometry, head, length, move, x, count):
+    """A ``(spans, count)`` run of ``length``-byte requests placed by
+    ``move``, its count cut to what fits before the capacity."""
     zones = geometry.zones
     end = zones[x % len(zones)].end
     if move == "on_end":
-        start = end - length
+        start = end - count * length
     elif move == "straddle" and length > 1:
-        start = end - length + 1 + x % (length - 1)
+        start = end - (x % count) * length - 1 - x % (length - 1)
+    elif move == "from_end":
+        start = end
     elif move == "lower":
         below = [zone for zone in zones if zone.end <= head] or zones[:1]
         zone = below[x % len(below)]
@@ -342,35 +351,45 @@ def place_repeat(geometry, head, length, move, x):
     start = max(0, min(start, geometry.capacity - length))
     if move == "split" and length > 1:
         cut = 1 + x % (length - 1)
-        return [(start, cut), (start + cut, length - cut)]
-    return [(start, length)]
+        return [(start, cut), (start + cut, length - cut)], 1
+    return [(start, length)], max(1, min(count, (geometry.capacity - start)
+                                         // length))
 
 
 @given(zoned_geometries(), st.sampled_from([0, 64]),
        st.sampled_from([1.0, 4.0]), st.integers(0, 1 << 20),
-       st.integers(0, 1 << 20), repeat_moves)
+       st.integers(0, 1 << 20), run_moves)
 @settings(max_examples=300, deadline=None)
 def test_kernel_costs_repeat_runs_as_the_composed_model(
         geometry, window, slow, x, y, moves):
-    """Runs of equal one-span requests, the case the kernel costs once:
-    ``==`` against the composed model for every entry and the final
-    head, with runs ending on a zone end, straddling one, and coming
-    back to a lower zone after a seek with the same length."""
+    """Runs of equal one-span requests, which the kernel costs as
+    entries of a count: every request's books, each entry repeated
+    ``count`` times, and the final head ``==`` the composed model's, for
+    runs that end on a zone end, straddle one, start on one, and come
+    back to a lower zone after a seek."""
     capacity = geometry.capacity
-    length = 1 + y % min(capacity, 512)
+    length = 1 + y % min(capacity, (1, 8, 512)[x % 3])
     head = first = x % (capacity + 1)
-    batch, expected = [], []
-    for move, pick in moves:
-        spans = place_repeat(geometry, head, length, move, pick)
-        seeks, service, head = cost_of(geometry, window, spans, head, slow)
-        batch.append(spans)
-        expected.append((length, service, seeks))
+    runs, expected = [], []
+    for move, pick, count in moves:
+        spans, count = place_run(geometry, head, length, move, pick, count)
+        runs.append((spans, count))
+        (start, _), *_ = spans
+        requests = [spans] if count == 1 else [
+            [(start + t * length, length)] for t in range(count)]
+        for request in requests:
+            seeks, service, head = cost_of(geometry, window, request, head,
+                                           slow)
+            expected.append((length, service, seeks))
     if slow == 1.0:
         dev = BlockDevice(geometry, sequential_window=window)
     else:
         dev = FaultyBlockDevice(geometry, sequential_window=window,
                                 faults=DeviceFaults(slow_factor=slow))
-    assert dev._cost_of(batch, first) == (expected, head)
+    costed, final = dev._cost_of(runs, first)
+    assert [entry[:3] for entry in costed
+            for _ in range(entry[3])] == expected
+    assert final == head
 
 
 class TestKernelEdges:
@@ -394,7 +413,9 @@ class TestKernelEdges:
     @pytest.mark.parametrize("window", [0, 64])
     def test_equals_composed_model(self, extents, head, window):
         dev = BlockDevice(self.GEOMETRY, sequential_window=window)
-        ((nbytes, service, seeks),), final = dev._cost_of([extents], head)
+        ((nbytes, service, seeks, count),), final = dev._cost_of(
+            [(extents, 1)], head)
+        assert count == 1
         assert (seeks, service, final) == cost_of(self.GEOMETRY, window,
                                                   extents, head)
         assert nbytes == sum(length for _, length in extents)
@@ -405,7 +426,7 @@ class TestKernelEdges:
         them, costs what the same requests cost one call at a time."""
         dev = BlockDevice(self.GEOMETRY, sequential_window=window)
         batch = [extents for extents, _ in self.EDGES]
-        assert dev._cost_of(batch, 20) == chained(dev, batch, 20)
+        assert dev._cost_of(ones(batch), 20) == chained(dev, batch, 20)
         assert dev._cost_of([], 20) == ([], 20)
 
     def test_negative_window_rejected(self):

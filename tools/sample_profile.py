@@ -1,13 +1,17 @@
 """Where an e2e workload's timed region spends its CPU: a stack sampler.
 
-    python tools/sample_profile.py WORKLOAD [--seed N] [--top K] [--smoke]
+    python tools/sample_profile.py WORKLOAD [--seed N | --seeds 7-14]
+                                   [--top K] [--smoke]
 
 Runs one ``benchmarks/e2e`` workload in this process and, from the end
 of its bulk load (the first sample, where the benchmark's timed region
 starts) to the end of the run, samples the Python stack on
 ``ITIMER_PROF`` (process CPU time).  Prints, per function, the share of
 samples with the function on top of the stack (self) and anywhere in
-it (inclusive, counted once per sample under recursion).
+it (inclusive, counted once per sample under recursion).  ``--seeds``
+takes seeds and ranges (``7-14``, ``7,9,11-12``), runs the workload
+once per seed, one after another, and pools every run's samples into
+one table.
 
 The kernel delivers ``ITIMER_PROF`` at its CPU-accounting tick, so a
 run gets about one sample per tick however short the interval asked
@@ -66,7 +70,7 @@ class StackSampler:
         self.self_counts: Counter = Counter()
         self.incl_counts: Counter = Counter()
         self.running = False
-        #: Process CPU seconds between start and stop.
+        #: Process CPU seconds between start and stop, over every run.
         self.cpu_s = 0.0
         self._previous = None
 
@@ -85,7 +89,7 @@ class StackSampler:
         self._previous = signal.signal(signal.SIGPROF, self._take)
         signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
         self.running = True
-        self.cpu_s = -time.process_time()
+        self.cpu_s -= time.process_time()
 
     def stop(self) -> None:
         if self.running:
@@ -118,15 +122,34 @@ def _benchmark_modules():
     return bench_e2e, e2e_child
 
 
-def profile(workload: str, *, seed: int, smoke: bool) -> StackSampler:
-    """Run ``workload`` at ``seed``, sampling its timed region."""
+def parse_seeds(text: str) -> list[int]:
+    """``7-14`` or ``7,9,11-12``: the seeds in the order written."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        first, dash, last = part.partition("-")
+        try:
+            lo = int(first)
+            hi = int(last) if dash else lo
+        except ValueError:
+            raise ValueError(f"bad seed list {text!r}") from None
+        if hi < lo:
+            raise ValueError(f"empty seed range {part!r}")
+        seeds += range(lo, hi + 1)
+    return seeds
+
+
+def profile(workload: str, *, seed: int, smoke: bool,
+            sampler: StackSampler | None = None) -> StackSampler:
+    """Run ``workload`` at ``seed``, sampling its timed region into
+    ``sampler`` (a new one if ``None``), and return the sampler."""
     bench_e2e, e2e_child = _benchmark_modules()
     from repro.core.experiment import ExperimentRunner
 
     shrink = bench_e2e.SMOKE_SHRINK if smoke else 1
     cfg = bench_e2e.WORKLOADS[workload].make_config(seed, shrink)
     config = e2e_child.build_config(cfg)
-    sampler = StackSampler()
+    if sampler is None:
+        sampler = StackSampler()
 
     def progress(phase: str, _value: float) -> None:
         if phase == "sample" and not sampler.running:
@@ -148,7 +171,9 @@ def profile(workload: str, *, seed: int, smoke: bool) -> StackSampler:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload")
-    parser.add_argument("--seed", type=int, default=7)
+    seeds = parser.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=7)
+    seeds.add_argument("--seeds", help="seeds to pool, e.g. 7-14")
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--smoke", action="store_true",
                         help="the bench_e2e --smoke volume")
@@ -157,8 +182,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.workload not in bench_e2e.WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; "
                      f"choose from {sorted(bench_e2e.WORKLOADS)}")
-    sampler = profile(args.workload, seed=args.seed, smoke=args.smoke)
-    print(f"{args.workload} seed={args.seed} samples={sampler.samples} "
+    try:
+        seed_list = parse_seeds(args.seeds) if args.seeds else [args.seed]
+    except ValueError as exc:
+        parser.error(str(exc))
+    sampler = StackSampler()
+    for seed in seed_list:
+        profile(args.workload, seed=seed, smoke=args.smoke, sampler=sampler)
+    which = f"seeds={args.seeds}" if args.seeds else f"seed={args.seed}"
+    print(f"{args.workload} {which} samples={sampler.samples} "
           f"cpu_s={sampler.cpu_s:.3f} interval_ms={INTERVAL_S * 1e3:g}")
     print(f"{'self':>7} {'incl':>7}  function")
     for self_share, incl_share, name in sampler.table(args.top):
