@@ -28,17 +28,17 @@ Every path costs with the one kernel, :meth:`BlockDevice._cost_of`,
 which takes runs and costs a run's requests that continue at the head
 and end inside the head's zone as one ``(nbytes, service, seeks,
 count)`` entry; every request keeps its own ``IoStats`` entry and
-float.  Costed entries are folded one request at a time
-(:func:`~repro.disk.iostats.service_terms`) with the one left fold,
-:func:`repro.units.left_sum`.
-A log append (the LFS log
+float.  Costed entries are folded one request at a time with the one
+left fold, :func:`repro.units.left_sum`.  A log append (the LFS log
 piece, the GFS record) is a contiguous run of ``write_request``-sized
-writes and goes through :meth:`write_stream`, which charges exactly
-what :meth:`submit_policy` of those requests would without building
-them.  Under a reordering policy a batch is served in elevator (C-LOOK)
-order — ascending starts from the current head, wrapping once — which
-models request-scheduling effects; without reordering the modelled
-cost is exactly that of the requests submitted one call at a time.
+writes and goes through :meth:`write_stream`: under the default policy
+it is one batch of two runs, its whole requests and its short tail,
+costed by the kernel; under a batching or reordering policy it is
+:meth:`submit_policy` of its requests.  Under a reordering policy a
+batch is served in elevator (C-LOOK) order — ascending starts from the
+current head, wrapping once — which models request-scheduling effects;
+without reordering the modelled cost is exactly that of the requests
+submitted one call at a time.
 Content effects (stored bytes, read results) always apply in
 *submission* order regardless of reordering: the elevator changes the
 timing model, never the semantics.  The public names stay as they are:
@@ -73,7 +73,7 @@ from collections.abc import Iterable, Iterator
 from itertools import repeat
 
 from repro.disk.geometry import DiskGeometry, cost_tables
-from repro.disk.iostats import Costed, IoStats, service_terms
+from repro.disk.iostats import Costed, IoStats
 from repro.disk.policy import DEFAULT_POLICY, DevicePolicy
 from repro.errors import ConfigError
 from repro.struct.blockedlist import BlockedList
@@ -436,9 +436,9 @@ class BlockDevice:
             else requests
         costed, self._head = self._cost_of(zip(order, repeat(1)),
                                            self._head)
-        sizes, services, counts, _ = zip(*costed)
+        sizes, services, seeks, _ = zip(*costed)
         service_s = left_sum(services)
-        self.stats.record(is_write, sum(sizes), service_s, sum(counts))
+        self.stats.record(is_write, sum(sizes), service_s, sum(seeks))
         self.clock_s += service_s
         if self._store is None:
             return [None] * len(requests)
@@ -470,10 +470,13 @@ class BlockDevice:
         The policy's ``batch_size`` splits the stream (and ``data``
         beside it) into batches and its ``reorder`` discipline orders
         each batch; results come back aligned with ``requests``.  The
-        backends' ``read_many`` sweeps use it; log appends use
-        :meth:`write_stream`, which charges the same.
+        backends' ``read_many`` sweeps use it, and so do log appends
+        (:meth:`write_stream`) under a batching or reordering policy.
+        Every span and payload is checked before the first batch moves.
         """
         self._check_payloads(requests, is_write, data)
+        if 0 < self.policy.batch_size < len(requests):
+            self._cost_of(zip(requests, repeat(1)), self._head)
         out: list[bytes | None] = []
         at = 0
         for chunk in self.policy.chunks(requests):
@@ -496,61 +499,45 @@ class BlockDevice:
             raise ConfigError(
                 f"data length {len(data)} != stream bytes {length}")
 
+    def _submit_stream(self, start: int, length: int, request: int,
+                       data: bytes | None) -> None:
+        """:meth:`submit_policy` of the ``request``-byte write requests of
+        a checked stream, materialised (the last one short)."""
+        starts = range(start, start + length, request)
+        self.submit_policy(
+            [[(pos, min(request, start + length - pos))] for pos in starts],
+            is_write=True, data=None if data is None else
+            [data[pos - start: pos - start + request] for pos in starts])
+
     def write_stream(self, start: int, length: int, request: int,
                      data: bytes | None = None) -> None:
         """Write ``[start, start + length)`` as consecutive ``request``-byte
         write requests (the last one short) under the device policy,
         charging bit for bit what :meth:`submit_policy` of them charges.
-        A batch's first request (and a C-LOOK wrap's) goes through
-        :meth:`_cost_of`; each other one starts where the last ended, so
-        it costs the two terms ``_cost_of`` adds for a zero gap."""
+        Under the default policy the stream is one batch: the runs of its
+        whole requests and its tail go through :meth:`_cost_of`, whose
+        entries fold one request at a time into one ``IoStats`` record;
+        a batching or reordering policy serves the materialised list."""
         self._check_stream(start, length, request, data)
-        store = self._store
-        payload = data if store is not None else None
-        geometry = self.geometry
-        ends, rates = cost_tables(geometry)[:2]
-        overhead = geometry.per_request_overhead_s
-        stop = start + length
-        step = self.policy.batch_size * request or length
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            if hi - lo <= request:
-                self._serve(True, [(lo, hi - lo)], None if payload is None
-                            else payload[lo - start: hi - start])
-                continue
-            head = self._head
-            runs = [(lo, hi)]
-            if self.policy.reorder_flag and lo < head < hi:
-                # C-LOOK: the requests from the first start >= head on,
-                # then the wrap back to the batch's first request.
-                pivot = lo - (lo - head) // request * request
-                if pivot < hi:
-                    runs = [(pivot, hi), (lo, pivot)]
-            seeks = 0
-            write_s = 0.0
-            for first, end in runs:
-                pos = min(first + request, end)
-                ((_, service, first_seeks, _),), head = self._cost_of(
-                    (([(first, pos - first)], 1),), head)
-                seeks += first_seeks
-                write_s += service
-                while pos < end:
-                    size = min(request, end - pos)
-                    zone = bisect_right(ends, pos)
-                    if pos + size <= ends[zone]:
-                        transfer = size / rates[zone]
-                    else:
-                        transfer = geometry.transfer_time(pos, size)
-                    write_s += overhead + transfer
-                    pos += size
-                head = end
-            self._head = head
-            self.stats.record(True, hi - lo, write_s, seeks)
-            self.clock_s += write_s
-            if store is not None and payload is not None:
-                for pos in range(lo, hi, request):
-                    at = pos - start
-                    store.write(pos, payload[at: at + request])
+        if self.policy.batch_size or self.policy.reorder_flag:
+            self._submit_stream(start, length, request, data)
+            return
+        whole, tail = divmod(length, request)
+        runs = [([(start, request)], whole)] if whole else []
+        if tail:
+            runs.append(([(start + whole * request, tail)], 1))
+        costed, self._head = self._cost_of(runs, self._head)
+        seeks = 0
+        write_s = 0.0
+        for _, service, entry_seeks, count in costed:
+            seeks += entry_seeks
+            write_s = left_sum(repeat(service, count), write_s)
+        self.stats.record(True, length, write_s, seeks)
+        self.clock_s += write_s
+        if self._store is not None and data is not None:
+            for pos in range(start, start + length, request):
+                at = pos - start
+                self._store.write(pos, data[at: at + request])
 
     def read_extents(self, spans: list[Span]) -> bytes | None:
         """Read a list of spans as one request; returns data if stored."""
@@ -580,8 +567,8 @@ class BlockDevice:
         costed, head = self._cost_of(runs, self._head)
         self._check_payloads(requests_of(runs), True, data)
         self._head = head
-        self.stats.record_each(True, costed)
-        self.clock_s = left_sum(service_terms(costed), self.clock_s)
+        self.clock_s = left_sum(self.stats.record_each(True, costed),
+                                self.clock_s)
         if self._store is not None and data is not None:
             for spans, payload in zip(requests_of(runs), data):
                 self._apply_content(True, spans, payload)

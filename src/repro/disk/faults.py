@@ -52,6 +52,7 @@ optionally after applying half of the doomed write's first span.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from repro.disk.device import BlockDevice, RequestRun, Span, requests_of
 from repro.disk.geometry import DiskGeometry
@@ -383,9 +384,12 @@ class FaultyBlockDevice(BlockDevice):
     def _admit(self, is_write: bool, requests: list[list[Span]],
                data: list[bytes] | None) -> None:
         """The one fault seam, before anything is charged: loss, the
-        crash tick of a write, one transient draw.  A single
-        request comes from ``_serve``, a larger batch from ``submit``."""
+        refusal of a bad span or payload, the crash tick of a write, one
+        transient draw.  A single request comes from ``_serve``, a larger
+        batch from ``submit``."""
         self._check_lost()
+        self._check_payloads(requests, is_write, data)
+        self._cost_of(zip(requests, repeat(1)), self._head)
         if is_write:
             self._tick("write", requests, data)
         faults = self.faults
@@ -420,11 +424,7 @@ class FaultyBlockDevice(BlockDevice):
         # The request-list form: admission, crash ticks, tears, draws
         # and slow factors see the requests and batches they always saw.
         self._check_stream(start, length, request, data)
-        starts = range(start, start + length, request)
-        self.submit_policy(
-            [[(pos, min(request, start + length - pos))] for pos in starts],
-            is_write=True, data=None if data is None else
-            [data[pos - start: pos - start + request] for pos in starts])
+        self._submit_stream(start, length, request, data)
 
     def charge_sequential_write(self, nbytes: int) -> float:
         self._check_lost()

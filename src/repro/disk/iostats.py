@@ -166,20 +166,22 @@ class IoStats:
                 win.read_bytes += nbytes
                 win.read_time_s += service_s
 
-    def record_each(self, is_write: bool, costed: list[Costed]) -> None:
+    def record_each(self, is_write: bool,
+                    costed: list[Costed]) -> list[float]:
         """:meth:`record` applied once per request of each ``(nbytes,
         service_s, seeks, count)`` entry, in order: every accumulator
         (the totals and each open window) folds the service times one
         request at a time (:func:`~repro.units.left_sum` from its
         running total over :func:`service_terms`), so its float sum is
-        the one a ``record`` call per request leaves."""
-        if not costed:
-            return
+        the one a ``record`` call per request leaves.  Returns the terms,
+        for the caller's clock to fold the same way."""
+        terms = service_terms(costed)
+        if not terms:
+            return terms
         sizes, _, seek_counts, counts = zip(*costed)
         requests = sum(counts)
         nbytes = sum(map(mul, sizes, counts))
         seeks = sum(map(mul, seek_counts, counts))
-        terms = service_terms(costed)
         if is_write:
             bytes_field, time_field = "write_bytes", "write_time_s"
         else:
@@ -190,6 +192,7 @@ class IoStats:
             setattr(acc, bytes_field, getattr(acc, bytes_field) + nbytes)
             setattr(acc, time_field,
                     left_sum(terms, getattr(acc, time_field)))
+        return terms
 
     def start_window(self, name: str) -> WindowStats:
         """Open a named measurement window; windows may nest."""

@@ -219,6 +219,25 @@ class TestBatchAccounting:
             ], is_write=True)
         assert dev.stats.requests == 0  # rejected before any accounting
 
+    @pytest.mark.parametrize("policy", [DevicePolicy(batch_size=2),
+                                        DevicePolicy(batch_size=2,
+                                                     reorder="clook")])
+    def test_a_policy_cut_list_is_refused_before_its_first_batch(
+            self, policy):
+        """A bad request in a later batch: nothing of the first batch
+        is served, recorded or stored."""
+        dev = BlockDevice(scaled_disk(4 * MB), store_data=True, policy=policy)
+        dev.write(0, 4, b"keep")
+        dev.stats.start_window("open")
+        before = (dev.head_position, dev.clock_s.hex(),
+                  pickle.dumps(dev.stats), dev.peek(0, 4 * MB))
+        with pytest.raises(ConfigError):
+            dev.submit_policy([[(1 * MB, 8)], [(2 * MB, 8)], [(4 * MB, 8)]],
+                              is_write=True, data=[b"a" * 8, b"b" * 8,
+                                                   b"c" * 8])
+        assert (dev.head_position, dev.clock_s.hex(),
+                pickle.dumps(dev.stats), dev.peek(0, 4 * MB)) == before
+
     def test_read_results_in_submission_order(self):
         dev = BlockDevice(scaled_disk(4 * MB), store_data=True, policy=CLOOK)
         dev.poke(0, b"aaaa")

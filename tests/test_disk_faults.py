@@ -13,6 +13,7 @@ from repro.disk.faults import (
     FaultyBlockDevice,
 )
 from repro.disk.geometry import scaled_disk
+from repro.disk.policy import DevicePolicy
 from repro.errors import (
     ConfigError,
     CrashPoint,
@@ -389,3 +390,28 @@ def test_a_torn_batch_tears_the_first_span_of_its_first_write():
     assert dev.peek(2 * MB, 2) == bytes(2)
     assert dev.peek(3 * MB, 8) == bytes(8)
     assert dev.clock_s == 0.0 and dev.head_position == 0
+
+
+@pytest.mark.parametrize("batch_size, requests", [
+    pytest.param(0, [[(64 * MB, 8)]], id="one-request"),
+    pytest.param(0, [[(8 * MB, 8)], [(64 * MB, 8)]], id="one-batch"),
+    pytest.param(2, [[(8 * MB, 8)], [(9 * MB, 8)], [(64 * MB, 8)]],
+                 id="policy-cut"),
+])
+def test_a_bad_list_is_refused_before_admission(batch_size, requests):
+    """A span outside the volume raises ``ConfigError`` before the crash
+    tick (no torn bytes), the transient draw or any charge."""
+    dev = FaultyBlockDevice(scaled_disk(64 * MB),
+                            clock=CrashClock(kill_after=0), torn=True,
+                            store_data=True,
+                            policy=DevicePolicy(batch_size=batch_size),
+                            faults=DeviceFaults(transient_rate=0.5, seed=9))
+    rng = dev.faults._rng.getstate()
+    with pytest.raises(ConfigError):
+        dev.submit_policy(requests, is_write=True,
+                          data=[b"abcdefgh"] * len(requests))
+    assert dev.stats == BlockDevice(scaled_disk(64 * MB)).stats
+    assert dev.clock_s == 0.0 and dev.head_position == 0
+    assert dev.peek(8 * MB, 2 * MB) == bytes(2 * MB)
+    assert dev.clock.events == 0 and not dev.clock.fired
+    assert dev.faults._rng.getstate() == rng

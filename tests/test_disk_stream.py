@@ -2,7 +2,8 @@
 
 ``BlockDevice.write_stream(start, length, request, data)`` writes a
 contiguous range as consecutive ``request``-byte write requests under
-the device policy, without building them.  The oracle is
+the device policy (under the default policy as two kernel runs,
+without building them).  The oracle is
 :meth:`BlockDevice.submit_policy` of those requests, materialised: both
 must leave the device identical — every ``IoStats`` field and open
 window (floats compared with ``==``), the clock's bits, the head,
@@ -15,7 +16,7 @@ before anything moves.
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.disk.device import BlockDevice
@@ -75,6 +76,47 @@ def streams(draw):
     }
 
 
+def case_of(stream, *, nzones=8, window=64 * KB, policy=DevicePolicy(),
+            store=True, head=0):
+    """A :func:`streams` case, written out."""
+    return {"nzones": nzones, "window": window, "policy": policy,
+            "store": store, "with_data": store, "head": head,
+            "stream": stream}
+
+
+#: Streams that pin the run cut: no tail, a tail only, whole requests
+#: ending on a zone end (1 MB here) and one straddling it, a head parked
+#: inside the stream under C-LOOK, and batches of one and three.
+EDGES = [
+    case_of((1 * MB, 8 * 64 * KB, 64 * KB), nzones=3),
+    case_of((3 * MB, 10_000, 64 * KB), nzones=1, window=0, store=False,
+            head=5 * MB),
+    case_of((1 * MB - 4 * 64 * KB, 6 * 64 * KB + 100, 64 * KB),
+            window=4 * KB),
+    case_of((2 * MB - 25_000, 11 * 10_000 + 1, 10_000), window=0,
+            store=False, head=7 * MB),
+    case_of((1 * MB, 6 * 64 * KB, 64 * KB), nzones=3,
+            policy=DevicePolicy(reorder="clook"),
+            head=1 * MB + 2 * 64 * KB + 100),
+    case_of((1 * MB, 7 * 64 * KB + 9, 64 * KB),
+            policy=DevicePolicy(batch_size=3, reorder="clook"),
+            head=1 * MB + 4 * 64 * KB + 100),
+    case_of((2 * MB - 3 * 4 * KB, 7 * 4 * KB + 5, 4 * KB),
+            policy=DevicePolicy(batch_size=1)),
+    case_of((2 * MB - 3 * 4 * KB, 7 * 4 * KB + 5, 4 * KB),
+            policy=DevicePolicy(batch_size=3), store=False, head=6 * MB),
+]
+
+
+def edge_examples(*extra):
+    """``@example`` of every :data:`EDGES` case (then ``extra``)."""
+    def apply(test):
+        for case in EDGES:
+            test = example(case, *extra)(test)
+        return test
+    return apply
+
+
 def twins(case, cls=BlockDevice, **kwargs):
     """Two equal devices, a window open and the head parked."""
     made = []
@@ -96,6 +138,7 @@ def payload(case):
     return bytes((start + i) % 251 for i in range(length))
 
 
+@edge_examples()
 @given(streams())
 @settings(max_examples=300, deadline=None)
 def test_a_stream_charges_what_its_request_list_charges(case):
@@ -108,6 +151,7 @@ def test_a_stream_charges_what_its_request_list_charges(case):
         assert device_state(stream, *span) == device_state(oracle, *span)
 
 
+@edge_examples(2.5, 7)
 @given(streams(), st.sampled_from([1.0, 2.5]), st.integers(0, 2**16))
 @settings(max_examples=150, deadline=None)
 def test_a_faulty_stream_is_its_request_list(case, factor, seed):
@@ -135,6 +179,7 @@ def test_a_faulty_stream_is_its_request_list(case, factor, seed):
         assert device_state(stream, *span) == device_state(oracle, *span)
 
 
+@edge_examples(1)
 @given(streams(), st.integers(min_value=0, max_value=6))
 @settings(max_examples=150, deadline=None)
 def test_a_faulty_stream_crashes_and_tears_like_its_request_list(case, kill):
