@@ -121,10 +121,6 @@ class BuddyAllocator:
             for order, blocks in enumerate(self._free)
         )
 
-    @property
-    def allocated_blocks(self) -> int:
-        return len(self._allocated)
-
     def internal_waste(self, requested: int) -> int:
         """Bytes wasted when ``requested`` is rounded to a block."""
         order = self._order_for(requested)

@@ -55,45 +55,8 @@ class Extent:
         """Exclusive end offset."""
         return self.start + self.length
 
-    def contains(self, offset: int) -> bool:
-        return self.start <= offset < self.end
-
-    def contains_extent(self, other: Extent) -> bool:
-        return self.start <= other.start and other.end <= self.end
-
     def overlaps(self, other: Extent) -> bool:
         return self.start < other.end and other.start < self.end
-
-    def adjacent_to(self, other: Extent) -> bool:
-        """True when the two extents touch without overlapping."""
-        return self.end == other.start or other.end == self.start
-
-    def merge(self, other: Extent) -> Extent:
-        """Union of two adjacent or overlapping extents."""
-        if not (self.overlaps(other) or self.adjacent_to(other)):
-            raise ConfigError(f"cannot merge disjoint extents {self}, {other}")
-        start = min(self.start, other.start)
-        end = max(self.end, other.end)
-        return Extent(start, end - start)
-
-    def split_at(self, offset: int) -> tuple[Extent, Extent]:
-        """Split into two pieces at an interior absolute ``offset``."""
-        if not (self.start < offset < self.end):
-            raise ConfigError(f"split offset {offset} not inside {self}")
-        return (Extent(self.start, offset - self.start),
-                Extent(offset, self.end - offset))
-
-    def take_front(self, length: int) -> tuple[Extent, Extent | None]:
-        """Carve ``length`` bytes off the front; returns (taken, remainder)."""
-        if length <= 0 or length > self.length:
-            raise ConfigError(f"cannot take {length} bytes from {self}")
-        taken = Extent(self.start, length)
-        if length == self.length:
-            return taken, None
-        return taken, Extent(self.start + length, self.length - length)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Extent({self.start}, +{self.length})"
 
 
 _set_start = vars(Extent)["start"].__set__

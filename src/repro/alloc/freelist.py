@@ -248,7 +248,7 @@ class FreeExtentIndex:
         if start is None:
             return None
         run = Extent(start, self._len_by_start[start])
-        return run if run.contains(offset) else None
+        return run if offset < run.end else None
 
     def run_length_at(self, offset: int) -> int:
         """Length of the free run beginning exactly at ``offset``, 0 when

@@ -100,12 +100,6 @@ class FragmentReport:
         labels[f">{bins[-1]}"] = sum(1 for v in values if v > bins[-1])
         return labels
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FragmentReport(objects={self.objects}, mean={self.mean:.2f}, "
-            f"median={self.median:.1f}, max={self.max})"
-        )
-
 
 def fragment_report(store: ObjectStore) -> FragmentReport:
     """Full distribution report from the store's extent maps."""

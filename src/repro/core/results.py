@@ -90,10 +90,6 @@ class RunResult:
             raise KeyError(f"no sample near age {age} in {self.label}")
         return best
 
-    def series(self, attr: str) -> list[tuple[float, float]]:
-        """(age, value) pairs for one sample attribute."""
-        return [(s.age, getattr(s, attr)) for s in self.samples]
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------

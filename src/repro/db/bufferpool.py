@@ -91,6 +91,3 @@ class BufferPool:
             self.pagefile.write_pages(dirty)
         for page_no in dirty:
             self._frames[page_no].dirty = False
-
-    def __len__(self) -> int:
-        return len(self._frames)

@@ -214,16 +214,8 @@ class GamAllocator:
         return self._free_pages
 
     @property
-    def used_page_count(self) -> int:
-        return self.num_pages - self._free_pages
-
-    @property
     def free_extent_count(self) -> int:
         return self._free_extents
-
-    @property
-    def partial_extent_count(self) -> int:
-        return len(self._partial_extents)
 
     def _derived(self) -> tuple[int, int, list[int], int]:
         """Cursor, free-extent count, partial list and free-page count,

@@ -105,11 +105,5 @@ class HeapTable:
     def keys(self) -> list[Any]:
         return list(self._rows)
 
-    def scan(self) -> list[tuple[Any, dict[str, Any]]]:
-        """Full scan; touches every heap page once."""
-        for page_no in sorted(self._page_slots):
-            self.pool.access(page_no)
-        return [(k, dict(v)) for k, v in self._rows.items()]
-
     def __len__(self) -> int:
         return len(self._rows)

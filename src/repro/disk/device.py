@@ -631,23 +631,29 @@ class BlockDevice:
     def stores_data(self) -> bool:
         return self._store is not None
 
-    def peek(self, offset: int, length: int) -> bytes:
-        """Read stored content without charging any service time."""
+    def _stored(self, offset: int, length: int) -> _SegmentStore:
+        """The byte store, for an untimed access to ``[offset, offset +
+        length)``: :class:`ConfigError` before anything moves when the
+        device keeps no content or the range leaves the volume."""
         if self._store is None:
             raise ConfigError("device was created with store_data=False")
-        return self._store.read(offset, length)
+        capacity = self.geometry.capacity
+        if offset < 0 or length < 0 or offset + length > capacity:
+            raise ConfigError(f"range ({offset}, {length}) outside volume "
+                              f"of {capacity} bytes")
+        return self._store
+
+    def peek(self, offset: int, length: int) -> bytes:
+        """Read stored content without charging any service time."""
+        return self._stored(offset, length).read(offset, length)
 
     def poke(self, offset: int, data: bytes) -> None:
         """Write stored content without charging any service time."""
-        if self._store is None:
-            raise ConfigError("device was created with store_data=False")
-        self._store.write(offset, data)
+        self._stored(offset, len(data)).write(offset, data)
 
     def discard(self, offset: int, length: int) -> None:
         """Drop stored content in a range (untimed TRIM); reads zeros after."""
-        if self._store is None:
-            raise ConfigError("device was created with store_data=False")
-        self._store.trim(offset, length)
+        self._stored(offset, length).trim(offset, length)
 
     @property
     def head_position(self) -> int:

@@ -280,14 +280,6 @@ class LatencyHistogram:
             "max_s": self.max_s if self.count else 0.0,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if not self.count:
-            return "LatencyHistogram(empty)"
-        return (f"LatencyHistogram(n={self.count}, "
-                f"p50={self.percentile(50.0) * 1e3:.3f}ms, "
-                f"p99={self.percentile(99.0) * 1e3:.3f}ms, "
-                f"max={self.max_s * 1e3:.3f}ms)")
-
 
 # ----------------------------------------------------------------------
 # Requests and windows
@@ -641,11 +633,6 @@ class EventScheduler(ShardScheduler):
             win.latency.add(index, value)
             if tag is not None:
                 _tenant_hist(win.tenant_latency, tag).add(index, value)
-
-    @property
-    def queued(self) -> int:
-        """Requests enqueued but not yet dispatched, right now."""
-        return sum(len(q) for q in self._queues)
 
     @property
     def in_flight(self) -> int:

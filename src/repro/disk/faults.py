@@ -142,10 +142,6 @@ class CrashClock:
             )
         self.events += 1
 
-    def hook(self, label: str) -> None:
-        """Adapter matching the ``crash_hook(label)`` signature."""
-        self.tick(label)
-
 
 # ----------------------------------------------------------------------
 # Profile: parsed clauses
@@ -338,10 +334,6 @@ class FaultyBlockDevice(BlockDevice):
         self._lost = False
 
     # -- crash clock ---------------------------------------------------
-    @property
-    def write_events(self) -> int:
-        return self.clock.events
-
     def _tick(self, label: str, requests: list[list[Span]],
               data: list[bytes] | None) -> None:
         try:

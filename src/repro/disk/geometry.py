@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.units import GB, MB, fmt_size
+from repro.units import GB, MB
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,16 +38,6 @@ class Zone:
             raise ConfigError(f"bad zone bounds [{self.start}, {self.end})")
         if self.rate <= 0:
             raise ConfigError("zone rate must be positive")
-
-    @property
-    def size(self) -> int:
-        return self.end - self.start
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Zone({fmt_size(self.start)}..{fmt_size(self.end)}, "
-            f"{self.rate / MB:.1f} MB/s)"
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,20 +110,6 @@ class DiskGeometry:
                 f"offset {offset} outside volume of {self.capacity} bytes"
             )
         return self.zones[bisect_right(cost_tables(self)[0], offset)]
-
-    def seek_time(self, from_offset: int, to_offset: int) -> float:
-        """Distance-dependent seek time between two byte offsets.
-
-        A simple convex model: settle time plus a square-root law scaled
-        so that a full-stroke seek costs ``full_seek_s`` and the mean over
-        random pairs is close to ``avg_seek_s``.  The square-root law is
-        the standard first-order fit for voice-coil actuators.
-        """
-        distance = abs(to_offset - from_offset)
-        if distance == 0:
-            return 0.0
-        fraction = distance / self.capacity
-        return self.settle_s + (self.full_seek_s - self.settle_s) * (fraction**0.5)
 
     def transfer_time(self, offset: int, length: int) -> float:
         """Media time to transfer ``length`` bytes starting at ``offset``.

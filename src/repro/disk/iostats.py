@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Any
 
-from repro.units import MB, left_sum
+from repro.units import left_sum
 
 #: ``(nbytes, service_s, seeks, count)``: ``count`` requests of these
 #: books each, in order (the costing kernel's entries).
@@ -64,10 +64,6 @@ class WindowStats:
     tenant_lat: dict[str, dict[str, float]] | None = None
 
     @property
-    def total_bytes(self) -> int:
-        return self.read_bytes + self.write_bytes
-
-    @property
     def total_time_s(self) -> float:
         """Modelled elapsed time under the *serial* model: device busy
         time summed across devices plus host CPU time.
@@ -85,30 +81,6 @@ class WindowStats:
         if self.wall_time_s is None:
             return self.total_time_s
         return self.wall_time_s
-
-    def read_throughput(self) -> float:
-        """Read bytes per second of modelled read busy time (0 if idle)."""
-        if self.read_time_s <= 0:
-            return 0.0
-        return self.read_bytes / self.read_time_s
-
-    def write_throughput(self) -> float:
-        if self.write_time_s <= 0:
-            return 0.0
-        return self.write_bytes / self.write_time_s
-
-    def throughput(self) -> float:
-        if self.total_time_s <= 0:
-            return 0.0
-        return self.total_bytes / self.total_time_s
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"WindowStats({self.name!r}, rd={self.read_bytes / MB:.1f}MB"
-            f"@{self.read_throughput() / MB:.2f}MB/s, "
-            f"wr={self.write_bytes / MB:.1f}MB"
-            f"@{self.write_throughput() / MB:.2f}MB/s, seeks={self.seeks})"
-        )
 
 
 def open_depth(stack: list, win: Any, what: str) -> int:
@@ -213,16 +185,3 @@ class IoStats:
     @property
     def busy_time_s(self) -> float:
         return self.read_time_s + self.write_time_s + self.cpu_time_s
-
-    def snapshot(self) -> WindowStats:
-        """A :class:`WindowStats` view of the cumulative totals."""
-        return WindowStats(
-            name="total",
-            read_bytes=self.read_bytes,
-            write_bytes=self.write_bytes,
-            read_time_s=self.read_time_s,
-            write_time_s=self.write_time_s,
-            cpu_time_s=self.cpu_time_s,
-            seeks=self.seeks,
-            requests=self.requests,
-        )

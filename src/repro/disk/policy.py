@@ -75,11 +75,6 @@ class DevicePolicy:
     def to_dict(self) -> dict:
         return {"batch_size": self.batch_size, "reorder": self.reorder}
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DevicePolicy":
-        return cls(batch_size=int(payload.get("batch_size", 0)),
-                   reorder=str(payload.get("reorder", "none")))
-
 
 #: Shared default instance (policies are immutable, sharing is safe).
 DEFAULT_POLICY = DevicePolicy()

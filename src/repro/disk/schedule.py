@@ -26,11 +26,11 @@ Rounds themselves are sequential (the driver is synchronous between
 dispatches), so a store's overlapped wall time is the sum of its round
 makespans plus an optional fixed per-round dispatch overhead.  For any
 round, ``max(lanes) <= makespan <= sum(lanes)`` — the property suite
-holds :func:`round_makespan` to exactly that envelope.
+holds the frontier of :func:`lpt_placement` to exactly that envelope.
 
-:func:`lpt_placement` is the one placement kernel (:func:`round_makespan`
-is its frontier; ``tests/makespanoracle.py`` keeps the two copies it
-replaced as the ``==`` reference) and :meth:`ShardScheduler._charge` the
+:func:`lpt_placement` is the one placement kernel
+(``tests/makespanoracle.py`` keeps the two copies it replaced as the
+``==`` reference) and :meth:`ShardScheduler._charge` the
 one ledger: this scheduler and :class:`~repro.disk.events.EventScheduler`
 place every round and account every second through them, into the
 totals and each open measurement window — a stack mirroring
@@ -83,17 +83,6 @@ def lpt_placement(lane_times: Sequence[float],
         completions[i] = load = loads[0] + busy[i]
         heapq.heapreplace(loads, load)
     return completions, max(loads)
-
-
-def round_makespan(lane_times: Sequence[float],
-                   parallelism: int = 0) -> float:
-    """Wall time of one dispatch round's lanes on ``parallelism`` workers.
-
-    The frontier of :func:`lpt_placement`.  Guarantees ``max(lanes) <=
-    makespan <= sum(lanes)``, with equality at ``parallelism >= lanes``
-    and ``parallelism == 1`` respectively.
-    """
-    return lpt_placement(lane_times, parallelism)[1]
 
 
 @dataclass(slots=True)

@@ -159,9 +159,6 @@ class SimFilesystem:
         self.metadata_traffic.on_event()
         return record
 
-    def exists(self, name: str) -> bool:
-        return self.table.exists(name)
-
     def read_record(self, name: str) -> FileRecord:
         """Open path: fetch the file's MFT record (one small random read).
 
@@ -181,15 +178,9 @@ class SimFilesystem:
             self.device.read(offset, self.config.mft_record_bytes)
         return record
 
-    def file_size(self, name: str) -> int:
-        return self.table.lookup(name).size
-
     def extent_map(self, name: str) -> list[Span]:
         """The file's device spans in logical order: its layout."""
         return as_spans(self.table.lookup(name).extents)
-
-    def list_files(self) -> list[str]:
-        return self.table.names()
 
     def delete(self, name: str) -> None:
         """Delete a file; space is reusable only after the next commit.
@@ -425,15 +416,6 @@ class SimFilesystem:
     def free_bytes(self) -> int:
         """Allocatable bytes (committed free space only)."""
         return self.free_index.total_free
-
-    @property
-    def used_bytes(self) -> int:
-        return (self.data_capacity - self.free_bytes
-                - self.journal.pending_free_bytes)
-
-    def occupancy(self) -> float:
-        """Fraction of the data area unavailable for allocation."""
-        return 1.0 - self.free_index.total_free / self.data_capacity
 
     def check_invariants(self) -> None:
         """Free index is sane and every file's run list is consistent."""

@@ -124,9 +124,6 @@ class FileTable:
     def __iter__(self):
         return iter(self._by_name.values())
 
-    def names(self) -> list[str]:
-        return list(self._by_name)
-
     def mft_slot_offset(self, record: FileRecord, *, mft_base: int,
                         record_size: int, mft_size: int) -> int:
         """Byte offset of the record's MFT slot (slots recycle modulo the

@@ -236,10 +236,6 @@ class Journal:
         return self._pending_bytes + self._replayable_bytes
 
     @property
-    def pending_free_count(self) -> int:
-        return len(self._pending_frees)
-
-    @property
     def pending_frees(self) -> tuple[Extent, ...]:
         """Frees logged but not durably committed (a copy)."""
         return tuple(self._pending_frees)
@@ -248,11 +244,6 @@ class Journal:
     def replayable_frees(self) -> tuple[Extent, ...]:
         """Durably committed frees not yet published (a copy)."""
         return tuple(self._replayable)
-
-    @property
-    def log_cursor(self) -> int:
-        """Current write offset inside the circular log region."""
-        return self._cursor
 
     @property
     def log_size(self) -> int:

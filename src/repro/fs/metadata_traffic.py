@@ -78,10 +78,6 @@ class MetadataTraffic:
         return self._interval > 0
 
     @property
-    def outstanding_bytes(self) -> int:
-        return sum(e.length for e in self._outstanding)
-
-    @property
     def outstanding_extents(self) -> tuple[Extent, ...]:
         """Live nibbles (a copy) — allocated space outside any file's
         extent map, which free-index rebuilds must account for."""

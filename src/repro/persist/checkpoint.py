@@ -97,9 +97,6 @@ class Checkpoint:
     #: re-hashing state.pkl (the largest file) on every consumer read.
     _cache: dict[str, bytes] = field(default_factory=dict, repr=False)
 
-    def names(self) -> list[str]:
-        return list(self.files)
-
     def read(self, name: str) -> bytes:
         """Read one payload file's *content*, verifying digests once.
 

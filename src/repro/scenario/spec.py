@@ -237,7 +237,8 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _Preset:
-    """Defaults plus a builder turning knobs into tenant profiles."""
+    """Defaults plus the per-tenant row :meth:`build` turns into
+    tenant profiles."""
 
     summary: str
     tenants: int
@@ -245,102 +246,58 @@ class _Preset:
     ttl: int
     amplitude: float
     period: int
-    build: Callable[[int, float, int], tuple[TenantProfile, ...]]
+    #: Zipf exponent of the tenants' op-share weights (tenant ``i``
+    #: weighs ``1 / (i + 1) ** tenant_skew``).
+    tenant_skew: float
+    #: ``row(i, n, ttl)``: tenant ``i`` of ``n``'s sizes, bulk-load
+    #: share, op fractions and TTL, as :class:`TenantProfile` keywords.
+    row: Callable[[int, int, int], dict[str, Any]]
+
+    def build(self, n: int, skew: float,
+              ttl: int) -> tuple[TenantProfile, ...]:
+        """``n`` tenant profiles; ``skew`` is each tenant's object Zipf."""
+        return tuple(
+            TenantProfile(name=f"tenant-{i}",
+                          weight=1.0 / (i + 1) ** self.tenant_skew,
+                          zipf=skew, **self.row(i, n, ttl))
+            for i in range(n))
 
 
-def _tenant_weights(n: int, skew: float = 0.8) -> list[float]:
-    """Gentle Zipf over tenants: a few hot tenants, a long cool tail."""
-    return [1.0 / (i + 1) ** skew for i in range(n)]
-
-
-def _build_photo_sharing(n: int, skew: float,
-                         ttl: int) -> tuple[TenantProfile, ...]:
+def _photo_sharing_row(i: int, n: int, ttl: int) -> dict[str, Any]:
     # Read-heavy immutable media: uploads (creates) with long retention,
     # very few edits.  Tenant size mix alternates thumbnail-heavy and
     # full-resolution libraries.
-    weights = _tenant_weights(n)
-    out = []
-    for i in range(n):
-        mean = (96, 192, 384)[i % 3] * KB
-        out.append(TenantProfile(
-            name=f"tenant-{i}",
-            sizes=UniformSize.around_mean(mean, spread=0.5),
-            weight=weights[i],
-            share=1.0,
-            read_fraction=0.75,
-            overwrite_fraction=0.05,
-            create_fraction=0.20,
-            zipf=skew,
-            ttl_ops=ttl,
-        ))
-    return tuple(out)
+    return dict(sizes=UniformSize.around_mean((96, 192, 384)[i % 3] * KB,
+                                              spread=0.5),
+                share=1.0, read_fraction=0.75, overwrite_fraction=0.05,
+                create_fraction=0.20, ttl_ops=ttl)
 
 
-def _build_video_dvr(n: int, skew: float,
-                     ttl: int) -> tuple[TenantProfile, ...]:
+def _video_dvr_row(i: int, n: int, ttl: int) -> dict[str, Any]:
     # Ring-buffer recorders: large objects overwritten in place,
-    # near-uniform popularity, no TTL (the ring never shrinks).
-    del ttl  # DVR tenants re-record in place; nothing expires.
-    weights = _tenant_weights(n, skew=0.4)
-    out = []
-    for i in range(n):
-        size = (1, 2, 4)[i % 3] * MB
-        out.append(TenantProfile(
-            name=f"tenant-{i}",
-            sizes=ConstantSize(size),
-            weight=weights[i],
-            share=2.0,
-            read_fraction=0.3,
-            overwrite_fraction=0.7,
-            create_fraction=0.0,
-            zipf=skew,
-            ttl_ops=0,
-        ))
-    return tuple(out)
+    # near-uniform popularity, no TTL (the ring never shrinks, so the
+    # ttl knob is ignored).
+    return dict(sizes=ConstantSize((1, 2, 4)[i % 3] * MB), share=2.0,
+                read_fraction=0.3, overwrite_fraction=0.7,
+                create_fraction=0.0, ttl_ops=0)
 
 
-def _build_log_ingest(n: int, skew: float,
-                      ttl: int) -> tuple[TenantProfile, ...]:
+def _log_ingest_row(i: int, n: int, ttl: int) -> dict[str, Any]:
     # Append-mostly small objects with short retention: nearly every op
     # creates a fresh segment, expiry deletes keep the window bounded.
-    weights = _tenant_weights(n, skew=0.6)
-    out = []
-    for i in range(n):
-        out.append(TenantProfile(
-            name=f"tenant-{i}",
-            sizes=ConstantSize(64 * KB),
-            weight=weights[i],
-            share=0.5,
-            read_fraction=0.1,
-            overwrite_fraction=0.0,
-            create_fraction=0.9,
-            zipf=skew,
-            ttl_ops=ttl,
-        ))
-    return tuple(out)
+    return dict(sizes=ConstantSize(64 * KB), share=0.5, read_fraction=0.1,
+                overwrite_fraction=0.0, create_fraction=0.9, ttl_ops=ttl)
 
 
-def _build_cdn_churn(n: int, skew: float,
-                     ttl: int) -> tuple[TenantProfile, ...]:
+def _cdn_churn_row(i: int, n: int, ttl: int) -> dict[str, Any]:
     # Cache churn: hot-skewed reads, misses fill small hot objects with
     # short TTLs; cold tenants hold larger, longer-lived assets.
-    weights = _tenant_weights(n)
-    out = []
-    for i in range(n):
-        hot = i < max(1, n // 4)
-        mean = 128 * KB if hot else 512 * KB
-        out.append(TenantProfile(
-            name=f"tenant-{i}",
-            sizes=UniformSize.around_mean(mean, spread=0.6),
-            weight=weights[i],
-            share=0.5 if hot else 1.0,
-            read_fraction=0.70,
-            overwrite_fraction=0.05,
-            create_fraction=0.25,
-            zipf=skew,
-            ttl_ops=ttl if hot else ttl * 4,
-        ))
-    return tuple(out)
+    hot = i < max(1, n // 4)
+    return dict(sizes=UniformSize.around_mean(
+                    128 * KB if hot else 512 * KB, spread=0.6),
+                share=0.5 if hot else 1.0, read_fraction=0.70,
+                overwrite_fraction=0.05, create_fraction=0.25,
+                ttl_ops=ttl if hot else ttl * 4)
 
 
 #: Ship-with presets; ``ScenarioSpec.parse`` resolves names here.
@@ -348,22 +305,22 @@ SCENARIO_PRESETS: dict[str, _Preset] = {
     "photo_sharing": _Preset(
         summary="read-heavy immutable media uploads with long retention",
         tenants=6, skew=0.9, ttl=4000, amplitude=0.3, period=2000,
-        build=_build_photo_sharing,
+        tenant_skew=0.8, row=_photo_sharing_row,
     ),
     "video_dvr": _Preset(
         summary="large ring-buffer recordings overwritten in place",
         tenants=3, skew=0.0, ttl=0, amplitude=0.2, period=4000,
-        build=_build_video_dvr,
+        tenant_skew=0.4, row=_video_dvr_row,
     ),
     "log_ingest": _Preset(
         summary="append-mostly small segments with short TTL retention",
         tenants=4, skew=0.6, ttl=800, amplitude=0.6, period=500,
-        build=_build_log_ingest,
+        tenant_skew=0.6, row=_log_ingest_row,
     ),
     "cdn_churn": _Preset(
         summary="hot-skewed cache fills with TTL eviction churn",
         tenants=8, skew=1.1, ttl=600, amplitude=0.4, period=1000,
-        build=_build_cdn_churn,
+        tenant_skew=0.8, row=_cdn_churn_row,
     ),
 }
 

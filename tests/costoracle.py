@@ -3,7 +3,8 @@
 ``BlockDevice._cost_of`` is one flat routine: validation, seek,
 rotation, transfer and the byte count in a single pass over a zone
 table.  :func:`cost_of` here is the version it replaced — composed from
-the public ``DiskGeometry.seek_time`` / ``transfer_time`` — and
+:func:`seek_time` (the seek model, kept here as its one reference) and
+the public ``DiskGeometry.transfer_time`` — and
 :class:`OracleDevice` is that version's ``submit`` accounting, so
 ``test_disk_device.py`` can drive both with the same requests and hold
 the kernel to the composed model float for float.
@@ -15,11 +16,27 @@ from repro.disk.geometry import DiskGeometry
 from repro.units import Span
 
 
+def seek_time(geometry: DiskGeometry, from_offset: int,
+              to_offset: int) -> float:
+    """Distance-dependent seek time between two byte offsets.
+
+    A simple convex model: settle time plus a square-root law scaled
+    so that a full-stroke seek costs ``full_seek_s`` and the mean over
+    random pairs is close to ``avg_seek_s``.  The square-root law is
+    the standard first-order fit for voice-coil actuators.
+    """
+    distance = abs(to_offset - from_offset)
+    if distance == 0:
+        return 0.0
+    fraction = distance / geometry.capacity
+    return geometry.settle_s + (geometry.full_seek_s
+                                - geometry.settle_s) * (fraction**0.5)
+
+
 def cost_of(geometry: DiskGeometry, window: int, spans, head: int,
             slow_factor: float = 1.0) -> tuple[int, float, int]:
     """(seeks, service seconds, final head) for one request."""
     transfer_time = geometry.transfer_time
-    seek_time = geometry.seek_time
     rotational_s = geometry.avg_rotational_latency_s
     seeks = 0
     total = geometry.per_request_overhead_s
@@ -31,7 +48,7 @@ def cost_of(geometry: DiskGeometry, window: int, spans, head: int,
                 total += transfer_time(head, gap)
         else:
             seeks += 1
-            total += seek_time(head, start) + rotational_s
+            total += seek_time(geometry, head, start) + rotational_s
         total += transfer_time(start, length)
         head = start + length
     if slow_factor != 1.0:

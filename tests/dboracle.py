@@ -60,6 +60,13 @@ def alloc_pages(gam, count: int) -> list[int]:
     return runs_to_pages(gam.alloc_runs(count))
 
 
+def partial_extent_count(gam) -> int:
+    """Extents with some but not all pages used, read page by page."""
+    return sum(0 < sum(map(gam.is_page_used, range(
+        extent * PAGES_PER_EXTENT, (extent + 1) * PAGES_PER_EXTENT)))
+        < PAGES_PER_EXTENT for extent in range(gam.num_extents))
+
+
 class OracleGam:
     """The GAM discipline over a plain list of used-page masks."""
 

@@ -22,7 +22,32 @@ import bisect
 from collections.abc import Iterator
 
 from repro.alloc.extent import Extent
-from repro.errors import CorruptionError
+from repro.errors import ConfigError, CorruptionError
+
+
+# ----------------------------------------------------------------------
+# Extent algebra the reference engine is written in (``Extent`` itself
+# keeps only what the production engines use)
+# ----------------------------------------------------------------------
+def contains(ext: Extent, offset: int) -> bool:
+    return ext.start <= offset < ext.end
+
+
+def contains_extent(ext: Extent, other: Extent) -> bool:
+    return ext.start <= other.start and other.end <= ext.end
+
+
+def adjacent(ext: Extent, other: Extent) -> bool:
+    """True when the two extents touch without overlapping."""
+    return ext.end == other.start or other.end == ext.start
+
+
+def merge(ext: Extent, other: Extent) -> Extent:
+    """Union of two adjacent or overlapping extents."""
+    if not (ext.overlaps(other) or adjacent(ext, other)):
+        raise ConfigError(f"cannot merge disjoint extents {ext}, {other}")
+    start = min(ext.start, other.start)
+    return Extent(start, max(ext.end, other.end) - start)
 
 
 class NaiveFreeExtentIndex:
@@ -96,10 +121,10 @@ class NaiveFreeExtentIndex:
         if idx > 0:
             prev_start = self._starts[idx - 1]
             if prev_start + self._len_by_start[prev_start] == ext.start:
-                merged = self._delete(prev_start).merge(merged)
+                merged = merge(self._delete(prev_start), merged)
         idx = bisect.bisect_right(self._starts, merged.start)
         if idx < len(self._starts) and self._starts[idx] == merged.end:
-            merged = merged.merge(self._delete(self._starts[idx]))
+            merged = merge(merged, self._delete(self._starts[idx]))
         self._insert(merged)
 
     def remove(self, ext: Extent) -> None:
@@ -109,7 +134,7 @@ class NaiveFreeExtentIndex:
             raise CorruptionError(f"{ext} is not free")
         start = self._starts[idx]
         run = Extent(start, self._len_by_start[start])
-        if not run.contains_extent(ext):
+        if not contains_extent(run, ext):
             raise CorruptionError(f"{ext} is not inside free run {run}")
         self._delete(start)
         if run.start < ext.start:
@@ -136,7 +161,7 @@ class NaiveFreeExtentIndex:
             return None
         start = self._starts[idx]
         run = Extent(start, self._len_by_start[start])
-        return run if run.contains(offset) else None
+        return run if contains(run, offset) else None
 
     def run_length_at(self, offset: int) -> int:
         """Length of the free run beginning exactly at ``offset``, 0 when

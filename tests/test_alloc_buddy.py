@@ -23,7 +23,6 @@ class TestConstruction:
 
     def test_initially_all_free(self, buddy):
         assert buddy.total_free == 1 * MB
-        assert buddy.allocated_blocks == 0
 
 
 class TestAllocation:

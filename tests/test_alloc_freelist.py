@@ -193,7 +193,7 @@ class TestInvariants:
                 run = index.first_fit(size)
                 if run is None:
                     continue
-                taken, _ = run.take_front(size)
+                taken = Extent(run.start, size)
                 index.remove(taken)
                 allocated.append(taken)
             index.check_invariants()

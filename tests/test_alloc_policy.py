@@ -47,7 +47,7 @@ class TestPolicyChoices:
         policy = NextFit()
         first = policy.choose(index, 40)
         assert first == Extent(0, 100)
-        index.remove(first.take_front(40)[0])
+        index.remove(Extent(first.start, 40))
         second = policy.choose(index, 40)
         assert second.start >= 40  # cursor moved past the first carve
 

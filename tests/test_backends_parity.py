@@ -221,7 +221,7 @@ class TestRefusedWrites:
         store.put("a", size=64 * KB)
 
         def books():
-            return ([dev.stats.snapshot() for dev in store.devices()],
+            return ([copy.copy(dev.stats) for dev in store.devices()],
                     store.free_bytes(), store.keys())
 
         before = books()

@@ -58,7 +58,7 @@ class TestFileBackendSpecifics:
         store.put("a", size=256 * KB)
         store.overwrite("a", size=256 * KB)
         # Exactly one file remains per object — no temp leftovers.
-        assert store.fs.list_files() == ["obj-a"]
+        assert [record.name for record in store.fs.table] == ["obj-a"]
 
     def test_size_hints_keep_objects_contiguous(self):
         device = BlockDevice(scaled_disk(64 * MB))
@@ -87,7 +87,7 @@ class TestFileBackendSpecifics:
         with pytest.raises(ConfigError):
             store.put("a", **kwargs)
         assert store.keys() == []
-        assert store.fs.list_files() == []
+        assert [record.name for record in store.fs.table] == []
         assert device.clock_s == 0.0
 
 

@@ -103,7 +103,7 @@ class TestCheckpointContents:
         run_interrupted(config, tmp_path, kill_after_age=0.0)
         ckpt = CheckpointManager(tmp_path).load_latest()
         assert ckpt is not None
-        names = set(ckpt.names())
+        names = set(ckpt.files)
         assert "state.pkl" in names
         for i in range(3):
             assert f"free_index-shard{i}.bin" in names
@@ -115,7 +115,7 @@ class TestCheckpointContents:
         run_interrupted(config, tmp_path, kill_after_age=0.0)
         ckpt = CheckpointManager(tmp_path).load_latest()
         assert {"state.pkl", "free_index-vol0.bin",
-                "journal-vol0.bin"} <= set(ckpt.names())
+                "journal-vol0.bin"} <= set(ckpt.files)
 
 
 class TestResumeFailureModes:

@@ -182,11 +182,6 @@ class TestResults:
         with pytest.raises(KeyError):
             result.sample_at(5.0)
 
-    def test_series(self):
-        result = self.make_result()
-        assert result.series("fragments_per_object") == \
-            [(0.0, 1.0), (2.0, 3.0)]
-
     def test_round_trip_dict(self):
         result = self.make_result()
         clone = RunResult.from_dict(result.to_dict())

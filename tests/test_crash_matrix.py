@@ -20,7 +20,7 @@ CheckpointManager's own write path.
 import pytest
 
 from crashsim import CrashClock, FaultyDevice, kill_point_matrix
-from freeindexoracle import NaiveFreeExtentIndex
+from freeindexoracle import NaiveFreeExtentIndex, contains_extent
 
 from repro.alloc.freelist import FreeExtentIndex
 from repro.backends.file_backend import FileBackend
@@ -62,7 +62,7 @@ def recover_and_check(fs: SimFilesystem) -> None:
             f"discarded free {ext} leaked into the free index"
     for ext in report.replayed:
         run = fs.free_index.run_at(ext.start)
-        assert run is not None and run.contains_extent(ext), \
+        assert run is not None and contains_extent(run, ext), \
             f"replayed free {ext} missing from the free index"
     # The recovered free map must agree with a rebuild from the
     # extent maps — the torn/partial-state detector.
@@ -81,7 +81,7 @@ class TestFilesystemKillMatrix:
             fs = SimFilesystem(
                 device, FsConfig(**CRASHY_FS_CONFIG_KWARGS)
             )
-            fs.crash_hook = clock.hook  # host-side commit kill points
+            fs.crash_hook = clock.tick  # host-side commit kill points
             return fs
 
         def workload(fs: SimFilesystem) -> None:
@@ -115,7 +115,7 @@ class TestFilesystemKillMatrix:
             device = FaultyDevice(scaled_disk(24 * MB), clock=clock,
                                   torn=True, store_data=True)
             fs = SimFilesystem(device, FsConfig(**CRASHY_FS_CONFIG_KWARGS))
-            fs.crash_hook = clock.hook
+            fs.crash_hook = clock.tick
             return fs
 
         def workload(fs: SimFilesystem) -> None:
@@ -131,10 +131,10 @@ class TestFilesystemKillMatrix:
             recover_and_check(fs)
             # Surviving files read back whole (lengths intact even when
             # the torn write scribbled a prefix somewhere).
-            for name in fs.list_files():
-                data = fs.read(name)
+            for record in fs.table:
+                data = fs.read(record.name)
                 assert data is not None
-                assert len(data) == fs.file_size(name)
+                assert len(data) == record.size
 
 
 class TestShardedKillMatrix:
@@ -147,7 +147,7 @@ class TestShardedKillMatrix:
                 device = FaultyDevice(scaled_disk(16 * MB), clock=clock)
                 backend = FileBackend(device, fs_config=fs_config,
                                       write_request=64 * KB)
-                backend.fs.crash_hook = clock.hook
+                backend.fs.crash_hook = clock.tick
                 shards.append(backend)
             return ShardedStore(shards, StoreSpec("filesystem", shards=3))
 
@@ -190,7 +190,7 @@ class TestCheckpointWriteKillMatrix:
                                               meta={"age": 1})
 
             calls = CrashClock(k)
-            manager = CheckpointManager(directory, fault_hook=calls.hook)
+            manager = CheckpointManager(directory, fault_hook=calls.tick)
             try:
                 manager.save(self.FILES_V2, meta={"age": 2})
                 crashed = False
@@ -210,7 +210,7 @@ class TestCheckpointWriteKillMatrix:
 
     def test_crashed_save_is_swept_by_the_next(self, tmp_path):
         calls = CrashClock(1)
-        manager = CheckpointManager(tmp_path, fault_hook=calls.hook)
+        manager = CheckpointManager(tmp_path, fault_hook=calls.tick)
         with pytest.raises(CrashPoint):
             manager.save(self.FILES_V2, meta={"age": 1})
         clean = CheckpointManager(tmp_path)
@@ -262,7 +262,7 @@ class TestDeltaChainKillMatrix:
             assert second.parent_seq == 1  # the kill lands on a chain
 
             calls = CrashClock(k)
-            manager = self.chained(directory, fault_hook=calls.hook)
+            manager = self.chained(directory, fault_hook=calls.tick)
             with pytest.raises(CrashPoint):
                 manager.save(self.payload(3), meta={"age": 3})
             latest = self.chained(directory).load_latest()

@@ -40,8 +40,8 @@ def build_db(clock: CrashClock) -> SimDatabase:
     data = FaultyDevice(scaled_disk(24 * MB), clock=clock)
     log = FaultyDevice(scaled_disk(4 * MB), clock=clock)
     db = SimDatabase(data, log, CRASHY_DB_CONFIG)
-    db.wal.crash_hook = clock.hook      # force -> publish window
-    db.ghost.crash_hook = clock.hook    # ghost-record sweep boundary
+    db.wal.crash_hook = clock.tick      # force -> publish window
+    db.ghost.crash_hook = clock.tick    # ghost-record sweep boundary
     return db
 
 

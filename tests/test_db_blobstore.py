@@ -109,15 +109,17 @@ class TestDelete:
         db = make_db(ghost_cleanup_interval_ops=4,
                      ghost_max_pages_per_sweep=None, ghost_min_age_ops=0)
         blob_id = db.put_blob(size=1 * MB)
-        used_before = db.gam.used_page_count
+        gam = db.gam
+        used_before = gam.num_pages - gam.free_page_count
         db.delete_blob(blob_id)
         # Data pages stay ghost (only the LOB tree's node pages free
         # immediately), so nearly everything is still charged.
-        assert db.gam.used_page_count >= used_before - 4
+        assert gam.num_pages - gam.free_page_count >= used_before - 4
         for _ in range(8):
             db.ghost.on_operation()
         data_pages = (1 * MB) // PAGE_SIZE
-        assert db.gam.used_page_count <= used_before - data_pages
+        assert gam.num_pages - gam.free_page_count \
+            <= used_before - data_pages
 
     def test_delete_then_get_raises(self):
         db = make_db()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dboracle import alloc_pages
+from dboracle import alloc_pages, partial_extent_count
 
 from repro.db.gam import GamAllocator
 from repro.errors import AllocationError, ConfigError, CorruptionError
@@ -124,7 +124,7 @@ class TestFree:
         gam.free_run(5, 20)     # tail of 0, all of 1 and 2, head of 3
         assert gam.free_page_count == 128 - 12
         assert gam.free_extent_count == 12 + 2
-        assert gam.partial_extent_count == 2
+        assert partial_extent_count(gam) == 2
         assert [gam.is_page_used(p) for p in (4, 5, 24, 25)] \
             == [True, False, False, True]
         gam.check_invariants()
@@ -168,7 +168,7 @@ class TestFree:
         assert gam.free_page_count == 128
         alloc_pages(gam, 10)
         assert gam.free_page_count == 118
-        assert gam.used_page_count == 10
+        assert gam.num_pages - gam.free_page_count == 10
 
 
 class TestInvariants:
@@ -187,7 +187,7 @@ class TestInvariants:
                 except AllocationError:
                     pass
             gam.check_invariants()
-        assert gam.used_page_count == len(live)
+        assert gam.num_pages - gam.free_page_count == len(live)
 
     @pytest.mark.parametrize("field, wrong", [
         ("_lowest_free", 3), ("_free_extents", 13), ("_free_pages", 99),
@@ -203,10 +203,10 @@ class TestInvariants:
 
     def test_extent_classification(self, gam):
         gam.alloc_page()
-        assert gam.partial_extent_count == 1
+        assert partial_extent_count(gam) == 1
         assert gam.free_extent_count == 15
         alloc_pages(gam, 7)  # fills extent 0
-        assert gam.partial_extent_count == 0
+        assert partial_extent_count(gam) == 0
         assert gam.is_page_used(0)
         assert not gam.is_page_used(8)
 

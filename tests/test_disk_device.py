@@ -1,5 +1,6 @@
 """Tests for the block device: service times, head tracking, content."""
 
+import copy
 import itertools
 import pickle
 
@@ -168,6 +169,30 @@ class TestContentStore:
         with pytest.raises(ConfigError):
             dev.peek(0, 4)
 
+    @pytest.mark.parametrize("access", [
+        pytest.param(lambda dev: dev.poke(64 * MB + 10, b"past"),
+                     id="poke-past-the-end"),
+        pytest.param(lambda dev: dev.peek(64 * MB - 2, 4),
+                     id="peek-past-the-end"),
+        pytest.param(lambda dev: dev.discard(-5, 8),
+                     id="discard-before-the-start"),
+    ])
+    def test_untimed_access_outside_the_volume_is_refused(self, access):
+        dev = BlockDevice(scaled_disk(64 * MB), store_data=True)
+        dev.poke(0, b"head")
+        dev.poke(64 * MB - 4, b"tail")
+        with pytest.raises(ConfigError, match="outside volume"):
+            access(dev)
+        assert dev.peek(0, 4) == b"head"
+        assert dev.peek(64 * MB - 4, 4) == b"tail"
+        assert dev.stats.busy_time_s == 0.0
+
+    def test_an_empty_range_at_the_volume_end_is_untimed_access(self):
+        dev = BlockDevice(scaled_disk(64 * MB), store_data=True)
+        dev.poke(64 * MB, b"")
+        dev.discard(64 * MB, 0)
+        assert dev.peek(64 * MB, 0) == b""
+
 
 class TestWindows:
     def test_window_captures_subset(self, dev):
@@ -196,15 +221,6 @@ class TestWindows:
         dev.stats.end_window(win)
         assert win.cpu_time_s == 0.25
         assert win.total_time_s == pytest.approx(0.25)
-
-    def test_throughput_computation(self, dev):
-        win = dev.stats.start_window("w")
-        dev.read(0, 10 * MB)
-        dev.stats.end_window(win)
-        assert win.read_throughput() == pytest.approx(
-            win.read_bytes / win.read_time_s
-        )
-        assert win.throughput() > 0
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +361,7 @@ def place_run(geometry, head, length, move, x, count):
     elif move == "lower":
         below = [zone for zone in zones if zone.end <= head] or zones[:1]
         zone = below[x % len(below)]
-        start = zone.start + x % zone.size
+        start = zone.start + x % (zone.end - zone.start)
     else:
         start = head
     start = max(0, min(start, geometry.capacity - length))
@@ -488,7 +504,7 @@ def stored_device(slow: float, capacity: int = 8 * MB,
 
 
 def device_state(dev):
-    return (dev.head_position, dev.clock_s, dev.stats.snapshot(),
+    return (dev.head_position, dev.clock_s, copy.copy(dev.stats),
             dev.peek(0, 64), dev.peek(1 * MB, 64))
 
 

@@ -3,6 +3,8 @@ resolution, the FaultyBlockDevice runtime injectors (transient
 errors, slow factors, permanent loss, crash clock), and the one
 admission seam every timed call passes."""
 
+import copy
+
 import pytest
 
 from repro.disk.device import BlockDevice
@@ -210,10 +212,10 @@ class TestLoss:
             dev.write(0, 64 * KB)
         with pytest.raises(ShardLostError):
             dev.flush()
-        before = (dev.clock_s, dev.stats.snapshot())
+        before = (dev.clock_s, copy.copy(dev.stats))
         with pytest.raises(ShardLostError):
             dev.charge_sequential_write(1 * MB)
-        assert (dev.clock_s, dev.stats.snapshot()) == before
+        assert (dev.clock_s, copy.copy(dev.stats)) == before
 
     def test_untimed_inspection_survives_loss(self):
         dev = make_faulty(store_data=True)
@@ -233,7 +235,7 @@ class TestCrashClock:
         with pytest.raises(CrashPoint):
             dev.write(256 * KB, 64 * KB)
         assert clock.fired
-        assert dev.write_events == 2
+        assert dev.clock.events == 2
 
     def test_shared_across_devices(self):
         clock = CrashClock(kill_after=1)
@@ -255,7 +257,7 @@ class TestCrashClock:
         dev = make_faulty()
         for i in range(50):
             dev.write(i * 64 * KB, 32 * KB)
-        assert dev.write_events == 50
+        assert dev.clock.events == 50
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +316,7 @@ class TestAdmitSeam:
         dev = make_faulty(store_data=True)
         call(dev)
         call(dev)
-        assert dev.write_events == (0 if torn is None else 2)
+        assert dev.clock.events == (0 if torn is None else 2)
 
     def test_every_call_draws_once(self):
         """The RNG state after each call equals a twin's driven only
@@ -347,7 +349,7 @@ class TestAdmitSeam:
         dev.mark_lost()
         with pytest.raises(ShardLostError):
             call(dev)
-        assert dev.clock_s == 0.0 and dev.write_events == 0
+        assert dev.clock_s == 0.0 and dev.clock.events == 0
 
     @seam
     def test_torn_write_tears_half_the_first_write_extent(self, call, batch,

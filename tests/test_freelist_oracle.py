@@ -74,8 +74,9 @@ def walk(seed: int, capacity: int, load: int, steps: int) -> None:
             # right, bridges and lone inserts.
             ext = allocated.pop(rng.randrange(len(allocated)))
             if ext.length > 1 and rng.random() < 0.3:
-                left, right = ext.split_at(rng.randint(ext.start + 1,
-                                                       ext.end - 1))
+                cut = rng.randint(ext.start + 1, ext.end - 1)
+                left = Extent(ext.start, cut - ext.start)
+                right = Extent(cut, ext.end - cut)
                 kept, ext = (left, right) if rng.random() < 0.5 \
                     else (right, left)
                 allocated.append(kept)

@@ -422,7 +422,7 @@ def in_place_workload(fs: SimFilesystem, write, preallocate, *,
     w = write_request
 
     def put(name: str, total: int, request: int | None = w) -> None:
-        if not fs.exists(name):
+        if not fs.table.exists(name):
             fs.create(name)
         write(fs, name, rng.randbytes(total), request or total)
 
@@ -468,7 +468,7 @@ def test_in_place_requests_match_the_oracle_at_every_kill_point(
             mft_zone_bytes=1 * MB, log_bytes=64 * KB,
             commit_interval_ops=4, metadata_interval_events=0,
             outer_band_fraction=band))
-        fs.crash_hook = clock.hook
+        fs.crash_hook = clock.tick
         return fs
 
     def run(write, preallocate):

@@ -18,8 +18,8 @@ from repro.units import CLUSTER_SIZE, KB, MB
 class TestNamespace:
     def test_create_and_exists(self, quiet_fs):
         quiet_fs.create("a")
-        assert quiet_fs.exists("a")
-        assert quiet_fs.file_size("a") == 0
+        assert quiet_fs.table.exists("a")
+        assert quiet_fs.table.lookup("a").size == 0
 
     def test_duplicate_create(self, quiet_fs):
         quiet_fs.create("a")
@@ -29,7 +29,7 @@ class TestNamespace:
     def test_delete(self, quiet_fs):
         quiet_fs.create("a")
         quiet_fs.delete("a")
-        assert not quiet_fs.exists("a")
+        assert not quiet_fs.table.exists("a")
         with pytest.raises(FileNotFoundFsError):
             quiet_fs.read("a")
 
@@ -37,8 +37,8 @@ class TestNamespace:
         quiet_fs.create("a")
         quiet_fs.append("a", nbytes=1000)
         quiet_fs.rename("a", "b")
-        assert not quiet_fs.exists("a")
-        assert quiet_fs.file_size("b") == 1000
+        assert not quiet_fs.table.exists("a")
+        assert quiet_fs.table.lookup("b").size == 1000
 
     def test_rename_replaces_and_frees_old(self, quiet_fs):
         quiet_fs.create("victim")
@@ -49,7 +49,7 @@ class TestNamespace:
         quiet_fs.rename("new", "victim")
         quiet_fs.journal.commit()
         assert quiet_fs.free_bytes == free_before + 64 * KB
-        assert quiet_fs.file_size("victim") == 32 * KB
+        assert quiet_fs.table.lookup("victim").size == 32 * KB
 
 
 class TestAppendRead:
@@ -57,7 +57,7 @@ class TestAppendRead:
         quiet_fs.create("a")
         quiet_fs.append("a", nbytes=100)
         quiet_fs.append("a", nbytes=100)
-        assert quiet_fs.file_size("a") == 200
+        assert quiet_fs.table.lookup("a").size == 200
 
     def test_append_rounds_to_clusters(self, quiet_fs):
         quiet_fs.create("a")
@@ -139,10 +139,10 @@ class TestContent:
 
 class TestSpaceAccounting:
     def test_occupancy_rises_with_data(self, quiet_fs):
-        occ0 = quiet_fs.occupancy()
+        free0 = quiet_fs.free_bytes
         quiet_fs.create("a")
         quiet_fs.append("a", nbytes=4 * MB)
-        assert quiet_fs.occupancy() > occ0
+        assert quiet_fs.free_bytes < free0
 
     def test_delete_returns_space_after_commit(self, quiet_fs):
         quiet_fs.create("a")

@@ -90,7 +90,7 @@ class TestFileTable:
         table = FileTable()
         table.create("a")
         table.create("b")
-        assert sorted(table.names()) == ["a", "b"]
+        assert sorted(record.name for record in table) == ["a", "b"]
 
     def test_mft_slot_assignment(self):
         table = FileTable()

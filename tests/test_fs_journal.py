@@ -113,7 +113,7 @@ class TestCircularWraparound:
         for _ in range(14):
             journal.log_operation()
         journal.commit()  # cursor at 56 KB, 8 KB remain
-        assert journal.log_cursor == 14 * RECORD
+        assert journal.snapshot_state().cursor == 14 * RECORD
         bytes_before = device.stats.write_bytes
         requests_before = device.stats.requests
         for _ in range(5):
@@ -122,7 +122,8 @@ class TestCircularWraparound:
         assert device.stats.write_bytes - bytes_before == 5 * RECORD
         # Two record writes (tail, head) plus the forcing flush.
         assert device.stats.requests - requests_before == 3
-        assert journal.log_cursor == (14 + 5) * RECORD % (16 * RECORD)
+        assert journal.snapshot_state().cursor \
+            == (14 + 5) * RECORD % (16 * RECORD)
 
     def test_batch_larger_than_whole_region_charges_every_byte(self):
         journal, device = self.make_small_log(16)  # 64 KB region
@@ -130,14 +131,14 @@ class TestCircularWraparound:
             journal.log_operation()
         journal.commit()
         assert device.stats.write_bytes == 20 * RECORD
-        assert journal.log_cursor == 20 * RECORD % (16 * RECORD)
+        assert journal.snapshot_state().cursor == 20 * RECORD % (16 * RECORD)
 
     def test_exact_fit_wraps_cursor_to_zero(self):
         journal, device = self.make_small_log(8)
         for _ in range(8):
             journal.log_operation()
         journal.commit()
-        assert journal.log_cursor == 0
+        assert journal.snapshot_state().cursor == 0
         assert device.stats.write_bytes == 8 * RECORD
 
     def test_bytes_exact_across_many_wrapping_commits(self):
@@ -148,7 +149,7 @@ class TestCircularWraparound:
                 journal.commit()
         journal.commit()
         assert device.stats.write_bytes == 100 * RECORD
-        assert journal.log_cursor == 100 * RECORD % (7 * RECORD)
+        assert journal.snapshot_state().cursor == 100 * RECORD % (7 * RECORD)
 
 
 class _CountingList(list):
@@ -173,7 +174,7 @@ class TestIncrementalPendingBytes:
         for _ in range(100):
             assert journal.pending_free_bytes == 500 * KB
         assert counting.traversals == 0
-        assert journal.pending_free_count == 500
+        assert len(journal.pending_frees) == 500
 
     def test_counter_tracks_commit_and_recover(self):
         journal, index, _ = make_journal(commit_interval=10_000)
@@ -195,7 +196,7 @@ class TestRecovery:
         assert report.discarded == (ext,)
         assert report.replayed == ()
         assert index.total_free == 0  # never became allocatable
-        assert journal.pending_free_count == 0
+        assert len(journal.pending_frees) == 0
 
     def test_forced_but_unpublished_frees_are_replayed(self):
         journal, index, _ = make_journal(commit_interval=10_000)

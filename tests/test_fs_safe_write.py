@@ -17,7 +17,7 @@ class TestSafeWriteSemantics:
         quiet_fs.create("obj")
         quiet_fs.append("obj", nbytes=64 * KB)
         quiet_fs.safe_write("obj", size=128 * KB)
-        names = quiet_fs.list_files()
+        names = [record.name for record in quiet_fs.table]
         assert names == ["obj"]
 
     def test_old_space_freed_after_commit(self, quiet_fs):
@@ -26,14 +26,15 @@ class TestSafeWriteSemantics:
         quiet_fs.safe_write("obj", size=1 * MB)
         quiet_fs.journal.commit()
         used = quiet_fs.data_capacity - quiet_fs.free_bytes
-        slack = quiet_fs.metadata_traffic.outstanding_bytes
+        slack = sum(e.length for e in
+                    quiet_fs.metadata_traffic.outstanding_extents)
         assert used == 1 * MB + slack
 
     def test_size_change_supported(self, quiet_fs):
         quiet_fs.create("obj")
         quiet_fs.append("obj", nbytes=1 * MB)
         quiet_fs.safe_write("obj", size=256 * KB)
-        assert quiet_fs.file_size("obj") == 256 * KB
+        assert quiet_fs.table.lookup("obj").size == 256 * KB
 
     def test_write_request_size_controls_append_count(self, quiet_fs):
         quiet_fs.create("obj")
@@ -61,7 +62,7 @@ class TestSafeWriteSemantics:
         with pytest.raises(ConfigError,
                            match="write_request must be positive"):
             fs.safe_write("a", size=128 * KB, write_request=write_request)
-        assert fs.list_files() == ["a"]
+        assert [record.name for record in fs.table] == ["a"]
         assert (fs.device.clock_s, fs.journal.logged_ops) == (clock, logged)
 
     def test_charges_flush(self, quiet_fs):

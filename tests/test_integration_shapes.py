@@ -56,15 +56,15 @@ class TestFigure2Shapes:
         assert db_final > 2.0 * fs_final
 
     def test_db_keeps_growing(self, db_large):
-        series = db_large.series("fragments_per_object")
+        series = [(s.age, s.fragments_per_object) for s in db_large.samples]
         assert check_keeps_growing("db", series).passed
 
     def test_db_growth_monotone(self, db_large):
-        series = db_large.series("fragments_per_object")
+        series = [(s.age, s.fragments_per_object) for s in db_large.samples]
         assert check_monotonic_increase("db", series).passed
 
     def test_fs_levels_off(self, fs_large):
-        series = fs_large.series("fragments_per_object")
+        series = [(s.age, s.fragments_per_object) for s in fs_large.samples]
         assert check_levels_off("fs", series,
                                 max_late_growth=0.55).passed
 

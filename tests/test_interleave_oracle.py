@@ -54,7 +54,7 @@ def test_filesystem_load_matches_the_retired_loop(delayed, nstreams,
     assert list(new.report.counts.items()) == \
         list(old.report.counts.items())
     for name in old.report.counts:
-        assert new_fs.file_size(name) == object_size
+        assert new_fs.table.lookup(name).size == object_size
         assert new_fs.extent_map(name) == old_fs.extent_map(name)
     _assert_same_device(new_fs.device, old_fs.device)
     assert pickle.dumps(new_fs) == pickle.dumps(old_fs)

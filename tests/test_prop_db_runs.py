@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from dboracle import (FULL, LoggingGam, OracleGam, PerPageGhostQueue,
-                      runs_to_pages)
+                      partial_extent_count, runs_to_pages)
 
 from repro.db.gam import GamAllocator
 from repro.db.ghost import GhostCleaner
@@ -98,10 +98,10 @@ class GamEquivalence(RuleBasedStateMachine):
         assert list(self.gam._used_mask) == self.oracle.masks
         self.gam.check_invariants()
         assert self.gam.free_page_count == self.oracle.free_page_count
-        assert self.gam.used_page_count \
+        assert self.gam.num_pages - self.gam.free_page_count \
             == NUM_PAGES - self.oracle.free_page_count
         assert self.gam.free_extent_count == self.oracle.masks.count(0)
-        assert self.gam.partial_extent_count == sum(
+        assert partial_extent_count(self.gam) == sum(
             0 < mask < FULL for mask in self.oracle.masks)
 
     @invariant()

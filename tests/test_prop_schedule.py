@@ -2,12 +2,12 @@
 
 Two families:
 
-* :func:`repro.disk.schedule.round_makespan` is held to its envelope on
-  arbitrary lane-time vectors — ``max(lanes) <= makespan <= sum(lanes)``
-  for every parallelism cap, with exact equality at ``parallelism=1``
-  (the serial model) and ``parallelism >= lanes`` (pure critical path)
-  — and the :class:`ShardScheduler`'s windows/totals are held to agree
-  with round-by-round accumulation.
+* the frontier of :func:`repro.disk.schedule.lpt_placement` is held to
+  its envelope on arbitrary lane-time vectors — ``max(lanes) <= makespan
+  <= sum(lanes)`` for every parallelism cap, with exact equality at
+  ``parallelism=1`` (the serial model) and ``parallelism >= lanes``
+  (pure critical path) — and the :class:`ShardScheduler`'s
+  windows/totals are held to agree with round-by-round accumulation.
 * Rebalancing conserves accounting: per-shard IoStats bytes/ops are
   neither lost nor double-counted (untouched shards' devices don't
   move, touched shards only grow by the migration I/O charged through
@@ -18,7 +18,7 @@ Two families:
 * The event-queue model (:mod:`repro.disk.events`) reduces to this
   round model: with closed arrivals and no cross-round queueing, the
   :class:`~repro.disk.events.EventScheduler` wall equals
-  :func:`round_makespan` **to the float** for every lane vector and
+  that frontier **to the float** for every lane vector and
   parallelism cap (``parallelism=1`` equals the serial sum exactly),
   and its sojourn percentiles are monotone in the quantile.
 """
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
 from repro.disk.schedule import (ShardScheduler, lpt_placement,
-                                 round_makespan, throttle_pause)
+                                 throttle_pause)
 from repro.units import KB, MB
 
 lane_vectors = st.lists(
@@ -50,7 +50,7 @@ REL_EPS = 1e-9
 @settings(max_examples=200, deadline=None)
 def test_makespan_envelope(lanes, parallelism):
     busy = [t for t in lanes if t > 0.0]
-    wall = round_makespan(lanes, parallelism)
+    wall = lpt_placement(lanes, parallelism)[1]
     if not busy:
         assert wall == 0.0
         return
@@ -65,7 +65,7 @@ def test_parallelism_one_is_the_serial_model(lanes):
     # The serial model is the left-to-right fold, longest lane first —
     # not builtin sum(), which is compensated from CPython 3.12.
     busy = sorted((t for t in lanes if t > 0.0), reverse=True)
-    assert round_makespan(lanes, 1) == makespanoracle.serial_sum(busy)
+    assert lpt_placement(lanes, 1)[1] == makespanoracle.serial_sum(busy)
 
 
 @given(lanes=lane_vectors)
@@ -81,7 +81,6 @@ def test_placement_kernel_equals_both_retired_implementations(lanes):
         assert (completions, frontier) == makespanoracle.closed_round(
             lanes, parallelism)
         assert frontier == makespanoracle.round_makespan(lanes, parallelism)
-        assert round_makespan(lanes, parallelism) == frontier
 
 
 @given(lanes=lane_vectors, extra=st.integers(0, 8))
@@ -90,9 +89,9 @@ def test_enough_workers_is_the_critical_path(lanes, extra):
     busy = [t for t in lanes if t > 0.0]
     workers = len(busy) + extra
     expected = max(busy) if busy else 0.0
-    assert round_makespan(lanes, workers) == expected
+    assert lpt_placement(lanes, workers)[1] == expected
     # parallelism=0 means one worker per lane: same thing.
-    assert round_makespan(lanes, 0) == expected
+    assert lpt_placement(lanes, 0)[1] == expected
 
 
 @given(rounds=st.lists(lane_vectors, min_size=0, max_size=10),
@@ -109,7 +108,7 @@ def test_scheduler_accumulates_rounds_and_windows(rounds, parallelism,
     busy_rounds = 0
     for lanes in rounds:
         wall = sched.record_round(lanes)
-        span = round_makespan(lanes, parallelism)
+        span = lpt_placement(lanes, parallelism)[1]
         if span > 0.0:
             busy_rounds += 1
             expected_wall += span + overhead
@@ -274,7 +273,7 @@ def test_event_model_serializes_like_parallelism_one(lanes):
 
     event = EventScheduler(24, parallelism=1)
     event.record_round(lanes, indices=range(len(lanes)))
-    assert event.wall_time_s == round_makespan(lanes, 1)
+    assert event.wall_time_s == lpt_placement(lanes, 1)[1]
     assert event.wall_time_s == makespanoracle.serial_sum(
         sorted((t for t in lanes if t > 0.0), reverse=True))
 

@@ -64,7 +64,7 @@ def test_filesystem_store_byte_exact(script):
     fs = store.fs
     fs.journal.commit()
     live = sum(r.allocated_bytes for r in fs.table)
-    nibbles = fs.metadata_traffic.outstanding_bytes
+    nibbles = sum(e.length for e in fs.metadata_traffic.outstanding_extents)
     assert fs.free_bytes + live + nibbles == fs.data_capacity
 
 

@@ -91,7 +91,7 @@ class TestInterleavedLoads:
         fs = SimFilesystem(BlockDevice(scaled_disk(256 * MB)))
         interleaved_fs_load(fs, nstreams=3, object_size=1 * MB + 1000,
                             total_objects=7)
-        sizes = {fs.file_size(n) for n in fs.list_files()}
+        sizes = {record.size for record in fs.table}
         assert sizes == {1 * MB + 1000}
 
     def test_validation(self):

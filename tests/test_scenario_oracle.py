@@ -1,5 +1,6 @@
-"""The tenant draw and the wave's arrival check against their retired
-forms (``tests/scenariooracle.py``), with ``==``.
+"""The tenant draw, the wave's arrival check and the preset tenant
+builders against their retired forms (``tests/scenariooracle.py``),
+with ``==``.
 
 The shipped draw reads a per-spec table kept outside the pickled
 state.  These tests pin that it computes the same running totals and
@@ -17,7 +18,8 @@ from unittest import mock
 
 import pytest
 import scenariooracle
-from scenariooracle import choose_tenant, maybe_update_arrival
+from scenariooracle import (PRESET_BUILDERS, choose_tenant,
+                            maybe_update_arrival)
 
 from repro.core.workload import ConstantSize, WorkloadSpec, WorkloadState
 from repro.disk.events import EventScheduler
@@ -25,7 +27,7 @@ from repro.rng import substream
 from repro.scenario import engine
 from repro.scenario.engine import (ScenarioState, TenantState,
                                    _choose_tenant, _maybe_update_arrival)
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import SCENARIO_PRESETS, ScenarioSpec
 from repro.units import KB
 
 
@@ -118,3 +120,20 @@ def test_arrival_check_equals_the_retired_check(store, wave):
         maybe_update_arrival(stores[1], old)
         assert pickle.dumps(new) == pickle.dumps(old)
         assert pickle.dumps(stores[0]) == pickle.dumps(stores[1])
+
+
+@pytest.mark.parametrize("tenants", [1, 3, 8, 64])
+@pytest.mark.parametrize("name", sorted(SCENARIO_PRESETS))
+def test_preset_tenants_equal_the_retired_builders(name, tenants):
+    """One builder over each preset's per-tenant row builds the tenant
+    profiles the preset's own loop built, field for field and byte for
+    byte, at its default knobs and at overridden ones."""
+    preset = SCENARIO_PRESETS[name]
+    for skew, ttl in ((preset.skew, preset.ttl), (0.3, 50)):
+        built = preset.build(tenants, skew, ttl)
+        retired = PRESET_BUILDERS[name](tenants, skew, ttl)
+        assert built == retired
+        assert pickle.dumps(built) == pickle.dumps(retired)
+    spec = ScenarioSpec.parse(f"{name}:tenants={tenants}")
+    assert spec.tenants == PRESET_BUILDERS[name](tenants, preset.skew,
+                                                  preset.ttl)

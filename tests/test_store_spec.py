@@ -62,7 +62,7 @@ class TestDevicePolicy:
 
     def test_round_trip_dict(self):
         policy = DevicePolicy(batch_size=16, reorder="clook")
-        assert DevicePolicy.from_dict(policy.to_dict()) == policy
+        assert DevicePolicy(**policy.to_dict()) == policy
 
     def test_device_submit_defers_to_policy(self):
         """A clook policy reorders every batch; the default policy

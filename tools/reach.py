@@ -10,9 +10,9 @@ returns ``None``, so no line is ever traced.  The run paths:
 
 * ``paperfig`` — ``benchmarks/paperfig.py``, every figure;
 * ``examples/NAME`` — every ``examples/*.py``;
-* ``cli/N`` — the ``repro`` invocations of CI's CLI step
-  (:data:`CLI_ARGV`; ``tests/test_reach.py`` checks that each is
-  in ``.github/workflows/ci.yml``);
+* ``cli/N`` — the ``repro`` invocations of CI's CLI step that run to
+  completion (:data:`CLI_ARGV`; ``tests/test_reach.py`` checks that
+  each is in ``.github/workflows/ci.yml``);
 * ``e2e/NAME`` — the four whole-run workloads of
   ``benchmarks/e2e/bench_e2e.py`` at their default seed, fed to
   ``e2e_child.py`` as that bench feeds them, plus the uninterrupted run
@@ -58,7 +58,9 @@ LISTED_PATH = ROOT / "tools" / "reach.json"
 E2E = ROOT / "benchmarks" / "e2e"
 
 #: The ``repro`` argv lists of CI's "Backend registry self-check +
-#: scenario run through the CLI" step, in its order.
+#: scenario run through the CLI" step, in its order, each of which
+#: exits 0.  The step's one refusal check (``index_kind=naive``, which
+#: must exit 2) is left out: it enters no function these do not.
 CLI_ARGV: tuple[tuple[str, ...], ...] = (
     ("backends",),
     ("run", "--volume", "48M", "--scenario", "cdn_churn:tenants=3",
@@ -83,8 +85,6 @@ CLI_ARGV: tuple[tuple[str, ...], ...] = (
                     "lfs:batch=8,reorder=clook,faults=slow:factor=2")),
     ("run", "--store", "gfs:gc_dead_fraction=0.9,chunk_size=1M", "--volume",
      "32M", "--object-size", "256K", "--occupancy", "0.5", "--ages", "0,1,2"),
-    ("run", "--store", "filesystem:index_kind=naive", "--volume", "32M",
-     "--ages", "0", "--reads", "1"),
     ("compare", "--volume", "32M", "--object-size", "256K", "--ages", "0,1",
      "--reads", "4", "--json", "{tmp}/cmp.json"),
 )

@@ -1,7 +1,7 @@
 """RPL1xx: determinism rules.
 
 The simulator's headline contract is bit-exactness: resume ≡
-uninterrupted run, closed arrivals ≡ ``round_makespan``, same seed ≡
+uninterrupted run, closed arrivals ≡ the round makespan, same seed ≡
 same bytes.  These rules ban the ambient-nondeterminism entry points
 (wall clock, OS entropy, the global ``random`` module, unordered
 iteration) from the code paths where order and entropy are part of
