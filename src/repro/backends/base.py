@@ -10,7 +10,7 @@ new backend only has to implement these methods to join every bench.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -135,6 +135,14 @@ class ObjectStore(Protocol):
         logical order, from the same function the store's reads use
         (:func:`repro.alloc.extent.fragment_count` counts them).  The
         name predates spans; it is kept for callers and the tracer."""
+        ...
+
+    def layouts(self, keys: Sequence[str]) -> Iterator[list[Span]]:
+        """:meth:`object_extents` of each key, in order, as one pass
+        over the store's metadata: it charges what one
+        ``object_extents`` per key charges, in the same order, and
+        holds one span list at a time.  ``object_extents`` is its
+        one-key case."""
         ...
 
     def devices(self) -> list[BlockDevice]:

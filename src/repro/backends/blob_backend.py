@@ -7,6 +7,8 @@ data device (the page file) plus one dedicated log device.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+
 from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import object_option, register_backend
@@ -103,8 +105,12 @@ class BlobBackend:
                 for r, size in zip(results, sizes)]
 
     def object_extents(self, key: str) -> list[Span]:
-        row = self.meta_table.get(key)
-        return self.db.blobs.blob_spans(row["blob_id"])
+        return next(self.layouts((key,)))
+
+    def layouts(self, keys: Sequence[str]) -> Iterator[list[Span]]:
+        blob_spans = self.db.blobs.blob_spans
+        for row in self.meta_table.read_rows(keys):
+            yield blob_spans(row["blob_id"])
 
     def devices(self) -> list[BlockDevice]:
         return [self.device, self.db.log_device]
@@ -113,7 +119,8 @@ class BlobBackend:
         return self.db.free_bytes
 
     def store_stats(self) -> StoreStats:
-        live = sum(self.meta_table.get(k)["size"] for k in self.keys())
+        live = sum(row["size"]
+                   for row in self.meta_table.read_rows(self.keys()))
         return StoreStats(
             objects=len(self.meta_table),
             live_bytes=live,

@@ -13,6 +13,8 @@ of them — the workload is synchronous.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+
 from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import object_option, register_backend
@@ -150,8 +152,12 @@ class FileBackend:
         return self.device.submit_policy(requests)
 
     def object_extents(self, key: str) -> list[Span]:
-        row = self.meta_table.get(key)
-        return self.fs.extent_map(row["path"])
+        return next(self.layouts((key,)))
+
+    def layouts(self, keys: Sequence[str]) -> Iterator[list[Span]]:
+        extent_map = self.fs.extent_map
+        for row in self.meta_table.read_rows(keys):
+            yield extent_map(row["path"])
 
     def devices(self) -> list[BlockDevice]:
         return [self.device, self.meta_db.data_device,
@@ -161,7 +167,8 @@ class FileBackend:
         return self.fs.free_bytes
 
     def store_stats(self) -> StoreStats:
-        live = sum(self.meta_table.get(k)["size"] for k in self.keys())
+        live = sum(row["size"]
+                   for row in self.meta_table.read_rows(self.keys()))
         return StoreStats(
             objects=len(self.meta_table),
             live_bytes=live,

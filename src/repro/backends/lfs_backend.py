@@ -15,6 +15,7 @@ The log mechanics, :class:`SegmentLog`, are shared with the GFS store.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -314,6 +315,11 @@ class SegmentLog:
     def object_extents(self, key: str) -> list[Span]:
         return self._spans_of(self._lookup(key))
 
+    def layouts(self, keys: Sequence[str]) -> Iterator[list[Span]]:
+        # No table: the log's object map is read one key at a time.
+        for key in keys:
+            yield self.object_extents(key)
+
     def devices(self) -> list[BlockDevice]:
         return [self.device]
 
@@ -342,7 +348,8 @@ def own_protocol(cls: type) -> type:
     """Bind the ``ObjectStore`` bodies in ``cls``'s own namespace: the
     e2e tracer patches ``cls.__dict__[name]`` of each store class."""
     for name in ("put get overwrite delete exists meta keys read_many "
-                 "object_extents devices free_bytes store_stats").split():
+                 "object_extents layouts devices free_bytes "
+                 "store_stats").split():
         setattr(cls, name, SegmentLog.__dict__[name])
     return cls
 

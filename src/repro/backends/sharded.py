@@ -30,9 +30,10 @@ contract.
 Stats aggregate across shards: :meth:`store_stats` sums the per-shard
 :class:`StoreStats` fields, :meth:`devices` concatenates every shard's
 devices (so measurement windows span all volumes), and
-:meth:`object_extents` reports the owning shard's spans (offsets are
-per-shard device addresses; fragment counts coalesce within one object
-and therefore within one shard, so reports stay exact).
+:meth:`layouts` reports each object's spans from its first live holder,
+one pass per shard (offsets are per-shard device addresses; fragment
+counts coalesce within one object and therefore within one shard, so
+reports stay exact).
 
 Overlapping device time
 -----------------------
@@ -563,7 +564,30 @@ class ShardedStore:
         return results
 
     def object_extents(self, key: str) -> list[Span]:
-        return self.shards[self._first_live(key)].object_extents(key)
+        return next(self.layouts((key,)))
+
+    def layouts(self, keys: Sequence[str]) -> Iterator[list[Span]]:
+        # Each first live holder reads its keys in one pass.  Shards
+        # share no metadata, so only the order within a shard is
+        # charged, and that is the keys' order.  A key that cannot be
+        # routed raises after the keys before it, as per key.
+        holders: list[int] = []
+        by_shard: dict[int, list[str]] = {}
+        unroutable = None
+        for key in keys:
+            try:
+                index = self._first_live(key)
+            except (ObjectNotFoundError, ShardUnavailableError) as exc:
+                unroutable = exc
+                break
+            holders.append(index)
+            by_shard.setdefault(index, []).append(key)
+        streams = {index: self.shards[index].layouts(members)
+                   for index, members in by_shard.items()}
+        for index in holders:
+            yield next(streams[index])
+        if unroutable is not None:
+            raise unroutable
 
     def devices(self) -> list[BlockDevice]:
         return [dev for lane in self._lane_devices for dev in lane]

@@ -8,8 +8,8 @@ Two analyzers are provided:
 
 * **Extent-map analysis** (:func:`fragment_counts`,
   :func:`fragment_report`) asks the backend for each object's device
-  spans and counts their maximal runs.  Exact and fast; works for
-  every backend in this library.
+  spans, in one pass over its metadata, and counts their maximal runs.
+  Exact and fast; works for every backend in this library.
 * **Marker scanning** (:func:`make_marker_content`,
   :class:`MarkerScanner`) reimplements the paper's tool (Section 5.3):
   objects are tagged "with a unique identifier and a sequence number at
@@ -47,11 +47,11 @@ DEFAULT_MARKER_INTERVAL = 1 * KB
 # Extent-map analysis
 # ----------------------------------------------------------------------
 def fragment_counts(store: ObjectStore) -> dict[str, int]:
-    """Fragments per object for every object in the store."""
-    counts: dict[str, int] = {}
-    for key in store.keys():
-        counts[key] = fragment_count(store.object_extents(key))
-    return counts
+    """Fragments per object for every object in the store, read in one
+    pass over its metadata (:meth:`ObjectStore.layouts`)."""
+    keys = store.keys()
+    return {key: fragment_count(spans)
+            for key, spans in zip(keys, store.layouts(keys))}
 
 
 @dataclass

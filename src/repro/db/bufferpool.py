@@ -78,6 +78,23 @@ class BufferPool:
         self._frames[page_no] = _Frame(page_no, dirty=for_write)
         self._clock.append(page_no)
 
+    def read_each(self, page_nos: list[int]) -> None:
+        """Touch each page for reading, in order: what one
+        :meth:`access` per page does, with a resident page's hit taken
+        here rather than in a call."""
+        frames = self._frames
+        hits = 0
+        try:
+            for page_no in page_nos:
+                frame = frames.get(page_no)
+                if frame is None:
+                    self.access(page_no)
+                else:
+                    hits += 1
+                    frame.referenced = True
+        finally:
+            self.hits += hits
+
     def invalidate(self, page_no: int) -> None:
         """Drop a page (it was deallocated); dirty state is discarded."""
         self._frames.pop(page_no, None)

@@ -12,7 +12,7 @@ page allocations come from the GAM's mixed pages.
 from __future__ import annotations
 
 import zlib
-from typing import Any
+from typing import Any, Iterable
 
 from repro.db.bufferpool import BufferPool
 from repro.db.gam import GamAllocator
@@ -27,6 +27,8 @@ class HeapTable:
                  index_fanout: int = 512) -> None:
         if rows_per_page < 1:
             raise ConfigError("rows_per_page must be >= 1")
+        if index_fanout < 1:
+            raise ConfigError("index_fanout must be >= 1")
         self.name = name
         self.gam = gam
         self.pool = pool
@@ -50,16 +52,20 @@ class HeapTable:
         self._open_page = page_no
         return page_no
 
+    def _index(self) -> list[int]:
+        """The index pages, grown to cover the rows; the first stands
+        in for the root, and a key's leaf is picked by crc32."""
+        pages = self._index_pages
+        while not pages or len(self._rows) > len(pages) * self.index_fanout:
+            pages.append(self.gam.alloc_page())
+        return pages
+
     def _touch_index(self, key: Any, *, for_write: bool = False) -> None:
         """Charge the index descent: root plus the key's leaf page."""
-        needed_leaves = max(1, -(-len(self._rows) // self.index_fanout))
-        while len(self._index_pages) < needed_leaves:
-            self._index_pages.append(self.gam.alloc_page())
-        # The first index page stands in for the root.
-        self.pool.access(self._index_pages[0], for_write=for_write)
-        if len(self._index_pages) > 1:
-            leaf = self._index_pages[zlib.crc32(str(key).encode("utf-8"))
-                                     % len(self._index_pages)]
+        index = self._index()
+        self.pool.access(index[0], for_write=for_write)
+        if len(index) > 1:
+            leaf = index[zlib.crc32(str(key).encode("utf-8")) % len(index)]
             self.pool.access(leaf, for_write=for_write)
 
     # ------------------------------------------------------------------
@@ -75,13 +81,39 @@ class HeapTable:
         self._touch_index(key, for_write=True)
         self.pool.access(page_no, for_write=True)
 
+    def read_rows(self, keys: Iterable[Any]) -> list[dict[str, Any]]:
+        """The stored rows of ``keys``, in order: read-only, not copied.
+
+        Charges the pool exactly what one :meth:`get` per key charges,
+        in the same order: the index grows at the first present key,
+        then each key touches the root, its leaf (when there is more
+        than one index page) and its row page.  A missing key raises
+        :class:`RowNotFoundError` once the keys before it are charged.
+        """
+        rows, row_page, crc32 = self._rows, self._row_page, zlib.crc32
+        found: list[dict[str, Any]] = []
+        pages: list[int] = []
+        try:
+            for key in keys:
+                row = rows.get(key)
+                if row is None:
+                    raise RowNotFoundError(f"no row {key!r} in {self.name}")
+                if not found:
+                    index = self._index()
+                    root, leaves = index[0], len(index)
+                found.append(row)
+                if leaves > 1:
+                    pages += (root,
+                              index[crc32(str(key).encode("utf-8")) % leaves],
+                              row_page[key])
+                else:
+                    pages += (root, row_page[key])
+        finally:
+            self.pool.read_each(pages)
+        return found
+
     def get(self, key: Any) -> dict[str, Any]:
-        row = self._rows.get(key)
-        if row is None:
-            raise RowNotFoundError(f"no row {key!r} in {self.name}")
-        self._touch_index(key)
-        self.pool.access(self._row_page[key])
-        return dict(row)
+        return dict(self.read_rows((key,))[0])
 
     def update(self, key: Any, payload: dict[str, Any]) -> None:
         if key not in self._rows:

@@ -229,9 +229,13 @@ class Journal:
     def pending_free_bytes(self) -> int:
         """Freed-but-not-yet-allocatable bytes — an O(1) counter read.
 
-        Maintained incrementally (the fragmentation report reads this
-        per sample); covers both the non-durable pending frees and any
-        transiently unpublished replayable frees.
+        Covers both the non-durable pending frees and any transiently
+        unpublished replayable frees.  No run path reads it; only tests
+        do.  ``_pending_bytes`` and ``_replayable_bytes`` are still kept
+        up to date on every logged free, commit and recovery because
+        both are pickled into checkpoints: dropping them moves the
+        checkpoint bytes charged to the modelled clock, so it waits on
+        ROADMAP 1c.
         """
         return self._pending_bytes + self._replayable_bytes
 

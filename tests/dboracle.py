@@ -22,17 +22,25 @@ chunk allocated, written, appended through :func:`general_insert` at
 the logical end and logged before the next, every whole extent taken
 through ``GamAllocator._set_mask``.  ``test_db_put_oracle.py`` holds
 the shipped ``put`` to it on twin databases.
+
+:func:`oracle_get` is ``HeapTable.get`` as it was before the table
+read its rows through ``read_rows``: the index grown by the old
+``max(1, ceil(rows / fanout))`` rule, then one ``BufferPool.access``
+each for the root, the key's leaf and the row page.
+``test_heap_read_rows.py`` holds ``read_rows`` and ``get`` to it.
 """
 
 from __future__ import annotations
 
+import zlib
 from collections import deque
 from functools import partial
 
 from repro.db.blobstore import _BlobRecord
 from repro.db.gam import GamAllocator
 from repro.db.page import extend_runs
-from repro.errors import AllocationError, ConfigError, CorruptionError
+from repro.errors import (AllocationError, ConfigError, CorruptionError,
+                          RowNotFoundError)
 from repro.units import PAGE_SIZE, PAGES_PER_EXTENT, ceil_div
 
 FULL = (1 << PAGES_PER_EXTENT) - 1
@@ -385,3 +393,21 @@ def oracle_put(store, *, size: int | None = None, data: bytes | None = None,
         store.ghost.on_operation()
     store._blobs[record.blob_id] = record
     return record.blob_id
+
+
+def oracle_get(table, key) -> dict:
+    """The retired ``HeapTable.get``: a copy of the row, charged one
+    pool access per page."""
+    row = table._rows.get(key)
+    if row is None:
+        raise RowNotFoundError(f"no row {key!r} in {table.name}")
+    index = table._index_pages
+    needed_leaves = max(1, -(-len(table._rows) // table.index_fanout))
+    while len(index) < needed_leaves:
+        index.append(table.gam.alloc_page())
+    table.pool.access(index[0])
+    if len(index) > 1:
+        table.pool.access(
+            index[zlib.crc32(str(key).encode("utf-8")) % len(index)])
+    table.pool.access(table._row_page[key])
+    return dict(row)

@@ -7,19 +7,27 @@ dedicated test modules.
 """
 
 import copy
+import pickle
 
 import pytest
+from dboracle import oracle_get
 
+from repro.alloc.extent import fragment_count
 from repro.backends import StoreSpec, build_store
 from repro.backends.base import ObjectStore
 from repro.backends.blob_backend import BlobBackend
 from repro.backends.file_backend import FileBackend
 from repro.backends.gfs_backend import GfsChunkBackend
 from repro.backends.lfs_backend import LfsBackend
+from repro.backends.sharded import ShardedStore
+from repro.core.fragmentation import fragment_counts
+from repro.db.database import DbConfig, SimDatabase
+from repro.db.heap import HeapTable
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.disk.policy import DevicePolicy
-from repro.errors import ConfigError, ObjectNotFoundError, ReproError
+from repro.errors import (ConfigError, ObjectNotFoundError, ReproError,
+                          ShardUnavailableError)
 from repro.units import KB, MB
 
 BACKENDS = ["filesystem", "database", "gfs", "lfs", "sharded"]
@@ -323,3 +331,119 @@ class TestChurnParity:
         stats = store.store_stats()
         assert stats.objects == 20
         assert stats.live_bytes == 20 * 512 * KB
+
+
+def aged(kind: str):
+    """A store churned into fragments; ``kind`` is a ``BACKENDS`` entry,
+    a leaf store whose metadata pool holds 4 pages (so the reads miss,
+    evict and write back), or a replicated composite, ``-failed`` after
+    its shard 0 died (so keys route through their first live holder)."""
+    import random
+
+    if kind.endswith("-pool4"):
+        device = BlockDevice(scaled_disk(32 * MB))
+        small = DbConfig(buffer_pool_pages=4)
+        store = (FileBackend(device, metadata_db=SimDatabase(
+                     BlockDevice(scaled_disk(32 * MB)), config=small))
+                 if kind.startswith("filesystem") else
+                 BlobBackend(device, db_config=small))
+    elif kind.startswith("replicated-"):
+        inner = kind.split("-")[1]
+        store = build_store(StoreSpec(inner, volume_bytes=3 * 32 * MB,
+                                      shards=3, replicas=2))
+    else:
+        store = make_store(kind, capacity=32 * MB)
+    rng = random.Random(5)
+    keys = [f"k{i}" for i in range(24)]
+    for key in keys:
+        store.put(key, size=rng.choice([96, 256, 448]) * KB)
+    for step in range(60):
+        key = rng.choice(keys)
+        if step % 7 == 3 and store.exists(key):
+            store.delete(key)
+        elif store.exists(key):
+            store.overwrite(key, size=rng.choice([96, 256, 448]) * KB)
+        else:
+            store.put(key, size=320 * KB)
+    if kind.endswith("-failed"):
+        store.fail_shard(0)
+    return store
+
+
+def retired_extents(store, key: str):
+    """``object_extents`` as each store read it before ``layouts``: one
+    retired ``get`` per key, through the key's first live holder."""
+    if isinstance(store, ShardedStore):
+        return retired_extents(store.shards[store._first_live(key)], key)
+    if isinstance(store, FileBackend):
+        return store.fs.extent_map(oracle_get(store.meta_table, key)["path"])
+    if isinstance(store, BlobBackend):
+        row = oracle_get(store.meta_table, key)
+        return store.db.blobs.blob_spans(row["blob_id"])
+    return store._spans_of(store._lookup(key))
+
+
+def retired_live_bytes(store) -> int:
+    """``store_stats().live_bytes`` summed one retired ``get`` per key."""
+    if isinstance(store, ShardedStore):
+        return sum(retired_live_bytes(shard) for shard in store.shards)
+    if isinstance(store, (FileBackend, BlobBackend)):
+        return sum(oracle_get(store.meta_table, key)["size"]
+                   for key in store.keys())
+    return store.store_stats().live_bytes
+
+
+class TestMeasurementReads:
+    """``fragment_counts`` and ``store_stats`` read each table once,
+    charging what the per-key reads charged: on triplet stores, against
+    ``object_extents`` per key and against the retired per-key reads."""
+
+    @pytest.mark.parametrize("kind", BACKENDS + [
+        "filesystem-pool4", "database-pool4", "replicated-filesystem",
+        "replicated-filesystem-failed", "replicated-database-failed"])
+    def test_one_pass_equals_one_read_per_key(self, kind, monkeypatch):
+        one, each, retired = aged(kind), aged(kind), aged(kind)
+        assert pickle.dumps(one) == pickle.dumps(each) == pickle.dumps(retired)
+        counts = fragment_counts(one)
+        stats = one.store_stats()
+        assert len(counts) == len(one.keys()) > 0
+        assert list(counts.items()) == [
+            (key, fragment_count(retired_extents(retired, key)))
+            for key in retired.keys()]
+        assert stats.live_bytes == retired_live_bytes(retired)
+        # The public per-key form, its rows read one retired get each.
+        monkeypatch.setattr(HeapTable, "read_rows", lambda table, keys: [
+            oracle_get(table, key) for key in keys])
+        assert list(counts.items()) == [
+            (key, fragment_count(each.object_extents(key)))
+            for key in each.keys()]
+        assert stats == each.store_stats()
+        assert pickle.dumps(one) == pickle.dumps(each) == pickle.dumps(retired)
+
+    def test_an_unroutable_key_raises_after_the_keys_before_it(
+            self, monkeypatch):
+        """With one copy per key, a dead shard's keys have no holder:
+        the one-pass read raises where the per-key reads raise, having
+        charged the same keys."""
+        def lost():
+            store = build_store(StoreSpec(
+                "filesystem", volume_bytes=3 * 32 * MB, shards=3))
+            for i in range(12):
+                store.put(f"k{i}", size=128 * KB)
+            store.fail_shard(1)
+            return store
+
+        one, each = lost(), lost()
+        keys = one.keys()
+        first_lost = next(i for i, k in enumerate(keys)
+                          if one.shard_for(k) == 1)
+        assert first_lost > 0
+        with pytest.raises(ShardUnavailableError):
+            fragment_counts(one)
+        monkeypatch.setattr(HeapTable, "read_rows", lambda table, keys: [
+            oracle_get(table, key) for key in keys])
+        for key in keys[:first_lost]:
+            each.object_extents(key)
+        with pytest.raises(ShardUnavailableError):
+            each.object_extents(keys[first_lost])
+        assert pickle.dumps(one) == pickle.dumps(each)

@@ -50,6 +50,32 @@ def test_the_smoke_run_prints_self_and_inclusive_shares(capsys):
         assert "." in name or ":" in name
 
 
+def test_a_killed_workload_is_sampled_through_its_resume(monkeypatch,
+                                                         capsys):
+    """``ckpt_delta_resume`` stops after its kill-age checkpoint and a
+    resumed runner finishes it; the sampler runs from the first sample
+    to the kill and over the whole resumed run, as the benchmark times
+    it."""
+    from repro.core.experiment import ExperimentRunner
+
+    runs = []
+    real_run = ExperimentRunner.run
+
+    def run(self):
+        sampling = signal.getitimer(signal.ITIMER_PROF) != (0.0, 0.0)
+        runs.append((self.resume, sampling))
+        return real_run(self)
+
+    monkeypatch.setattr(ExperimentRunner, "run", run)
+    assert sample_profile.main(["ckpt_delta_resume", "--smoke",
+                                "--top", "3"]) == 0
+    assert runs == [(False, False), (True, True)]
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+    head = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"ckpt_delta_resume seed=7 samples=\d+ "
+                        r"cpu_s=\d+\.\d{3} interval_ms=1", head)
+
+
 def test_seed_lists_read_ranges_and_singles_in_order():
     assert sample_profile.parse_seeds("7-14") == list(range(7, 15))
     assert sample_profile.parse_seeds("9,7,11-12") == [9, 7, 11, 12]

@@ -28,8 +28,12 @@ The config is the benchmark's own: ``bench_e2e.WORKLOADS`` makes it
 and ``e2e_child.build_config`` turns it into an ``ExperimentConfig``,
 both only read.  ``--smoke`` divides the volume as ``bench_e2e
 --smoke`` does.  A checkpointing workload writes its checkpoints to a
-temporary directory and runs straight through, with no kill and
-resume.
+temporary directory.  One whose config sets ``kill_after_age``
+(``ckpt_delta_resume``) is stopped after that checkpoint and resumed
+from it by a new runner, as ``e2e_child`` does, and the timed region
+is sampled the way the benchmark times it: up to the kill, then the
+whole resumed run (the checkpoint's load, cross-check and rebuild
+included).
 """
 
 from __future__ import annotations
@@ -138,6 +142,10 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+class _Kill(Exception):
+    """Raised from the progress callback to stop a run at its kill age."""
+
+
 def profile(workload: str, *, seed: int, smoke: bool,
             sampler: StackSampler | None = None) -> StackSampler:
     """Run ``workload`` at ``seed``, sampling its timed region into
@@ -150,19 +158,32 @@ def profile(workload: str, *, seed: int, smoke: bool,
     config = e2e_child.build_config(cfg)
     if sampler is None:
         sampler = StackSampler()
+    ckpt = cfg.get("checkpoint")
+    kill_age = ckpt.get("kill_after_age") if ckpt else None
+    killed = False
 
-    def progress(phase: str, _value: float) -> None:
+    def progress(phase: str, value: float) -> None:
+        nonlocal killed
         if phase == "sample" and not sampler.running:
             sampler.start()
+        if phase == "checkpoint" and value == kill_age and not killed:
+            sampler.stop()
+            killed = True
+            raise _Kill
 
     with tempfile.TemporaryDirectory() as work_dir:
         kwargs = {}
-        if cfg.get("checkpoint") is not None:
+        if ckpt is not None:
             kwargs = {"checkpoint_dir": Path(work_dir),
-                      "checkpoint_full_interval":
-                          cfg["checkpoint"]["full_interval"]}
+                      "checkpoint_full_interval": ckpt["full_interval"]}
         try:
-            ExperimentRunner(config, progress=progress, **kwargs).run()
+            try:
+                ExperimentRunner(config, progress=progress, **kwargs).run()
+            except _Kill:
+                runner = ExperimentRunner(config, progress=progress,
+                                          resume=True, **kwargs)
+                sampler.start()
+                runner.run()
         finally:
             sampler.stop()
     return sampler
