@@ -12,7 +12,8 @@ device reads two ints per piece and never builds an
 :class:`~repro.alloc.extent.Extent`; an object's layout is reported in
 the same spans (``object_extents``).  Every list entry point takes a
 list of span lists, one direction per call and one payload per write
-request, and checks every span and payload before anything moves.  A
+request, and checks every span and payload, then passes the one fault
+seam, :meth:`BlockDevice._admit` (empty here), before anything moves.  A
 single request (``read``/``write``/``*_extents``, a one-request
 ``submit``) is one call to :meth:`BlockDevice._serve`; a batch goes
 through :meth:`submit`, which charges the whole batch with the head
@@ -378,20 +379,24 @@ class BlockDevice:
     def _serve(self, is_write: bool, spans: list[Span],
                data: bytes | None) -> bytes | None:
         """Serve one request: one costing pass (which also holds stored
-        ``data`` to the span bytes), one ``IoStats`` record, the clock,
-        then the content effect (a faulty device admits the request here
-        first); returns the read result or ``None``."""
-        ((nbytes, service, seeks, _),), head = self._cost_of(
-            ((spans, 1),), self._head)
+        ``data`` to the span bytes), :meth:`_admit`, one ``IoStats`` record,
+        the clock, then the content effect; returns the read or ``None``."""
+        runs = ((spans, 1),)
+        ((nbytes, service, seeks, _),), head = self._cost_of(runs, self._head)
         store = self._store
         if store is not None and data is not None and len(data) != nbytes:
             raise ConfigError(f"data length {len(data)} != span bytes {nbytes}")
+        self._admit(is_write, runs, data)
         self._head = head
         self.stats.record(is_write, nbytes, service, seeks)
         self.clock_s += service
         if store is None:
             return None
         return self._apply_content(is_write, spans, data)
+
+    def _admit(self, is_write: bool, runs: Iterable[RequestRun],
+               data: bytes | list[bytes] | None) -> None:
+        """The fault seam (see "Submission paths"), empty here."""
 
     def _check_payloads(self, requests: Iterable[list[Span]],
                         is_write: bool, data: list[bytes] | None) -> None:
@@ -434,8 +439,9 @@ class BlockDevice:
                                 None if data is None else data[0])]
         order = self._elevator(requests) if self.policy.reorder_flag \
             else requests
-        costed, self._head = self._cost_of(zip(order, repeat(1)),
-                                           self._head)
+        costed, head = self._cost_of(zip(order, repeat(1)), self._head)
+        self._admit(is_write, zip(requests, repeat(1)), data)
+        self._head = head
         sizes, services, seeks, _ = zip(*costed)
         service_s = left_sum(services)
         self.stats.record(is_write, sum(sizes), service_s, sum(seeks))
@@ -499,16 +505,6 @@ class BlockDevice:
             raise ConfigError(
                 f"data length {len(data)} != stream bytes {length}")
 
-    def _submit_stream(self, start: int, length: int, request: int,
-                       data: bytes | None) -> None:
-        """:meth:`submit_policy` of the ``request``-byte write requests of
-        a checked stream, materialised (the last one short)."""
-        starts = range(start, start + length, request)
-        self.submit_policy(
-            [[(pos, min(request, start + length - pos))] for pos in starts],
-            is_write=True, data=None if data is None else
-            [data[pos - start: pos - start + request] for pos in starts])
-
     def write_stream(self, start: int, length: int, request: int,
                      data: bytes | None = None) -> None:
         """Write ``[start, start + length)`` as consecutive ``request``-byte
@@ -520,13 +516,19 @@ class BlockDevice:
         a batching or reordering policy serves the materialised list."""
         self._check_stream(start, length, request, data)
         if self.policy.batch_size or self.policy.reorder_flag:
-            self._submit_stream(start, length, request, data)
+            starts = range(start, start + length, request)
+            self.submit_policy(
+                [[(at, min(request, start + length - at))] for at in starts],
+                is_write=True, data=None if data is None else
+                [data[at - start: at - start + request] for at in starts])
             return
         whole, tail = divmod(length, request)
         runs = [([(start, request)], whole)] if whole else []
         if tail:
             runs.append(([(start + whole * request, tail)], 1))
-        costed, self._head = self._cost_of(runs, self._head)
+        costed, head = self._cost_of(runs, self._head)
+        self._admit(True, runs, data)
+        self._head = head
         seeks = 0
         write_s = 0.0
         for _, service, entry_seeks, count in costed:

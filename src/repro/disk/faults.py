@@ -27,6 +27,9 @@ keys, non-finite values — are in :mod:`repro.specgrammar`.)
   :func:`retry_read`, and the reader charges its backoff.  Optional
   ``ops=read|write|all`` scopes injection, ``shard=N`` restricts it to
   one shard of a composite, and ``seed=N`` picks the injection stream.
+  At most one transient clause may reach a device: two unscoped, two
+  for one shard, or an unscoped one beside a scoped one are refused;
+  clauses for different shards are not.
 * ``slow`` — every service time on the device is multiplied by
   ``factor`` (a degraded spindle), visible in
   :class:`~repro.disk.iostats.IoStats` and the device clock.  Optional
@@ -51,8 +54,8 @@ optionally after applying half of the doomed write's first span.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 from repro.disk.device import BlockDevice, RequestRun, Span, requests_of
 from repro.disk.geometry import DiskGeometry
@@ -209,6 +212,11 @@ class FaultProfile:
                         for part in text.split(";") if part.strip())
         if not clauses:
             raise ConfigError(f"fault profile {text!r} has no clauses")
+        shards = [c.shard for c in clauses if c.kind == "transient"]
+        if len(shards) > 1 and (None in shards
+                                or len(set(shards)) < len(shards)):
+            raise ConfigError(f"fault profile {text!r}: two transient "
+                              "clauses reach one device")
         return cls(clauses)
 
     def text(self) -> str:
@@ -304,16 +312,21 @@ class DeviceFaults:
 class FaultyBlockDevice(BlockDevice):
     """A block device with crash, transient, latency, and loss faults.
 
+    It overrides the plain device's fault seam, :meth:`_admit`, and no
+    timed entry point, so every call is checked (a bad one is refused
+    even on a lost device), admitted, served, and costed once; only
+    :meth:`write_each` admits each of its requests on its own.
+
     Crash semantics (the PR 4 recovery-matrix contract): reads never
-    crash (a dying read loses nothing); every write call (see
-    :meth:`_admit`) and every ``flush`` ticks the shared clock first.
-    With ``torn=True`` the doomed write additionally applies the first
-    half of its first span's content (untimed, like a partial transfer
-    cut by power loss) before raising — so content-checked recovery sees
-    a genuinely torn state, not just a missing one.
+    crash (a dying read loses nothing); every write call and every
+    ``flush`` ticks the shared clock first.  With ``torn=True`` the
+    doomed write additionally applies the first half of its first span's
+    content (untimed, like a partial transfer cut by power loss) before
+    raising — so content-checked recovery sees a genuinely torn state,
+    not just a missing one.
 
     Runtime faults (``faults=``, a :class:`DeviceFaults`): transient
-    errors fail a batch up front — no time charged, no content applied —
+    errors fail a call up front — no time charged, no content applied —
     so a retried operation pays exactly one successful service; slow
     factors scale every modelled service time (:meth:`_scaled`: requests,
     flush, checkpoint write-back).  After
@@ -332,26 +345,6 @@ class FaultyBlockDevice(BlockDevice):
         self.torn = torn
         self.faults = faults
         self._lost = False
-
-    # -- crash clock ---------------------------------------------------
-    def _tick(self, label: str, requests: list[list[Span]],
-              data: list[bytes] | None) -> None:
-        try:
-            self.clock.tick(label)
-        except CrashPoint:
-            if self.torn and self.stores_data:
-                self._tear(requests, data)
-            raise
-
-    def _tear(self, requests: list[list[Span]],
-              data: list[bytes] | None) -> None:
-        """Apply half of the first non-empty request's first span."""
-        for spans, payload in zip(requests, data or ()):
-            if spans:
-                start, length = spans[0]
-                if length // 2:
-                    self.poke(start, payload[:length // 2])
-                return
 
     # -- loss ----------------------------------------------------------
     def mark_lost(self) -> None:
@@ -373,32 +366,34 @@ class FaultyBlockDevice(BlockDevice):
         return service_s if faults is None else service_s * faults.slow_factor
 
     # -- timed I/O -----------------------------------------------------
-    def _admit(self, is_write: bool, requests: list[list[Span]],
-               data: list[bytes] | None) -> None:
-        """The one fault seam, before anything is charged: loss, the
-        refusal of a bad span or payload, the crash tick of a write, one
-        transient draw.  A single request comes from ``_serve``, a larger
-        batch from ``submit``."""
+    def _admit(self, is_write: bool, runs: Iterable[RequestRun],
+               data: bytes | list[bytes] | None) -> None:
+        """The fault seam: loss, the crash tick (and tear) of a write, one
+        transient draw."""
         self._check_lost()
-        self._check_payloads(requests, is_write, data)
-        self._cost_of(zip(requests, repeat(1)), self._head)
         if is_write:
-            self._tick("write", requests, data)
+            try:
+                self.clock.tick("write")
+            except CrashPoint:
+                if self.torn and self.stores_data and data is not None:
+                    self._tear(runs, data)
+                raise
         faults = self.faults
         if faults is not None and faults.fires_on(is_write):
-            raise TransientIoError(
-                "injected transient "
-                + ("write" if is_write else "read") + " error")
+            raise TransientIoError("injected transient "
+                                   f"{'write' if is_write else 'read'} error")
 
-    def _serve(self, is_write, spans, data):
-        self._admit(is_write, [spans], None if data is None else [data])
-        return super()._serve(is_write, spans, data)
-
-    def submit(self, requests: list[list[Span]], *, is_write: bool = False,
-               data: list[bytes] | None = None) -> list[bytes | None]:
-        if len(requests) > 1:
-            self._admit(is_write, requests, data)
-        return super().submit(requests, is_write=is_write, data=data)
+    def _tear(self, runs: Iterable[RequestRun],
+              data: bytes | list[bytes]) -> None:
+        """Apply half of the first non-empty request's first span, from
+        the front of the payload (an empty request's payload is empty)."""
+        payload = b"".join(data) if isinstance(data, list) else data
+        for spans, _ in runs:
+            if spans:
+                start, length = spans[0]
+                if length // 2:
+                    self.poke(start, payload[:length // 2])
+                return
 
     def write_each(self, runs: list[RequestRun],
                    data: list[bytes] | None = None) -> None:
@@ -411,18 +406,11 @@ class FaultyBlockDevice(BlockDevice):
         for at, spans in enumerate(requests):
             self._serve(True, spans, None if data is None else data[at])
 
-    def write_stream(self, start: int, length: int, request: int,
-                     data: bytes | None = None) -> None:
-        # The request-list form: admission, crash ticks, tears, draws
-        # and slow factors see the requests and batches they always saw.
-        self._check_stream(start, length, request, data)
-        self._submit_stream(start, length, request, data)
-
     def charge_sequential_write(self, nbytes: int) -> float:
         self._check_lost()
         return super().charge_sequential_write(nbytes)
 
     def flush(self) -> None:
         self._check_lost()
-        self._tick("flush", [], None)
+        self.clock.tick("flush")
         super().flush()

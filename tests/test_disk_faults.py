@@ -4,6 +4,7 @@ errors, slow factors, permanent loss, crash clock), and the one
 admission seam every timed call passes."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -71,6 +72,11 @@ class TestGrammar:
         "loss:shard=1:color=red",     # unknown parameter
         "transient:rate",             # not key=value
         "",                           # no clauses
+        # two transient clauses that reach one device
+        "transient:rate=1e-3:ops=read;transient:rate=1e-4:ops=write",
+        "transient:shard=1:rate=0.1;transient:shard=1:rate=0.2",
+        "transient:rate=0.5;transient:shard=1:rate=1e-4",
+        "transient:shard=1:rate=1e-4;slow:factor=2;transient:rate=0.5",
     ])
     def test_bad_specs_raise(self, text):
         with pytest.raises(ConfigError):
@@ -97,6 +103,15 @@ class TestForShard:
         # ... but deterministically so, by the one derivation recipe.
         assert profile.for_shard(2) == profile.for_shard(2)
         assert profile.for_shard(2).clauses[0].seed == derive_seed(9, "shard2")
+
+    def test_transient_clauses_for_different_shards_each_resolve(self):
+        profile = FaultProfile.parse("transient:shard=0:rate=0.25:ops=read;"
+                                     "transient:shard=1:rate=1e-4:ops=write")
+        on_0 = profile.for_shard(0).device_faults()
+        on_1 = profile.for_shard(1).device_faults()
+        assert (on_0.transient_rate, on_0.transient_ops) == (0.25, "read")
+        assert (on_1.transient_rate, on_1.transient_ops) == (1e-4, "write")
+        assert profile.for_shard(2).device_faults() is None
 
     def test_shard_scope_is_stripped(self):
         profile = FaultProfile.parse("slow:shard=2:factor=8")
@@ -300,6 +315,15 @@ SEAM_CALLS = [
                   [b"stre", b"am!!"]),
                  (10 * MB, b"st\x00\x00\x00\x00\x00\x00"),
                  id="write_stream"),
+    pytest.param(lambda d: d.write_each([([(11 * MB, 8)], 1)], [b"eachdata"]),
+                 ([[(11 * MB, 8)]], True, [b"eachdata"]),
+                 (11 * MB, b"each\x00\x00\x00\x00"), id="write_each"),
+    pytest.param(lambda d: d.submit_policy([[(12 * MB, 8)], [(13 * MB, 8)]],
+                                           is_write=True,
+                                           data=[b"policy!!", b"POLICY!!"]),
+                 ([[(12 * MB, 8)], [(13 * MB, 8)]], True,
+                  [b"policy!!", b"POLICY!!"]),
+                 (12 * MB, b"poli\x00\x00\x00\x00"), id="submit_policy"),
 ]
 seam = pytest.mark.parametrize("call, batch, torn", SEAM_CALLS)
 
@@ -307,6 +331,72 @@ seam = pytest.mark.parametrize("call, batch, torn", SEAM_CALLS)
 def submit(dev, batch):
     requests, is_write, data = batch
     return dev.submit(requests, is_write=is_write, data=data)
+
+
+#: A malformed call on every timed entry point: a bad span or run, or a
+#: payload that does not fit its requests.
+BAD_SEAM_CALLS = [
+    pytest.param(lambda d: d.read(64 * MB - 4, 8), id="read-past-end"),
+    pytest.param(lambda d: d.write(0, 0, b""), id="write-empty-span"),
+    pytest.param(lambda d: d.write(0, 8, b"ABCDEFG"), id="write-short-data"),
+    pytest.param(lambda d: d.read_extents([(2 * MB, 8 * KB), (-1, 8)]),
+                 id="read_extents-negative"),
+    pytest.param(lambda d: d.write_extents([(4 * MB, 4), (64 * MB, 4)],
+                                           b"WXYZwxyz"),
+                 id="write_extents-past-end"),
+    pytest.param(lambda d: d.write_extents([(4 * MB, 4), (5 * MB, 4)],
+                                           b"WXYZwxyz!"),
+                 id="write_extents-long-data"),
+    pytest.param(lambda d: d.submit([[(6 * MB, 8)]], is_write=True,
+                                    data=[b"1234567"]),
+                 id="submit_one-short-data"),
+    pytest.param(lambda d: d.submit([[(7 * MB, 8 * KB)], [(9 * MB, 8 * KB)]],
+                                    data=[b"", b""]),
+                 id="submit_two_reads-with-data"),
+    pytest.param(lambda d: d.submit([[(8 * MB, 8)], [(64 * MB, 8)]],
+                                    is_write=True,
+                                    data=[b"abcdefgh", b"ABCDEFGH"]),
+                 id="submit_two-past-end"),
+    pytest.param(lambda d: d.submit([[(8 * MB, 8)], [(1 * MB, 8)]],
+                                    is_write=True, data=[b"abcdefgh"]),
+                 id="submit_two-one-payload"),
+    pytest.param(lambda d: d.submit_policy([[(12 * MB, 8)], [(13 * MB, 8)]],
+                                           is_write=True,
+                                           data=[b"policy!!", b"POLICY!"]),
+                 id="submit_policy-short-data"),
+    pytest.param(lambda d: d.write_stream(64 * MB - 4, 8, 4, b"stream!!"),
+                 id="write_stream-past-end"),
+    pytest.param(lambda d: d.write_stream(10 * MB, 8, 4, b"stream!"),
+                 id="write_stream-short-data"),
+    pytest.param(lambda d: d.write_each([([(11 * MB, 8)], 1),
+                                         ([(0, 8)], 0)]),
+                 id="write_each-count-zero"),
+    pytest.param(lambda d: d.write_each([([(11 * MB, 8)], 2)],
+                                        [b"eachdata", b"EACHDAT"]),
+                 id="write_each-short-data"),
+]
+
+
+def armed_faulty(lost=False):
+    """A torn, content-keeping faulty device, its head and clock moved
+    by one stored write, then armed: its next write event crashes and
+    its every call draws a transient fault."""
+    dev = FaultyBlockDevice(scaled_disk(64 * MB), torn=True, store_data=True)
+    dev.write(32 * MB, 8, b"resident")
+    dev.clock = CrashClock(kill_after=0)
+    dev.faults = DeviceFaults(transient_rate=1.0, seed=9)
+    if lost:
+        dev.mark_lost()
+    return dev
+
+
+def admission_state(dev):
+    """Everything admission or service may move: the crash clock, the
+    transient stream, head, clock, ``IoStats`` and (in the pickle) the
+    stored bytes."""
+    return (dev.clock.events, dev.clock.fired, dev.faults._rng.getstate(),
+            dev.head_position, dev.clock_s.hex(), copy.copy(dev.stats),
+            pickle.dumps(dev))
 
 
 class TestAdmitSeam:
@@ -345,11 +435,25 @@ class TestAdmitSeam:
 
     @seam
     def test_lost_device_raises(self, call, batch, torn):
-        dev = make_faulty()
-        dev.mark_lost()
+        """A well-formed call to a lost device raises before the crash
+        tick, the transient draw or any charge."""
+        dev = armed_faulty(lost=True)
+        before = admission_state(dev)
         with pytest.raises(ShardLostError):
             call(dev)
-        assert dev.clock_s == 0.0 and dev.clock.events == 0
+        assert admission_state(dev) == before
+
+    @pytest.mark.parametrize("lost", [False, True], ids=["live", "lost"])
+    @pytest.mark.parametrize("call", BAD_SEAM_CALLS)
+    def test_a_bad_call_is_refused_before_admission(self, call, lost):
+        """The kernel and the payload checks come first: a malformed call
+        raises ``ConfigError`` — on a lost device too — with nothing
+        ticked, torn, drawn, charged or stored."""
+        dev = armed_faulty(lost)
+        before = admission_state(dev)
+        with pytest.raises(ConfigError):
+            call(dev)
+        assert admission_state(dev) == before
 
     @seam
     def test_torn_write_tears_half_the_first_write_extent(self, call, batch,
@@ -377,6 +481,45 @@ class TestAdmitSeam:
         assert dev.stats == twin.stats
         assert dev.clock_s == twin.clock_s
         assert dev.head_position == twin.head_position
+
+
+#: Eight write requests: a run of five, one two-span request, a run of two.
+WRITE_EACH_RUNS = [([(0, 4 * KB)], 5),
+                   ([(1 * MB, 1 * KB), (2 * MB, 1 * KB)], 1),
+                   ([(3 * MB, 8 * KB)], 2)]
+
+
+@pytest.mark.parametrize("call, kernel_calls", [
+    pytest.param(lambda d: d.write_extents([(4 * MB, 4), (5 * MB, 4)]), 1,
+                 id="write_extents"),
+    pytest.param(lambda d: d.submit([[(n * MB, 8 * KB)] for n in range(4)],
+                                    is_write=True), 1, id="submit"),
+    pytest.param(lambda d: d.write_stream(10 * MB, 4 * 64 * KB, 64 * KB), 1,
+                 id="write_stream"),
+    pytest.param(lambda d: d.write_each(WRITE_EACH_RUNS), 8 + 1,
+                 id="write_each"),
+])
+def test_a_faulty_request_is_costed_once(monkeypatch, call, kernel_calls):
+    """One kernel pass per timed call on a slowed faulty device;
+    ``write_each`` of n requests refuses its list in one pass, then
+    serves each request in one."""
+    calls = []
+    kernel = BlockDevice._cost_of
+
+    def counting(self, runs, head):
+        calls.append(runs)
+        return kernel(self, runs, head)
+
+    monkeypatch.setattr(BlockDevice, "_cost_of", counting)
+    call(make_faulty("slow:factor=2"))
+    assert len(calls) == kernel_calls
+
+
+def test_the_faulty_device_overrides_the_seam_not_the_entry_points():
+    entry_points = {"_serve", "submit", "submit_policy", "write_stream",
+                    "read", "write", "read_extents", "write_extents"}
+    assert not entry_points & set(vars(FaultyBlockDevice))
+    assert "_admit" in vars(FaultyBlockDevice)
 
 
 def test_a_torn_batch_tears_the_first_span_of_its_first_write():

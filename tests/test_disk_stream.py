@@ -7,10 +7,10 @@ without building them).  The oracle is
 :meth:`BlockDevice.submit_policy` of those requests, materialised: both
 must leave the device identical — every ``IoStats`` field and open
 window (floats compared with ``==``), the clock's bits, the head,
-stored bytes and the pickled device.  A faulty device keeps the
-request-list form, so its crash ticks, torn bytes, transient draws and
-slow factor are the materialised form's too.  A bad stream is refused
-before anything moves.
+stored bytes and the pickled device.  A faulty device streams the
+same way, through one admission, and its crash ticks, torn bytes,
+transient draws and slow factor are the materialised form's too.  A
+bad stream is refused before anything moves.
 """
 
 import pickle

@@ -82,7 +82,8 @@ CLI_ARGV: tuple[tuple[str, ...], ...] = (
       for store in ("filesystem:batch=8,reorder=clook",
                     "database:batch=8,reorder=clook",
                     "gfs:chunk_size=1M,batch=8,reorder=clook",
-                    "lfs:batch=8,reorder=clook,faults=slow:factor=2")),
+                    "lfs:batch=8,reorder=clook,faults=slow:factor=2",
+                    "database:shards=2,faults=slow:factor=2")),
     ("run", "--store", "gfs:gc_dead_fraction=0.9,chunk_size=1M", "--volume",
      "32M", "--object-size", "256K", "--occupancy", "0.5", "--ages", "0,1,2"),
     ("compare", "--volume", "32M", "--object-size", "256K", "--ages", "0,1",
