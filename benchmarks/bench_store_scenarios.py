@@ -63,7 +63,7 @@ from repro.backends.spec import StoreSpec
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize
 from repro.disk.device import summed_clock_s
-from repro.disk.events import EventWindow
+from repro.disk.events import ArrivalSpec, EventWindow
 from repro.disk.policy import DevicePolicy
 from repro.persist import encode_free_index, encode_journal, fs_components
 from repro.scenario.spec import ScenarioSpec
@@ -258,7 +258,8 @@ class AgedStore:
         if self.closed_wall_s <= 0.0:
             raise AssertionError("calibration sweep charged no wall time")
         self.rate = utilization * len(self.keys) / self.closed_wall_s
-        self.arrival = f"poisson:rate={self.rate:g}:seed={self.seed}"
+        self.arrival = ArrivalSpec.parse(
+            f"poisson:rate={self.rate:g}:seed={self.seed}")
 
     def rebuild_slices(self, max_objects: int):
         """Throttled rebuild slices until redundancy is restored."""
@@ -467,7 +468,7 @@ def run_tail_latency(seed: int = 31) -> list[dict]:
 
     # Churn under closed arrivals (background work, not part of the
     # measured open-loop stream), then re-measure.
-    sched.set_arrival("closed")
+    sched.set_arrival(ArrivalSpec())
     aged.churn(AGING_CHURN_AGE)
     sched.set_arrival(aged.arrival)
     phase("aged", aged.sweep("aged", per_object=True),

@@ -15,8 +15,10 @@ a backend in one file").
   sub-specs;
 * otherwise the named backend's factory gets a fresh
   :class:`~repro.disk.device.BlockDevice` carrying the spec's
-  :class:`~repro.disk.policy.DevicePolicy` plus the spec with its
-  options validated and type-converted (:func:`resolve_spec`).
+  :class:`~repro.disk.policy.DevicePolicy` (faulty when the spec's
+  fault profile reaches it) plus the spec with its options validated
+  and type-converted (:func:`resolve_spec`), the one check left to
+  the registry: the spec checked everything else when it was built.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Any, Callable, Mapping
 from repro.backends.base import ObjectStore
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice
+from repro.disk.faults import FaultyBlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.errors import ConfigError
 
@@ -115,60 +118,15 @@ def backend_descriptions() -> dict[str, str]:
 # Spec resolution and construction
 # ----------------------------------------------------------------------
 def resolve_spec(spec: StoreSpec) -> StoreSpec:
-    """Validate and normalize a spec against the registry.
+    """Validate and type-convert every option against the backend's
+    declaration.
 
-    Checks the spec-level knobs against each other, then validates and
-    type-converts every option against the backend's declaration.  The
-    result is what run records serialize: fully resolved, so ablations
-    are attributable from the JSON alone.
+    The spec itself was checked when it was built (every spec-level rule
+    lives in :class:`StoreSpec`); the result is what run records
+    serialize: fully resolved, so ablations are attributable from the
+    JSON alone.
     """
     info = backend_info(spec.backend)
-    if spec.overlap and spec.shards <= 1:
-        raise ConfigError(
-            "overlap=true needs shards > 1 (the overlap model schedules "
-            "per-shard device lanes; a single volume has one lane)"
-        )
-    if spec.checkpoint_rate > 0.0 and spec.shards <= 1:
-        raise ConfigError(
-            "checkpoint_rate > 0 needs shards > 1 (checkpoint write-back "
-            "is charged through the composite's background lanes)"
-        )
-    if spec.queue == "event" and not spec.overlap:
-        raise ConfigError(
-            "queue=event needs overlap=true (the event queue simulates "
-            "per-shard lanes of the overlap scheduler; without overlap "
-            "there is no scheduler to layer it under)"
-        )
-    if spec.arrival != "closed":
-        if spec.queue != "event":
-            raise ConfigError(
-                "arrival=... needs queue=event (the round model has no "
-                "arrival process; every request in a round finishes "
-                "together)"
-            )
-        from repro.disk.events import ArrivalSpec
-
-        ArrivalSpec.parse(spec.arrival)
-    if spec.replicas > spec.shards:
-        raise ConfigError(
-            f"replicas={spec.replicas} needs at least that many shards "
-            f"(spec has {spec.shards})"
-        )
-    if spec.faults:
-        from repro.disk.faults import FaultProfile
-
-        profile = FaultProfile.parse(spec.faults)
-        scoped = profile.max_shard()
-        if spec.shards <= 1 and (profile.losses or scoped is not None):
-            raise ConfigError(
-                "loss and shard-scoped fault clauses need shards > 1 "
-                "(a single volume has no shard to kill or target)"
-            )
-        if scoped is not None and scoped >= spec.shards:
-            raise ConfigError(
-                f"fault clause targets shard {scoped}, but the spec "
-                f"has only {spec.shards} shards"
-            )
     converted = {}
     for name, value in spec.options:
         converter = info.options.get(name)
@@ -195,17 +153,11 @@ def build_store(spec: StoreSpec) -> ObjectStore:
         return ShardedStore([build_store(sub) for sub in spec.shard_specs()],
                             spec)
     info = backend_info(spec.backend)
-    device_faults = None
-    if spec.faults:
-        from repro.disk.faults import FaultProfile
-
-        device_faults = FaultProfile.parse(spec.faults).device_faults()
-    if device_faults is not None:
-        from repro.disk.faults import FaultyBlockDevice
-
+    faults = spec.faults.device_faults() if spec.faults else None
+    if faults is not None:
         device: BlockDevice = FaultyBlockDevice(
             scaled_disk(spec.volume_bytes), store_data=spec.store_data,
-            policy=spec.policy, faults=device_faults)
+            policy=spec.policy, faults=faults)
     else:
         device = BlockDevice(scaled_disk(spec.volume_bytes),
                              store_data=spec.store_data, policy=spec.policy)

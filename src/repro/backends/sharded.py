@@ -153,7 +153,7 @@ from repro.backends.base import ObjectMeta, ObjectStore, StoreStats
 from repro.backends.spec import StoreSpec
 from repro.disk.device import BlockDevice, summed_clock_s
 from repro.disk.events import EventScheduler
-from repro.disk.faults import FaultProfile, retry_read
+from repro.disk.faults import retry_read
 from repro.disk.schedule import ShardScheduler, throttle_pause
 from repro.errors import (ConfigError, ObjectNotFoundError, ShardLostError,
                           ShardUnavailableError, TransientIoError)
@@ -218,10 +218,10 @@ class ShardedStore:
         """Compose ``shards`` under the resolved ``spec`` that
         :func:`~repro.backends.registry.build_store` built them from.
 
-        Every knob and its validation lives in the spec
-        (:class:`StoreSpec` and ``resolve_spec``); the store keeps the
-        values it reads, never the spec itself, so what a checkpoint
-        pickles is the store's own state.
+        Every knob and its validation lives in the spec (a
+        :class:`StoreSpec` checks them all when it is built); the store
+        keeps the values it reads, never the spec itself, so what a
+        checkpoint pickles is the store's own state.
         """
         if len(shards) != spec.shards:
             raise ConfigError(
@@ -230,8 +230,7 @@ class ShardedStore:
         self.placement = spec.placement
         self.band_bytes = spec.band_bytes
         self.replicas = spec.replicas
-        self.fault_profile = (FaultProfile.parse(spec.faults)
-                              if spec.faults else None)
+        self.fault_profile = spec.faults
         self.rebuild_rate = spec.rebuild_rate
         self.rebalance_rate = spec.rebalance_rate
         self.checkpoint_rate = spec.checkpoint_rate

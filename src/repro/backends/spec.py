@@ -3,10 +3,12 @@
 A ``StoreSpec`` is the one value that says what store to run (the
 experiment driver holds nothing per-backend): backend name, volume
 geometry, typed per-backend options, a shared
-:class:`~repro.disk.policy.DevicePolicy`, and an optional shard layout.
-The registry (:mod:`repro.backends.registry`) turns a spec into a live
-store; nothing above the backends layer needs to import a backend
-class.
+:class:`~repro.disk.policy.DevicePolicy`, a shard layout, a fault
+profile and an arrival process.  It is the one place a store's
+configuration is checked: every spec-level rule runs in its
+constructor, so a spec that constructs builds.  The registry
+(:mod:`repro.backends.registry`) turns a spec into a live store;
+nothing above the backends layer needs to import a backend class.
 
 Specs have a flag-friendly text form, used by ``--store`` (the shared
 grammar rules are in :mod:`repro.specgrammar`)::
@@ -25,11 +27,13 @@ The keys ``volume``, ``write_request``, ``store_data``, ``reorder``,
 ``rebuild_rate``, ``rebalance_rate``, ``checkpoint_rate``, ``queue``,
 ``depth``, and ``arrival`` set spec-level fields; every other key is a
 backend option, validated against the backend's declared option set at
-build time.  ``faults`` takes a fault-profile text (see
+build time.  ``faults`` parses a fault-profile text (see
 :mod:`repro.disk.faults`) and ``arrival`` an arrival-process text (see
-:mod:`repro.disk.events`); written inside a ``--store`` spec, use colons
-between clause parameters — ``faults=transient:rate=1e-4``,
-``arrival=poisson:rate=2e3`` — since commas separate spec options.
+:mod:`repro.disk.events`) into the value the spec holds, whose
+canonical ``text()`` :meth:`StoreSpec.to_dict` records; written inside
+a ``--store`` spec, use colons between clause parameters —
+``faults=transient:rate=1e-4``, ``arrival=poisson:rate=2e3`` — since
+commas separate spec options.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import Any, Mapping
 
+from repro.disk.events import ArrivalSpec
+from repro.disk.faults import FaultProfile
 from repro.disk.policy import DEFAULT_POLICY, REORDER_KINDS, DevicePolicy
 from repro.errors import ConfigError
 from repro.specgrammar import (Key, choice, convert_items, to_bool, to_float,
@@ -91,8 +97,8 @@ class StoreSpec:
     #: replicas``; placement puts the primary plus ``replicas - 1``
     #: ring-order neighbours on distinct shards.
     replicas: int = 1
-    #: Fault profile text (see :mod:`repro.disk.faults`); empty = none.
-    faults: str = ""
+    #: Fault profile (see :mod:`repro.disk.faults`); ``None`` = none.
+    faults: FaultProfile | None = None
     #: Default duty cycle for :meth:`ShardedStore.rebuild` (1.0 = flat
     #: out, 0.25 = rebuild occupies a quarter of wall time).
     rebuild_rate: float = 1.0
@@ -115,7 +121,7 @@ class StoreSpec:
     #: :class:`~repro.disk.events.ArrivalSpec`): ``closed`` replays
     #: dispatch rounds, ``poisson:rate=...`` re-times requests onto an
     #: open-loop Poisson timeline.
-    arrival: str = "closed"
+    arrival: ArrivalSpec = ArrivalSpec()
 
     def __post_init__(self) -> None:
         if not self.backend:
@@ -159,6 +165,43 @@ class StoreSpec:
             raise ConfigError(
                 "queue depth must be >= 0 (0 = unbounded)"
             )
+        # The rules that tie fields to each other.
+        if self.volume_bytes < self.shards:
+            raise ConfigError(
+                f"volume of {self.volume_bytes} bytes cannot split "
+                f"into {self.shards} shards")
+        if self.overlap and self.shards <= 1:
+            raise ConfigError(
+                "overlap=true needs shards > 1 (the overlap model schedules "
+                "per-shard device lanes; a single volume has one lane)")
+        if self.checkpoint_rate > 0.0 and self.shards <= 1:
+            raise ConfigError(
+                "checkpoint_rate > 0 needs shards > 1 (checkpoint write-back "
+                "is charged through the composite's background lanes)")
+        if self.queue == "event" and not self.overlap:
+            raise ConfigError(
+                "queue=event needs overlap=true (the event queue simulates "
+                "per-shard lanes of the overlap scheduler; without overlap "
+                "there is no scheduler to layer it under)")
+        if self.arrival.mode != "closed" and self.queue != "event":
+            raise ConfigError(
+                "arrival=... needs queue=event (the round model has no "
+                "arrival process; every request in a round finishes "
+                "together)")
+        if self.replicas > self.shards:
+            raise ConfigError(
+                f"replicas={self.replicas} needs at least that many shards "
+                f"(spec has {self.shards})")
+        # A loss clause always names its shard, so it is scoped too.
+        scoped = self.faults.max_shard() if self.faults else None
+        if scoped is not None and self.shards <= 1:
+            raise ConfigError(
+                "loss and shard-scoped fault clauses need shards > 1 "
+                "(a single volume has no shard to kill or target)")
+        if scoped is not None and scoped >= self.shards:
+            raise ConfigError(
+                f"fault clause targets shard {scoped}, but the spec "
+                f"has only {self.shards} shards")
         opts = self.options
         if isinstance(opts, Mapping):
             opts = tuple(sorted(opts.items()))
@@ -204,25 +247,15 @@ class StoreSpec:
         """
         if self.shards <= 1:
             return [self]
-        per_shard = self.volume_bytes // self.shards
-        if per_shard <= 0:
-            raise ConfigError(
-                f"volume of {self.volume_bytes} bytes cannot split "
-                f"into {self.shards} shards"
-            )
         # Each shard sees only the device-level fault clauses that apply
         # to it (shard scope stripped, transient streams re-seeded per
         # shard); loss clauses stay with the composite, which resolves
         # them by killing whole shards.
-        faults_of = [""] * self.shards
-        if self.faults:
-            from repro.disk.faults import FaultProfile
-
-            profile = FaultProfile.parse(self.faults)
-            faults_of = [profile.for_shard(i).text()
-                         for i in range(self.shards)]
-        return [replace(self, shards=1, volume_bytes=per_shard,
-                        faults=faults_of[i], **_COMPOSITE_RESETS)
+        faults = self.faults
+        return [replace(self, shards=1,
+                        volume_bytes=self.volume_bytes // self.shards,
+                        faults=faults.for_shard(i) if faults else None,
+                        **_COMPOSITE_RESETS)
                 for i in range(self.shards)]
 
     # ------------------------------------------------------------------
@@ -234,6 +267,8 @@ class StoreSpec:
         record = {f.name: getattr(self, f.name)
                   for f in dataclass_fields(self)}
         record["policy"] = self.policy.to_dict()
+        record["faults"] = self.faults.text() if self.faults else ""
+        record["arrival"] = self.arrival.text()
         record["options"] = {k: _jsonable(v) for k, v in self.options}
         return record
 
@@ -290,13 +325,13 @@ _KEYS = {
     "parallelism": Key(to_int),
     "dispatch_overhead": Key(to_float, field="dispatch_overhead_s"),
     "replicas": Key(to_int),
-    "faults": Key(str),
+    "faults": Key(FaultProfile.parse),
     "rebuild_rate": Key(to_float),
     "rebalance_rate": Key(to_float),
     "checkpoint_rate": Key(to_float),
     "queue": Key(str),
     "depth": Key(to_int, field="queue_depth"),
-    "arrival": Key(str),
+    "arrival": Key(ArrivalSpec.parse),
 }
 
 

@@ -10,7 +10,8 @@ sojourn time (complete − enqueue) into a streaming
 :class:`LatencyHistogram`, so measurement windows can report
 p50/p95/p99 latency next to summed and overlapped throughput.
 
-Two arrival modes (:class:`ArrivalSpec`):
+Two arrival modes (:class:`ArrivalSpec`, a value the store spec parsed
+and checked, like every other argument the scheduler takes):
 
 * ``closed`` (default) — the driver's dispatch rounds *are* the
   arrivals: every lane of a round enqueues at round-local time zero
@@ -373,15 +374,9 @@ class EventScheduler(ShardScheduler):
 
     def __init__(self, nshards: int, *, parallelism: int = 0,
                  dispatch_overhead_s: float = 0.0, depth: int = 64,
-                 arrival: "ArrivalSpec | str" = "closed") -> None:
+                 arrival: ArrivalSpec = ArrivalSpec()) -> None:
         super().__init__(parallelism=parallelism,
                          dispatch_overhead_s=dispatch_overhead_s)
-        if nshards < 1:
-            raise ConfigError("EventScheduler needs nshards >= 1")
-        if depth < 0:
-            raise ConfigError("queue depth must be >= 0 (0 = unbounded)")
-        if isinstance(arrival, str):
-            arrival = ArrivalSpec.parse(arrival)
         self.nshards = nshards
         self.depth = depth
         self.arrival = arrival
@@ -589,15 +584,13 @@ class EventScheduler(ShardScheduler):
         while self._in_service:
             self._complete_one()
 
-    def set_arrival(self, arrival: "ArrivalSpec | str") -> None:
+    def set_arrival(self, arrival: ArrivalSpec) -> None:
         """Switch the arrival process (drains in-flight work first).
 
         The new process starts a fresh inter-arrival stream at the
         current charged frontier, so benches can load in closed mode
         and sweep in poisson mode on one store.
         """
-        if isinstance(arrival, str):
-            arrival = ArrivalSpec.parse(arrival)
         self.drain()
         self.arrival = arrival
         self._rng = arrival.make_rng()

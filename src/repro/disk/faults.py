@@ -6,7 +6,9 @@ that grew up in ``tests/crashsim.py`` into a supported runtime
 primitive: a :class:`FaultProfile` parsed from spec text, applied to a
 :class:`~repro.disk.device.BlockDevice` as a :class:`FaultyBlockDevice`
 that injects three fault kinds plus the crash-clock semantics the
-recovery matrices already rely on.
+recovery matrices already rely on.  Each value rule lives in the
+:class:`FaultClause` or :class:`FaultProfile` constructor, so text and
+programmatic profiles refuse the same values.
 
 Fault spec grammar
 ------------------
@@ -62,7 +64,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.errors import (ConfigError, CrashPoint, ShardLostError,
                           TransientIoError)
 from repro.rng import derive_seed, substream
-from repro.specgrammar import (Key, choice, convert_items, format_items,
+from repro.specgrammar import (Key, convert_items, format_items,
                                render, to_float, to_int, tokenize)
 
 __all__ = [
@@ -161,6 +163,24 @@ class FaultClause:
     at_age: float | None = None  # loss: trigger age (None = immediate)
     seed: int = 0                # transient: injection stream seed
 
+    def __post_init__(self) -> None:
+        if self.shard is not None and self.shard < 0:
+            raise ConfigError(
+                f"fault {self.kind}: shard {self.shard} must be >= 0")
+        if self.kind == "loss" and self.shard is None:
+            raise ConfigError("fault loss: shard= is required")
+        if not 0.0 <= self.rate <= 1.0:
+            raise ConfigError(
+                f"fault transient: rate {self.rate} not in [0, 1]")
+        if self.ops not in TRANSIENT_OPS:
+            raise ConfigError(f"fault transient: ops {self.ops!r} unknown; "
+                              f"choose from {TRANSIENT_OPS}")
+        if not self.factor > 0.0:
+            raise ConfigError(f"fault slow: factor {self.factor} must be > 0")
+        if self.at_age is not None and not self.at_age >= 0.0:
+            raise ConfigError(
+                f"fault loss: at_age {self.at_age} must be >= 0")
+
     def text(self) -> str:
         """Canonical clause text (colon separators, re-parseable)."""
         shown = {"shard": self.shard, "rate": self.rate,
@@ -175,11 +195,12 @@ _SHARD = {"shard": Key(to_int)}
 #: Per-kind key tables, in canonical rendering order.
 _CLAUSE_KEYS = {
     "transient": {**_SHARD, "rate": Key(to_float, repr),
-                  "ops": Key(choice(*TRANSIENT_OPS)), "seed": Key(to_int)},
+                  "ops": Key(str), "seed": Key(to_int)},
     "slow": {**_SHARD, "factor": Key(to_float, repr)},
     "loss": {**_SHARD, "at_age": Key(to_float, repr)},
 }
-_REQUIRED = {"transient": "rate", "slow": "factor", "loss": "shard"}
+#: The key a clause text must give (FaultClause requires a loss shard).
+_REQUIRED = {"transient": "rate", "slow": "factor"}
 
 
 def _parse_clause(text: str) -> FaultClause:
@@ -189,13 +210,9 @@ def _parse_clause(text: str) -> FaultClause:
         raise ConfigError(
             f"unknown fault kind {kind!r} (expected one of {FAULT_KINDS})")
     clause = FaultClause(kind, **convert_items(f"fault {kind}", raw, table))
-    if _REQUIRED[kind] not in raw:
-        raise ConfigError(f"fault {kind}: {_REQUIRED[kind]}= is required")
-    if not 0.0 <= clause.rate <= 1.0:
-        raise ConfigError(
-            f"fault transient: rate {clause.rate} not in [0, 1]")
-    if clause.factor <= 0.0:
-        raise ConfigError(f"fault slow: factor {clause.factor} must be > 0")
+    required = _REQUIRED.get(kind)
+    if required is not None and required not in raw:
+        raise ConfigError(f"fault {kind}: {required}= is required")
     return clause
 
 
@@ -205,6 +222,13 @@ class FaultProfile:
 
     clauses: tuple[FaultClause, ...] = ()
 
+    def __post_init__(self) -> None:
+        shards = [c.shard for c in self.clauses if c.kind == "transient"]
+        if len(shards) > 1 and (None in shards
+                                or len(set(shards)) < len(shards)):
+            raise ConfigError(f"fault profile {self.text()!r}: two "
+                              "transient clauses reach one device")
+
     @classmethod
     def parse(cls, text: str) -> "FaultProfile":
         """Parse profile text (see the module docstring for the grammar)."""
@@ -212,11 +236,6 @@ class FaultProfile:
                         for part in text.split(";") if part.strip())
         if not clauses:
             raise ConfigError(f"fault profile {text!r} has no clauses")
-        shards = [c.shard for c in clauses if c.kind == "transient"]
-        if len(shards) > 1 and (None in shards
-                                or len(set(shards)) < len(shards)):
-            raise ConfigError(f"fault profile {text!r}: two transient "
-                              "clauses reach one device")
         return cls(clauses)
 
     def text(self) -> str:
@@ -284,12 +303,6 @@ class DeviceFaults:
     def __init__(self, *, transient_rate: float = 0.0,
                  transient_ops: str = "all", slow_factor: float = 1.0,
                  seed: int = 0) -> None:
-        if not 0.0 <= transient_rate <= 1.0:
-            raise ConfigError(f"transient rate {transient_rate} not in [0, 1]")
-        if transient_ops not in TRANSIENT_OPS:
-            raise ConfigError(f"transient ops {transient_ops!r} unknown")
-        if slow_factor <= 0.0:
-            raise ConfigError(f"slow factor {slow_factor} must be > 0")
         self.transient_rate = transient_rate
         self.transient_ops = transient_ops
         self.slow_factor = slow_factor

@@ -42,12 +42,10 @@ summed device time and overlapped wall time side by side.
 from __future__ import annotations
 
 import heapq
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.disk.iostats import open_depth
-from repro.errors import ConfigError
 from repro.units import left_sum
 
 
@@ -117,15 +115,6 @@ class ShardScheduler:
     lane_time_s: float = 0.0
     rounds: int = 0
     _windows: list[SchedulerWindow] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.parallelism < 0:
-            raise ConfigError("parallelism must be >= 0 (0 = unbounded)")
-        if not (math.isfinite(self.dispatch_overhead_s)
-                and self.dispatch_overhead_s >= 0):
-            raise ConfigError(
-                "dispatch_overhead_s must be a finite value >= 0"
-            )
 
     def record_round(self, lane_times: Sequence[float],
                      indices: Sequence[int] | None = None, *,

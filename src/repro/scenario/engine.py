@@ -53,6 +53,7 @@ from random import Random
 
 from repro.backends.base import ObjectStore
 from repro.core.workload import WorkloadSpec, WorkloadState, has_room_for
+from repro.disk.events import ArrivalSpec
 from repro.errors import ConfigError, CorruptionError
 from repro.rng import substream
 from repro.scenario.spec import ScenarioSpec, TenantProfile
@@ -232,13 +233,11 @@ def _maybe_update_arrival(store: ObjectStore, state: ScenarioState) -> None:
     angle = 2.0 * math.pi * state.op_index / spec.wave_period_ops
     rate = state.base_rate * (1.0 + spec.wave_amplitude * math.sin(angle))
     # A fresh seed per window keeps the inter-arrival stream from
-    # replaying identically after every re-anchor.
-    seed = sched.arrival.seed * 1000 + (window % 1000)
-    sched.set_arrival(
-        f"poisson:rate={rate:g}:seed={seed}"
-        + (f":clients={sched.arrival.clients}"
-           if sched.arrival.clients else "")
-    )
+    # replaying identically after every re-anchor; the rate keeps the
+    # six significant digits of ``{:g}``, as the arrival text did.
+    sched.set_arrival(ArrivalSpec(
+        "poisson", rate=float(f"{rate:g}"), clients=sched.arrival.clients,
+        seed=sched.arrival.seed * 1000 + (window % 1000)))
 
 
 def _expire_due(store: ObjectStore, state: ScenarioState,

@@ -22,6 +22,7 @@ from bisect import bisect_right
 from itertools import accumulate
 
 from repro.core.workload import ConstantSize, UniformSize
+from repro.disk.events import ArrivalSpec
 from repro.scenario.engine import ScenarioState
 from repro.scenario.spec import TenantProfile
 from repro.units import KB, MB
@@ -61,11 +62,11 @@ def maybe_update_arrival(store, state: ScenarioState) -> None:
     angle = 2.0 * math.pi * state.op_index / spec.wave_period_ops
     rate = state.base_rate * (1.0 + spec.wave_amplitude * math.sin(angle))
     seed = sched.arrival.seed * 1000 + (window % 1000)
-    sched.set_arrival(
+    sched.set_arrival(ArrivalSpec.parse(
         f"poisson:rate={rate:g}:seed={seed}"
         + (f":clients={sched.arrival.clients}"
            if sched.arrival.clients else "")
-    )
+    ))
 
 
 def _tenant_weights(n: int, skew: float = 0.8) -> list[float]:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.backends.spec import StoreSpec
+from repro.disk.events import ArrivalSpec
 from repro.units import KB, MB
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -121,7 +122,8 @@ class TestAgedStore:
         exact = aged.last_window.wall_time_s
         assert aged.closed_wall_s == exact != round(exact, 4)
         assert aged.rate == 0.5 * len(aged.keys) / exact
-        assert aged.arrival == f"poisson:rate={aged.rate:g}:seed=5"
+        assert aged.arrival == ArrivalSpec.parse(
+            f"poisson:rate={aged.rate:g}:seed=5")
 
     def test_calibration_raises_on_zero_wall(self):
         aged = bench.AgedStore(small_spec(queue="event"), seed=5)

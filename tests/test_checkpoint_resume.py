@@ -23,6 +23,7 @@ from repro.core.experiment import (
     run_experiment,
 )
 from repro.core.workload import ConstantSize
+from repro.disk.events import ArrivalSpec
 from repro.errors import ConfigError
 from repro.fs import filesystem
 from repro.persist import CheckpointManager
@@ -255,7 +256,7 @@ class TestChargedContinuousResume:
         spec = StoreSpec(
             "filesystem", volume_bytes=96 * MB, shards=3, overlap=True,
             queue="event", queue_depth=16,
-            arrival="poisson:rate=400:seed=7",
+            arrival=ArrivalSpec.parse("poisson:rate=400:seed=7"),
             checkpoint_rate=0.5,
         )
         return ExperimentConfig(

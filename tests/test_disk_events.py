@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.backends.spec import StoreSpec
 from repro.disk.events import (
     ARRIVAL_MODES,
     HIST_REL_ERROR,
@@ -210,7 +211,7 @@ class TestClosedMode:
 class TestPoissonMode:
     def make(self, rate=100.0, **kw):
         return EventScheduler(
-            2, arrival=f"poisson:rate={rate}", **kw)
+            2, arrival=ArrivalSpec.parse(f"poisson:rate={rate}"), **kw)
 
     def test_conserves_requests_and_lane_time(self):
         sched = self.make()
@@ -234,7 +235,8 @@ class TestPoissonMode:
         assert fast.latency.percentile(99) > fast.latency.percentile(50)
 
     def test_bounded_depth_blocks_and_bounds_the_queue(self):
-        sched = EventScheduler(1, depth=4, arrival="poisson:rate=1e6")
+        sched = EventScheduler(
+            1, depth=4, arrival=ArrivalSpec.parse("poisson:rate=1e6"))
         for _ in range(100):
             sched.record_round([0.01], indices=(0,))
         assert sched.max_queue_depth <= 4
@@ -243,7 +245,8 @@ class TestPoissonMode:
 
     def test_client_cap_bounds_in_flight(self):
         sched = EventScheduler(
-            2, arrival="poisson:rate=1e6:clients=3", depth=0)
+            2, arrival=ArrivalSpec.parse("poisson:rate=1e6:clients=3"),
+            depth=0)
         peak = 0
         for _ in range(50):
             sched.record_round([0.01, 0.01], indices=(0, 1))
@@ -258,7 +261,7 @@ class TestPoissonMode:
         # to free the worker — its start is the worker's free time,
         # not its enqueue time.
         sched = EventScheduler(2, parallelism=1,
-                               arrival="poisson:rate=1e9")
+                               arrival=ArrivalSpec.parse("poisson:rate=1e9"))
         sched.record_round([10.0], indices=(0,))
         sched.record_round([2.0], indices=(1,))
         sched.drain()
@@ -273,7 +276,7 @@ class TestPoissonMode:
         # once: the timeline can never hold more than two in service,
         # so the wall is at least total service / cap.
         sched = EventScheduler(4, parallelism=2,
-                               arrival="poisson:rate=1e9")
+                               arrival=ArrivalSpec.parse("poisson:rate=1e9"))
         for i in range(6):
             sched.record_round([1.0], indices=(i % 4,))
         sched.drain()
@@ -328,7 +331,7 @@ class TestPoissonMode:
         sched = EventScheduler(2)
         sched.record_round([0.1, 0.2], indices=(0, 1))
         closed_wall = sched.wall_time_s
-        sched.set_arrival("poisson:rate=100")
+        sched.set_arrival(ArrivalSpec.parse("poisson:rate=100"))
         sched.record_round([0.01, 0.01], indices=(0, 1))
         sched.drain()
         assert sched.wall_time_s > closed_wall
@@ -337,7 +340,8 @@ class TestPoissonMode:
     def test_identical_seeds_reproduce_identical_runs(self):
         def run():
             sched = EventScheduler(
-                2, arrival="poisson:rate=300:seed=5", depth=8)
+                2, arrival=ArrivalSpec.parse("poisson:rate=300:seed=5"),
+                depth=8)
             for i in range(30):
                 sched.record_round([0.001 * (1 + i % 3)],
                                    indices=(i % 2,))
@@ -358,11 +362,12 @@ class TestPoissonMode:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            EventScheduler(0)
+            StoreSpec("lfs", shards=0, overlap=True, queue="event")
         with pytest.raises(ConfigError):
-            EventScheduler(2, depth=-1)
+            StoreSpec("lfs", shards=2, overlap=True, queue="event",
+                      queue_depth=-1)
         with pytest.raises(ConfigError):
-            EventScheduler(2, arrival="poisson")
+            ArrivalSpec.parse("poisson")
 
 
 class TestStallArrivalContract:
@@ -377,7 +382,8 @@ class TestStallArrivalContract:
 
     def backlogged(self) -> EventScheduler:
         """One lane, near-instant arrivals, ten seconds of backlog."""
-        sched = EventScheduler(1, arrival="poisson:rate=1e6", depth=0)
+        sched = EventScheduler(
+            1, arrival=ArrivalSpec.parse("poisson:rate=1e6"), depth=0)
         for _ in range(10):
             sched.record_round([1.0], indices=(0,))
         return sched
@@ -440,8 +446,9 @@ class TestBackgroundLane:
     """
 
     def sched(self) -> EventScheduler:
-        return EventScheduler(2, arrival="poisson:rate=1000:seed=3",
-                              depth=0)
+        return EventScheduler(
+            2, arrival=ArrivalSpec.parse("poisson:rate=1000:seed=3"),
+            depth=0)
 
     def test_background_rounds_skip_the_arrival_process(self):
         sched = self.sched()
@@ -507,7 +514,8 @@ class TestTagSeam:
         assert sched._tag is None
 
     def test_a_completion_drained_under_another_tenant_keeps_its_tag(self):
-        sched = EventScheduler(2, arrival="poisson:rate=1000:seed=3")
+        sched = EventScheduler(
+            2, arrival=ArrivalSpec.parse("poisson:rate=1000:seed=3"))
         win = sched.start_window("w")
         with sched.tagged("a"):
             sched.record_round([0.5], indices=(0,))
@@ -521,7 +529,7 @@ class TestTagSeam:
 
     @pytest.mark.parametrize("arrival", ["closed", "poisson:rate=1000:seed=3"])
     def test_a_tagged_block_leaves_no_trace_in_the_pickle(self, arrival):
-        sched = EventScheduler(2, arrival=arrival)
+        sched = EventScheduler(2, arrival=ArrivalSpec.parse(arrival))
         with sched.tagged("a"):
             sched.record_round([0.002], indices=(1,))
         sched.drain()

@@ -12,6 +12,7 @@ from repro.disk.device import BlockDevice
 from repro.disk.faults import (
     CrashClock,
     DeviceFaults,
+    FaultClause,
     FaultProfile,
     FaultyBlockDevice,
 )
@@ -77,6 +78,11 @@ class TestGrammar:
         "transient:shard=1:rate=0.1;transient:shard=1:rate=0.2",
         "transient:rate=0.5;transient:shard=1:rate=1e-4",
         "transient:shard=1:rate=1e-4;slow:factor=2;transient:rate=0.5",
+        # a negative shard scope or loss age
+        "transient:shard=-1:rate=1.0",
+        "slow:shard=-3:factor=5",
+        "loss:shard=-1:at_age=2",
+        "loss:shard=1:at_age=-2",
     ])
     def test_bad_specs_raise(self, text):
         with pytest.raises(ConfigError):
@@ -136,9 +142,9 @@ class TestDeviceFaultsResolution:
 
     def test_rejects_bad_runtime_values(self):
         with pytest.raises(ConfigError):
-            DeviceFaults(transient_rate=2.0)
+            FaultClause("transient", rate=2.0)
         with pytest.raises(ConfigError):
-            DeviceFaults(slow_factor=0.0)
+            FaultClause("slow", factor=0.0)
 
 
 def make_faulty(text=None, **kwargs):

@@ -23,7 +23,7 @@ from eventoracle import OracleScheduler, pickled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.disk.events import EventScheduler
+from repro.disk.events import ArrivalSpec, EventScheduler
 
 TAGS = ("t0", "t1", "t2")
 ARRIVALS = ("closed", "poisson:rate=400", "poisson:rate=2500:seed=5",
@@ -71,7 +71,8 @@ class Twins:
 
     def __init__(self, nshards: int, parallelism: int, depth: int,
                  clients: int, overhead: float) -> None:
-        arrival = f"poisson:rate=600:seed=3:clients={clients}"
+        arrival = ArrivalSpec.parse(
+            f"poisson:rate=600:seed=3:clients={clients}")
         self.scheds = [cls(nshards, parallelism=parallelism, depth=depth,
                            dispatch_overhead_s=overhead, arrival=arrival)
                        for cls in (EventScheduler, OracleScheduler)]
@@ -105,7 +106,7 @@ class Twins:
                 self.closed[i] += self.open[i][at:]
                 del self.open[i][at:]
             elif kind == "arrival":
-                sched.set_arrival(step[1])
+                sched.set_arrival(ArrivalSpec.parse(step[1]))
             elif kind == "drain":
                 sched.drain()
         self.check()

@@ -28,6 +28,7 @@ from repro.backends.sharded import ShardedStore
 from repro.backends.spec import StoreSpec
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.core.workload import ConstantSize
+from repro.disk.events import ArrivalSpec
 from repro.disk.geometry import scaled_disk
 from repro.errors import CrashPoint
 from repro.fs.filesystem import FsConfig
@@ -36,8 +37,8 @@ from repro.units import KB, MB
 AGES = (0.0, 1.0, 2.0)
 
 ARRIVALS = {
-    "closed": "closed",
-    "poisson": "poisson:rate=400:seed=7",
+    "closed": ArrivalSpec.parse("closed"),
+    "poisson": ArrivalSpec.parse("poisson:rate=400:seed=7"),
 }
 
 
@@ -128,7 +129,7 @@ def build_event_store(clock: CrashClock) -> ShardedStore:
         shards.append(backend)
     return ShardedStore(shards, StoreSpec(
         "filesystem", shards=3, overlap=True, queue="event",
-        queue_depth=8, arrival="poisson:rate=200:seed=3"))
+        queue_depth=8, arrival=ArrivalSpec.parse("poisson:rate=200:seed=3")))
 
 
 def churn(store: ShardedStore) -> None:

@@ -24,7 +24,7 @@ from makespanoracle import serial_sum
 
 from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
-from repro.disk.events import EventScheduler, LatencyHistogram
+from repro.disk.events import ArrivalSpec, EventScheduler, LatencyHistogram
 from repro.disk.schedule import ShardScheduler, lpt_placement
 from repro.units import KB, MB
 
@@ -171,7 +171,8 @@ def test_event_queue_conserves_device_iostats(sequence, arrival, depth):
         return build_store(StoreSpec.parse(
             text, volume_bytes=96 * MB, **extra))
 
-    event_store = build("event", arrival=arrival, queue_depth=depth)
+    event_store = build("event", arrival=ArrivalSpec.parse(arrival),
+                        queue_depth=depth)
     round_store = build("round")
     apply_ops(event_store, sequence)
     apply_ops(round_store, sequence)
@@ -259,7 +260,8 @@ def test_stalls_interleave_without_breaking_the_books(plan):
     the sum of stalls, and after every stall the arrival cursor sits at
     or past the charged frontier (no arrival backdates into a window
     the submitting driver slept through)."""
-    sched = EventScheduler(2, arrival="poisson:rate=500:seed=9", depth=8)
+    sched = EventScheduler(
+        2, arrival=ArrivalSpec.parse("poisson:rate=500:seed=9"), depth=8)
     stalled = 0.0
     for kind, value in plan:
         if kind == "round":

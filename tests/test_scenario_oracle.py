@@ -22,7 +22,7 @@ from scenariooracle import (PRESET_BUILDERS, choose_tenant,
                             maybe_update_arrival)
 
 from repro.core.workload import ConstantSize, WorkloadSpec, WorkloadState
-from repro.disk.events import EventScheduler
+from repro.disk.events import ArrivalSpec, EventScheduler
 from repro.rng import substream
 from repro.scenario import engine
 from repro.scenario.engine import (ScenarioState, TenantState,
@@ -96,9 +96,9 @@ def test_a_draw_leaves_no_table_in_the_checkpoint():
 
 STORES = {
     "poisson": lambda: SimpleNamespace(scheduler=EventScheduler(
-        2, arrival="poisson:rate=150:seed=4")),
+        2, arrival=ArrivalSpec.parse("poisson:rate=150:seed=4"))),
     "poisson-clients": lambda: SimpleNamespace(scheduler=EventScheduler(
-        3, arrival="poisson:rate=80:clients=2")),
+        3, arrival=ArrivalSpec.parse("poisson:rate=80:clients=2"))),
     "closed": lambda: SimpleNamespace(scheduler=EventScheduler(2)),
     "no-scheduler": lambda: SimpleNamespace(),
 }
@@ -114,7 +114,8 @@ def test_arrival_check_equals_the_retired_check(store, wave):
             # A closed store switched to poisson mid-run captures its
             # base rate at the same op under both checks.
             for twin in stores:
-                twin.scheduler.set_arrival("poisson:rate=300:seed=6")
+                twin.scheduler.set_arrival(
+                    ArrivalSpec.parse("poisson:rate=300:seed=6"))
         new.op_index = old.op_index = op
         _maybe_update_arrival(stores[0], new)
         maybe_update_arrival(stores[1], old)

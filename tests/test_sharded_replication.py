@@ -16,7 +16,7 @@ from repro.backends.sharded import ShardedStore
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize
 from repro.disk.faults import (BACKOFF_BASE_S, BACKOFF_CAP_S, READ_RETRIES,
-                               DeviceFaults, FaultyBlockDevice)
+                               DeviceFaults, FaultProfile, FaultyBlockDevice)
 from repro.disk.geometry import scaled_disk
 from repro.errors import (ConfigError, CrashPoint, ShardUnavailableError,
                           TransientIoError)
@@ -264,7 +264,8 @@ class TestTransientRetry:
         spec = replace(
             StoreSpec.parse(text, volume_bytes=32 * MB,
                             write_request=64 * KB),
-            shards=2, faults="transient:rate=5e-2:ops=read")
+            shards=2,
+            faults=FaultProfile.parse("transient:rate=5e-2:ops=read"))
         result = run_experiment(ExperimentConfig(
             store=spec, sizes=ConstantSize(256 * KB), occupancy=0.5,
             ages=(0.0, 1.0), reads_per_sample=1, seed=7))
@@ -504,7 +505,7 @@ class TestExperimentIntegration:
             "lfs", default_backend="lfs", volume_bytes=64 * MB,
             write_request=64 * KB)
         spec = replace(spec, shards=4, replicas=2,
-                       faults="loss:shard=1:at_age=2")
+                       faults=FaultProfile.parse("loss:shard=1:at_age=2"))
         return ExperimentConfig(
             store=spec,
             sizes=ConstantSize(64 * KB),

@@ -12,7 +12,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends import StoreSpec, resolve_spec
+from repro.backends import (StoreSpec, backend_names, build_store,
+                            resolve_spec)
 from repro.backends import spec as store_spec_module
 from repro.backends.spec import _KEYS as STORE_KEYS
 from repro.disk.events import ArrivalSpec
@@ -211,9 +212,7 @@ def _short(value: float) -> float:
 
 _UNIT = st.floats(0.0, 1.0, allow_nan=False)
 _SHARD = st.none() | st.integers(0, 63)
-
-
-@given(st.lists(st.one_of(
+_CLAUSES = st.lists(st.one_of(
     st.builds(FaultClause, st.just("transient"), shard=_SHARD, rate=_UNIT,
               ops=st.sampled_from(["read", "write", "all"]),
               seed=st.integers(0, 2 ** 64)),
@@ -221,18 +220,71 @@ _SHARD = st.none() | st.integers(0, 63)
               factor=st.floats(1e-9, 1e9)),
     st.builds(FaultClause, st.just("loss"), shard=st.integers(0, 63),
               at_age=st.none() | st.floats(0.0, 1e6)),
-), min_size=1, max_size=3))
-def test_fault_profile_round_trips(clauses):
-    """A profile round-trips through its text unless two of its transient
-    clauses reach one device (two unscoped, two for one shard, or an
-    unscoped one beside any other); that text is refused."""
-    profile = FaultProfile(tuple(clauses))
+), min_size=1, max_size=3)
+
+
+def _one_transient_per_device(clauses) -> bool:
+    """No two transient clauses reach one device: not two unscoped, not
+    two for one shard, and not an unscoped one beside any other."""
     shards = [c.shard for c in clauses if c.kind == "transient"]
-    if len(shards) > 1 and (None in shards or len(set(shards)) < len(shards)):
-        with pytest.raises(ConfigError):
-            FaultProfile.parse(profile.text())
+    return len(shards) <= 1 or (None not in shards
+                                and len(set(shards)) == len(shards))
+
+
+@given(_CLAUSES.filter(_one_transient_per_device))
+def test_fault_profile_round_trips(clauses):
+    profile = FaultProfile(tuple(clauses))
+    assert FaultProfile.parse(profile.text()) == profile
+
+
+@given(_CLAUSES)
+def test_fault_profile_refuses_what_parse_refuses(clauses):
+    """The constructor and the text path keep one rule: a tuple of
+    clauses builds a profile exactly when the clauses' text parses."""
+    try:
+        parsed = FaultProfile.parse(";".join(c.text() for c in clauses))
+    except ConfigError:
+        with pytest.raises(ConfigError, match="reach one device"):
+            FaultProfile(tuple(clauses))
     else:
-        assert FaultProfile.parse(profile.text()) == profile
+        assert FaultProfile(tuple(clauses)) == parsed
+
+
+_SCOPE = st.sampled_from(["", ":shard=0", ":shard=1", ":shard=3",
+                          ":shard=-1"])
+_FAULT_TEXT = st.lists(st.one_of(
+    st.builds("transient:rate={}{}".format,
+              st.sampled_from(["0", "1e-2", "1"]), _SCOPE),
+    st.builds("slow:factor={}{}".format, st.sampled_from(["0.5", "2"]),
+              _SCOPE),
+    st.builds("loss:shard={}{}".format, st.integers(-1, 4),
+              st.sampled_from(["", ":at_age=1", ":at_age=-1"])),
+), min_size=1, max_size=3).map(";".join)
+_STORE_ITEMS = st.fixed_dictionaries({
+    "shards": st.integers(1, 4).map(str),
+    "overlap": st.sampled_from(["true", "false"]),
+    "queue": st.sampled_from(["round", "event"]),
+}, optional={
+    "arrival": st.sampled_from(["closed", "poisson:rate=500",
+                                "poisson:rate=80:clients=2:seed=3"]),
+    "replicas": st.integers(1, 3).map(str),
+    "checkpoint_rate": st.sampled_from(["0", "0.5"]),
+    "faults": _FAULT_TEXT,
+})
+
+
+@given(backend=st.sampled_from(backend_names()), items=_STORE_ITEMS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_store_spec_that_parses_builds(backend, items):
+    """Every spec rule is checked when the spec is built: a text is
+    refused by ``StoreSpec.parse`` or its store builds."""
+    assert set(items) <= set(STORE_KEYS)
+    text = render(backend, items.items(), ",")
+    try:
+        spec = StoreSpec.parse(text, volume_bytes=256 * MB)
+    except ConfigError:
+        return
+    build_store(resolve_spec(spec))
 
 
 @given(st.one_of(

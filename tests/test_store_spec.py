@@ -24,6 +24,7 @@ from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize
 from repro.db.database import DbConfig
 from repro.disk.device import BlockDevice
+from repro.disk.events import ArrivalSpec
 from repro.disk.geometry import scaled_disk
 from repro.disk.policy import DevicePolicy
 from repro.errors import ConfigError
@@ -164,6 +165,23 @@ class TestStoreSpec:
         assert payload["shards"] == 4
         assert payload["placement"] == "hash"
 
+    def test_to_dict_echoes_canonical_fault_and_arrival_text(self):
+        spec = StoreSpec.parse(
+            "lfs:shards=2,overlap=true,queue=event,"
+            "arrival=poisson:rate=2e3,faults=transient:rate=5e-2")
+        payload = spec.to_dict()
+        assert payload["faults"] == "transient:rate=0.05"
+        assert payload["arrival"] == "poisson:rate=2000"
+        assert StoreSpec("lfs").to_dict()["faults"] == ""
+        assert StoreSpec("lfs").to_dict()["arrival"] == "closed"
+
+    def test_a_negative_loss_shard_is_refused_at_parse_time(self):
+        """It used to build, and raise only when the run reached the
+        clause's age, after the work was done."""
+        with pytest.raises(ConfigError, match="shard -1 must be >= 0"):
+            StoreSpec.parse(
+                "filesystem:shards=2,faults=loss:shard=-1:at_age=2")
+
 
 class TestRegistry:
     def test_registry_lists_all_backends(self):
@@ -245,10 +263,10 @@ class TestRegistry:
         background lanes, so one volume refuses the rate, in text and
         programmatic form alike; the shards of a composite that takes
         it carry none of their own."""
-        for spec in (StoreSpec.parse("filesystem:checkpoint_rate=0.5"),
-                     StoreSpec("filesystem", checkpoint_rate=0.5)):
-            with pytest.raises(ConfigError, match="shards"):
-                build_store(spec)
+        with pytest.raises(ConfigError, match="shards"):
+            StoreSpec.parse("filesystem:checkpoint_rate=0.5")
+        with pytest.raises(ConfigError, match="shards"):
+            StoreSpec("filesystem", checkpoint_rate=0.5)
         spec = StoreSpec("filesystem", volume_bytes=64 * MB, shards=2,
                          checkpoint_rate=0.5)
         store = build_store(spec)
@@ -441,7 +459,8 @@ class TestEventQueueSpec:
         )
         assert spec.queue == "event"
         assert spec.queue_depth == 32
-        assert spec.arrival == "poisson:rate=2e3:clients=16:seed=7"
+        assert spec.arrival == ArrivalSpec.parse(
+            "poisson:rate=2e3:clients=16:seed=7")
         resolved = resolve_spec(spec)
         assert resolved.queue == "event"
 
@@ -449,7 +468,7 @@ class TestEventQueueSpec:
         spec = StoreSpec.parse("lfs:shards=4,overlap=true")
         assert spec.queue == "round"
         assert spec.queue_depth == 64
-        assert spec.arrival == "closed"
+        assert spec.arrival == ArrivalSpec.parse("closed")
 
     def test_bad_queue_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -458,21 +477,21 @@ class TestEventQueueSpec:
             StoreSpec.parse("lfs:shards=4,overlap=true,queue=event,"
                             "depth=-1")
         with pytest.raises(ConfigError):
-            resolve_spec(StoreSpec.parse(
+            StoreSpec.parse(
                 "lfs:shards=4,overlap=true,queue=event,"
-                "arrival=poisson"))  # poisson needs a rate
+                "arrival=poisson")  # poisson needs a rate
 
     def test_event_requires_overlap(self):
         # Mirrors the PR 5 overlap-on-one-shard rejection: the event
         # queue simulates the overlap scheduler's lanes, so it cannot
         # run without one.
         with pytest.raises(ConfigError, match="overlap"):
-            resolve_spec(StoreSpec.parse("lfs:shards=4,queue=event"))
+            StoreSpec.parse("lfs:shards=4,queue=event")
 
     def test_arrival_requires_event_queue(self):
         with pytest.raises(ConfigError, match="queue=event"):
-            resolve_spec(StoreSpec.parse(
-                "lfs:shards=4,overlap=true,arrival=poisson:rate=100"))
+            StoreSpec.parse(
+                "lfs:shards=4,overlap=true,arrival=poisson:rate=100")
 
     def test_shard_specs_clear_queue_options(self):
         spec = StoreSpec.parse(
@@ -482,7 +501,7 @@ class TestEventQueueSpec:
         for sub in spec.shard_specs():
             assert sub.queue == "round"
             assert sub.queue_depth == 64
-            assert sub.arrival == "closed"
+            assert sub.arrival == ArrivalSpec.parse("closed")
             assert not sub.overlap
 
     def test_to_dict_records_queue_fields(self):

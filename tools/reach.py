@@ -59,8 +59,9 @@ E2E = ROOT / "benchmarks" / "e2e"
 
 #: The ``repro`` argv lists of CI's "Backend registry self-check +
 #: scenario run through the CLI" step, in its order, each of which
-#: exits 0.  The step's one refusal check (``index_kind=naive``, which
-#: must exit 2) is left out: it enters no function these do not.
+#: exits 0.  The step's refusal checks (``index_kind=naive`` and two
+#: bad fault profiles, each of which must exit 2) are left out: they
+#: enter no function these do not.
 CLI_ARGV: tuple[tuple[str, ...], ...] = (
     ("backends",),
     ("run", "--volume", "48M", "--scenario", "cdn_churn:tenants=3",
