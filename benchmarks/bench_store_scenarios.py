@@ -509,7 +509,7 @@ def run_continuous_operation(seed: int = 37) -> list[dict]:
     cell churns identically but never rebalances or checkpoints.
 
     A write-back's size includes ``len(pickle.dumps(store))``, so host
-    bytes reach the modelled clock (the pattern ROADMAP 1B(d) is to
+    bytes reach the modelled clock (the pattern ROADMAP 1c is to
     retire): like the ``ckpt_delta_resume`` golden, this figure's hash
     is CPython 3.11's and is compared on CI's 3.11 leg only.
     """

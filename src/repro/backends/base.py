@@ -9,15 +9,11 @@ new backend only has to implement these methods to join every bench.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from repro.disk.device import BlockDevice, summed_clock_s
-from repro.disk.events import LatencyHistogram
-from repro.disk.iostats import WindowStats
+from repro.disk.device import BlockDevice
 from repro.units import Span
 
 
@@ -155,83 +151,3 @@ class ObjectStore(Protocol):
 
     def store_stats(self) -> StoreStats: ...
 
-
-class MeasurementWindows:
-    """Open one named window per device and aggregate them on close.
-
-    When the store runs an overlap scheduler (a ``scheduler``
-    attribute, see :mod:`repro.disk.schedule`), a scheduler window is
-    opened alongside and the combined window's ``wall_time_s`` carries
-    the phase's overlapped wall time (device makespan plus serial host
-    CPU); without one, ``wall_time_s`` stays ``None`` and wall time
-    equals the summed total.
-
-    :attr:`tagged` is the one seam a tenant op is timed through:
-    ``with windows.tagged(tenant): store.get(key)``.  On an event
-    store it *is* :meth:`EventScheduler.tagged` — per-request sojourns,
-    deferred completions included, land in the scheduler window's
-    histograms.  On any other store there is no queueing model, so the
-    block's summed device-clock delta is recorded as one sample.
-    :meth:`close` summarises both the same way.
-
-    Usage::
-
-        win = MeasurementWindows(store, "bulk-load")
-        ... workload ...
-        stats = win.close()       # combined WindowStats
-    """
-
-    def __init__(self, store: ObjectStore, name: str) -> None:
-        self.name = name
-        self._pairs = [
-            (dev, dev.stats.start_window(name)) for dev in store.devices()
-        ]
-        self._scheduler = getattr(store, "scheduler", None)
-        self._sched_window = (
-            self._scheduler.start_window(name)
-            if self._scheduler is not None else None
-        )
-        if getattr(self._scheduler, "is_event", False):
-            self.tagged = self._scheduler.tagged
-            self._latency = self._sched_window.latency
-            self._tenant_latency = self._sched_window.tenant_latency
-        else:
-            self.tagged = self._tagged_by_clock
-            self._latency = LatencyHistogram()
-            self._tenant_latency = defaultdict(LatencyHistogram)
-
-    @contextmanager
-    def _tagged_by_clock(self, tag: str) -> Iterator[None]:
-        devices = [dev for dev, _ in self._pairs]
-        t0 = summed_clock_s(devices)
-        yield
-        delta_s = summed_clock_s(devices) - t0
-        self._latency.record(delta_s)
-        self._tenant_latency[tag].record(delta_s)
-
-    def close(self) -> WindowStats:
-        combined = WindowStats(name=self.name)
-        for dev, win in self._pairs:
-            dev.stats.end_window(win)
-            combined.read_bytes += win.read_bytes
-            combined.write_bytes += win.write_bytes
-            combined.read_time_s += win.read_time_s
-            combined.write_time_s += win.write_time_s
-            combined.cpu_time_s += win.cpu_time_s
-            combined.seeks += win.seeks
-            combined.requests += win.requests
-        if self._sched_window is not None:
-            # An event scheduler drains here, so the histograms below
-            # include requests still in flight at close.
-            self._scheduler.end_window(self._sched_window)
-            # Device lanes overlap; host CPU time stays serial.
-            combined.wall_time_s = (self._sched_window.wall_time_s
-                                    + combined.cpu_time_s)
-        combined.latency = (self._latency.summary()
-                            if self._latency.count else {})
-        if self._tenant_latency:
-            combined.tenant_lat = {
-                tag: hist.summary()
-                for tag, hist in sorted(self._tenant_latency.items())
-            }
-        return combined

@@ -126,6 +126,14 @@ class StoreSpec:
     def __post_init__(self) -> None:
         if not self.backend:
             raise ConfigError("StoreSpec needs a backend name")
+        if not isinstance(self.faults, FaultProfile | None):
+            raise ConfigError(
+                f"faults must be a FaultProfile or None, not "
+                f"{self.faults!r}; StoreSpec.parse reads fault text")
+        if not isinstance(self.arrival, ArrivalSpec):
+            raise ConfigError(
+                f"arrival must be an ArrivalSpec, not {self.arrival!r}; "
+                "StoreSpec.parse reads arrival text")
         if self.volume_bytes <= 0:
             raise ConfigError("volume_bytes must be positive")
         if self.write_request <= 0:

@@ -7,38 +7,53 @@ rotation, media transfer, forced flushes) plus host CPU time — summed
 across every device the backend touches.
 
 :func:`measure` wraps any workload phase in per-device measurement
-windows; the throughput helpers divide *logical* object bytes by the
-window's total time, so metadata I/O slows a phase down (as it should)
-without inflating its byte count.
+windows and fills its :class:`PhaseResult`; the throughput helpers
+divide *logical* object bytes by the phase's total time, so metadata
+I/O slows a phase down (as it should) without inflating its byte count.
 """
 
 from __future__ import annotations
 
 import contextlib
+from collections import defaultdict
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from random import Random
 
-from repro.backends.base import MeasurementWindows, ObjectStore
+from repro.backends.base import ObjectStore
 from repro.core.workload import WorkloadState, read_sweep
+from repro.disk.device import summed_clock_s
+from repro.disk.events import LatencyHistogram
 from repro.disk.iostats import WindowStats
 from repro.errors import ConfigError
+
+#: The counters of a device window, summed across devices.
+_COUNTERS = tuple(f.name for f in fields(WindowStats) if f.name != "name")
 
 
 @dataclass
 class PhaseResult:
-    """Logical bytes + modelled time for one measured phase.
+    """Logical bytes + modelled time for one measured phase: the one
+    place a per-phase metric lives.
 
     :func:`measure` yields it open: inside the block the workload
     counts its bytes with :meth:`add_bytes` and times tenant ops
-    through :attr:`tagged`; :attr:`window` is set when the block exits
-    and every derived figure below reads it.
+    through :attr:`tagged`; the fields below are set when the block
+    exits.
     """
 
     name: str
     logical_bytes: int = 0
+    #: The device windows summed in device order.
     window: WindowStats | None = None
-    #: The phase's :attr:`MeasurementWindows.tagged`.
+    #: Overlapped wall time (scheduler wall plus serial host CPU) when
+    #: the store runs an overlap scheduler, else :attr:`elapsed_s`.
+    wall_s: float = 0.0
+    #: :meth:`LatencyHistogram.summary` of the tagged ops (``{}`` when
+    #: none), and per tenant tag (``None`` when nothing carried a tag).
+    latency: dict[str, float] = field(default_factory=dict)
+    tenant_lat: dict[str, dict[str, float]] | None = None
+    #: ``with phase.tagged(tenant): store.get(key)`` times a tenant op.
     tagged: Callable[[str], contextlib.AbstractContextManager[None]] = field(
         kw_only=True, repr=False, compare=False)
 
@@ -49,12 +64,6 @@ class PhaseResult:
     def elapsed_s(self) -> float:
         """Serial-model elapsed time: device busy summed + host CPU."""
         return self.window.total_time_s
-
-    @property
-    def wall_s(self) -> float:
-        """Overlapped wall time when the store models overlap (shard
-        lanes run concurrently), else identical to :attr:`elapsed_s`."""
-        return self.window.elapsed_wall_s
 
     @property
     def mbps(self) -> float:
@@ -75,16 +84,6 @@ class PhaseResult:
     def seeks(self) -> int:
         return self.window.seeks
 
-    @property
-    def latency(self) -> dict[str, float]:
-        """Per-op latency summary (``{}`` when nothing was timed)."""
-        return self.window.latency
-
-    @property
-    def tenant_lat(self) -> dict[str, dict[str, float]] | None:
-        """Per-tenant latency summaries (tagged ops; else ``None``)."""
-        return self.window.tenant_lat
-
 
 @contextlib.contextmanager
 def measure(store: ObjectStore, name: str) -> Iterator[PhaseResult]:
@@ -93,13 +92,54 @@ def measure(store: ObjectStore, name: str) -> Iterator[PhaseResult]:
         with measure(store, "read-sweep") as phase:
             phase.add_bytes(read_sweep(store, state, 100))
         print(phase.mbps)            # bytes/second
+
+    On an event store :attr:`PhaseResult.tagged` is
+    :meth:`EventScheduler.tagged`: sojourns, deferred completions
+    included, land in the scheduler window.  Elsewhere there is no
+    queueing model, so a block's summed device-clock delta is one sample.
     """
-    windows = MeasurementWindows(store, name)
-    phase = PhaseResult(name, tagged=windows.tagged)
+    devices = store.devices()
+    windows = [dev.stats.start_window(name) for dev in devices]
+    scheduler = getattr(store, "scheduler", None)
+    sched_window = (scheduler.start_window(name)
+                    if scheduler is not None else None)
+    if getattr(scheduler, "is_event", False):
+        tagged = scheduler.tagged
+        latency = sched_window.latency
+        tenants = sched_window.tenant_latency
+    else:
+        latency = LatencyHistogram()
+        tenants = defaultdict(LatencyHistogram)
+
+        @contextlib.contextmanager
+        def tagged(tag: str) -> Iterator[None]:
+            t0 = summed_clock_s(devices)
+            yield
+            delta_s = summed_clock_s(devices) - t0
+            latency.record(delta_s)
+            tenants[tag].record(delta_s)
+    phase = PhaseResult(name, tagged=tagged)
     try:
         yield phase
     finally:
-        phase.window = windows.close()
+        total = WindowStats(name=name)
+        for dev, win in zip(devices, windows):
+            dev.stats.end_window(win)
+            for counter in _COUNTERS:
+                setattr(total, counter,
+                        getattr(total, counter) + getattr(win, counter))
+        phase.window = total
+        phase.wall_s = total.total_time_s
+        if sched_window is not None:
+            # An event scheduler drains here, so the histograms below
+            # include requests still in flight at close.
+            scheduler.end_window(sched_window)
+            # Device lanes overlap; host CPU time stays serial.
+            phase.wall_s = sched_window.wall_time_s + total.cpu_time_s
+        phase.latency = latency.summary() if latency.count else {}
+        if tenants:
+            phase.tenant_lat = {tag: hist.summary()
+                                for tag, hist in sorted(tenants.items())}
 
 
 def _default_policy(store: ObjectStore) -> bool:

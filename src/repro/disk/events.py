@@ -362,10 +362,10 @@ class EventScheduler(ShardScheduler):
     Same interface (``record_round`` / ``record_stall`` / window
     stack / ``wall_time_s`` / ``lane_time_s``), so
     :class:`~repro.backends.sharded.ShardedStore` and
-    :class:`~repro.backends.base.MeasurementWindows` drive it
-    unchanged — plus per-request latency accounting (cumulative
-    :attr:`latency` and per-window histograms) and the open-loop
-    arrival machinery described in the module docstring.
+    :func:`~repro.core.throughput.measure` drive it unchanged — plus
+    per-request latency accounting (cumulative :attr:`latency` and
+    per-window histograms) and the open-loop arrival machinery
+    described in the module docstring.
     """
 
     #: Duck-typing flag for measurement plumbing (e.g. the read sweep

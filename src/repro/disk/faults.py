@@ -164,6 +164,9 @@ class FaultClause:
     seed: int = 0                # transient: injection stream seed
 
     def __post_init__(self) -> None:
+        if self.kind not in FAULT_KINDS:
+            raise ConfigError(f"unknown fault kind {self.kind!r} "
+                              f"(expected one of {FAULT_KINDS})")
         if self.shard is not None and self.shard < 0:
             raise ConfigError(
                 f"fault {self.kind}: shard {self.shard} must be >= 0")
@@ -206,10 +209,9 @@ _REQUIRED = {"transient": "rate", "slow": "factor"}
 def _parse_clause(text: str) -> FaultClause:
     kind, raw = tokenize("fault clause", text, ":,")
     table = _CLAUSE_KEYS.get(kind)
-    if table is None:
-        raise ConfigError(
-            f"unknown fault kind {kind!r} (expected one of {FAULT_KINDS})")
-    clause = FaultClause(kind, **convert_items(f"fault {kind}", raw, table))
+    # An unknown kind has no key table; FaultClause refuses it.
+    clause = FaultClause(kind, **(
+        convert_items(f"fault {kind}", raw, table) if table else {}))
     required = _REQUIRED.get(kind)
     if required is not None and required not in raw:
         raise ConfigError(f"fault {kind}: {required}= is required")

@@ -48,20 +48,6 @@ class WindowStats:
     cpu_time_s: float = 0.0
     seeks: int = 0
     requests: int = 0
-    #: Overlapped wall time for the window, set by
-    #: :class:`~repro.backends.base.MeasurementWindows` when the store
-    #: runs a :class:`~repro.disk.schedule.ShardScheduler`; ``None``
-    #: means no overlap model applies and wall time equals the sum.
-    wall_time_s: float | None = None
-    #: Per-op latency as a :meth:`LatencyHistogram.summary` dict, set by
-    #: :class:`~repro.backends.base.MeasurementWindows` (``{}`` when the
-    #: window timed nothing; ``None`` on a bare device window).  New
-    #: per-phase metrics belong here, beside this one.
-    latency: dict[str, float] | None = None
-    #: The same summaries split by tenant tag (scenario runs); ``None``
-    #: means nothing in the window carried a tag.  When every foreground
-    #: op was tagged the per-tenant counts sum to ``latency["count"]``.
-    tenant_lat: dict[str, dict[str, float]] | None = None
 
     @property
     def total_time_s(self) -> float:
@@ -71,16 +57,9 @@ class WindowStats:
         The workload is synchronous and single-threaded (one outstanding
         request, as in the paper's test app), so times add.  For
         multi-volume stores with an overlap scheduler, the overlapped
-        alternative is :attr:`elapsed_wall_s`.
+        alternative is :attr:`~repro.core.throughput.PhaseResult.wall_s`.
         """
         return self.read_time_s + self.write_time_s + self.cpu_time_s
-
-    @property
-    def elapsed_wall_s(self) -> float:
-        """Overlapped wall time when modelled, else the summed time."""
-        if self.wall_time_s is None:
-            return self.total_time_s
-        return self.wall_time_s
 
 
 def open_depth(stack: list, win: Any, what: str) -> int:

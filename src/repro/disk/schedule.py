@@ -35,8 +35,8 @@ one ledger: this scheduler and :class:`~repro.disk.events.EventScheduler`
 place every round and account every second through them, into the
 totals and each open measurement window — a stack mirroring
 :class:`~repro.disk.iostats.IoStats`, so
-:class:`~repro.backends.base.MeasurementWindows` can report a phase's
-summed device time and overlapped wall time side by side.
+:func:`~repro.core.throughput.measure` can report a phase's summed
+device time and overlapped wall time side by side.
 """
 
 from __future__ import annotations

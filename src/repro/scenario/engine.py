@@ -25,10 +25,10 @@ callable the caller hands in: the open measurement phase's
 :attr:`~repro.core.throughput.PhaseResult.tagged` in an experiment run,
 a no-op for direct callers.  What a tagged op costs (a queued sojourn
 on a ``queue=event`` store, the summed device-clock delta elsewhere) and
-where it is recorded is
-:class:`~repro.backends.base.MeasurementWindows`' business; the phase
-reports it as ``latency``/``tenant_lat``, whose tenant counts sum to
-the global count because every op goes through the one seam.
+where it is recorded is :func:`~repro.core.throughput.measure`'s
+business; the phase reports it as ``latency``/``tenant_lat``, whose
+tenant counts sum to the global count because every op goes through the
+one seam.
 
 Arrival-rate modulation
 -----------------------

@@ -220,3 +220,26 @@ def test_a_drifted_reach_count_is_caught(tmp_path, monkeypatch):
         "tools/reach.json gives 3",
         "docs/architecture.md: `reach.tier1` quoted as 2, "
         "tools/reach.json gives 1"]
+
+
+def test_the_repos_roadmap_cites_name_current_labels():
+    assert check_docs.stale_roadmap_cites() == []
+
+
+def test_a_cite_of_a_label_the_roadmap_lacks_is_caught(tmp_path, monkeypatch):
+    (tmp_path / "ROADMAP.md").write_text(
+        "## Open items\n\n"
+        "1. **Keystone.**\n   - (a) *Golden file.*\n"
+        "   - **1c: modelled time.**\n\n"
+        "8. **Checkpoints.**\n   - (b) *Explicit encoding.*\n\n"
+        "### Carried\n\nG. **Perf notes.**\n")
+    # The word and its label are split here, so this file cites nothing.
+    cite = "ROADMAP"
+    (tmp_path / "README.md").write_text(
+        f"Current: {cite} 1(a), {cite} 1c, {cite} item 8, {cite}\n"
+        f"Carried G and {cite} direction 8(b); {cite}.md is a file.\n"
+        f"Stale: {cite} item 3, {cite} 1B(d) and {cite} 8(c).\n")
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    assert check_docs.stale_roadmap_cites() == [
+        f"README.md:3: cites ROADMAP {label}, which ROADMAP.md does not "
+        "define" for label in ("3", "1B(d)", "8(c)")]

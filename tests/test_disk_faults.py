@@ -88,6 +88,16 @@ class TestGrammar:
         with pytest.raises(ConfigError):
             FaultProfile.parse(text)
 
+    def test_a_clause_of_unknown_kind_is_refused_on_construction(self):
+        """It used to construct, and fail only when its text was
+        rendered, with a ``KeyError``."""
+        message = (r"unknown fault kind 'gremlin' \(expected one of "
+                   r"\('transient', 'slow', 'loss'\)\)")
+        with pytest.raises(ConfigError, match=message):
+            FaultProfile((FaultClause("gremlin", rate=0.1),))
+        with pytest.raises(ConfigError, match=message):
+            FaultProfile.parse("gremlin:rate=0.1")
+
 
 class TestForShard:
     def test_scoped_clauses_follow_their_shard(self):

@@ -1,16 +1,18 @@
 """Edge-case coverage: windows misuse, single-zone disks, misc paths."""
 
 import copy
+import dataclasses
 
 import pytest
 
+import repro.backends.base
 from repro.analysis.compare import check_levels_off
-from repro.backends.base import MeasurementWindows
 from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
+from repro.core.throughput import measure
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import make_disk
-from repro.disk.iostats import IoStats
+from repro.disk.iostats import IoStats, WindowStats
 from repro.disk.schedule import ShardScheduler
 from repro.errors import ConfigError
 from repro.units import KB, MB
@@ -65,72 +67,98 @@ class TestSingleZoneDisk:
             make_disk(8 * MB, nzones=0)
 
 
+EVENT_SPEC = "lfs:shards=2,overlap=true,queue=event,volume=32M"
+
+
 class TestMeasurementWindows:
+    """``measure()``: the one code that opens and combines a phase's
+    device windows and scheduler window."""
+
     def test_aggregates_across_devices(self, file_store):
-        windows = MeasurementWindows(file_store, "w")
-        file_store.put("a", size=256 * KB)
-        combined = windows.close()
+        devices = file_store.devices()
+        before = [dev.stats.write_bytes for dev in devices]
+        with measure(file_store, "w") as phase:
+            file_store.put("a", size=256 * KB)
         # Object-device writes plus metadata-db writes both counted.
-        assert combined.write_bytes >= 256 * KB
-        assert combined.total_time_s > 0
-        assert combined.name == "w"
+        assert len(devices) > 1
+        assert phase.window.write_bytes == sum(
+            dev.stats.write_bytes - b for dev, b in zip(devices, before))
+        assert phase.window.write_bytes >= 256 * KB
+        assert phase.elapsed_s > 0
+        assert phase.window.name == "w"
+        # No overlap scheduler: wall time is the summed time.
+        assert phase.wall_s == phase.elapsed_s
 
     def test_tagged_records_the_summed_device_clock_delta(self, file_store):
         def clock():
             return sum(dev.clock_s for dev in file_store.devices())
 
-        windows = MeasurementWindows(file_store, "w")
         deltas = {}
-        for tenant, size in (("a", 256 * KB), ("b", 1 * MB)):
-            t0 = clock()
-            with windows.tagged(tenant):
-                # Object device and metadata devices both advance.
-                file_store.put(tenant, size=size)
-            deltas[tenant] = clock() - t0
-        file_store.get("a")     # outside any block: not a sample
-        combined = windows.close()
-        assert combined.latency["count"] == 2
-        assert combined.latency["max_s"] == max(deltas.values())
+        with measure(file_store, "w") as phase:
+            for tenant, size in (("a", 256 * KB), ("b", 1 * MB)):
+                t0 = clock()
+                with phase.tagged(tenant):
+                    # Object device and metadata devices both advance.
+                    file_store.put(tenant, size=size)
+                deltas[tenant] = clock() - t0
+            file_store.get("a")     # outside any block: not a sample
+        assert phase.latency["count"] == 2
+        assert phase.latency["max_s"] == max(deltas.values())
         # One sample per block, so each tenant's summary is exact.
-        assert {t: s["count"] for t, s in combined.tenant_lat.items()} \
+        assert {t: s["count"] for t, s in phase.tenant_lat.items()} \
             == {"a": 1, "b": 1}
         for tenant, delta in deltas.items():
-            assert combined.tenant_lat[tenant]["max_s"] == delta
-            assert combined.tenant_lat[tenant]["p50_s"] == delta
+            assert phase.tenant_lat[tenant]["max_s"] == delta
+            assert phase.tenant_lat[tenant]["p50_s"] == delta
 
     def test_untagged_window_reports_no_latency(self, file_store):
-        windows = MeasurementWindows(file_store, "w")
-        file_store.put("a", size=256 * KB)
-        combined = windows.close()
-        assert combined.latency == {}
-        assert combined.tenant_lat is None
+        with measure(file_store, "w") as phase:
+            file_store.put("a", size=256 * KB)
+        assert phase.latency == {}
+        assert phase.tenant_lat is None
 
     def test_event_store_tagged_is_the_schedulers_own(self):
-        store = build_store(StoreSpec.parse(
-            "lfs:shards=2,overlap=true,queue=event,volume=32M"))
-        windows = MeasurementWindows(store, "w")
-        assert windows.tagged == store.scheduler.tagged
-        with windows.tagged("a"):
-            store.put("k", size=256 * KB)
-        combined = windows.close()
+        store = build_store(StoreSpec.parse(EVENT_SPEC))
+        with measure(store, "w") as phase:
+            assert phase.tagged == store.scheduler.tagged
+            with phase.tagged("a"):
+                store.put("k", size=256 * KB)
         # Sojourns come from the scheduler window, summarised the same
         # way as the device-clock samples above.
-        assert combined.latency["count"] \
-            == combined.tenant_lat["a"]["count"] > 0
+        assert phase.latency["count"] \
+            == phase.tenant_lat["a"]["count"] > 0
 
-    def test_a_double_close_leaves_other_windows_open(self):
-        store = build_store(StoreSpec.parse(
-            "lfs:shards=2,overlap=true,queue=event,volume=32M"))
-        phase = MeasurementWindows(store, "phase")
-        step = MeasurementWindows(store, "step")
-        store.put("a", size=256 * KB)
-        step.close()
-        with pytest.raises(ValueError, match="'step' is not open"):
-            step.close()
-        store.put("b", size=256 * KB)
-        combined = phase.close()
-        assert combined.write_bytes == 2 * 256 * KB
-        assert combined.wall_time_s >= store.scheduler.wall_time_s > 0
+    def test_closing_a_nested_phase_leaves_the_outer_one_open(self):
+        store = build_store(StoreSpec.parse(EVENT_SPEC))
+        with measure(store, "phase") as outer:
+            with measure(store, "step") as step:
+                store.put("a", size=256 * KB)
+            assert [w.name for w in store.scheduler._windows] == ["phase"]
+            for dev in store.devices():
+                assert [w.name for w in dev.stats._windows] == ["phase"]
+            store.put("b", size=256 * KB)
+        assert step.window.write_bytes == 256 * KB
+        assert outer.window.write_bytes == 2 * 256 * KB
+        assert outer.wall_s >= store.scheduler.wall_time_s > 0
+
+    @pytest.mark.parametrize("spec", ["filesystem:volume=32M", EVENT_SPEC])
+    def test_an_exception_inside_propagates_and_closes_every_window(
+            self, spec):
+        store = build_store(StoreSpec.parse(spec))
+        with pytest.raises(RuntimeError, match="mid-phase"):
+            with measure(store, "w") as phase:
+                store.put("a", size=256 * KB)
+                raise RuntimeError("mid-phase")
+        assert all(dev.stats._windows == [] for dev in store.devices())
+        assert getattr(store, "scheduler", None) is None \
+            or store.scheduler._windows == []
+        assert phase.window.write_bytes >= 256 * KB
+
+    def test_windowstats_is_the_device_window_alone(self):
+        assert [f.name for f in dataclasses.fields(WindowStats)] == [
+            "name", "read_bytes", "write_bytes", "read_time_s",
+            "write_time_s", "cpu_time_s", "seeks", "requests"]
+        assert not hasattr(repro.backends.base, "MeasurementWindows")
 
 
 class TestShardSchedulerWindows:

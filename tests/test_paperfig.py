@@ -132,8 +132,8 @@ def test_fast_figures_recompute_to_the_committed_hash(name, capsys):
 
 
 def test_modelled_part_is_independent_of_the_hash_seed(tmp_path):
-    """ROADMAP item 4's metamorphic check in miniature: no modelled
-    number of a paper figure may depend on ``PYTHONHASHSEED``."""
+    """A metamorphic check in miniature: no modelled number of a paper
+    figure may depend on ``PYTHONHASHSEED``."""
     outs = [tmp_path / f"seed{seed}.json" for seed in (1, 2)]
     procs = [subprocess.Popen(
         [sys.executable, str(BENCH / "paperfig.py"), "--only",

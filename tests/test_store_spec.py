@@ -175,6 +175,15 @@ class TestStoreSpec:
         assert StoreSpec("lfs").to_dict()["faults"] == ""
         assert StoreSpec("lfs").to_dict()["arrival"] == "closed"
 
+    @pytest.mark.parametrize("field, text", [
+        ("faults", "loss:shard=1"), ("arrival", "poisson:rate=5")])
+    def test_spec_text_for_a_parsed_field_is_refused(self, field, text):
+        """Text where a parsed value belongs used to fail later with
+        an ``AttributeError`` on the string."""
+        with pytest.raises(ConfigError,
+                           match=rf"^{field} must be .*StoreSpec\.parse"):
+            StoreSpec("lfs", shards=2, **{field: text})
+
     def test_a_negative_loss_shard_is_refused_at_parse_time(self):
         """It used to build, and raise only when the run reached the
         clause's age, after the work was done."""

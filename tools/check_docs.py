@@ -47,6 +47,13 @@ files:
 And ``docs/architecture.md``'s `` `reach.KEY` N `` quotes must equal
 what ``tools/reach.json`` gives (:func:`reach_counts`).
 
+And a ``ROADMAP <label>`` cite in README, ``docs/``, ``src/``,
+``tests/``, ``tools/``, ``benchmarks/*.py`` or ``.claude/`` must name a
+label ``ROADMAP.md`` defines (:func:`roadmap_labels`: a direction
+``9``, a step ``8(b)``, a defect ``1c``, ``Carried G``; an ``item`` or
+``direction`` word may precede it), so a cite cannot outlive a
+re-anchor.
+
 Stdlib-only so the CI lint job needs no installs::
 
     python tools/check_docs.py
@@ -305,6 +312,57 @@ def reach_problems() -> list[str]:
             for key, quoted in quotes if counts.get(key) != int(quoted)]
 
 
+#: Where a ``ROADMAP <label>`` cite must name a current label.
+CITE_GLOBS = ("README.md", "docs/**/*.md", "src/**/*.py", "tests/**/*.py",
+              "tools/**/*.py", "tools/*.json", "benchmarks/*.py",
+              ".claude/**/*.md")
+CITE_RE = re.compile(r"\bROADMAP\s+(?:(?:item|direction)\s+)?"
+                     r"(Carried\s+[A-Z]\b|\d+[A-Za-z]?(?:\([a-z]\))?)")
+#: ROADMAP.md's definition sites: a numbered direction (``9. **``), a
+#: lettered step inside one (``- (b) *``), a named defect (``- **1c:``,
+#: ``- **11 first:`` or ``- 11:``) and a carried item (``D. **``).
+DIRECTION_RE = re.compile(r"^(\d+)\. ")
+STEP_RE = re.compile(r"^\s+- \(([a-z])\) ")
+DEFECT_RE = re.compile(r"^\s*- (?:\*\*)?(\d+[a-z]?)(?: first)?:")
+CARRIED_RE = re.compile(r"^([A-Z])\. \*\*")
+
+
+def roadmap_labels() -> set[str]:
+    """Every label ``ROADMAP.md`` defines: ``9``, ``9(b)``, ``1c``,
+    ``Carried D``."""
+    labels: set[str] = set()
+    direction = None
+    for line in (ROOT / "ROADMAP.md").read_text(encoding="utf-8").splitlines():
+        if match := DIRECTION_RE.match(line):
+            direction = match.group(1)
+            labels.add(direction)
+        elif match := CARRIED_RE.match(line):
+            direction = None
+            labels.add(f"Carried {match.group(1)}")
+        elif (match := STEP_RE.match(line)) and direction is not None:
+            labels.add(f"{direction}({match.group(1)})")
+        elif match := DEFECT_RE.match(line):
+            labels.add(match.group(1))
+    return labels
+
+
+def stale_roadmap_cites() -> list[str]:
+    """``ROADMAP <label>`` cites naming a label ROADMAP.md lacks."""
+    labels = roadmap_labels()
+    problems: list[str] = []
+    for pattern in CITE_GLOBS:
+        for path in sorted(ROOT.glob(pattern)):
+            text = path.read_text(encoding="utf-8")
+            for match in CITE_RE.finditer(text):
+                label = " ".join(match.group(1).split())
+                if label not in labels:
+                    line = text.count("\n", 0, match.start()) + 1
+                    problems.append(
+                        f"{path.relative_to(ROOT).as_posix()}:{line}: cites "
+                        f"ROADMAP {label}, which ROADMAP.md does not define")
+    return problems
+
+
 def main() -> int:
     failures = 0
     checked = 0
@@ -315,14 +373,14 @@ def main() -> int:
             print(f"{path.relative_to(ROOT)}: broken link -> {target}")
     for problem in (dangling_md_mentions() + missing_repo_paths()
                     + rule_code_problems() + figure_problems()
-                    + reach_problems()):
+                    + reach_problems() + stale_roadmap_cites()):
         failures += 1
         print(problem)
     if failures:
         print(f"\n{failures} problem(s) across {checked} file(s)")
         return 1
     print(f"ok: {checked} file(s); links, repo paths, rule catalogue, "
-          "quoted bench figures and reach counts in sync")
+          "quoted bench figures, reach counts and ROADMAP cites in sync")
     return 0
 
 
