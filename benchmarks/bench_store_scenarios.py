@@ -211,6 +211,15 @@ class AgedStore:
         wall seconds (device seconds without a scheduler), the window's
         sojourn percentiles when the scheduler is the event one, and
         with ``counters`` the degraded-read/failover deltas.
+
+        This is deliberately not :func:`repro.core.throughput.measure`,
+        because these seconds leave host CPU out.  ``sweep_device_s`` is
+        a summed ``device.clock_s`` delta, which ``IoStats.record_cpu``
+        does not advance, and ``sweep_wall_s`` is the scheduler window's
+        wall.  ``measure()``'s elapsed and wall seconds add the windows'
+        ``cpu_time_s``, which every LFS op feeds through
+        ``CostModel.charge_db_query``, so moving these figures onto it
+        would change their hashed cells in ``BENCH_paper.json``.
         """
         store, sched = self.store, self.sched
         measures: dict = {"sweep_reads": 0}

@@ -5,8 +5,8 @@ Each backend module registers a ``from_spec`` constructor with
 (surfaced by ``python -m repro backends``) and the options it
 accepts (name → converter).  The ``BACKENDS`` tuple, config validation
 and store construction all derive from the registry, so adding a
-backend is one file plus one decorator (see docs/architecture.md, "add
-a backend in one file").
+backend is one file plus one decorator (see docs/architecture.md,
+"Adding a backend in one file").
 
 :func:`build_store` is the single construction path:
 

@@ -243,3 +243,125 @@ def test_a_cite_of_a_label_the_roadmap_lacks_is_caught(tmp_path, monkeypatch):
     assert check_docs.stale_roadmap_cites() == [
         f"README.md:3: cites ROADMAP {label}, which ROADMAP.md does not "
         "define" for label in ("3", "1B(d)", "8(c)")]
+
+
+def test_the_repos_docs_tell_no_pr_story_and_cite_what_exists():
+    assert check_docs.narrative_headings() == []
+    assert check_docs.stale_section_cites() == []
+    assert check_docs.stale_member_mentions() == []
+    assert check_docs.unquoted_e2e_files() == []
+    assert [bad for path in check_docs.doc_files()
+            for bad in check_docs.broken_links(path)] == []
+
+
+def test_a_pr_narrative_heading_in_the_current_docs_is_caught(tmp_path,
+                                                              monkeypatch):
+    """A PR's story belongs in CHANGES.md, which may head it so."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "benchmarks.md").write_text(
+        "# Baselines\n\n### PR 1 → PR 2\n\nWhat moved.\n\n"
+        "## PRs that claim a gain\n")
+    (tmp_path / "README.md").write_text(
+        "# Readme\n\n```sh\n# PR 3 ran this\n```\n")
+    (tmp_path / "CHANGES.md").write_text("### PR 1 → PR 2\n")
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    assert check_docs.narrative_headings() == [
+        "docs/benchmarks.md: heading \"PR 1 → PR 2\" tells a PR's story; "
+        "that lives in CHANGES.md"]
+
+
+def test_an_anchor_must_name_a_heading_of_its_target(tmp_path, monkeypatch):
+    """GitHub's slugs: lower case, punctuation but ``-``/``_`` dropped,
+    spaces to ``-``, a repeat suffixed ``-1``; code fences hold no
+    headings."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "guide.md").write_text(
+        "# Guide\n\n## Persistence & recovery\n\n"
+        "## Declarative stores: `--store`\n\n## Notes\n\n## Notes\n\n"
+        "```sh\n# Fenced comment\n```\n")
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "[a](docs/guide.md#persistence--recovery) "
+        "[b](docs/guide.md#declarative-stores---store) "
+        "[c](docs/guide.md#notes-1) [d](#readme) [e](docs/guide.md)\n\n"
+        "# Readme\n\n"
+        "[f](docs/guide.md#notes-2) [g](docs/guide.md#fenced-comment) "
+        "[h](#whole-run-benchmark)\n")
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    assert check_docs.broken_links(readme) == [
+        "docs/guide.md#notes-2 (no such heading)",
+        "docs/guide.md#fenced-comment (no such heading)",
+        "#whole-run-benchmark (no such heading)"]
+
+
+def test_a_section_cite_must_name_a_heading_of_its_doc(tmp_path, monkeypatch):
+    """Regression: a docstring sent readers to docs/architecture.md,
+    "add a backend in one file", a heading that doc never had."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "architecture.md").write_text(
+        "# Architecture\n\n### Adding a backend in one file\n\n"
+        "## Enforced invariants\n")
+    (tmp_path / "docs" / "benchmarks.md").write_text(
+        "## Contract, scaling and calibration\n")
+    for path, body in (
+            ("src/repro/registry.py",
+             '"""One file (see docs/architecture.md, "adding a backend\n'
+             'in one file"); not docs/architecture.md, "add\n'
+             'a backend in one file")."""\n'),
+            ("benchmarks/paperfig.py",
+             '"""Scaled (docs/benchmarks.md, "Contract,\n'
+             '    scaling and calibration"); docs/benchmarks.md\n'
+             '("Contract, scaling and calibrations")."""\n'),
+            ("tools/lint/__init__.py",
+             '"""Catalogue in ``docs/architecture.md`` § "Enforced\n'
+             'invariants"; docs/missing.md, "Anything" is not ours."""\n'
+             'HINT = "see docs/architecture.md", "elsewhere"\n')):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(body)
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    assert check_docs.stale_section_cites() == [
+        "src/repro/registry.py:2: cites \"add a backend in one file\", "
+        "which is no heading of docs/architecture.md",
+        "benchmarks/paperfig.py:2: cites \"Contract, scaling and "
+        "calibrations\", which is no heading of docs/benchmarks.md"]
+
+
+def test_a_stale_class_member_in_the_current_docs_is_caught(tmp_path,
+                                                            monkeypatch):
+    """Regression: the docs named ``LobTree.append_runs`` long after the
+    method had become ``append_run``."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "lob.py").write_text(
+        "import dataclasses\n\n\n"
+        "class Tree:\n    def destroy(self):\n        self.pages = []\n\n\n"
+        "class LobTree(Tree):\n    FANOUT = 64\n"
+        "    __slots__ = ('root',)\n    depth: int\n\n"
+        "    def append_run(self, run):\n        self.tail = run\n\n\n"
+        "@dataclasses.dataclass\nclass Cursor(dict):\n    leaf: int = 0\n")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "architecture.md").write_text(
+        "`LobTree.append_run`, `repro.db.LobTree.destroy`, `LobTree.FANOUT`"
+        ",\n`LobTree.root`, `LobTree.depth`, `LobTree.tail(x)`, "
+        "`LobTree.pages`, `LobTree.__init__`,\n`Cursor.leaf`, "
+        "`Cursor.keys`, `BlockDevice.gone`, `lob.Tree`.\n")
+    (tmp_path / "README.md").write_text(
+        "One step, `LobTree.append_runs(\nk)`, per run.\n")
+    (tmp_path / "CHANGES.md").write_text("`LobTree.append_runs` went\n")
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    assert check_docs.stale_member_mentions() == [
+        "README.md: `LobTree.append_runs` names nothing LobTree defines",
+        "docs/architecture.md: `Cursor.keys` names nothing Cursor defines"]
+
+
+def test_a_committed_e2e_file_without_a_quoting_row_is_caught(docs_root):
+    """Every committed file keeps a gated row; prose does not count."""
+    docs_root(
+        "| `BENCH_e2e_pr13.json` → `BENCH_e2e_pr14.json` |"
+        " `db_large_churn` 250 → 727 `sim_ops_per_host_s` |\n"
+        "| `BENCH_e2e_pr16_base.json` | the parent, no claim |\n"
+        "`BENCH_e2e_pr16.json` moved `db_large_churn` 1 → 2"
+        " `sim_ops_per_host_s`.\n")
+    assert check_docs.unquoted_e2e_files() == [
+        f"benchmarks/BENCH_e2e_pr{pr}.json: no table row quotes its "
+        "`sim_ops_per_host_s`" for pr in ("16", "16_base")]
